@@ -146,6 +146,12 @@ def _overload_phase(k=4, rounds=3, retries=20):
     coalesces away).  Returns the overload record: shed count, post-retry
     success rate, queue-wait p99, and whether SIGTERM drained the daemon
     to exit 0.
+
+    The shedding does not rely on a slow modulator: ``design`` without
+    ``--snr`` never simulates it.  The first round's four requests leave
+    one barrier together onto two admission slots, and a cold design
+    (halfband search) takes far longer than their arrival spread, so at
+    least one is shed however fast the simulation kernels are.
     """
     from repro.serve.client import ServeClient
 

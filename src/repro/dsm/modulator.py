@@ -17,10 +17,13 @@ Three simulation engines are provided:
   a unity STF and is numerically robust.
 * :class:`FastErrorFeedbackSimulator` — the same error-feedback loop with
   the filter ``1 - NTF`` evaluated in its exact recursive (IIR) form
-  instead of a truncated 64-tap FIR.  The per-sample work drops from one
-  64-point dot product to ~2·order multiply-adds, making it roughly an
-  order of magnitude faster — this is the engine the fast end-to-end SNR
-  simulation uses (``engine="error-feedback-fast"`` / ``engine="fast"``).
+  instead of a truncated 64-tap FIR, at ~2·order multiply-adds per
+  sample.  It runs in the compiled kernel of :mod:`repro._native` (tens
+  of nanoseconds per sample), or, without a C compiler, in its
+  pure-Python scalar loop (about a microsecond per sample), which is also
+  the gold model the kernel is tested against bit for bit.  This is the
+  engine the fast end-to-end SNR simulation and the Monte Carlo
+  population use (``engine="error-feedback-fast"`` / ``engine="fast"``).
   Because the quantizer decisions of a chaotic delta-sigma loop are
   sensitive to rounding, its bit-stream is not sample-identical to the FIR
   engine's; the noise-shaping statistics (SQNR, spectra, MSA) agree, which
@@ -39,6 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import signal
 
+from repro import _native
 from repro.dsm.ntf import NoiseTransferFunction, synthesize_ntf
 from repro.dsm.quantizer import MultibitQuantizer
 
@@ -181,9 +185,9 @@ class FastErrorFeedbackSimulator:
     evaluated sample-by-sample in transposed direct form II, which costs
     ``2·order`` multiply-adds per sample instead of the reference engine's
     64-point dot product — and, unlike the FIR engine, realizes the NTF
-    *exactly* rather than through a truncated impulse response.  The inner
-    loop runs on Python scalars (no per-sample numpy dispatch), which is
-    where the ~10× speed-up comes from.
+    *exactly* rather than through a truncated impulse response.  The loop
+    runs in the compiled kernel when it loads and in
+    :meth:`_simulate_python` otherwise; both give the same bits.
     """
 
     INSTABILITY_THRESHOLD = 8.0
@@ -203,8 +207,83 @@ class FastErrorFeedbackSimulator:
         self._den = [float(v) for v in a_ntf]
 
     def simulate(self, u: np.ndarray) -> SimulationResult:
-        """Run the loop on the input sequence ``u`` (values within ±1)."""
-        u = np.asarray(u, dtype=float)
+        """Run the loop on the input sequence ``u`` (values within ±1).
+
+        Runs the compiled kernel as a batch of one when it is available and
+        the pure-Python loop (:meth:`_simulate_python`, the gold model)
+        otherwise; both produce the same bits.
+        """
+        u = _finite_input(u, 1)
+        library = _native.load()
+        if library is None:
+            return self._simulate_python(u)
+        output, codes, quantizer_input, stable = self._simulate_native(
+            library, u)
+        return SimulationResult(
+            output=output,
+            codes=codes,
+            quantizer_input=quantizer_input,
+            stable=bool(stable[0]),
+            metadata={"engine": "error-feedback-fast",
+                      "order": len(self._den) - 1},
+        )
+
+    def simulate_batch(self, u: np.ndarray) -> BatchSimulationResult:
+        """Run the loop on a ``(batch, n)`` array of independent records.
+
+        The compiled kernel runs the records one after another with the
+        scalar loop's expression order, so every row is **bit-exact** to
+        its per-record :meth:`simulate` — including the chaotic quantizer
+        decisions.  Without the kernel each row runs through the
+        pure-Python loop.
+        """
+        u = _finite_input(u, 2)
+        library = _native.load()
+        if library is None:
+            output = np.empty(u.shape)
+            quantizer_input = np.empty(u.shape)
+            codes = np.empty(u.shape, dtype=np.int64)
+            stable = np.empty(u.shape[0], dtype=bool)
+            for b, row in enumerate(u):
+                record = self._simulate_python(row)
+                output[b] = record.output
+                quantizer_input[b] = record.quantizer_input
+                codes[b] = record.codes
+                stable[b] = record.stable
+        else:
+            output, codes, quantizer_input, stable = self._simulate_native(
+                library, u)
+        return BatchSimulationResult(
+            output=output,
+            codes=codes,
+            quantizer_input=quantizer_input,
+            stable=stable,
+            metadata={"engine": "error-feedback-fast",
+                      "order": len(self._den) - 1, "batched": True},
+        )
+
+    def _simulate_native(self, library, u: np.ndarray):
+        """Run the compiled kernel on a 1-D record or ``(batch, n)`` rows."""
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        batch = 1 if u.ndim == 1 else u.shape[0]
+        order = len(self._den) - 1
+        output = np.empty(u.shape)
+        quantizer_input = np.empty(u.shape)
+        codes = np.empty(u.shape, dtype=np.int64)
+        stable = np.empty(batch, dtype=bool)
+        failed_row = library.ef_simulate(
+            u, batch, u.shape[-1], np.array(self._num), np.array(self._den),
+            order, self.quantizer.full_scale, self.quantizer.step,
+            self.quantizer.levels - 1,
+            self.INSTABILITY_THRESHOLD * self.quantizer.full_scale,
+            np.zeros(order), output, quantizer_input, codes, stable)
+        if failed_row >= 0:
+            raise OverflowError(f"the loop diverged: the quantizer input of "
+                                f"row {failed_row} is no longer finite")
+        return output, codes, quantizer_input, stable
+
+    def _simulate_python(self, u: np.ndarray) -> SimulationResult:
+        """The pure-Python scalar loop: the gold model of the kernel."""
         n = len(u)
         order = len(self._den) - 1
         num = self._num
@@ -246,60 +325,28 @@ class FastErrorFeedbackSimulator:
             metadata={"engine": "error-feedback-fast", "order": order},
         )
 
-    def simulate_batch(self, u: np.ndarray) -> BatchSimulationResult:
-        """Run the loop on a ``(batch, n)`` array of independent records.
 
-        Sequential in time, vectorized across records: each time step
-        evaluates the same scalar recurrence as :meth:`simulate` but as
-        elementwise numpy operations over the batch, in the same
-        expression order.  Elementwise IEEE arithmetic matches the scalar
-        path operation for operation (``np.rint`` is the same
-        round-half-to-even as Python's ``round``), so every row is
-        **bit-exact** to its per-record simulation — including the chaotic
-        quantizer decisions — while the per-sample Python overhead is paid
-        once per time step instead of once per record.
-        """
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2:
-            raise ValueError("simulate_batch expects a 2-D (batch, n) array")
-        batch, n = u.shape
-        order = len(self._den) - 1
-        num = self._num
-        den = self._den
-        states = [np.zeros(batch) for _ in range(order)]
-        output = np.empty((batch, n))
-        quantizer_input = np.empty((batch, n))
-        codes = np.empty((batch, n), dtype=np.int64)
-        unstable = np.zeros(batch, dtype=bool)
-        full_scale = self.quantizer.full_scale
-        step = self.quantizer.step
-        top_code = self.quantizer.levels - 1
-        limit = self.INSTABILITY_THRESHOLD * full_scale
-        for i in range(n):
-            feedback = states[0]
-            y = u[:, i] - feedback
-            code = np.rint((y + full_scale) / step)
-            np.clip(code, 0.0, float(top_code), out=code)
-            v = code * step - full_scale
-            e = v - y
-            # The list rebinding below never mutates the arrays `feedback`
-            # and `states[j + 1]` still reference, so the update order
-            # matches the scalar loop exactly.
-            for j in range(order - 1):
-                states[j] = num[j + 1] * e + states[j + 1] - den[j + 1] * feedback
-            states[order - 1] = num[order] * e - den[order] * feedback
-            output[:, i] = v
-            quantizer_input[:, i] = y
-            codes[:, i] = code.astype(np.int64)
-            unstable |= (y > limit) | (y < -limit)
-        return BatchSimulationResult(
-            output=output,
-            codes=codes,
-            quantizer_input=quantizer_input,
-            stable=~unstable,
-            metadata={"engine": "error-feedback-fast", "order": order,
-                      "batched": True},
-        )
+def _finite_input(u: np.ndarray, ndim: int) -> np.ndarray:
+    """``u`` as a float array of ``ndim`` dimensions with only finite values.
+
+    Checked before any engine runs: a NaN or infinite input has no
+    quantizer decision, and the kernel and the Python loop must reject it
+    the same way.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != ndim:
+        raise ValueError("simulate_batch expects a 2-D (batch, n) array"
+                         if ndim == 2 else
+                         "simulate expects a 1-D array of samples")
+    finite = np.isfinite(u)
+    if not finite.all():
+        if ndim == 1:
+            raise ValueError(f"modulator input must be finite; sample "
+                             f"{int(np.argmin(finite))} is not")
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"modulator input must be finite; row {row} holds "
+                         f"a NaN or infinite sample")
+    return u
 
 
 class StateSpaceSimulator:
@@ -408,8 +455,9 @@ class DeltaSigmaModulator:
         """Simulate the modulator on an input sequence (values within ±1).
 
         ``engine`` selects the simulation backend: ``"error-feedback"``
-        (reference), ``"error-feedback-fast"`` / ``"fast"`` (recursive loop
-        filter, ~10× faster; used by the fast end-to-end SNR path) or
+        (reference), ``"error-feedback-fast"`` / ``"fast"`` (exact
+        recursive loop filter in the compiled kernel, or its pure-Python
+        fallback; used by the fast end-to-end SNR path) or
         ``"state-space"`` (records internal state trajectories).
         """
         if engine == "error-feedback":
@@ -426,8 +474,8 @@ class DeltaSigmaModulator:
                        engine: str = "fast") -> BatchSimulationResult:
         """Simulate a ``(batch, n)`` array of independent input records.
 
-        Only the fast recursive engine supports batching (its scalar
-        recurrence vectorizes across records while staying bit-exact; see
+        Only the fast recursive engine supports batching (every row is
+        bit-exact to its per-record simulation; see
         :meth:`FastErrorFeedbackSimulator.simulate_batch`).
         """
         if engine not in ("error-feedback-fast", "fast"):
@@ -460,11 +508,11 @@ class DeltaSigmaModulator:
 
         ``engine`` selects the simulation backend.  The default ``"fast"``
         engine runs the **whole amplitude grid as one batched simulation**
-        (:meth:`simulate_batch` — every amplitude is a row of the batch)
-        and then applies the first-failure rule, roughly an order of
-        magnitude faster than sweeping the grid one amplitude at a time;
-        ``"error-feedback"`` keeps the reference per-amplitude loop (which
-        stops simulating at the first unstable amplitude).  Both engines
+        (:meth:`simulate_batch` — every amplitude is a row of the batch,
+        one call into the compiled kernel) and then applies the
+        first-failure rule; ``"error-feedback"`` keeps the reference
+        per-amplitude loop (which stops simulating at the first unstable
+        amplitude).  Both engines
         report the same MSA on the paper's design — the loop's stability
         boundary is an engine-independent statistic.
         """

@@ -38,7 +38,9 @@ Two engines produce bit-identical outputs:
 
 Both engines share the streaming state (integrators, comb delays, phase), so
 blocks may be fed through different backends and still continue the same
-simulation.
+simulation.  :meth:`HogenauerDecimator.process_batch` runs independent
+records through the compiled kernel of :mod:`repro._native` instead, or
+through the vectorized engine row by row where no kernel can be built.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import _native
 from repro.filters.polyphase import max_abs_int
 from repro.filters.sinc import SincFilter, SincFilterSpec
 from repro.fixedpoint.word import wrap_twos_complement
@@ -335,12 +338,12 @@ class HogenauerDecimator:
         """Filter and decimate a ``(batch, n)`` array of independent records.
 
         Every row is processed from a cleared register state (the batch
-        axis models independent records, not a continued stream), entirely
-        in vectorized ``uint64`` arithmetic: the K integrators are K
-        cumulative sums along the time axis, the rate change is a strided
-        column slice and the K combs are first differences.  Row ``b`` of
-        the result is bit-exact to ``reset(); process(samples[b])``.  The
-        instance's streaming state is left untouched.
+        axis models independent records, not a continued stream) and row
+        ``b`` of the result is bit-exact to ``reset(); process(samples[b])``.
+        The compiled kernel runs the K wrap-around integrators, the rate
+        change and the K combs per row and writes only the ``n // M``
+        output words; without it each row runs through the vectorized
+        engine.  The instance's streaming state is left untouched.
 
         Requires a register width the vectorized engine supports
         (≤ 62 bits); wider configurations must loop the reference engine.
@@ -351,34 +354,30 @@ class HogenauerDecimator:
         if samples.dtype != object and not np.issubdtype(samples.dtype, np.integer):
             raise TypeError("HogenauerDecimator processes integer samples; "
                             "quantize the input first")
-        k = self.spec.order
-        m = self.spec.decimation
         width = self.width
         if width > _MAX_INT64_WIDTH:
             raise ValueError(
                 f"batch processing supports register widths up to "
                 f"{_MAX_INT64_WIDTH} bits (got {width}); loop the reference "
                 f"engine instead")
-        batch, n = samples.shape
-        n_out = n // m
-        if n_out == 0:
-            return np.zeros((batch, 0), dtype=np.int64)
         if samples.dtype == object:
             samples = np.array([[wrap_twos_complement(int(v), width) for v in row]
-                                for row in samples.tolist()], dtype=np.int64)
-        x = samples.astype(np.int64).astype(np.uint64)
-        for _ in range(k):
-            x = np.cumsum(x, axis=-1, dtype=np.uint64)
-        dec = x[:, m - 1::m]
-        for _ in range(k):
-            previous = np.empty_like(dec)
-            previous[:, 0] = np.uint64(0)
-            previous[:, 1:] = dec[:, :-1]
-            dec = dec - previous
-        modulus = 1 << width
-        wrapped = dec & np.uint64(modulus - 1)
-        out = wrapped.astype(np.int64)
-        out[wrapped >= np.uint64(modulus >> 1)] -= modulus
+                                for row in samples.tolist()],
+                               dtype=np.int64).reshape(samples.shape)
+        samples = np.ascontiguousarray(samples, dtype=np.int64)
+        k = self.spec.order
+        m = self.spec.decimation
+        batch, n = samples.shape
+        out = np.empty((batch, n // m), dtype=np.int64)
+        library = _native.load()
+        if library is None:
+            stage = HogenauerDecimator(self.spec, self.config)
+            for b, row in enumerate(samples):
+                stage.reset()
+                out[b] = stage._process_vectorized(row)
+        else:
+            library.cic_decimate(samples, batch, n, k, m, width,
+                                 np.zeros(2 * k, dtype=np.uint64), out)
         return out
 
     # ------------------------------------------------------------------

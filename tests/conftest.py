@@ -72,3 +72,15 @@ def synthesis_report(paper_chain):
 def rng():
     """A deterministic random generator for individual tests."""
     return np.random.default_rng(20110926)
+
+
+@pytest.fixture()
+def python_fallback(monkeypatch):
+    """Run a test on the pure-Python fallback of the compiled kernels.
+
+    The kernel loader reports no library, exactly as on a host without a
+    C compiler; tests without this fixture run the kernels when they load.
+    """
+    from repro import _native
+
+    monkeypatch.setattr(_native, "load", lambda: None)

@@ -51,6 +51,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -279,8 +280,6 @@ def race_thread_writers(cas, key_sets: Sequence[Sequence[str]],
     threads exercises the same last-writer-wins-with-identical-bytes
     contract.  Returns observed violations (empty on success).
     """
-    import threading
-
     barrier = threading.Barrier(len(key_sets))
     errors: List[str] = []
     lock = threading.Lock()
@@ -392,6 +391,32 @@ class ServeDaemon:
     def __exit__(self, *exc_info) -> None:
         """Context-manager exit: make sure the process is gone."""
         self.kill()
+
+
+class HeldReport:
+    """A named pipe to pass as a request's ``--json FILE``.
+
+    The request computes, then blocks opening its report for writing until
+    :meth:`release` opens the pipe for reading, so it stays in flight for
+    exactly as long as the test wants, however fast the computation is.
+    """
+
+    def __init__(self, directory: Path, name: str = "held-report.json"):
+        """Create the pipe in ``directory``."""
+        self.path = Path(directory) / name
+        os.mkfifo(self.path)
+
+    def release(self, timeout_s: float = 120.0) -> bytes:
+        """Let the held request finish; returns the report it wrote."""
+        report: List[bytes] = []
+        reader = threading.Thread(
+            target=lambda: report.append(self.path.read_bytes()), daemon=True)
+        reader.start()
+        reader.join(timeout=timeout_s)
+        if reader.is_alive():
+            raise AssertionError(f"no request wrote {self.path} within "
+                                 f"{timeout_s} s")
+        return report[0]
 
 
 def send_partial_request(address, fraction: float = 0.5,

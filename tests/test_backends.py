@@ -5,12 +5,16 @@ arbitrary-precision reference and the numpy vectorized fast path — that must
 produce *bit-identical* outputs.  These tests pin that contract across sinc
 orders, decimation factors, word widths and random fixed-point inputs, and
 verify that the block-streaming simulator reproduces the one-shot simulation
-exactly for arbitrary block sizes.
+exactly for arbitrary block sizes.  The modulator and batched-chain
+contracts also run on the pure-Python fallback of the compiled kernels.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.core import design_paper_chain
 from repro.dsm import DeltaSigmaModulator, coherent_tone
 from repro.filters import (
@@ -312,6 +316,22 @@ class TestFastModulatorEngine:
         ntf.gain = 2.0
         with pytest.raises(ValueError):
             FastErrorFeedbackSimulator(ntf, MultibitQuantizer(4))
+
+
+@pytest.mark.usefixtures("python_fallback")
+class TestFastModulatorEngineFallback(TestFastModulatorEngine):
+    """The fast-engine contracts on the pure-Python fallback loop."""
+
+
+class TestBatchedChainEngines:
+    def test_fallback_batch_matches_kernel_and_rows(self, paper_chain, rng):
+        codes = rng.integers(0, 16, size=(3, 4096), dtype=np.int64)
+        kernel = paper_chain.process_fixed(codes)
+        with mock.patch.object(_native, "load", lambda: None):
+            fallback = paper_chain.process_fixed(codes)
+        assert np.array_equal(kernel, fallback)
+        for b in range(codes.shape[0]):
+            assert np.array_equal(kernel[b], paper_chain.process_fixed(codes[b]))
 
 
 class TestStreamingIntegerTaps:

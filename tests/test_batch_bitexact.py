@@ -2,18 +2,22 @@
 reference, plus the shared-stage memoization contracts of the sweep engine.
 
 The batch paths (modulator ``simulate_batch``, 2-D strided-matmul
-convolution, batched Hogenauer cumsum, batched chain processing, batched
+convolution, batched Hogenauer stage, batched chain processing, batched
 rFFT PSD/SNR) exist purely for speed; these tests pin the contract that
 every row of a batched result equals the per-record computation sample for
-sample.
+sample.  The modulator and Hogenauer contracts run twice: on the compiled
+kernels and on their pure-Python fallback.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.dsm import DeltaSigmaModulator, coherent_tone
+from repro import _native
+from repro.dsm import DeltaSigmaModulator, coherent_tone, synthesize_ntf
 from repro.dsm.modulator import FastErrorFeedbackSimulator
 from repro.dsm.quantizer import MultibitQuantizer
 from repro.dsm.spectrum import analyze_tone, analyze_tone_batch, periodogram
@@ -55,6 +59,16 @@ class TestSimulateBatch:
         simulator = FastErrorFeedbackSimulator(paper_ntf, MultibitQuantizer(4))
         with pytest.raises(ValueError, match="2-D"):
             simulator.simulate_batch(np.zeros(64))
+
+    def test_non_finite_input_rejected_naming_the_row(self, paper_ntf):
+        simulator = FastErrorFeedbackSimulator(paper_ntf, MultibitQuantizer(4))
+        tones = np.zeros((3, 64))
+        for bad in (np.nan, np.inf, -np.inf):
+            tones[2, 5] = bad
+            with pytest.raises(ValueError, match="row 2"):
+                simulator.simulate_batch(tones)
+            with pytest.raises(ValueError, match="sample 5"):
+                simulator.simulate(tones[2])
 
     def test_modulator_dispatch_requires_fast_engine(self, paper_modulator):
         with pytest.raises(ValueError, match="fast engine"):
@@ -139,6 +153,118 @@ class TestBatchedFilters:
         with pytest.raises(ValueError, match="single record"):
             paper_chain.process_fixed(np.zeros((2, 64), dtype=np.int64),
                                       collect_trace=True)
+
+
+@pytest.mark.usefixtures("python_fallback")
+class TestSimulateBatchFallback(TestSimulateBatch):
+    """The modulator batch contracts on the pure-Python fallback."""
+
+
+@pytest.mark.usefixtures("python_fallback")
+class TestBatchedFiltersFallback(TestBatchedFilters):
+    """The Hogenauer and chain batch contracts on the fallback engine."""
+
+    # No kernel behind the strided matmul; a hypothesis test also must not
+    # run from two classes.
+    test_convolve_strided_matmul_2d_matches_rows = None
+
+
+# ----------------------------------------------------------------------
+# Compiled kernels against their gold models
+# ----------------------------------------------------------------------
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+def _or_error(call):
+    try:
+        return call()
+    except OverflowError as error:
+        return type(error)
+
+
+@pytest.fixture(scope="module")
+def kernel_library():
+    library = _native.load()
+    if library is None:
+        pytest.skip("the compiled kernels cannot be built on this host")
+    return library
+
+
+class TestKernelDifferential:
+    @given(order=st.integers(1, 8), bits=st.integers(1, 6),
+           h_inf=st.sampled_from((2.0, 3.0)),
+           batch=st.sampled_from((1, 9)),
+           n=st.one_of(st.just(0), st.just(1), st.integers(2, 300)),
+           amplitudes=st.lists(st.sampled_from(
+               (0.0, 0.5, 0.9, 1.0, 1.5, 2.0, 4.0, 8.0)), min_size=9,
+               max_size=9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(order=5, bits=4, h_inf=3.0, batch=9, n=300,
+             amplitudes=[0.0, 0.5, 0.9, 1.0, 1.5, 2.0, 4.0, 8.0, 8.0], seed=1)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_modulator_kernel_matches_python_loop(
+            self, kernel_library, order, bits, h_inf, batch, n, amplitudes,
+            seed):
+        simulator = FastErrorFeedbackSimulator(
+            synthesize_ntf(order, 16, h_inf), MultibitQuantizer(bits))
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        u = np.stack([a * np.sin(2 * np.pi * 0.013 * t + rng.uniform(0, 6))
+                      + 0.01 * rng.standard_normal(n)
+                      for a in amplitudes[:batch]])
+        gold = [_or_error(lambda row=row: simulator._simulate_python(row))
+                for row in u]
+        kernel = _or_error(lambda: simulator.simulate_batch(u))
+        with mock.patch.object(_native, "load", lambda: None):
+            fallback = _or_error(lambda: simulator.simulate_batch(u))
+        if OverflowError in gold:
+            assert kernel is fallback is OverflowError
+            return
+        assert kernel.metadata == fallback.metadata
+        for b, record in enumerate(gold):
+            single = simulator.simulate(u[b])
+            assert single.metadata == record.metadata
+            for result in (kernel.record(b), fallback.record(b), single):
+                assert np.array_equal(_bits(result.output),
+                                      _bits(record.output))
+                assert np.array_equal(_bits(result.quantizer_input),
+                                      _bits(record.quantizer_input))
+                assert np.array_equal(result.codes, record.codes)
+                assert result.codes.dtype == record.codes.dtype
+                assert result.stable == record.stable
+
+    @given(order=st.integers(1, 6), decimation=st.integers(2, 8),
+           input_bits=st.integers(1, 16), guard=st.integers(0, 62),
+           batch=st.integers(1, 4), n=st.integers(0, 120),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_hogenauer_kernel_matches_gold_models(
+            self, kernel_library, order, decimation, input_bits, guard, batch,
+            n, seed):
+        spec = SincFilterSpec(order=order, decimation=decimation,
+                              input_bits=input_bits, input_rate_hz=1e6)
+        config = HogenauerConfig(
+            guard_bits=min(guard, 62 - spec.register_bits))
+        stage = HogenauerDecimator(spec, config)
+        assert stage.width <= 62
+        high = 1 << (stage.width - 1)
+        records = np.random.default_rng(seed).integers(
+            -high, high, size=(batch, n), dtype=np.int64)
+        kernel = stage.process_batch(records)
+        with mock.patch.object(_native, "load", lambda: None):
+            fallback = stage.process_batch(records)
+        assert kernel.shape == fallback.shape == (batch, n // decimation)
+        assert np.array_equal(kernel, fallback)
+        for b in range(batch):
+            if n:  # the convolution gold model needs a non-empty record
+                assert np.array_equal(kernel[b],
+                                      stage.reference_output(records[b]))
+            fresh = HogenauerDecimator(spec, config)
+            assert np.array_equal(kernel[b], fresh.process(records[b]))
+        assert stage._integrators == [0] * order
 
 
 # ----------------------------------------------------------------------

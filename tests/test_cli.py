@@ -641,14 +641,18 @@ class TestServeDrainCLI:
         import faultutils
         from repro.serve.protocol import encode_line
 
+        held = faultutils.HeldReport(tmp_path)
         with faultutils.ServeDaemon(cache_dir=tmp_path / "cache", jobs=1,
                                     drain_grace_s=60.0) as daemon:
-            # One slow request in flight, one idle surviving connection.
+            # One request held in flight (it blocks writing its report
+            # into a named pipe until released), one idle surviving
+            # connection.
             inflight = daemon.client(timeout=120)
             inflight.send_raw(encode_line(
                 {"id": "inflight", "verb": "sweep",
                  "args": ["--output-bits", "12", "--snr", "--snr-samples",
-                          "4194304", "--quiet"]}).encode("utf-8"))
+                          "2048", "--quiet", "--json", str(held.path)]}
+            ).encode("utf-8"))
             survivor = daemon.client(timeout=120)
             # Wait until the computation is provably in flight (health is
             # a control verb: answered on the loop, never queued).
@@ -675,6 +679,7 @@ class TestServeDrainCLI:
             assert response["stderr"].startswith("error: ")
 
             # The in-flight request still completes in full...
+            assert json.loads(held.release())["points"]
             done = json.loads(inflight.read_response_line())
             assert done["id"] == "inflight"
             assert done["exit_code"] == 0

@@ -27,11 +27,11 @@ even across a drain).
 
 import json
 import signal
-import time
 
 import pytest
 
 import faultutils
+from serveutils import wait_until
 from repro.explore import SweepSpec, run_sweep, sweep_report_json
 from repro.explore.store import ArtifactCAS, TransientObjectStoreError
 from repro.explore.transfer import transfer_records
@@ -329,10 +329,10 @@ class TestServeDaemonFaults:
     #: timing line) used for byte-identity across restarts.
     SWEEP_WARM = ["--output-bits", "12", "14", "--snr",
                   "--snr-samples", "2048", "--quiet"]
-    #: A deliberately slow request (~1s+ of SNR simulation) that opens a
-    #: wide mid-flight window for signal delivery.
-    SWEEP_SLOW = ["--output-bits", "12", "--snr",
-                  "--snr-samples", "1048576", "--quiet"]
+    #: A request held in flight: it computes, then blocks writing its
+    #: report into a :class:`faultutils.HeldReport` pipe until released.
+    SWEEP_HELD = ["--output-bits", "12", "--snr", "--snr-samples", "2048",
+                  "--quiet", "--json"]
 
     def _fire(self, daemon, request_id, args):
         """Send one sweep request without waiting for its response."""
@@ -342,9 +342,14 @@ class TestServeDaemonFaults:
              "args": list(args)}).encode("utf-8"))
         return client
 
+    @staticmethod
+    def _inflight(daemon):
+        return daemon.request("health")["health"]["inflight"]
+
     def test_sigkill_mid_request_tears_nothing_and_restart_is_warm(
             self, tmp_path):
         cache = tmp_path / "cache"
+        held = faultutils.HeldReport(tmp_path)
         with faultutils.ServeDaemon(cache_dir=cache, jobs=2) as daemon:
             cold = daemon.request("sweep", self.SWEEP_WARM, timeout=120)
             assert cold["exit_code"] == 0
@@ -352,9 +357,11 @@ class TestServeDaemonFaults:
             assert before["exit_code"] == 0
             assert before["stdout"] == cold["stdout"]  # warm == cold result
 
-            # A different (slow) request is mid-flight when SIGKILL lands.
-            victim = self._fire(daemon, "victim", self.SWEEP_SLOW)
-            time.sleep(0.5)
+            # A different (held) request is mid-flight when SIGKILL lands.
+            victim = self._fire(daemon, "victim",
+                                self.SWEEP_HELD + [str(held.path)])
+            wait_until(lambda: self._inflight(daemon) == 1,
+                       message="the held request in flight")
             daemon.sigkill()
             assert daemon.wait(30) == -signal.SIGKILL
             # The in-flight response is *lost*, never torn: EOF, no bytes.
@@ -376,14 +383,20 @@ class TestServeDaemonFaults:
     def test_sigterm_mid_coalesce_answers_survivors_and_exits_zero(
             self, tmp_path):
         cache = tmp_path / "cache"
+        held = faultutils.HeldReport(tmp_path)
         with faultutils.ServeDaemon(cache_dir=cache, jobs=2,
                                     drain_grace_s=60.0) as daemon:
-            # Two clients coalesced on one slow computation...
-            waiters = [self._fire(daemon, i, self.SWEEP_SLOW)
+            # Two clients coalesced on one held computation...
+            waiters = [self._fire(daemon, i, self.SWEEP_HELD + [str(held.path)])
                        for i in range(2)]
-            time.sleep(0.5)
+            wait_until(lambda: daemon.request("stats")["stats"]["coalesce"][
+                "coalesced"] == 1, message="the second client to coalesce")
             # ...when the drain signal arrives mid-flight.
-            daemon.sigterm()
+            with daemon.client() as monitor:
+                daemon.sigterm()
+                wait_until(lambda: monitor.request("health")["health"][
+                    "status"] == "draining", message="the daemon to drain")
+            assert held.release()
             responses = [json.loads(w.read_response_line())
                          for w in waiters]
             for index, response in enumerate(responses):
@@ -414,11 +427,16 @@ class TestServeDaemonFaults:
         cache = tmp_path / "cache"
         with faultutils.ServeDaemon(cache_dir=cache, jobs=2) as daemon:
             # A herd of clients rips its connections out mid-flight.
+            held = faultutils.HeldReport(tmp_path)
             for index in range(4):
-                self._fire(daemon, index, self.SWEEP_SLOW).close()
+                self._fire(daemon, index,
+                           self.SWEEP_HELD + [str(held.path)]).close()
+            wait_until(lambda: self._inflight(daemon) == 1,
+                       message="the held request in flight")
             assert daemon.request("ping")["ok"] is True
             done = daemon.request("sweep", self.SWEEP_WARM, timeout=120)
             assert done["exit_code"] == 0
+            assert held.release()
             daemon.sigterm()
             assert daemon.wait(90) == 0
         faultutils.assert_cas_integrity(cache)

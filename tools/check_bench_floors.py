@@ -56,6 +56,10 @@ FLOORS = {
          lambda r: r["batched_s"] <= 30.0),
         ("perturbed SNR population stays physical (40-100 dB)",
          lambda r: 40.0 <= r["snr_min_db"] <= r["snr_max_db"] <= 100.0),
+        ("compiled modulator kernel beats its Python fallback by at least 5x",
+         lambda r: r["simulate_batch_kernel_speedup"] >= 5.0),
+        ("compiled Hogenauer kernel beats its fallback by at least 5x",
+         lambda r: r["hogenauer_batch_kernel_speedup"] >= 5.0),
     ],
     "obs_overhead": [
         ("instrumented flow emits spans when traced",
