@@ -18,10 +18,10 @@ import pytest
 from benchutils import emit_json, print_series
 
 
-def _run(sweep, cache_dir, workers):
+def _run(sweep, cache_dir, jobs):
     from repro.explore import run_sweep, sweep_report_json
 
-    result = run_sweep(sweep, workers=workers, cache_dir=cache_dir)
+    result = run_sweep(sweep, jobs=jobs, cache_dir=cache_dir)
     return result, sweep_report_json(result)
 
 
@@ -34,7 +34,7 @@ def test_sweep_cache_speedup(benchmark, tmp_path):
     cache_dir = tmp_path / "cache"
 
     t0 = time.perf_counter()
-    cold, cold_json = _run(sweep, cache_dir, workers=2)
+    cold, cold_json = _run(sweep, cache_dir, jobs=2)
     cold_s = time.perf_counter() - t0
 
     warm, warm_json = benchmark.pedantic(

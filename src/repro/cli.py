@@ -5,13 +5,13 @@ Every workload in ``examples/`` is reproducible from the shell:
 * ``design`` — run the one-shot rapid design flow and print the full report.
 * ``verify`` — design + print the Table I compliance table; exit 1 on FAIL.
 * ``sweep``  — expand a design-space grid, run it on the staged, memoized
-  sweep engine (``--jobs``/``--executor`` select the concurrency backend)
-  over the shared content-addressed store, and print/write the
-  Pareto-ranked report.  ``--shard i/N`` deterministically runs one slice
-  of the grid (independent hosts can split a grid against one shared
-  ``--cache-dir``) and ``sweep merge`` combines the shard fragments into
-  a report byte-identical to the unsharded run; ``--no-resume`` forces
-  recomputation of already-published points.
+  sweep engine (``--jobs`` sets the concurrency: ``1`` runs inline, more
+  use a process pool) over the shared content-addressed store, and
+  print/write the Pareto-ranked report.  ``--shard i/N`` deterministically
+  runs one slice of the grid (independent hosts can split a grid against
+  one shared ``--cache-dir``) and ``sweep merge`` combines the shard
+  fragments into a report byte-identical to the unsharded run;
+  ``--no-resume`` forces recomputation of already-published points.
 * ``scenario`` — the multi-standard scenario suite: ``list`` the registry,
   ``run`` named scenarios (or ``--all``) on the same memoized engine,
   ``report`` a saved run, and ``check`` fresh runs against the committed
@@ -52,7 +52,7 @@ See ``docs/GUIDE.md`` for a task-oriented walkthrough,
 ``docs/ROBUSTNESS.md`` for the perturbation-axis model,
 ``docs/SERVING.md`` for the service protocol,
 ``docs/OBSERVABILITY.md`` for the tracing/metrics layer and
-``docs/PERFORMANCE.md`` for the engine/executor guide.
+``docs/PERFORMANCE.md`` for the engine and ``--jobs`` guide.
 """
 
 from __future__ import annotations
@@ -141,21 +141,19 @@ def _require_file(path: str, what: str) -> None:
 
 def _add_execution_arguments(parser: argparse.ArgumentParser,
                              what: str) -> None:
-    """The shared ``--jobs``/``--executor``/``--cache-dir`` trio.
+    """The shared ``--jobs``/``--cache-dir`` pair plus ``--trace``.
 
     Used by every subcommand that fans work out on the
     :func:`repro.explore.runner.execute_payloads` harness (scenario and
     robustness runs/checks); the sweep subcommand keeps its own variants
-    for legacy ``--workers`` compatibility and a default cache directory.
+    with a default of 4 jobs and a default cache directory.
     """
     parser.add_argument("--jobs", type=int, default=1,
-                        help=f"maximum concurrent {what} (default: 1)")
-    parser.add_argument("--executor", default="auto",
-                        choices=["auto", "inline", "thread", "process"],
-                        help="executor for the run (default: auto)")
+                        help=f"maximum concurrent {what}: 1 runs inline, "
+                             f"more use a process pool (default: 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="on-disk result cache directory "
-                             "(default: no cache)")
+                        help="result store: a directory, mem://NAME or "
+                             "s3://BUCKET[/PREFIX] (default: no cache)")
     _add_trace_argument(parser)
 
 
@@ -261,17 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--halfband-coeff-bits", type=int, nargs="+", default=[],
                        dest="halfband_coeff_bits",
                        help="halfband coefficient word-width axis")
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="maximum concurrent point executions "
-                            "(1 runs inline with no pool; default: --workers)")
-    sweep.add_argument("--workers", type=int, default=4,
-                       help="legacy alias of --jobs (default: 4)")
-    sweep.add_argument("--executor", default="auto",
-                       choices=["auto", "inline", "thread", "process"],
-                       help="executor for cache misses: inline (serial, "
-                            "no pool), thread (shared in-memory artifact "
-                            "store), process (pre-warmed store shipped to "
-                            "each worker) or auto (default)")
+    sweep.add_argument("--jobs", type=int, default=4,
+                       help="maximum concurrent point executions: 1 runs "
+                            "inline with no pool, more use a process pool "
+                            "with a pre-warmed store (default: 4)")
     sweep.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})")
     sweep.add_argument("--no-cache", action="store_true",
@@ -580,6 +571,35 @@ def _shared_store(args: argparse.Namespace):
     return getattr(args, "shared_store", None)
 
 
+def _open_cache(spec: Optional[str]):
+    """Open a ``--cache-dir`` store spec (``None`` stays ``None``).
+
+    Directories, ``mem://NAME`` and ``s3://BUCKET[/PREFIX]`` all route
+    through :func:`repro.explore.store.open_store`; unusable specs
+    (unknown scheme, missing SDK) are one-line errors, not tracebacks.
+    """
+    from repro.explore.store import open_store
+
+    if spec is None:
+        return None
+    try:
+        return open_store(spec)
+    except ValueError as exc:
+        raise CLIError(str(exc))
+
+
+def _jobs(args: argparse.Namespace) -> int:
+    """The validated ``--jobs``, or 1 for a served request.
+
+    A served request runs on a daemon worker thread with the hot shared
+    store: forking a process pool there could copy a store lock another
+    request holds, and worker-computed stages would never reach the hot
+    store.  The service's concurrency lives in its own pool instead.
+    """
+    _require_positive(args.jobs, "--jobs")
+    return 1 if _shared_store(args) is not None else args.jobs
+
+
 @contextlib.contextmanager
 def _maybe_trace(args: argparse.Namespace):
     """Install a span tracer for this invocation when ``--trace FILE``
@@ -703,8 +723,7 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
 
     if getattr(args, "sweep_command", None) == "merge":
         return _cmd_sweep_merge(args, io)
-    _require_positive(args.workers, "--workers")
-    _require_positive(args.jobs, "--jobs")
+    jobs = _jobs(args)
     shard = _parse_shard(args.shard)
     if shard is not None and not args.json:
         raise CLIError("--shard needs --json FILE: the shard fragment is "
@@ -726,15 +745,13 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
     progress = None if args.quiet else io.err
     result = run_sweep(
         sweep,
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
+        jobs=jobs,
+        cache_dir=_open_cache(None if args.no_cache else args.cache_dir),
         include_snr=args.snr,
         snr_samples=args.snr_samples,
         measure_activity=args.measure_activity,
         library=args.library,
         progress=progress,
-        jobs=args.jobs,
-        executor=args.executor,
         resume=not args.no_resume,
         shard=shard,
         store=_shared_store(args),
@@ -777,13 +794,12 @@ def _selected_scenarios(args: argparse.Namespace):
 def _run_scenario_selection(args: argparse.Namespace, io: CommandIO):
     from repro.scenarios import run_scenario_suite
 
-    _require_positive(args.jobs, "--jobs")
+    jobs = _jobs(args)
     progress = None if args.quiet else io.err
     return run_scenario_suite(
         _selected_scenarios(args),
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
+        jobs=jobs,
+        cache_dir=_open_cache(args.cache_dir),
         progress=progress,
         store=_shared_store(args),
     )
@@ -901,7 +917,7 @@ def _cmd_robustness_run(args: argparse.Namespace, io: CommandIO) -> int:
                                   robustness_report_markdown,
                                   run_robustness_suite)
 
-    _require_positive(args.jobs, "--jobs")
+    jobs = _jobs(args)
     _require_positive(args.samples, "--samples")
     _require_positive(args.stimulus_samples, "--stimulus-samples")
     if args.seed < 0:
@@ -934,9 +950,8 @@ def _cmd_robustness_run(args: argparse.Namespace, io: CommandIO) -> int:
         n_samples=args.samples,
         seed=args.seed,
         stimulus_samples=args.stimulus_samples,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
+        jobs=jobs,
+        cache_dir=_open_cache(args.cache_dir),
         min_pass_fraction=args.min_yield,
         progress=progress,
         store=_shared_store(args),
@@ -969,16 +984,15 @@ def _cmd_robustness_check(args: argparse.Namespace, io: CommandIO) -> int:
                                   check_robustness_record, run_robustness,
                                   write_robustness_golden)
 
-    _require_positive(args.jobs, "--jobs")
+    jobs = _jobs(args)
     settings = GOLDEN_RUN_SETTINGS
     report = run_robustness(
         settings["scenario"],
         n_samples=settings["n_samples"],
         seed=settings["seed"],
         stimulus_samples=settings["stimulus_samples"],
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
+        jobs=jobs,
+        cache_dir=_open_cache(args.cache_dir),
         store=_shared_store(args),
     )
     if report.from_cache:
@@ -1028,7 +1042,7 @@ def _cmd_cache_transfer(args: argparse.Namespace, io: CommandIO) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace, io: CommandIO) -> int:
-    from repro.explore.store import CACHE_SCHEMA_VERSION, open_store
+    from repro.explore.store import CACHE_SCHEMA_VERSION
 
     if args.cache_command in ("push", "pull"):
         return _cmd_cache_transfer(args, io)
@@ -1046,12 +1060,8 @@ def _cmd_cache(args: argparse.Namespace, io: CommandIO) -> int:
             io.out(f"Removed 0 cache entries from {spec}")
         return 0
     # Non-directory specs (mem://, s3://) route through the same backend
-    # scan primitive as directories; unusable specs (unknown scheme,
-    # missing SDK) fail with a one-line error instead of a traceback.
-    try:
-        cache = open_store(spec)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    # scan primitive as directories.
+    cache = _open_cache(spec)
     if args.cache_command == "stats":
         try:
             stats = cache.stats()

@@ -330,7 +330,7 @@ def snr_stimulus_parameters(chain, n_samples: int,
     amplitude, total_samples, settle_outputs)``.
 
     Single source of truth shared by :func:`simulated_output_snr` and the
-    sweep runner's process-executor warming
+    sweep runner's process-pool warming
     (:func:`repro.flow.pipeline.warm_flow_artifacts`) — both must key the
     memoized modulator bit-stream identically, or warming silently stops
     matching.  The stimulus is padded with enough extra samples to flush

@@ -25,7 +25,7 @@ Quickstart::
     from repro.explore import SweepSpec, run_sweep, sweep_report_markdown
 
     sweep = SweepSpec(output_bits=(12, 14, 16), sinc_orders=((4, 4, 6), (3, 3, 5)))
-    result = run_sweep(sweep, workers=4, cache_dir=".repro-cache")
+    result = run_sweep(sweep, jobs=4, cache_dir=".repro-cache")
     print(sweep_report_markdown(result))
 """
 

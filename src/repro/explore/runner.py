@@ -20,20 +20,17 @@ Two layers make the cold path fast:
   bit-stream) are keyed by their actual inputs, so the N points that share
   a stage compute it once.  Memoized results are bit-identical to cold
   computation, which the tests pin.
-* **Executor selection** — ``executor="inline"`` runs misses serially in
-  this process (no pool, no pickling; always used for ``jobs=1`` or a
-  single miss), ``"thread"`` shares the artifact store across a thread
-  pool (the stages are NumPy-dominated, so threads parallelize well
-  without any payload shipping), and ``"process"`` pre-warms the shared
-  store in the parent, ships it **once per worker** through the pool
-  initializer, and submits points in chunks.  ``"auto"`` picks inline for
-  tiny runs and threads otherwise.
+* **One process pool** — ``jobs`` alone picks how misses run: serially
+  in this process (no pool, no pickling) when ``jobs == 1`` or at most one
+  point misses, otherwise on a process pool.  The parent pre-warms the
+  stages shared by several points, ships the store **once per worker**
+  through the pool initializer, and submits points in chunks.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -44,9 +41,6 @@ from repro.explore.sweep import SweepPoint, SweepSpec
 from repro.flow.artifacts import ArtifactStore
 from repro.obs import trace
 
-#: Executor names accepted by :func:`run_sweep` / :func:`execute_payloads`.
-EXECUTORS = ("auto", "inline", "thread", "process")
-
 #: Artifact store installed in each process-pool worker by the pool
 #: initializer (shipped once per worker instead of once per payload).
 _WORKER_STORE: Optional[ArtifactStore] = None
@@ -56,8 +50,8 @@ _WORKER_STORE: Optional[ArtifactStore] = None
 _WORKER_TASK: Optional[Callable[[dict, Optional[ArtifactStore]], dict]] = None
 
 
-def _init_worker(store: ArtifactStore, task: Optional[Callable] = None,
-                 trace_spec: Optional[dict] = None) -> None:
+def _init_worker(store: ArtifactStore, task: Callable,
+                 trace_spec: Optional[dict]) -> None:
     """Process-pool initializer: install the pre-warmed artifact store,
     the payload task and (when the parent run is traced) a worker-side
     tracer writing this worker's span side file."""
@@ -132,11 +126,9 @@ def _execute_point(payload: dict, artifacts: Optional[ArtifactStore] = None) -> 
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can pickle
     it; the payload carries only plain dictionaries.  ``artifacts`` is the
-    run's shared store (inline/thread executors pass it directly; process
-    workers fall back to the store installed by :func:`_init_worker`).
+    run's shared store (in a pool worker, the store installed by
+    :func:`_init_worker`).
     """
-    if artifacts is None:
-        artifacts = _WORKER_STORE
     return flow_record(run_flow_payload(payload, artifacts))
 
 
@@ -145,12 +137,9 @@ def _execute_payload_in_worker(payload: dict) -> tuple:
     hit/miss deltas, so the parent can fold worker-side stage reuse into
     the run telemetry (each worker's store counters are cumulative across
     its chunk, hence the before/after delta)."""
-    task = _WORKER_TASK if _WORKER_TASK is not None else _execute_point
-    before = _WORKER_STORE.stats() if _WORKER_STORE is not None else None
+    before = _WORKER_STORE.stats()
     with trace.span("payload.execute", executor="process"):
-        record = task(payload, _WORKER_STORE)
-    if before is None:
-        return record, 0, 0
+        record = _WORKER_TASK(payload, _WORKER_STORE)
     after = _WORKER_STORE.stats()
     return (record, after["hits"] - before["hits"],
             after["misses"] - before["misses"])
@@ -159,20 +148,24 @@ def _execute_payload_in_worker(payload: dict) -> tuple:
 def execute_payloads(payloads: Sequence[dict],
                      task: Optional[Callable] = None,
                      jobs: int = 1,
-                     executor: str = "auto",
                      store: Optional[ArtifactStore] = None,
                      warm: Optional[Callable[[ArtifactStore], None]] = None,
                      on_result: Optional[Callable[[int, dict], None]] = None,
-                     chunk_size: Optional[int] = None) -> tuple:
-    """Execute flow payloads on the selected executor with a shared store.
+                     ) -> tuple:
+    """Execute flow payloads inline or on a process pool with a shared store.
 
-    This is the concurrency harness shared by :func:`run_sweep` and
-    :func:`repro.scenarios.run_scenario_suite`: it resolves the executor
-    (see :func:`_resolve_executor`), runs every payload through ``task``
-    with one shared :class:`~repro.flow.artifacts.ArtifactStore`, and
-    returns ``(records, mode, store)`` with the records in payload order.
-    All executors produce identical records — memoized stage results are
-    bit-identical to cold computation.
+    This is the concurrency harness shared by :func:`run_sweep`,
+    :func:`repro.scenarios.run_scenario_suite` and the robustness engine:
+    it runs every payload through ``task`` with one shared
+    :class:`~repro.flow.artifacts.ArtifactStore` and returns ``(records,
+    mode, store)`` with the records in payload order and ``mode`` either
+    ``"inline"`` or ``"process"``.  ``jobs <= 1`` or at most one payload
+    runs inline — a pool would only add process start-up and pickling
+    without any concurrency; anything else runs on a pool of
+    ``min(jobs, len(payloads))`` processes.  Both paths produce identical
+    records — memoized stage results are bit-identical to cold
+    computation — and the same store hit/miss counters whenever ``warm``
+    covers every stage that payloads on different workers share.
 
     Parameters
     ----------
@@ -180,35 +173,28 @@ def execute_payloads(payloads: Sequence[dict],
         JSON-safe payload dictionaries accepted by ``task``.
     task:
         Module-level callable ``task(payload, artifacts) -> record``
-        (picklable by reference for the process executor); defaults to the
-        sweep point task :func:`_execute_point`.
+        (picklable by reference for the pool); defaults to the sweep point
+        task :func:`_execute_point`.
     jobs:
         Maximum concurrent payload executions.
-    executor:
-        ``"inline"``, ``"thread"``, ``"process"`` or ``"auto"``.
     store:
         Shared artifact store; a fresh one is created when ``None``.
     warm:
-        Optional callback invoked with the store *before* a process pool
-        is created, to pre-compute shareable stages in the parent (the
-        store is shipped to each worker through the pool initializer).
-        Ignored by the other executors, which share the store directly.
+        Optional callback invoked with the store *before* the pool is
+        created, to pre-compute shareable stages in the parent (the store
+        is shipped to each worker through the pool initializer).  Unused
+        inline, where every payload shares the store directly.
     on_result:
         Optional callback invoked with ``(payload_index, record)`` as
         results arrive, in payload order.
-    chunk_size:
-        Points per process-pool task (default: ~4 chunks per worker).
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of "
-                         f"{', '.join(EXECUTORS)}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if store is None:
         store = ArtifactStore()
     if task is None:
         task = _execute_point
-    mode = _resolve_executor(executor, jobs, len(payloads))
+    mode = "inline" if jobs <= 1 or len(payloads) <= 1 else "process"
     records: List[dict] = []
 
     def finish(index: int, record: dict) -> None:
@@ -222,38 +208,35 @@ def execute_payloads(payloads: Sequence[dict],
                             index=index):
                 record = task(payload, store)
             finish(index, record)
-    elif mode == "thread":
-        def run_one(indexed):
-            index, payload = indexed
-            with trace.span("payload.execute", executor="thread",
-                            index=index):
-                return task(payload, store)
+        return records, mode, store
 
-        with ThreadPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            results = pool.map(run_one, enumerate(payloads))
-            for index, record in enumerate(results):
-                finish(index, record)
-    elif mode == "process":
-        if warm is not None:
-            warm(store)
-        tracer = trace.active()
-        trace_spec = tracer.worker_spec() if tracer is not None else None
-        n_workers = min(jobs, len(payloads))
-        chunk = chunk_size or max(1, -(-len(payloads) // (n_workers * 4)))
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 initializer=_init_worker,
-                                 initargs=(store, task, trace_spec)) as pool:
-            results = pool.map(_execute_payload_in_worker, payloads,
-                               chunksize=chunk)
-            for index, (record, d_hits, d_misses) in enumerate(results):
-                # Fold worker-side stage reuse into the parent's telemetry.
-                store.hits += d_hits
-                store.misses += d_misses
-                finish(index, record)
-        if tracer is not None:
-            # Fold the (now quiescent) worker side files into the main
-            # trace so one file holds every span of the run.
-            trace.merge_worker_traces(tracer.path)
+    warm_lookups = 0
+    if warm is not None:
+        before = store.hits + store.misses
+        warm(store)
+        warm_lookups = store.hits + store.misses - before
+    tracer = trace.active()
+    trace_spec = tracer.worker_spec() if tracer is not None else None
+    n_workers = min(jobs, len(payloads))
+    chunk = max(1, -(-len(payloads) // (n_workers * 4)))
+    with ProcessPoolExecutor(max_workers=n_workers,
+                             initializer=_init_worker,
+                             initargs=(store, task, trace_spec)) as pool:
+        results = pool.map(_execute_payload_in_worker, payloads,
+                           chunksize=chunk)
+        for index, (record, d_hits, d_misses) in enumerate(results):
+            # Fold worker-side stage reuse into the parent's telemetry.
+            store.hits += d_hits
+            store.misses += d_misses
+            finish(index, record)
+    # Each warm lookup is repeated, as a hit, by the worker that runs the
+    # warmed representative; inline counts that lookup once, so drop the
+    # repeats to keep the counters the same on both paths.
+    store.hits -= warm_lookups
+    if tracer is not None:
+        # Fold the (now quiescent) worker side files into the main
+        # trace so one file holds every span of the run.
+        trace.merge_worker_traces(tracer.path)
     return records, mode, store
 
 
@@ -369,7 +352,7 @@ def shard_points(points: Sequence[SweepPoint],
 
 
 def run_sweep(sweep: SweepSpec,
-              workers: int = 1,
+              jobs: int = 1,
               cache_dir: Optional[Union[str, Path, ArtifactCAS]] = None,
               include_snr: bool = False,
               snr_samples: int = 16384,
@@ -377,9 +360,6 @@ def run_sweep(sweep: SweepSpec,
               backend: str = "auto",
               library: str = "generic-45nm",
               progress: Optional[Callable[[str], None]] = None,
-              jobs: Optional[int] = None,
-              executor: str = "auto",
-              chunk_size: Optional[int] = None,
               resume: bool = True,
               shard: Optional[Tuple[int, int]] = None,
               store: Optional[ArtifactStore] = None) -> SweepResult:
@@ -389,9 +369,11 @@ def run_sweep(sweep: SweepSpec,
     ----------
     sweep:
         The declarative grid to expand and run.
-    workers:
-        Legacy name for ``jobs`` (kept for call-site compatibility);
-        ``jobs`` wins when both are given.
+    jobs:
+        Maximum concurrent point executions.  ``1``, or at most one point
+        missing the cache, runs inline — no pool is created and nothing
+        is pickled; otherwise misses run on a process pool (see
+        :func:`execute_payloads`).  Both paths produce identical reports.
     cache_dir:
         Result store: a directory path, any
         :func:`~repro.explore.store.open_store` spec (``mem://NAME``,
@@ -417,18 +399,6 @@ def run_sweep(sweep: SweepSpec,
         Optional callback invoked with one line per completed point
         (``[cache] <label>`` for hits, ``[run i/N] <label> (elapsed Xs,
         eta ~Ys)`` for misses — see :func:`format_progress_timing`).
-    jobs:
-        Maximum concurrent point executions.  ``1`` always runs inline —
-        no pool is created and nothing is pickled.
-    executor:
-        ``"inline"``, ``"thread"``, ``"process"`` or ``"auto"`` (see the
-        module docstring).  ``"auto"`` runs inline when ``jobs == 1`` or at
-        most one point misses the cache, and on a thread pool otherwise.
-        All executors share the run's artifact store and produce identical
-        reports.
-    chunk_size:
-        Points per task submitted to the process pool (default: enough for
-        ~4 chunks per worker).  Ignored by the other executors.
     resume:
         With a cache directory, diff the grid against the store
         (:meth:`~repro.explore.store.ArtifactCAS.diff`) and execute only
@@ -459,10 +429,7 @@ def run_sweep(sweep: SweepSpec,
     from repro.hardware.stdcell import library_by_name
 
     library_by_name(library)  # validate eagerly, before any work
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of "
-                         f"{', '.join(EXECUTORS)}")
-    n_jobs = int(jobs if jobs is not None else workers)
+    n_jobs = int(jobs)
     if n_jobs < 1:
         raise ValueError("jobs must be at least 1")
     flow_settings = {
@@ -535,8 +502,7 @@ def run_sweep(sweep: SweepSpec,
 
     payloads = [{**p.payload(), "flow": flow_settings} for p in pending]
     _, mode, store = execute_payloads(
-        payloads, jobs=n_jobs, executor=executor, store=store, warm=warm,
-        on_result=finish, chunk_size=chunk_size)
+        payloads, jobs=n_jobs, store=store, warm=warm, on_result=finish)
 
     elapsed = time.perf_counter() - started
     results = [SweepPointResult(point=point, cache_key=keys[point.index],
@@ -595,22 +561,6 @@ def _points_worth_warming(pending: Sequence[SweepPoint],
             chosen.append(group[0])
             warmed_indices.add(group[0].index)
     return chosen
-
-
-def _resolve_executor(executor: str, jobs: int, n_pending: int) -> str:
-    """Pick the concrete executor for a run.
-
-    ``jobs == 1`` and single-miss (or miss-free) runs always execute
-    inline: a pool would only add process spawn and payload pickling
-    overhead without any concurrency.  ``"auto"`` otherwise prefers the
-    thread executor — the flow's hot stages are NumPy-dominated and share
-    the artifact store without any serialization.
-    """
-    if jobs <= 1 or n_pending <= 1:
-        return "inline"
-    if executor == "auto":
-        return "thread"
-    return executor
 
 
 def _axes_json(sweep: SweepSpec) -> Dict[str, list]:

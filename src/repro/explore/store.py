@@ -582,10 +582,7 @@ def open_store(spec: Union[str, Path, "ArtifactCAS"],
     """
     if isinstance(spec, ArtifactCAS):
         return spec
-    if isinstance(spec, Path):
-        text = str(spec)
-    else:
-        text = str(spec)
+    text = str(spec)
     if "://" in text:
         scheme, _, rest = text.partition("://")
         if scheme == "mem":

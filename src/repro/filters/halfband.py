@@ -109,7 +109,7 @@ def design_halfband_remez(order: int, transition_start: float,
 #: depend only on the grid, so caching them removes the dominant cost of the
 #: search while leaving the accumulation (and therefore every float) exactly
 #: as before.  Bounded to a handful of grids (attenuation + ripple + plot)
-#: and lock-guarded: the sweep runner's thread executor designs halfbands
+#: and lock-guarded: the serve daemon's worker threads design halfbands
 #: concurrently.
 _COS_BASIS_CACHE: "dict[tuple, np.ndarray]" = {}
 _COS_BASIS_CACHE_MAX = 8

@@ -14,11 +14,11 @@ The store is purely in-memory and normally lives for one
 :func:`repro.flow.run_design_flow` call when the caller passes one in);
 the serve daemon instead keeps one hot store alive across requests, bounded
 by ``max_entries`` with least-recently-used eviction so a long-running
-process cannot grow without limit.  It is thread-safe — the sweep runner's thread executor shares one
-store across workers, with per-key locks so a stage shared by N points is
-still computed exactly once — and picklable, so the process executor can
-ship a pre-warmed store to each worker through the pool initializer (once
-per worker instead of once per payload).
+process cannot grow without limit.  It is thread-safe — the daemon's
+worker threads share one store, with per-key locks so a stage shared by N
+requests is still computed exactly once — and picklable, so the process
+pool can ship a pre-warmed store to each worker through the pool
+initializer (once per worker instead of once per payload).
 
 Artifacts are returned by reference by default; stages whose artifact is
 later mutated (e.g. a verification report that gains a per-point SNR row)
@@ -103,8 +103,8 @@ class ArtifactStore:
         """Return the artifact for ``key``, computing it exactly once.
 
         Concurrent callers with the same key block on a per-key lock while
-        the first one computes, so a stage shared by N sweep points runs
-        once even under the thread executor.  With ``copy=True`` every
+        the first one computes, so a stage shared by N concurrent requests
+        runs once.  With ``copy=True`` every
         caller receives an independent :func:`copy.deepcopy` of the stored
         artifact (for artifacts the caller mutates afterwards).
         """

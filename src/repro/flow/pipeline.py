@@ -16,8 +16,8 @@ content key derived from its actual inputs, so repeated flows that share
 inputs (the points of a design-space sweep) compute each shared stage once
 while producing records bit-identical to unmemoized runs.
 :func:`warm_flow_artifacts` pre-computes exactly the shareable stages,
-which is how the sweep runner's process executor fills a store in the
-parent before shipping it to the workers.
+which is how the sweep runner fills a store in the parent before shipping
+it to the process-pool workers.
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
     Fills ``artifacts`` with the chain-design sub-stages, the mask
     verification and (with ``include_snr_simulation``) the modulator
     bit-stream for the given point, without running the per-point stages
-    (synthesis, the chain's SNR leg).  The sweep runner's process executor
-    warms a store with one representative of every stage-sharing group of
-    pending points in the parent and ships it to the workers once, via the
-    pool initializer.
+    (synthesis, the chain's SNR leg).  Before starting its process pool, the
+    sweep runner warms a store with one representative of every
+    stage-sharing group of pending points in the parent and ships it to the
+    workers once, via the pool initializer.
     """
     spec = spec or paper_chain_spec()
     chain = DecimationChain.design(spec, options, artifacts=artifacts)

@@ -8,7 +8,7 @@ count and a seed, and produce per-sample metric distributions plus a
 Hot path
 --------
 The engine never simulates Monte Carlo samples one at a time.  Per shard
-(one shard per executor job):
+(one shard per job):
 
 1. every sample's perturbed stimulus (gain/offset mismatch + clock jitter)
    becomes one row of a ``(samples, n)`` matrix, run through **one**
@@ -28,14 +28,14 @@ Reproducibility
 ---------------
 Every random number of a run is drawn once, in the parent, in a fixed
 order (:meth:`~repro.robustness.model.PerturbationModel.draw_table`), and
-travels inside the executor payloads.  All batched kernels are per-row
+travels inside the shard payloads.  All batched kernels are per-row
 bit-exact and shard-composition independent, so a fixed seed produces
-byte-identical yield records on the ``inline``, ``thread`` and ``process``
-executors and across warm :class:`~repro.explore.store.ArtifactCAS` re-runs
-(the whole record is cached under a content hash of spec, options, model
-and run settings).  Perturbed chain variants and their frequency-mask
-verifications are memoized in the run's shared
-:class:`~repro.flow.artifacts.ArtifactStore`, keyed by the variant draw.
+byte-identical yield records at every ``jobs`` value and across warm
+:class:`~repro.explore.store.ArtifactCAS` re-runs (the whole record is
+cached under a content hash of spec, options, model and run settings).
+Perturbed chain variants and their frequency-mask verifications are
+memoized in the run's shared :class:`~repro.flow.artifacts.ArtifactStore`,
+keyed by the variant draw.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.core.verification import (VerificationReport, simulated_output_snr,
 from repro.dsm.modulator import DeltaSigmaModulator
 from repro.dsm.signals import jittered_tone
 from repro.dsm.spectrum import analyze_tone_batch
-from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS
+from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
 from repro.explore.runner import execute_payloads
 from repro.filters.halfband import perturbed_halfband
 from repro.flow.artifacts import ArtifactStore
@@ -95,7 +95,7 @@ MIN_ANALYSIS_OUTPUTS = 64
 
 
 # ----------------------------------------------------------------------
-# Shard task (module-level so the process executor pickles it by reference)
+# Shard task (module-level so the process pool pickles it by reference)
 # ----------------------------------------------------------------------
 def execute_robustness_payload(payload: dict,
                                artifacts: Optional[ArtifactStore] = None,
@@ -191,8 +191,8 @@ def _variant_chain(chain: DecimationChain, model: PerturbationModel,
     """Build (memoized) one perturbed chain variant plus its mask verdict.
 
     The variant is keyed in the artifact store by the chain's design
-    identity plus the coefficient draw, so shards sharing a variant (thread
-    executor, or several groups inside one shard across re-runs) construct
+    identity plus the coefficient draw, so shards sharing a variant (inline
+    shards, or several groups inside one shard across re-runs) construct
     and mask-verify it exactly once.
     """
     def build() -> Tuple[DecimationChain, dict]:
@@ -242,7 +242,6 @@ def run_robustness(scenario: Union[str, Scenario],
                    seed: int = 2011,
                    stimulus_samples: Optional[int] = None,
                    jobs: int = 1,
-                   executor: str = "auto",
                    cache_dir=None,
                    store: Optional[ArtifactStore] = None,
                    min_pass_fraction: float = 0.9,
@@ -255,8 +254,8 @@ def run_robustness(scenario: Union[str, Scenario],
     """
     suite = run_robustness_suite(
         [scenario], model=model, n_samples=n_samples, seed=seed,
-        stimulus_samples=stimulus_samples, jobs=jobs, executor=executor,
-        cache_dir=cache_dir, store=store,
+        stimulus_samples=stimulus_samples, jobs=jobs, cache_dir=cache_dir,
+        store=store,
         min_pass_fraction=min_pass_fraction, progress=progress)
     return suite.reports[0]
 
@@ -267,7 +266,6 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
                          seed: int = 2011,
                          stimulus_samples: Optional[int] = None,
                          jobs: int = 1,
-                         executor: str = "auto",
                          cache_dir=None,
                          store: Optional[ArtifactStore] = None,
                          min_pass_fraction: float = 0.9,
@@ -296,15 +294,18 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
         Monte Carlo samples per scenario.
     seed:
         Seed of the run's single :class:`numpy.random.Generator`; fixed
-        seeds reproduce records byte-identically on every executor.
+        seeds reproduce records byte-identically at every ``jobs`` value.
     stimulus_samples:
         Override of the scenario's stimulus record length (shorter records
         make smoke runs fast; the golden run pins 4096).
-    jobs, executor:
-        Concurrency of the shard fan-out — the same executors as
-        :func:`repro.explore.run_sweep`, all byte-identical.
+    jobs:
+        Shards of the sample population, run inline for ``1`` and on the
+        process pool otherwise, exactly as in
+        :func:`repro.explore.run_sweep`; both are byte-identical.
     cache_dir:
-        Directory of the on-disk result cache; ``None`` disables caching.
+        Result store: a directory or any
+        :func:`~repro.explore.store.open_store` spec (``mem://NAME``,
+        ``s3://BUCKET[/PREFIX]``); ``None`` disables caching.
     store:
         Optional shared artifact store (a fresh one per run otherwise).
     min_pass_fraction:
@@ -326,7 +327,7 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
                 f"analysis needs at least "
                 f"{MIN_ANALYSIS_OUTPUTS * decimation}")
     model = model if model is not None else default_model()
-    cache = ArtifactCAS(cache_dir) if cache_dir is not None else None
+    cache = open_store(cache_dir) if cache_dir is not None else None
     store = store if store is not None else ArtifactStore()
     started = time.perf_counter()
 
@@ -336,7 +337,7 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
     for scenario in selected:
         report, ran_mode = _run_single(
             scenario, model, n_samples, seed, stimulus_samples, jobs,
-            executor, cache, store, min_pass_fraction)
+            cache, store, min_pass_fraction)
         if not report.from_cache:
             misses += 1
             mode = ran_mode
@@ -384,7 +385,7 @@ def _run_settings(scenario: Scenario, model: PerturbationModel,
 
 def _run_single(scenario: Scenario, model: PerturbationModel, n_samples: int,
                 seed: int, stimulus_samples: Optional[int], jobs: int,
-                executor: str, cache: Optional[ArtifactCAS],
+                cache: Optional[ArtifactCAS],
                 store: ArtifactStore, min_pass_fraction: float,
                 ) -> Tuple[YieldReport, str]:
     """Execute (or reload) one scenario's Monte Carlo run."""
@@ -407,7 +408,7 @@ def _run_single(scenario: Scenario, model: PerturbationModel, n_samples: int,
 
     # Nominal flow + SNR in the parent: provides the corner-scaling baseline
     # and warms the shared store (design, mask, modulator bit-stream) before
-    # the process executor ships it to the workers.
+    # the process pool ships it to the workers.
     flow_result = run_design_flow(
         spec=spec, options=options, library=library,
         include_snr_simulation=False,
@@ -456,9 +457,17 @@ def _run_single(scenario: Scenario, model: PerturbationModel, n_samples: int,
                     "area_mm2": nominal["area_mm2"]},
         "nominal_vdd": float(library.nominal_vdd),
     } for shard in shards if len(shard)]
+
+    def warm(store: ArtifactStore) -> None:
+        # Build each sampled chain variant once in the parent, so the pool's
+        # workers find it in the shipped store instead of each rebuilding it.
+        for variant in sorted({s["variant"] for s in table["samples"]}):
+            _variant_chain(chain, model, table["variants"][variant], variant,
+                           store)
+
     partials, mode, _ = execute_payloads(
-        payloads, task=execute_robustness_payload, jobs=jobs,
-        executor=executor, store=store)
+        payloads, task=execute_robustness_payload, jobs=jobs, store=store,
+        warm=warm)
 
     rows: List[dict] = []
     variants: Dict[int, dict] = {}

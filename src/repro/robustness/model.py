@@ -24,9 +24,9 @@ Draw semantics
 :meth:`PerturbationModel.draw_table` converts a model plus a seeded
 :class:`numpy.random.Generator` into a plain-JSON *draw table* — the full
 set of random numbers a run will consume, drawn once, in a fixed documented
-order, **before** any work is sharded.  Executors therefore cannot change
-the draws: the same seed produces byte-identical yield reports on the
-inline, thread and process executors.
+order, **before** any work is sharded.  The ``jobs`` count therefore cannot
+change the draws: the same seed produces byte-identical yield reports
+inline and on the process pool.
 
 The chain-domain axes (dither, dropout) do not draw per sample but per
 *variant*: a run instantiates ``chain_variants`` perturbed chains and
@@ -136,7 +136,7 @@ class ClockJitter:
     ``rms_s`` seconds perturbs the stimulus sampling instants (see
     :func:`repro.dsm.signals.jittered_tone`).  The per-sample jitter
     sequences are seeded from the draw table, not regenerated ad hoc, so
-    runs stay reproducible across executors.
+    runs stay reproducible at every ``jobs`` value.
     """
 
     rms_s: float = 2e-12

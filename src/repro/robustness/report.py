@@ -6,7 +6,8 @@ record* per Monte Carlo run; this module wraps records in
 renders them:
 
 * :func:`robustness_report_json` — canonical JSON (records only, no
-  timings), byte-identical across executors and warm-cache re-runs;
+  timings), byte-identical at every ``jobs`` value and across warm-cache
+  re-runs;
 * :func:`robustness_report_markdown` — the human-readable suite table,
   Pareto-ranked by the robustness-aware objectives
   (:data:`repro.explore.pareto.ROBUST_OBJECTIVES`: P99-confidence SNR and
@@ -201,8 +202,8 @@ def _suite_payload(suite: RobustnessSuiteResult) -> dict:
 
 
 def robustness_report_json(suite: RobustnessSuiteResult) -> str:
-    """Canonical JSON report of a robustness run (byte-identical across
-    executors and warm-cache re-runs)."""
+    """Canonical JSON report of a robustness run (byte-identical at every
+    ``jobs`` value and across warm-cache re-runs)."""
     return canonical_json(_suite_payload(suite))
 
 

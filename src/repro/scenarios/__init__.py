@@ -15,7 +15,7 @@ record of its full design-flow outcome.
   instrumentation, fractional-rate SDR), registered on import.
 * :mod:`~repro.scenarios.runner` — :func:`run_scenario` /
   :func:`run_scenario_suite` over the shared memoized flow harness
-  (same executors and on-disk cache as :mod:`repro.explore`).
+  (same ``jobs`` semantics and result store as :mod:`repro.explore`).
 * :mod:`~repro.scenarios.golden` — committed golden records and the
   field-by-field regression checker with tolerance policy.
 * :mod:`~repro.scenarios.report` — suite reports and the generated

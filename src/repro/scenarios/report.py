@@ -3,7 +3,7 @@
 Mirrors :mod:`repro.explore.report`: the JSON report is the canonical,
 machine-readable artefact (stable key order, deterministic content only —
 no timings or cache counters), so a warm-cache re-run or a different
-executor reproduces it byte-identically; the markdown report renders the
+``jobs`` value reproduces it byte-identically; the markdown report renders the
 same data for humans and can be regenerated from a saved JSON report
 without re-running anything.
 
@@ -51,7 +51,7 @@ def _suite_payload(suite: ScenarioSuiteResult) -> dict:
 
 def scenario_report_json(suite: ScenarioSuiteResult) -> str:
     """Canonical JSON report of a suite run (byte-identical across
-    cached re-runs and executors)."""
+    cached re-runs and ``jobs`` values)."""
     return canonical_json(_suite_payload(suite))
 
 

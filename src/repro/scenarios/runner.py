@@ -3,13 +3,13 @@
 :func:`run_scenario` and :func:`run_scenario_suite` execute registered
 scenarios through the same staged, memoized pipeline as the design-space
 sweeps: each scenario becomes a JSON-safe payload, the payloads run on the
-:func:`repro.explore.runner.execute_payloads` harness (``inline`` /
-``thread`` / ``process`` executors, one shared
-:class:`~repro.flow.artifacts.ArtifactStore` per run) and the records land
-in the same on-disk :class:`~repro.explore.store.ArtifactCAS`.  Scenario
-records are therefore byte-identical across executors and across cached
-re-runs, which is what lets the golden-record checker
-(:mod:`repro.scenarios.golden`) treat any diff as a regression.
+:func:`repro.explore.runner.execute_payloads` harness (inline or on the
+process pool, one shared :class:`~repro.flow.artifacts.ArtifactStore` per
+run) and the records land in the same content-addressed store
+(:func:`~repro.explore.store.open_store`).  Scenario records are therefore
+byte-identical at every ``jobs`` value and across cached re-runs, which
+is what lets the golden-record checker (:mod:`repro.scenarios.golden`)
+treat any diff as a regression.
 
 On top of the design flow, a scenario record adds the resolved stimulus
 and — for scenarios with ``resample_rates_hz`` — the Farrow rate-converter
@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.explore.store import ArtifactCAS
+from repro.explore.store import open_store
 from repro.explore.runner import (execute_payloads, flow_record,
                                   format_progress_timing, run_flow_payload)
 from repro.flow.artifacts import ArtifactStore
@@ -46,8 +46,8 @@ def execute_scenario_payload(payload: dict,
                              artifacts: Optional[ArtifactStore] = None) -> dict:
     """Run one scenario payload and return its JSON-safe record.
 
-    Module-level (picklable by reference) so the process executor can ship
-    it to pool workers.  The record is the design-flow record of
+    Module-level (picklable by reference) so the process pool can ship it
+    to its workers.  The record is the design-flow record of
     :func:`repro.explore.runner.flow_record` extended with the scenario
     name, the resolved (coherent) stimulus and the rate-converter leg.
     """
@@ -223,11 +223,10 @@ def run_scenario(scenario: Union[str, Scenario],
 
 def run_scenario_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = None,
                        jobs: int = 1,
-                       executor: str = "auto",
                        cache_dir: Optional[Union[str, Path]] = None,
                        progress: Optional[Callable[[str], None]] = None,
                        store: Optional[ArtifactStore] = None,
-                       chunk_size: Optional[int] = None) -> ScenarioSuiteResult:
+                       ) -> ScenarioSuiteResult:
     """Execute a set of scenarios, in parallel, with caching.
 
     Parameters
@@ -236,21 +235,19 @@ def run_scenario_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = Non
         Scenario names and/or :class:`Scenario` objects; ``None`` runs
         every registered scenario.
     jobs:
-        Maximum concurrent scenario executions (``1`` runs inline).
-    executor:
-        ``"inline"``, ``"thread"``, ``"process"`` or ``"auto"`` — the same
-        executors as :func:`repro.explore.run_sweep`, all byte-identical.
+        Maximum concurrent scenario executions: ``1`` runs inline, more
+        use the process pool, exactly as in :func:`repro.explore.run_sweep`;
+        both are byte-identical.
     cache_dir:
-        Directory of the on-disk result cache (shared with the sweep
-        engine); ``None`` disables caching.
+        Result store shared with the sweep engine: a directory or any
+        :func:`~repro.explore.store.open_store` spec (``mem://NAME``,
+        ``s3://BUCKET[/PREFIX]``); ``None`` disables caching.
     progress:
         Optional callback invoked with one line per completed scenario
         (``[cache] <name>`` for hits, ``[run i/N] <name> (elapsed Xs,
         eta ~Ys)`` for misses).
     store:
         Optional shared artifact store (a fresh one is created per run).
-    chunk_size:
-        Scenarios per process-pool task (process executor only).
 
     Returns
     -------
@@ -259,7 +256,7 @@ def run_scenario_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = Non
     """
     selected = resolve_scenarios(list(scenarios) if scenarios is not None
                                  else None)
-    cache = ArtifactCAS(cache_dir) if cache_dir is not None else None
+    cache = open_store(cache_dir) if cache_dir is not None else None
     started = time.perf_counter()
 
     keys = [s.cache_key() for s in selected]
@@ -297,9 +294,8 @@ def run_scenario_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = Non
 
     payloads = [selected[i].payload() for i in pending]
     _, mode, used_store = execute_payloads(
-        payloads, task=execute_scenario_payload, jobs=jobs,
-        executor=executor, store=store, warm=warm, on_result=finish,
-        chunk_size=chunk_size)
+        payloads, task=execute_scenario_payload, jobs=jobs, store=store,
+        warm=warm, on_result=finish)
 
     elapsed = time.perf_counter() - started
     results = [ScenarioRunResult(scenario=scenario, cache_key=keys[index],

@@ -590,7 +590,7 @@ class ReproServer:
         with trace.span("serve.compute", verb=argv[0] if argv else ""):
             records, _mode, _store = execute_payloads(
                 [{"argv": list(argv)}], task=execute_request_payload,
-                jobs=1, executor="inline", store=self.store)
+                store=self.store)
         return records[0]
 
     # ------------------------------------------------------------------

@@ -473,7 +473,7 @@ def _sweep_main(root: str, output_bits: Sequence[int], errors) -> None:
     try:
         from repro.explore import SweepSpec, run_sweep
 
-        run_sweep(SweepSpec(output_bits=tuple(output_bits)), workers=1,
+        run_sweep(SweepSpec(output_bits=tuple(output_bits)), jobs=1,
                   cache_dir=root)
     except Exception as exc:  # pragma: no cover - only on contract failure
         errors.append(f"pid {os.getpid()}: {type(exc).__name__}: {exc}")

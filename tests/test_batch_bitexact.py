@@ -343,7 +343,7 @@ class TestFlowMemoization:
         # Two points that share the modulator spec (they differ only in the
         # output word width) and the same chain shape, hence the same
         # stimulus: the bit-stream must be simulated exactly once.
-        result = run_sweep(SweepSpec(output_bits=(12, 14)), workers=1,
+        result = run_sweep(SweepSpec(output_bits=(12, 14)), jobs=1,
                            include_snr=True, snr_samples=2048)
         assert len(result) == 2
         assert all(p.record["simulated_snr_db"] is not None

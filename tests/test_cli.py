@@ -84,7 +84,7 @@ class TestSweepAndReport:
     def test_two_point_sweep_and_cached_rerun(self, tmp_path):
         cache = tmp_path / "cache"
         json_out = tmp_path / "report.json"
-        args = ("sweep", "--output-bits", "12", "14", "--workers", "2",
+        args = ("sweep", "--output-bits", "12", "14", "--jobs", "2",
                 "--cache-dir", str(cache), "--quiet",
                 "--json", str(json_out))
         first = run_cli(*args, cwd=tmp_path)
@@ -94,7 +94,7 @@ class TestSweepAndReport:
         assert {p["label"] for p in payload["points"]} == {"w12", "w14"}
 
         rerun_out = tmp_path / "report2.json"
-        second = run_cli("sweep", "--output-bits", "12", "14", "--workers", "2",
+        second = run_cli("sweep", "--output-bits", "12", "14", "--jobs", "2",
                          "--cache-dir", str(cache), "--quiet",
                          "--json", str(rerun_out), cwd=tmp_path)
         assert "2 cached, 0 executed" in second.stderr
@@ -104,7 +104,7 @@ class TestSweepAndReport:
         cache = tmp_path / "cache"
         json_out = tmp_path / "report.json"
         md_out = tmp_path / "report.md"
-        run_cli("sweep", "--output-bits", "12", "--workers", "1",
+        run_cli("sweep", "--output-bits", "12", "--jobs", "1",
                 "--cache-dir", str(cache), "--quiet",
                 "--json", str(json_out), "--markdown", str(md_out),
                 cwd=tmp_path)
@@ -120,13 +120,16 @@ class TestSweepAndReport:
     def test_jobs_and_executor_flags(self, tmp_path):
         json_a = tmp_path / "a.json"
         json_b = tmp_path / "b.json"
-        run_cli("sweep", "--output-bits", "12", "14", "--jobs", "2",
-                "--executor", "thread", "--no-cache", "--quiet",
-                "--json", str(json_a), cwd=tmp_path)
-        run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
-                "--executor", "inline", "--no-cache", "--quiet",
-                "--json", str(json_b), cwd=tmp_path)
+        pooled = run_cli("sweep", "--output-bits", "12", "14", "--jobs", "2",
+                         "--no-cache", "--quiet", "--json", str(json_a),
+                         cwd=tmp_path)
+        serial = run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
+                         "--no-cache", "--quiet", "--json", str(json_b),
+                         cwd=tmp_path)
         assert json_a.read_bytes() == json_b.read_bytes()
+        # --jobs alone picks the executor.
+        assert "(process executor, 2 jobs," in pooled.stderr
+        assert "(inline executor, 1 jobs," in serial.stderr
 
     def test_progress_lines_show_point_counts(self, tmp_path):
         proc = run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
@@ -353,7 +356,7 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("args", [
         ("sweep", "--jobs", "0", "--output-bits", "12"),
-        ("sweep", "--workers", "0", "--output-bits", "12"),
+        ("sweep", "--jobs", "-1", "--output-bits", "12"),
         ("scenario", "run", "lte-20", "--jobs", "0"),
         ("scenario", "check", "lte-20", "--jobs", "-2"),
         ("robustness", "run", "lte-20", "--samples", "0"),
@@ -378,6 +381,8 @@ class TestArgumentValidation:
         (("robustness", "run", "nope-20", "--samples", "2"),
          "unknown scenario(s): nope-20"),
         (("robustness", "run"), "name one or more scenarios"),
+        (("scenario", "run", "lte-20", "--cache-dir", "foo://x"),
+         "unknown store scheme 'foo'"),
     ])
     def test_missing_inputs_are_clean_errors(self, args, message):
         proc = run_cli(*args, check=False)
@@ -398,13 +403,6 @@ class TestArgumentValidation:
         proc = run_cli(*args, check=False)
         assert proc.returncode == 2
         assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_unknown_executor_is_an_argparse_error(self):
-        proc = run_cli("sweep", "--executor", "bogus", "--output-bits", "12",
-                       check=False)
-        assert proc.returncode == 2
-        assert "invalid choice: 'bogus'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_too_short_stimulus_is_a_clean_error(self):
@@ -428,12 +426,6 @@ class TestArgumentValidation:
             assert proc.returncode == 2
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
-
-    def test_scenario_check_invalid_executor_is_an_argparse_error(self):
-        proc = run_cli("scenario", "check", "lte-20", "--jobs", "1",
-                       "--executor", "bogus", check=False)
-        assert proc.returncode == 2
-        assert "invalid choice: 'bogus'" in proc.stderr
 
 
 class TestShardedSweepCLI:
@@ -601,7 +593,6 @@ class TestServeCLI:
         inline = run_client(serve_daemon, *base, "--jobs", "1",
                             "--cache-dir", str(tmp_path / "inline-cache"))
         pooled = run_client(serve_daemon, *base, "--jobs", "2",
-                            "--executor", "thread",
                             "--cache-dir", str(tmp_path / "pooled-cache"))
         warm = run_client(serve_daemon, *base, "--jobs", "1",
                           "--cache-dir", str(tmp_path / "inline-cache"))
@@ -610,6 +601,9 @@ class TestServeCLI:
         assert warm.stdout == direct.stdout
         assert direct.returncode == inline.returncode == 0
         assert pooled.returncode == warm.returncode == 0
+        # Served requests never fork a pool from the daemon: --jobs 2
+        # still runs inline against the hot store.
+        assert "(inline executor, 1 jobs," in pooled.stderr
 
     def test_served_cli_error_matches_direct(self, serve_daemon):
         direct = run_cli("design", "--sinc-orders-base", "four", check=False)

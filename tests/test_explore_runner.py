@@ -25,7 +25,7 @@ def two_point_sweep():
 
 @pytest.fixture(scope="module")
 def cold_result(two_point_sweep, cache_dir):
-    return run_sweep(two_point_sweep, workers=1, cache_dir=cache_dir)
+    return run_sweep(two_point_sweep, jobs=1, cache_dir=cache_dir)
 
 
 class TestRunSweep:
@@ -54,7 +54,7 @@ class TestRunSweep:
 
     def test_warm_run_hits_cache_and_is_identical(self, two_point_sweep,
                                                   cache_dir, cold_result):
-        warm = run_sweep(two_point_sweep, workers=1, cache_dir=cache_dir)
+        warm = run_sweep(two_point_sweep, jobs=1, cache_dir=cache_dir)
         assert warm.cache_hits == 2
         assert warm.cache_misses == 0
         assert all(p.from_cache for p in warm.points)
@@ -63,7 +63,7 @@ class TestRunSweep:
 
     def test_changed_flow_settings_miss_the_cache(self, two_point_sweep,
                                                   cache_dir, cold_result):
-        changed = run_sweep(two_point_sweep, workers=1, cache_dir=cache_dir,
+        changed = run_sweep(two_point_sweep, jobs=1, cache_dir=cache_dir,
                             snr_samples=8192, include_snr=False)
         # include_snr is False either way, but snr_samples is part of the
         # key, so the conservative behaviour is a miss.
@@ -71,23 +71,30 @@ class TestRunSweep:
         assert changed.cache_misses == 2
 
     def test_no_cache_dir_disables_caching(self, two_point_sweep):
-        result = run_sweep(SweepSpec(), workers=1, cache_dir=None)
+        result = run_sweep(SweepSpec(), jobs=1, cache_dir=None)
         assert result.cache_hits == 0
         assert len(result) == 1
 
     def test_parallel_workers_match_serial(self, two_point_sweep, tmp_path):
-        parallel = run_sweep(two_point_sweep, workers=2,
+        parallel = run_sweep(two_point_sweep, jobs=2,
                              cache_dir=tmp_path / "par")
-        serial = run_sweep(two_point_sweep, workers=1,
+        serial = run_sweep(two_point_sweep, jobs=1,
                            cache_dir=tmp_path / "ser")
         assert sweep_report_json(parallel) == sweep_report_json(serial)
 
-    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("jobs", [1, 2, 4],
+                             ids=["inline", "process", "process-4"])
     def test_every_executor_matches_inline(self, two_point_sweep, tmp_path,
-                                           executor, cold_result):
-        result = run_sweep(two_point_sweep, jobs=2, executor=executor,
-                           cache_dir=tmp_path / executor)
+                                           jobs, cold_result):
+        result = run_sweep(two_point_sweep, jobs=jobs,
+                           cache_dir=tmp_path / f"jobs{jobs}")
+        assert result.metadata["executor"] == ("inline" if jobs == 1
+                                               else "process")
         assert sweep_report_json(result) == sweep_report_json(cold_result)
+        # Stage-reuse telemetry does not change with the executor either:
+        # the warm phase's lookups are not counted twice.
+        assert (result.metadata["artifact_store"]
+                == cold_result.metadata["artifact_store"])
 
     def test_jobs_one_never_creates_a_pool(self, two_point_sweep, monkeypatch):
         import repro.explore.runner as runner_module
@@ -96,28 +103,30 @@ class TestRunSweep:
             raise AssertionError("jobs=1 must run inline, without a pool")
 
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", boom)
-        monkeypatch.setattr(runner_module, "ThreadPoolExecutor", boom)
-        result = run_sweep(two_point_sweep, jobs=1, executor="process")
+        result = run_sweep(two_point_sweep, jobs=1)
         assert result.metadata["executor"] == "inline"
         assert len(result) == 2
 
-    def test_single_miss_runs_inline_even_with_many_jobs(self, monkeypatch):
+    def test_single_miss_runs_inline_even_with_many_jobs(
+            self, two_point_sweep, cache_dir, cold_result, monkeypatch):
         import repro.explore.runner as runner_module
 
         def boom(*args, **kwargs):
-            raise AssertionError("a single pending point must run inline")
+            raise AssertionError("at most one pending point must run inline")
 
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", boom)
-        monkeypatch.setattr(runner_module, "ThreadPoolExecutor", boom)
-        result = run_sweep(SweepSpec(), jobs=8, executor="process")
+        result = run_sweep(SweepSpec(), jobs=8)
         assert result.metadata["executor"] == "inline"
+        cached = run_sweep(two_point_sweep, jobs=8, cache_dir=cache_dir)
+        assert cached.cache_misses == 0
+        assert cached.metadata["executor"] == "inline"
 
-    def test_unknown_executor_rejected(self, two_point_sweep):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_sweep(two_point_sweep, executor="fork-bomb")
+    def test_jobs_below_one_rejected(self, two_point_sweep):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep(two_point_sweep, jobs=0)
 
     def test_shared_stages_are_reused_across_points(self, two_point_sweep):
-        result = run_sweep(two_point_sweep, workers=1)
+        result = run_sweep(two_point_sweep, jobs=1)
         store = result.metadata["artifact_store"]
         # The two points differ only in output word width, so the halfband,
         # equalizer and mask-verification artifacts are all shared.
@@ -125,7 +134,7 @@ class TestRunSweep:
 
     def test_run_progress_lines_count_misses(self, two_point_sweep):
         lines = []
-        run_sweep(two_point_sweep, workers=1, progress=lines.append)
+        run_sweep(two_point_sweep, jobs=1, progress=lines.append)
         # "[run i/N] label (elapsed Xs, eta ~Ys)" — timing varies, the
         # prefix and the shape of the timing suffix do not.
         pattern = re.compile(
@@ -143,7 +152,7 @@ class TestRunSweep:
     def test_progress_callback_sees_every_point(self, two_point_sweep,
                                                 cache_dir, cold_result):
         lines = []
-        run_sweep(two_point_sweep, workers=1, cache_dir=cache_dir,
+        run_sweep(two_point_sweep, jobs=1, cache_dir=cache_dir,
                   progress=lines.append)
         assert len(lines) == 2
         assert all(line.startswith("[cache]") for line in lines)

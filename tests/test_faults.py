@@ -299,9 +299,9 @@ class TestRacingSweeps:
         assert errors == []
 
         union = SweepSpec(output_bits=(12, 14, 16))
-        warm = run_sweep(union, workers=1, cache_dir=store)
+        warm = run_sweep(union, jobs=1, cache_dir=store)
         assert warm.cache_hits == 3  # every point came from the raced store
-        fresh = run_sweep(union, workers=1,
+        fresh = run_sweep(union, jobs=1,
                           cache_dir=tmp_path / "fresh-store")
         assert sweep_report_json(warm) == sweep_report_json(fresh)
 

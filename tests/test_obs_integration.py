@@ -1,7 +1,7 @@
 """Observability end-to-end: tracing is strictly out-of-band.
 
 Pins the PR's headline contracts: sweep reports are byte-identical with
-tracing on or off across every executor, the CLI ``--trace`` flag and
+tracing on or off inline and on the process pool, the CLI ``--trace`` flag and
 ``trace summarize`` subcommand work end to end, sweeps emit the
 documented span taxonomy, and the serve daemon answers the ``metrics``
 control verb with a parseable exposition page while tracing its request
@@ -26,11 +26,10 @@ def _no_tracer_leaks():
     assert trace.active() is None
 
 
-def _sweep_json(tmp_path, tag, executor, trace_path=None):
+def _sweep_json(tmp_path, tag, jobs, trace_path=None):
     """One cold 2-point sweep via the CLI; returns the report bytes."""
     report = tmp_path / f"{tag}.json"
-    argv = ["sweep", "--osr", "16", "32", "--quiet",
-            "--executor", executor, "--jobs", "2",
+    argv = ["sweep", "--osr", "16", "32", "--quiet", "--jobs", str(jobs),
             "--cache-dir", str(tmp_path / f"cache-{tag}"),
             "--json", str(report)]
     if trace_path is not None:
@@ -41,12 +40,14 @@ def _sweep_json(tmp_path, tag, executor, trace_path=None):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("jobs, executor", [(1, "inline"),
+                                                (2, "process")],
+                             ids=["inline", "process"])
     def test_reports_identical_with_and_without_tracing(self, tmp_path,
-                                                        executor):
+                                                        jobs, executor):
         trace_path = tmp_path / "run.jsonl"
-        plain = _sweep_json(tmp_path, f"plain-{executor}", executor)
-        traced = _sweep_json(tmp_path, f"traced-{executor}", executor,
+        plain = _sweep_json(tmp_path, f"plain-{executor}", jobs)
+        traced = _sweep_json(tmp_path, f"traced-{executor}", jobs,
                              trace_path=trace_path)
         assert plain == traced
         spans = trace.read_spans(str(trace_path))
@@ -60,7 +61,7 @@ class TestByteIdentity:
 
     def test_process_worker_spans_are_merged(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
-        _sweep_json(tmp_path, "proc", "process", trace_path=trace_path)
+        _sweep_json(tmp_path, "proc", 2, trace_path=trace_path)
         assert not list(tmp_path.glob("run.jsonl.worker-*"))
         spans = trace.read_spans(str(trace_path))
         payload_pids = {span["pid"] for span in spans
@@ -72,7 +73,7 @@ class TestByteIdentity:
 
     def test_warm_rerun_traces_cache_hits(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        base = ["sweep", "--osr", "16", "--quiet", "--executor", "inline",
+        base = ["sweep", "--osr", "16", "--quiet", "--jobs", "1",
                 "--cache-dir", cache_dir, "--json"]
         out, err = io.StringIO(), io.StringIO()
         assert run_command(base + [str(tmp_path / "cold.json")],
@@ -91,7 +92,7 @@ class TestByteIdentity:
 class TestTraceSummarizeCLI:
     def test_summarize_table_lists_stages(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
-        _sweep_json(tmp_path, "s", "inline", trace_path=trace_path)
+        _sweep_json(tmp_path, "s", 1, trace_path=trace_path)
         out, err = io.StringIO(), io.StringIO()
         assert run_command(["trace", "summarize", str(trace_path)],
                            stdout=out, stderr=err) == 0
@@ -101,7 +102,7 @@ class TestTraceSummarizeCLI:
 
     def test_summarize_json_format(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
-        _sweep_json(tmp_path, "j", "inline", trace_path=trace_path)
+        _sweep_json(tmp_path, "j", 1, trace_path=trace_path)
         out, err = io.StringIO(), io.StringIO()
         assert run_command(["trace", "summarize", str(trace_path),
                             "--format", "json"],
@@ -139,8 +140,7 @@ class TestTraceSummarizeCLI:
     def test_unwritable_trace_path_is_a_cli_error(self, tmp_path):
         out, err = io.StringIO(), io.StringIO()
         code = run_command(
-            ["sweep", "--osr", "16", "--quiet", "--no-cache",
-             "--executor", "inline",
+            ["sweep", "--osr", "16", "--quiet", "--no-cache", "--jobs", "1",
              "--trace", str(tmp_path / "no-such-dir" / "t.jsonl")],
             stdout=out, stderr=err)
         assert code == 2

@@ -134,7 +134,7 @@ class TestBatchedHotPath:
         model = default_model()
         cold = run_robustness("lte-20", model=model, n_samples=256, seed=2011,
                               stimulus_samples=2048, jobs=1,
-                              executor="inline", cache_dir=tmp_path)
+                              cache_dir=tmp_path)
         assert calls["simulate_batch"] == 1          # one population, one call
         assert calls["simulate"] <= 1                # the nominal reference
         assert calls["fixed_2d"] == model.chain_variants  # one per variant
@@ -144,26 +144,24 @@ class TestBatchedHotPath:
 
         warm = run_robustness("lte-20", model=model, n_samples=256, seed=2011,
                               stimulus_samples=2048, jobs=1,
-                              executor="inline", cache_dir=tmp_path)
+                              cache_dir=tmp_path)
         assert warm.from_cache is True
         assert canonical_json(warm.record) == canonical_json(cold.record)
 
     def test_256_sample_records_are_identical_across_executors(self):
         runs = {}
-        for executor, jobs in (("inline", 1), ("thread", 4), ("process", 4)):
-            report = run_robustness("lte-20", n_samples=256, seed=2011,
-                                    stimulus_samples=2048, jobs=jobs,
-                                    executor=executor)
-            runs[executor] = canonical_json(report.record)
-        assert runs["inline"] == runs["thread"]
+        for jobs in (1, 4):
+            suite = run_robustness_suite(["lte-20"], n_samples=256, seed=2011,
+                                         stimulus_samples=2048, jobs=jobs)
+            runs[suite.metadata["executor"]] = canonical_json(
+                suite.reports[0].record)
         assert runs["inline"] == runs["process"]
 
     def test_sharding_does_not_change_the_rows(self):
         one = run_robustness("lte-20", n_samples=9, seed=3,
                              stimulus_samples=2048, jobs=1)
         many = run_robustness("lte-20", n_samples=9, seed=3,
-                              stimulus_samples=2048, jobs=5,
-                              executor="thread")
+                              stimulus_samples=2048, jobs=5)
         assert canonical_json(one.record) == canonical_json(many.record)
 
 
@@ -177,6 +175,17 @@ class TestSuite:
         assert cold.cache_misses == 1
         assert warm.cache_hits == 1
         assert warm.reports[0].from_cache is True
+
+    def test_store_spec_cache_dir_uses_the_object_store(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        kwargs = dict(n_samples=4, seed=2, stimulus_samples=2048,
+                      cache_dir="mem://robustness-store-spec")
+        cold = run_robustness_suite(["lte-20"], **kwargs)
+        warm = run_robustness_suite(["lte-20"], **kwargs)
+        assert cold.cache_misses == 1 and warm.cache_hits == 1
+        assert robustness_report_json(cold) == robustness_report_json(warm)
+        assert not list(tmp_path.iterdir())  # no local "mem:" directory
 
     def test_too_short_stimulus_is_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="fewer than"):

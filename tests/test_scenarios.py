@@ -208,12 +208,12 @@ class TestRunner:
 
     def test_executors_byte_identical(self):
         inline = run_scenario_suite([CHEAP, "audio-48k", "audio-96k"],
-                                    executor="inline")
-        threaded = run_scenario_suite([CHEAP, "audio-48k", "audio-96k"],
-                                      jobs=3, executor="thread")
-        assert (scenario_report_json(inline)
-                == scenario_report_json(threaded))
-        assert threaded.metadata["executor"] == "thread"
+                                    jobs=1)
+        pooled = run_scenario_suite([CHEAP, "audio-48k", "audio-96k"],
+                                    jobs=3)
+        assert scenario_report_json(inline) == scenario_report_json(pooled)
+        assert inline.metadata["executor"] == "inline"
+        assert pooled.metadata["executor"] == "process"
 
     def test_cache_round_trip_byte_identical(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -228,6 +228,16 @@ class TestRunner:
         assert lines[0].startswith(f"[run 1/1] {CHEAP} (elapsed ")
         assert lines[1] == f"[cache] {CHEAP}"
         assert len(lines) == 2
+
+    def test_store_spec_cache_dir_uses_the_object_store(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = "mem://scenario-store-spec"
+        cold = run_scenario_suite([CHEAP], cache_dir=spec)
+        warm = run_scenario_suite([CHEAP], cache_dir=spec)
+        assert cold.cache_misses == 1 and warm.cache_hits == 1
+        assert scenario_report_json(cold) == scenario_report_json(warm)
+        assert not list(tmp_path.iterdir())  # no local "mem:" directory
 
     def test_shared_design_reuses_stages(self):
         # lte-20 and sdr-lte-30p72 share spec+options: the suite's shared

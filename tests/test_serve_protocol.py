@@ -199,6 +199,26 @@ class TestCommandErrorTaxonomy:
         assert response["stderr"] == stderr
 
 
+class TestServedRequestsRunInline:
+    def test_pooled_jobs_never_fork_from_the_daemon(self, harness,
+                                                    monkeypatch):
+        import repro.explore.runner as runner_module
+
+        args = ["--output-bits", "12", "14", "--quiet", "--no-cache"]
+        stdout = io.StringIO()
+        assert run_command(["sweep", *args, "--jobs", "1"], stdout=stdout,
+                           stderr=io.StringIO()) == 0
+
+        def no_pool(*pool_args, **pool_kwargs):
+            raise AssertionError("a served request must not fork a pool")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
+        response = harness.request("sweep", args + ["--jobs", "2"])
+        assert response["exit_code"] == 0
+        assert response["stdout"] == stdout.getvalue()
+        assert "(inline executor, 1 jobs," in response["stderr"]
+
+
 class TestControlVerbs:
     def test_stats_shape(self, harness):
         harness.request("ping")

@@ -131,11 +131,11 @@ class TestResumeOnObjectStore:
     def test_resume_issues_batched_probes(self):
         cas = faultutils.object_store_cas(latency_s=0.001, page_size=2)
         client = cas.backend.client
-        cold = run_sweep(self.GRID, workers=1, cache_dir=cas)
+        cold = run_sweep(self.GRID, jobs=1, cache_dir=cas)
         assert cold.cache_hits == 0
 
         client.calls.clear()
-        warm = run_sweep(self.GRID, workers=1, cache_dir=cas)
+        warm = run_sweep(self.GRID, jobs=1, cache_dir=cas)
         assert warm.cache_hits == 3
         # The 3-point grid resolves its diff through paginated LISTs
         # (3 entries at page_size 2 -> 2 pages), with zero per-point
@@ -153,8 +153,8 @@ class TestResumeOnObjectStore:
         byte-identically to an unsharded run."""
         store_a = faultutils.object_store_cas(label="mem://host-a")
         store_b = faultutils.object_store_cas(label="mem://host-b")
-        run_sweep(self.GRID, workers=1, cache_dir=store_a, shard=(1, 2))
-        run_sweep(self.GRID, workers=1, cache_dir=store_b, shard=(2, 2))
+        run_sweep(self.GRID, jobs=1, cache_dir=store_a, shard=(1, 2))
+        run_sweep(self.GRID, jobs=1, cache_dir=store_b, shard=(2, 2))
 
         merged = ArtifactCAS(tmp_path / "merged")
         pushed = (transfer_records(store_a, merged).transferred
@@ -164,9 +164,9 @@ class TestResumeOnObjectStore:
         assert transfer_records(store_a, merged).transferred == 0
         assert transfer_records(store_b, merged).transferred == 0
 
-        warm = run_sweep(self.GRID, workers=1, cache_dir=merged)
+        warm = run_sweep(self.GRID, jobs=1, cache_dir=merged)
         assert warm.cache_hits == 3
-        fresh = run_sweep(self.GRID, workers=1,
+        fresh = run_sweep(self.GRID, jobs=1,
                           cache_dir=tmp_path / "fresh")
         assert sweep_report_json(warm) == sweep_report_json(fresh)
 
