@@ -290,7 +290,6 @@ def simulated_output_snr(chain, n_samples: int = 65536,
                          amplitude: Optional[float] = None,
                          seed_phase: float = 0.0,
                          backend: str = "auto",
-                         modulator_engine: str = "fast",
                          artifacts=None) -> float:
     """Modulator → bit-true chain → SNR measurement (the Table I bottom row).
 
@@ -300,11 +299,6 @@ def simulated_output_snr(chain, n_samples: int = 65536,
         Bit-true chain engine (``"auto"``/``"reference"``/``"vectorized"``;
         all produce identical output words, the default auto-selects the
         vectorized fast path).
-    modulator_engine:
-        Modulator simulation engine; the default ``"fast"`` recursive
-        error-feedback loop is ~10× faster than the reference
-        ``"error-feedback"`` engine with statistically identical noise
-        shaping (pass the latter to reproduce historical bit-streams).
     artifacts:
         Optional :class:`~repro.flow.artifacts.ArtifactStore`.  The
         modulator bit-stream depends only on the modulator spec and the
@@ -316,7 +310,7 @@ def simulated_output_snr(chain, n_samples: int = 65536,
         chain, n_samples, tone_hz=tone_hz, amplitude=amplitude)
     codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
                                  total, seed_phase=seed_phase,
-                                 engine=modulator_engine, artifacts=artifacts)
+                                 artifacts=artifacts)
     return chain.measure_output_snr(codes, exact_tone_hz,
                                     discard_outputs=settle_outputs,
                                     analyze_outputs=n_samples // chain.total_decimation,
@@ -353,7 +347,7 @@ def snr_stimulus_parameters(chain, n_samples: int,
 
 def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
                          n_total: int, seed_phase: float = 0.0,
-                         engine: str = "fast", artifacts=None) -> np.ndarray:
+                         artifacts=None) -> np.ndarray:
     """Modulator output codes for a sine stimulus, memoized per spec + tone.
 
     The delta-sigma loop is causal, so a record simulated for ``N`` samples
@@ -379,7 +373,7 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
         t = np.arange(total)
         stimulus = amplitude * np.sin(
             2.0 * np.pi * tone_hz / modulator_spec.sample_rate_hz * t + seed_phase)
-        return modulator.simulate(stimulus, engine=engine).codes
+        return modulator.simulate(stimulus, engine="fast").codes
 
     if artifacts is None:
         return simulate(n_total)
@@ -395,14 +389,8 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
         "tone_hz": tone_hz,
         "amplitude": amplitude,
         "seed_phase": seed_phase,
-        "engine": engine,
     }))
-    with artifacts.lock_for(key):
-        entry = artifacts.get(key)
-        if entry is not None and entry["n_samples"] >= n_total:
-            artifacts.count_hit()
-            return entry["codes"][:n_total]
-        codes = simulate(n_total)
-        artifacts.put(key, {"n_samples": n_total, "codes": codes})
-        artifacts.count_miss()
-        return codes
+    entry = artifacts.get_or_compute(
+        key, lambda: {"n_samples": n_total, "codes": simulate(n_total)},
+        reuse=lambda stored: stored["n_samples"] >= n_total)
+    return entry["codes"][:n_total]

@@ -28,7 +28,6 @@ from repro.dsm.modulator import (
     SimulationResult,
     ErrorFeedbackSimulator,
     FastErrorFeedbackSimulator,
-    StateSpaceSimulator,
     simulate_dsm,
 )
 from repro.dsm.ct_loopfilter import (
@@ -70,7 +69,6 @@ __all__ = [
     "SimulationResult",
     "ErrorFeedbackSimulator",
     "FastErrorFeedbackSimulator",
-    "StateSpaceSimulator",
     "simulate_dsm",
     "ContinuousTimeLoopFilter",
     "ActiveRCComponent",

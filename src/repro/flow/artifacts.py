@@ -33,6 +33,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["ArtifactStore"]
 
+#: Sentinel for "no reusable artifact" (``None`` is a valid artifact).
+_ABSENT = object()
+
 
 class ArtifactStore:
     """Content-keyed, thread-safe, in-memory memoization of flow stages.
@@ -58,7 +61,8 @@ class ArtifactStore:
                              f"(got {max_entries})")
         self._data: Dict[Tuple, Any] = {}
         self._lock = threading.Lock()
-        self._key_locks: Dict[Tuple, threading.Lock] = {}
+        #: key -> [lock, callers in flight]; dropped when the last one leaves.
+        self._key_locks: Dict[Tuple, list] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -99,53 +103,53 @@ class ArtifactStore:
             self._evict_over_cap()
 
     def get_or_compute(self, key: Tuple, compute: Callable[[], Any],
-                       copy: bool = False) -> Any:
+                       copy: bool = False,
+                       reuse: Optional[Callable[[Any], bool]] = None) -> Any:
         """Return the artifact for ``key``, computing it exactly once.
 
         Concurrent callers with the same key block on a per-key lock while
         the first one computes, so a stage shared by N concurrent requests
-        runs once.  With ``copy=True`` every
+        runs once; the lock lives only while some caller of its key is in
+        flight.  A stored artifact for which ``reuse`` returns ``False``
+        is recomputed and replaced (e.g. a bit-stream shorter than the
+        caller needs).  With ``copy=True`` every
         caller receives an independent :func:`copy.deepcopy` of the stored
         artifact (for artifacts the caller mutates afterwards).
         """
         with self._lock:
-            if key in self._data:
-                self.hits += 1
-                self._touch(key)
-                return self._maybe_copy(self._data[key], copy)
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
+            value = self._reusable(key, reuse)
+            if value is not _ABSENT:
+                return self._maybe_copy(value, copy)
+            slot = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            slot[1] += 1
+        try:
+            with slot[0]:
+                with self._lock:
+                    value = self._reusable(key, reuse)
+                if value is not _ABSENT:
+                    return self._maybe_copy(value, copy)
+                value = compute()
+                with self._lock:
+                    self._data.pop(key, None)
+                    self._data[key] = value
+                    self.misses += 1
+                    self._evict_over_cap()
+                return self._maybe_copy(value, copy)
+        finally:
             with self._lock:
-                if key in self._data:
-                    self.hits += 1
-                    self._touch(key)
-                    return self._maybe_copy(self._data[key], copy)
-            value = compute()
-            with self._lock:
-                self._data[key] = value
-                self.misses += 1
-                self._key_locks.pop(key, None)
-                self._evict_over_cap()
-            return self._maybe_copy(value, copy)
+                slot[1] -= 1
+                if not slot[1]:
+                    del self._key_locks[key]
 
-    def lock_for(self, key: Tuple) -> threading.Lock:
-        """Per-key lock for stages that manage their own store entries
-        (e.g. the prefix-extending modulator bit-stream stage)."""
-        with self._lock:
-            return self._key_locks.setdefault(("user-lock",) + key,
-                                              threading.Lock())
-
-    def count_hit(self) -> None:
-        """Record an artifact reuse performed outside :meth:`get_or_compute`
-        (taken under the store lock so concurrent updates are not lost)."""
-        with self._lock:
-            self.hits += 1
-
-    def count_miss(self) -> None:
-        """Record an artifact computation performed outside
-        :meth:`get_or_compute`."""
-        with self._lock:
-            self.misses += 1
+    def _reusable(self, key: Tuple, reuse) -> Any:
+        """The stored artifact counted as a hit, or ``_ABSENT`` (caller
+        holds the store lock)."""
+        if key not in self._data or (reuse is not None
+                                     and not reuse(self._data[key])):
+            return _ABSENT
+        self.hits += 1
+        self._touch(key)
+        return self._data[key]
 
     @staticmethod
     def _maybe_copy(value: Any, copy: bool) -> Any:

@@ -1,8 +1,9 @@
 """Tests for the content-addressed artifact store (repro.explore.store).
 
-Covers the sharded key layout, the index-free grid diff, flat-layout
-migration, the schema-version contract, writer temp-file hygiene and the
-single-pass ``stats``/``prune`` maintenance path — plus property-based
+Covers the basic get/put/clear contract, the sharded key layout (the only
+one the store reads), the index-free grid diff, the schema-version
+contract, writer temp-file hygiene and the single-pass ``stats``/``prune``
+maintenance path — plus property-based
 (hypothesis) pinning of the layout round-trip and the diff partition
 contract.
 """
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.explore import SweepCache
 from repro.explore.runner import shard_points
 from repro.explore.store import (
     CACHE_SCHEMA_VERSION,
@@ -30,6 +30,63 @@ from repro.explore.store import (
 )
 
 KEY = "0f" + "a1" * 31  # a realistic 64-hex-char content hash
+
+
+class TestArtifactCASBasics:
+    def test_miss_on_empty_cache(self, tmp_path):
+        cas = ArtifactCAS(tmp_path / "cache")
+        assert cas.get("deadbeef") is None
+        assert cas.misses == 1
+        assert cas.hits == 0
+
+    def test_put_then_get_roundtrip(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        record = {"summary": {"total_power_mw": 8.97}, "gate_count": 70664}
+        cas.put("abc123", record)
+        assert cas.get("abc123") == record
+        assert cas.hits == 1
+        assert cas.misses == 0
+
+    def test_creates_directory_lazily_on_first_write(self, tmp_path):
+        target = tmp_path / "nested" / "cache"
+        cas = ArtifactCAS(target)
+        assert not target.exists()  # opening a store has no side effects
+        cas.put("abc123", {"x": 1})
+        assert target.is_dir()
+
+    def test_corrupt_entry_is_a_miss(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        cas.path_for("bad").write_text("{not json", encoding="utf-8")
+        assert cas.get("bad") is None
+        assert cas.misses == 1
+
+    def test_clear_removes_entries(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        cas.put("a", {"x": 1})
+        cas.put("b", {"x": 2})
+        assert len(cas) == 2
+        assert cas.clear() == 2
+        assert len(cas) == 0
+        assert cas.get("a") is None
+
+    def test_put_overwrites(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        cas.put("k", {"v": 1})
+        cas.put("k", {"v": 2})
+        assert cas.get("k") == {"v": 2}
+
+    def test_schema_mismatch_is_a_miss(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        entry = {"schema": CACHE_SCHEMA_VERSION + 1, "key": "k", "record": {}}
+        cas.path_for("k").write_text(json.dumps(entry), encoding="utf-8")
+        assert cas.get("k") is None
+        assert cas.misses == 1
+
+    def test_no_tmp_files_left_behind(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        cas.put("k", {"v": 1})
+        assert cas.get("k") == {"v": 1}
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestShardedLayout:
@@ -57,7 +114,10 @@ class TestShardedLayout:
     def test_key_of_inverts_rel_for(self):
         assert ArtifactCAS.key_of(ArtifactCAS._rel_for(KEY)) == KEY
         assert ArtifactCAS.key_of("ab/cd.json") == "abcd"
-        assert ArtifactCAS.key_of("flat.json") == "flat"
+        assert ArtifactCAS.key_of("k.json") == "k"  # short keys stay flat
+        assert ArtifactCAS.key_of("flat.json") is None  # lives at fl/at.json
+        assert ArtifactCAS.key_of(f"{KEY}.json") is None
+        assert ArtifactCAS.key_of("ab/.json") is None
         assert ArtifactCAS.key_of("ab/cd.tmp") is None
         assert ArtifactCAS.key_of("a/b/c.json") is None
 
@@ -83,13 +143,6 @@ class TestDiff:
             cas.put(key, {"k": key})
         assert cas.diff(keys) == keys[1::2]
 
-    def test_diff_sees_legacy_flat_entries(self, tmp_path):
-        cas = ArtifactCAS(tmp_path)
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": KEY, "record": {"v": 9}}
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(entry))
-        assert cas.diff([KEY]) == []
-        assert KEY in cas
-
     def test_diff_is_existence_only(self, tmp_path):
         """diff never reads or validates: a corrupt entry still counts as
         present (get() heals it later as a miss)."""
@@ -99,49 +152,111 @@ class TestDiff:
         assert cas.get(KEY) is None
 
 
-class TestLegacyMigration:
-    def _write_flat(self, tmp_path, key, record):
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "record": record}
-        (tmp_path / f"{key}.json").write_text(json.dumps(entry, sort_keys=True))
+def _write_flat(root, key, record):
+    """A valid entry at the pre-shard flat name ``<root>/<key>.json``."""
+    entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "record": record}
+    path = root / f"{key}.json"
+    path.write_text(json.dumps(entry, sort_keys=True))
+    return path
 
-    def test_flat_entry_hits_identically(self, tmp_path):
-        self._write_flat(tmp_path, KEY, {"legacy": True})
-        cas = ArtifactCAS(tmp_path)
-        assert cas.get(KEY) == {"legacy": True}
-        assert cas.hits == 1 and cas.misses == 0
 
-    def test_flat_entry_migrates_to_sharded_layout_on_hit(self, tmp_path):
-        self._write_flat(tmp_path, KEY, {"legacy": True})
-        cas = ArtifactCAS(tmp_path)
-        cas.get(KEY)
-        assert not (tmp_path / f"{KEY}.json").exists()
-        sharded = tmp_path / KEY[:2] / f"{KEY[2:]}.json"
-        assert sharded.is_file()
-        # Still a hit after migration, through a fresh handle too.
-        assert ArtifactCAS(tmp_path).get(KEY) == {"legacy": True}
+class CountingBackend(LocalDirBackend):
+    """A local backend that records every primitive it is asked for."""
 
-    def test_sweepcache_reads_pre_cas_directory(self, tmp_path):
-        """The historical SweepCache API keeps working over old layouts."""
-        self._write_flat(tmp_path, KEY, {"r": 1})
-        cache = SweepCache(tmp_path)
-        assert cache.get(KEY) == {"r": 1}
-        assert isinstance(cache, ArtifactCAS)
+    def __init__(self, root):
+        super().__init__(root)
+        self.calls = []
 
-    def test_put_supersedes_legacy_twin(self, tmp_path):
-        self._write_flat(tmp_path, KEY, {"old": 1})
-        cas = ArtifactCAS(tmp_path)
-        cas.put(KEY, {"new": 2})
-        assert not (tmp_path / f"{KEY}.json").exists()
-        assert cas.get(KEY) == {"new": 2}
-        assert len(cas) == 1
+    def _count(self, name, rel):
+        self.calls.append((name, rel))
 
-    def test_old_schema_flat_entry_stays_a_miss(self, tmp_path):
-        entry = {"schema": CACHE_SCHEMA_VERSION - 1, "key": KEY,
-                 "record": {"v": 0}}
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(entry))
+    def exists(self, rel):
+        self._count("exists", rel)
+        return super().exists(rel)
+
+    def probe_many(self, rels):
+        self._count("probe_many", tuple(rels))
+        return super().probe_many(rels)
+
+    def read_bytes(self, rel):
+        self._count("read_bytes", rel)
+        return super().read_bytes(rel)
+
+    def write_bytes_atomic(self, rel, data):
+        self._count("write_bytes_atomic", rel)
+        return super().write_bytes_atomic(rel, data)
+
+    def delete(self, rel):
+        self._count("delete", rel)
+        return super().delete(rel)
+
+
+class TestOneLayout:
+    """The sharded layout is the only one the store reads or writes."""
+
+    def test_flat_entry_misses_is_unlisted_stale_and_pruned(self, tmp_path):
+        flat = _write_flat(tmp_path, KEY, {"flat": True})
         cas = ArtifactCAS(tmp_path)
         assert cas.get(KEY) is None
         assert cas.misses == 1
+        assert KEY not in cas
+        assert cas.diff([KEY]) == [KEY]
+        assert cas.keys() == []
+        assert len(cas) == 0
+        stats = cas.stats()
+        assert stats["entries"] == 1
+        assert stats["stale_entries"] == 1
+        assert cas.prune() == 1
+        assert not flat.exists()
+
+    def test_put_beside_a_flat_entry_leaves_it_for_prune(self, tmp_path):
+        flat = _write_flat(tmp_path, KEY, {"old": 1})
+        cas = ArtifactCAS(tmp_path)
+        cas.put(KEY, {"new": 2})
+        assert cas.get(KEY) == {"new": 2}
+        assert cas.keys() == [KEY]
+        assert flat.exists()
+        assert cas.prune() == 1
+        assert not flat.exists()
+        assert cas.get(KEY) == {"new": 2}
+
+    def test_local_put_is_one_atomic_write(self, tmp_path):
+        backend = CountingBackend(tmp_path)
+        ArtifactCAS(backend=backend).put(KEY, {"v": 1})
+        assert backend.calls == [("write_bytes_atomic",
+                                  ArtifactCAS._rel_for(KEY))]
+
+    def test_short_keys_stay_flat_and_are_listed(self, tmp_path):
+        """Keys no longer than the shard prefix live at the root, and are
+        records there, not stale files."""
+        cas = ArtifactCAS(tmp_path)
+        cas.put("k", {"v": 1})
+        assert (tmp_path / "k.json").is_file()
+        assert cas.keys() == ["k"]
+        assert cas.stats()["stale_entries"] == 0
+        assert cas.prune() == 0
+        assert cas.get("k") == {"v": 1}
+
+    def test_object_put_is_one_put_and_miss_one_get(self):
+        cas = _object_cas()
+        client = cas.backend.client
+        cas.put(KEY, {"v": 1})
+        assert dict(client.calls) == {"put": 1}
+        client.calls.clear()
+        assert cas.get("ab" + "0" * 62) is None
+        assert dict(client.calls) == {"get": 1}
+
+    def test_local_miss_is_one_read(self, tmp_path):
+        backend = CountingBackend(tmp_path)
+        cas = ArtifactCAS(backend=backend)
+        assert cas.get(KEY) is None
+        assert backend.calls == [("read_bytes", ArtifactCAS._rel_for(KEY))]
+        backend.calls.clear()
+        assert cas.get_raw(KEY) is None
+        assert backend.calls == [("read_bytes", ArtifactCAS._rel_for(KEY))]
+        backend.calls.clear()
+        assert not cas.contains(KEY)
+        assert backend.calls == [("exists", ArtifactCAS._rel_for(KEY))]
 
 
 class TestSchemaVersionContract:
@@ -286,16 +401,14 @@ class TestSinglePassMaintenance:
         assert cas.prune(older_than_s=5_000) == 1
         assert len(cas) == 0
 
-    def test_stats_counts_legacy_and_sharded_entries(self, tmp_path):
+    def test_stats_counts_sharded_entries(self, tmp_path):
         cas = ArtifactCAS(tmp_path)
         cas.put(KEY, {"v": 1})
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": "aa" + "f" * 62,
-                 "record": {}}
-        (tmp_path / ("aa" + "f" * 62 + ".json")).write_text(json.dumps(entry))
+        cas.put("aa" + "f" * 62, {})
         stats = cas.stats()
         assert stats["entries"] == 2
         assert stats["stale_entries"] == 0
-        assert sorted(cas.keys()) == sorted([KEY, "aa" + "f" * 62])
+        assert cas.keys() == sorted([KEY, "aa" + "f" * 62])
 
 
 HEX_KEYS = st.text(alphabet="0123456789abcdef", min_size=3, max_size=64)
@@ -436,14 +549,6 @@ class TestProbeMany:
         assert all(probe[k] for k in stored)
         assert not any(probe[k] for k in absent)
 
-    def test_local_probe_many_sees_legacy_flat_entries(self, tmp_path):
-        cas = ArtifactCAS(tmp_path)
-        key = "ab" + "1" * 62
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "record": {"v": 1}}
-        (tmp_path / f"{key}.json").write_text(json.dumps(entry))
-        assert cas.probe_many([key]) == {key: True}
-        assert cas.diff([key]) == []
-
     def test_object_probe_many_issues_list_pages_not_heads(self):
         """The O(pages) pin: probing a whole grid costs paginated LIST
         calls only — zero per-key HEAD round trips."""
@@ -463,8 +568,10 @@ class TestProbeMany:
     def test_local_probe_many_scans_each_shard_dir_once(self, tmp_path,
                                                         monkeypatch):
         cas = ArtifactCAS(tmp_path)
-        # 6 keys across 2 shard dirs.
+        # 6 stored keys across 2 shard dirs; absent keys in those dirs and
+        # in a third shard dir that does not exist yet.
         keys = [f"{p}{c}{'a' * 62}" for p in ("ab", "cd") for c in "123"]
+        absent = [f"{p}{c}{'b' * 62}" for p in ("ab", "cd", "ef") for c in "12"]
         for key in keys:
             cas.put(key, {"k": key})
         calls = []
@@ -475,11 +582,10 @@ class TestProbeMany:
             return real_scandir(path)
 
         monkeypatch.setattr(os, "scandir", counting_scandir)
-        missing = cas.diff(keys)
-        assert missing == []
-        # One scandir per touched shard directory (no legacy pass needed:
-        # every key resolved in the sharded batch).
-        assert len(calls) == 2
+        missing = cas.diff(keys + absent)
+        assert missing == absent
+        # One scandir per touched shard directory, no pass over the root.
+        assert sorted(calls) == [str(tmp_path / p) for p in ("ab", "cd", "ef")]
 
     def test_diff_batches_but_keeps_duplicates_and_order(self):
         cas = _object_cas()

@@ -94,6 +94,18 @@ class TestTransferRecords:
         assert summary.skipped == 2
         assert dst.keys() == sorted(keys)
 
+    def test_flat_layout_files_are_not_pushed(self, tmp_path):
+        """A root-level ``<key>.json`` from the pre-shard layout is no
+        record of the store, so a push leaves it behind."""
+        keys = [f"{i:02x}{'d' * 62}" for i in range(2)]
+        src = _seeded(ArtifactCAS(tmp_path / "src"), keys)
+        flat = "ee" + "d" * 62
+        (tmp_path / "src" / f"{flat}.json").write_bytes(
+            src.get_raw(keys[0]))
+        summary = transfer_records(src, tmp_path / "dst")
+        assert summary.transferred == 2
+        assert ArtifactCAS(tmp_path / "dst").keys() == keys
+
     def test_missing_source_raises_value_error(self, tmp_path):
         with pytest.raises(ValueError, match="store not found"):
             transfer_records(tmp_path / "nope", tmp_path / "dst")
