@@ -4,9 +4,9 @@ Regenerates the 86 dB / 14-bit figure: the modulator is driven with a
 near-MSA tone, its 4-bit code stream runs through the bit-true decimation
 chain and the SNR of the 14-bit output is measured over the 20 MHz band.
 
-The benchmark runs on the vectorized simulation engine (the default); a
-second test compares the sample throughput of the reference and vectorized
-engines on the same record (typically a 50–100× speed-up) and asserts a
+The benchmark runs ``process_fixed``, whose stages take their fast paths;
+a second test compares its sample throughput with the stage gold models
+composed on the same record (typically a 50–100× speed-up) and asserts a
 conservative 5× floor that stays robust on loaded CI runners.
 """
 
@@ -15,6 +15,19 @@ import time
 import pytest
 
 from benchutils import emit_json, print_series
+
+
+def _gold_model(chain, codes):
+    """The bit-true chain through every stage's gold model (1-D codes)."""
+    from repro.filters import HogenauerDecimator
+
+    data = chain.codes_to_signed(codes)
+    for stage in chain._hogenauer_stages:
+        data = HogenauerDecimator(stage.spec, stage.config)._process_reference(data)
+    data = chain._halfband_impl._process_reference(data)
+    data = chain.scaling._process_reference(data)
+    data = chain._equalizer_impl._process_reference(data)
+    return chain._finalize_output(data)
 
 
 def _end_to_end(paper_chain, n_samples):
@@ -49,7 +62,7 @@ def test_end_to_end_snr(benchmark, paper_chain):
 
 @pytest.mark.benchmark(group="snr")
 def test_backend_throughput(paper_chain):
-    """Reference vs vectorized sample throughput on the same code stream."""
+    """Gold-model vs ``process_fixed`` sample throughput on the same code stream."""
     import numpy as np
 
     from repro.dsm import DeltaSigmaModulator, coherent_tone
@@ -59,20 +72,20 @@ def test_backend_throughput(paper_chain):
     result = modulator.simulate(coherent_tone(2.5e6, 0.7, 640e6, n), engine="fast")
 
     start = time.perf_counter()
-    ref = paper_chain.process_fixed(result.codes, backend="reference")
+    ref = _gold_model(paper_chain, result.codes)
     t_ref = time.perf_counter() - start
     start = time.perf_counter()
-    vec = paper_chain.process_fixed(result.codes, backend="vectorized")
+    vec = paper_chain.process_fixed(result.codes)
     t_vec = time.perf_counter() - start
     assert np.array_equal(ref, vec)
 
     speedup = t_ref / t_vec
     rows = [
-        ("reference backend", f"{n / t_ref / 1e6:.2f} Msamples/s"),
-        ("vectorized backend", f"{n / t_vec / 1e6:.2f} Msamples/s"),
+        ("stage gold models", f"{n / t_ref / 1e6:.2f} Msamples/s"),
+        ("process_fixed (fast paths)", f"{n / t_vec / 1e6:.2f} Msamples/s"),
         ("speed-up", f"{speedup:.0f}x"),
     ]
-    print_series("Bit-true chain throughput (backend comparison)",
+    print_series("Bit-true chain throughput (gold models vs fast paths)",
                  ["engine", "throughput"], rows)
     # Typical speed-up is 50-100x; the floor is deliberately conservative so
     # the assertion stays robust on loaded CI runners (single un-warmed

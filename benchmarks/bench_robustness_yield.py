@@ -49,7 +49,6 @@ def _build_payload():
         "options": scenario.options.to_dict(),
         "flow": {
             "library": scenario.library,
-            "backend": "auto",
             "snr_samples": STIMULUS_SAMPLES,
             "snr_tone_hz": scenario.stimulus.tone_hz,
             "snr_amplitude": scenario.stimulus.amplitude,
@@ -107,7 +106,7 @@ def _per_sample_loop(scenario, model, chain, store, payload):
         chain_v, _ = _variant_chain(chain, model,
                                     payload["variants"][sample["variant"]],
                                     sample["variant"], store)
-        words = chain_v.process_fixed(result.codes, backend=flow["backend"])
+        words = chain_v.process_fixed(result.codes)
         trimmed = chain_v.output_to_normalized(words)[settle:settle + n_out]
         analysis = analyze_tone(trimmed, chain.output_rate_hz, exact_tone_hz,
                                 bandwidth_hz=spec.decimator.passband_edge_hz,

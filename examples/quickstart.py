@@ -4,10 +4,9 @@ Designs the Table I chain (Sinc4 → Sinc4 → Sinc6 → Saramäki halfband →
 scaler → 64th-order equalizer) from the registered ``lte-20`` scenario —
 the paper's own profile, shared with the tests, the CLI and the golden
 records — verifies it against the specification, prints the design summary
-and verification report, and runs a short bit-true simulation on the
-vectorized fast path (``backend="auto"`` — the sample-by-sample reference
-engine produces bit-identical words, 10–100× slower; see
-docs/ARCHITECTURE.md).
+and verification report, and runs a short bit-true simulation (every stage
+takes its vectorized fast path; the sample-by-sample gold models produce
+bit-identical words, 10–100× slower; see docs/ARCHITECTURE.md).
 
 Run with::
 
@@ -45,17 +44,15 @@ def main() -> None:
     print(report)
 
     print()
-    print("Bit-true simulation (vectorized fast path)")
+    print("Bit-true simulation")
     print("-" * 64)
     modulator = DeltaSigmaModulator()
     tone = coherent_tone(2.5e6, 0.7, modulator.sample_rate_hz, 16384)
     codes = modulator.simulate(tone, engine="fast").codes
-    words = chain.process_fixed(codes)  # backend="auto" -> vectorized engine
+    words = chain.process_fixed(codes)
     print(f"  {len(codes)} modulator codes -> {len(words)} output words "
           f"({chain.spec.decimator.output_bits}-bit, peak |word| = "
           f"{int(np.max(np.abs(words)))})")
-    print("  (chain.simulate_blocks(codes) streams arbitrarily long records "
-          "in bounded memory, bit-identical to process_fixed)")
 
 
 if __name__ == "__main__":

@@ -51,8 +51,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2–4. Chain design, verification, RTL + power/area (Tables I, II),
     # then the end-to-end bit-true SNR with the scenario's stimulus.
-    # The SNR leg runs on the vectorized chain backend and the fast
-    # modulator engine — bit-exact words, ~30x faster than the reference.
+    # The SNR leg runs the chain's fast paths and the fast modulator
+    # engine — bit-exact words, ~30x faster than the gold models.
     # ------------------------------------------------------------------
     flow = run_design_flow(
         spec=scenario.spec,

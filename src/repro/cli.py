@@ -133,6 +133,25 @@ def _require_positive(value: Optional[int], flag: str) -> None:
         raise CLIError(f"{flag} must be at least 1 (got {value})")
 
 
+def _require_snr_record(flag: str, n_samples: int, decimations,
+                        min_outputs: Optional[int] = None) -> None:
+    """Reject an SNR record too short to analyze with a clean one-line
+    error.  ``decimations`` holds ``(decimation, context)`` pairs, one per
+    design the record feeds; ``min_outputs`` defaults to the spectral
+    analysis floor (see
+    :func:`repro.core.verification.check_snr_record_length`)."""
+    from repro.core.verification import (MIN_SPECTRUM_OUTPUTS,
+                                         check_snr_record_length)
+
+    try:
+        for decimation, context in decimations:
+            check_snr_record_length(flag, n_samples, decimation,
+                                    min_outputs or MIN_SPECTRUM_OUTPUTS,
+                                    context=context)
+    except ValueError as exc:
+        raise CLIError(str(exc))
+
+
 def _require_file(path: str, what: str) -> None:
     """Reject nonexistent input file paths with a clean one-line error."""
     if not os.path.isfile(path):
@@ -514,9 +533,6 @@ def _add_flow_arguments(parser: argparse.ArgumentParser) -> None:
                         help="also simulate the end-to-end SNR (slower)")
     parser.add_argument("--snr-samples", type=int, default=16384,
                         help="modulator samples for the SNR simulation")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "reference", "vectorized"],
-                        help="bit-true chain engine for the SNR simulation")
     parser.add_argument("--no-activity", action="store_true",
                         help="skip toggle-activity measurement (faster power model)")
     parser.add_argument("--library", default="generic-45nm",
@@ -636,6 +652,9 @@ def _cmd_design(args: argparse.Namespace, io: CommandIO) -> int:
     from repro.hardware.stdcell import library_by_name
 
     spec = _load_spec(args)
+    if args.snr:
+        _require_snr_record("--snr-samples", args.snr_samples,
+                            [(spec.total_decimation, "")])
     result = run_design_flow(
         spec=spec,
         options=_load_options(args, spec),
@@ -643,7 +662,6 @@ def _cmd_design(args: argparse.Namespace, io: CommandIO) -> int:
         include_snr_simulation=args.snr,
         snr_samples=args.snr_samples,
         measure_activity=not args.no_activity,
-        backend=args.backend,
         artifacts=_shared_store(args),
     )
     io.out(flow_report_text(result))
@@ -659,6 +677,9 @@ def _cmd_verify(args: argparse.Namespace, io: CommandIO) -> int:
     from repro.hardware.stdcell import library_by_name
 
     spec = _load_spec(args)
+    if args.snr:
+        _require_snr_record("--snr-samples", args.snr_samples,
+                            [(spec.total_decimation, "")])
     # With --snr the simulated end-to-end SNR becomes a verification row and
     # counts toward the verdict/exit code (run_design_flow folds it in).
     result = run_design_flow(
@@ -668,7 +689,6 @@ def _cmd_verify(args: argparse.Namespace, io: CommandIO) -> int:
         include_snr_simulation=args.snr,
         snr_samples=args.snr_samples,
         measure_activity=not args.no_activity,
-        backend=args.backend,
         artifacts=_shared_store(args),
     )
     io.out(verification_table_markdown(result))
@@ -742,6 +762,11 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
         halfband_attenuation_db=tuple(args.halfband_att),
         halfband_coefficient_bits=tuple(args.halfband_coeff_bits),
     )
+    if args.snr:
+        _require_snr_record(
+            "--snr-samples", args.snr_samples,
+            [(point.spec.total_decimation, f" for point '{point.label}'")
+             for point in sweep.expand()])
     progress = None if args.quiet else io.err
     result = run_sweep(
         sweep,
@@ -933,15 +958,11 @@ def _cmd_robustness_run(args: argparse.Namespace, io: CommandIO) -> int:
     if args.stimulus_samples is not None:
         from repro.robustness import MIN_ANALYSIS_OUTPUTS
 
-        for scenario in scenarios:
-            decimation = scenario.spec.total_decimation
-            floor = MIN_ANALYSIS_OUTPUTS * decimation
-            if args.stimulus_samples < floor:
-                raise CLIError(
-                    f"--stimulus-samples {args.stimulus_samples} is too "
-                    f"short for scenario '{scenario.name}' (decimation "
-                    f"{decimation}; the SNR analysis needs at least "
-                    f"{floor})")
+        _require_snr_record(
+            "--stimulus-samples", args.stimulus_samples,
+            [(scenario.spec.total_decimation,
+              f" for scenario '{scenario.name}'") for scenario in scenarios],
+            min_outputs=MIN_ANALYSIS_OUTPUTS)
     model = _build_perturbation_model(args)
     progress = None if args.quiet else io.err
     suite = run_robustness_suite(

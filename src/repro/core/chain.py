@@ -10,32 +10,22 @@ Halfband(↓2) → Scaling → FIR equalizer`` (Fig. 5), with
   stream and produces the 14-bit output words, used for the end-to-end SNR
   measurement and for the switching-activity power estimation.
 
-Simulation backends and streaming
----------------------------------
-The bit-true simulator has two interchangeable engines, selected with the
-``backend`` argument of :meth:`DecimationChain.process_fixed` (and of every
-underlying stage):
-
-* ``"reference"`` — the original sample-by-sample / arbitrary-precision
-  integer path.  It is the gold model and the only path that can record the
-  switching-activity traces consumed by the power model.
-* ``"vectorized"`` — a numpy fast path (cumsum-based Hogenauer evaluation,
-  strided-window matmul FIR stages, integer constant multiply for the
-  scaler) that produces **bit-identical** outputs 10–100× faster.
-* ``"auto"`` (default) — vectorized whenever applicable (register widths and
-  accumulators fit ``int64``, no trace requested), reference otherwise.
-
-For records too long to process in one shot,
-:meth:`DecimationChain.simulate_blocks` streams the code stream through the
-chain block by block in bounded memory; the concatenated output equals
-``process_fixed`` bit for bit.
+Bit-true engines
+----------------
+Every stage of :meth:`DecimationChain.process_fixed` takes its numpy fast
+path (cumsum-based Hogenauer evaluation, strided-window matmul FIR stages,
+integer constant multiply for the scaler) whenever register widths and
+accumulators fit ``int64``, and its arbitrary-precision gold model
+otherwise.  The gold models also carry the switching-activity traces
+consumed by the power model (``collect_trace=True``).  No option selects
+the engine: both produce **bit-identical** words, which the test suite
+pins stage by stage and for the whole chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Union)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +45,6 @@ from repro.filters.hogenauer import HogenauerCascade, HogenauerConfig, Hogenauer
 from repro.filters.response import FrequencyResponse, default_frequency_grid
 from repro.filters.scaling import ScalingStage
 from repro.filters.sinc import SincCascade, SincCascadeSpec, SincFilter
-from repro.filters.streaming import StreamingFIRDecimator
 
 
 @dataclass
@@ -423,21 +412,19 @@ class DecimationChain:
         offset = 1 << (self.spec.modulator.quantizer_bits - 1)
         return np.asarray(codes, dtype=np.int64) - offset
 
-    def process_fixed(self, codes: np.ndarray, collect_trace: bool = False,
-                      backend: str = "auto") -> np.ndarray:
+    def process_fixed(self, codes: np.ndarray,
+                      collect_trace: bool = False) -> np.ndarray:
         """Bit-true simulation: 4-bit codes in, ``output_bits``-bit words out.
 
-        ``backend`` selects the simulation engine for every stage
-        (``"auto"``, ``"reference"`` or ``"vectorized"``; see the module
-        docstring).  All engines return bit-identical words; tracing for the
-        power model (``collect_trace=True``) runs the Hogenauer stages on
-        the reference path regardless.
+        Each stage picks its own engine (see the module docstring); tracing
+        for the power model (``collect_trace=True``) runs the Hogenauer
+        stages on their gold model.
 
         ``codes`` may also be a 2-D ``(batch, n)`` array of independent
         records: every stage then runs batch-vectorized (one cumsum/matmul
         per stage for the whole batch) and row ``b`` of the result is
-        bit-exact to ``process_fixed(codes[b])``.  Tracing is a streaming,
-        single-record concept and is rejected for batches.
+        bit-exact to ``process_fixed(codes[b])``.  Tracing counts toggles
+        along one record and is rejected for batches.
         """
         signed = self.codes_to_signed(codes)
         if signed.ndim == 2:
@@ -445,25 +432,19 @@ class DecimationChain:
                 raise ValueError("switching-activity tracing requires a "
                                  "single record, not a (batch, n) array")
             data = self._hogenauer.process_batch(signed)
-            data = self._halfband_impl.process(data, backend=backend)
-            data = self.scaling.process(data, backend=backend)
-            data = self._equalizer_impl.process(data, backend=backend)
-            return self._finalize_output(data)
-        self._hogenauer.reset()
-        hog_backend = "auto" if (backend == "vectorized" and collect_trace) else backend
-        data = self._hogenauer.process(signed, collect_trace=collect_trace,
-                                       backend=hog_backend)
-        data = self._halfband_impl.process(data, backend=backend)
-        data = self.scaling.process(data, backend=backend)
-        data = self._equalizer_impl.process(data, backend=backend)
+        else:
+            self._hogenauer.reset()
+            data = self._hogenauer.process(signed, collect_trace=collect_trace)
+        data = self._halfband_impl.process(data)
+        data = self.scaling.process(data)
+        data = self._equalizer_impl.process(data)
         return self._finalize_output(data)
 
     def _finalize_output(self, data: np.ndarray) -> np.ndarray:
         """Round away the guard LSBs and saturate to the output word.
 
         The scaler's headroom makes overflow rare; saturation mirrors the
-        synthesized output register.  Stateless, so the streaming simulator
-        applies it per block.
+        synthesized output register.
         """
         guard = self.options.guard_bits
         out_bits = self.spec.decimator.output_bits
@@ -480,70 +461,6 @@ class DecimationChain:
             half = 1 << (guard - 1)
             data = np.array([(int(v) + half) >> guard for v in data.tolist()], dtype=object)
         return np.array([min(hi, max(lo, int(v))) for v in data.tolist()], dtype=np.int64)
-
-    def simulate_blocks(self, codes: Union[np.ndarray, Iterable[np.ndarray]],
-                        block_size: int = 65536,
-                        backend: str = "auto") -> Iterator[np.ndarray]:
-        """Stream a (long) code record through the bit-true chain in blocks.
-
-        Yields ``output_bits``-wide integer words; the concatenation of all
-        yielded blocks equals ``process_fixed(codes)`` bit for bit, while
-        peak memory stays bounded by ``block_size`` plus the filter lengths
-        (the Hogenauer stages carry their register state between blocks and
-        the FIR stages run behind :class:`~repro.filters.streaming.StreamingFIRDecimator`
-        wrappers that hold back the group-delay tail until it is computable).
-
-        Parameters
-        ----------
-        codes:
-            Either a 1-D array of modulator output codes (chunked
-            internally) or an iterable of already-chunked 1-D arrays, e.g. a
-            generator producing modulator codes on the fly — the latter is
-            how records that never fit in memory are processed.
-        block_size:
-            Chunk length when ``codes`` is a single array.
-        backend:
-            Engine for the stateful Hogenauer/scaling stages (the streaming
-            FIR wrappers pick the fast path automatically and are always
-            bit-exact).
-        """
-        if isinstance(codes, np.ndarray):
-            chunks: Iterable[np.ndarray] = (
-                codes[i:i + block_size] for i in range(0, len(codes), block_size))
-        else:
-            chunks = codes
-        self._hogenauer.reset()
-        halfband = StreamingFIRDecimator(
-            self._halfband_impl._int_taps,
-            self._halfband_impl.coefficient_bits,
-            decimation=2, delay=(self._halfband_impl.n_taps - 1) // 2)
-        equalizer = StreamingFIRDecimator(
-            self._equalizer_impl._int_taps,
-            self._equalizer_impl.coefficient_bits,
-            decimation=self._equalizer_impl.decimation,
-            delay=self._equalizer_impl.order // 2)
-
-        def through_backend_stages(sinc_out: np.ndarray) -> np.ndarray:
-            hb_out = halfband.push(sinc_out)
-            return equalizer.push(self.scaling.process(hb_out, backend=backend))
-
-        for chunk in chunks:
-            signed = self.codes_to_signed(np.asarray(chunk))
-            sinc_out = self._hogenauer.process(signed, backend=backend)
-            out = through_backend_stages(sinc_out)
-            if len(out):
-                yield self._finalize_output(out)
-        # Flush the group-delay tails: remaining halfband outputs run through
-        # the scaler into the equalizer, then the equalizer itself drains.
-        tail_hb = halfband.flush()
-        parts = []
-        if len(tail_hb):
-            parts.append(equalizer.push(self.scaling.process(tail_hb, backend=backend)))
-        parts.append(equalizer.flush())
-        tail = np.concatenate([np.asarray(p) for p in parts if len(p)]) \
-            if any(len(p) for p in parts) else np.zeros(0, dtype=np.int64)
-        if len(tail):
-            yield self._finalize_output(tail)
 
     def process_float(self, modulator_output: np.ndarray) -> np.ndarray:
         """Floating-point reference simulation on modulator output values (±1)."""
@@ -564,8 +481,7 @@ class DecimationChain:
 
     def measure_output_snr(self, codes: np.ndarray, tone_hz: float,
                            discard_outputs: Optional[int] = None,
-                           analyze_outputs: Optional[int] = None,
-                           backend: str = "auto") -> float:
+                           analyze_outputs: Optional[int] = None) -> float:
         """End-to-end SNR of the decimated output for a tone test (Table I row).
 
         Parameters
@@ -581,12 +497,10 @@ class DecimationChain:
             Length of the analyzed record; defaults to everything after the
             discarded transient.  Pass a length over which the tone is
             coherent for the cleanest measurement.
-        backend:
-            Bit-true simulation engine (all engines yield identical words).
         """
         from repro.dsm.spectrum import analyze_tone
 
-        output = self.output_to_normalized(self.process_fixed(codes, backend=backend))
+        output = self.output_to_normalized(self.process_fixed(codes))
         settle = self._settle_samples() if discard_outputs is None else discard_outputs
         trimmed = output[settle:]
         if analyze_outputs is not None:

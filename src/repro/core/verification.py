@@ -17,6 +17,29 @@ import numpy as np
 
 from repro.obs import trace
 
+#: Fewest decimated output samples the tone analysis accepts
+#: (:func:`repro.dsm.spectrum.periodogram` rejects shorter records).
+MIN_SPECTRUM_OUTPUTS = 8
+
+
+def check_snr_record_length(name: str, n_samples: int, decimation: int,
+                            min_outputs: int = MIN_SPECTRUM_OUTPUTS,
+                            context: str = "") -> None:
+    """Reject an SNR stimulus too short to analyze, before any work.
+
+    ``n_samples`` modulator samples decimate to ``n_samples // decimation``
+    output samples; fewer than ``min_outputs`` raises :class:`ValueError`
+    naming ``name`` (the flag or parameter) and the floor.  The one check
+    behind the ``--snr-samples`` flags and the robustness
+    ``stimulus_samples`` floor.
+    """
+    floor = min_outputs * decimation
+    if n_samples < floor:
+        raise ValueError(
+            f"{name} {n_samples} is too short{context}: it yields fewer "
+            f"than {min_outputs} output samples at decimation {decimation}; "
+            f"the SNR analysis needs at least {floor}")
+
 
 @dataclass
 class CheckResult:
@@ -82,7 +105,6 @@ class VerificationReport:
 def verify_chain(chain, include_snr: bool = False,
                  snr_samples: int = 65536,
                  passband_fraction: float = 0.95,
-                 backend: str = "auto",
                  artifacts=None,
                  snr_tone_hz: Optional[float] = None,
                  snr_amplitude: Optional[float] = None) -> VerificationReport:
@@ -102,9 +124,6 @@ def verify_chain(chain, include_snr: bool = False,
         band edge at the output Nyquist frequency carries the halfband's
         −6 dB point by construction; the paper's equalizer likewise restores
         "the signal band" rather than the exact Nyquist edge).
-    backend:
-        Bit-true chain engine for the SNR simulation (all engines are
-        bit-exact).
     artifacts:
         Optional :class:`~repro.flow.artifacts.ArtifactStore`.  The
         frequency-mask checks depend only on the designed filters and the
@@ -128,12 +147,11 @@ def verify_chain(chain, include_snr: bool = False,
 
     if include_snr:
         dec = chain.spec.decimator
-        with trace.span("flow.verify.snr", n_samples=snr_samples,
-                        backend=backend):
+        with trace.span("flow.verify.snr", n_samples=snr_samples):
             snr = simulated_output_snr(chain, n_samples=snr_samples,
                                        tone_hz=snr_tone_hz,
                                        amplitude=snr_amplitude,
-                                       backend=backend, artifacts=artifacts)
+                                       artifacts=artifacts)
         report.add("end-to-end SNR (bit-true chain)", snr, dec.target_snr_db - 3.0, ">=")
         report.metadata["simulated_snr_db"] = snr
 
@@ -289,16 +307,11 @@ def simulated_output_snr(chain, n_samples: int = 65536,
                          tone_hz: Optional[float] = None,
                          amplitude: Optional[float] = None,
                          seed_phase: float = 0.0,
-                         backend: str = "auto",
                          artifacts=None) -> float:
     """Modulator → bit-true chain → SNR measurement (the Table I bottom row).
 
     Parameters
     ----------
-    backend:
-        Bit-true chain engine (``"auto"``/``"reference"``/``"vectorized"``;
-        all produce identical output words, the default auto-selects the
-        vectorized fast path).
     artifacts:
         Optional :class:`~repro.flow.artifacts.ArtifactStore`.  The
         modulator bit-stream depends only on the modulator spec and the
@@ -313,8 +326,7 @@ def simulated_output_snr(chain, n_samples: int = 65536,
                                  artifacts=artifacts)
     return chain.measure_output_snr(codes, exact_tone_hz,
                                     discard_outputs=settle_outputs,
-                                    analyze_outputs=n_samples // chain.total_decimation,
-                                    backend=backend)
+                                    analyze_outputs=n_samples // chain.total_decimation)
 
 
 def snr_stimulus_parameters(chain, n_samples: int,

@@ -69,7 +69,7 @@ def run_flow_payload(payload: dict,
     ChainDesignOptions.to_dict(), "flow": flow-settings dict}``; the flow
     settings carry the library name, the SNR-leg configuration (including
     the optional explicit ``snr_tone_hz``/``snr_amplitude`` stimulus) and
-    the simulation backend.  Callers that only need the JSON record use
+    the activity-measurement switch.  Callers that only need the JSON record use
     :func:`_execute_point`; the scenario runner builds on this function to
     post-process the designed chain (e.g. the Farrow rate-converter leg).
     """
@@ -88,7 +88,6 @@ def run_flow_payload(payload: dict,
         include_snr_simulation=flow["include_snr"],
         snr_samples=flow["snr_samples"],
         measure_activity=flow["measure_activity"],
-        backend=flow["backend"],
         artifacts=artifacts,
         snr_tone_hz=flow.get("snr_tone_hz"),
         snr_amplitude=flow.get("snr_amplitude"),
@@ -357,7 +356,6 @@ def run_sweep(sweep: SweepSpec,
               include_snr: bool = False,
               snr_samples: int = 16384,
               measure_activity: bool = False,
-              backend: str = "auto",
               library: str = "generic-45nm",
               progress: Optional[Callable[[str], None]] = None,
               resume: bool = True,
@@ -389,10 +387,7 @@ def run_sweep(sweep: SweepSpec,
         Modulator samples for the per-point SNR simulation.
     measure_activity:
         Measure Hogenauer toggle activity for the power model instead of
-        using the per-kind defaults (slower, reference engine).
-    backend:
-        Bit-true chain engine for the SNR leg (``"auto"`` picks the PR-1
-        vectorized fast path).
+        using the per-kind defaults (slower, Hogenauer gold model).
     library:
         Standard-cell library name (``"generic-45nm"`` or ``"generic-90nm"``).
     progress:
@@ -436,7 +431,6 @@ def run_sweep(sweep: SweepSpec,
         "include_snr": bool(include_snr),
         "snr_samples": int(snr_samples),
         "measure_activity": bool(measure_activity),
-        "backend": str(backend),
         "library": str(library),
         "cache_schema": CACHE_SCHEMA_VERSION,
     }

@@ -74,7 +74,6 @@ from repro.filters.polyphase import (
     polyphase_components,
     convolve_strided_matmul,
 )
-from repro.filters.streaming import StreamingFIRDecimator
 from repro.filters.cascade import (
     CascadeStageDescription,
     MultirateCascade,
@@ -122,7 +121,6 @@ __all__ = [
     "PolyphaseDecimatorFixedPoint",
     "polyphase_components",
     "convolve_strided_matmul",
-    "StreamingFIRDecimator",
     "CascadeStageDescription",
     "MultirateCascade",
     "FarrowRateConverter",

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import signal
 
-from repro.filters.polyphase import convolve_strided_matmul, resolve_int_backend
+from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.response import FrequencyResponse, default_frequency_grid
 from repro.fixedpoint.csd import CSDCode, encode_coefficients
 
@@ -94,7 +94,7 @@ def fir_response(taps: Sequence[float], sample_rate_hz: float,
 
 
 @dataclass
-class FIRFilterFixedPoint:
+class FIRFilterFixedPoint(BitTrueFIRStage):
     """Bit-true linear-phase FIR with CSD-quantized coefficients.
 
     The filter operates on integer samples.  Products carry
@@ -103,12 +103,11 @@ class FIRFilterFixedPoint:
     response is exploited for the adder count (pre-addition of the two
     samples sharing a coefficient), as the paper's implementation does.
 
-    :meth:`process` accepts ``backend="reference"|"vectorized"|"auto"``:
-    the reference path runs the convolution in arbitrary-precision Python
-    integers, the vectorized path evaluates only the decimated outputs via
-    a strided-window matmul (polyphase identity) in ``int64``.  The two are
-    bit-exact; ``"auto"`` picks the vectorized engine whenever the
-    accumulator provably fits ``int64``.
+    The output is aligned to the group delay (``order // 2``) and keeps
+    every ``decimation``-th sample; :meth:`process` runs the engines of
+    :class:`~repro.filters.polyphase.BitTrueFIRStage` (an ``int64``
+    strided matmul when the accumulator provably fits, the
+    arbitrary-precision gold model otherwise).
     """
 
     taps: np.ndarray
@@ -150,46 +149,8 @@ class FIRFilterFixedPoint:
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def process(self, samples: np.ndarray, backend: str = "auto") -> np.ndarray:
-        """Filter (and optionally decimate) a block of integer samples.
-
-        ``backend`` selects the engine (see the class docstring); both
-        engines return bit-identical values, differing only in array dtype
-        (``int64`` vectorized, object reference).
-        """
-        samples = np.asarray(samples)
-        if samples.ndim == 2:
-            # Batch axis ((batch, n) of independent records): the vectorized
-            # engine filters every row in one strided matmul, the reference
-            # engine loops rows; both are bit-exact to the per-record path.
-            backend = resolve_int_backend(samples, self._abs_tap_sum, backend)
-            if backend == "vectorized":
-                count = -(-samples.shape[-1] // self.decimation)
-                half = 1 << (self.coefficient_bits - 1)
-                aligned = convolve_strided_matmul(
-                    samples.astype(np.int64), self._int_taps.astype(np.int64),
-                    offset=self.order // 2, step=self.decimation, count=count)
-                return (aligned + half) >> self.coefficient_bits
-            return np.stack([self.process(row, backend=backend)
-                             for row in samples])
-        if len(samples) == 0:
-            return np.zeros(0, dtype=np.int64)
-        backend = resolve_int_backend(samples, self._abs_tap_sum, backend)
-        delay = self.order // 2
-        half = 1 << (self.coefficient_bits - 1)
-        if backend == "vectorized":
-            count = -(-len(samples) // self.decimation)
-            aligned = convolve_strided_matmul(
-                samples.astype(np.int64), self._int_taps.astype(np.int64),
-                offset=delay, step=self.decimation, count=count)
-            return (aligned + half) >> self.coefficient_bits
-        ints = np.array([int(v) for v in samples.tolist()], dtype=object)
-        full = np.convolve(ints, self._int_taps)
-        aligned = full[delay:delay + len(ints)]
-        if self.decimation > 1:
-            aligned = aligned[::self.decimation]
-        return np.array([(int(v) + half) >> self.coefficient_bits for v in aligned],
-                        dtype=object)
+    def _output_window(self, n: int) -> Tuple[int, int, int]:
+        return self.order // 2, self.decimation, -(-n // self.decimation)
 
     def process_float(self, samples: np.ndarray) -> np.ndarray:
         """Floating-point reference using the quantized coefficients."""

@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import signal
 
-from repro.filters.polyphase import convolve_strided_matmul, resolve_int_backend
+from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.response import FrequencyResponse, default_frequency_grid
 from repro.fixedpoint.csd import CSDCode, encode_coefficients
 
@@ -585,7 +585,7 @@ def paper_halfband(transition_start: float = 0.22) -> SaramakiHalfband:
 # ----------------------------------------------------------------------
 # Bit-true implementation
 # ----------------------------------------------------------------------
-class HalfbandDecimator:
+class HalfbandDecimator(BitTrueFIRStage):
     """Bit-true decimate-by-2 implementation of the composite halfband filter.
 
     The implementation convolves with the single-FIR equivalent of the
@@ -595,11 +595,15 @@ class HalfbandDecimator:
     result, so the equivalent-FIR computation is bit-exact with respect to
     the hardware.
 
-    :meth:`process` accepts ``backend="reference"|"vectorized"|"auto"``:
-    the vectorized engine computes only the kept (even) output phase through
-    a strided-window matmul in ``int64`` (exact while the accumulator fits,
-    which ``"auto"`` checks); the reference engine keeps the original
-    arbitrary-precision integer convolution.  Both are bit-exact.
+    The output is aligned to the filter's group delay so it is the centred,
+    linear-phase filtered sequence, then decimated by 2; the
+    ``coefficient_bits`` fractional bits of the products are rounded away
+    at the output, exactly as the fixed-point hardware does.
+    :meth:`process` runs the engines of
+    :class:`~repro.filters.polyphase.BitTrueFIRStage`: the ``int64``
+    strided matmul computes only the kept (even) output phase while the
+    accumulator provably fits, the arbitrary-precision gold model runs
+    otherwise.
     """
 
     def __init__(self, filter_design: SaramakiHalfband, data_bits: int = 16,
@@ -618,49 +622,8 @@ class HalfbandDecimator:
         """Number of taps of the equivalent FIR halfband."""
         return len(self._int_taps)
 
-    def process(self, samples: np.ndarray, backend: str = "auto") -> np.ndarray:
-        """Filter and decimate by 2 a block of integer samples.
-
-        The output keeps the input word scaling: the accumulated
-        ``coefficient_bits`` fractional bits of the products are rounded away
-        at the output, exactly as the fixed-point hardware does.  ``backend``
-        selects the engine (see the class docstring); results are
-        bit-identical, differing only in dtype (``int64`` vs object).
-        """
-        samples = np.asarray(samples)
-        if samples.ndim == 2:
-            # Batch axis: vectorized rows in one strided matmul, reference
-            # rows one at a time (both bit-exact to the per-record path).
-            backend = resolve_int_backend(samples, self._abs_tap_sum, backend)
-            if backend == "vectorized":
-                count = (samples.shape[-1] + 1) // 2
-                half = 1 << (self.coefficient_bits - 1)
-                decimated = convolve_strided_matmul(
-                    samples.astype(np.int64), self._int_taps.astype(np.int64),
-                    offset=(self.n_taps - 1) // 2, step=2, count=count)
-                return (decimated + half) >> self.coefficient_bits
-            return np.stack([self.process(row, backend=backend)
-                             for row in samples])
-        if len(samples) == 0:
-            return np.zeros(0, dtype=np.int64)
-        backend = resolve_int_backend(samples, self._abs_tap_sum, backend)
-        delay = (self.n_taps - 1) // 2
-        half = 1 << (self.coefficient_bits - 1)
-        if backend == "vectorized":
-            count = (len(samples) + 1) // 2
-            decimated = convolve_strided_matmul(
-                samples.astype(np.int64), self._int_taps.astype(np.int64),
-                offset=delay, step=2, count=count)
-            return (decimated + half) >> self.coefficient_bits
-        ints = np.array([int(v) for v in samples.tolist()], dtype=object)
-        full = np.convolve(ints, self._int_taps)
-        # Align to the filter's group delay so the output is the centred,
-        # linear-phase filtered sequence, then decimate by 2.
-        aligned = full[delay:delay + len(ints)]
-        decimated = aligned[::2]
-        rounded = np.array([(int(v) + half) >> self.coefficient_bits for v in decimated],
-                           dtype=object)
-        return rounded
+    def _output_window(self, n: int) -> Tuple[int, int, int]:
+        return (self.n_taps - 1) // 2, 2, (n + 1) // 2
 
     def process_float(self, samples: np.ndarray) -> np.ndarray:
         """Floating-point reference of :meth:`process` (same alignment)."""

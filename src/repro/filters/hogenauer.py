@@ -17,30 +17,23 @@ are modelled because they matter for the power estimate:
 Functionally both optimizations only add latency; the bit-true output is
 unchanged, which the test suite verifies.
 
-Simulation backends
--------------------
-Two engines produce bit-identical outputs:
-
-* ``backend="reference"`` — the original sample-by-sample simulation of the
-  register-transfer structure.  It is the gold model, it carries the
-  toggle-counting trace used by the switching-activity power estimation
-  (``collect_trace=True``), and it works for arbitrary register widths.
-* ``backend="vectorized"`` — a numpy fast path: the K integrators are K
-  cumulative sums, the rate change is a strided slice, and the K combs are
-  vectorized first differences.  All arithmetic runs in ``uint64`` (i.e.
-  modulo 2**64); because every operation is an addition or subtraction, the
-  results stay congruent to the reference modulo ``2**width``, so the final
-  wrap to the register width reproduces the wrap-around two's-complement
-  hardware exactly.  Available for register widths up to 62 bits.
-* ``backend="auto"`` (default) — picks the vectorized engine whenever it is
-  applicable (width small enough, no trace requested) and falls back to the
-  reference otherwise.
-
-Both engines share the streaming state (integrators, comb delays, phase), so
-blocks may be fed through different backends and still continue the same
-simulation.  :meth:`HogenauerDecimator.process_batch` runs independent
-records through the compiled kernel of :mod:`repro._native` instead, or
-through the vectorized engine row by row where no kernel can be built.
+Simulation engines
+------------------
+:meth:`HogenauerDecimator.process` takes a numpy fast path whenever it can:
+the K integrators are K cumulative sums, the rate change is a strided
+slice, and the K combs are vectorized first differences.  All arithmetic
+runs in ``uint64`` (i.e. modulo 2**64); because every operation is an
+addition or subtraction, the results stay congruent to the register
+contents modulo ``2**width``, so the final wrap to the register width
+reproduces the wrap-around two's-complement hardware exactly.  Registers
+wider than 62 bits and switching-activity tracing (``collect_trace=True``,
+the power model's path) run the sample-by-sample gold model of the
+register-transfer structure instead.  Both engines share the streaming
+state (integrators, comb delays, phase), so consecutive blocks continue the
+same simulation whichever engine each block takes.
+:meth:`HogenauerDecimator.process_batch` runs independent records through
+the compiled kernel of :mod:`repro._native` instead, or through the
+vectorized engine row by row where no kernel can be built.
 """
 
 from __future__ import annotations
@@ -62,35 +55,6 @@ _MAX_INT64_WIDTH = 62
 _MASK64 = (1 << 64) - 1
 
 
-def _resolve_backend(backend: Optional[str], default: str, width: int,
-                     collect_trace: bool) -> str:
-    """Resolve a backend request to a concrete engine name.
-
-    ``auto`` selects the vectorized engine when the register width permits
-    and no switching-activity trace was requested; an explicit
-    ``"vectorized"`` request raises when it cannot be honoured bit-true.
-    """
-    choice = backend or default
-    if choice == "auto":
-        if collect_trace or width > _MAX_INT64_WIDTH:
-            return "reference"
-        return "vectorized"
-    if choice == "vectorized":
-        if collect_trace:
-            raise ValueError("switching-activity tracing requires "
-                             "backend='reference' (the power model's path)")
-        if width > _MAX_INT64_WIDTH:
-            raise ValueError(
-                f"vectorized backend supports register widths up to "
-                f"{_MAX_INT64_WIDTH} bits (got {width}); use the reference "
-                f"backend")
-        return "vectorized"
-    if choice == "reference":
-        return "reference"
-    raise ValueError(f"unknown backend {choice!r}; "
-                     "expected 'auto', 'reference' or 'vectorized'")
-
-
 @dataclass
 class HogenauerConfig:
     """Implementation options for the Hogenauer structure."""
@@ -99,9 +63,6 @@ class HogenauerConfig:
     pipelined: bool = True
     #: Extra guard bits on top of Eq. (2); zero reproduces the paper.
     guard_bits: int = 0
-    #: Default simulation engine: ``"auto"``, ``"reference"`` or
-    #: ``"vectorized"`` (see the module docstring).
-    backend: str = "auto"
 
 
 @dataclass
@@ -153,11 +114,6 @@ class HogenauerDecimator:
     wide) and produces integer samples of ``register_bits`` width.  The DC
     gain is ``M**K``; callers that need unity gain divide by
     ``2**(K*log2(M))`` afterwards (the chain keeps track of this scaling).
-
-    :meth:`process` accepts a ``backend`` argument selecting between the
-    sample-by-sample reference engine and the bit-identical vectorized
-    engine (see the module docstring); the default follows
-    ``HogenauerConfig.backend``.
     """
 
     def __init__(self, spec: SincFilterSpec, config: Optional[HogenauerConfig] = None) -> None:
@@ -194,8 +150,7 @@ class HogenauerDecimator:
     # ------------------------------------------------------------------
     # Streaming interface
     # ------------------------------------------------------------------
-    def process(self, samples: np.ndarray, collect_trace: bool = False,
-                backend: Optional[str] = None) -> np.ndarray:
+    def process(self, samples: np.ndarray, collect_trace: bool = False) -> np.ndarray:
         """Filter and decimate a block of integer input samples.
 
         Parameters
@@ -205,12 +160,8 @@ class HogenauerDecimator:
             bits (they are wrapped otherwise, as real hardware would).
         collect_trace:
             Record per-node toggle counts for the power model (slower;
-            forces the reference engine, which is the path the
-            switching-activity estimation is calibrated against).
-        backend:
-            ``"auto"``, ``"reference"`` or ``"vectorized"``; ``None`` uses
-            ``self.config.backend``.  Both engines are bit-exact and share
-            the streaming state.
+            runs the gold model, which is the path the switching-activity
+            estimation is calibrated against).
 
         Returns
         -------
@@ -221,13 +172,13 @@ class HogenauerDecimator:
         if samples.dtype != object and not np.issubdtype(samples.dtype, np.integer):
             raise TypeError("HogenauerDecimator processes integer samples; "
                             "quantize the input first")
-        engine = _resolve_backend(backend, self.config.backend, self.width,
-                                  collect_trace)
-        if engine == "vectorized":
-            return self._process_vectorized(samples)
-        return self._process_reference(samples, collect_trace)
+        if collect_trace or self.width > _MAX_INT64_WIDTH:
+            return self._process_reference(samples, collect_trace)
+        return self._process_vectorized(samples)
 
-    def _process_reference(self, samples: np.ndarray, collect_trace: bool) -> np.ndarray:
+    def _process_reference(self, samples: np.ndarray,
+                           collect_trace: bool = False) -> np.ndarray:
+        """Gold model: sample-by-sample register-transfer simulation."""
         k = self.spec.order
         m = self.spec.decimation
         width = self.width
@@ -298,7 +249,7 @@ class HogenauerDecimator:
             return np.zeros(0, dtype=np.int64)
         if samples.dtype == object:
             # Arbitrary-precision inputs are wrapped to the register width up
-            # front — the reference engine does the same before accumulating,
+            # front — the gold model does the same before accumulating,
             # so this is exact (and the wrapped values fit int64).
             samples = np.array([wrap_twos_complement(int(v), width)
                                 for v in samples.tolist()], dtype=np.int64)
@@ -346,7 +297,7 @@ class HogenauerDecimator:
         engine.  The instance's streaming state is left untouched.
 
         Requires a register width the vectorized engine supports
-        (≤ 62 bits); wider configurations must loop the reference engine.
+        (≤ 62 bits); wider configurations must loop :meth:`process`.
         """
         samples = np.asarray(samples)
         if samples.ndim != 2:
@@ -358,8 +309,8 @@ class HogenauerDecimator:
         if width > _MAX_INT64_WIDTH:
             raise ValueError(
                 f"batch processing supports register widths up to "
-                f"{_MAX_INT64_WIDTH} bits (got {width}); loop the reference "
-                f"engine instead")
+                f"{_MAX_INT64_WIDTH} bits (got {width}); loop process() "
+                f"instead")
         if samples.dtype == object:
             samples = np.array([[wrap_twos_complement(int(v), width) for v in row]
                                 for row in samples.tolist()],
@@ -467,12 +418,11 @@ class HogenauerCascade:
         for stage in self.stages:
             stage.reset()
 
-    def process(self, samples: np.ndarray, collect_trace: bool = False,
-                backend: Optional[str] = None) -> np.ndarray:
-        """Run a block through every stage (``backend`` as in the stages)."""
+    def process(self, samples: np.ndarray, collect_trace: bool = False) -> np.ndarray:
+        """Run a block through every stage."""
         data = np.asarray(samples)
         for stage in self.stages:
-            data = stage.process(data, collect_trace=collect_trace, backend=backend)
+            data = stage.process(data, collect_trace=collect_trace)
             if self.rescale:
                 shift = stage.spec.output_bits - stage.spec.input_bits
                 if shift > 0:

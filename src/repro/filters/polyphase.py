@@ -12,19 +12,21 @@ bit-true integer variants) used by the ablation benchmarks (single-stage vs
 multistage comparison) and as an independent reference implementation for
 the halfband and equalizer stages.
 
-It also hosts the vectorized engine shared by every FIR-shaped stage of the
-chain (:func:`convolve_strided_matmul`): the decimated convolution is
-evaluated by assembling a strided window matrix (a zero-copy reshape of the
-delay line) and taking one matrix-vector product, which is exactly the
-polyphase identity "only every M-th output is computed" expressed as a
-matmul.  On integer inputs the product is computed in ``int64`` and is exact
-as long as the accumulator provably fits, which the callers check.
+It also hosts the bit-true engine shared by every FIR-shaped stage of the
+chain (:class:`BitTrueFIRStage`).  Its fast path,
+:func:`convolve_strided_matmul`, evaluates the decimated convolution by
+assembling a strided window matrix (a zero-copy reshape of the delay line)
+and taking one matrix-vector product, which is exactly the polyphase
+identity "only every M-th output is computed" expressed as a matmul.  On
+integer inputs the product is computed in ``int64`` and is exact as long
+as the accumulator provably fits (:func:`int64_accumulator_safe`);
+otherwise the stage runs its arbitrary-precision gold model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,9 +40,9 @@ def max_abs_int(samples: np.ndarray) -> int:
 
     ``np.abs`` overflows on the most negative int64 (it maps back to
     itself), so the magnitude is taken from the extrema in Python integers
-    instead.
+    instead.  Works on any shape, including empty ``(batch, 0)`` arrays.
     """
-    if len(samples) == 0:
+    if samples.size == 0:
         return 0
     return max(int(samples.max()), -int(samples.min()), 0)
 
@@ -49,38 +51,14 @@ def int64_accumulator_safe(samples: np.ndarray, abs_multiplier_sum: int) -> bool
     """Whether a sum of products of ``samples`` with multipliers of total
     absolute magnitude ``abs_multiplier_sum`` provably fits ``int64``.
 
-    The shared guard behind every ``backend="auto"`` decision: object-dtype
-    or float inputs are never int64-safe, integer inputs are safe when the
-    worst-case accumulator ``abs_multiplier_sum * max|x|`` stays below
-    :data:`INT64_SAFE_BOUND`.
+    The capability check behind every FIR-shaped stage's fast path:
+    object-dtype or float inputs are never int64-safe, integer inputs are
+    safe when the worst-case accumulator ``abs_multiplier_sum * max|x|``
+    stays below :data:`INT64_SAFE_BOUND`.
     """
     if samples.dtype == object or not np.issubdtype(samples.dtype, np.integer):
         return False
     return abs_multiplier_sum * max_abs_int(samples) < INT64_SAFE_BOUND
-
-
-def resolve_int_backend(samples: np.ndarray, abs_multiplier_sum: int,
-                        backend: str) -> str:
-    """Resolve a FIR-stage ``backend`` request to a concrete engine.
-
-    ``"auto"`` picks ``"vectorized"`` exactly when
-    :func:`int64_accumulator_safe` holds; an explicit ``"vectorized"``
-    request on unsafe input raises (the caller must use the exact
-    reference path), as does an unknown backend name.  Shared by every
-    bit-true FIR-shaped stage so the dispatch rules stay in one place.
-    """
-    safe = int64_accumulator_safe(samples, abs_multiplier_sum)
-    if backend == "auto":
-        return "vectorized" if safe else "reference"
-    if backend == "vectorized":
-        if not safe:
-            raise ValueError("accumulator may overflow int64; use the "
-                             "reference backend")
-        return backend
-    if backend == "reference":
-        return backend
-    raise ValueError(f"unknown backend {backend!r}; "
-                     "expected 'auto', 'reference' or 'vectorized'")
 
 
 def polyphase_components(taps: np.ndarray, decimation: int) -> List[np.ndarray]:
@@ -149,6 +127,58 @@ def convolve_strided_matmul(samples: np.ndarray, taps: np.ndarray,
     return windows @ t[::-1]
 
 
+class BitTrueFIRStage:
+    """Bit-true engine shared by the FIR-shaped stages of the chain.
+
+    Output ``j`` of a block is ``round(full[offset + j*step] /
+    2**coefficient_bits)`` with ``full = np.convolve(x, taps)`` over the
+    integer taps; subclasses provide ``_int_taps`` (object array),
+    ``_abs_tap_sum``, ``coefficient_bits`` and :meth:`_output_window`.
+    :meth:`process` evaluates only the kept outputs with one ``int64``
+    strided matmul (:func:`convolve_strided_matmul`) whenever
+    :func:`int64_accumulator_safe` holds, and otherwise runs the
+    arbitrary-precision gold model :meth:`_process_reference`.  The two are
+    bit-exact, differing only in dtype (``int64`` vs object).
+    """
+
+    _int_taps: np.ndarray
+    _abs_tap_sum: int
+    coefficient_bits: int
+
+    def _output_window(self, n: int) -> Tuple[int, int, int]:
+        """``(offset, step, count)`` of the kept outputs for ``n`` inputs."""
+        raise NotImplementedError
+
+    def process(self, samples: np.ndarray) -> np.ndarray:
+        """Bit-true filtering/decimation of a block of integer samples.
+
+        ``samples`` may be a 1-D record or a 2-D ``(batch, n)`` array of
+        independent records; row ``b`` of a batched result is bit-exact to
+        the 1-D call on ``samples[b]``.
+        """
+        samples = np.asarray(samples)
+        if not int64_accumulator_safe(samples, self._abs_tap_sum):
+            if samples.ndim == 2:
+                return np.stack([self._process_reference(row) for row in samples])
+            return self._process_reference(samples)
+        offset, step, count = self._output_window(samples.shape[-1])
+        full = convolve_strided_matmul(
+            samples.astype(np.int64), self._int_taps.astype(np.int64),
+            offset=offset, step=step, count=count)
+        return (full + (1 << (self.coefficient_bits - 1))) >> self.coefficient_bits
+
+    def _process_reference(self, samples: np.ndarray) -> np.ndarray:
+        """Gold model: the full convolution in Python integers (1-D only)."""
+        if len(samples) == 0:
+            return np.zeros(0, dtype=np.int64)
+        offset, step, count = self._output_window(len(samples))
+        ints = np.array([int(v) for v in samples.tolist()], dtype=object)
+        kept = np.convolve(ints, self._int_taps)[offset:offset + count * step:step]
+        half = 1 << (self.coefficient_bits - 1)
+        return np.array([(int(v) + half) >> self.coefficient_bits for v in kept],
+                        dtype=object)
+
+
 @dataclass
 class PolyphaseDecimator:
     """Floating-point polyphase FIR decimator.
@@ -215,13 +245,11 @@ class PolyphaseDecimator:
 
 
 @dataclass
-class PolyphaseDecimatorFixedPoint:
+class PolyphaseDecimatorFixedPoint(BitTrueFIRStage):
     """Bit-true integer polyphase decimator with quantized coefficients.
 
-    ``backend="vectorized"`` (the ``"auto"`` default when the accumulator
-    provably fits ``int64``) evaluates the decimated convolution with
-    :func:`convolve_strided_matmul`; ``backend="reference"`` keeps the
-    original arbitrary-precision integer path.  Both are bit-exact.
+    Keeps every M-th sample of the full convolution (``full[M-1::M]``), with
+    the engines of :class:`BitTrueFIRStage`.
     """
 
     taps: np.ndarray
@@ -235,21 +263,5 @@ class PolyphaseDecimatorFixedPoint:
         self._int_taps = np.array([int(round(t * scale)) for t in self.taps], dtype=object)
         self._abs_tap_sum = int(sum(abs(int(t)) for t in self._int_taps))
 
-    def process(self, samples: np.ndarray, backend: str = "auto") -> np.ndarray:
-        """Bit-true decimation of a block (``backend`` as in the class docs)."""
-        samples = np.asarray(samples)
-        if len(samples) == 0:
-            return np.zeros(0, dtype=np.int64)
-        backend = resolve_int_backend(samples, self._abs_tap_sum, backend)
-        if backend == "vectorized":
-            full = convolve_strided_matmul(
-                samples.astype(np.int64), self._int_taps.astype(np.int64),
-                offset=self.decimation - 1, step=self.decimation)
-            half = 1 << (self.coefficient_bits - 1)
-            return (full + half) >> self.coefficient_bits
-        ints = np.array([int(v) for v in samples.tolist()], dtype=object)
-        full = np.convolve(ints, self._int_taps)
-        selected = full[self.decimation - 1:len(ints):self.decimation]
-        half = 1 << (self.coefficient_bits - 1)
-        return np.array([(int(v) + half) >> self.coefficient_bits for v in selected],
-                        dtype=object)
+    def _output_window(self, n: int) -> Tuple[int, int, int]:
+        return self.decimation - 1, self.decimation, n // self.decimation

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.filters.polyphase import resolve_int_backend
+from repro.filters.polyphase import int64_accumulator_safe
 from repro.fixedpoint.csd import CSDCode, to_csd, csd_multiply_int
 from repro.fixedpoint.horner import HornerStep, horner_decomposition, horner_adder_count
 
@@ -88,33 +88,32 @@ class ScalingStage:
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def process(self, samples: np.ndarray, backend: str = "auto") -> np.ndarray:
+    def process(self, samples: np.ndarray) -> np.ndarray:
         """Bit-true scaling of integer samples.
 
         Each sample is multiplied by the CSD-encoded constant using shifts
         and adds only; the ``coefficient_bits`` fractional bits of the
         product are rounded away at the output.  The shift-add network
-        computes an exact integer constant multiplication, so the vectorized
-        backend is a plain ``int64`` multiply by that constant — bit-exact
-        with the reference shift-add evaluation (``"auto"`` falls back to
-        the reference when the product might overflow ``int64``).
+        computes an exact integer constant multiplication, so whenever the
+        product provably fits ``int64`` the stage is a plain elementwise
+        multiply by that constant (any shape, including ``(batch, n)``) —
+        bit-exact with the shift-add gold model :meth:`_process_reference`,
+        which runs otherwise.
         """
         samples = np.asarray(samples)
-        backend = resolve_int_backend(samples, abs(self._int_multiplier), backend)
+        if not int64_accumulator_safe(samples, abs(self._int_multiplier)):
+            if samples.ndim == 2:
+                return np.stack([self._process_reference(row) for row in samples])
+            return self._process_reference(samples)
+        product = samples.astype(np.int64) * np.int64(self._int_multiplier)
+        return (product + (1 << (self.coefficient_bits - 1))) >> self.coefficient_bits
+
+    def _process_reference(self, samples: np.ndarray) -> np.ndarray:
+        """Gold model: CSD shift-add evaluation in Python integers (1-D)."""
         half = 1 << (self.coefficient_bits - 1)
-        if backend == "vectorized":
-            # Elementwise, so a 2-D (batch, n) input works unchanged.
-            product = samples.astype(np.int64) * np.int64(self._int_multiplier)
-            return (product + half) >> self.coefficient_bits
-        if samples.ndim == 2:
-            return np.stack([self.process(row, backend=backend)
-                             for row in samples])
-        ints = [int(v) for v in samples.tolist()]
-        out = []
-        for value in ints:
-            product = csd_multiply_int(value, self.csd, self.coefficient_bits)
-            out.append((product + half) >> self.coefficient_bits)
-        return np.array(out, dtype=object)
+        return np.array([
+            (csd_multiply_int(int(v), self.csd, self.coefficient_bits) + half)
+            >> self.coefficient_bits for v in samples.tolist()], dtype=object)
 
     def process_float(self, samples: np.ndarray) -> np.ndarray:
         """Floating-point reference using the quantized gain."""

@@ -1,11 +1,5 @@
 """End-to-end design flow: spec in, verified design + synthesis report out.
 
-The flow's simulation steps accept a ``backend`` option selecting the
-bit-true chain engine (``"auto"``/``"reference"``/``"vectorized"``; all
-bit-exact — see :mod:`repro.core.chain`) and expose the block-streaming
-simulator through :meth:`FlowResult.simulate_blocks` so arbitrarily long
-code records can be pushed through a designed chain in bounded memory.
-
 Staged execution
 ----------------
 :func:`run_design_flow` is internally a pipeline of keyed stages —
@@ -23,7 +17,7 @@ it to the process-pool workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -52,19 +46,6 @@ class FlowResult:
     def meets_spec(self) -> bool:
         """Whether the verification report passed every check."""
         return self.verification.passed
-
-    def simulate_blocks(self, codes: Union[np.ndarray, Iterable[np.ndarray]],
-                        block_size: int = 65536,
-                        backend: str = "auto") -> Iterator[np.ndarray]:
-        """Stream a code record through the designed chain in bounded memory.
-
-        Thin delegate to
-        :meth:`repro.core.chain.DecimationChain.simulate_blocks`; the
-        concatenated blocks equal ``chain.process_fixed(codes)`` bit for
-        bit.
-        """
-        return self.chain.simulate_blocks(codes, block_size=block_size,
-                                          backend=backend)
 
     def summary(self) -> dict:
         """Flat dictionary used by the examples and the benchmark harness."""
@@ -129,7 +110,6 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
                     include_snr_simulation: bool = False,
                     snr_samples: int = 32768,
                     measure_activity: bool = True,
-                    backend: str = "auto",
                     artifacts: Optional[ArtifactStore] = None,
                     snr_tone_hz: Optional[float] = None,
                     snr_amplitude: Optional[float] = None) -> FlowResult:
@@ -153,11 +133,8 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
     measure_activity:
         Measure Hogenauer toggle activity with the 5 MHz MSA stimulus for
         the power model (the paper's methodology) instead of using defaults.
-        Activity tracing always runs on the reference engine, which the
+        Activity tracing always runs on the Hogenauer gold model, which the
         power model is calibrated against.
-    backend:
-        Bit-true chain engine for the SNR simulation (all engines are
-        bit-exact; ``"auto"`` picks the vectorized fast path).
     artifacts:
         Optional :class:`~repro.flow.artifacts.ArtifactStore` memoizing the
         shareable stages (halfband/equalizer design, mask verification,
@@ -173,8 +150,7 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
     with trace.span("flow.design", memoized=artifacts is not None):
         chain = DecimationChain.design(spec, options, artifacts=artifacts)
     verification = verify_chain(chain, include_snr=include_snr_simulation,
-                                snr_samples=snr_samples, backend=backend,
-                                artifacts=artifacts,
+                                snr_samples=snr_samples, artifacts=artifacts,
                                 snr_tone_hz=snr_tone_hz,
                                 snr_amplitude=snr_amplitude)
     with trace.span("flow.synthesis", measure_activity=measure_activity):

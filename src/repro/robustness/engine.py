@@ -47,7 +47,9 @@ import numpy as np
 
 from repro.core.chain import ChainDesignOptions, DecimationChain
 from repro.core.spec import ChainSpec, content_hash
-from repro.core.verification import (VerificationReport, simulated_output_snr,
+from repro.core.verification import (VerificationReport,
+                                     check_snr_record_length,
+                                     simulated_output_snr,
                                      snr_stimulus_parameters, verify_chain,
                                      verify_distribution)
 from repro.dsm.modulator import DeltaSigmaModulator
@@ -149,8 +151,7 @@ def execute_robustness_payload(payload: dict,
             chain, model, payload["variants"][variant], variant, artifacts)
         rows = np.asarray(rows_by_variant[variant])
         # One batched bit-true chain simulation per variant group.
-        words = chain_v.process_fixed(batch.codes[rows],
-                                      backend=flow["backend"])
+        words = chain_v.process_fixed(batch.codes[rows])
         normalized = chain_v.output_to_normalized(words)
         trimmed = normalized[:, settle:settle + n_out]
         analyses = analyze_tone_batch(
@@ -316,16 +317,12 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
     selected = resolve_scenarios(list(scenarios) if scenarios is not None
                                  else None)
     for scenario in selected:
-        effective = (stimulus_samples if stimulus_samples is not None
-                     else scenario.stimulus.n_samples)
-        decimation = scenario.spec.total_decimation
-        if effective < MIN_ANALYSIS_OUTPUTS * decimation:
-            raise ValueError(
-                f"stimulus_samples={effective} yields fewer than "
-                f"{MIN_ANALYSIS_OUTPUTS} output samples for scenario "
-                f"'{scenario.name}' (decimation {decimation}); the SNR "
-                f"analysis needs at least "
-                f"{MIN_ANALYSIS_OUTPUTS * decimation}")
+        check_snr_record_length(
+            "stimulus_samples",
+            (stimulus_samples if stimulus_samples is not None
+             else scenario.stimulus.n_samples),
+            scenario.spec.total_decimation, MIN_ANALYSIS_OUTPUTS,
+            context=f" for scenario '{scenario.name}'")
     model = model if model is not None else default_model()
     cache = open_store(cache_dir) if cache_dir is not None else None
     store = store if store is not None else ArtifactStore()
@@ -377,7 +374,6 @@ def _run_settings(scenario: Scenario, model: PerturbationModel,
         "snr_tone_hz": flow["snr_tone_hz"],
         "snr_amplitude": flow["snr_amplitude"],
         "library": flow["library"],
-        "backend": flow["backend"],
         "measure_activity": flow["measure_activity"],
         "cache_schema": CACHE_SCHEMA_VERSION,
     }
@@ -412,12 +408,10 @@ def _run_single(scenario: Scenario, model: PerturbationModel, n_samples: int,
     flow_result = run_design_flow(
         spec=spec, options=options, library=library,
         include_snr_simulation=False,
-        measure_activity=run["measure_activity"],
-        backend=run["backend"], artifacts=store)
+        measure_activity=run["measure_activity"], artifacts=store)
     nominal_snr = simulated_output_snr(
         flow_result.chain, n_samples=stim_n, tone_hz=run["snr_tone_hz"],
-        amplitude=run["snr_amplitude"], backend=run["backend"],
-        artifacts=store)
+        amplitude=run["snr_amplitude"], artifacts=store)
     synthesis = flow_result.synthesis
     nominal = {
         "snr_db": float(nominal_snr),
@@ -438,7 +432,6 @@ def _run_single(scenario: Scenario, model: PerturbationModel, n_samples: int,
 
     flow_payload = {
         "library": run["library"],
-        "backend": run["backend"],
         "snr_samples": stim_n,
         "snr_tone_hz": run["snr_tone_hz"],
         "snr_amplitude": run["snr_amplitude"],

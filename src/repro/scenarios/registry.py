@@ -89,8 +89,6 @@ class Scenario:
     measure_activity: bool = False
     #: Standard-cell library for the power/area estimates.
     library: str = "generic-45nm"
-    #: Bit-true chain engine for the simulation legs.
-    backend: str = "auto"
     #: Output rates of the Farrow rate-converter leg; empty tuple skips it.
     resample_rates_hz: Tuple[float, ...] = ()
     #: Paper artefact this scenario anchors to (figure/table/claim).
@@ -109,7 +107,7 @@ class Scenario:
         """The flow-settings dictionary consumed by the execution harness.
 
         Layout-compatible with the sweep runner's flow settings (same
-        library/backend/SNR keys), extended with the scenario's explicit
+        library/SNR keys), extended with the scenario's explicit
         stimulus so the on-disk cache key covers it.
         """
         from repro.explore.store import CACHE_SCHEMA_VERSION
@@ -121,7 +119,6 @@ class Scenario:
             "snr_tone_hz": float(tone.tone_hz),
             "snr_amplitude": float(tone.amplitude),
             "measure_activity": bool(self.measure_activity),
-            "backend": str(self.backend),
             "library": str(self.library),
             "cache_schema": CACHE_SCHEMA_VERSION,
         }
@@ -146,7 +143,7 @@ class Scenario:
         """Content hash keying this scenario's on-disk cache entry.
 
         Covers the full payload — spec, options, flow settings (stimulus,
-        library, backend, cache schema) and the rate-converter leg — so
+        library, cache schema) and the rate-converter leg — so
         any input that could change the record changes the key.
         """
         return content_hash({"payload": self.payload()})

@@ -71,13 +71,13 @@ def execute_scenario_payload(payload: dict,
     }
     rates = scenario.get("resample_rates_hz") or []
     record["rate_converter"] = (
-        _rate_converter_leg(chain, flow, rates, exact_tone_hz, amplitude,
-                            total, settle, artifacts)
+        _rate_converter_leg(chain, rates, exact_tone_hz, amplitude, total,
+                            settle, artifacts)
         if rates else [])
     return record
 
 
-def _rate_converter_leg(chain, flow: dict, rates: Sequence[float],
+def _rate_converter_leg(chain, rates: Sequence[float],
                         exact_tone_hz: float, amplitude: float,
                         total: int, settle: int,
                         artifacts: Optional[ArtifactStore]) -> List[dict]:
@@ -95,7 +95,7 @@ def _rate_converter_leg(chain, flow: dict, rates: Sequence[float],
     spec = chain.spec
     codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
                                  total, artifacts=artifacts)
-    words = chain.process_fixed(codes, backend=flow.get("backend", "auto"))
+    words = chain.process_fixed(codes)
     output = chain.output_to_normalized(words)[settle:]
     input_rate = float(spec.decimator.output_rate_hz)
 

@@ -1,12 +1,15 @@
-"""Vectorized-vs-reference backend equivalence and block-streaming tests.
+"""Fast-path-vs-gold-model equivalence of every bit-true stage.
 
-Every bit-true stage of the chain has two engines — the sample-by-sample /
-arbitrary-precision reference and the numpy vectorized fast path — that must
-produce *bit-identical* outputs.  These tests pin that contract across sinc
-orders, decimation factors, word widths and random fixed-point inputs, and
-verify that the block-streaming simulator reproduces the one-shot simulation
-exactly for arbitrary block sizes.  The modulator and batched-chain
-contracts also run on the pure-Python fallback of the compiled kernels.
+Every bit-true stage of the chain takes a numpy fast path whenever its
+words fit ``int64`` and otherwise runs its sample-by-sample /
+arbitrary-precision gold model (``_process_reference``).  No option picks
+the engine, so these tests compare ``process`` against the gold model
+directly — across sinc orders, decimation factors, word widths and random
+fixed-point inputs — and pin the inputs that must take the gold model
+(wide registers, object dtype, int64-unsafe accumulators, tracing).  The
+chain is compared against :func:`chain_gold_model`, the stage gold models
+composed.  The modulator and batched-chain contracts also run on the
+pure-Python fallback of the compiled kernels.
 """
 
 from unittest import mock
@@ -19,19 +22,29 @@ from repro.core import design_paper_chain
 from repro.dsm import DeltaSigmaModulator, coherent_tone
 from repro.filters import (
     FIRFilterFixedPoint,
-    HogenauerConfig,
     HogenauerDecimator,
     PolyphaseDecimator,
     PolyphaseDecimatorFixedPoint,
     ScalingStage,
-    StreamingFIRDecimator,
     convolve_strided_matmul,
 )
+from repro.filters.polyphase import int64_accumulator_safe
 from repro.filters.sinc import SincFilterSpec
 
 
 def _ints(values):
     return [int(v) for v in values]
+
+
+def chain_gold_model(chain, codes):
+    """``chain.process_fixed(codes)`` (1-D) through every stage's gold model."""
+    data = chain.codes_to_signed(codes)
+    for stage in chain._hogenauer_stages:
+        data = HogenauerDecimator(stage.spec, stage.config)._process_reference(data)
+    data = chain._halfband_impl._process_reference(data)
+    data = chain.scaling._process_reference(data)
+    data = chain._equalizer_impl._process_reference(data)
+    return chain._finalize_output(data)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +92,8 @@ class TestHogenauerBackendEquivalence:
         spec = SincFilterSpec(order=order, decimation=decimation, input_bits=4,
                               input_rate_hz=640e6)
         x = rng.integers(-8, 8, 613)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        ref = HogenauerDecimator(spec)._process_reference(x)
+        vec = HogenauerDecimator(spec).process(x)
         assert np.array_equal(ref, vec)
         gold = HogenauerDecimator(spec).reference_output(x)
         assert np.array_equal(ref, gold)
@@ -91,36 +104,33 @@ class TestHogenauerBackendEquivalence:
                               input_rate_hz=640e6)
         half = 1 << (input_bits - 1) if input_bits > 1 else 1
         x = rng.integers(-half, half, 500)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        ref = HogenauerDecimator(spec)._process_reference(x)
+        vec = HogenauerDecimator(spec).process(x)
         assert np.array_equal(ref, vec)
 
     def test_streaming_state_is_shared_between_backends(self, rng):
+        # Tracing switches a block to the gold model; the register state
+        # must carry across the switch in both directions.
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         x = rng.integers(-8, 8, 501)
-        one_shot = HogenauerDecimator(spec).process(x, backend="vectorized")
+        one_shot = HogenauerDecimator(spec).process(x)
         mixed = HogenauerDecimator(spec)
-        parts = [mixed.process(x[:100], backend="vectorized"),
-                 mixed.process(x[100:101], backend="reference"),
-                 mixed.process(x[101:400], backend="vectorized"),
-                 mixed.process(x[400:], backend="reference")]
+        parts = [mixed.process(x[:100]),
+                 mixed.process(x[100:101], collect_trace=True),
+                 mixed.process(x[101:400]),
+                 mixed.process(x[400:], collect_trace=True)]
         assert np.array_equal(one_shot, np.concatenate(parts))
+        assert mixed.trace.samples == 1 + len(x[400:])
 
     def test_auto_uses_reference_when_tracing(self, rng):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
+        x = rng.integers(-8, 8, 64)
         dec = HogenauerDecimator(spec)
-        dec.process(rng.integers(-8, 8, 64), collect_trace=True, backend="auto")
+        traced = dec.process(x, collect_trace=True)
         assert dec.trace.samples == 64
-
-    def test_explicit_vectorized_with_trace_rejected(self, rng):
-        spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
-                              input_rate_hz=640e6)
-        with pytest.raises(ValueError):
-            HogenauerDecimator(spec).process(rng.integers(-8, 8, 16),
-                                             collect_trace=True,
-                                             backend="vectorized")
+        assert np.array_equal(traced, HogenauerDecimator(spec).process(x))
 
     def test_wide_registers_fall_back_to_reference(self, rng):
         # 40 + 4*6 = 64-bit registers exceed the int64 fast path.
@@ -129,10 +139,9 @@ class TestHogenauerBackendEquivalence:
         dec = HogenauerDecimator(spec)
         assert dec.width > 62
         x = rng.integers(-(1 << 39), 1 << 39, 256)
-        out = dec.process(x, backend="auto")
+        out = dec.process(x)
         assert out.dtype == object
-        with pytest.raises(ValueError):
-            HogenauerDecimator(spec).process(x, backend="vectorized")
+        assert _ints(out) == _ints(HogenauerDecimator(spec).reference_output(x))
 
     def test_object_dtype_input_wrapped_like_reference(self):
         # Arbitrary-precision inputs beyond int64 must wrap to the register
@@ -140,46 +149,37 @@ class TestHogenauerBackendEquivalence:
         spec = SincFilterSpec(order=2, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         x = np.array([2 ** 70 + 3, -(2 ** 80) + 1, 5, -7] * 8, dtype=object)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        ref = HogenauerDecimator(spec)._process_reference(x)
+        vec = HogenauerDecimator(spec).process(x)
+        assert vec.dtype == np.int64
         assert np.array_equal(ref, vec)
-
-    def test_unknown_backend_rejected(self, rng):
-        spec = SincFilterSpec(order=2, decimation=2, input_bits=4,
-                              input_rate_hz=640e6)
-        with pytest.raises(ValueError):
-            HogenauerDecimator(spec).process(rng.integers(-8, 8, 8),
-                                             backend="simd")
 
 
 class TestFIRStageBackendEquivalence:
     def test_halfband_bit_exact(self, paper_chain, rng):
         hb = paper_chain._halfband_impl
         x = rng.integers(-3000, 3000, 2049)
-        ref = hb.process(x, backend="reference")
-        vec = hb.process(x, backend="vectorized")
+        ref = hb._process_reference(x)
+        vec = hb.process(x)
         assert vec.dtype == np.int64
         assert _ints(ref) == _ints(vec)
 
     def test_equalizer_bit_exact(self, paper_chain, rng):
         eq = paper_chain._equalizer_impl
         x = rng.integers(-60000, 60000, 1025)
-        assert _ints(eq.process(x, backend="reference")) == \
-            _ints(eq.process(x, backend="vectorized"))
+        assert _ints(eq._process_reference(x)) == _ints(eq.process(x))
 
     def test_decimating_fir_bit_exact(self, rng):
         taps = np.hanning(33) / np.hanning(33).sum()
         fir = FIRFilterFixedPoint(taps=taps, coefficient_bits=14, decimation=4)
         x = rng.integers(-500, 500, 1003)
-        assert _ints(fir.process(x, backend="reference")) == \
-            _ints(fir.process(x, backend="vectorized"))
+        assert _ints(fir._process_reference(x)) == _ints(fir.process(x))
 
     def test_polyphase_fixed_point_bit_exact(self, rng):
         taps = np.blackman(41) / np.blackman(41).sum()
         poly = PolyphaseDecimatorFixedPoint(taps, decimation=5)
         x = rng.integers(-2000, 2000, 997)
-        assert _ints(poly.process(x, backend="reference")) == \
-            _ints(poly.process(x, backend="vectorized"))
+        assert _ints(poly._process_reference(x)) == _ints(poly.process(x))
 
     def test_polyphase_float_matmul_identity(self, rng):
         taps = np.hamming(25) / np.hamming(25).sum()
@@ -190,102 +190,64 @@ class TestFIRStageBackendEquivalence:
     def test_scaling_bit_exact(self, paper_chain, rng):
         sc = paper_chain.scaling
         x = rng.integers(-100000, 100000, 777)
-        assert _ints(sc.process(x, backend="reference")) == \
-            _ints(sc.process(x, backend="vectorized"))
+        assert _ints(sc._process_reference(x)) == _ints(sc.process(x))
 
     def test_scaling_arbitrary_constant(self, rng):
         sc = ScalingStage(scale=3.14159, coefficient_bits=10)
         x = rng.integers(-4000, 4000, 256)
-        assert _ints(sc.process(x, backend="reference")) == \
-            _ints(sc.process(x, backend="vectorized"))
+        assert _ints(sc._process_reference(x)) == _ints(sc.process(x))
 
     def test_int64_min_input_falls_back_exactly(self):
         # np.abs(-2**63) overflows back to itself; the safety guard must
-        # still classify it unsafe so auto uses the exact reference path.
+        # still classify it unsafe so process() takes the exact gold model.
         sc = ScalingStage(scale=0.75, coefficient_bits=8)
         x = np.array([-2 ** 63, 5], dtype=np.int64)
-        auto = sc.process(x, backend="auto")
-        ref = sc.process(x, backend="reference")
-        assert auto.dtype == object
-        assert _ints(auto) == _ints(ref)
+        assert not int64_accumulator_safe(x, abs(sc._int_multiplier))
+        out = sc.process(x)
+        half = 1 << (sc.coefficient_bits - 1)
+        assert out.dtype == object
+        assert _ints(out) == [(int(v) * sc._int_multiplier + half)
+                              >> sc.coefficient_bits for v in x.tolist()]
 
     def test_vectorized_overflow_guard(self, paper_chain):
         hb = paper_chain._halfband_impl
         huge = np.array([1 << 50, -(1 << 50)], dtype=np.int64)
-        with pytest.raises(ValueError):
-            hb.process(huge, backend="vectorized")
-        # auto silently falls back to the exact reference path.
-        out = hb.process(huge, backend="auto")
+        assert not int64_accumulator_safe(huge, hb._abs_tap_sum)
+        # The int64 matmul would overflow; process() takes the gold model.
+        out = hb.process(huge)
         assert out.dtype == object
+        assert _ints(out) == _ints(hb._process_reference(huge))
+        assert _ints(hb.process(np.stack([huge, huge]))[1]) == _ints(out)
 
 
 class TestChainBackendEquivalence:
     def test_process_fixed_bit_exact(self, paper_chain, paper_codes):
-        ref = paper_chain.process_fixed(paper_codes, backend="reference")
-        vec = paper_chain.process_fixed(paper_codes, backend="vectorized")
+        ref = chain_gold_model(paper_chain, paper_codes)
+        vec = paper_chain.process_fixed(paper_codes)
+        assert vec.dtype == np.int64
         assert np.array_equal(ref, vec)
 
     def test_auto_matches_reference(self, paper_chain, paper_codes):
-        auto = paper_chain.process_fixed(paper_codes)
-        ref = paper_chain.process_fixed(paper_codes, backend="reference")
-        assert np.array_equal(auto, ref)
+        # The (batch, n) path — batched Hogenauer stage, 2-D matmuls —
+        # against the gold model row by row.
+        codes = np.stack([paper_codes[:2048], paper_codes[-2048:]])
+        batched = paper_chain.process_fixed(codes)
+        assert batched.shape[0] == 2
+        for row, record in zip(batched, codes):
+            assert np.array_equal(row, chain_gold_model(paper_chain, record))
 
     def test_random_codes_bit_exact(self, paper_chain, rng):
         codes = rng.integers(0, 16, 4096)
-        ref = paper_chain.process_fixed(codes, backend="reference")
-        vec = paper_chain.process_fixed(codes, backend="vectorized")
+        ref = chain_gold_model(paper_chain, codes)
+        vec = paper_chain.process_fixed(codes)
         assert np.array_equal(ref, vec)
 
     def test_trace_collection_still_reference_backed(self, paper_chain, paper_codes):
-        paper_chain.process_fixed(paper_codes[:1024], collect_trace=True,
-                                  backend="vectorized")
+        traced = paper_chain.process_fixed(paper_codes[:1024], collect_trace=True)
         stage = paper_chain._hogenauer_stages[0]
         assert stage.trace.samples == 1024
         assert any(v > 0 for v in stage.trace.toggles.values())
-
-
-class TestStreamingSimulation:
-    @pytest.mark.parametrize("block_size", [8192, 1024, 333, 65])
-    def test_simulate_blocks_equals_process_fixed(self, paper_chain, paper_codes,
-                                                  block_size):
-        one_shot = paper_chain.process_fixed(paper_codes)
-        streamed = np.concatenate(list(
-            paper_chain.simulate_blocks(paper_codes, block_size=block_size)))
-        assert np.array_equal(one_shot, streamed)
-
-    def test_simulate_blocks_accepts_generator(self, paper_chain, paper_codes):
-        one_shot = paper_chain.process_fixed(paper_codes)
-        chunks = (paper_codes[i:i + 555] for i in range(0, len(paper_codes), 555))
-        streamed = np.concatenate(list(paper_chain.simulate_blocks(chunks)))
-        assert np.array_equal(one_shot, streamed)
-
-    def test_flow_result_delegates_streaming(self, paper_codes):
-        from repro.flow import run_design_flow
-
-        flow = run_design_flow(measure_activity=False)
-        one_shot = flow.chain.process_fixed(paper_codes)
-        streamed = np.concatenate(list(
-            flow.simulate_blocks(paper_codes, block_size=2048)))
-        assert np.array_equal(one_shot, streamed)
-
-    def test_streaming_fir_single_push_matches_block(self, paper_chain, rng):
-        hb = paper_chain._halfband_impl
-        x = rng.integers(-2000, 2000, 1024)
-        block = hb.process(x, backend="vectorized")
-        stream = StreamingFIRDecimator(hb._int_taps, hb.coefficient_bits,
-                                       decimation=2,
-                                       delay=(hb.n_taps - 1) // 2)
-        got = np.concatenate([stream.push(x), stream.flush()])
-        assert _ints(block) == _ints(got)
-
-    def test_streaming_fir_rejects_push_after_flush(self, rng):
-        stream = StreamingFIRDecimator(np.array([1, 2, 1]), coefficient_bits=2)
-        stream.push(rng.integers(-5, 5, 16))
-        stream.flush()
-        with pytest.raises(RuntimeError):
-            stream.push(np.array([1]))
-        stream.reset()
-        stream.push(np.array([1, 2, 3], dtype=np.int64))
+        assert np.array_equal(traced, paper_chain.process_fixed(paper_codes[:1024]))
 
 
 class TestFastModulatorEngine:
@@ -332,16 +294,3 @@ class TestBatchedChainEngines:
         assert np.array_equal(kernel, fallback)
         for b in range(codes.shape[0]):
             assert np.array_equal(kernel[b], paper_chain.process_fixed(codes[b]))
-
-
-class TestStreamingIntegerTaps:
-    def test_zero_coefficient_bits_streams_without_rounding(self):
-        """Integer taps (coefficient_bits=0) must not apply a rounding shift."""
-        taps = [1, 2, 1]
-        x = np.arange(50, dtype=np.int64)
-        dec = StreamingFIRDecimator(int_taps=taps, coefficient_bits=0, decimation=2)
-        parts = [dec.push(x), dec.flush()]
-        streamed = np.concatenate([np.asarray(p) for p in parts if len(p)])
-        delay = (len(taps) - 1) // 2
-        expected = np.convolve(x, taps)[delay:delay + len(x):2]
-        np.testing.assert_array_equal(streamed[:len(expected)], expected)

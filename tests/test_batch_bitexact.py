@@ -148,6 +148,14 @@ class TestBatchedFilters:
         assert batched.shape[0] == len(amplitudes)
         for b in range(len(amplitudes)):
             assert np.array_equal(batched[b], paper_chain.process_fixed(codes[b]))
+        # Empty records: every stage keeps the (batch, 0) shape.
+        empty = np.zeros((2, 0), dtype=np.int64)
+        for process in (paper_chain.process_fixed,
+                        paper_chain._halfband_impl.process):
+            batched = process(empty)
+            assert batched.shape == (2, 0)
+            for row in batched:
+                assert np.array_equal(row, process(empty[0]))
 
     def test_chain_batch_rejects_tracing(self, paper_chain):
         with pytest.raises(ValueError, match="single record"):
@@ -264,6 +272,8 @@ class TestKernelDifferential:
                                       stage.reference_output(records[b]))
             fresh = HogenauerDecimator(spec, config)
             assert np.array_equal(kernel[b], fresh.process(records[b]))
+            gold = HogenauerDecimator(spec, config)._process_reference(records[b])
+            assert np.array_equal(kernel[b], gold)
         assert stage._integrators == [0] * order
 
 

@@ -1,5 +1,6 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.cli import run_command
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -411,6 +414,39 @@ class TestArgumentValidation:
         assert proc.returncode == 2
         assert "--stimulus-samples 64 is too short" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--snr", "--snr-samples", "0"),
+        ("verify", "--snr", "--snr-samples", "-5"),
+        ("verify", "--snr", "--snr-samples", "100"),
+        ("design", "--snr", "--snr-samples", "127", "--no-activity"),
+        ("design", "--spec", "audio", "--snr", "--snr-samples", "511"),
+        ("sweep", "--snr", "--snr-samples", "0", "--output-bits", "12",
+         "--no-cache"),
+    ])
+    def test_too_short_snr_record_is_a_clean_error(self, args):
+        # In-process: the check runs before any design work.
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(list(args), stdout=out, stderr=err) == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: --snr-samples ")
+        assert "is too short" in lines[0]
+
+    def test_shortest_analyzable_snr_record_still_runs(self):
+        # 128 samples = 8 outputs at the paper's decimation of 16: the
+        # floor itself runs (it reports a meaningless SNR, but no error).
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command(["verify", "--snr", "--snr-samples", "128",
+                            "--no-activity"], stdout=out, stderr=err)
+        assert code in (0, 1)
+        assert "end-to-end SNR" in out.getvalue()
+
+    def test_engine_flag_is_gone(self):
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(["verify", "--backend", "reference"],
+                           stdout=out, stderr=err) == 2
+        assert "unrecognized arguments: --backend" in err.getvalue()
 
     @pytest.mark.parametrize("content, message", [
         ('{"schema": 99}', "invalid report file"),

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.filters.hogenauer import HogenauerDecimator
+from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.sinc import SincFilter, SincFilterSpec
-from repro.filters.streaming import StreamingFIRDecimator
 from repro.fixedpoint import (
     FixedPointFormat,
     OverflowMode,
@@ -138,8 +138,8 @@ class TestHogenauerProperties:
         spec = SincFilterSpec(order=order, decimation=decimation, input_bits=4,
                               input_rate_hz=640e6)
         x = np.array(data, dtype=np.int64)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        ref = HogenauerDecimator(spec)._process_reference(x)
+        vec = HogenauerDecimator(spec).process(x)
         assert [int(v) for v in ref] == [int(v) for v in vec]
 
     @given(data=st.lists(st.integers(min_value=-8, max_value=7),
@@ -154,11 +154,11 @@ class TestHogenauerProperties:
                               input_rate_hz=640e6)
         x = np.array(data, dtype=np.int64)
         cut = min(split, len(x))
-        one_shot = HogenauerDecimator(spec).process(x, backend="vectorized")
+        one_shot = HogenauerDecimator(spec).process(x)
         streamer = HogenauerDecimator(spec)
         streamed = np.concatenate([
-            streamer.process(x[:cut], backend="vectorized"),
-            streamer.process(x[cut:], backend="vectorized")])
+            streamer.process(x[:cut]),
+            streamer.process(x[cut:])])
         assert [int(v) for v in one_shot] == [int(v) for v in streamed]
 
     @given(order=st.integers(min_value=1, max_value=8),
@@ -173,33 +173,45 @@ class TestHogenauerProperties:
         assert int(out[-1]) == dc * 2 ** order
 
 
-class TestStreamingFIRProperties:
+class _IntTapStage(BitTrueFIRStage):
+    """A bit-true FIR stage over explicit integer taps and output window."""
+
+    def __init__(self, taps, coefficient_bits, delay, step):
+        self._int_taps = np.array([int(t) for t in taps], dtype=object)
+        self._abs_tap_sum = sum(abs(int(t)) for t in taps)
+        self.coefficient_bits = coefficient_bits
+        self.delay = delay
+        self.step = step
+
+    def _output_window(self, n):
+        return self.delay, self.step, -(-n // self.step)
+
+
+class TestBitTrueFIRProperties:
     @given(taps=st.lists(st.integers(min_value=-100, max_value=100),
                          min_size=1, max_size=9),
            data=st.lists(st.integers(min_value=-1000, max_value=1000),
                          min_size=0, max_size=80),
-           decimation=st.integers(min_value=1, max_value=4),
-           split=st.integers(min_value=0, max_value=80))
+           step=st.integers(min_value=1, max_value=4),
+           delay_fraction=st.floats(min_value=0.0, max_value=1.0),
+           coefficient_bits=st.integers(min_value=1, max_value=6))
     @settings(max_examples=120, deadline=None)
-    def test_streamed_blocks_equal_one_shot_semantics(self, taps, data,
-                                                      decimation, split):
-        # The streaming decimator must reproduce "convolve, align to the
-        # group delay, decimate, round" bit for bit, for any block split.
-        coefficient_bits = 4
-        taps_arr = np.array(taps, dtype=np.int64)
+    def test_fast_path_matches_gold_model(self, taps, data, step,
+                                          delay_fraction, coefficient_bits):
+        # The int64 strided matmul must reproduce "convolve, keep the
+        # window, round" of the Python-integer gold model bit for bit, for
+        # 1-D records and for every row of a (batch, n) array.
+        stage = _IntTapStage(taps, coefficient_bits,
+                             int(delay_fraction * (len(taps) - 1)), step)
         x = np.array(data, dtype=np.int64)
-        delay = (len(taps) - 1) // 2
-        full = np.convolve(x, taps_arr) if len(x) else np.zeros(0, dtype=np.int64)
-        aligned = full[delay:delay + len(x)][::decimation]
-        half = 1 << (coefficient_bits - 1)
-        expected = [(int(v) + half) >> coefficient_bits for v in aligned]
-
-        stream = StreamingFIRDecimator(taps_arr, coefficient_bits,
-                                       decimation=decimation)
-        cut = min(split, len(x))
-        parts = [stream.push(x[:cut]), stream.push(x[cut:]), stream.flush()]
-        got = [int(v) for part in parts for v in part]
-        assert got == expected
+        gold = [int(v) for v in stage._process_reference(x)]
+        fast = stage.process(x)
+        assert fast.dtype == np.int64
+        assert [int(v) for v in fast] == gold
+        batch = stage.process(np.stack([x, -x]))
+        assert [int(v) for v in batch[0]] == gold
+        assert [int(v) for v in batch[1]] == \
+            [int(v) for v in stage._process_reference(-x)]
 
 
 class TestSincResponseProperties:
