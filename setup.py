@@ -1,10 +1,31 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the ``repro`` library: ``pip install .``.
 
-The project is configured through ``pyproject.toml``; this file only exists
-so that ``pip install -e .`` can fall back to the legacy setuptools path in
-offline environments lacking PEP 517 build dependencies.
+There is no ``pyproject.toml``; this file is the whole build configuration.
+The runtime needs only numpy.  scipy, pytest and hypothesis run the tests
+(scipy also backs ``repro.dsm.map_ntf_to_ct``).  The scenario goldens and
+the C kernel source ship as package data, so an installed copy can check
+its goldens and compile its kernels.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Design and synthesis of decimation filters for wideband "
+                "delta-sigma ADCs (SOCC 2011 reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={
+        "repro.scenarios": ["goldens/*.json"],
+        "repro._native": ["kernels.c"],
+    },
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import signal
 
-from repro.dsm.ntf import NoiseTransferFunction
+from repro.dsm.ntf import NoiseTransferFunction, impulse_response
 
 
 @dataclass
@@ -57,11 +56,7 @@ class ContinuousTimeLoopFilter:
 def _dt_loop_filter_impulse(ntf: NoiseTransferFunction, n_samples: int) -> np.ndarray:
     """Impulse response of the discrete-time loop filter ``L1 = 1/NTF - 1``."""
     b, a = ntf.as_tf()
-    num = np.polysub(a, b)
-    den = b
-    impulse = np.zeros(n_samples)
-    impulse[0] = 1.0
-    return signal.lfilter(num, den, impulse)
+    return impulse_response(np.polysub(a, b), b, n_samples)
 
 
 def _ct_integrator_chain_impulse(order: int, feedforward: np.ndarray,
@@ -74,8 +69,11 @@ def _ct_integrator_chain_impulse(order: int, feedforward: np.ndarray,
     of integrator ``2r+1`` with gain ``-g_r``.  The loop-filter output is the
     feed-forward weighted sum of all integrator outputs.  The DAC pulse is a
     full-period NRZ rectangle, integrated analytically via the matrix
-    exponential of the augmented system.
+    exponential of the augmented system.  This is the one place the package
+    needs scipy (``StateSpace``/``dlsim``), so it imports it here.
     """
+    from scipy import signal
+
     # State-space of the integrator chain with resonator feedback, in units
     # of the sampling period (T = 1).
     a_matrix = np.zeros((order, order))

@@ -24,12 +24,12 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
 #: Optimal normalized zero positions (relative to the band edge) that minimize
 #: the integrated in-band noise power for an all-zero-on-the-unit-circle NTF.
 #: Values follow Schreier & Temes, "Understanding Delta-Sigma Data
-#: Converters", Table 4.1 (odd orders include a zero at DC).
+#: Converters", Table 4.1 (odd orders include a zero at DC); they are the
+#: non-negative Legendre roots to five digits, which higher orders use.
 _OPTIMAL_ZERO_POSITIONS = {
     1: [0.0],
     2: [0.57735],
@@ -106,7 +106,9 @@ class NoiseTransferFunction:
 
     def as_tf(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(b, a)`` polynomial coefficients of the NTF."""
-        b, a = signal.zpk2tf(self.zeros, self.poles, self.gain)
+        b = np.multiply(np.atleast_1d(np.asarray(self.gain, dtype=float)),
+                        _poly(self.zeros))
+        a = _poly(self.poles)
         return np.real_if_close(b).astype(float), np.real_if_close(a).astype(float)
 
     def loop_filter_impulse_response(self, n_samples: int = 64) -> np.ndarray:
@@ -120,10 +122,7 @@ class NoiseTransferFunction:
         b, a = self.as_tf()
         # 1 - NTF(z):  numerator a - b over denominator a.
         diff = np.polysub(a, b)
-        impulse = np.zeros(n_samples)
-        impulse[0] = 1.0
-        response = signal.lfilter(diff, a, impulse)
-        return response
+        return impulse_response(diff, a, n_samples)
 
     # ------------------------------------------------------------------
     # Figures of merit
@@ -176,7 +175,7 @@ def optimal_zero_frequencies(order: int, osr: int, optimize: bool = True) -> np.
         return np.zeros(order)
     positions = _OPTIMAL_ZERO_POSITIONS.get(order)
     if positions is None:
-        positions = _solve_optimal_positions(order)
+        positions = _legendre_zero_positions(order)
     freqs = []
     for p in positions:
         if p == 0.0:
@@ -192,45 +191,74 @@ def optimal_zero_frequencies(order: int, osr: int, optimize: bool = True) -> np.
     return freqs
 
 
-def _solve_optimal_positions(order: int) -> Sequence[float]:
-    """Numerically solve for the optimal zero positions of an arbitrary order.
+def _legendre_zero_positions(order: int) -> Sequence[float]:
+    """Optimal zero positions of any order: the Legendre roots.
 
-    Minimizes ``∫_0^1 prod_i (x - x_i)^2 dx`` over symmetric zero placements
-    ``x_i`` in [0, 1] (DC zero included for odd orders), which is the
-    band-normalized in-band noise power for zeros on the unit circle.
+    Minimizing ``∫_0^1 prod_i (x - x_i)^2 dx`` over symmetric zero
+    placements ``x_i`` in [0, 1] (DC zero included for odd orders), the
+    band-normalized in-band noise power for zeros on the unit circle, asks
+    for the monic polynomial of least L2 norm on [-1, 1]: the monic Legendre
+    polynomial.  Its non-negative roots are the positions.
     """
-    from scipy import optimize as sciopt
+    from numpy.polynomial.legendre import leggauss
 
-    n_free = order // 2
-    include_dc = order % 2 == 1
+    roots, _ = leggauss(order)
+    return [float(r) for r in roots if r >= 0.0]
 
-    def inband_power(free_positions: np.ndarray) -> float:
-        xs = np.linspace(0.0, 1.0, 2048)
-        prod = np.ones_like(xs)
-        if include_dc:
-            prod = prod * xs ** 2
-        for p in free_positions:
-            prod = prod * (xs ** 2 - p ** 2) ** 2
-        return float(np.trapezoid(prod, xs))
 
-    x0 = np.linspace(0.3, 0.9, n_free)
-    bounds = [(0.0, 1.0)] * n_free
-    result = sciopt.minimize(inband_power, x0, bounds=bounds, method="L-BFGS-B")
-    positions = sorted(float(v) for v in result.x)
-    if include_dc:
-        return [0.0] + positions
-    return positions
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Coefficients of the monic polynomial with the given roots.
+
+    ``scipy.signal.zpk2tf``'s expansion: one convolution per root, and a
+    real result when the imaginary parts pair up as conjugates.
+    """
+    roots = np.atleast_1d(np.asarray(roots))
+    coefficients = np.ones(1, dtype=roots.dtype)
+    for root in roots:
+        coefficients = np.convolve(coefficients, np.array([1, -root], dtype=roots.dtype))
+    if np.iscomplexobj(coefficients) and np.all(
+            np.sort(roots.imag) == np.sort(-roots.imag)):
+        coefficients = coefficients.real.copy()
+    return coefficients
+
+
+def impulse_response(b: np.ndarray, a: np.ndarray, n_samples: int) -> np.ndarray:
+    """First ``n_samples`` of the impulse response of ``b(z)/a(z)``.
+
+    ``b`` and ``a`` have one length of at least 2.  This is the
+    direct-form-II-transposed recursion of ``scipy.signal.lfilter``: both
+    polynomials are divided by ``a[0]``, and every sample takes the same
+    operations in the same order.
+    """
+    a = np.asarray(a, dtype=float)
+    num, den = np.asarray(b, dtype=float) / a[0], a / a[0]
+    state = np.zeros(len(den) - 1)
+    out = np.empty(n_samples)
+    for n in range(n_samples):
+        x = 1.0 if n == 0 else 0.0
+        y = state[0] + num[0] * x
+        state[:-1] = state[1:] + x * num[1:-1] - y * den[1:-1]
+        state[-1] = x * num[-1] - y * den[-1]
+        out[n] = y
+    return out
 
 
 def _butterworth_highpass_poles(order: int, corner: float) -> np.ndarray:
     """Poles of a digital Butterworth high-pass with normalized corner frequency.
 
     ``corner`` is in cycles/sample (0..0.5).  Only the poles are used; the
-    NTF zeros come from :func:`optimal_zero_frequencies`.
+    NTF zeros come from :func:`optimal_zero_frequencies`.  The steps are
+    ``scipy.signal.butter(order, 2·corner, "highpass", output="zpk")``'s, in
+    its order: the analog prototype poles, the prewarp at ``fs = 2``, the
+    low-pass to high-pass inversion and the bilinear transform.
     """
     corner = min(max(corner, 1e-6), 0.49999)
-    _, poles, _ = signal.butter(order, 2.0 * corner, btype="highpass", output="zpk")
-    return np.asarray(poles, dtype=complex)
+    m = np.arange(-order + 1, order, 2, dtype=float)
+    prototype = -np.exp(1j * np.pi * m / (2 * order))
+    fs = 2.0
+    warped = 2 * fs * np.tan(np.pi * np.asarray(2.0 * corner) / fs)
+    highpass = float(warped) / prototype
+    return (2.0 * fs + highpass) / (2.0 * fs - highpass)
 
 
 @lru_cache(maxsize=64)

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
+from repro.filters.fir import design_lowpass_remez
 from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.response import FrequencyResponse, default_frequency_grid
 from repro.fixedpoint.csd import CSDCode, encode_coefficients
@@ -92,9 +92,8 @@ def design_halfband_remez(order: int, transition_start: float,
     # With symmetric band edges and equal weights the Parks-McClellan
     # solution is (numerically almost) a true halfband; forcing the odd taps
     # to zero and the centre tap to exactly 1/2 afterwards makes it exact.
-    taps = signal.remez(order + 1,
-                        [0.0, transition_start, 0.5 - transition_start, 0.5],
-                        [1.0, 0.0], weight=[1.0, float(stopband_weight)], fs=1.0)
+    taps = design_lowpass_remez(order, transition_start, 0.5 - transition_start,
+                                stopband_weight=float(stopband_weight))
     centre = order // 2
     for k in range(len(taps)):
         if k != centre and (k - centre) % 2 == 0:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
 
 @dataclass
@@ -118,6 +117,27 @@ class FrequencyResponse:
         )
 
 
+def _polyval(z: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``Σ c[k]·z**k`` by Horner's rule, starting from ``c[-1]`` as a complex."""
+    value = np.full(z.shape, coefficients[-1], dtype=complex)
+    for c in coefficients[-2::-1]:
+        value *= z
+        value += c
+    return value
+
+
+def fir_freqz(taps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Complex response of FIR ``taps`` at angular frequencies ``w`` (rad/sample).
+
+    The arithmetic is ``scipy.signal.freqz(taps, worN=w)``'s, step for step
+    (the ``2π·w/2π`` round trip, Horner's rule in ``exp(-1j·w)`` and the
+    division by the ``a = [1]`` denominator), so the values are identical.
+    """
+    w = 2 * np.pi * np.asarray(w, dtype=float) / (2 * np.pi)
+    zm1 = np.exp(-1j * w)
+    return _polyval(zm1, taps) / _polyval(zm1, np.ones(1))
+
+
 def fir_frequency_response(taps: Sequence[float], sample_rate_hz: float,
                            frequencies_hz: np.ndarray, label: str = "",
                            decimation: int = 1) -> FrequencyResponse:
@@ -129,7 +149,7 @@ def fir_frequency_response(taps: Sequence[float], sample_rate_hz: float,
     """
     taps = np.asarray(taps, dtype=float)
     w = 2.0 * np.pi * np.asarray(frequencies_hz, dtype=float) / sample_rate_hz
-    _, h = signal.freqz(taps, worN=w)
+    h = fir_freqz(taps, w)
     return FrequencyResponse(
         frequencies_hz=np.asarray(frequencies_hz, dtype=float),
         magnitude=h,

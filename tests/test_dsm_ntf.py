@@ -1,7 +1,11 @@
 """Tests for NTF synthesis."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from scipy import optimize, signal
 
 from repro.dsm import (
     NoiseTransferFunction,
@@ -9,6 +13,54 @@ from repro.dsm import (
     optimal_zero_frequencies,
     synthesize_ntf,
 )
+from repro.dsm.ct_loopfilter import _dt_loop_filter_impulse
+from repro.dsm.ntf import (
+    _OPTIMAL_ZERO_POSITIONS,
+    _butterworth_highpass_poles,
+    _legendre_zero_positions,
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _synthesizable_ntfs():
+    """Every NTF of orders 1–8 × OSR {8..128} × h_inf {1.5, 2, 3} that exists."""
+    ntfs = []
+    for order, osr, h_inf in itertools.product(range(1, 9), (8, 16, 32, 64, 128),
+                                               (1.5, 2.0, 3.0)):
+        try:
+            ntfs.append(synthesize_ntf(order, osr, h_inf))
+        except NTFSynthesisError:
+            continue
+    return tuple(ntfs)
+
+
+def _scipy_tf(ntf):
+    b, a = signal.zpk2tf(ntf.zeros, ntf.poles, ntf.gain)
+    return np.real_if_close(b).astype(float), np.real_if_close(a).astype(float)
+
+
+def _lbfgsb_positions(order):
+    """The in-band noise minimum found numerically, as the package once did.
+
+    The objective is the log of the band-normalized in-band noise power
+    with tight tolerances: on the raw integral (~1e-10 at order 12) the
+    solver's default tolerances stop it short of the minimum.
+    """
+    xs = np.linspace(0.0, 1.0, 2048)
+    include_dc = order % 2 == 1
+
+    def log_inband_power(free_positions):
+        prod = xs ** 2 if include_dc else np.ones_like(xs)
+        for p in free_positions:
+            prod = prod * (xs ** 2 - p ** 2) ** 2
+        return float(np.log(np.trapezoid(prod, xs)))
+
+    n_free = order // 2
+    result = optimize.minimize(log_inband_power, np.linspace(0.3, 0.9, n_free),
+                               bounds=[(0.0, 1.0)] * n_free, method="L-BFGS-B",
+                               options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 1000})
+    positions = sorted(float(v) for v in result.x)
+    return [0.0] + positions if include_dc else positions
 
 
 class TestOptimalZeros:
@@ -89,6 +141,13 @@ class TestSynthesizeNTF:
         predicted = paper_ntf.predicted_sqnr_db(quantizer_levels=16, input_amplitude=0.81)
         assert 95.0 < predicted < 120.0
 
+    def test_high_orders_use_legendre_zeros(self):
+        ntf = synthesize_ntf(10, 64, 1.5)
+        positions = np.array(_legendre_zero_positions(10))
+        edge = 0.5 / 64
+        expected = np.sort(np.concatenate([-positions, positions]) * edge)
+        np.testing.assert_array_equal(ntf.metadata["zero_frequencies"], expected)
+
     def test_loop_filter_impulse_is_strictly_causal(self, paper_ntf):
         impulse = paper_ntf.loop_filter_impulse_response(32)
         assert impulse[0] == pytest.approx(0.0, abs=1e-12)
@@ -129,3 +188,60 @@ class TestSynthesizeNTF:
         resp = paper_ntf.frequency_response(freqs)
         assert resp.shape == (100,)
         assert np.iscomplexobj(resp)
+
+
+class TestAgainstScipy:
+    """The numpy replacements against the scipy calls they replace."""
+
+    def test_butterworth_poles_bit_equal(self):
+        for ntf in _synthesizable_ntfs():
+            corner = ntf.metadata["butterworth_corner"]
+            _, poles, _ = signal.butter(ntf.order, 2.0 * corner, btype="highpass",
+                                        output="zpk")
+            assert _butterworth_highpass_poles(ntf.order, corner).tobytes() == \
+                np.asarray(poles, dtype=complex).tobytes(), (ntf.order, ntf.osr)
+
+    def test_butterworth_poles_bit_equal_over_corners(self):
+        rng = np.random.default_rng(7)
+        for order in range(1, 13):
+            for corner in np.concatenate([rng.uniform(1e-7, 0.6, 100), [1e-6, 0.49999]]):
+                clamped = min(max(corner, 1e-6), 0.49999)
+                _, poles, _ = signal.butter(order, 2.0 * clamped, btype="highpass",
+                                            output="zpk")
+                assert _butterworth_highpass_poles(order, corner).tobytes() == \
+                    np.asarray(poles, dtype=complex).tobytes(), (order, corner)
+
+    def test_as_tf_bit_equal_to_zpk2tf(self):
+        for ntf in _synthesizable_ntfs():
+            b, a = ntf.as_tf()
+            b_ref, a_ref = _scipy_tf(ntf)
+            assert b.tobytes() == b_ref.tobytes() and a.tobytes() == a_ref.tobytes()
+
+    def test_impulse_recursions_bit_equal_to_lfilter(self):
+        impulse = np.zeros(64)
+        impulse[0] = 1.0
+        for ntf in _synthesizable_ntfs():
+            b, a = _scipy_tf(ntf)
+            expected = signal.lfilter(np.polysub(a, b), a, impulse)
+            assert ntf.loop_filter_impulse_response(64).tobytes() == expected.tobytes()
+            expected_ct = signal.lfilter(np.polysub(a, b), b, impulse[:24])
+            assert _dt_loop_filter_impulse(ntf, 24).tobytes() == expected_ct.tobytes()
+
+    def test_response_numerator_freqz_bit_equal(self):
+        from repro.filters.response import fir_freqz
+
+        w = np.linspace(0.0, np.pi, 1024)
+        for ntf in _synthesizable_ntfs():
+            b, _ = ntf.as_tf()
+            _, expected = signal.freqz(b, worN=w)
+            assert fir_freqz(b, w).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_legendre_roots_match_table(self, order):
+        np.testing.assert_allclose(_legendre_zero_positions(order),
+                                   _OPTIMAL_ZERO_POSITIONS[order], rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("order", range(9, 13))
+    def test_legendre_roots_match_lbfgsb(self, order):
+        np.testing.assert_allclose(_legendre_zero_positions(order),
+                                   _lbfgsb_positions(order), rtol=0, atol=1e-4)

@@ -2,13 +2,45 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from repro.filters import (
     FIRFilterFixedPoint,
+    SaramakiHalfbandDesigner,
     design_arbitrary_response_ls,
     design_lowpass_remez,
     fir_response,
 )
+from repro.filters.response import fir_freqz
+from repro.fixedpoint.csd import encode_coefficients
+
+#: The (taps, passband edge) pairs the CLI verbs request from the remez
+#: port: the Saramäki sub-filters of every scenario, ``verify``, ``design``
+#: and ``robustness run`` (stopband edge ``0.5 - passband``).  The edges
+#: keep the exact floats the designer derives from each spec.
+CLI_REMEZ_SHAPES = [(23, 0.2125), (23, 0.21250000000000005)] + [
+    (taps, edge) for taps in (23, 27, 31, 35, 39)
+    for edge in (0.225, 0.22499999999999995)]
+
+#: A wider grid than the CLI uses, including shapes where the exchange
+#: stops at its iteration limit before it converges.
+WIDE_REMEZ_SHAPES = [(taps, edge, weight) for taps in range(11, 49, 2)
+                     for edge in (0.15, 0.17, 0.19, 0.2, 0.21, 0.23)
+                     for weight in (1.0, 10.0)]
+
+
+def scipy_remez(taps, edge, stopband_weight=1.0):
+    return signal.remez(taps, [0.0, edge, 0.5 - edge, 0.5], [1.0, 0.0],
+                        weight=[1.0, stopband_weight], fs=1.0)
+
+
+def max_weighted_error(taps, edge, stopband_weight):
+    """Largest weighted deviation from the ideal low-pass on a dense grid."""
+    passband = np.linspace(0.0, edge, 2048)
+    stopband = np.linspace(0.5 - edge, 0.5, 2048)
+    ripple = np.abs(np.abs(fir_freqz(taps, 2 * np.pi * passband)) - 1.0)
+    leakage = np.abs(fir_freqz(taps, 2 * np.pi * stopband)) * stopband_weight
+    return max(ripple.max(), leakage.max())
 
 
 class TestRemezLowpass:
@@ -37,6 +69,43 @@ class TestRemezLowpass:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             design_lowpass_remez(1, 0.2, 0.3)
+
+    def test_odd_order_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            design_lowpass_remez(63, 0.2, 0.3)
+
+
+class TestRemezAgainstScipy:
+    """The numpy Parks–McClellan port against ``scipy.signal.remez``."""
+
+    @pytest.mark.parametrize("taps,edge", CLI_REMEZ_SHAPES)
+    def test_cli_shapes_match_scipy(self, taps, edge):
+        ours = design_lowpass_remez(taps - 1, edge, 0.5 - edge)
+        np.testing.assert_allclose(ours, scipy_remez(taps, edge), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("taps,edge", CLI_REMEZ_SHAPES)
+    def test_cli_shapes_quantize_identically(self, taps, edge):
+        n2 = (taps + 1) // 4
+        f2 = SaramakiHalfbandDesigner(n2=n2, transition_start=edge).subfilter_coefficients()
+        reference = scipy_remez(taps, edge)
+        centre = taps // 2
+        f2_scipy = np.array([reference[centre + 2 * j + 1] for j in range(n2)])
+        ours = [c.value for c in encode_coefficients(f2, 24, 4)]
+        theirs = [c.value for c in encode_coefficients(f2_scipy, 24, 4)]
+        assert ours == theirs
+
+    def test_stalled_exchange_raises_like_scipy(self):
+        with pytest.raises(ValueError):
+            scipy_remez(111, 0.15)
+        with pytest.raises(ValueError, match="converge"):
+            design_lowpass_remez(110, 0.15, 0.35)
+
+    def test_wide_grid_is_as_good_as_scipy(self):
+        for taps, edge, weight in WIDE_REMEZ_SHAPES:
+            ours = design_lowpass_remez(taps - 1, edge, 0.5 - edge, stopband_weight=weight)
+            theirs = scipy_remez(taps, edge, weight)
+            assert max_weighted_error(ours, edge, weight) <= \
+                max_weighted_error(theirs, edge, weight) * (1 + 1e-4), (taps, edge, weight)
 
 
 class TestArbitraryResponseLS:

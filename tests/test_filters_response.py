@@ -12,6 +12,7 @@ from repro.filters import (
     group_delay_samples,
     is_symmetric,
 )
+from repro.filters.response import fir_freqz
 
 
 @pytest.fixture()
@@ -72,6 +73,28 @@ class TestFrequencyResponse:
         direct = min(resp.stopband_attenuation_db(*bands[0]),
                      resp.stopband_attenuation_db(*bands[1]))
         assert worst == pytest.approx(direct)
+
+
+class TestFreqzAgainstScipy:
+    """``fir_freqz`` is ``scipy.signal.freqz`` for an array ``worN``, bit for bit."""
+
+    def test_random_taps_and_grids_bit_equal(self):
+        rng = np.random.default_rng(2011)
+        for case in range(300):
+            taps = rng.standard_normal(int(rng.integers(1, 120)))
+            taps *= 10.0 ** float(rng.integers(-6, 2))
+            if case % 5 == 0:
+                taps[-1] = 0.0
+            w = rng.uniform(0.0, 2 * np.pi * rng.uniform(0.1, 40.0),
+                            int(rng.integers(1, 3000)))
+            _, expected = signal.freqz(taps, worN=w)
+            assert fir_freqz(taps, w).tobytes() == expected.tobytes(), case
+
+    def test_stage_response_bit_equal(self, lowpass_response):
+        response, taps = lowpass_response
+        w = 2.0 * np.pi * response.frequencies_hz / response.sample_rate_hz
+        _, expected = signal.freqz(taps, worN=w)
+        assert response.magnitude.tobytes() == expected.tobytes()
 
 
 class TestAliasBands:
