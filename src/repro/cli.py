@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import threading
@@ -545,8 +546,13 @@ def _load_spec(args: argparse.Namespace):
 
     if getattr(args, "spec_json", None):
         _require_file(args.spec_json, "spec JSON file")
-        with open(args.spec_json, "r", encoding="utf-8") as fh:
-            return ChainSpec.from_dict(json.load(fh))
+        try:
+            with open(args.spec_json, "r", encoding="utf-8") as fh:
+                return ChainSpec.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError.
+            raise CLIError(f"invalid spec JSON file {args.spec_json}: "
+                           f"{type(exc).__name__}: {exc}")
     return audio_chain_spec() if args.spec == "audio" else paper_chain_spec()
 
 
@@ -1067,6 +1073,12 @@ def _cmd_cache(args: argparse.Namespace, io: CommandIO) -> int:
 
     if args.cache_command in ("push", "pull"):
         return _cmd_cache_transfer(args, io)
+    if args.cache_command == "prune":
+        for flag, value in (("--older-than-days", args.older_than_days),
+                            ("--tmp-grace-s", args.tmp_grace_s)):
+            if value is not None and not 0 <= value < math.inf:
+                raise CLIError(f"{flag} must be non-negative and finite "
+                               f"(got {value})")
     spec = str(args.cache_dir)
     if "://" not in spec and not os.path.isdir(spec):
         # Inspection must not create the directory as a side effect.
@@ -1101,8 +1113,6 @@ def _cmd_cache(args: argparse.Namespace, io: CommandIO) -> int:
     from repro.explore.store import TMP_GRACE_S
 
     grace = args.tmp_grace_s if args.tmp_grace_s is not None else TMP_GRACE_S
-    if grace < 0:
-        raise CLIError(f"--tmp-grace-s must be non-negative (got {grace})")
     try:
         removed = cache.prune(older_than_s=older, everything=args.all,
                               tmp_grace_s=grace)

@@ -13,25 +13,26 @@ has two stdlib-only halves:
     (``BENCH_obs_overhead.json``).
 
 ``repro.obs.metrics``
-    A counter/gauge/histogram registry with Prometheus text-exposition
+    A counter/gauge/summary registry with Prometheus text-exposition
     export.  The serve daemon's :class:`~repro.serve.telemetry
-    .ServeTelemetry` is built on it, and the ``metrics`` control verb
-    scrapes it over the wire.
+    .ServeTelemetry` is built on it: ``stats`` reads its summaries and
+    the ``metrics`` control verb scrapes it over the wire.
 
 Traces and metrics are strictly *out-of-band*: sweep/scenario/
 robustness records and reports are byte-identical whether tracing is
 enabled or not.
 """
 
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               parse_exposition)
+from repro.obs.metrics import (Counter, Gauge, MetricsRegistry, Summary,
+                               parse_exposition, percentile_nearest_rank)
 from repro.obs.trace import (NULL_SPAN, Span, Tracer, active, install,
                              merge_worker_traces, read_spans, record, span,
                              summarize_spans, summarize_text, tracing,
                              uninstall)
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "parse_exposition",
+    "Counter", "Gauge", "MetricsRegistry", "Summary", "parse_exposition",
+    "percentile_nearest_rank",
     "NULL_SPAN", "Span", "Tracer", "active", "install",
     "merge_worker_traces", "read_spans", "record", "span",
     "summarize_spans", "summarize_text", "tracing", "uninstall",

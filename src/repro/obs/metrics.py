@@ -1,4 +1,4 @@
-"""Counter/gauge/histogram registry with Prometheus text exposition.
+"""Counter/gauge/summary registry with Prometheus text exposition.
 
 A deliberately small, stdlib-only metrics core: metrics are created
 once on a :class:`MetricsRegistry`, updated from any thread (one lock
@@ -8,20 +8,40 @@ headers, ``name{label="v"} value`` samples, sorted by name then
 labels).  :func:`parse_exposition` is the matching minimal parser used
 by the round-trip tests and the CI metrics-scrape smoke.
 
-The serve daemon's :class:`~repro.serve.telemetry.ServeTelemetry` is
-built on this registry, and the ``metrics`` control verb (plus
-``repro client metrics``) exposes ``render()`` over the wire.
+A :class:`Summary` keeps a bounded window of recent observations per
+child, so its quantiles are exact nearest-rank order statistics
+(:func:`percentile_nearest_rank`) rather than bucket estimates.  The
+serve daemon's :class:`~repro.serve.telemetry.ServeTelemetry` is built
+on this registry: its ``stats`` percentiles and the ``metrics`` control
+verb (plus ``repro client metrics``) read the same summaries.
 """
 
 from __future__ import annotations
 
+import math
 from threading import RLock
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Default histogram bucket upper bounds, in seconds (latency-shaped).
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
-
 LabelValues = Tuple[str, ...]
+
+#: The ``quantile`` label values a summary renders; 1 is the window max.
+SUMMARY_QUANTILES = (("0.5", 0.50), ("0.99", 0.99), ("1", 1.0))
+
+
+def percentile_nearest_rank(sorted_values: Sequence[float],
+                            fraction: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted sample.
+
+    ``fraction`` in (0, 1]; the empty sample returns 0.0.  Nearest-rank
+    (ceil(f*n)-th order statistic) always returns an observed value,
+    which keeps small windows honest — no interpolation between two
+    outliers.
+    """
+    if not sorted_values:
+        return 0.0
+    rank = min(max(1, math.ceil(len(sorted_values) * fraction)),
+               len(sorted_values))
+    return float(sorted_values[rank - 1])
 
 
 def _escape_label_value(value: str) -> str:
@@ -113,44 +133,47 @@ class Gauge(Metric):
         self.inc(-amount, **labels)
 
 
-class Histogram(Metric):
-    """A bucketed distribution (latency), exposed as cumulative
-    ``_bucket{le=...}`` series plus ``_sum`` and ``_count``."""
+class Summary(Metric):
+    """A windowed distribution (latency): exact nearest-rank quantiles
+    over each child's last ``window`` observations, exposed as
+    ``{quantile=...}`` series plus lifetime ``_sum`` and ``_count``.
+    The family also keeps one window over its last ``window``
+    observations of any child."""
 
-    kind = "histogram"
+    kind = "summary"
 
     def __init__(self, name: str, help_text: str,
                  label_names: Sequence[str], lock: RLock,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        """Declare a histogram family with the given bucket bounds."""
+                 window: int = 1024) -> None:
+        """Declare a summary family whose windows hold ``window`` values."""
         super().__init__(name, help_text, label_names, lock)
-        self.buckets = tuple(sorted(buckets))
-        self._bucket_counts: Dict[LabelValues, List[int]] = {}
+        self.window_size = window
+        self._children.clear()  # value map holds the lifetime sums
         self._counts: Dict[LabelValues, int] = {}
-        self._children.clear()  # value map holds the running sums
+        self._windows: Dict[LabelValues, List[float]] = {}
+        self._family: List[float] = []
 
     def observe(self, value: float, **labels: str) -> None:
         """Record one observation into the labelled child."""
         key = self._resolve(labels)
         with self._lock:
-            counts = self._bucket_counts.setdefault(
-                key, [0] * len(self.buckets))
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[index] += 1
-            self._counts[key] = self._counts.get(key, 0) + 1
             self._children[key] = self._children.get(key, 0.0) + value
+            self._counts[key] = self._counts.get(key, 0) + 1
+            for window in (self._windows.setdefault(key, []), self._family):
+                window.append(value)
+                if len(window) > self.window_size:
+                    del window[0]
 
-    def samples(self) -> List[Tuple[LabelValues, float]]:
-        """Histogram families expose ``_sum`` values here (per child);
-        bucket/count series appear only in the rendered exposition."""
-        return super().samples()
-
-    def child_stats(self, **labels: str) -> Tuple[int, float]:
-        """(count, sum) for one child — convenience for tests."""
-        key = self._resolve(labels)
+    def window(self) -> List[float]:
+        """The family-wide window, sorted ascending."""
         with self._lock:
-            return self._counts.get(key, 0), self._children.get(key, 0.0)
+            return sorted(self._family)
+
+    def windows(self) -> Dict[LabelValues, List[float]]:
+        """Each observed child's window, sorted ascending."""
+        with self._lock:
+            return {key: sorted(window)
+                    for key, window in self._windows.items()}
 
 
 class MetricsRegistry:
@@ -192,12 +215,11 @@ class MetricsRegistry:
         """Declare (or fetch) a gauge family."""
         return self._declare(Gauge, name, help_text, labels)
 
-    def histogram(self, name: str, help_text: str,
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        """Declare (or fetch) a histogram family."""
-        return self._declare(Histogram, name, help_text, labels,
-                             buckets=buckets)
+    def summary(self, name: str, help_text: str,
+                labels: Sequence[str] = (), window: int = 1024) -> Summary:
+        """Declare (or fetch) a summary family."""
+        return self._declare(Summary, name, help_text, labels,
+                             window=window)
 
     def get(self, name: str) -> Optional[Metric]:
         """The declared family named ``name``, or ``None``."""
@@ -221,34 +243,30 @@ class MetricsRegistry:
                 metric = self._metrics[name]
                 lines.append(f"# HELP {name} {metric.help_text}")
                 lines.append(f"# TYPE {name} {metric.kind}")
-                if isinstance(metric, Histogram):
-                    lines.extend(self._render_histogram(metric))
+                if isinstance(metric, Summary):
+                    lines.extend(self._render_summary(metric))
                     continue
                 for label_values, value in metric.samples():
                     lines.append(self._sample_line(
                         name, metric.label_names, label_values, value))
         return "\n".join(lines) + "\n"
 
-    def _render_histogram(self, metric: Histogram) -> List[str]:
-        """Bucket/sum/count series for one histogram family."""
+    def _render_summary(self, metric: Summary) -> List[str]:
+        """Quantile/sum/count series for one summary family."""
         lines: List[str] = []
-        for label_values in sorted(metric._counts):
-            counts = metric._bucket_counts[label_values]
-            for bound, bucket_count in zip(metric.buckets, counts):
+        names = metric.label_names
+        for label_values, window in sorted(metric.windows().items()):
+            for label, fraction in SUMMARY_QUANTILES:
                 lines.append(self._sample_line(
-                    f"{metric.name}_bucket",
-                    metric.label_names + ("le",),
-                    label_values + (repr(bound),), bucket_count))
-            total = metric._counts[label_values]
+                    metric.name, names + ("quantile",),
+                    label_values + (label,),
+                    percentile_nearest_rank(window, fraction)))
             lines.append(self._sample_line(
-                f"{metric.name}_bucket", metric.label_names + ("le",),
-                label_values + ("+Inf",), total))
+                f"{metric.name}_sum", names, label_values,
+                metric._children[label_values]))
             lines.append(self._sample_line(
-                f"{metric.name}_sum", metric.label_names, label_values,
-                metric._children.get(label_values, 0.0)))
-            lines.append(self._sample_line(
-                f"{metric.name}_count", metric.label_names, label_values,
-                total))
+                f"{metric.name}_count", names, label_values,
+                metric._counts[label_values]))
         return lines
 
     @staticmethod

@@ -348,12 +348,23 @@ def summarize_text(spans: Iterable[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
+#: Fields every span entry must carry.
+_SPAN_FIELDS = ("name", "trace", "pid", "span", "dur_s")
+
+
 def validate_spans(spans: Sequence[Dict[str, Any]]) -> None:
     """Structural sanity check used by tests and the summarize CLI:
-    every parent id must exist within the same (trace, pid) group and
-    ids must be unique per (trace, pid).  Raises ``ValueError``."""
+    every entry must be a span object (``name``/``trace``/``pid``/
+    ``span`` present, numeric ``dur_s``), every parent id must exist
+    within the same (trace, pid) group and ids must be unique per
+    (trace, pid).  Raises ``ValueError``."""
     seen = set()
     for entry in spans:
+        if (not isinstance(entry, dict)
+                or any(field not in entry for field in _SPAN_FIELDS)
+                or type(entry["dur_s"]) not in (int, float)):
+            raise ValueError(f"not a span (needs name, trace, pid, span "
+                             f"and a numeric dur_s): {entry!r}")
         key = (entry["trace"], entry["pid"], entry["span"])
         if key in seen:
             raise ValueError(f"duplicate span id: {key}")

@@ -2,90 +2,59 @@
 
 Counters are cheap enough to update on every request and are read only
 when a client asks: queue depth (requests submitted to the worker pool
-and not yet finished), per-verb request counts, error counts, and a
-bounded latency window from which the ``stats`` verb derives p50/p99
-(nearest-rank over the most recent :data:`LATENCY_WINDOW` requests — a
-ring buffer, so a long-running daemon reports recent behavior, not its
-lifetime average).  A second set of per-verb rings feeds the
-``latency_by_verb_ms`` breakdown.
-
-The scalar counters live in a :class:`repro.obs.metrics.MetricsRegistry`
-(one metric family per counter, Prometheus-exposable through the
-``metrics`` control verb via :meth:`ServeTelemetry.exposition`); the
-``stats`` verb's JSON snapshot is assembled *from* the registry and its
-shape is pinned byte-compatible by the protocol tests.  The percentile
-windows stay deque-based: nearest-rank percentiles over a bounded ring
-are exact, which bucketed histograms are not.
-
-The resilience layer (PR 8) adds its own accounting: shed requests
-(admission queue full), deadline timeouts, requests refused during
-drain, slow-client write timeouts, and a ring of *queue-wait* samples —
-the time between a request's submission to the worker pool and the
-start of its execution — whose p50/p99 expose backpressure building up
+and not yet finished), per-verb request counts, error counts, the
+resilience events (shed, deadline timeouts, drain refusals, slow-client
+write timeouts), and two latencies — admission to response, and the
+worker-pool queue wait whose p50/p99 expose backpressure building up
 before latency does.
+
+Everything lives in one :class:`repro.obs.metrics.MetricsRegistry`, and
+each latency is recorded once, into a windowed
+:class:`~repro.obs.metrics.Summary`: the ``stats`` percentiles
+(nearest-rank over the most recent :data:`LATENCY_WINDOW` samples, so a
+long-running daemon reports recent behavior) and the ``metrics`` page
+(:meth:`ServeTelemetry.exposition`) read the same windows.  The
+``stats`` shape is pinned byte-compatible by the protocol tests.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile_nearest_rank
+from repro.serve.protocol import CONTROL_VERBS
 
-__all__ = ["LATENCY_WINDOW", "ServeTelemetry", "percentile_nearest_rank"]
+__all__ = ["LATENCY_WINDOW", "ServeTelemetry"]
 
 #: Latency samples retained for the p50/p99 window.
 LATENCY_WINDOW = 1024
 
 
-def percentile_nearest_rank(sorted_values: Sequence[float],
-                            fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sample.
-
-    ``fraction`` in (0, 1]; the empty sample returns 0.0.  Nearest-rank
-    (ceil(f*n)-th order statistic) always returns an observed value,
-    which keeps small windows honest — no interpolation between two
-    outliers.
-    """
-    if not sorted_values:
-        return 0.0
-    rank = min(max(1, math.ceil(len(sorted_values) * fraction)),
-               len(sorted_values))
-    return float(sorted_values[rank - 1])
-
-
 def _window_stats(window: Sequence[float]) -> dict:
-    """The pinned ``{count, p50, p99, max}`` block of a sorted ring."""
+    """The pinned ``{count, p50, p99, max}`` block, in milliseconds, of
+    a sorted window of seconds.  Nearest rank picks an observed sample
+    and scaling preserves order, so this equals ranking the samples
+    already scaled to milliseconds."""
     return {
         "count": len(window),
-        "p50": round(percentile_nearest_rank(window, 0.50), 3),
-        "p99": round(percentile_nearest_rank(window, 0.99), 3),
-        "max": round(window[-1], 3) if window else 0.0,
+        "p50": round(1000.0 * percentile_nearest_rank(window, 0.50), 3),
+        "p99": round(1000.0 * percentile_nearest_rank(window, 0.99), 3),
+        "max": round(1000.0 * percentile_nearest_rank(window, 1.0), 3),
     }
 
 
 class ServeTelemetry:
-    """Thread-safe request counters + latency windows for one daemon.
+    """Thread-safe request counters + latency summaries for one daemon,
+    all held in its own :class:`~repro.obs.metrics.MetricsRegistry`
+    (scrapeable via :meth:`exposition`)."""
 
-    Scalar counters are registry metrics (scrapeable via
-    :meth:`exposition`); the percentile rings are plain deques.  Either
-    pass a shared :class:`~repro.obs.metrics.MetricsRegistry` or let the
-    telemetry own a fresh one (the default).
-    """
-
-    def __init__(self, latency_window: int = LATENCY_WINDOW,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        """``latency_window`` bounds every p50/p99 ring buffer."""
+    def __init__(self, latency_window: int = LATENCY_WINDOW) -> None:
+        """``latency_window`` bounds every p50/p99 window."""
         self._lock = threading.Lock()
-        self._latency_window = latency_window
-        self._latencies_ms: Deque[float] = deque(maxlen=latency_window)
-        self._queue_waits_ms: Deque[float] = deque(maxlen=latency_window)
-        self._latencies_by_verb: Dict[str, Deque[float]] = {}
         self._started = time.monotonic()
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         reg = self.registry
         self._requests = reg.counter(
             "repro_serve_requests_total",
@@ -120,13 +89,14 @@ class ServeTelemetry:
         self._uptime = reg.gauge(
             "repro_serve_uptime_seconds",
             "Seconds since the daemon started (set at scrape time).")
-        self._latency_hist = reg.histogram(
+        self._latency = reg.summary(
             "repro_serve_latency_seconds",
             "Request latency (admission to response), by verb.",
-            labels=("verb",))
-        self._queue_wait_hist = reg.histogram(
+            labels=("verb",), window=latency_window)
+        self._queue_wait = reg.summary(
             "repro_serve_queue_wait_seconds",
-            "Worker-pool submission-to-execution wait.")
+            "Worker-pool submission-to-execution wait.",
+            window=latency_window)
 
     # ------------------------------------------------------------------
     # Updates
@@ -169,35 +139,29 @@ class ServeTelemetry:
 
     def observe_queue_wait(self, waited_s: float) -> None:
         """Record one request's pool submission-to-execution wait."""
-        with self._lock:
-            self._queue_waits_ms.append(waited_s * 1000.0)
-        self._queue_wait_hist.observe(waited_s)
+        self._queue_wait.observe(waited_s)
 
     def uptime_s(self) -> float:
         """Seconds since this daemon's telemetry began (daemon start)."""
         return time.monotonic() - self._started
 
     def recent_p50_ms(self) -> float:
-        """Nearest-rank p50 of the latency window (the ``retry_after_ms``
-        hint baseline — what one queue slot is currently worth)."""
-        with self._lock:
-            window = sorted(self._latencies_ms)
-        return percentile_nearest_rank(window, 0.50)
+        """Nearest-rank p50 over the command verbs' latency windows (the
+        ``retry_after_ms`` hint baseline — what one queue slot is
+        currently worth).  Control verbs never occupy a queue slot, so
+        their sub-millisecond samples are left out."""
+        window = sorted(
+            value for (verb,), values in self._latency.windows().items()
+            if verb not in CONTROL_VERBS for value in values)
+        return 1000.0 * percentile_nearest_rank(window, 0.50)
 
     def observe(self, verb: str, exit_code: int, elapsed_s: float) -> None:
         """Record one completed request (including coalesced joiners —
         each client-visible response counts once)."""
-        with self._lock:
-            self._latencies_ms.append(elapsed_s * 1000.0)
-            ring = self._latencies_by_verb.get(verb)
-            if ring is None:
-                ring = deque(maxlen=self._latency_window)
-                self._latencies_by_verb[verb] = ring
-            ring.append(elapsed_s * 1000.0)
+        self._latency.observe(elapsed_s, verb=verb)
         self._requests.inc(verb=verb)
         if exit_code != 0:
             self._errors.inc()
-        self._latency_hist.observe(elapsed_s, verb=verb)
 
     # ------------------------------------------------------------------
     # Snapshot / exposition
@@ -208,8 +172,8 @@ class ServeTelemetry:
                  server: Optional[dict] = None) -> dict:
         """One JSON-safe ``stats`` payload (shape pinned by the tests).
 
-        Assembled from the registry counters plus the exact percentile
-        rings.  ``coalesce`` and ``artifact_store`` are the coalescer's
+        Assembled from the registry counters and summary windows.
+        ``coalesce`` and ``artifact_store`` are the coalescer's
         and the shared store's counter dictionaries; ``cache_hit_rate``
         is derived from the store (stage reuses / stage lookups).
         ``server`` carries static daemon facts (address, pool size)
@@ -217,11 +181,6 @@ class ServeTelemetry:
         """
         by_verb = {labels[0]: int(value)
                    for labels, value in self._requests.samples()}
-        with self._lock:
-            window = sorted(self._latencies_ms)
-            waits = sorted(self._queue_waits_ms)
-            by_verb_windows = {verb: sorted(ring) for verb, ring
-                               in self._latencies_by_verb.items()}
         payload = {
             "queue_depth": int(self._queue_depth.value()),
             "peak_queue_depth": int(self._peak_queue_depth.value()),
@@ -231,12 +190,11 @@ class ServeTelemetry:
                 "errors": int(self._errors.value()),
                 "protocol_errors": int(self._protocol_errors.value()),
             },
-            "latency_ms": _window_stats(window),
+            "latency_ms": _window_stats(self._latency.window()),
             "latency_by_verb_ms": {
-                verb: _window_stats(by_verb_windows[verb])
-                for verb in sorted(by_verb_windows)
-            },
-            "queue_wait_ms": _window_stats(waits),
+                verb: _window_stats(window) for (verb,), window
+                in sorted(self._latency.windows().items())},
+            "queue_wait_ms": _window_stats(self._queue_wait.window()),
             "resilience": {
                 "shed": int(self._shed.value()),
                 "deadline_timeouts": int(self._deadline_timeouts.value()),

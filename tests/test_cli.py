@@ -448,6 +448,51 @@ class TestArgumentValidation:
                            stdout=out, stderr=err) == 2
         assert "unrecognized arguments: --backend" in err.getvalue()
 
+    @pytest.mark.parametrize("verb", ["design", "verify", "sweep"])
+    @pytest.mark.parametrize("content, detail", [
+        (b"not json at all", "JSONDecodeError: Expecting value"),
+        (b"\xff\xfe{}", "UnicodeDecodeError"),
+        (b'{"bad": 1}', "KeyError: 'modulator'"),
+        (b"[1]", "TypeError: list indices must be integers"),
+        (b'{"modulator": {"order": 5}, "decimator": 1}',
+         "must be a mapping"),
+    ])
+    def test_malformed_spec_json_is_a_clean_error(self, tmp_path, verb,
+                                                  content, detail):
+        bad = tmp_path / "spec.json"
+        bad.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command([verb, "--spec-json", str(bad)],
+                           stdout=out, stderr=err) == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: invalid spec JSON file {bad}: ")
+        assert detail in lines[0]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--older-than-days", "-1"),
+        ("--older-than-days", "nan"),
+        ("--older-than-days", "inf"),
+        ("--tmp-grace-s", "-5"),
+        ("--tmp-grace-s", "nan"),
+    ])
+    def test_bad_prune_ages_leave_the_store_untouched(self, tmp_path, flag,
+                                                      value):
+        cache = tmp_path / "cache"
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(["sweep", "--output-bits", "12", "14", "--jobs",
+                            "1", "--cache-dir", str(cache), "--quiet"],
+                           stdout=out, stderr=err) == 0
+        before = sorted(str(p) for p in cache.rglob("*"))
+        assert before
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(["cache", "prune", "--cache-dir", str(cache),
+                            flag, value], stdout=out, stderr=err) == 2
+        lines = err.getvalue().splitlines()
+        assert lines == [f"error: {flag} must be non-negative and finite "
+                         f"(got {float(value)})"]
+        assert sorted(str(p) for p in cache.rglob("*")) == before
+
     @pytest.mark.parametrize("content, message", [
         ('{"schema": 99}', "invalid report file"),
         ("not json at all", "invalid report file"),

@@ -131,11 +131,20 @@ class TestTraceSummarizeCLI:
 
     def test_corrupt_trace_is_a_cli_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("{not json\n")
-        out, err = io.StringIO(), io.StringIO()
-        assert run_command(["trace", "summarize", str(bad)],
-                           stdout=out, stderr=err) == 2
-        assert "invalid trace file" in err.getvalue()
+        span = ('"trace": "t", "pid": 1, "span": 1, "parent": null, '
+                '"t0": 0.0, "ok": true, "attrs": {}')
+        for content in ("{not json",
+                        '{"bad": 1}',
+                        "[1]",
+                        '{"name": "x", "dur_s": "slow", ' + span + "}",
+                        '{"name": "x", "dur_s": true, ' + span + "}"):
+            bad.write_text(content + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            assert run_command(["trace", "summarize", str(bad)],
+                               stdout=out, stderr=err) == 2, content
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, content
+            assert lines[0].startswith("error: invalid trace file"), content
 
     def test_unwritable_trace_path_is_a_cli_error(self, tmp_path):
         out, err = io.StringIO(), io.StringIO()

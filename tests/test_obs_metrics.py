@@ -1,22 +1,30 @@
 """The metrics registry and the rebased serve telemetry.
 
-Covers the counter/gauge/histogram semantics, the deterministic
+Covers the counter/gauge/summary semantics, the deterministic
 Prometheus text exposition and its round-trip through the minimal
 parser (including a hypothesis property over hostile label values), and
 the :class:`~repro.serve.telemetry.ServeTelemetry` rebase — the pinned
-``stats`` snapshot shape, the per-verb latency breakdown and the
-scrape-time exposition.
+``stats`` snapshot shape, the per-verb latency breakdown, the
+scrape-time exposition, and a seeded replay that checks every ``stats``
+latency field against a brute-force nearest rank.
 """
+
+import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     MetricsRegistry,
     parse_exposition,
+    percentile_nearest_rank,
 )
+from repro.serve.protocol import CONTROL_VERBS
+from repro.serve.server import ReproServer
 from repro.serve.telemetry import ServeTelemetry
 
 
@@ -64,27 +72,93 @@ class TestGauge:
         assert gauge.value() == -2.0
 
 
-class TestHistogram:
-    def test_observe_fills_cumulative_buckets(self):
-        hist = MetricsRegistry().histogram("h", "help",
-                                           buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        count, total = hist.child_stats()
-        assert count == 4
-        assert total == pytest.approx(55.55)
-        # Bucket counts are cumulative: <=0.1 sees 1, <=1.0 sees 2, ...
-        assert hist._bucket_counts[()] == [1, 2, 3]
+class TestSummary:
+    def test_window_is_bounded(self):
+        summary = MetricsRegistry().summary("s", "help", window=3)
+        for value in (5.0, 1.0, 4.0, 2.0, 3.0):
+            summary.observe(value)
+        # Only the last three observations remain, sorted ascending.
+        assert summary.window() == [2.0, 3.0, 4.0]
+        assert summary.windows() == {(): [2.0, 3.0, 4.0]}
 
-    def test_default_buckets_are_sorted(self):
-        assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS
+    def test_lifetime_count_and_sum_outlive_the_window(self):
+        registry = MetricsRegistry()
+        summary = registry.summary("s", "help", window=2)
+        for value in (0.5, 1.5, 2.5, 3.5):
+            summary.observe(value)
+        parsed = parse_exposition(registry.render())
+        assert parsed[("s_count", ())] == 4.0
+        assert parsed[("s_sum", ())] == pytest.approx(8.0)
+        assert summary.value() == pytest.approx(8.0)
+        assert len(summary.window()) == 2
 
-    def test_labelled_children(self):
-        hist = MetricsRegistry().histogram("h", "help", labels=("verb",))
-        hist.observe(0.2, verb="design")
-        hist.observe(0.3, verb="design")
-        assert hist.child_stats(verb="design") == (2, pytest.approx(0.5))
-        assert hist.child_stats(verb="sweep") == (0, 0.0)
+    def test_child_windows_and_family_window(self):
+        summary = MetricsRegistry().summary("s", "help", labels=("verb",),
+                                            window=2)
+        summary.observe(1.0, verb="a")
+        summary.observe(2.0, verb="a")
+        summary.observe(3.0, verb="a")
+        summary.observe(9.0, verb="b")
+        # Each child keeps its own last two; the family keeps the last
+        # two of any child.
+        assert summary.windows() == {("a",): [2.0, 3.0], ("b",): [9.0]}
+        assert summary.window() == [3.0, 9.0]
+
+    def test_empty_summary_renders_no_series(self):
+        registry = MetricsRegistry()
+        summary = registry.summary("s", "help", labels=("verb",))
+        assert summary.window() == []
+        assert summary.windows() == {}
+        assert registry.render() == "# HELP s help\n# TYPE s summary\n"
+
+    def test_concurrent_observers_lose_no_update(self):
+        summary = MetricsRegistry().summary("s", "help", labels=("verb",),
+                                            window=50)
+        per_thread, threads = 2000, 8
+
+        def work(index):
+            for _ in range(per_thread):
+                summary.observe(1.0, verb=f"v{index % 2}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(index,))
+                       for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert summary.value(verb="v0") == per_thread * threads / 2
+        assert summary.value(verb="v1") == per_thread * threads / 2
+        assert len(summary.window()) == 50
+        assert all(len(window) == 50
+                   for window in summary.windows().values())
+
+    def test_quantile_series_survive_parse_exposition(self):
+        registry = MetricsRegistry()
+        summary = registry.summary("lat", "help", labels=("verb",))
+        for value in range(1, 101):
+            summary.observe(value / 100.0, verb="design")
+        parsed = parse_exposition(registry.render())
+
+        def series(quantile):
+            return parsed[("lat", (("verb", "design"),
+                                   ("quantile", quantile)))]
+
+        assert series("0.5") == 0.5
+        assert series("0.99") == 0.99
+        assert series("1") == 1.0
+        assert parsed[("lat_count", (("verb", "design"),))] == 100.0
+
+    def test_nearest_rank_returns_observed_samples(self):
+        assert percentile_nearest_rank([], 0.5) == 0.0
+        assert percentile_nearest_rank([1.0, 2.0], 0.5) == 1.0
+        assert percentile_nearest_rank([1.0, 2.0, 3.0], 0.5) == 2.0
+        assert percentile_nearest_rank([1.0, 2.0, 3.0], 1.0) == 3.0
 
 
 class TestRegistry:
@@ -117,10 +191,9 @@ class TestExposition:
         registry.counter("req_total", "Requests.", labels=("verb",))\
             .inc(3, verb="design")
         registry.gauge("depth", "Queue depth.").set(2)
-        hist = registry.histogram("lat_seconds", "Latency.",
-                                  buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
+        summary = registry.summary("lat_seconds", "Latency.")
+        summary.observe(0.05)
+        summary.observe(0.5)
         return registry
 
     def test_render_is_deterministic(self):
@@ -132,7 +205,9 @@ class TestExposition:
         assert "# TYPE req_total counter" in text
         assert '\nreq_total{verb="design"} 3\n' in text
         assert "\ndepth 2\n" in text
-        assert '\nlat_seconds_bucket{le="+Inf"} 2\n' in text
+        assert "# TYPE lat_seconds summary" in text
+        assert '\nlat_seconds{quantile="0.5"} 0.05\n' in text
+        assert '\nlat_seconds{quantile="1"} 0.5\n' in text
         assert "\nlat_seconds_count 2\n" in text
         assert text.endswith("\n")
 
@@ -140,8 +215,8 @@ class TestExposition:
         parsed = parse_exposition(self._registry().render())
         assert parsed[("req_total", (("verb", "design"),))] == 3.0
         assert parsed[("depth", ())] == 2.0
-        assert parsed[("lat_seconds_bucket", (("le", "0.1"),))] == 1.0
-        assert parsed[("lat_seconds_bucket", (("le", "+Inf"),))] == 2.0
+        assert parsed[("lat_seconds", (("quantile", "0.99"),))] == 0.5
+        assert parsed[("lat_seconds_count", ())] == 2.0
         assert parsed[("lat_seconds_sum", ())] == pytest.approx(0.55)
 
     @given(st.dictionaries(
@@ -261,3 +336,72 @@ class TestServeTelemetry:
         assert snapshot["latency_by_verb_ms"]["design"]["count"] == 4
         # The registry counter keeps the lifetime total.
         assert snapshot["requests"]["total"] == 10
+
+
+def _brute_force_stats(samples_s):
+    """The ``stats`` block the pre-summary rings computed: rank the last
+    samples already scaled to milliseconds."""
+    window = sorted(sample * 1000.0 for sample in samples_s)
+    if not window:
+        return {"count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}
+
+    def rank(fraction):
+        return window[min(max(1, math.ceil(len(window) * fraction)),
+                          len(window)) - 1]
+
+    return {"count": len(window), "p50": round(rank(0.50), 3),
+            "p99": round(rank(0.99), 3), "max": round(window[-1], 3)}
+
+
+class TestSummaryReplay:
+    def test_stats_equal_brute_force_nearest_rank(self):
+        window = 64
+        rng = random.Random(20260417)
+        verbs = ("design", "verify", "sweep", "ping")
+        telemetry = ServeTelemetry(latency_window=window)
+        history, by_verb, waits = [], {verb: [] for verb in verbs}, []
+        for step in range(5000):
+            verb = rng.choice(verbs)
+            elapsed = rng.lognormvariate(-4.0, 1.5)
+            telemetry.observe(verb, 0, elapsed)
+            history.append(elapsed)
+            by_verb[verb].append(elapsed)
+            if step % 3 == 0:
+                waited = rng.expovariate(200.0)
+                telemetry.observe_queue_wait(waited)
+                waits.append(waited)
+            if step % 997 == 0 or step == 4999:
+                snapshot = telemetry.snapshot()
+                assert snapshot["latency_ms"] == _brute_force_stats(
+                    history[-window:])
+                assert snapshot["queue_wait_ms"] == _brute_force_stats(
+                    waits[-window:])
+                assert snapshot["latency_by_verb_ms"] == {
+                    verb: _brute_force_stats(samples[-window:])
+                    for verb, samples in sorted(by_verb.items())
+                    if samples}
+        parsed = parse_exposition(telemetry.exposition())
+        for verb in verbs:
+            labels = (("verb", verb),)
+            assert parsed[("repro_serve_latency_seconds_count",
+                           labels)] == len(by_verb[verb])
+            median = parsed[("repro_serve_latency_seconds",
+                             labels + (("quantile", "0.5"),))]
+            assert round(1000.0 * median, 3) == \
+                snapshot["latency_by_verb_ms"][verb]["p50"]
+
+
+class TestRetryHint:
+    def test_control_verbs_do_not_collapse_the_hint(self):
+        server = ReproServer()
+        for _ in range(100):
+            server.telemetry.observe("health", 0, 0.0001)
+        for _ in range(10):
+            server.telemetry.observe("design", 0, 2.0)
+        assert server._retry_after_ms() >= 2000
+
+    def test_only_control_traffic_leaves_the_floor(self):
+        telemetry = ServeTelemetry()
+        for verb in CONTROL_VERBS:
+            telemetry.observe(verb, 0, 5.0)
+        assert telemetry.recent_p50_ms() == 0.0

@@ -207,21 +207,25 @@ class TestWorkerMerge:
             == sorted(expected)
 
 
+def _entry(pid, span, parent):
+    """A minimal well-formed span entry."""
+    return {"name": "x", "dur_s": 0.0, "trace": "t", "pid": pid,
+            "span": span, "parent": parent}
+
+
 class TestValidation:
     def test_duplicate_span_id_rejected(self):
-        entry = {"trace": "t", "pid": 1, "span": 1, "parent": None}
+        entry = _entry(1, 1, None)
         with pytest.raises(ValueError, match="duplicate span id"):
             trace.validate_spans([entry, dict(entry)])
 
     def test_dangling_parent_rejected(self):
         with pytest.raises(ValueError, match="dangling parent"):
-            trace.validate_spans([
-                {"trace": "t", "pid": 1, "span": 2, "parent": 1}])
+            trace.validate_spans([_entry(1, 2, 1)])
 
     def test_parents_scoped_per_pid(self):
         # Span 1 exists in pid 1 only: pid 2 referencing it dangles.
-        spans = [{"trace": "t", "pid": 1, "span": 1, "parent": None},
-                 {"trace": "t", "pid": 2, "span": 2, "parent": 1}]
+        spans = [_entry(1, 1, None), _entry(2, 2, 1)]
         with pytest.raises(ValueError, match="dangling parent"):
             trace.validate_spans(spans)
 
