@@ -32,7 +32,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow imports core)
     from repro.flow.artifacts import ArtifactStore
 
-from repro.core.spec import ChainSpec, paper_chain_spec
+from repro.core.spec import ChainSpec, content_hash, paper_chain_spec
 from repro.filters.cascade import CascadeStageDescription, MultirateCascade
 from repro.filters.equalizer import EqualizerDesign, design_droop_equalizer
 from repro.filters.fir import FIRFilterFixedPoint
@@ -154,16 +154,20 @@ class DecimationChain:
                artifacts: Optional["ArtifactStore"] = None) -> "DecimationChain":
         """Design a chain for the given specification (defaults: Table I).
 
-        ``artifacts`` is an optional
-        :class:`~repro.flow.artifacts.ArtifactStore`: the two expensive
-        design sub-stages — the Saramäki halfband CSD search and the droop
-        equalizer fit — are keyed by their actual inputs and reused across
-        design calls that share them (e.g. sweep points differing only in
-        the output word width).  The memoized path returns deep copies, so
-        results are identical to a cold design.
+        The two expensive design sub-stages — the Saramäki halfband CSD
+        search and the droop equalizer fit — run through ``artifacts``, an
+        :class:`~repro.flow.artifacts.ArtifactStore` (a fresh one when
+        ``None``), keyed by their actual inputs, so design calls sharing a
+        store reuse them (e.g. sweep points differing only in the output
+        word width).  The store returns deep copies, so results are
+        identical to a cold design.
         """
+        from repro.flow.artifacts import ArtifactStore
+
         spec = spec or paper_chain_spec()
         options = options or ChainDesignOptions()
+        if artifacts is None:
+            artifacts = ArtifactStore()
 
         total_halvings = spec.num_halving_stages
         sinc_orders = options.sinc_orders
@@ -211,20 +215,15 @@ class DecimationChain:
                     coefficient_bits=options.halfband_coefficient_bits,
                 ).design(target_att)
 
-            if artifacts is not None:
-                from repro.core.spec import content_hash
-
-                key = ("halfband-design", content_hash({
-                    "n1": options.halfband_n1,
-                    "n2": n2,
-                    "transition_start": passband_edge_norm,
-                    "coefficient_bits": options.halfband_coefficient_bits,
-                    "target_attenuation_db": target_att,
-                }))
-                halfband = artifacts.get_or_compute(key, design_halfband,
-                                                    copy=True)
-            else:
-                halfband = design_halfband()
+            key = ("halfband-design", content_hash({
+                "n1": options.halfband_n1,
+                "n2": n2,
+                "transition_start": passband_edge_norm,
+                "coefficient_bits": options.halfband_coefficient_bits,
+                "target_attenuation_db": target_att,
+            }))
+            halfband = artifacts.get_or_compute(key, design_halfband,
+                                                copy=True)
             if (halfband.metadata["achieved_attenuation_db"]
                     >= spec.decimator.stopband_attenuation_db):
                 break
@@ -265,22 +264,17 @@ class DecimationChain:
                 max_boost_db=options.equalizer_max_boost_db,
             )
 
-        if artifacts is not None:
-            from repro.core.spec import content_hash
-
-            key = ("equalizer-design", content_hash({
-                "sinc_orders": [s.spec.order for s in sinc_cascade.stages],
-                "halfband_f1": list(halfband.f1),
-                "halfband_f2": list(halfband.f2),
-                "input_rate_hz": fs,
-                "passband_edge_hz": spec.decimator.passband_edge_hz,
-                "output_rate_hz": spec.decimator.output_rate_hz,
-                "order": options.equalizer_order,
-                "max_boost_db": options.equalizer_max_boost_db,
-            }))
-            equalizer = artifacts.get_or_compute(key, design_equalizer, copy=True)
-        else:
-            equalizer = design_equalizer()
+        key = ("equalizer-design", content_hash({
+            "sinc_orders": [s.spec.order for s in sinc_cascade.stages],
+            "halfband_f1": list(halfband.f1),
+            "halfband_f2": list(halfband.f2),
+            "input_rate_hz": fs,
+            "passband_edge_hz": spec.decimator.passband_edge_hz,
+            "output_rate_hz": spec.decimator.output_rate_hz,
+            "order": options.equalizer_order,
+            "max_boost_db": options.equalizer_max_boost_db,
+        }))
+        equalizer = artifacts.get_or_compute(key, design_equalizer, copy=True)
         return cls(spec, options, sinc_cascade, halfband, scaling, equalizer)
 
     def with_stages(self, halfband: Optional[SaramakiHalfband] = None,

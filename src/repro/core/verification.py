@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.spec import content_hash
 from repro.obs import trace
 
 #: Fewest decimated output samples the tone analysis accepts
@@ -125,25 +126,26 @@ def verify_chain(chain, include_snr: bool = False,
         −6 dB point by construction; the paper's equalizer likewise restores
         "the signal band" rather than the exact Nyquist edge).
     artifacts:
-        Optional :class:`~repro.flow.artifacts.ArtifactStore`.  The
-        frequency-mask checks depend only on the designed filters and the
-        spec mask — not on the output word width — so chains sharing those
-        inputs reuse one memoized mask evaluation (each caller gets an
-        independent copy); the SNR check's modulator bit-stream is likewise
-        shared through the store.
+        :class:`~repro.flow.artifacts.ArtifactStore` the mask stage and the
+        SNR check's modulator bit-stream run through (a fresh one when
+        ``None``).  The frequency-mask checks depend only on the designed
+        filters and the spec mask — not on the output word width — so
+        chains sharing a store and those inputs reuse one mask evaluation
+        (each caller gets an independent copy).
     snr_tone_hz, snr_amplitude:
         Optional explicit SNR stimulus (tone frequency / amplitude); the
         defaults are the paper's bandwidth/4 tone at 0.95 x MSA.  Scenario
         definitions (:mod:`repro.scenarios`) pin these explicitly so their
         golden records are self-describing.
     """
-    with trace.span("flow.verify.mask", memoized=artifacts is not None):
-        if artifacts is not None:
-            key = ("verify-mask", _mask_fingerprint(chain, passband_fraction))
-            report = artifacts.get_or_compute(
-                key, lambda: _verify_mask(chain, passband_fraction), copy=True)
-        else:
-            report = _verify_mask(chain, passband_fraction)
+    from repro.flow.artifacts import ArtifactStore
+
+    if artifacts is None:
+        artifacts = ArtifactStore()
+    with trace.span("flow.verify.mask"):
+        key = ("verify-mask", _mask_fingerprint(chain, passband_fraction))
+        report = artifacts.get_or_compute(
+            key, lambda: _verify_mask(chain, passband_fraction), copy=True)
 
     if include_snr:
         dec = chain.spec.decimator
@@ -280,8 +282,6 @@ def _mask_fingerprint(chain, passband_fraction: float) -> str:
     checks never read), so sweep points that differ only in those reuse the
     memoized mask report.
     """
-    from repro.core.spec import content_hash
-
     spec = chain.spec
     return content_hash({
         "sinc_orders": [s.spec.order for s in chain.sinc_cascade.stages],
@@ -313,10 +313,11 @@ def simulated_output_snr(chain, n_samples: int = 65536,
     Parameters
     ----------
     artifacts:
-        Optional :class:`~repro.flow.artifacts.ArtifactStore`.  The
-        modulator bit-stream depends only on the modulator spec and the
-        stimulus — not on the chain — so every chain sharing those
-        simulates the modulator once (see :func:`modulator_tone_codes`).
+        :class:`~repro.flow.artifacts.ArtifactStore` holding the modulator
+        bit-stream, which depends only on the modulator spec and the
+        stimulus — not on the chain — so every chain sharing a store and
+        those inputs simulates the modulator once (see
+        :func:`modulator_tone_codes`).
     """
     spec = chain.spec
     exact_tone_hz, amplitude, total, settle_outputs = snr_stimulus_parameters(
@@ -370,9 +371,15 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
     simulation), longer requests re-simulate and replace it.  This is what
     lets every sweep point sharing a modulator spec pay for exactly one
     modulator simulation even when their decimation chains need slightly
-    different settle padding.
+    different settle padding.  ``artifacts`` is that store (a fresh one
+    when ``None``).
     """
-    def simulate(total: int) -> np.ndarray:
+    from repro.flow.artifacts import ArtifactStore
+
+    if artifacts is None:
+        artifacts = ArtifactStore()
+
+    def simulate() -> dict:
         from repro.dsm.modulator import DeltaSigmaModulator
 
         modulator = DeltaSigmaModulator(
@@ -382,15 +389,11 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
             sample_rate_hz=modulator_spec.sample_rate_hz,
             h_inf=modulator_spec.out_of_band_gain,
         )
-        t = np.arange(total)
+        t = np.arange(n_total)
         stimulus = amplitude * np.sin(
             2.0 * np.pi * tone_hz / modulator_spec.sample_rate_hz * t + seed_phase)
-        return modulator.simulate(stimulus, engine="fast").codes
-
-    if artifacts is None:
-        return simulate(n_total)
-
-    from repro.core.spec import content_hash
+        return {"n_samples": n_total,
+                "codes": modulator.simulate(stimulus, engine="fast").codes}
 
     key = ("modulator-codes", content_hash({
         "order": modulator_spec.order,
@@ -403,6 +406,5 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
         "seed_phase": seed_phase,
     }))
     entry = artifacts.get_or_compute(
-        key, lambda: {"n_samples": n_total, "codes": simulate(n_total)},
-        reuse=lambda stored: stored["n_samples"] >= n_total)
+        key, simulate, reuse=lambda stored: stored["n_samples"] >= n_total)
     return entry["codes"][:n_total]

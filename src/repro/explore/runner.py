@@ -23,8 +23,12 @@ Two layers make the cold path fast:
 * **One process pool** — ``jobs`` alone picks how misses run: serially
   in this process (no pool, no pickling) when ``jobs == 1`` or at most one
   point misses, otherwise on a process pool.  The parent pre-warms the
-  stages shared by several points, ships the store **once per worker**
-  through the pool initializer, and submits points in chunks.
+  stages shared by several points (:func:`warm_shared_stages`), ships the
+  store **once per worker** through the pool initializer, and submits
+  points in chunks.
+
+:func:`run_cached_payloads` is the cached run loop behind both
+:func:`run_sweep` and :func:`repro.scenarios.run_scenario_suite`.
 """
 
 from __future__ import annotations
@@ -153,8 +157,8 @@ def execute_payloads(payloads: Sequence[dict],
                      ) -> tuple:
     """Execute flow payloads inline or on a process pool with a shared store.
 
-    This is the concurrency harness shared by :func:`run_sweep`,
-    :func:`repro.scenarios.run_scenario_suite` and the robustness engine:
+    This is the concurrency harness shared by :func:`run_cached_payloads`
+    (sweeps and scenario suites) and the robustness engine:
     it runs every payload through ``task`` with one shared
     :class:`~repro.flow.artifacts.ArtifactStore` and returns ``(records,
     mode, store)`` with the records in payload order and ``mode`` either
@@ -436,125 +440,184 @@ def run_sweep(sweep: SweepSpec,
     }
     all_points = sweep.expand()
     points = shard_points(all_points, shard)
-    cache = open_store(cache_dir) if cache_dir is not None else None
-
-    started = time.perf_counter()
-    records: Dict[int, dict] = {}
-    from_cache: Dict[int, bool] = {}
-    keys: Dict[int, str] = {}
-    for point in points:
-        keys[point.index] = point.cache_key(flow_settings)
-    # Index-free grid diff, batched through probe_many: O(shard dirs /
-    # LIST pages) round trips even on high-latency object stores.
-    # Corrupt/truncated survivors of the probe still fail validation in
-    # get() below and heal by re-running (miss-and-heal).
-    if cache is not None and resume:
-        missing = set(cache.diff([keys[p.index] for p in points]))
-    else:
-        missing = {keys[p.index] for p in points}
-    pending: List[SweepPoint] = []
-    for point in points:
-        cached = (cache.get(keys[point.index])
-                  if cache is not None and keys[point.index] not in missing
-                  else None)
-        if cached is not None:
-            records[point.index] = cached
-            from_cache[point.index] = True
-            if progress is not None:
-                progress(f"[cache] {point.label}")
-        else:
-            pending.append(point)
-
-    completed = 0
-
-    def finish(index: int, record: dict) -> None:
-        nonlocal completed
-        completed += 1
-        point = pending[index]
-        records[point.index] = record
-        from_cache[point.index] = False
-        if cache is not None:
-            cache.put(keys[point.index], record)
-        if progress is not None:
-            timing = format_progress_timing(time.perf_counter() - started,
-                                            completed, len(pending))
-            progress(f"[run {completed}/{len(pending)}] {point.label} "
-                     f"({timing})")
-
-    def warm(store: ArtifactStore) -> None:
-        # Warm the stages genuinely shared by >= 2 points once in the
-        # parent before the pool ships the store to the workers.  Points
-        # with unique designs are *not* warmed — their full flow runs in
-        # the pool, keeping distinct-design grids parallel (each worker
-        # still dedups across its own chunk through its copy of the store).
-        from repro.flow.pipeline import warm_flow_artifacts
-
-        for point in _points_worth_warming(pending, include_snr):
-            warm_flow_artifacts(point.spec, point.options, store,
-                                include_snr_simulation=include_snr,
-                                snr_samples=snr_samples)
-
-    payloads = [{**p.payload(), "flow": flow_settings} for p in pending]
-    _, mode, store = execute_payloads(
-        payloads, jobs=n_jobs, store=store, warm=warm, on_result=finish)
-
-    elapsed = time.perf_counter() - started
-    results = [SweepPointResult(point=point, cache_key=keys[point.index],
-                                record=records[point.index],
-                                from_cache=from_cache[point.index])
-               for point in points]
+    keys = [point.cache_key(flow_settings) for point in points]
+    run = run_cached_payloads(
+        [{**point.payload(), "flow": flow_settings} for point in points],
+        keys, [point.label for point in points], jobs=n_jobs,
+        cache=open_store(cache_dir) if cache_dir is not None else None,
+        resume=resume, store=store, progress=progress)
+    results = [SweepPointResult(point=point, cache_key=key, record=record,
+                                from_cache=hit)
+               for point, key, record, hit
+               in zip(points, keys, run.records, run.from_cache)]
     return SweepResult(
         points=results,
         flow_settings=flow_settings,
-        elapsed_s=elapsed,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=len(pending),
+        elapsed_s=run.elapsed_s,
+        cache_hits=run.cache_hits,
+        cache_misses=run.cache_misses,
         workers=n_jobs,
         metadata={"num_points": len(points), "axes": _axes_json(sweep),
                   "num_points_total": len(all_points),
                   "shard": ({"index": int(shard[0]), "count": int(shard[1])}
                             if shard is not None else None),
-                  "executor": mode, "artifact_store": store.stats()},
+                  "executor": run.mode, "artifact_store": run.store.stats()},
     )
 
 
-def _points_worth_warming(pending: Sequence[SweepPoint],
-                          include_snr: bool) -> List[SweepPoint]:
-    """Representatives of every stage-sharing group of size >= 2.
+@dataclass
+class CachedRun:
+    """Outcome of :func:`run_cached_payloads`, in payload order."""
 
-    Two signatures capture the engine's actual sharing: the *design*
-    signature (spec + options minus the output word width — points equal
-    under it share the halfband/equalizer designs and the mask
-    verification) and, for SNR sweeps, the *modulator* signature (points
-    equal under it share the bit-stream).  One representative per
-    multi-point group is warmed in the parent; singleton groups run their
-    whole flow in the pool so distinct-design grids stay parallel.
+    records: List[dict]
+    #: Whether each record was loaded from the on-disk cache.
+    from_cache: List[bool]
+    #: ``"inline"`` or ``"process"`` (see :func:`execute_payloads`).
+    mode: str
+    store: ArtifactStore
+    elapsed_s: float
+
+    @property
+    def cache_hits(self) -> int:
+        """Records this run loaded from the cache."""
+        return sum(self.from_cache)
+
+    @property
+    def cache_misses(self) -> int:
+        """Records this run executed."""
+        return len(self.records) - self.cache_hits
+
+
+def run_cached_payloads(payloads: Sequence[dict],
+                        keys: Sequence[str],
+                        labels: Sequence[str],
+                        task: Optional[Callable] = None,
+                        jobs: int = 1,
+                        cache: Optional[ArtifactCAS] = None,
+                        resume: bool = True,
+                        store: Optional[ArtifactStore] = None,
+                        progress: Optional[Callable[[str], None]] = None,
+                        ) -> CachedRun:
+    """The cached run loop shared by the sweep and scenario runners.
+
+    Diffs ``keys`` against ``cache`` in one batched probe
+    (:meth:`~repro.explore.store.ArtifactCAS.diff`: O(shard dirs / LIST
+    pages) round trips even on high-latency object stores) and loads the
+    published records, reporting ``[cache] <label>``.  The rest run through
+    :func:`execute_payloads` with ``task``, ``jobs``, ``store`` and the
+    :func:`warm_shared_stages` policy, reporting ``[run i/N] <label>
+    (elapsed Xs, eta ~Ys)`` (see :func:`format_progress_timing`), and each
+    fresh record is published to ``cache``.  A probed entry that fails
+    validation on load runs again and heals (miss-and-heal);
+    ``resume=False`` runs every payload, overwriting published entries.
+    Cache hits are counted per call, not over the store's lifetime.
+    """
+    started = time.perf_counter()
+    if cache is not None and resume:
+        missing = set(cache.diff(keys))
+    else:
+        missing = set(keys)
+    records: List[Optional[dict]] = [None] * len(payloads)
+    from_cache = [False] * len(payloads)
+    pending: List[int] = []
+    for index, key in enumerate(keys):
+        cached = (cache.get(key)
+                  if cache is not None and key not in missing else None)
+        if cached is not None:
+            records[index] = cached
+            from_cache[index] = True
+            if progress is not None:
+                progress(f"[cache] {labels[index]}")
+        else:
+            pending.append(index)
+
+    def finish(pending_pos: int, record: dict) -> None:
+        index = pending[pending_pos]
+        records[index] = record
+        if cache is not None:
+            cache.put(keys[index], record)
+        if progress is not None:
+            timing = format_progress_timing(time.perf_counter() - started,
+                                            pending_pos + 1, len(pending))
+            progress(f"[run {pending_pos + 1}/{len(pending)}] "
+                     f"{labels[index]} ({timing})")
+
+    pending_payloads = [payloads[i] for i in pending]
+    _, mode, store = execute_payloads(
+        pending_payloads, task=task, jobs=jobs, store=store,
+        warm=lambda warm_store: warm_shared_stages(pending_payloads,
+                                                   warm_store),
+        on_result=finish)
+    return CachedRun(records=records, from_cache=from_cache, mode=mode,
+                     store=store, elapsed_s=time.perf_counter() - started)
+
+
+def warm_shared_stages(payloads: Sequence[dict],
+                       store: ArtifactStore) -> None:
+    """The pool's warm policy: pre-compute the stages pending payloads share.
+
+    Two signatures capture the engine's sharing.  The *design* signature
+    (spec and options, output word width ignored) groups payloads that
+    share the halfband/equalizer designs and the mask verification; the
+    *stimulus* signature (modulator, SNR tone, amplitude and record
+    length) groups payloads with an SNR leg that share the modulator
+    bit-stream.  One representative of every design group of two or more
+    is warmed, with its SNR leg when its stimulus group also has two or
+    more payloads; then every stimulus group of two or more that no warmed
+    representative covers is warmed through its first payload.  Singletons
+    are not warmed: their whole flow runs in the pool, keeping
+    distinct-design grids parallel (each worker still dedups across its
+    own chunk through its copy of the store).
     """
     from repro.core.spec import content_hash
 
-    design_groups: Dict[str, List[SweepPoint]] = {}
-    modulator_groups: Dict[str, List[SweepPoint]] = {}
-    for point in pending:
-        spec_dict = point.spec.to_dict()
-        spec_dict.get("decimator", {}).pop("output_bits", None)
-        design_sig = content_hash({"spec": spec_dict,
-                                   "options": point.options.to_dict()})
-        design_groups.setdefault(design_sig, []).append(point)
-        if include_snr:
-            modulator_sig = content_hash(point.spec.to_dict()["modulator"])
-            modulator_groups.setdefault(modulator_sig, []).append(point)
+    design_groups: Dict[str, List[int]] = {}
+    stimulus_groups: Dict[str, List[int]] = {}
+    for index, payload in enumerate(payloads):
+        spec = dict(payload["spec"])
+        spec["decimator"] = {k: v for k, v in spec["decimator"].items()
+                             if k != "output_bits"}
+        design_groups.setdefault(content_hash(
+            {"spec": spec, "options": payload["options"]}), []).append(index)
+        flow = payload["flow"]
+        if flow["include_snr"] or payload.get("scenario", {}).get(
+                "resample_rates_hz"):
+            stimulus_groups.setdefault(content_hash({
+                "modulator": payload["spec"]["modulator"],
+                "tone_hz": flow.get("snr_tone_hz"),
+                "amplitude": flow.get("snr_amplitude"),
+                "n_samples": flow["snr_samples"],
+            }), []).append(index)
 
-    chosen: List[SweepPoint] = []
-    warmed_indices = set()
+    shared_stimulus = {index for group in stimulus_groups.values()
+                       if len(group) > 1 for index in group}
+    covered = set()
     for group in design_groups.values():
         if len(group) > 1:
-            chosen.append(group[0])
-            warmed_indices.add(group[0].index)
-    for group in modulator_groups.values():
-        if len(group) > 1 and not any(p.index in warmed_indices for p in group):
-            chosen.append(group[0])
-            warmed_indices.add(group[0].index)
-    return chosen
+            with_snr = group[0] in shared_stimulus
+            _warm_payload(payloads[group[0]], store, with_snr)
+            if with_snr:
+                covered.add(group[0])
+    for group in stimulus_groups.values():
+        if len(group) > 1 and covered.isdisjoint(group):
+            _warm_payload(payloads[group[0]], store, with_snr=True)
+
+
+def _warm_payload(payload: dict, store: ArtifactStore,
+                  with_snr: bool) -> None:
+    """Warm one payload's shareable stages (see
+    :func:`~repro.flow.pipeline.warm_flow_artifacts`)."""
+    from repro.core.chain import ChainDesignOptions
+    from repro.core.spec import ChainSpec
+    from repro.flow.pipeline import warm_flow_artifacts
+
+    flow = payload["flow"]
+    warm_flow_artifacts(ChainSpec.from_dict(payload["spec"]),
+                        ChainDesignOptions.from_dict(payload["options"]),
+                        store, include_snr_simulation=with_snr,
+                        snr_samples=flow["snr_samples"],
+                        snr_tone_hz=flow.get("snr_tone_hz"),
+                        snr_amplitude=flow.get("snr_amplitude"))
 
 
 def _axes_json(sweep: SweepSpec) -> Dict[str, list]:

@@ -143,30 +143,9 @@ class MultirateCascade:
         freqs = np.linspace(0.0, passband_hz, n_points)
         return self.overall_response(freqs).passband_ripple_db(passband_hz)
 
-    def stopband_attenuation_db(self, stopband_start_hz: float,
-                                n_points: int = 16384) -> float:
-        """Minimum attenuation from ``stopband_start_hz`` up to the input Nyquist."""
-        response = self.overall_response(n_points=n_points)
-        return response.stopband_attenuation_db(stopband_start_hz)
-
     def alias_attenuation_db(self, bandwidth_hz: float, n_points: int = 32768) -> float:
         """Worst attenuation over the bands folding onto the signal band."""
         response = self.overall_response(n_points=n_points)
         bands = alias_bands_for_decimation(self.total_decimation, self.output_rate_hz,
                                            bandwidth_hz, self.input_rate_hz)
         return response.worst_alias_attenuation_db(bands)
-
-    def verify_mask(self, passband_hz: float, stopband_start_hz: float,
-                    max_ripple_db: float, min_attenuation_db: float) -> dict:
-        """Check the chain against a Table-I style mask and return the measurements."""
-        ripple = self.passband_ripple_db(passband_hz)
-        attenuation = self.alias_attenuation_db(passband_hz)
-        stopband = self.stopband_attenuation_db(stopband_start_hz)
-        return {
-            "passband_ripple_db": ripple,
-            "alias_attenuation_db": attenuation,
-            "stopband_attenuation_db": stopband,
-            "meets_ripple": ripple <= max_ripple_db,
-            "meets_attenuation": attenuation >= min_attenuation_db,
-            "meets_spec": ripple <= max_ripple_db and attenuation >= min_attenuation_db,
-        }

@@ -4,14 +4,14 @@ Staged execution
 ----------------
 :func:`run_design_flow` is internally a pipeline of keyed stages —
 modulator simulation, chain design (halfband + equalizer sub-stages), mask
-verification, SNR measurement, synthesis.  Passing an
-:class:`~repro.flow.artifacts.ArtifactStore` memoizes every stage on a
-content key derived from its actual inputs, so repeated flows that share
-inputs (the points of a design-space sweep) compute each shared stage once
-while producing records bit-identical to unmemoized runs.
+verification, SNR measurement, synthesis.  The shareable stages always run
+through an :class:`~repro.flow.artifacts.ArtifactStore` on a content key
+derived from their actual inputs, so repeated flows that share a store
+(the points of a design-space sweep) compute each shared stage once while
+producing records bit-identical to a flow on a fresh store.
 :func:`warm_flow_artifacts` pre-computes exactly the shareable stages,
-which is how the sweep runner fills a store in the parent before shipping
-it to the process-pool workers.
+which is how the cached run loop fills a store in the parent before
+shipping it to the process-pool workers.
 """
 
 from __future__ import annotations
@@ -136,18 +136,21 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
         Activity tracing always runs on the Hogenauer gold model, which the
         power model is calibrated against.
     artifacts:
-        Optional :class:`~repro.flow.artifacts.ArtifactStore` memoizing the
-        shareable stages (halfband/equalizer design, mask verification,
-        modulator bit-stream) across flow runs.  Results are bit-identical
-        with or without a store; per-run stages (synthesis, the per-chain
-        SNR leg) always execute.
+        :class:`~repro.flow.artifacts.ArtifactStore` the shareable stages
+        (halfband/equalizer design, mask verification, modulator
+        bit-stream) run through; a fresh one when ``None``.  Pass one store
+        to several flows to share those stages; results are bit-identical
+        either way, and per-run stages (synthesis, the per-chain SNR leg)
+        always execute.
     snr_tone_hz, snr_amplitude:
         Optional explicit SNR stimulus, forwarded to
         :func:`repro.core.verification.verify_chain`; the defaults derive
         the paper's bandwidth/4 tone at 0.95 x MSA from the spec.
     """
     spec = spec or paper_chain_spec()
-    with trace.span("flow.design", memoized=artifacts is not None):
+    if artifacts is None:
+        artifacts = ArtifactStore()
+    with trace.span("flow.design"):
         chain = DecimationChain.design(spec, options, artifacts=artifacts)
     verification = verify_chain(chain, include_snr=include_snr_simulation,
                                 snr_samples=snr_samples, artifacts=artifacts,
@@ -179,9 +182,10 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
     verification and (with ``include_snr_simulation``) the modulator
     bit-stream for the given point, without running the per-point stages
     (synthesis, the chain's SNR leg).  Before starting its process pool, the
-    sweep runner warms a store with one representative of every
-    stage-sharing group of pending points in the parent and ships it to the
-    workers once, via the pool initializer.
+    cached run loop of sweeps and scenario suites warms a store with one
+    representative of every stage-sharing group of pending payloads in the
+    parent (:func:`repro.explore.runner.warm_shared_stages`) and ships it
+    to the workers once, via the pool initializer.
     """
     spec = spec or paper_chain_spec()
     chain = DecimationChain.design(spec, options, artifacts=artifacts)

@@ -108,8 +108,11 @@ def execute_robustness_payload(payload: dict,
     perturbation model, **all** variant coefficient draws, this shard's
     sample draws and the nominal power/area summary.  Returns ``{"rows":
     [...], "variants": {...}}`` with one row per sample (in shard order)
-    and the mask verdict of every variant this shard touched.
+    and the mask verdict of every variant this shard touched.  The shard's
+    stages run through ``artifacts`` (a fresh store when ``None``).
     """
+    if artifacts is None:
+        artifacts = ArtifactStore()
     spec = ChainSpec.from_dict(payload["spec"])
     options = ChainDesignOptions.from_dict(payload["options"])
     model = PerturbationModel.from_dict(payload["model"])
@@ -188,7 +191,7 @@ def execute_robustness_payload(payload: dict,
 
 def _variant_chain(chain: DecimationChain, model: PerturbationModel,
                    draw: dict, variant: int,
-                   artifacts: Optional[ArtifactStore]) -> Tuple[DecimationChain, dict]:
+                   artifacts: ArtifactStore) -> Tuple[DecimationChain, dict]:
     """Build (memoized) one perturbed chain variant plus its mask verdict.
 
     The variant is keyed in the artifact store by the chain's design
@@ -223,8 +226,6 @@ def _variant_chain(chain: DecimationChain, model: PerturbationModel,
         }
         return chain_v, info
 
-    if artifacts is None:
-        return build()
     key = ("robust-variant", content_hash({
         "spec": chain.spec.to_dict(),
         "options": chain.options.to_dict(),
@@ -349,7 +350,7 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
     return RobustnessSuiteResult(
         reports=reports,
         elapsed_s=elapsed,
-        cache_hits=cache.hits if cache is not None else 0,
+        cache_hits=len(reports) - misses,
         cache_misses=misses,
         jobs=int(jobs),
         metadata={"executor": mode, "artifact_store": store.stats(),

@@ -3,13 +3,13 @@
 :func:`run_scenario` and :func:`run_scenario_suite` execute registered
 scenarios through the same staged, memoized pipeline as the design-space
 sweeps: each scenario becomes a JSON-safe payload, the payloads run on the
-:func:`repro.explore.runner.execute_payloads` harness (inline or on the
+:func:`repro.explore.runner.run_cached_payloads` loop (inline or on the
 process pool, one shared :class:`~repro.flow.artifacts.ArtifactStore` per
-run) and the records land in the same content-addressed store
-(:func:`~repro.explore.store.open_store`).  Scenario records are therefore
-byte-identical at every ``jobs`` value and across cached re-runs, which
-is what lets the golden-record checker (:mod:`repro.scenarios.golden`)
-treat any diff as a regression.
+run, the same warm policy) and the records land in the same
+content-addressed store (:func:`~repro.explore.store.open_store`).
+Scenario records are therefore byte-identical at every ``jobs`` value and
+across cached re-runs, which is what lets the golden-record checker
+(:mod:`repro.scenarios.golden`) treat any diff as a regression.
 
 On top of the design flow, a scenario record adds the resolved stimulus
 and — for scenarios with ``resample_rates_hz`` — the Farrow rate-converter
@@ -20,7 +20,6 @@ recorded (the paper's Section III flexible-output-rate use-case).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -28,8 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.explore.store import open_store
-from repro.explore.runner import (execute_payloads, flow_record,
-                                  format_progress_timing, run_flow_payload)
+from repro.explore.runner import (flow_record, run_cached_payloads,
+                                  run_flow_payload)
 from repro.flow.artifacts import ArtifactStore
 from repro.scenarios.registry import Scenario, resolve_scenarios
 
@@ -50,9 +49,12 @@ def execute_scenario_payload(payload: dict,
     to its workers.  The record is the design-flow record of
     :func:`repro.explore.runner.flow_record` extended with the scenario
     name, the resolved (coherent) stimulus and the rate-converter leg.
+    Both legs run through ``artifacts`` (a fresh store when ``None``).
     """
     from repro.core.verification import snr_stimulus_parameters
 
+    if artifacts is None:
+        artifacts = ArtifactStore()
     result = run_flow_payload(payload, artifacts)
     record = flow_record(result)
     flow = payload["flow"]
@@ -80,7 +82,7 @@ def execute_scenario_payload(payload: dict,
 def _rate_converter_leg(chain, rates: Sequence[float],
                         exact_tone_hz: float, amplitude: float,
                         total: int, settle: int,
-                        artifacts: Optional[ArtifactStore]) -> List[dict]:
+                        artifacts: ArtifactStore) -> List[dict]:
     """Resample the chain's bit-true output to each requested rate.
 
     Reuses the memoized modulator bit-stream (same artifact key as the SNR
@@ -256,109 +258,22 @@ def run_scenario_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = Non
     """
     selected = resolve_scenarios(list(scenarios) if scenarios is not None
                                  else None)
-    cache = open_store(cache_dir) if cache_dir is not None else None
-    started = time.perf_counter()
-
     keys = [s.cache_key() for s in selected]
-    records: Dict[int, dict] = {}
-    from_cache: Dict[int, bool] = {}
-    pending: List[int] = []
-    for index, (scenario, key) in enumerate(zip(selected, keys)):
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None:
-            records[index] = cached
-            from_cache[index] = True
-            if progress is not None:
-                progress(f"[cache] {scenario.name}")
-        else:
-            pending.append(index)
-
-    completed = 0
-
-    def finish(pending_pos: int, record: dict) -> None:
-        nonlocal completed
-        completed += 1
-        index = pending[pending_pos]
-        records[index] = record
-        from_cache[index] = False
-        if cache is not None:
-            cache.put(keys[index], record)
-        if progress is not None:
-            timing = format_progress_timing(time.perf_counter() - started,
-                                            completed, len(pending))
-            progress(f"[run {completed}/{len(pending)}] "
-                     f"{selected[index].name} ({timing})")
-
-    def warm(store: ArtifactStore) -> None:
-        _warm_shared_stages([selected[i] for i in pending], store)
-
-    payloads = [selected[i].payload() for i in pending]
-    _, mode, used_store = execute_payloads(
-        payloads, task=execute_scenario_payload, jobs=jobs, store=store,
-        warm=warm, on_result=finish)
-
-    elapsed = time.perf_counter() - started
-    results = [ScenarioRunResult(scenario=scenario, cache_key=keys[index],
-                                 record=records[index],
-                                 from_cache=from_cache[index])
-               for index, scenario in enumerate(selected)]
+    run = run_cached_payloads(
+        [s.payload() for s in selected], keys, [s.name for s in selected],
+        task=execute_scenario_payload, jobs=jobs,
+        cache=open_store(cache_dir) if cache_dir is not None else None,
+        store=store, progress=progress)
+    results = [ScenarioRunResult(scenario=scenario, cache_key=key,
+                                 record=record, from_cache=hit)
+               for scenario, key, record, hit
+               in zip(selected, keys, run.records, run.from_cache)]
     return ScenarioSuiteResult(
         results=results,
-        elapsed_s=elapsed,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=len(pending),
+        elapsed_s=run.elapsed_s,
+        cache_hits=run.cache_hits,
+        cache_misses=run.cache_misses,
         jobs=int(jobs),
-        metadata={"executor": mode, "artifact_store": used_store.stats(),
+        metadata={"executor": run.mode, "artifact_store": run.store.stats(),
                   "num_scenarios": len(selected)},
     )
-
-
-def _warm_shared_stages(pending: Sequence[Scenario],
-                        store: ArtifactStore) -> None:
-    """Pre-compute stages shared by >= 2 pending scenarios in the parent.
-
-    Mirrors the sweep runner's warming policy: one representative per
-    design-sharing group (spec + options minus the output word width) is
-    designed and mask-verified in the parent before the process pool ships
-    the store to the workers; singleton scenarios run their whole flow in
-    the pool.  The modulator bit-stream is warmed only when two scenarios
-    share the full (modulator, stimulus) key.
-    """
-    from repro.core.spec import content_hash
-    from repro.flow.pipeline import warm_flow_artifacts
-
-    design_groups: Dict[str, List[Scenario]] = {}
-    snr_groups: Dict[str, List[Scenario]] = {}
-    for scenario in pending:
-        spec_dict = scenario.spec.to_dict()
-        spec_dict.get("decimator", {}).pop("output_bits", None)
-        design_sig = content_hash({"spec": spec_dict,
-                                   "options": scenario.options.to_dict()})
-        design_groups.setdefault(design_sig, []).append(scenario)
-        if scenario.include_snr or scenario.resample_rates_hz:
-            flow = scenario.flow_settings()
-            snr_sig = content_hash({
-                "modulator": scenario.spec.to_dict()["modulator"],
-                "tone_hz": flow["snr_tone_hz"],
-                "amplitude": flow["snr_amplitude"],
-                "n_samples": flow["snr_samples"],
-            })
-            snr_groups.setdefault(snr_sig, []).append(scenario)
-
-    for group in design_groups.values():
-        if len(group) > 1:
-            representative = group[0]
-            warm_flow_artifacts(representative.spec, representative.options,
-                                store)
-    for group in snr_groups.values():
-        if len(group) > 1:
-            # Cheap even when the group's design was just warmed: the
-            # design/mask stages hit the store and only the modulator
-            # bit-stream is simulated.
-            representative = group[0]
-            flow = representative.flow_settings()
-            warm_flow_artifacts(representative.spec, representative.options,
-                                store, include_snr_simulation=True,
-                                snr_samples=flow["snr_samples"],
-                                snr_tone_hz=flow["snr_tone_hz"],
-                                snr_amplitude=flow["snr_amplitude"])

@@ -11,6 +11,9 @@ from repro.explore import (
     sweep_report_markdown,
     sweep_table_markdown,
 )
+from repro.explore.runner import warm_shared_stages
+from repro.explore.store import ArtifactCAS
+from repro.flow import ArtifactStore
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +159,102 @@ class TestRunSweep:
                   progress=lines.append)
         assert len(lines) == 2
         assert all(line.startswith("[cache]") for line in lines)
+
+
+    def test_cache_hits_count_this_run_only(self, two_point_sweep, tmp_path):
+        cache = ArtifactCAS(tmp_path / "shared")
+        hits = [run_sweep(two_point_sweep, jobs=1, cache_dir=cache).cache_hits
+                for _ in range(3)]
+        assert hits == [0, 2, 2]
+
+
+#: Stage keys the two earlier warm policies (one for sweeps, one for
+#: scenario suites) left in a fresh store, recorded once before they were
+#: merged into :func:`warm_shared_stages`.
+SCENARIO_WARM_KEYS = [
+    ("equalizer-design",
+     "bc6e3a59a50df4d10fa5f1dc6fa8ffc2a834fa2f1976f2d9632b8d650f409b87"),
+    ("halfband-design",
+     "5bd7df49d822d8cb1e4e7de867e887e41d5e8e52684735e7ef6fb83e6af5111d"),
+    ("verify-mask",
+     "bdc201637e90022be98e0186a1286a7b52fe6b6c9fddefc92707edc95095bfb9"),
+]
+SNR_GRID_WARM_KEYS = [
+    ("equalizer-design",
+     "2e4b2c1a2347f1d7ebbc11f209ab89a726b667ceb1531e6789d35f477919d4d1"),
+    ("equalizer-design",
+     "67feccb086cbcd76c69022bbb1ac48a214ef7ca02a1d7b0e72a29e5767c159f7"),
+    ("equalizer-design",
+     "70abc149b69d65b233a47f7fa7b875a610ff96e120aba3180d10450b91eb82df"),
+    ("equalizer-design",
+     "85666177f8cbffc227c33e51b276d64f95daef5d646fbe3acd77ae933bc495fe"),
+    ("equalizer-design",
+     "a9deccf41ec91bae6e046b7c2659e845b26f1abf40530c8924924feb061d7461"),
+    ("equalizer-design",
+     "f05cf28f95c727784ff369117d2997ba3868e197962fe0ae9f3bdbbb57101d79"),
+    ("halfband-design",
+     "188e99883db85498ad32d6a9ba73d6ee69250a09e838dd357f09e85ff80d1d8e"),
+    ("halfband-design",
+     "1d6bca1fa161b0bcd787fbbbf6c8608ed2bc56104df02c5ab3207c8895947ae8"),
+    ("halfband-design",
+     "305569677c60e83b7d6ff0c8e2c81ba1535102a804f05250a8bf0bad7b64df06"),
+    ("halfband-design",
+     "bc138d4fda7315aadb1ce1a6d59af919ae4e25829a7d6f424ea2049a43e54e01"),
+    ("halfband-design",
+     "c469dbb93c4487bad9abdb580dc6a058a16eb367727502e04f40cedfd099ffd6"),
+    ("halfband-design",
+     "c8da4a1eb2c019b03e20ee86eb893c630a57526ff65ee9f305d496d01b6c9a56"),
+    ("halfband-design",
+     "ce14269aada136dca0f3fd8df1e415d3c02bbeb35d70a5f467c5fad7e5424fc7"),
+    ("halfband-design",
+     "d5ce60768569b821fcde18a1e0ec605a4434d3a9dd5f237872d1d683b8bda10c"),
+    ("modulator-codes",
+     "026c3c0c788ebbe59a24dad897be861cefed9e5fe1667cb0972b5fb76b75baee"),
+    ("verify-mask",
+     "23cf10eada291ac5d91c3eef4ba2fb137fcb8144fc9f04a2cc481224313994d2"),
+    ("verify-mask",
+     "65cf7b80e5d6886b41d9b33df30703363140f94da78c515c104ba23ce9ef9dc3"),
+    ("verify-mask",
+     "6bb72233c990212c3e9d94d2e5b4b00a96023eb073ddde3595999111679e9764"),
+    ("verify-mask",
+     "b32a3977a470d9bb9ff14aa866d8bd78b5f0358cce2c59c133a670b61523a076"),
+    ("verify-mask",
+     "b686c4027e15b754b395160628c35680951fd8be6e27afe7a8ab37c804fed07b"),
+    ("verify-mask",
+     "f782b62af31bf79a8665c018340232fbca19b9e807c38ce06cc37e7a35852892"),
+]
+
+
+class TestWarmPolicy:
+    @staticmethod
+    def _warmed_keys(payloads):
+        store = ArtifactStore()
+        warm_shared_stages(payloads, store)
+        return sorted(store._data)
+
+    def test_registered_scenarios(self):
+        from repro.scenarios import all_scenarios
+
+        payloads = [s.payload() for s in all_scenarios()]
+        assert len(payloads) == 10
+        assert self._warmed_keys(payloads) == SCENARIO_WARM_KEYS
+
+    def test_eighteen_point_snr_grid(self):
+        # sweep --snr --output-bits 12 14 16 --halfband-att 80 85 90
+        #       --halfband-coeff-bits 16 18
+        sweep = SweepSpec(output_bits=(12, 14, 16),
+                          halfband_attenuation_db=(80.0, 85.0, 90.0),
+                          halfband_coefficient_bits=(16, 18))
+        flow = {"include_snr": True, "snr_samples": 16384}
+        payloads = [{**p.payload(), "flow": flow} for p in sweep.expand()]
+        assert len(payloads) == 18
+        assert self._warmed_keys(payloads) == SNR_GRID_WARM_KEYS
+
+    def test_singletons_are_not_warmed(self):
+        sweep = SweepSpec(halfband_attenuation_db=(80.0, 85.0))
+        flow = {"include_snr": False, "snr_samples": 16384}
+        assert self._warmed_keys(
+            [{**p.payload(), "flow": flow} for p in sweep.expand()]) == []
 
 
 class TestSweepReports:

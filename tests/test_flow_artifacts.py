@@ -127,3 +127,33 @@ class TestReuse:
         assert np.array_equal(shorter, first[:512])
         assert (store.hits, store.misses) == (1, 2)
         assert len(store) == 1
+
+
+class TestOneMemoizationPath:
+    def test_empty_store_passed_in_is_the_store_filled(self):
+        from repro.flow import run_design_flow
+
+        store = ArtifactStore()
+        assert not store  # empty, hence falsy: callers must test `is None`
+        run_design_flow(measure_activity=False, artifacts=store)
+        stages = {key[0] for key in store._data}
+        assert {"halfband-design", "equalizer-design",
+                "verify-mask"} <= stages
+        assert store.misses == len(store)
+
+    def test_storeless_flow_runs_every_stage_through_the_store(
+            self, monkeypatch):
+        from repro.flow import run_design_flow
+
+        stages = Counter()
+        original = ArtifactStore.get_or_compute
+
+        def counting(self, key, *args, **kwargs):
+            stages[key[0]] += 1
+            return original(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "get_or_compute", counting)
+        run_design_flow(measure_activity=False)
+        assert stages["halfband-design"] >= 1
+        assert stages["equalizer-design"] == 1
+        assert stages["verify-mask"] == 1

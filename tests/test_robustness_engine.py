@@ -176,6 +176,16 @@ class TestSuite:
         assert warm.cache_hits == 1
         assert warm.reports[0].from_cache is True
 
+    def test_cache_hits_count_this_run_only(self, tmp_path):
+        from repro.explore.store import ArtifactCAS
+
+        cache = ArtifactCAS(tmp_path / "shared")
+        hits = [run_robustness_suite(["lte-20"], n_samples=4, seed=2,
+                                     stimulus_samples=2048,
+                                     cache_dir=cache).cache_hits
+                for _ in range(3)]
+        assert hits == [0, 1, 1]
+
     def test_store_spec_cache_dir_uses_the_object_store(self, tmp_path,
                                                         monkeypatch):
         monkeypatch.chdir(tmp_path)

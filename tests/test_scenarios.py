@@ -229,6 +229,15 @@ class TestRunner:
         assert lines[1] == f"[cache] {CHEAP}"
         assert len(lines) == 2
 
+    def test_cache_hits_count_this_run_only(self, tmp_path):
+        from repro.explore.store import ArtifactCAS
+
+        cache = ArtifactCAS(tmp_path / "shared")
+        hits = [run_scenario_suite([CHEAP, "audio-48k"],
+                                   cache_dir=cache).cache_hits
+                for _ in range(3)]
+        assert hits == [0, 2, 2]
+
     def test_store_spec_cache_dir_uses_the_object_store(self, tmp_path,
                                                         monkeypatch):
         monkeypatch.chdir(tmp_path)
