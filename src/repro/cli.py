@@ -13,14 +13,15 @@ Every workload in ``examples/`` is reproducible from the shell:
   fragments into a report byte-identical to the unsharded run;
   ``--no-resume`` forces recomputation of already-published points.
 * ``scenario`` — the multi-standard scenario suite: ``list`` the registry,
-  ``run`` named scenarios (or ``--all``) on the same memoized engine,
-  ``report`` a saved run, and ``check`` fresh runs against the committed
-  golden records (exit 1 on any regression).
+  ``run`` named scenarios (or ``--all``) on the same memoized engine, and
+  ``check`` fresh runs against the committed golden records (exit 1 on
+  any regression).
 * ``robustness`` — the Monte Carlo yield subsystem: ``run`` seeded
   perturbation populations over scenarios (batched through the vectorized
-  engines), ``report`` a saved run, and ``check`` the pinned small run
-  against its committed golden record (exit 1 on drift).
-* ``report`` — re-render a saved sweep JSON report without re-running.
+  engines), and ``check`` the pinned small run against its committed
+  golden record (exit 1 on drift).
+* ``report`` — re-render a saved sweep, scenario or robustness JSON report
+  without re-running (the kind is read from the file).
 * ``cache``  — ``stats`` / ``prune`` for the on-disk result store
   (entry/staleness counts include orphaned writer temp files; see
   ``docs/CACHING.md`` for the store layout and contract).
@@ -187,38 +188,6 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
                              "'trace summarize FILE')")
 
 
-def _add_report_arguments(parser: argparse.ArgumentParser,
-                          producer: str) -> None:
-    """The shared ``RESULTS.json`` / ``--format`` / ``--out`` trio of the
-    saved-report re-renderers."""
-    parser.add_argument("results", metavar="RESULTS.json",
-                        help=f"JSON report written by '{producer}'")
-    parser.add_argument("--format", default="markdown",
-                        choices=["markdown", "json"],
-                        help="output format (default: markdown)")
-    parser.add_argument("--out", metavar="FILE",
-                        help="write to FILE instead of stdout")
-
-
-def _render_saved_report(args: argparse.Namespace, renderer,
-                         io: CommandIO) -> int:
-    """Re-render a saved JSON report through ``renderer(text, fmt)``.
-
-    Corrupt files and schema mismatches (e.g. a sweep report fed to
-    ``robustness report``) are user-input errors, not crashes: they
-    convert to one-line :class:`CLIError` messages.
-    """
-    _require_file(args.results, "report file")
-    with open(args.results, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        rendered = renderer(text, args.format)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise CLIError(f"invalid report file {args.results}: {exc}")
-    _write_or_print(rendered, args.out, io)
-    return 0
-
-
 def _library_choices() -> List[str]:
     from repro.hardware.stdcell import LIBRARIES
 
@@ -337,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument("--write-goldens", action="store_true",
                               help="(re)write the committed golden records "
                                    "from this run")
-    scenario_report = scenario_sub.add_parser(
-        "report", help="re-render a saved scenario suite JSON report")
-    _add_report_arguments(scenario_report, "scenario run --json")
 
     robustness = sub.add_parser(
         "robustness", help="Monte Carlo robustness & yield analysis")
@@ -380,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="write the markdown report to FILE")
     robustness_run.add_argument("--quiet", action="store_true",
                                 help="suppress per-scenario progress lines")
-    robustness_report = robustness_sub.add_parser(
-        "report", help="re-render a saved robustness JSON report")
-    _add_report_arguments(robustness_report, "robustness run --json")
     robustness_check = robustness_sub.add_parser(
         "check", help="run the pinned small Monte Carlo and diff it against "
                       "the committed golden record (exit 1 on drift)")
@@ -392,8 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
                                        "record from this run")
 
     report = sub.add_parser(
-        "report", help="re-render a saved sweep JSON report")
-    _add_report_arguments(report, "sweep --json")
+        "report", help="re-render a saved sweep, scenario or robustness "
+                       "JSON report")
+    report.add_argument("results", metavar="RESULTS.json",
+                        help="JSON report written by 'sweep --json', "
+                             "'scenario run --json' or 'robustness run --json'")
+    report.add_argument("--format", default="markdown",
+                        choices=["markdown", "json"],
+                        help="output format (default: markdown)")
+    report.add_argument("--out", metavar="FILE",
+                        help="write to FILE instead of stdout")
 
     cache = sub.add_parser(
         "cache", help="inspect, prune or exchange the sweep result store "
@@ -585,6 +556,34 @@ def _write_or_print(text: str, path: Optional[str], io: CommandIO) -> None:
             fh.write(text + "\n")
     else:
         io.out(text)
+
+
+def _write_run_reports(args: argparse.Namespace, io: CommandIO, result,
+                       markdown, json_report) -> None:
+    """Write a run's markdown report to ``--markdown`` (or stdout) and its
+    canonical JSON report to ``--json``, announcing each file written.
+
+    ``markdown`` and ``json_report`` are the run kind's renderers, called
+    on ``result``.
+    """
+    _write_or_print(markdown(result), args.markdown, io)
+    if args.markdown:
+        io.out(f"Markdown report written to {args.markdown}")
+    if args.json:
+        _write_or_print(json_report(result), args.json, io)
+        io.out(f"JSON report written to {args.json}")
+
+
+def _print_run_summary(io: CommandIO, result, noun: str) -> None:
+    """The closing ``N <noun> in Xs (...)`` stderr line of a sweep,
+    scenario or robustness run: executor, jobs, result-cache hits and
+    misses, and the shared-stage reuses of the run's artifact store."""
+    store = result.metadata.get("artifact_store", {})
+    io.err(f"\n{len(result)} {noun} in {result.elapsed_s:.2f}s "
+           f"({result.metadata.get('executor', 'inline')} executor, "
+           f"{result.jobs} jobs, {result.cache_hits} cached, "
+           f"{result.cache_misses} executed, "
+           f"{store.get('hits', 0)} shared-stage reuses)")
 
 
 def _shared_store(args: argparse.Namespace):
@@ -793,19 +792,9 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
         _write_or_print(sweep_shard_json(result), args.json, io)
         io.out(f"Shard {shard[0]}/{shard[1]} fragment written to {args.json}")
     else:
-        markdown = sweep_report_markdown(result)
-        _write_or_print(markdown, args.markdown, io)
-        if args.markdown:
-            io.out(f"Markdown report written to {args.markdown}")
-        if args.json:
-            _write_or_print(sweep_report_json(result), args.json, io)
-            io.out(f"JSON report written to {args.json}")
-    store = result.metadata.get("artifact_store", {})
-    io.err(f"\n{len(result)} points in {result.elapsed_s:.2f}s "
-           f"({result.metadata.get('executor', 'inline')} executor, "
-           f"{result.workers} jobs, {result.cache_hits} cached, "
-           f"{result.cache_misses} executed, "
-           f"{store.get('hits', 0)} shared-stage reuses)")
+        _write_run_reports(args, io, result, sweep_report_markdown,
+                           sweep_report_json)
+    _print_run_summary(io, result, "points")
     return 0
 
 
@@ -841,7 +830,6 @@ def _cmd_scenario(args: argparse.Namespace, io: CommandIO) -> int:
         "list": _cmd_scenario_list,
         "run": _cmd_scenario_run,
         "check": _cmd_scenario_check,
-        "report": _cmd_scenario_report,
     }
     return handlers[args.scenario_command](args, io)
 
@@ -859,24 +847,25 @@ def _cmd_scenario_run(args: argparse.Namespace, io: CommandIO) -> int:
                                         scenario_report_markdown)
 
     suite = _run_scenario_selection(args, io)
-    markdown = scenario_report_markdown(suite)
-    _write_or_print(markdown, args.markdown, io)
-    if args.markdown:
-        io.out(f"Markdown report written to {args.markdown}")
-    if args.json:
-        _write_or_print(scenario_report_json(suite), args.json, io)
-        io.out(f"JSON report written to {args.json}")
+    _write_run_reports(args, io, suite, scenario_report_markdown,
+                       scenario_report_json)
     if args.write_goldens:
         for result in suite:
             path = write_golden(result.name, result.record)
             io.err(f"Golden record written to {path}")
-    store = suite.metadata.get("artifact_store", {})
-    io.err(f"\n{len(suite)} scenarios in {suite.elapsed_s:.2f}s "
-           f"({suite.metadata.get('executor', 'inline')} executor, "
-           f"{suite.jobs} jobs, {suite.cache_hits} cached, "
-           f"{suite.cache_misses} executed, "
-           f"{store.get('hits', 0)} shared-stage reuses)")
+    _print_run_summary(io, suite, "scenarios")
     return 0
+
+
+def _print_golden_diffs(io: CommandIO, name: str, diffs) -> None:
+    """The ``[DIFF] name: N mismatched field(s)`` block of ``scenario
+    check`` and ``robustness check``: the first 20 diffs, then a count of
+    the rest."""
+    io.out(f"[DIFF] {name}: {len(diffs)} mismatched field(s)")
+    for diff in diffs[:20]:
+        io.out(f"       {diff}")
+    if len(diffs) > 20:
+        io.out(f"       ... and {len(diffs) - 20} more")
 
 
 def _cmd_scenario_check(args: argparse.Namespace, io: CommandIO) -> int:
@@ -896,11 +885,7 @@ def _cmd_scenario_check(args: argparse.Namespace, io: CommandIO) -> int:
             io.out(f"[ok]   {result.name}")
             continue
         failures += 1
-        io.out(f"[DIFF] {result.name}: {len(diffs)} mismatched field(s)")
-        for diff in diffs[:20]:
-            io.out(f"       {diff}")
-        if len(diffs) > 20:
-            io.out(f"       ... and {len(diffs) - 20} more")
+        _print_golden_diffs(io, result.name, diffs)
     total = len(suite)
     if failures:
         io.out(f"\n{failures}/{total} scenario(s) diverge from their golden "
@@ -909,12 +894,6 @@ def _cmd_scenario_check(args: argparse.Namespace, io: CommandIO) -> int:
         return 1
     io.out(f"\nOK: {total} scenario(s) match their golden records")
     return 0
-
-
-def _cmd_scenario_report(args: argparse.Namespace, io: CommandIO) -> int:
-    from repro.scenarios import render_scenario_report_from_json
-
-    return _render_saved_report(args, render_scenario_report_from_json, io)
 
 
 def _build_perturbation_model(args: argparse.Namespace):
@@ -937,7 +916,6 @@ def _build_perturbation_model(args: argparse.Namespace):
 def _cmd_robustness(args: argparse.Namespace, io: CommandIO) -> int:
     handlers = {
         "run": _cmd_robustness_run,
-        "report": _cmd_robustness_report,
         "check": _cmd_robustness_check,
     }
     return handlers[args.robustness_command](args, io)
@@ -983,33 +961,16 @@ def _cmd_robustness_run(args: argparse.Namespace, io: CommandIO) -> int:
         progress=progress,
         store=_shared_store(args),
     )
-    markdown = robustness_report_markdown(suite)
-    _write_or_print(markdown, args.markdown, io)
-    if args.markdown:
-        io.out(f"Markdown report written to {args.markdown}")
-    if args.json:
-        _write_or_print(robustness_report_json(suite), args.json, io)
-        io.out(f"JSON report written to {args.json}")
-    store = suite.metadata.get("artifact_store", {})
-    io.err(f"\n{len(suite)} run(s) x {args.samples} samples in "
-           f"{suite.elapsed_s:.2f}s "
-           f"({suite.metadata.get('executor', 'inline')} executor, "
-           f"{suite.jobs} jobs, {suite.cache_hits} cached, "
-           f"{suite.cache_misses} executed, "
-           f"{store.get('hits', 0)} shared-stage reuses)")
+    _write_run_reports(args, io, suite, robustness_report_markdown,
+                       robustness_report_json)
+    _print_run_summary(io, suite, f"run(s) x {args.samples} samples")
     return 0
 
 
-def _cmd_robustness_report(args: argparse.Namespace, io: CommandIO) -> int:
-    from repro.robustness import render_robustness_report_from_json
-
-    return _render_saved_report(args, render_robustness_report_from_json, io)
-
-
 def _cmd_robustness_check(args: argparse.Namespace, io: CommandIO) -> int:
-    from repro.robustness import (GOLDEN_RUN_SETTINGS,
-                                  check_robustness_record, run_robustness,
-                                  write_robustness_golden)
+    from repro.robustness import (GOLDEN_RUN_SETTINGS, robustness_golden_name,
+                                  run_robustness)
+    from repro.scenarios import check_record, write_golden
 
     jobs = _jobs(args)
     settings = GOLDEN_RUN_SETTINGS
@@ -1025,29 +986,44 @@ def _cmd_robustness_check(args: argparse.Namespace, io: CommandIO) -> int:
     if report.from_cache:
         io.err("note: record served from the result cache; omit --cache-dir "
                "for a fully fresh check")
+    golden = robustness_golden_name(settings["scenario"])
     if args.write_golden:
-        path = write_robustness_golden(settings["scenario"], report.record)
+        path = write_golden(golden, report.record)
         io.out(f"Golden record written to {path}")
         return 0
-    diffs = check_robustness_record(settings["scenario"], report.record)
+    diffs = check_record(golden, report.record)
     if not diffs:
         io.out(f"OK: pinned {settings['n_samples']}-sample Monte Carlo over "
                f"{settings['scenario']} matches its golden record")
         return 0
-    io.out(f"[DIFF] {settings['scenario']}: {len(diffs)} mismatched field(s)")
-    for diff in diffs[:20]:
-        io.out(f"       {diff}")
-    if len(diffs) > 20:
-        io.out(f"       ... and {len(diffs) - 20} more")
+    _print_golden_diffs(io, settings["scenario"], diffs)
     io.out("\nrerun with 'robustness check --write-golden' only if the "
            "change is intended")
     return 1
 
 
 def _cmd_report(args: argparse.Namespace, io: CommandIO) -> int:
+    """Re-render a saved sweep, scenario or robustness JSON report.
+
+    :func:`repro.explore.render_report_from_json` reads the report kind
+    from the payload.  Unreadable files, unknown schemas and payloads
+    missing required fields are user-input errors, not crashes: they
+    convert to one-line :class:`CLIError` messages.
+    """
     from repro.explore import render_report_from_json
 
-    return _render_saved_report(args, render_report_from_json, io)
+    _require_file(args.results, "report file")
+    try:
+        with open(args.results, "r", encoding="utf-8") as fh:
+            rendered = render_report_from_json(fh.read(), args.format)
+    except ValueError as exc:
+        # Covers JSONDecodeError and UnicodeDecodeError.
+        raise CLIError(f"invalid report file {args.results}: {exc}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CLIError(f"invalid report file {args.results}: "
+                       f"{type(exc).__name__}: {exc}")
+    _write_or_print(rendered, args.out, io)
+    return 0
 
 
 def _cmd_cache_transfer(args: argparse.Namespace, io: CommandIO) -> int:

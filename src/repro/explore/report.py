@@ -3,9 +3,10 @@
 The JSON report is the canonical, machine-readable artefact (stable key
 order, fixed float repr): running the same sweep twice — the second time
 entirely from the cache — produces byte-identical output.  The markdown
-report renders the same data as a Pareto-ranked table for humans, and can
-be regenerated from a saved JSON report without re-running anything
-(:func:`render_report_from_json`, the CLI's ``report`` subcommand).
+report renders the same data as a Pareto-ranked table for humans.
+:func:`render_report_from_json` (the CLI's ``report`` subcommand)
+regenerates either format from a saved sweep, scenario or robustness JSON
+report without re-running anything.
 """
 
 from __future__ import annotations
@@ -176,26 +177,47 @@ def merge_shard_reports(texts: Sequence[str],
 
 
 def render_report_from_json(text: str, fmt: str = "markdown") -> str:
-    """Re-render a saved JSON report (``sweep --json``) without re-running.
+    """Re-render a saved run report without re-running.
+
+    The report kind is read from the payload: a ``schema`` 1 payload with
+    exactly one of the top-level lists ``points`` (``sweep --json``),
+    ``scenarios`` (``scenario run --json``) or ``runs`` (``robustness run
+    --json``) renders through that kind's markdown renderer.
 
     Parameters
     ----------
     text:
-        The JSON report text produced by :func:`sweep_report_json`.
+        The saved JSON report text.
     fmt:
         ``"markdown"`` for the human-readable report, ``"json"`` to
-        re-canonicalize the payload.
+        re-canonicalize the payload.  Both formats render the markdown, so
+        they accept exactly the same inputs.
+
+    Raises :class:`ValueError` for any other payload or format; a payload
+    whose fields are missing or of the wrong type raises the renderer's
+    :class:`KeyError`, :class:`TypeError` or :class:`AttributeError`.
     """
+    from repro.robustness.report import (
+        _markdown_from_payload as robustness_markdown)
+    from repro.scenarios.report import (
+        _markdown_from_payload as scenario_markdown)
+
+    if fmt not in ("markdown", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
     payload = json.loads(text)
-    if payload.get("schema") != REPORT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported report schema {payload.get('schema')!r} "
-            f"(expected {REPORT_SCHEMA_VERSION})")
-    if fmt == "markdown":
-        return _markdown_from_payload(payload)
-    if fmt == "json":
-        return canonical_json(payload)
-    raise ValueError(f"unknown report format {fmt!r}")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != REPORT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported report schema {schema!r} "
+                         f"(expected {REPORT_SCHEMA_VERSION})")
+    renderers = {"points": _markdown_from_payload,
+                 "scenarios": scenario_markdown,
+                 "runs": robustness_markdown}
+    kinds = [kind for kind in renderers if isinstance(payload.get(kind), list)]
+    if len(kinds) != 1:
+        raise ValueError("not a run report: expected exactly one of the "
+                         "top-level lists 'points', 'scenarios' or 'runs'")
+    markdown = renderers[kinds[0]](payload)
+    return markdown if fmt == "markdown" else canonical_json(payload)
 
 
 def _markdown_from_payload(payload: dict) -> str:

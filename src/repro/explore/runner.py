@@ -124,6 +124,45 @@ def flow_record(result) -> dict:
     return record
 
 
+def record_metrics(record: dict) -> Dict[str, object]:
+    """The five headline metrics of a :func:`flow_record` that the sweep
+    and scenario reports rank and tabulate.
+
+    ``snr_db`` is the measured end-to-end SNR when simulated, else the
+    linear-model estimate.
+    """
+    summary = record["summary"]
+    simulated = record.get("simulated_snr_db")
+    return {
+        "meets_spec": bool(summary["meets_spec"]),
+        "snr_db": float(simulated if simulated is not None
+                        else record["predicted_snr_db"]),
+        "power_mw": float(summary["total_power_mw"]),
+        "area_mm2": float(summary["total_area_mm2"]),
+        "gate_count": int(record["gate_count"]),
+    }
+
+
+def _record_metric(name: str, doc: str) -> property:
+    return property(lambda self: record_metrics(self.record)[name], doc=doc)
+
+
+class FlowRecordMetrics:
+    """Mixin: the :func:`record_metrics` of a result's flow ``record`` as
+    read-only properties (sweep points and scenario runs)."""
+
+    meets_spec = _record_metric(
+        "meets_spec", "Whether the designed chain passed every "
+                      "verification check.")
+    snr_db = _record_metric(
+        "snr_db", "Measured end-to-end SNR when simulated, else the "
+                  "linear-model estimate.")
+    power_mw = _record_metric("power_mw", "Total estimated power in milliwatts.")
+    area_mm2 = _record_metric("area_mm2", "Total estimated layout area in mm².")
+    gate_count = _record_metric(
+        "gate_count", "NAND2-equivalent gate count of the whole chain.")
+
+
 def _execute_point(payload: dict, artifacts: Optional[ArtifactStore] = None) -> dict:
     """Run one sweep point's design flow and return its JSON-safe record.
 
@@ -244,7 +283,7 @@ def execute_payloads(payloads: Sequence[dict],
 
 
 @dataclass
-class SweepPointResult:
+class SweepPointResult(FlowRecordMetrics):
     """Outcome of one sweep point: its identity, record and provenance."""
 
     point: SweepPoint
@@ -259,45 +298,14 @@ class SweepPointResult:
         """The point's sweep label."""
         return self.point.label
 
-    @property
-    def meets_spec(self) -> bool:
-        """Whether the designed chain passed every verification check."""
-        return bool(self.record["summary"]["meets_spec"])
-
-    @property
-    def snr_db(self) -> float:
-        """Measured end-to-end SNR when simulated, else the linear-model estimate."""
-        simulated = self.record.get("simulated_snr_db")
-        return float(simulated if simulated is not None
-                     else self.record["predicted_snr_db"])
-
-    @property
-    def power_mw(self) -> float:
-        """Total estimated power in milliwatts."""
-        return float(self.record["summary"]["total_power_mw"])
-
-    @property
-    def area_mm2(self) -> float:
-        """Total estimated layout area in mm²."""
-        return float(self.record["summary"]["total_area_mm2"])
-
-    @property
-    def gate_count(self) -> int:
-        """NAND2-equivalent gate count of the whole chain."""
-        return int(self.record["gate_count"])
-
     def metrics_row(self) -> Dict[str, object]:
         """Flat metrics dictionary consumed by the Pareto ranking/reports."""
         return {
             "label": self.label,
             "params": self.point.params_dict(),
-            "snr_db": self.snr_db,
+            **record_metrics(self.record),
             "predicted_snr_db": float(self.record["predicted_snr_db"]),
             "simulated_snr_db": self.record.get("simulated_snr_db"),
-            "power_mw": self.power_mw,
-            "area_mm2": self.area_mm2,
-            "gate_count": self.gate_count,
-            "meets_spec": self.meets_spec,
         }
 
 
@@ -310,7 +318,7 @@ class SweepResult:
     elapsed_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    workers: int = 1
+    jobs: int = 1
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -456,7 +464,7 @@ def run_sweep(sweep: SweepSpec,
         elapsed_s=run.elapsed_s,
         cache_hits=run.cache_hits,
         cache_misses=run.cache_misses,
-        workers=n_jobs,
+        jobs=n_jobs,
         metadata={"num_points": len(points), "axes": _axes_json(sweep),
                   "num_points_total": len(all_points),
                   "shard": ({"index": int(shard[0]), "count": int(shard[1])}

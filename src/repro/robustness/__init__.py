@@ -15,7 +15,8 @@ mismatch, sampling-clock jitter and PVT corner shifts?
 * :mod:`~repro.robustness.report` — per-sample metric distributions,
   :class:`~repro.robustness.report.YieldReport` (pass-rate against the
   spec masks, percentile SNR, worst-case sample), robust Pareto ranking by
-  P99-confidence metrics, and golden-record regression checks.
+  P99-confidence metrics, and the golden-record name its regression check
+  diffs against.
 
 Quickstart::
 
@@ -49,13 +50,10 @@ from repro.robustness.report import (
     ROBUSTNESS_SCHEMA_VERSION,
     RobustnessSuiteResult,
     YieldReport,
-    check_robustness_record,
     distribution_stats,
-    render_robustness_report_from_json,
     robustness_golden_name,
     robustness_report_json,
     robustness_report_markdown,
-    write_robustness_golden,
 )
 
 __all__ = [
@@ -69,15 +67,12 @@ __all__ = [
     "PerturbationModel",
     "RobustnessSuiteResult",
     "YieldReport",
-    "check_robustness_record",
     "default_model",
     "distribution_stats",
     "execute_robustness_payload",
-    "render_robustness_report_from_json",
     "robustness_golden_name",
     "robustness_report_json",
     "robustness_report_markdown",
     "run_robustness",
     "run_robustness_suite",
-    "write_robustness_golden",
 ]

@@ -1,4 +1,4 @@
-"""Yield reports: distributions, robust Pareto ranking and golden checks.
+"""Yield reports: distributions, robust Pareto ranking and the golden name.
 
 The engine (:mod:`repro.robustness.engine`) produces one JSON-safe *yield
 record* per Monte Carlo run; this module wraps records in
@@ -12,26 +12,26 @@ renders them:
   Pareto-ranked by the robustness-aware objectives
   (:data:`repro.explore.pareto.ROBUST_OBJECTIVES`: P99-confidence SNR and
   power instead of nominal values);
-* golden-record helpers reusing the :mod:`repro.scenarios.golden`
-  machinery, so ``python -m repro robustness check`` diffs a fresh pinned
-  run against ``src/repro/scenarios/goldens/robustness-<scenario>.json``
-  with the same tolerance policy as the scenario checker.
+* :func:`robustness_golden_name` — the golden-record name under which
+  ``python -m repro robustness check`` diffs a fresh pinned run through
+  :func:`repro.scenarios.golden.check_record`
+  (``src/repro/scenarios/goldens/robustness-<scenario>.json``), with the
+  same tolerance policy as the scenario checker.
+
+A saved JSON report re-renders through
+:func:`repro.explore.report.render_report_from_json` (the CLI's
+``report`` subcommand).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
 
 from repro.core.spec import canonical_json
 from repro.explore.pareto import ROBUST_OBJECTIVES, pareto_rank
-from repro.scenarios.golden import (DEFAULT_TOLERANCE, FieldDiff,
-                                    TolerancePolicy, diff_records,
-                                    load_golden, write_golden)
 
 __all__ = [
     "ROBUSTNESS_SCHEMA_VERSION",
@@ -40,10 +40,7 @@ __all__ = [
     "RobustnessSuiteResult",
     "robustness_report_json",
     "robustness_report_markdown",
-    "render_robustness_report_from_json",
     "robustness_golden_name",
-    "write_robustness_golden",
-    "check_robustness_record",
 ]
 
 #: Schema version of the yield records and the suite JSON report payload.
@@ -212,29 +209,6 @@ def robustness_report_markdown(suite: RobustnessSuiteResult) -> str:
     return _markdown_from_payload(_suite_payload(suite))
 
 
-def render_robustness_report_from_json(text: str, fmt: str = "markdown") -> str:
-    """Re-render a saved JSON report (``robustness run --json``).
-
-    Parameters
-    ----------
-    text:
-        JSON report text produced by :func:`robustness_report_json`.
-    fmt:
-        ``"markdown"`` for the human-readable report, ``"json"`` to
-        re-canonicalize the payload.
-    """
-    payload = json.loads(text)
-    if payload.get("schema") != ROBUSTNESS_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported robustness report schema {payload.get('schema')!r} "
-            f"(expected {ROBUSTNESS_SCHEMA_VERSION})")
-    if fmt == "markdown":
-        return _markdown_from_payload(payload)
-    if fmt == "json":
-        return canonical_json(payload)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
 def _rows_from_payload(payload: dict) -> List[Dict[str, object]]:
     """Rebuild the metric rows (and their ranks) from a report payload."""
     reports = [YieldReport(scenario=entry["name"], record=entry["record"])
@@ -275,29 +249,6 @@ def _markdown_from_payload(payload: dict) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Golden records (reusing the scenario golden machinery)
-# ----------------------------------------------------------------------
 def robustness_golden_name(scenario: str) -> str:
     """Golden-record name of a scenario's pinned Monte Carlo run."""
     return f"robustness-{scenario}"
-
-
-def write_robustness_golden(scenario: str, record: dict) -> Path:
-    """Write (or replace) the pinned yield record for a scenario."""
-    return write_golden(robustness_golden_name(scenario), record)
-
-
-def check_robustness_record(scenario: str, record: dict,
-                            policy: TolerancePolicy = DEFAULT_TOLERANCE,
-                            ) -> List[FieldDiff]:
-    """Diff a fresh yield record against its committed golden.
-
-    A missing golden file is itself a failure, exactly as in
-    :func:`repro.scenarios.golden.check_record`.
-    """
-    golden = load_golden(robustness_golden_name(scenario))
-    if golden is None:
-        return [FieldDiff("", None, None, "no-golden")]
-    normalized = json.loads(canonical_json(record))
-    return diff_records(golden, normalized, policy)

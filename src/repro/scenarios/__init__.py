@@ -51,7 +51,6 @@ from repro.scenarios.golden import (
     write_golden,
 )
 from repro.scenarios.report import (
-    render_scenario_report_from_json,
     scenario_catalog_markdown,
     scenario_list_markdown,
     scenario_report_json,
@@ -84,7 +83,6 @@ __all__ = [
     "scenario_report_json",
     "scenario_report_markdown",
     "scenario_table_markdown",
-    "render_scenario_report_from_json",
     "scenario_list_markdown",
     "scenario_catalog_markdown",
     "register_builtin_scenarios",

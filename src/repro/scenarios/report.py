@@ -5,7 +5,9 @@ machine-readable artefact (stable key order, deterministic content only —
 no timings or cache counters), so a warm-cache re-run or a different
 ``jobs`` value reproduces it byte-identically; the markdown report renders the
 same data for humans and can be regenerated from a saved JSON report
-without re-running anything.
+without re-running anything
+(:func:`repro.explore.report.render_report_from_json`, the CLI's
+``report`` subcommand).
 
 :func:`scenario_catalog_markdown` renders ``docs/SCENARIOS.md`` from the
 registry plus the committed golden records — the catalog is generated, and
@@ -15,10 +17,10 @@ from the registry.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Sequence
 
 from repro.core.spec import canonical_json
+from repro.explore.runner import record_metrics
 from repro.scenarios.golden import load_golden
 from repro.scenarios.registry import Scenario, all_scenarios
 from repro.scenarios.runner import ScenarioSuiteResult
@@ -28,7 +30,6 @@ __all__ = [
     "scenario_report_json",
     "scenario_report_markdown",
     "scenario_table_markdown",
-    "render_scenario_report_from_json",
     "scenario_list_markdown",
     "scenario_catalog_markdown",
 ]
@@ -66,45 +67,16 @@ def scenario_table_markdown(suite: ScenarioSuiteResult) -> str:
                              for entry in _suite_payload(suite)["scenarios"]])
 
 
-def render_scenario_report_from_json(text: str, fmt: str = "markdown") -> str:
-    """Re-render a saved JSON report (``scenario run --json``).
-
-    Parameters
-    ----------
-    text:
-        JSON report text produced by :func:`scenario_report_json`.
-    fmt:
-        ``"markdown"`` for the human-readable report, ``"json"`` to
-        re-canonicalize the payload.
-    """
-    payload = json.loads(text)
-    if payload.get("schema") != SCENARIO_REPORT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported scenario report schema {payload.get('schema')!r} "
-            f"(expected {SCENARIO_REPORT_SCHEMA_VERSION})")
-    if fmt == "markdown":
-        return _markdown_from_payload(payload)
-    if fmt == "json":
-        return canonical_json(payload)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
 def _payload_row(entry: dict) -> Dict[str, object]:
     """Flatten one payload scenario entry into a report table row."""
     record = entry["record"]
     spec = record["spec"]
-    simulated = record.get("simulated_snr_db")
     return {
         "name": entry["name"],
         "fs_mhz": spec["modulator"]["sample_rate_hz"] / 1e6,
         "decimation": int(round(spec["modulator"]["osr"])),
         "output_bits": spec["decimator"]["output_bits"],
-        "snr_db": float(simulated if simulated is not None
-                        else record["predicted_snr_db"]),
-        "power_mw": float(record["summary"]["total_power_mw"]),
-        "area_mm2": float(record["summary"]["total_area_mm2"]),
-        "gate_count": int(record["gate_count"]),
-        "meets_spec": bool(record["summary"]["meets_spec"]),
+        **record_metrics(record),
     }
 
 

@@ -27,7 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.explore.store import open_store
-from repro.explore.runner import (flow_record, run_cached_payloads,
+from repro.explore.runner import (FlowRecordMetrics, flow_record,
+                                  record_metrics, run_cached_payloads,
                                   run_flow_payload)
 from repro.flow.artifacts import ArtifactStore
 from repro.scenarios.registry import Scenario, resolve_scenarios
@@ -125,7 +126,7 @@ def _rate_converter_leg(chain, rates: Sequence[float],
 
 
 @dataclass
-class ScenarioRunResult:
+class ScenarioRunResult(FlowRecordMetrics):
     """Outcome of one scenario: identity, record and provenance."""
 
     scenario: Scenario
@@ -140,45 +141,12 @@ class ScenarioRunResult:
         """The scenario's registry name."""
         return self.scenario.name
 
-    @property
-    def meets_spec(self) -> bool:
-        """Whether the designed chain passed every verification check."""
-        return bool(self.record["summary"]["meets_spec"])
-
-    @property
-    def snr_db(self) -> float:
-        """Measured end-to-end SNR when simulated, else the linear estimate."""
-        simulated = self.record.get("simulated_snr_db")
-        return float(simulated if simulated is not None
-                     else self.record["predicted_snr_db"])
-
-    @property
-    def power_mw(self) -> float:
-        """Total estimated power in milliwatts."""
-        return float(self.record["summary"]["total_power_mw"])
-
-    @property
-    def area_mm2(self) -> float:
-        """Total estimated layout area in mm²."""
-        return float(self.record["summary"]["total_area_mm2"])
-
-    @property
-    def gate_count(self) -> int:
-        """NAND2-equivalent gate count of the whole chain."""
-        return int(self.record["gate_count"])
-
     def metrics_row(self) -> Dict[str, object]:
         """Flat metrics dictionary consumed by the reports/catalog."""
         row = self.scenario.summary_row()
-        row.update({
-            "snr_db": self.snr_db,
-            "simulated_snr_db": self.record.get("simulated_snr_db"),
-            "predicted_snr_db": float(self.record["predicted_snr_db"]),
-            "power_mw": self.power_mw,
-            "area_mm2": self.area_mm2,
-            "gate_count": self.gate_count,
-            "meets_spec": self.meets_spec,
-        })
+        row.update(record_metrics(self.record),
+                   simulated_snr_db=self.record.get("simulated_snr_db"),
+                   predicted_snr_db=float(self.record["predicted_snr_db"]))
         return row
 
 

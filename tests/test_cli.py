@@ -30,6 +30,51 @@ def run_cli(*args, cwd=None, check=True):
     return proc
 
 
+def run_inproc(*args):
+    """Run one CLI invocation in this process; ``(exit code, stdout,
+    stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(list(args), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: One run per report kind, saved by the ``saved_reports`` fixture.
+SAVED_RUNS = {
+    "sweep": ("sweep", "--output-bits", "12", "14", "--no-cache",
+              "--jobs", "1"),
+    "scenario": ("scenario", "run", "voice-8k"),
+    "robustness": ("robustness", "run", "lte-20", "--samples", "8",
+                   "--stimulus-samples", "2048"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_reports(tmp_path_factory):
+    """The ``--json`` and ``--markdown`` files of each run kind, keyed by
+    kind and then by ``report --format`` value."""
+    directory = tmp_path_factory.mktemp("saved-reports")
+    saved = {}
+    for kind, argv in SAVED_RUNS.items():
+        paths = {"json": directory / f"{kind}.json",
+                 "markdown": directory / f"{kind}.md"}
+        code, _, err = run_inproc(*argv, "--quiet",
+                                  "--json", str(paths["json"]),
+                                  "--markdown", str(paths["markdown"]))
+        assert code == 0, err
+        saved[kind] = paths
+    return saved
+
+
+def assert_report_rerenders_to_file(saved, tmp_path, fmt):
+    """``report FILE --format FMT --out OUT`` writes exactly the bytes of
+    the run's own report file in that format."""
+    out = tmp_path / "rerendered"
+    code, stdout, stderr = run_inproc("report", str(saved["json"]),
+                                      "--format", fmt, "--out", str(out))
+    assert (code, stdout, stderr) == (0, "", "")
+    assert out.read_bytes() == saved[fmt].read_bytes()
+
+
 class TestHelp:
     def test_top_level_help(self):
         proc = run_cli("--help")
@@ -103,22 +148,17 @@ class TestSweepAndReport:
         assert "2 cached, 0 executed" in second.stderr
         assert rerun_out.read_bytes() == json_out.read_bytes()
 
-    def test_report_rerenders_saved_json(self, tmp_path):
-        cache = tmp_path / "cache"
-        json_out = tmp_path / "report.json"
-        md_out = tmp_path / "report.md"
-        run_cli("sweep", "--output-bits", "12", "--jobs", "1",
-                "--cache-dir", str(cache), "--quiet",
-                "--json", str(json_out), "--markdown", str(md_out),
-                cwd=tmp_path)
-        proc = run_cli("report", str(json_out))
-        assert proc.stdout.strip() == md_out.read_text(encoding="utf-8").strip()
+    def test_report_rerenders_saved_json(self, saved_reports, tmp_path):
+        assert_report_rerenders_to_file(saved_reports["sweep"], tmp_path,
+                                        "markdown")
 
     def test_report_rejects_unknown_schema(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": 999}', encoding="utf-8")
-        proc = run_cli("report", str(bad), check=False)
-        assert proc.returncode != 0
+        code, _, stderr = run_inproc("report", str(bad))
+        assert code == 2
+        assert stderr == (f"error: invalid report file {bad}: unsupported "
+                          f"report schema 999 (expected 1)\n")
 
     def test_jobs_and_executor_flags(self, tmp_path):
         json_a = tmp_path / "a.json"
@@ -168,14 +208,9 @@ class TestScenarioCommand:
         assert "1 cached, 0 executed" in second.stderr
         assert rerun_out.read_bytes() == json_out.read_bytes()
 
-    def test_report_rerenders_saved_json(self, tmp_path):
-        json_out = tmp_path / "suite.json"
-        md_out = tmp_path / "suite.md"
-        run_cli("scenario", "run", "voice-8k", "--quiet",
-                "--json", str(json_out), "--markdown", str(md_out),
-                cwd=tmp_path)
-        proc = run_cli("scenario", "report", str(json_out))
-        assert proc.stdout.strip() == md_out.read_text(encoding="utf-8").strip()
+    def test_report_rerenders_saved_json(self, saved_reports, tmp_path):
+        assert_report_rerenders_to_file(saved_reports["scenario"], tmp_path,
+                                        "markdown")
 
     def test_check_passes_against_goldens(self, tmp_path):
         proc = run_cli("scenario", "check", "voice-8k", "audio-48k",
@@ -325,17 +360,11 @@ class TestRobustnessCLI:
         assert "1 cached, 0 executed" in rerun.stderr
         assert json_path.read_bytes() == json2.read_bytes()
 
-    def test_report_rerenders_saved_json(self, tmp_path):
-        json_path = tmp_path / "robustness.json"
-        run_cli("robustness", "run", "lte-20", "--samples", "3",
-                "--stimulus-samples", "2048", "--quiet",
-                "--json", str(json_path))
-        rendered = run_cli("robustness", "report", str(json_path))
-        assert "| Scenario |" in rendered.stdout
-        as_json = run_cli("robustness", "report", str(json_path),
-                          "--format", "json")
-        assert as_json.stdout.strip() == \
-            json_path.read_text(encoding="utf-8").strip()
+    def test_report_rerenders_saved_json(self, saved_reports, tmp_path):
+        assert "| Scenario |" in \
+            saved_reports["robustness"]["markdown"].read_text(encoding="utf-8")
+        assert_report_rerenders_to_file(saved_reports["robustness"],
+                                        tmp_path, "json")
 
     def test_disable_axes_flags(self, tmp_path):
         json_path = tmp_path / "robustness.json"
@@ -377,8 +406,10 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("args, message", [
         (("report", "missing.json"), "report file not found"),
-        (("scenario", "report", "missing.json"), "report file not found"),
-        (("robustness", "report", "missing.json"), "report file not found"),
+        (("report", "missing.json", "--format", "json"),
+         "report file not found"),
+        (("report", "missing.json", "--out", "out.md"),
+         "report file not found"),
         (("design", "--spec-json", "missing.json"),
          "spec JSON file not found"),
         (("robustness", "run", "nope-20", "--samples", "2"),
@@ -388,11 +419,12 @@ class TestArgumentValidation:
          "unknown store scheme 'foo'"),
     ])
     def test_missing_inputs_are_clean_errors(self, args, message):
-        proc = run_cli(*args, check=False)
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
-        assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, stderr = run_inproc(*args)
+        assert code == 2
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
 
     @pytest.mark.parametrize("args, message", [
         (("robustness", "run", "lte-20", "--seed", "-1"),
@@ -496,17 +528,60 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("content, message", [
         ('{"schema": 99}', "invalid report file"),
         ("not json at all", "invalid report file"),
+        ('{"schema": 1, "num_points": 1, "points": [{}], "objectives": []}',
+         "KeyError: 'pareto_rank'"),
+        ('{"schema": 1}', "not a run report"),
+        ('{"schema": 1, "points": [], "runs": []}', "not a run report"),
+        ("[1]", "unsupported report schema None"),
+        ('{"schema": 1, "num_points": 0, "points": [], "objectives": [], '
+         '"flow_settings": [1]}', "AttributeError"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode"),
+        ("saved sweep", "KeyError: 'pareto_rank'"),
+        ("saved scenario", "KeyError: 'record'"),
+        ("saved robustness", "KeyError: 'name'"),
     ])
-    def test_corrupt_report_files_are_clean_errors(self, tmp_path, content,
-                                                   message):
+    def test_corrupt_report_files_are_clean_errors(self, tmp_path, request,
+                                                   content, message):
+        if content in ("saved sweep", "saved scenario", "saved robustness"):
+            # A real saved report whose list entries lost every field.
+            saved = request.getfixturevalue("saved_reports")
+            payload = json.loads(saved[content.split()[1]]["json"]
+                                 .read_text(encoding="utf-8"))
+            key = next(k for k in ("points", "scenarios", "runs")
+                       if k in payload)
+            payload[key] = [{} for _ in payload[key]]
+            content = json.dumps(payload)
         bad = tmp_path / "bad.json"
-        bad.write_text(content, encoding="utf-8")
-        for command in (("report",), ("scenario", "report"),
-                        ("robustness", "report")):
-            proc = run_cli(*command, str(bad), check=False)
-            assert proc.returncode == 2
-            assert message in proc.stderr
-            assert "Traceback" not in proc.stderr
+        bad.write_bytes(content if isinstance(content, bytes)
+                        else content.encode("utf-8"))
+        for fmt in ("markdown", "json"):
+            code, stdout, stderr = run_inproc("report", str(bad),
+                                              "--format", fmt)
+            assert (code, stdout) == (2, "")
+            lines = stderr.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: invalid report file {bad}: ")
+            assert message in lines[0]
+            assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("verb", ["scenario", "robustness"])
+    def test_per_kind_report_verbs_are_gone(self, verb):
+        code, _, stderr = run_inproc(verb, "report", "x.json")
+        assert code == 2
+        assert "invalid choice: 'report'" in stderr
+
+
+class TestSavedReports:
+    """``report`` reads every run kind from its saved JSON report."""
+
+    @pytest.mark.parametrize("fmt", ["markdown", "json"])
+    @pytest.mark.parametrize("kind", sorted(SAVED_RUNS))
+    def test_report_reproduces_the_run_outputs(self, saved_reports, kind,
+                                               fmt):
+        code, stdout, stderr = run_inproc(
+            "report", str(saved_reports[kind]["json"]), "--format", fmt)
+        assert (code, stderr) == (0, "")
+        assert stdout == saved_reports[kind][fmt].read_text(encoding="utf-8")
 
 
 class TestShardedSweepCLI:

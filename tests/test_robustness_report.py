@@ -5,12 +5,13 @@ import json
 import pytest
 
 from repro.explore.pareto import ROBUST_OBJECTIVES, pareto_rank
+from repro.explore.report import render_report_from_json
 from repro.robustness import (ROBUSTNESS_SCHEMA_VERSION,
                               RobustnessSuiteResult, YieldReport,
-                              check_robustness_record, distribution_stats,
-                              render_robustness_report_from_json,
-                              robustness_golden_name, robustness_report_json,
+                              distribution_stats, robustness_golden_name,
+                              robustness_report_json,
                               robustness_report_markdown)
+from repro.scenarios.golden import check_record
 
 
 def synthetic_record(snr_p01=82.0, power_p99=12.0, yield_frac=0.9,
@@ -105,18 +106,18 @@ class TestRendering:
         payload = json.loads(text)
         assert payload["schema"] == ROBUSTNESS_SCHEMA_VERSION
         assert payload["num_runs"] == 2
-        assert render_robustness_report_from_json(text, "json") == text
-        assert render_robustness_report_from_json(text, "markdown") == \
+        assert render_report_from_json(text, "json") == text
+        assert render_report_from_json(text, "markdown") == \
             robustness_report_markdown(suite)
 
     def test_unknown_schema_is_rejected(self):
         with pytest.raises(ValueError):
-            render_robustness_report_from_json(json.dumps({"schema": 99}))
+            render_report_from_json(json.dumps({"schema": 99}))
 
     def test_unknown_format_is_rejected(self):
         text = robustness_report_json(synthetic_suite())
         with pytest.raises(ValueError):
-            render_robustness_report_from_json(text, "html")
+            render_report_from_json(text, "html")
 
 
 class TestGolden:
@@ -124,7 +125,7 @@ class TestGolden:
         assert robustness_golden_name("lte-20") == "robustness-lte-20"
 
     def test_missing_golden_is_a_failure(self):
-        diffs = check_robustness_record("no-such-scenario", {})
+        diffs = check_record(robustness_golden_name("no-such-scenario"), {})
         assert len(diffs) == 1
         assert diffs[0].kind == "no-golden"
 
@@ -135,6 +136,6 @@ class TestGolden:
         assert golden is not None, (
             "robustness-lte-20 golden missing; run "
             "'python -m repro robustness check --write-golden'")
-        assert check_robustness_record("lte-20", golden) == []
+        assert check_record(robustness_golden_name("lte-20"), golden) == []
         assert golden["run"]["n_samples"] == 8
         assert golden["run"]["seed"] == 2011

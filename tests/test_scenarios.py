@@ -25,8 +25,8 @@ from repro.scenarios import (
 )
 from repro.scenarios.golden import FieldDiff
 from repro.scenarios.registry import register_scenario, resolve_scenarios
+from repro.explore.report import render_report_from_json
 from repro.scenarios.report import (
-    render_scenario_report_from_json,
     scenario_catalog_markdown,
     scenario_list_markdown,
     scenario_report_json,
@@ -270,18 +270,17 @@ class TestReports:
     def test_report_json_round_trip(self):
         suite = run_scenario_suite([CHEAP])
         text = scenario_report_json(suite)
-        assert render_scenario_report_from_json(text, "json") == text
-        markdown = render_scenario_report_from_json(text, "markdown")
+        assert render_report_from_json(text, "json") == text
+        markdown = render_report_from_json(text, "markdown")
         assert markdown == scenario_report_markdown(suite)
         assert CHEAP in markdown
 
     def test_report_rejects_unknown_schema_and_format(self):
         with pytest.raises(ValueError, match="schema"):
-            render_scenario_report_from_json('{"schema": 99}')
+            render_report_from_json('{"schema": 99}')
         suite = run_scenario_suite([CHEAP])
         with pytest.raises(ValueError, match="format"):
-            render_scenario_report_from_json(scenario_report_json(suite),
-                                             "yaml")
+            render_report_from_json(scenario_report_json(suite), "yaml")
 
     def test_table_lists_all_rows(self):
         suite = run_scenario_suite([CHEAP, "audio-48k"])
