@@ -7,11 +7,8 @@ Every workload in ``examples/`` is reproducible from the shell:
 * ``sweep``  — expand a design-space grid, run it on the staged, memoized
   sweep engine (``--jobs`` sets the concurrency: ``1`` runs inline, more
   use a process pool) over the shared content-addressed store, and
-  print/write the Pareto-ranked report.  ``--shard i/N`` deterministically
-  runs one slice of the grid (independent hosts can split a grid against
-  one shared ``--cache-dir``) and ``sweep merge`` combines the shard
-  fragments into a report byte-identical to the unsharded run;
-  ``--no-resume`` forces recomputation of already-published points.
+  print/write the Pareto-ranked report; ``--no-resume`` forces
+  recomputation of already-published points.
 * ``scenario`` — the multi-standard scenario suite: ``list`` the registry,
   ``run`` named scenarios (or ``--all``) on the same memoized engine, and
   ``check`` fresh runs against the committed golden records (exit 1 on
@@ -22,7 +19,7 @@ Every workload in ``examples/`` is reproducible from the shell:
   golden record (exit 1 on drift).
 * ``report`` — re-render a saved sweep, scenario or robustness JSON report
   without re-running (the kind is read from the file).
-* ``cache``  — ``stats`` / ``prune`` for the on-disk result store
+* ``cache``  — ``stats`` / ``prune`` for the on-disk result directory
   (entry/staleness counts include orphaned writer temp files; see
   ``docs/CACHING.md`` for the store layout and contract).
 * ``serve``  — run the long-lived design service daemon: a JSON-lines
@@ -173,8 +170,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser,
                         help=f"maximum concurrent {what}: 1 runs inline, "
                              f"more use a process pool (default: 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="result store: a directory, mem://NAME or "
-                             "s3://BUCKET[/PREFIX] (default: no cache)")
+                        help="result cache directory (default: no cache)")
     _add_trace_argument(parser)
 
 
@@ -217,21 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="run a design-space sweep with parallel workers and "
-                      "caching ('sweep merge' combines shard reports)")
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=False,
-                                     metavar="{merge}")
-    sweep_merge = sweep_sub.add_parser(
-        "merge", help="combine 'sweep --shard i/N --json' fragments into "
-                      "the full report (byte-identical to an unsharded run)")
-    sweep_merge.add_argument("shards", nargs="+", metavar="SHARD.json",
-                             help="shard fragment files written by "
-                                  "'sweep --shard i/N --json'")
-    sweep_merge.add_argument("--json", metavar="FILE",
-                             help="write the merged canonical JSON report "
-                                  "to FILE (default: stdout)")
-    sweep_merge.add_argument("--markdown", metavar="FILE",
-                             help="also write the merged markdown report "
-                                  "to FILE")
+                      "caching")
     _add_spec_arguments(sweep)
     sweep.add_argument("--osr", type=int, nargs="+", default=[],
                        help="oversampling-ratio axis (powers of two)")
@@ -252,17 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum concurrent point executions: 1 runs "
                             "inline with no pool, more use a process pool "
                             "with a pre-warmed store (default: 4)")
-    sweep.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+    sweep.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
                        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})")
     sweep.add_argument("--no-cache", action="store_true",
                        help="disable the on-disk result cache")
     sweep.add_argument("--no-resume", action="store_true",
                        help="recompute every point even when the store "
                             "already holds it (entries are overwritten)")
-    sweep.add_argument("--shard", default=None, metavar="i/N",
-                       help="run only shard i of N (1-based, deterministic "
-                            "partition of the grid); requires --json and "
-                            "writes a fragment for 'sweep merge'")
     sweep.add_argument("--snr", action="store_true",
                        help="simulate the end-to-end SNR per point (slower)")
     sweep.add_argument("--snr-samples", type=int, default=16384,
@@ -367,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write to FILE instead of stdout")
 
     cache = sub.add_parser(
-        "cache", help="inspect, prune or exchange the sweep result store "
-                      "(local directory or object-store backend)")
+        "cache", help="inspect or prune the result cache directory")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     stats = cache_sub.add_parser("stats", help="print entry/byte/staleness counts")
     prune = cache_sub.add_parser(
@@ -384,32 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "many seconds (default: 3600; 0 reclaims all)")
     for sub_parser in (stats, prune):
         sub_parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                                help="store: directory path, mem://NAME or "
-                                     "s3://BUCKET[/PREFIX] "
+                                metavar="DIR",
+                                help="result cache directory "
                                      f"(default: {DEFAULT_CACHE_DIR})")
-    push = cache_sub.add_parser(
-        "push", help="copy records missing at DST from SRC (key-diff'd, "
-                     "resumable, atomic per record)")
-    pull = cache_sub.add_parser(
-        "pull", help="same transfer as push; the verb for fetching a "
-                     "remote store into a local one")
-    for sub_parser in (push, pull):
-        sub_parser.add_argument(
-            "source", metavar="SRC",
-            help="source store: directory path, mem://NAME or "
-                 "s3://BUCKET[/PREFIX]")
-        sub_parser.add_argument(
-            "destination", metavar="DST",
-            help="destination store (created on first write)")
-        sub_parser.add_argument(
-            "--match", metavar="PATTERN", default=None,
-            help="only transfer keys matching this fnmatch PATTERN")
-        sub_parser.add_argument(
-            "--dry-run", action="store_true",
-            help="diff and report without writing anything")
-        sub_parser.add_argument(
-            "--quiet", action="store_true",
-            help="suppress per-record progress lines (summary only)")
 
     serve = sub.add_parser(
         "serve", help="run the long-lived design service daemon "
@@ -593,11 +547,11 @@ def _shared_store(args: argparse.Namespace):
 
 
 def _open_cache(spec: Optional[str]):
-    """Open a ``--cache-dir`` store spec (``None`` stays ``None``).
+    """Open a ``--cache-dir`` directory (``None`` stays ``None``).
 
-    Directories, ``mem://NAME`` and ``s3://BUCKET[/PREFIX]`` all route
-    through :func:`repro.explore.store.open_store`; unusable specs
-    (unknown scheme, missing SDK) are one-line errors, not tracebacks.
+    :func:`repro.explore.store.open_store` rejects a path that names an
+    existing file or a ``scheme://`` spec; that becomes a one-line error
+    here, before any work, instead of a traceback from the first write.
     """
     from repro.explore.store import open_store
 
@@ -701,58 +655,15 @@ def _cmd_verify(args: argparse.Namespace, io: CommandIO) -> int:
     return 0 if result.meets_spec else 1
 
 
-def _parse_shard(text: Optional[str]):
-    """Parse a ``--shard i/N`` value into a 1-based ``(i, n)`` tuple."""
-    if text is None:
-        return None
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise CLIError(f"invalid --shard {text!r}: expected i/N like 1/4")
-    if count < 1 or not 1 <= index <= count:
-        raise CLIError(f"invalid --shard {text!r}: need 1 <= i <= N")
-    return index, count
-
-
-def _cmd_sweep_merge(args: argparse.Namespace, io: CommandIO) -> int:
-    from repro.explore import merge_shard_reports, render_report_from_json
-
-    texts = []
-    for path in args.shards:
-        _require_file(path, "shard report file")
-        with open(path, "r", encoding="utf-8") as fh:
-            texts.append(fh.read())
-    try:
-        merged = merge_shard_reports(texts)
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise CLIError(f"cannot merge shard reports: {exc}")
-    _write_or_print(merged, args.json, io)
-    if args.json:
-        io.out(f"Merged JSON report written to {args.json}")
-    if args.markdown:
-        _write_or_print(render_report_from_json(merged, "markdown"),
-                        args.markdown, io)
-        io.out(f"Merged markdown report written to {args.markdown}")
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
     from repro.explore import (
         SweepSpec,
         run_sweep,
         sweep_report_json,
         sweep_report_markdown,
-        sweep_shard_json,
     )
 
-    if getattr(args, "sweep_command", None) == "merge":
-        return _cmd_sweep_merge(args, io)
     jobs = _jobs(args)
-    shard = _parse_shard(args.shard)
-    if shard is not None and not args.json:
-        raise CLIError("--shard needs --json FILE: the shard fragment is "
-                       "consumed by 'sweep merge', not rendered directly")
     splits: List[object] = []
     for entry in args.sinc_orders:
         splits.append("auto" if entry == "auto" else _parse_split(entry))
@@ -783,17 +694,10 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
         library=args.library,
         progress=progress,
         resume=not args.no_resume,
-        shard=shard,
         store=_shared_store(args),
     )
-    if shard is not None:
-        # A shard writes a fragment only; ranking is a whole-grid property
-        # and happens in 'sweep merge'.
-        _write_or_print(sweep_shard_json(result), args.json, io)
-        io.out(f"Shard {shard[0]}/{shard[1]} fragment written to {args.json}")
-    else:
-        _write_run_reports(args, io, result, sweep_report_markdown,
-                           sweep_report_json)
+    _write_run_reports(args, io, result, sweep_report_markdown,
+                       sweep_report_json)
     _print_run_summary(io, result, "points")
     return 0
 
@@ -1026,51 +930,28 @@ def _cmd_report(args: argparse.Namespace, io: CommandIO) -> int:
     return 0
 
 
-def _cmd_cache_transfer(args: argparse.Namespace, io: CommandIO) -> int:
-    """``cache push``/``cache pull``: key-diff'd record exchange between
-    any two stores (see :func:`repro.explore.transfer.transfer_records`)."""
-    from repro.explore.transfer import transfer_records
-
-    progress = None if args.quiet else io.err
-    try:
-        summary = transfer_records(args.source, args.destination,
-                                   match=args.match, dry_run=args.dry_run,
-                                   progress=progress)
-    except (ValueError, OSError) as exc:
-        # Bad spec / missing source / unreachable or misconfigured
-        # remote store: one-line error, exit 2, no traceback.
-        raise CLIError(str(exc))
-    io.out(summary.line(verb=args.cache_command))
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace, io: CommandIO) -> int:
     from repro.explore.store import CACHE_SCHEMA_VERSION
 
-    if args.cache_command in ("push", "pull"):
-        return _cmd_cache_transfer(args, io)
     if args.cache_command == "prune":
         for flag, value in (("--older-than-days", args.older_than_days),
                             ("--tmp-grace-s", args.tmp_grace_s)):
             if value is not None and not 0 <= value < math.inf:
                 raise CLIError(f"{flag} must be non-negative and finite "
                                f"(got {value})")
-    spec = str(args.cache_dir)
-    if "://" not in spec and not os.path.isdir(spec):
+    cache = _open_cache(args.cache_dir)
+    if not cache.directory.is_dir():
         # Inspection must not create the directory as a side effect.
         if args.cache_command == "stats":
-            io.out(f"Cache directory : {spec} (does not exist)")
+            io.out(f"Cache directory : {args.cache_dir} (does not exist)")
             io.out(f"Schema version  : {CACHE_SCHEMA_VERSION}")
             io.out("Entries         : 0")
             io.out("Total bytes     : 0")
             io.out("Stale entries   : 0")
             io.out("Orphaned tmp    : 0")
         else:
-            io.out(f"Removed 0 cache entries from {spec}")
+            io.out(f"Removed 0 cache entries from {args.cache_dir}")
         return 0
-    # Non-directory specs (mem://, s3://) route through the same backend
-    # scan primitive as directories.
-    cache = _open_cache(spec)
     if args.cache_command == "stats":
         try:
             stats = cache.stats()
@@ -1114,6 +995,7 @@ def _cmd_serve(args: argparse.Namespace, io: CommandIO) -> int:
     if args.write_timeout_s <= 0:
         raise CLIError(f"--write-timeout-s must be positive "
                        f"(got {args.write_timeout_s})")
+    _open_cache(args.cache_dir)  # reject an unusable directory up front
     server = ReproServer(
         host=args.host,
         port=args.port,

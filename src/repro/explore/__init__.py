@@ -8,12 +8,8 @@ call; this package turns that into a batch explorer:
   deterministic :class:`~repro.explore.sweep.SweepPoint` lists.
 * :func:`~repro.explore.runner.run_sweep` — parallel batch execution via
   ``concurrent.futures`` over the content-addressed on-disk store
-  (:class:`~repro.explore.store.ArtifactCAS`), with grid resume
-  (``resume=``) and deterministic cross-host sharding (``shard=(i, n)`` + ``merge_shard_reports``).
-* :mod:`~repro.explore.transfer` — key-diff'd record exchange between any
-  two stores (local directory, in-memory or S3-style object store — see
-  :func:`~repro.explore.store.open_store`), behind ``repro cache
-  push/pull``.
+  (:class:`~repro.explore.store.ArtifactCAS`, one local directory), with
+  grid resume (``resume=``).
 * :mod:`~repro.explore.pareto` — Pareto-front computation and ranking over
   (SNR, power, area, gate count).
 * :mod:`~repro.explore.report` — Pareto-ranked markdown and canonical JSON
@@ -34,14 +30,9 @@ from repro.explore.store import (
     SHARD_PREFIX_LEN,
     TMP_GRACE_S,
     ArtifactCAS,
-    FakeObjectStore,
     LocalDirBackend,
-    ObjectStoreBackend,
-    TransientObjectStoreError,
-    fake_object_store,
     open_store,
 )
-from repro.explore.transfer import TransferSummary, transfer_records
 from repro.explore.pareto import (
     DEFAULT_OBJECTIVES,
     ROBUST_OBJECTIVES,
@@ -52,19 +43,15 @@ from repro.explore.pareto import (
 )
 from repro.explore.report import (
     REPORT_SCHEMA_VERSION,
-    SHARD_REPORT_SCHEMA,
-    merge_shard_reports,
     render_report_from_json,
     sweep_report_json,
     sweep_report_markdown,
-    sweep_shard_json,
     sweep_table_markdown,
 )
 from repro.explore.runner import (
     SweepPointResult,
     SweepResult,
     run_sweep,
-    shard_points,
 )
 from repro.explore.sweep import (
     AUTO_SINC_ORDERS,
@@ -79,36 +66,26 @@ __all__ = [
     "ArtifactCAS",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_OBJECTIVES",
-    "FakeObjectStore",
     "HALFBAND_DESIGN_MARGIN_DB",
     "LocalDirBackend",
     "MAX_VALIDATE_BYTES",
     "Objective",
-    "ObjectStoreBackend",
-    "TransientObjectStoreError",
     "REPORT_SCHEMA_VERSION",
     "ROBUST_OBJECTIVES",
     "SHARD_PREFIX_LEN",
-    "SHARD_REPORT_SCHEMA",
     "SWEEP_AXES",
     "TMP_GRACE_S",
     "SweepPoint",
     "SweepPointResult",
     "SweepResult",
     "SweepSpec",
-    "TransferSummary",
     "dominates",
-    "fake_object_store",
-    "merge_shard_reports",
     "open_store",
-    "transfer_records",
     "pareto_front",
     "pareto_rank",
     "render_report_from_json",
     "run_sweep",
-    "shard_points",
     "sweep_report_json",
     "sweep_report_markdown",
-    "sweep_shard_json",
     "sweep_table_markdown",
 ]

@@ -12,22 +12,15 @@ report without re-running anything.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.spec import canonical_json
-from repro.explore.pareto import DEFAULT_OBJECTIVES, Objective, pareto_rank
+from repro.explore.pareto import DEFAULT_OBJECTIVES, Objective
 from repro.explore.runner import SweepResult
 from repro.explore.sweep import SWEEP_AXES
 
 #: Schema version of the JSON report payload.
 REPORT_SCHEMA_VERSION = 1
-
-#: Schema tag of a sharded-sweep fragment (``repro sweep --shard i/N``);
-#: deliberately not an integer so a fragment fed to the full-report
-#: renderer fails loudly instead of rendering a subset as if it were the
-#: whole grid.
-SHARD_REPORT_SCHEMA = "sweep-shard-v1"
-
 
 def _report_payload(result: SweepResult,
                     objectives: Sequence[Objective] = DEFAULT_OBJECTIVES) -> dict:
@@ -66,114 +59,6 @@ def sweep_report_markdown(result: SweepResult,
                           objectives: Sequence[Objective] = DEFAULT_OBJECTIVES) -> str:
     """Full markdown report: grid summary, objectives and the ranked table."""
     return _markdown_from_payload(_report_payload(result, objectives))
-
-
-def sweep_shard_json(result: SweepResult) -> str:
-    """Canonical JSON fragment of one sharded sweep (``--shard i/N``).
-
-    The fragment carries everything :func:`merge_shard_reports` needs to
-    reassemble the unsharded report byte-identically: the run's flow
-    settings and axes, the full grid size, the shard coordinates and this
-    shard's metric rows tagged with their expansion indices.  Pareto ranks
-    are *not* computed here — ranking is a whole-grid property and happens
-    at merge time.
-    """
-    shard = result.metadata.get("shard")
-    if not shard:
-        raise ValueError("sweep_shard_json needs a sharded result "
-                         "(run_sweep(shard=(i, n)))")
-    points = []
-    for res in result.points:
-        row = res.metrics_row()
-        row["index"] = res.point.index
-        points.append(row)
-    return canonical_json({
-        "schema": SHARD_REPORT_SCHEMA,
-        "shard": {"index": int(shard["index"]), "count": int(shard["count"])},
-        "num_points_total": int(result.metadata["num_points_total"]),
-        "flow_settings": result.flow_settings,
-        "axes": result.metadata.get("axes", {}),
-        "points": points,
-    })
-
-
-def merge_shard_reports(texts: Sequence[str],
-                        objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
-                        ) -> str:
-    """Combine shard fragments into the full canonical sweep report.
-
-    Validates that the fragments belong to one run (identical flow
-    settings, axes and grid size), that every shard of the declared count
-    is present exactly once, and that the point indices are disjoint and
-    cover the whole grid — then recomputes the Pareto ranks over the
-    reassembled rows and emits the same payload as
-    :func:`sweep_report_json`, byte-identical to the unsharded run.
-    """
-    if not texts:
-        raise ValueError("no shard reports to merge")
-    fragments = []
-    for text in texts:
-        payload = json.loads(text)
-        if payload.get("schema") != SHARD_REPORT_SCHEMA:
-            raise ValueError(
-                f"not a sweep shard report (schema "
-                f"{payload.get('schema')!r}; expected {SHARD_REPORT_SCHEMA!r})")
-        fragments.append(payload)
-
-    first = fragments[0]
-    count = int(first["shard"]["count"])
-    seen_shards = set()
-    rows_by_index: Dict[int, dict] = {}
-    for fragment in fragments:
-        for field in ("flow_settings", "axes", "num_points_total"):
-            if fragment[field] != first[field]:
-                raise ValueError(
-                    f"shard reports disagree on {field}: they come from "
-                    f"different runs and cannot be merged")
-        shard = fragment["shard"]
-        if int(shard["count"]) != count:
-            raise ValueError(f"shard reports disagree on the shard count "
-                             f"({shard['count']} vs {count})")
-        index = int(shard["index"])
-        if index in seen_shards:
-            raise ValueError(f"duplicate shard {index}/{count}")
-        seen_shards.add(index)
-        for row in fragment["points"]:
-            point_index = int(row["index"])
-            if point_index in rows_by_index:
-                raise ValueError(
-                    f"point index {point_index} appears in more than one "
-                    f"shard report")
-            rows_by_index[point_index] = row
-
-    missing_shards = sorted(set(range(1, count + 1)) - seen_shards)
-    if missing_shards:
-        raise ValueError(
-            f"missing shard report(s) "
-            f"{', '.join(f'{i}/{count}' for i in missing_shards)}")
-    total = int(first["num_points_total"])
-    if sorted(rows_by_index) != list(range(total)):
-        covered = len(rows_by_index)
-        raise ValueError(
-            f"shard reports cover {covered} of {total} grid points; "
-            f"the union must be exactly the full grid")
-
-    rows = []
-    for index in range(total):
-        row = dict(rows_by_index[index])
-        row.pop("index")
-        rows.append(row)
-    for row, rank in zip(rows, pareto_rank(rows, objectives)):
-        row["pareto_rank"] = rank
-    return canonical_json({
-        "schema": REPORT_SCHEMA_VERSION,
-        "flow_settings": first["flow_settings"],
-        "num_points": total,
-        "axes": first["axes"],
-        "objectives": [{"name": o.name, "maximize": o.maximize}
-                       for o in objectives],
-        "points": rows,
-    })
 
 
 def render_report_from_json(text: str, fmt: str = "markdown") -> str:

@@ -7,10 +7,8 @@ through the staged :func:`repro.flow.run_design_flow`, and assembles
 everything into a :class:`SweepResult` that the Pareto ranking and the
 report renderers consume.  Records are plain JSON-serializable
 dictionaries, so a cached re-run reproduces bit-identical reports; because
-the store tolerates concurrent writers, independent hosts can resume or
-shard one grid against a shared directory (``shard=(i, n)`` selects a
-deterministic slice — see :func:`shard_points` — and
-``repro sweep merge`` reassembles the full byte-identical report).
+the store tolerates concurrent writers, concurrent runs can resume one
+grid against a shared directory.
 
 Two layers make the cold path fast:
 
@@ -37,7 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
 from repro.explore.pareto import DEFAULT_OBJECTIVES, Objective, pareto_rank
@@ -343,25 +341,6 @@ class SweepResult:
         return [self.points[i] for i in order]
 
 
-def shard_points(points: Sequence[SweepPoint],
-                 shard: Optional[Tuple[int, int]]) -> List[SweepPoint]:
-    """Deterministic slice of an expanded grid for shard ``(i, n)``.
-
-    Shard ``i`` of ``n`` (1-based) owns every point whose expansion index
-    is congruent to ``i - 1`` modulo ``n`` — a pure function of the grid,
-    so independent hosts partition identically without coordination, the
-    shards are disjoint, and their union is the full grid (pinned by the
-    property-based tests).  ``None`` returns the whole grid.
-    """
-    if shard is None:
-        return list(points)
-    index, count = int(shard[0]), int(shard[1])
-    if count < 1 or not 1 <= index <= count:
-        raise ValueError(f"invalid shard {shard!r}: expected (i, n) with "
-                         f"1 <= i <= n")
-    return [p for p in points if p.index % count == index - 1]
-
-
 def run_sweep(sweep: SweepSpec,
               jobs: int = 1,
               cache_dir: Optional[Union[str, Path, ArtifactCAS]] = None,
@@ -371,7 +350,6 @@ def run_sweep(sweep: SweepSpec,
               library: str = "generic-45nm",
               progress: Optional[Callable[[str], None]] = None,
               resume: bool = True,
-              shard: Optional[Tuple[int, int]] = None,
               store: Optional[ArtifactStore] = None) -> SweepResult:
     """Execute every point of a design-space sweep, in parallel, with caching.
 
@@ -385,10 +363,9 @@ def run_sweep(sweep: SweepSpec,
         is pickled; otherwise misses run on a process pool (see
         :func:`execute_payloads`).  Both paths produce identical reports.
     cache_dir:
-        Result store: a directory path, any
-        :func:`~repro.explore.store.open_store` spec (``mem://NAME``,
-        ``s3://BUCKET[/PREFIX]``) or an already-open
-        :class:`~repro.explore.store.ArtifactCAS`; ``None`` disables
+        Result store: a directory path or an already-open
+        :class:`~repro.explore.store.ArtifactCAS` (see
+        :func:`~repro.explore.store.open_store`); ``None`` disables
         caching.
     include_snr:
         Simulate the modulator + bit-true chain per point for the measured
@@ -410,15 +387,9 @@ def run_sweep(sweep: SweepSpec,
         With a cache directory, diff the grid against the store
         (:meth:`~repro.explore.store.ArtifactCAS.diff`) and execute only
         the missing points — the default, and what lets an interrupted or
-        partially-shared grid continue where it (or another host) left
+        partially-shared grid continue where it (or a concurrent run) left
         off.  ``resume=False`` recomputes every point, overwriting any
         published entries.
-    shard:
-        ``(i, n)`` runs only shard ``i`` of ``n`` (1-based; see
-        :func:`shard_points`).  The result then covers the shard's points
-        only — render it with ``sweep_shard_json`` and combine shards
-        with ``merge_shard_reports`` / ``repro sweep merge`` for the full
-        byte-identical report.
     store:
         Shared in-memory :class:`~repro.flow.artifacts.ArtifactStore` for
         the run's stage memoization; a fresh one is created when ``None``
@@ -446,8 +417,7 @@ def run_sweep(sweep: SweepSpec,
         "library": str(library),
         "cache_schema": CACHE_SCHEMA_VERSION,
     }
-    all_points = sweep.expand()
-    points = shard_points(all_points, shard)
+    points = sweep.expand()
     keys = [point.cache_key(flow_settings) for point in points]
     run = run_cached_payloads(
         [{**point.payload(), "flow": flow_settings} for point in points],
@@ -466,9 +436,6 @@ def run_sweep(sweep: SweepSpec,
         cache_misses=run.cache_misses,
         jobs=n_jobs,
         metadata={"num_points": len(points), "axes": _axes_json(sweep),
-                  "num_points_total": len(all_points),
-                  "shard": ({"index": int(shard[0]), "count": int(shard[1])}
-                            if shard is not None else None),
                   "executor": run.mode, "artifact_store": run.store.stats()},
     )
 
@@ -508,9 +475,8 @@ def run_cached_payloads(payloads: Sequence[dict],
                         ) -> CachedRun:
     """The cached run loop shared by the sweep and scenario runners.
 
-    Diffs ``keys`` against ``cache`` in one batched probe
-    (:meth:`~repro.explore.store.ArtifactCAS.diff`: O(shard dirs / LIST
-    pages) round trips even on high-latency object stores) and loads the
+    Diffs ``keys`` against ``cache``
+    (:meth:`~repro.explore.store.ArtifactCAS.diff`) and loads the
     published records, reporting ``[cache] <label>``.  The rest run through
     :func:`execute_payloads` with ``task``, ``jobs``, ``store`` and the
     :func:`warm_shared_stages` policy, reporting ``[run i/N] <label>

@@ -17,7 +17,7 @@ Each completed span is appended to the tracer's file as one JSON line::
 
     {"trace": "9f2c...", "span": 3, "parent": 1, "pid": 4711,
      "name": "cas.get", "t0": 1754555555.12, "dur_s": 0.0021,
-     "ok": true, "attrs": {"backend": "local", "hit": true}}
+     "ok": true, "attrs": {"bytes": 2048, "hit": true}}
 
 Process-pool workers write side files (``<path>.worker-<pid>``, wired
 through :func:`worker_spec`/:func:`install_from_spec` by the runner's
@@ -77,7 +77,7 @@ class Span:
     """One live span: a named, timed region bound to an installed tracer.
 
     Use as a context manager; attributes may be attached at creation
-    (``span("cas.get", backend="local")``) or later via :meth:`set`
+    (``span("cas.put", bytes=2048)``) or later via :meth:`set`
     (e.g. hit/miss known only after the lookup).  The span is emitted
     on exit even when the body raises — the JSON record then carries
     ``ok: false`` and the exception type under ``attrs.error``.

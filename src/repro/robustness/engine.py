@@ -305,9 +305,10 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
         process pool otherwise, exactly as in
         :func:`repro.explore.run_sweep`; both are byte-identical.
     cache_dir:
-        Result store: a directory or any
-        :func:`~repro.explore.store.open_store` spec (``mem://NAME``,
-        ``s3://BUCKET[/PREFIX]``); ``None`` disables caching.
+        Result store: a directory path or an open
+        :class:`~repro.explore.store.ArtifactCAS` (see
+        :func:`~repro.explore.store.open_store`); ``None`` disables
+        caching.
     store:
         Optional shared artifact store (a fresh one per run otherwise).
     min_pass_fraction:

@@ -209,9 +209,10 @@ def run_scenario_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = Non
         use the process pool, exactly as in :func:`repro.explore.run_sweep`;
         both are byte-identical.
     cache_dir:
-        Result store shared with the sweep engine: a directory or any
-        :func:`~repro.explore.store.open_store` spec (``mem://NAME``,
-        ``s3://BUCKET[/PREFIX]``); ``None`` disables caching.
+        Result store shared with the sweep engine: a directory path or an
+        open :class:`~repro.explore.store.ArtifactCAS` (see
+        :func:`~repro.explore.store.open_store`); ``None`` disables
+        caching.
     progress:
         Optional callback invoked with one line per completed scenario
         (``[cache] <name>`` for hits, ``[run i/N] <name> (elapsed Xs,

@@ -61,10 +61,10 @@ from repro.serve.telemetry import ServeTelemetry
 
 __all__ = ["ReproServer", "execute_request_payload"]
 
-#: Subcommand (or subcommand, sub-subcommand) prefixes that accept a
-#: ``--cache-dir`` flag, i.e. where the daemon's default cache applies.
+#: Subcommands (and their sub-subcommands) that accept a ``--cache-dir``
+#: flag, i.e. where the daemon's default cache applies.
 _CACHE_DIR_VERBS = {
-    "sweep": ("run",),          # bare sweep only; 'sweep merge' reads files
+    "sweep": None,              # no subverbs: every sweep takes one
     "scenario": ("run", "check"),
     "robustness": ("run", "check"),
     "cache": ("stats", "prune"),
@@ -486,13 +486,10 @@ class ReproServer:
         argv = [verb] + list(args)
         if self.cache_dir is None or "--cache-dir" in args:
             return argv
-        subverbs = _CACHE_DIR_VERBS.get(verb)
-        if subverbs is None:
+        if verb not in _CACHE_DIR_VERBS:
             return argv
-        if verb == "sweep":
-            if args and args[0] == "merge":
-                return argv
-        elif not args or args[0] not in subverbs:
+        subverbs = _CACHE_DIR_VERBS[verb]
+        if subverbs is not None and (not args or args[0] not in subverbs):
             return argv
         return argv + ["--cache-dir", self.cache_dir]
 

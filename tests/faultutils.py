@@ -6,18 +6,11 @@ leave only orphaned temp files, corrupt entries miss and heal — and this
 module provides the machinery the test suite uses to attack it:
 
 * :func:`corrupt_entry` — damage a published entry in place (garbage,
-  truncation, emptying, or a wrong schema version).  Backend-generic:
-  it writes the damage through the store's own backend, so the same
-  attack runs against a local directory and an object store.
-* :func:`make_cas` / :func:`object_store_cas` — backend factories for
-  parametrizing one test body over ``LocalDirBackend`` and
-  ``ObjectStoreBackend``-over-``FakeObjectStore``; the fake client's
-  fault hooks (``fail_next``, ``tear_next_put``, ``latency_s``,
-  ``calls``) are reachable as ``cas.backend.client``.
-* :func:`race_thread_writers` — threaded analog of :func:`race_writers`
-  for in-memory object stores (forked processes cannot share one
-  ``FakeObjectStore``, threads can — and the fake client is
-  thread-safe, so the race is real).
+  truncation, emptying, or a wrong schema version).  It writes the
+  damage through the store's own ``LocalDirBackend``.
+* :func:`make_cas` — the store factory behind the ``any_cas`` fixture.
+* :func:`race_thread_writers` — threaded analog of :func:`race_writers`:
+  threads of one process share one store object.
 * :func:`spawn_killable_writer` / :func:`kill_between_tmp_and_rename` —
   run a real ``put`` in a child process whose ``os.replace`` is hijacked
   to signal the parent and stall, then SIGKILL it *between* the temp
@@ -71,8 +64,7 @@ def corrupt_entry(cas, key: str, mode: str = "garbage") -> str:
     blob upload), ``empty`` truncates to zero bytes, and ``schema``
     rewrites the entry with a wrong ``schema`` version.  All four must
     read back as a miss.  The damage goes through the store's own
-    backend primitives, so the same attack works against a local
-    directory and an object store.
+    backend primitives.
     """
     if mode not in CORRUPTION_MODES:
         raise ValueError(f"unknown corruption mode {mode!r}")
@@ -94,34 +86,17 @@ def corrupt_entry(cas, key: str, mode: str = "garbage") -> str:
     return rel
 
 
-def object_store_cas(latency_s: float = 0.0, page_size: int = 1000,
-                     label: str = "mem://fault-test"):
-    """A fresh ``ArtifactCAS`` over an isolated ``FakeObjectStore``.
-
-    The fake client (fault hooks, call counters) is reachable as
-    ``cas.backend.client``; each call returns an independent store.
-    """
-    from repro.explore.store import (ArtifactCAS, FakeObjectStore,
-                                     ObjectStoreBackend)
-
-    client = FakeObjectStore(latency_s=latency_s, page_size=page_size)
-    return ArtifactCAS(backend=ObjectStoreBackend(client, label=label))
-
-
 def make_cas(kind: str, tmp_path: Path):
-    """A fresh ``ArtifactCAS`` over the named backend ``kind``.
+    """A fresh ``ArtifactCAS`` of the named ``kind``.
 
-    ``"local"`` roots a ``LocalDirBackend`` store under ``tmp_path``;
-    ``"object"`` returns an isolated in-memory object store — the two
-    parameters of the backend-parametrized fault suites.
+    ``"local"``, the only kind, roots a ``LocalDirBackend`` store under
+    ``tmp_path``.
     """
-    if kind == "local":
-        from repro.explore.store import ArtifactCAS
+    if kind != "local":
+        raise ValueError(f"unknown backend kind {kind!r}")
+    from repro.explore.store import ArtifactCAS
 
-        return ArtifactCAS(Path(tmp_path) / "store")
-    if kind == "object":
-        return object_store_cas()
-    raise ValueError(f"unknown backend kind {kind!r}")
+    return ArtifactCAS(Path(tmp_path) / "store")
 
 
 # ----------------------------------------------------------------------
@@ -274,11 +249,10 @@ def race_thread_writers(cas, key_sets: Sequence[Sequence[str]],
                         timeout_s: float = 120.0) -> List[str]:
     """Race one writer thread per key set against a single store.
 
-    The threaded analog of :func:`race_writers` for in-memory object
-    stores: forked processes cannot share one ``FakeObjectStore``, but
-    its client is thread-safe, so overlapping put/get hammering from
-    threads exercises the same last-writer-wins-with-identical-bytes
-    contract.  Returns observed violations (empty on success).
+    The threaded analog of :func:`race_writers`: overlapping put/get
+    hammering from threads sharing one store object exercises the same
+    last-writer-wins-with-identical-bytes contract.  Returns observed
+    violations (empty on success).
     """
     barrier = threading.Barrier(len(key_sets))
     errors: List[str] = []

@@ -225,117 +225,93 @@ class TestScenarioCommand:
         assert "Traceback" not in proc.stderr
 
 
+def run_ok(*args):
+    """:func:`run_inproc` that must exit 0; returns stdout."""
+    code, stdout, stderr = run_inproc(*args)
+    assert code == 0, stderr
+    return stdout
+
+
 class TestCacheCommand:
     def test_stats_and_prune(self, tmp_path):
         cache = tmp_path / "cache"
-        run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
-                "--cache-dir", str(cache), "--quiet", cwd=tmp_path)
-        stats = run_cli("cache", "stats", "--cache-dir", str(cache))
-        assert "Entries         : 2" in stats.stdout
-        assert "Stale entries   : 0" in stats.stdout
+        run_ok("sweep", "--output-bits", "12", "14", "--jobs", "1",
+               "--cache-dir", str(cache), "--quiet")
+        stats = run_ok("cache", "stats", "--cache-dir", str(cache))
+        assert "Entries         : 2" in stats
+        assert "Stale entries   : 0" in stats
 
         # A corrupt entry is stale and gets pruned; valid entries survive.
         (cache / "corrupt.json").write_text("not json", encoding="utf-8")
-        prune = run_cli("cache", "prune", "--cache-dir", str(cache))
-        assert "Removed 1 cache entries" in prune.stdout
-        stats = run_cli("cache", "stats", "--cache-dir", str(cache))
-        assert "Entries         : 2" in stats.stdout
+        prune = run_ok("cache", "prune", "--cache-dir", str(cache))
+        assert "Removed 1 cache entries" in prune
+        stats = run_ok("cache", "stats", "--cache-dir", str(cache))
+        assert "Entries         : 2" in stats
 
-        wipe = run_cli("cache", "prune", "--all", "--cache-dir", str(cache))
-        assert "Removed 2 cache entries" in wipe.stdout
+        wipe = run_ok("cache", "prune", "--all", "--cache-dir", str(cache))
+        assert "Removed 2 cache entries" in wipe
 
 
-class TestCachePushPullCLI:
-    """``repro cache push/pull``: store-to-store record exchange."""
+#: One invocation per verb that opens ``--cache-dir``; the store path is
+#: appended.
+CACHE_DIR_VERBS = {
+    "sweep": ("sweep", "--output-bits", "12", "--jobs", "1"),
+    "scenario run": ("scenario", "run", "voice-8k"),
+    "robustness run": ("robustness", "run", "lte-20", "--samples", "4",
+                       "--stimulus-samples", "2048"),
+    "cache stats": ("cache", "stats"),
+    "cache prune": ("cache", "prune"),
+}
 
-    @staticmethod
-    def _seed_store(root, keys):
-        from repro.explore.store import ArtifactCAS
 
-        cas = ArtifactCAS(root)
-        for key in keys:
-            cas.put(key, {"key": key, "payload": key[::-1]})
-        return cas
+class TestUnusableCacheDir:
+    """A ``--cache-dir`` that is not a directory path ends every verb in
+    one ``error:`` line before any work."""
 
-    def test_push_transfers_and_repush_is_idempotent(self, tmp_path):
-        src, dst = tmp_path / "src", tmp_path / "dst"
-        self._seed_store(src, [f"{i:02x}{'a' * 62}" for i in range(3)])
-        first = run_cli("cache", "push", str(src), str(dst), "--quiet")
-        assert f"Pushed 3 record(s)" in first.stdout
-        assert "0 already present, 0 filtered out" in first.stdout
-        stats = run_cli("cache", "stats", "--cache-dir", str(dst))
-        assert "Entries         : 3" in stats.stdout
-        again = run_cli("cache", "push", str(src), str(dst), "--quiet")
-        assert "Pushed 0 record(s) (0 bytes)" in again.stdout
-        assert "3 already present" in again.stdout
+    @pytest.mark.parametrize("verb", sorted(CACHE_DIR_VERBS))
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_existing_file_is_a_clean_error(self, tmp_path, verb, below):
+        afile = tmp_path / "afile"
+        afile.write_text("not a store")
+        cache = afile / below if below else afile
+        report = tmp_path / "report.json"
+        extra = () if verb.startswith("cache") else ("--json", str(report))
+        code, stdout, stderr = run_inproc(*CACHE_DIR_VERBS[verb], *extra,
+                                          "--cache-dir", str(cache))
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == [
+            f"error: cache directory {cache} is not usable: {afile} exists "
+            "and is not a directory"]
+        assert not report.exists()  # rejected before any work
+        assert afile.read_text() == "not a store"
 
-    def test_pull_round_trip_is_byte_identical(self, tmp_path):
-        src, dst = tmp_path / "src", tmp_path / "dst"
-        keys = [f"{i:02x}{'b' * 62}" for i in range(2)]
-        cas = self._seed_store(src, keys)
-        proc = run_cli("cache", "pull", str(src), str(dst))
-        assert "Pulled 2 record(s)" in proc.stdout
-        assert proc.stderr.count("copied") == 2  # per-record progress
-        from repro.explore.store import ArtifactCAS
+    @pytest.mark.parametrize("verb", sorted(CACHE_DIR_VERBS))
+    def test_scheme_spec_is_a_clean_error(self, tmp_path, monkeypatch, verb):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run_inproc(*CACHE_DIR_VERBS[verb],
+                                          "--cache-dir", "mem://shared")
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == [
+            "error: unknown store scheme 'mem' in 'mem://shared': the cache "
+            "is a local directory path"]
+        assert not list(tmp_path.iterdir())  # no local "mem:" directory
 
-        pulled = ArtifactCAS(dst)
-        for key in keys:
-            assert pulled.get_raw(key) == cas.get_raw(key)
+    def test_serve_rejects_a_file_before_listening(self, tmp_path,
+                                                    monkeypatch):
+        from repro.serve.server import ReproServer
 
-    def test_dry_run_mutates_nothing(self, tmp_path):
-        src, dst = tmp_path / "src", tmp_path / "dst"
-        self._seed_store(src, ["ab" + "1" * 62, "cd" + "2" * 62])
-        dst.mkdir()
-        proc = run_cli("cache", "push", str(src), str(dst),
-                       "--dry-run", "--quiet")
-        assert "Would push 2 record(s)" in proc.stdout
-        assert list(dst.iterdir()) == []  # nothing written
-        stats = run_cli("cache", "stats", "--cache-dir", str(dst))
-        assert "Entries         : 0" in stats.stdout
+        def listen(self, announce=None):
+            raise AssertionError("the daemon started listening")
 
-    def test_match_filters_keys(self, tmp_path):
-        src, dst = tmp_path / "src", tmp_path / "dst"
-        self._seed_store(src, ["ab" + "1" * 62, "ab" + "2" * 62,
-                               "cd" + "3" * 62])
-        proc = run_cli("cache", "push", str(src), str(dst),
-                       "--match", "ab*", "--quiet")
-        assert "Pushed 2 record(s)" in proc.stdout
-        assert "1 filtered out" in proc.stdout
-
-    def test_summary_line_format_is_pinned(self, tmp_path):
-        import re
-
-        src, dst = tmp_path / "src", tmp_path / "dst"
-        self._seed_store(src, ["ab" + "9" * 62])
-        proc = run_cli("cache", "push", str(src), str(dst), "--quiet")
-        assert re.fullmatch(
-            rf"Pushed 1 record\(s\) \(\d+ bytes\) from {re.escape(str(src))} "
-            rf"to {re.escape(str(dst))}; 0 already present, 0 filtered out",
-            proc.stdout.strip())
-
-    def test_missing_source_is_a_clean_error(self, tmp_path):
-        proc = run_cli("cache", "push", str(tmp_path / "nope"),
-                       str(tmp_path / "dst"), "--quiet", check=False)
-        assert proc.returncode == 2
-        assert "error: store not found" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "dst").exists()  # failure wrote nothing
-
-    def test_unknown_scheme_is_a_clean_error(self, tmp_path):
-        proc = run_cli("cache", "push", "bogus://x",
-                       str(tmp_path / "dst"), "--quiet", check=False)
-        assert proc.returncode == 2
-        assert "error: unknown store scheme 'bogus'" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_stats_and_prune_work_on_object_store_specs(self):
-        """The maintenance verbs route through the backend scan, so a
-        non-directory (mem://) store spec works end to end."""
-        stats = run_cli("cache", "stats", "--cache-dir", "mem://cli-empty")
-        assert "Cache directory : mem://cli-empty" in stats.stdout
-        assert "Entries         : 0" in stats.stdout
-        prune = run_cli("cache", "prune", "--cache-dir", "mem://cli-empty")
-        assert "Removed 0 cache entries from mem://cli-empty" in prune.stdout
+        monkeypatch.setattr(ReproServer, "serve_forever", listen)
+        afile = tmp_path / "afile"
+        afile.write_text("not a store")
+        code, stdout, stderr = run_inproc("serve", "--port", "0",
+                                          "--cache-dir", str(afile))
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == [
+            f"error: cache directory {afile} is not usable: {afile} exists "
+            "and is not a directory"]
 
 
 class TestRobustnessCLI:
@@ -584,98 +560,38 @@ class TestSavedReports:
         assert stdout == saved_reports[kind][fmt].read_text(encoding="utf-8")
 
 
-class TestShardedSweepCLI:
-    def test_shard_merge_round_trip_is_byte_identical(self, tmp_path):
-        cache = tmp_path / "cache"
-        full = tmp_path / "full.json"
-        run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
-                "--cache-dir", str(cache), "--quiet", "--json", str(full),
-                cwd=tmp_path)
-        fragments = []
-        for i in (1, 2):
-            frag = tmp_path / f"shard{i}.json"
-            run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
-                    "--cache-dir", str(cache), "--quiet",
-                    "--shard", f"{i}/2", "--json", str(frag), cwd=tmp_path)
-            fragments.append(frag)
-        merged = tmp_path / "merged.json"
-        proc = run_cli("sweep", "merge", *map(str, fragments),
-                       "--json", str(merged), cwd=tmp_path)
-        assert "Merged JSON report written" in proc.stdout
-        assert merged.read_bytes() == full.read_bytes()
-
-    def test_merge_renders_markdown(self, tmp_path):
-        cache = tmp_path / "cache"
-        frag = tmp_path / "shard.json"
-        run_cli("sweep", "--output-bits", "12", "--jobs", "1",
-                "--cache-dir", str(cache), "--quiet",
-                "--shard", "1/1", "--json", str(frag), cwd=tmp_path)
-        md = tmp_path / "merged.md"
-        run_cli("sweep", "merge", str(frag), "--markdown", str(md),
-                cwd=tmp_path)
-        assert "w12" in md.read_text(encoding="utf-8")
-
-    def test_shard_requires_json(self, tmp_path):
-        proc = run_cli("sweep", "--output-bits", "12", "--shard", "1/2",
-                       "--no-cache", "--quiet", cwd=tmp_path, check=False)
-        assert proc.returncode == 2
-        assert "--shard needs --json" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    @pytest.mark.parametrize("value", ["2", "0/2", "3/2", "a/b", "1/2/3x"])
-    def test_bad_shard_values_are_clean_errors(self, tmp_path, value):
-        proc = run_cli("sweep", "--output-bits", "12", "--shard", value,
-                       "--no-cache", "--quiet", "--json",
-                       str(tmp_path / "out.json"), cwd=tmp_path, check=False)
-        assert proc.returncode == 2
-        assert "invalid --shard" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_merge_rejects_incomplete_shard_set(self, tmp_path):
-        cache = tmp_path / "cache"
-        frag = tmp_path / "shard1.json"
-        run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
-                "--cache-dir", str(cache), "--quiet",
-                "--shard", "1/2", "--json", str(frag), cwd=tmp_path)
-        proc = run_cli("sweep", "merge", str(frag), cwd=tmp_path,
-                       check=False)
-        assert proc.returncode == 2
-        assert "cannot merge shard reports" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-
 class TestCacheTmpMaintenanceCLI:
     def test_stats_reports_orphaned_tmp(self, tmp_path):
         cache = tmp_path / "cache"
-        run_cli("sweep", "--output-bits", "12", "--jobs", "1",
-                "--cache-dir", str(cache), "--quiet", cwd=tmp_path)
+        run_ok("sweep", "--output-bits", "12", "--jobs", "1",
+               "--cache-dir", str(cache), "--quiet")
         shard_dirs = [p for p in cache.iterdir() if p.is_dir()]
         (shard_dirs[0] / "orphan.json.999.0.tmp").write_bytes(b"partial")
-        stats = run_cli("cache", "stats", "--cache-dir", str(cache))
-        assert "Orphaned tmp    : 1 (7 bytes)" in stats.stdout
+        stats = run_ok("cache", "stats", "--cache-dir", str(cache))
+        assert "Orphaned tmp    : 1 (7 bytes)" in stats
 
         # Default grace spares the young orphan; --tmp-grace-s 0 reclaims.
-        keep = run_cli("cache", "prune", "--cache-dir", str(cache))
-        assert "Removed 0 cache entries" in keep.stdout
-        wipe = run_cli("cache", "prune", "--cache-dir", str(cache),
-                       "--tmp-grace-s", "0")
-        assert "Removed 1 cache entries" in wipe.stdout
-        stats = run_cli("cache", "stats", "--cache-dir", str(cache))
-        assert "Orphaned tmp    : 0 (0 bytes)" in stats.stdout
-        assert "Entries         : 1" in stats.stdout
+        keep = run_ok("cache", "prune", "--cache-dir", str(cache))
+        assert "Removed 0 cache entries" in keep
+        wipe = run_ok("cache", "prune", "--cache-dir", str(cache),
+                      "--tmp-grace-s", "0")
+        assert "Removed 1 cache entries" in wipe
+        stats = run_ok("cache", "stats", "--cache-dir", str(cache))
+        assert "Orphaned tmp    : 0 (0 bytes)" in stats
+        assert "Entries         : 1" in stats
 
     def test_negative_tmp_grace_is_a_clean_error(self, tmp_path):
         cache = tmp_path / "cache"
         cache.mkdir()
-        proc = run_cli("cache", "prune", "--cache-dir", str(cache),
-                       "--tmp-grace-s", "-5", check=False)
-        assert proc.returncode == 2
-        assert "--tmp-grace-s must be non-negative" in proc.stderr
+        code, _, stderr = run_inproc("cache", "prune", "--cache-dir",
+                                     str(cache), "--tmp-grace-s", "-5")
+        assert code == 2
+        assert "--tmp-grace-s must be non-negative" in stderr
 
     def test_stats_on_missing_directory_mentions_tmp(self, tmp_path):
-        stats = run_cli("cache", "stats", "--cache-dir",
-                        str(tmp_path / "nope"))
-        assert "Orphaned tmp    : 0" in stats.stdout
+        stats = run_ok("cache", "stats", "--cache-dir",
+                       str(tmp_path / "nope"))
+        assert "Orphaned tmp    : 0" in stats
 
 
 @pytest.fixture(scope="module")

@@ -168,6 +168,29 @@ class TestRunSweep:
         assert hits == [0, 2, 2]
 
 
+class TestResume:
+    def test_resume_completes_a_partial_grid(self, tmp_path):
+        small = SweepSpec(output_bits=(12,))
+        run_sweep(small, jobs=1, cache_dir=tmp_path)
+        # Growing the grid re-runs only the new points.
+        grown = run_sweep(SweepSpec(output_bits=(12, 14)), jobs=1,
+                          cache_dir=tmp_path)
+        assert grown.cache_hits == 1
+        assert grown.cache_misses == 1
+
+    def test_resume_false_recomputes_everything(self, tmp_path):
+        small = SweepSpec(output_bits=(12,))
+        run_sweep(small, jobs=1, cache_dir=tmp_path)
+        cold = run_sweep(small, jobs=1, cache_dir=tmp_path, resume=False)
+        assert cold.cache_hits == 0
+        assert cold.cache_misses == 1
+        # The recomputation republishes identical content: a subsequent
+        # resumed run is a pure hit with a byte-identical report.
+        warm = run_sweep(small, jobs=1, cache_dir=tmp_path)
+        assert warm.cache_hits == 1
+        assert sweep_report_json(warm) == sweep_report_json(cold)
+
+
 #: Stage keys the two earlier warm policies (one for sweeps, one for
 #: scenario suites) left in a fresh store, recorded once before they were
 #: merged into :func:`warm_shared_stages`.

@@ -2,8 +2,9 @@
 
 Covers the basic get/put/clear contract, the sharded key layout (the only
 one the store reads), the index-free grid diff, the schema-version
-contract, writer temp-file hygiene and the single-pass ``stats``/``prune``
-maintenance path — plus property-based
+contract, writer temp-file hygiene, the single-pass ``stats``/``prune``
+maintenance path and ``open_store``'s up-front path checks — plus
+property-based
 (hypothesis) pinning of the layout round-trip and the diff partition
 contract.
 """
@@ -11,21 +12,17 @@ contract.
 import json
 import os
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.explore.runner import shard_points
 from repro.explore.store import (
     CACHE_SCHEMA_VERSION,
     MAX_VALIDATE_BYTES,
     SHARD_PREFIX_LEN,
     ArtifactCAS,
-    FakeObjectStore,
     LocalDirBackend,
-    ObjectStoreBackend,
     open_store,
 )
 
@@ -121,20 +118,6 @@ class TestShardedLayout:
         assert ArtifactCAS.key_of("ab/cd.tmp") is None
         assert ArtifactCAS.key_of("a/b/c.json") is None
 
-    def test_backend_is_pluggable(self, tmp_path):
-        backend = LocalDirBackend(tmp_path / "shared-mount")
-        cas = ArtifactCAS(backend=backend)
-        cas.put(KEY, {"v": 3})
-        # A second store over the same backend path sees the entry: the
-        # shared-filesystem sharing model.
-        other = ArtifactCAS(tmp_path / "shared-mount")
-        assert other.get(KEY) == {"v": 3}
-
-    def test_requires_directory_or_backend(self):
-        with pytest.raises(ValueError, match="directory or a backend"):
-            ArtifactCAS()
-
-
 class TestDiff:
     def test_diff_reports_missing_in_input_order(self, tmp_path):
         cas = ArtifactCAS(tmp_path)
@@ -151,6 +134,20 @@ class TestDiff:
         assert cas.diff([KEY]) == []
         assert cas.get(KEY) is None
 
+    def test_diff_keeps_duplicates_and_order(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        present = "ab" + "a" * 62
+        missing = "cd" + "b" * 62
+        cas.put(present, {"v": 1})
+        assert cas.diff([missing, present, missing]) == [missing, missing]
+
+    def test_diff_is_one_existence_probe_per_key(self, tmp_path):
+        cas, backend = _counting_cas(tmp_path)
+        keys = [f"{i:02x}{'b' * 62}" for i in range(3)]
+        assert cas.diff(keys) == keys
+        assert backend.calls == [("exists", ArtifactCAS._rel_for(key))
+                                 for key in keys]
+
 
 def _write_flat(root, key, record):
     """A valid entry at the pre-shard flat name ``<root>/<key>.json``."""
@@ -158,6 +155,13 @@ def _write_flat(root, key, record):
     path = root / f"{key}.json"
     path.write_text(json.dumps(entry, sort_keys=True))
     return path
+
+
+def _counting_cas(root):
+    """A store over :class:`CountingBackend`: ``(cas, backend)``."""
+    cas = ArtifactCAS(root)
+    cas.backend = CountingBackend(root)
+    return cas, cas.backend
 
 
 class CountingBackend(LocalDirBackend):
@@ -173,10 +177,6 @@ class CountingBackend(LocalDirBackend):
     def exists(self, rel):
         self._count("exists", rel)
         return super().exists(rel)
-
-    def probe_many(self, rels):
-        self._count("probe_many", tuple(rels))
-        return super().probe_many(rels)
 
     def read_bytes(self, rel):
         self._count("read_bytes", rel)
@@ -221,8 +221,8 @@ class TestOneLayout:
         assert cas.get(KEY) == {"new": 2}
 
     def test_local_put_is_one_atomic_write(self, tmp_path):
-        backend = CountingBackend(tmp_path)
-        ArtifactCAS(backend=backend).put(KEY, {"v": 1})
+        cas, backend = _counting_cas(tmp_path)
+        cas.put(KEY, {"v": 1})
         assert backend.calls == [("write_bytes_atomic",
                                   ArtifactCAS._rel_for(KEY))]
 
@@ -237,22 +237,9 @@ class TestOneLayout:
         assert cas.prune() == 0
         assert cas.get("k") == {"v": 1}
 
-    def test_object_put_is_one_put_and_miss_one_get(self):
-        cas = _object_cas()
-        client = cas.backend.client
-        cas.put(KEY, {"v": 1})
-        assert dict(client.calls) == {"put": 1}
-        client.calls.clear()
-        assert cas.get("ab" + "0" * 62) is None
-        assert dict(client.calls) == {"get": 1}
-
     def test_local_miss_is_one_read(self, tmp_path):
-        backend = CountingBackend(tmp_path)
-        cas = ArtifactCAS(backend=backend)
+        cas, backend = _counting_cas(tmp_path)
         assert cas.get(KEY) is None
-        assert backend.calls == [("read_bytes", ArtifactCAS._rel_for(KEY))]
-        backend.calls.clear()
-        assert cas.get_raw(KEY) is None
         assert backend.calls == [("read_bytes", ArtifactCAS._rel_for(KEY))]
         backend.calls.clear()
         assert not cas.contains(KEY)
@@ -443,211 +430,40 @@ class TestLayoutProperties:
             assert cas.get(key) == {"k": key}
 
 
-class TestShardPointsProperties:
-    @given(n_points=st.integers(min_value=0, max_value=200),
-           n_shards=st.integers(min_value=1, max_value=16))
-    @settings(max_examples=100, deadline=None)
-    def test_shards_partition_the_grid(self, n_points, n_shards):
-        points = [SimpleNamespace(index=i) for i in range(n_points)]
-        shards = [shard_points(points, (i, n_shards))
-                  for i in range(1, n_shards + 1)]
-        indices = [p.index for shard in shards for p in shard]
-        assert sorted(indices) == list(range(n_points))  # union == grid
-        assert len(indices) == len(set(indices))  # disjoint
-        for shard in shards:  # each shard preserves expansion order
-            assert [p.index for p in shard] == sorted(p.index for p in shard)
-
-    def test_shard_validation(self):
-        points = [SimpleNamespace(index=i) for i in range(4)]
-        assert shard_points(points, None) == points
-        with pytest.raises(ValueError, match="invalid shard"):
-            shard_points(points, (0, 2))
-        with pytest.raises(ValueError, match="invalid shard"):
-            shard_points(points, (3, 2))
-
-
-def _object_cas(page_size=1000, latency_s=0.0):
-    """A fresh ArtifactCAS over an isolated FakeObjectStore."""
-    client = FakeObjectStore(page_size=page_size, latency_s=latency_s)
-    return ArtifactCAS(backend=ObjectStoreBackend(client, label="mem://unit"))
-
-
-class TestObjectStoreBackend:
-    def test_round_trip_and_layout_match_the_local_store(self, tmp_path):
-        """The same puts produce byte-identical entries under the same
-        store-relative names on both backends."""
-        local = ArtifactCAS(tmp_path / "local")
-        remote = _object_cas()
-        keys = [f"{i:02x}{'e' * 62}" for i in range(4)]
-        for key in keys:
-            local.put(key, {"k": key})
-            remote.put(key, {"k": key})
-        assert remote.keys() == local.keys()
-        for key in keys:
-            assert remote.get_raw(key) == local.get_raw(key)
-            assert remote.get(key) == {"k": key}
-
-    def test_delete_len_clear(self):
-        cas = _object_cas()
-        keys = [f"{i:02x}{'e' * 62}" for i in range(3)]
-        for key in keys:
-            cas.put(key, {"k": key})
-        assert len(cas) == 3
-        assert cas.delete(keys[0]) is True
-        assert cas.delete(keys[0]) is False
-        assert len(cas) == 2
-        assert cas.clear() == 2
-        assert cas.keys() == []
-
-    def test_stats_and_prune_ride_the_scan_primitive(self):
-        cas = _object_cas()
-        key = "ab" + "c" * 62
-        cas.put(key, {"v": 1})
-        stats = cas.stats()
-        assert stats["entries"] == 1
-        assert stats["stale_entries"] == 0
-        assert stats["tmp_files"] == 0
-        assert stats["directory"] == "mem://unit"
-        # A wrong-schema blob is stale and reclaimable, like on disk.
-        entry = {"schema": CACHE_SCHEMA_VERSION + 7, "key": key, "record": {}}
-        cas.backend.write_bytes_atomic(cas._rel_for(key),
-                                       json.dumps(entry).encode())
-        assert cas.stats()["stale_entries"] == 1
-        assert cas.prune() == 1
-        assert len(cas) == 0
-
-    def test_path_for_is_a_clean_error(self):
-        cas = _object_cas()
-        with pytest.raises(TypeError, match="directory backend"):
-            cas.path_for("ab" + "c" * 62)
-
-    def test_prefix_namespaces_one_client(self):
-        """Two stores sharing one client under different prefixes are
-        fully isolated."""
-        client = FakeObjectStore()
-        a = ArtifactCAS(backend=ObjectStoreBackend(client, prefix="team-a"))
-        b = ArtifactCAS(backend=ObjectStoreBackend(client, prefix="team-b"))
-        key = "ab" + "d" * 62
-        a.put(key, {"who": "a"})
-        assert a.get(key) == {"who": "a"}
-        assert b.get(key) is None
-        assert b.keys() == []
-        assert a.keys() == [key]
-
-
-class TestProbeMany:
-    @pytest.mark.parametrize("make", ["local", "object"])
-    def test_probe_many_equals_per_key_contains(self, tmp_path, make):
-        cas = (ArtifactCAS(tmp_path / "s") if make == "local"
-               else _object_cas())
-        stored = [f"{i:02x}{'a' * 62}" for i in range(5)]
-        absent = [f"{i:02x}{'b' * 62}" for i in range(5)]
-        for key in stored:
-            cas.put(key, {"k": key})
-        probe = cas.probe_many(stored + absent)
-        assert probe == {k: cas.contains(k) for k in stored + absent}
-        assert all(probe[k] for k in stored)
-        assert not any(probe[k] for k in absent)
-
-    def test_object_probe_many_issues_list_pages_not_heads(self):
-        """The O(pages) pin: probing a whole grid costs paginated LIST
-        calls only — zero per-key HEAD round trips."""
-        cas = _object_cas(page_size=3)
-        keys = [f"{i:02x}{'a' * 62}" for i in range(8)]
-        for key in keys:
-            cas.put(key, {"k": key})
-        client = cas.backend.client
-        client.calls.clear()
-        probe = cas.probe_many(keys + ["ff" + "f" * 62])
-        assert sum(probe.values()) == 8
-        assert client.calls["head"] == 0
-        assert client.calls["get"] == 0
-        # 8 blobs at page_size 3 -> 3 pages.
-        assert client.calls["list"] == 3
-
-    def test_local_probe_many_scans_each_shard_dir_once(self, tmp_path,
-                                                        monkeypatch):
-        cas = ArtifactCAS(tmp_path)
-        # 6 stored keys across 2 shard dirs; absent keys in those dirs and
-        # in a third shard dir that does not exist yet.
-        keys = [f"{p}{c}{'a' * 62}" for p in ("ab", "cd") for c in "123"]
-        absent = [f"{p}{c}{'b' * 62}" for p in ("ab", "cd", "ef") for c in "12"]
-        for key in keys:
-            cas.put(key, {"k": key})
-        calls = []
-        real_scandir = os.scandir
-
-        def counting_scandir(path):
-            calls.append(str(path))
-            return real_scandir(path)
-
-        monkeypatch.setattr(os, "scandir", counting_scandir)
-        missing = cas.diff(keys + absent)
-        assert missing == absent
-        # One scandir per touched shard directory, no pass over the root.
-        assert sorted(calls) == [str(tmp_path / p) for p in ("ab", "cd", "ef")]
-
-    def test_diff_batches_but_keeps_duplicates_and_order(self):
-        cas = _object_cas()
-        present = "ab" + "a" * 62
-        missing = "cd" + "b" * 62
-        cas.put(present, {"v": 1})
-        assert cas.diff([missing, present, missing]) == [missing, missing]
-
-
 class TestOpenStore:
     def test_path_and_file_scheme(self, tmp_path):
         cas = open_store(tmp_path / "dir")
-        assert isinstance(cas.backend, LocalDirBackend)
-        cas2 = open_store(f"file://{tmp_path}/dir2")
-        assert isinstance(cas2.backend, LocalDirBackend)
+        assert cas.directory == tmp_path / "dir"
+        with pytest.raises(ValueError, match="unknown store scheme 'file'"):
+            open_store(f"file://{tmp_path}/dir2")
 
     def test_existing_store_passes_through(self, tmp_path):
         cas = ArtifactCAS(tmp_path)
         assert open_store(cas) is cas
-
-    def test_mem_scheme_is_shared_per_name(self):
-        a = open_store("mem://open-store-test")
-        b = open_store("mem://open-store-test")
-        other = open_store("mem://open-store-other")
-        key = "ab" + "e" * 62
-        a.put(key, {"v": 1})
-        assert b.get(key) == {"v": 1}  # same registry entry
-        assert other.get(key) is None
-        assert str(a.directory) == "mem://open-store-test"
 
     def test_opening_a_spec_has_no_side_effects(self, tmp_path):
         target = tmp_path / "never-written"
         open_store(target)
         assert not target.exists()
 
-    def test_must_exist_guards(self, tmp_path):
-        with pytest.raises(ValueError, match="store not found"):
-            open_store(tmp_path / "missing", must_exist=True)
-        with pytest.raises(ValueError, match="store not found"):
-            open_store("mem://never-opened-before-xyz", must_exist=True)
-        # An opened mem store satisfies must_exist from then on.
-        open_store("mem://now-opened").put("ab" + "f" * 62, {})
-        open_store("mem://now-opened", must_exist=True)
+    @pytest.mark.parametrize("spec", ["mem://shared", "s3://bucket/prefix",
+                                      "gopher://hole"])
+    def test_scheme_specs_are_rejected(self, tmp_path, monkeypatch, spec):
+        monkeypatch.chdir(tmp_path)
+        scheme = spec.partition("://")[0]
+        with pytest.raises(ValueError, match=(
+                f"unknown store scheme '{scheme}' in '{spec}': the cache "
+                "is a local directory path")):
+            open_store(spec)
+        assert not list(tmp_path.iterdir())  # no local "mem:" directory
 
-    def test_unknown_scheme_and_bad_s3_spec(self):
-        with pytest.raises(ValueError, match="unknown store scheme"):
-            open_store("gopher://hole")
-        with pytest.raises(ValueError, match="invalid s3 store spec"):
-            open_store("s3://")
-
-    def test_s3_scheme_without_sdk_is_a_clean_error(self, monkeypatch):
-        """With boto3 unimportable, s3:// specs raise one line naming the
-        missing SDK (the import stays lazy, so this module still works)."""
-        import builtins
-
-        real_import = builtins.__import__
-
-        def no_boto3(name, *args, **kwargs):
-            if name == "boto3":
-                raise ImportError("No module named 'boto3'")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_boto3)
-        with pytest.raises(ValueError, match="boto3"):
-            open_store("s3://bucket/prefix")
+    @pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
+    def test_paths_into_an_existing_file_are_rejected(self, tmp_path, below):
+        afile = tmp_path / "afile"
+        afile.write_text("not a store")
+        spec = afile / below if below else afile
+        with pytest.raises(ValueError) as excinfo:
+            open_store(spec)
+        assert str(excinfo.value) == (f"cache directory {spec} is not usable: "
+                                      f"{afile} exists and is not a directory")
+        assert afile.read_text() == "not a store"

@@ -1,20 +1,12 @@
 """Concurrency & crash-consistency tests for the artifact store & daemon.
 
 Drives the reusable harness in :mod:`tests.faultutils` against
-:class:`repro.explore.store.ArtifactCAS`: racing multiprocess writers on
-overlapping key sets, writers SIGKILLed between temp-write and atomic
-rename, corrupted published entries, and concurrent real sweeps sharing
-one store — asserting the contract the store documents: zero lost or
-torn records, orphans only ever temp files, corrupt entries miss and
+:class:`repro.explore.store.ArtifactCAS`: racing writer processes and
+threads on overlapping key sets, writers SIGKILLed between temp-write and
+atomic rename, corrupted published entries, and concurrent real sweeps
+sharing one store — asserting the contract the store documents: zero lost
+or torn records, orphans only ever temp files, corrupt entries miss and
 heal.
-
-PR 9 parametrizes every non-filesystem-bound invariant over both
-backends (``LocalDirBackend`` and ``ObjectStoreBackend`` over the
-in-memory ``FakeObjectStore``) and adds the keyed-blob failure modes:
-transient put/get/list errors (retried; persistent outages read as
-misses, writes surface), torn partial uploads (healed by retry; foreign
-debris misses and heals), threaded racing writers, and concurrent
-``cache push`` transfers into one shared destination.
 
 PR 8 turns the same guns on the serve daemon: a real ``repro serve``
 subprocess is SIGKILLed mid-request (no torn CAS entries; a restart on
@@ -33,20 +25,17 @@ import pytest
 import faultutils
 from serveutils import wait_until
 from repro.explore import SweepSpec, run_sweep, sweep_report_json
-from repro.explore.store import ArtifactCAS, TransientObjectStoreError
-from repro.explore.transfer import transfer_records
+from repro.explore.store import ArtifactCAS
 from repro.serve.protocol import encode_line
 
-#: Both store backends; every crash-consistency invariant below that is
-#: not inherently filesystem-bound (rename windows, forked processes)
-#: runs once per backend.
-BACKENDS = ("local", "object")
+#: Store kinds the fixture-driven invariants below run against: the one
+#: local directory store.
+BACKENDS = ("local",)
 
 
 @pytest.fixture(params=BACKENDS)
 def any_cas(request, tmp_path):
-    """One ArtifactCAS per backend kind: LocalDirBackend and
-    ObjectStoreBackend-over-FakeObjectStore."""
+    """One ArtifactCAS per store kind (see :data:`BACKENDS`)."""
     return faultutils.make_cas(request.param, tmp_path)
 
 
@@ -153,9 +142,8 @@ class TestRacingWriters:
 class TestRacingThreadWriters:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_overlapping_thread_writers_lose_nothing(self, tmp_path, kind):
-        """Threaded writers hammer one store (either backend) with
-        overlapping key sets; every read during and after the race
-        returns the exact record."""
+        """Threaded writers hammer one store with overlapping key sets;
+        every read during and after the race returns the exact record."""
         cas = faultutils.make_cas(kind, tmp_path)
         shared = [f"{i:02x}{'d' * 62}" for i in range(6)]
         key_sets = [shared[0:4], shared[2:6], shared[4:6] + shared[0:2]]
@@ -167,125 +155,6 @@ class TestRacingThreadWriters:
         assert stats["entries"] == len(shared)
         assert stats["stale_entries"] == 0
         assert stats["tmp_files"] == 0
-
-
-class TestObjectStoreTransientFaults:
-    """Transient-error injection on the fake object store's verbs.
-
-    The object-store analog of the killed-writer suite: the failure
-    modes of a keyed-blob service are throttles/timeouts and torn
-    uploads, not rename windows — these pin the retry and miss-and-heal
-    contracts around them.
-    """
-
-    KEY = "ab" + "7" * 62
-
-    def test_transient_put_failures_are_retried(self):
-        cas = faultutils.object_store_cas()
-        client = cas.backend.client
-        client.fail_next["put"] = 2
-        cas.put(self.KEY, {"v": 7})
-        assert cas.get(self.KEY) == {"v": 7}
-        assert client.calls["put"] == 3  # 2 injected failures + 1 success
-
-    def test_transient_get_failures_are_retried(self):
-        cas = faultutils.object_store_cas()
-        cas.put(self.KEY, {"v": 7})
-        client = cas.backend.client
-        client.fail_next["get"] = 2
-        assert cas.get(self.KEY) == {"v": 7}
-
-    def test_persistent_get_outage_reads_as_miss(self):
-        """A store that stays unreachable degrades to a miss (the sweep
-        recomputes), never to an exception or wrong data."""
-        cas = faultutils.object_store_cas()
-        cas.put(self.KEY, {"v": 7})
-        client = cas.backend.client
-        client.fail_next["get"] = 100  # outlasts every retry
-        misses_before = cas.misses
-        assert cas.get(self.KEY) is None
-        assert cas.misses == misses_before + 1
-
-    def test_persistent_put_outage_raises(self):
-        """Writes must not silently vanish: a put that survives every
-        retry surfaces the transient error to the caller."""
-        cas = faultutils.object_store_cas()
-        cas.backend.client.fail_next["put"] = 100
-        with pytest.raises(TransientObjectStoreError):
-            cas.put(self.KEY, {"v": 7})
-
-    def test_transient_list_failures_do_not_break_resume(self):
-        cas = faultutils.object_store_cas()
-        cas.put(self.KEY, {"v": 7})
-        cas.backend.client.fail_next["list"] = 2
-        assert cas.diff([self.KEY, "cd" + "8" * 62]) == ["cd" + "8" * 62]
-
-
-class TestObjectStoreTornUploads:
-    """Partial-upload (torn blob) injection — the keyed-blob crash case."""
-
-    KEY = "ef" + "9" * 62
-
-    def test_torn_put_is_healed_by_the_retry(self):
-        """A put whose first attempt tears mid-upload retries and ends
-        with the complete entry published."""
-        cas = faultutils.object_store_cas()
-        client = cas.backend.client
-        client.tear_next_put = 1
-        cas.put(self.KEY, {"v": 9})
-        assert cas.get(self.KEY) == {"v": 9}
-        assert client.calls["put"] == 2
-
-    def test_foreign_torn_blob_misses_and_heals(self):
-        """A torn blob left by a crashed foreign uploader (injected
-        directly, no retry loop to save it) reads as a miss, shows up
-        stale, and the next put heals it."""
-        cas = faultutils.object_store_cas()
-        client = cas.backend.client
-        cas.put(self.KEY, {"v": 9})
-        whole = client.peek(cas.backend._key(cas._rel_for(self.KEY)))
-        client.inject(cas.backend._key(cas._rel_for(self.KEY)),
-                      whole[:len(whole) // 2])
-        assert cas.get(self.KEY) is None
-        assert cas.stats()["stale_entries"] == 1
-        cas.put(self.KEY, {"v": 9})
-        assert cas.get(self.KEY) == {"v": 9}
-        assert cas.stats()["stale_entries"] == 0
-
-
-class TestConcurrentPushers:
-    def test_racing_pushers_merge_both_sources(self, tmp_path):
-        """Two threads push different source stores into one shared
-        destination concurrently; the destination ends as the exact
-        union with every record intact."""
-        import threading
-
-        sources = []
-        for half in range(2):
-            src = faultutils.make_cas("local", tmp_path / f"src{half}")
-            for i in range(half * 4, half * 4 + 4):
-                key = f"{i:02x}{'c' * 62}"
-                src.put(key, faultutils.expected_record(key))
-            sources.append(src)
-        dst = faultutils.object_store_cas()
-        summaries = [None, None]
-
-        def push(index):
-            summaries[index] = transfer_records(sources[index], dst)
-
-        threads = [threading.Thread(target=push, args=(i,))
-                   for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert all(s is not None for s in summaries)
-        assert sum(s.transferred for s in summaries) == 8
-        assert len(dst.keys()) == 8
-        for src in sources:
-            for key in src.keys():
-                assert dst.get_raw(key) == src.get_raw(key)
-        assert dst.stats()["stale_entries"] == 0
 
 
 class TestRacingSweeps:

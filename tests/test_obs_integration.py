@@ -54,7 +54,7 @@ class TestByteIdentity:
         trace.validate_spans(spans)
         names = {span["name"] for span in spans}
         assert {"payload.execute", "flow.design", "flow.verify.mask",
-                "cas.put", "cas.probe_many"} <= names
+                "cas.put", "cas.diff"} <= names
         executors = {span["attrs"].get("executor") for span in spans
                      if span["name"] == "payload.execute"}
         assert executors == {executor}
@@ -67,7 +67,7 @@ class TestByteIdentity:
         payload_pids = {span["pid"] for span in spans
                         if span["name"] == "payload.execute"}
         probe_pids = {span["pid"] for span in spans
-                      if span["name"] == "cas.probe_many"}
+                      if span["name"] == "cas.diff"}
         # Payloads ran in pool workers, the probe in the parent.
         assert payload_pids.isdisjoint(probe_pids)
 

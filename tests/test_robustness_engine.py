@@ -186,15 +186,13 @@ class TestSuite:
                 for _ in range(3)]
         assert hits == [0, 1, 1]
 
-    def test_store_spec_cache_dir_uses_the_object_store(self, tmp_path,
-                                                        monkeypatch):
+    def test_scheme_cache_dir_is_rejected_before_any_work(self, tmp_path,
+                                                          monkeypatch):
         monkeypatch.chdir(tmp_path)
-        kwargs = dict(n_samples=4, seed=2, stimulus_samples=2048,
-                      cache_dir="mem://robustness-store-spec")
-        cold = run_robustness_suite(["lte-20"], **kwargs)
-        warm = run_robustness_suite(["lte-20"], **kwargs)
-        assert cold.cache_misses == 1 and warm.cache_hits == 1
-        assert robustness_report_json(cold) == robustness_report_json(warm)
+        with pytest.raises(ValueError, match="unknown store scheme 'mem'"):
+            run_robustness_suite(["lte-20"], n_samples=4, seed=2,
+                                 stimulus_samples=2048,
+                                 cache_dir="mem://robustness-store-spec")
         assert not list(tmp_path.iterdir())  # no local "mem:" directory
 
     def test_too_short_stimulus_is_rejected_before_any_work(self):

@@ -238,14 +238,11 @@ class TestRunner:
                 for _ in range(3)]
         assert hits == [0, 2, 2]
 
-    def test_store_spec_cache_dir_uses_the_object_store(self, tmp_path,
-                                                        monkeypatch):
+    def test_scheme_cache_dir_is_rejected_before_any_work(self, tmp_path,
+                                                          monkeypatch):
         monkeypatch.chdir(tmp_path)
-        spec = "mem://scenario-store-spec"
-        cold = run_scenario_suite([CHEAP], cache_dir=spec)
-        warm = run_scenario_suite([CHEAP], cache_dir=spec)
-        assert cold.cache_misses == 1 and warm.cache_hits == 1
-        assert scenario_report_json(cold) == scenario_report_json(warm)
+        with pytest.raises(ValueError, match="unknown store scheme 'mem'"):
+            run_scenario_suite([CHEAP], cache_dir="mem://scenario-store-spec")
         assert not list(tmp_path.iterdir())  # no local "mem:" directory
 
     def test_shared_design_reuses_stages(self):

@@ -34,14 +34,6 @@ FLOORS = {
         ("shared-stage memoization is active (artifact hits > 0)",
          lambda r: r["artifact_store"].get("hits", 0) > 0),
     ],
-    "cache_probe": [
-        ("batched diff agrees with per-key probing",
-         lambda r: r["results_identical"] is True),
-        ("batched diff costs O(pages) round trips",
-         lambda r: r["batched_calls"] <= r["expected_pages"]),
-        ("batched diff beats per-key probing by at least 5x under latency",
-         lambda r: r["speedup"] >= 5.0),
-    ],
     "end_to_end_snr": [
         ("measured SNR stays above 80 dB", lambda r: r["snr_db"] > 80.0),
         ("65536-sample SNR simulation finishes within 60 s",
