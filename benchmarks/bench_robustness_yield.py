@@ -1,19 +1,24 @@
 """Monte Carlo robustness engine: batched vs per-sample-loop speedup.
 
 Runs the same 256-sample perturbation population over the paper's LTE-20
-chain twice: once through the robustness engine's batched hot path (one
-``simulate_batch`` per population, one batched ``process_fixed`` per chain
-variant, one batched periodogram per group) and once as the naive
-per-sample Python loop (simulate → process → analyze, one record at a
-time).  The two paths are bit-exact per sample — every SNR must match to
-the last bit — so the speedup is pure batching, not a numerics change.
+chain twice: once through the robustness engine's batched hot path (each
+chain variant's samples in blocks of ``ROW_BLOCK`` rows, one
+``simulate_batch``, one batched ``process_fixed`` and one batched
+periodogram per block) and once as the naive per-sample Python loop
+(simulate → process → analyze, one record at a time).  The two paths are
+bit-exact per sample — every SNR must match to the last bit — so the
+speedup is pure batching, not a numerics change.
 
-It also records, on the same population, how much faster the compiled
-kernels run the modulator batch and the Hogenauer batch than the Python
-fallback a host without a C compiler runs.
+It also records the shard's memory scaling, as the ratio of the
+``tracemalloc`` peak of the 256-sample payload to that of its first
+``SMALL_SAMPLES`` (bounded by the row block, so well under 2), and, on the same
+population, how much faster the compiled kernels run the modulator batch
+and the Hogenauer batch than the Python fallback a host without a C
+compiler runs.
 """
 
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +27,8 @@ import pytest
 from benchutils import emit_json, print_series
 
 N_SAMPLES = 256
+#: Population of the small payload the peak-memory ratio divides by.
+SMALL_SAMPLES = 32
 STIMULUS_SAMPLES = 2048
 SEED = 2011
 
@@ -156,9 +163,26 @@ def _kernel_speedups(scenario, model, chain, payload):
     }
 
 
+def _payload_peak_ratio(payload, store):
+    """``tracemalloc`` peak of the full payload over that of its first
+    ``SMALL_SAMPLES`` samples, on the warm ``store``."""
+    from repro.robustness.engine import execute_robustness_payload
+
+    peaks = []
+    for shard in (payload, dict(payload,
+                                samples=payload["samples"][:SMALL_SAMPLES])):
+        tracemalloc.start()
+        try:
+            execute_robustness_payload(shard, store)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[0] / peaks[1]
+
+
 @pytest.mark.benchmark(group="robustness")
 def test_robustness_batched_vs_loop(benchmark):
-    from repro.robustness.engine import execute_robustness_payload
+    from repro.robustness.engine import ROW_BLOCK, execute_robustness_payload
 
     scenario, model, chain, store, payload = _build_payload()
     # Warm the variant chains and mask verifications once, so both timed
@@ -179,16 +203,19 @@ def test_robustness_batched_vs_loop(benchmark):
     snr_match = batched_snrs == loop_snrs
     speedup = loop_s / max(batched_s, 1e-9)
     kernels = _kernel_speedups(scenario, model, chain, payload)
+    peak_ratio = _payload_peak_ratio(payload, store)
     print_series("Monte Carlo robustness — batched vs per-sample loop",
                  ["quantity", "value", ""],
                  [("samples", N_SAMPLES, f"{STIMULUS_SAMPLES}-sample stimulus"),
                   ("chain variants", len(payload["variants"]), ""),
                   ("batched (s)", round(batched_s, 3),
-                   "one simulate_batch + per-variant batched process_fixed"),
+                   f"per-variant blocks of {ROW_BLOCK} rows, batched"),
                   ("per-sample loop (s)", round(loop_s, 3),
                    "simulate/process/analyze one record at a time"),
                   ("speedup", f"{speedup:.1f}x", ""),
                   ("SNRs bit-exact", snr_match, "batched == loop per sample"),
+                  ("payload peak ratio", f"{peak_ratio:.2f}",
+                   f"tracemalloc peak, {N_SAMPLES} / {SMALL_SAMPLES} samples"),
                   ("simulate_batch kernel speedup",
                    f"{kernels['simulate_batch_kernel_speedup']:.1f}x",
                    "Python fallback / compiled kernel, 64 rows"),
@@ -205,6 +232,7 @@ def test_robustness_batched_vs_loop(benchmark):
         "snr_match": snr_match,
         "snr_min_db": min(batched_snrs),
         "snr_max_db": max(batched_snrs),
+        "payload_peak_ratio": peak_ratio,
         **kernels,
     })
 

@@ -47,8 +47,20 @@ def coherent_tone(frequency_hz: float, amplitude: float, sample_rate_hz: float,
     """
     spec = ToneSpec(frequency_hz, amplitude, sample_rate_hz, n_samples, phase)
     f = spec.coherent_frequency_hz
+    return amplitude * np.sin(tone_argument(f, sample_rate_hz, n_samples, phase))
+
+
+def tone_argument(frequency_hz: float, sample_rate_hz: float, n_samples: int,
+                  phase: float = 0.0) -> np.ndarray:
+    """The clean sine argument ``2π·f/fs·n + phase`` of a tone record.
+
+    Same arithmetic as the SNR-leg reference stimulus
+    (:func:`repro.core.verification.modulator_tone_codes`).  A caller
+    writing many tones of one frequency and length computes it once and
+    hands it to :func:`write_jittered_tone` for every record.
+    """
     n = np.arange(n_samples)
-    return amplitude * np.sin(2.0 * np.pi * f / sample_rate_hz * n + phase)
+    return 2.0 * np.pi * frequency_hz / sample_rate_hz * n + phase
 
 
 def jittered_tone(frequency_hz: float, amplitude: float, sample_rate_hz: float,
@@ -83,15 +95,41 @@ def jittered_tone(frequency_hz: float, amplitude: float, sample_rate_hz: float,
         Seeded :class:`numpy.random.Generator`; the caller owns the seeding
         so Monte Carlo draws stay reproducible.
     """
-    f = frequency_hz
-    n = np.arange(n_samples)
-    # Same phase-argument arithmetic as the SNR-leg reference stimulus
-    # (modulator_tone_codes), plus the jitter term: with jitter_rms_s == 0
-    # the two are bit-identical.
-    arg = 2.0 * np.pi * f / sample_rate_hz * n + phase
+    argument = tone_argument(frequency_hz, sample_rate_hz, n_samples, phase)
+    return write_jittered_tone(np.empty(n_samples), argument, frequency_hz,
+                               amplitude, jitter_rms_s, rng)
+
+
+def write_jittered_tone(out: np.ndarray, argument: np.ndarray,
+                        frequency_hz: float, amplitude: float,
+                        jitter_rms_s: float, rng: np.random.Generator,
+                        offset: float = 0.0) -> np.ndarray:
+    """Write one jittered tone record into ``out`` and return ``out``.
+
+    The tone writer behind :func:`jittered_tone`: ``out`` receives
+    ``amplitude·sin(argument + 2π·f·jitter_rms_s·N(0, 1)) + offset`` with
+    the Gaussian draws taken from ``rng``, every step computed in place,
+    so a caller filling the rows of a preallocated matrix from one
+    :func:`tone_argument` allocates nothing per record.  Each row equals
+    ``jittered_tone(f, amplitude, fs, n, jitter_rms_s, rng, phase) +
+    offset`` bit for bit (the in-place products and sums are the same
+    IEEE operations with the operands swapped).  A zero ``offset`` is not
+    added.
+
+    ``out`` must be a float64 C-contiguous array of ``argument``'s shape
+    that does not overlap it.
+    """
     if jitter_rms_s > 0.0:
-        arg = arg + 2.0 * np.pi * f * jitter_rms_s * rng.standard_normal(n_samples)
-    return amplitude * np.sin(arg)
+        rng.standard_normal(out=out)
+        out *= 2.0 * np.pi * frequency_hz * jitter_rms_s
+        out += argument
+        np.sin(out, out=out)
+    else:
+        np.sin(argument, out=out)
+    out *= amplitude
+    if offset:
+        out += offset
+    return out
 
 
 def multitone(frequencies_hz: Sequence[float], amplitudes: Sequence[float],

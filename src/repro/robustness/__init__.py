@@ -8,10 +8,11 @@ mismatch, sampling-clock jitter and PVT corner shifts?
 * :mod:`~repro.robustness.model` — the declarative
   :class:`~repro.robustness.model.PerturbationModel` with five composable
   axes, and its seeded, executor-independent draw tables.
-* :mod:`~repro.robustness.engine` — the batched Monte Carlo engine: one
-  ``simulate_batch`` call per shard population, one batched
-  ``process_fixed`` per chain variant, corner-scaled power/area from the
-  nominal synthesis — never a per-sample Python simulation loop.
+* :mod:`~repro.robustness.engine` — the batched Monte Carlo engine: each
+  chain variant's samples in blocks of ``ROW_BLOCK`` rows, one
+  ``simulate_batch`` call and one batched ``process_fixed`` per block,
+  corner-scaled power/area from the nominal synthesis — never a
+  per-sample Python simulation loop.
 * :mod:`~repro.robustness.report` — per-sample metric distributions,
   :class:`~repro.robustness.report.YieldReport` (pass-rate against the
   spec masks, percentile SNR, worst-case sample), robust Pareto ranking by

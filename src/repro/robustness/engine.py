@@ -8,31 +8,38 @@ count and a seed, and produce per-sample metric distributions plus a
 Hot path
 --------
 The engine never simulates Monte Carlo samples one at a time.  Per shard
-(one shard per job):
+(one shard per job), it walks the chain variants in sorted order and each
+variant's samples in blocks of :data:`ROW_BLOCK` rows:
 
-1. every sample's perturbed stimulus (gain/offset mismatch + clock jitter)
-   becomes one row of a ``(samples, n)`` matrix, run through **one**
+1. every sample of the block writes its perturbed stimulus (gain/offset
+   mismatch + clock jitter) in place into one row of a ``(block, n)``
+   matrix, from a tone argument computed once per shard
+   (:func:`~repro.dsm.signals.write_jittered_tone`), and the matrix runs
+   through **one**
    :meth:`~repro.dsm.modulator.DeltaSigmaModulator.simulate_batch` call;
-2. the resulting code records are grouped by chain variant and each group
-   runs through **one** batched
-   :meth:`~repro.core.chain.DecimationChain.process_fixed` call on the
-   stacked ``(group, n)`` codes (the PR-1/PR-3 vectorized engines);
+2. the block's codes run through **one** batched
+   :meth:`~repro.core.chain.DecimationChain.process_fixed` call of the
+   variant's chain;
 3. the output SNRs come from one batched
-   :func:`~repro.dsm.spectrum.analyze_tone_batch` periodogram per group;
+   :func:`~repro.dsm.spectrum.analyze_tone_batch` periodogram per block;
 4. power/area per sample are the nominal synthesis estimates scaled by the
    sample's PVT corner factors
    (:meth:`~repro.hardware.corners.CornerDraw.power_factors`) — the models
    are linear in the library constants, so no per-sample synthesis runs.
+
+Each block's arrays are freed before the next block starts, so a shard's
+peak memory scales with :data:`ROW_BLOCK`, not with its population.
 
 Reproducibility
 ---------------
 Every random number of a run is drawn once, in the parent, in a fixed
 order (:meth:`~repro.robustness.model.PerturbationModel.draw_table`), and
 travels inside the shard payloads.  All batched kernels are per-row
-bit-exact and shard-composition independent, so a fixed seed produces
-byte-identical yield records at every ``jobs`` value and across warm
-:class:`~repro.explore.store.ArtifactCAS` re-runs (the whole record is
-cached under a content hash of spec, options, model and run settings).
+bit-exact and independent of shard and block composition, so a fixed
+seed produces byte-identical yield records at every ``jobs`` value and
+across warm :class:`~repro.explore.store.ArtifactCAS` re-runs (the whole
+record is cached under a content hash of spec, options, model and run
+settings).
 Perturbed chain variants and their frequency-mask verifications are
 memoized in the run's shared :class:`~repro.flow.artifacts.ArtifactStore`,
 keyed by the variant draw.
@@ -53,7 +60,7 @@ from repro.core.verification import (VerificationReport,
                                      snr_stimulus_parameters, verify_chain,
                                      verify_distribution)
 from repro.dsm.modulator import DeltaSigmaModulator
-from repro.dsm.signals import jittered_tone
+from repro.dsm.signals import tone_argument, write_jittered_tone
 from repro.dsm.spectrum import analyze_tone_batch
 from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
 from repro.explore.runner import execute_payloads
@@ -71,6 +78,7 @@ from repro.scenarios.registry import Scenario, resolve_scenarios
 __all__ = [
     "GOLDEN_RUN_SETTINGS",
     "MIN_ANALYSIS_OUTPUTS",
+    "ROW_BLOCK",
     "execute_robustness_payload",
     "run_robustness",
     "run_robustness_suite",
@@ -94,6 +102,12 @@ GOLDEN_RUN_SETTINGS = {
 #: absurd SNRs with a false PASS.  ``run_robustness_suite`` rejects any
 #: ``stimulus_samples`` below ``MIN_ANALYSIS_OUTPUTS * decimation``.
 MIN_ANALYSIS_OUTPUTS = 64
+
+#: Rows per batched modulator/chain/analysis pass inside a variant group.
+#: A shard's peak memory scales with this block, not with its population.
+#: 16 was chosen by measurement (docs/PERFORMANCE.md): larger blocks cost
+#: memory and buy no speed, smaller ones save little memory.
+ROW_BLOCK = 16
 
 
 # ----------------------------------------------------------------------
@@ -125,13 +139,7 @@ def execute_robustness_payload(payload: dict,
     samples = payload["samples"]
     fs = spec.modulator.sample_rate_hz
     jitter_rms = model.jitter.rms_s if model.jitter is not None else 0.0
-    stimulus = np.empty((len(samples), total))
-    for row, sample in enumerate(samples):
-        rng = np.random.default_rng(sample["jitter_seed"])
-        tone = jittered_tone(exact_tone_hz, amplitude * sample["gain"], fs,
-                             total, jitter_rms, rng)
-        stimulus[row] = tone + sample["offset"]
-
+    argument = tone_argument(exact_tone_hz, fs, total)
     modulator = DeltaSigmaModulator(
         order=spec.modulator.order,
         osr=spec.modulator.osr,
@@ -139,30 +147,45 @@ def execute_robustness_payload(payload: dict,
         sample_rate_hz=fs,
         h_inf=spec.modulator.out_of_band_gain,
     )
-    # One batched simulation per shard population — never per sample.
-    batch = modulator.simulate_batch(stimulus)
+    n_out = flow["snr_samples"] // chain.total_decimation
+
+    def run_block(chain_v: DecimationChain,
+                  rows: List[int]) -> Tuple[List[float], np.ndarray]:
+        """SNR and loop stability of one block of rows.
+
+        The block's stimulus, codes and chain intermediates are locals, so
+        they are freed on return, before the next block allocates its own.
+        """
+        stimulus = np.empty((len(rows), total))
+        for out, row in zip(stimulus, rows):
+            sample = samples[row]
+            write_jittered_tone(
+                out, argument, exact_tone_hz, amplitude * sample["gain"],
+                jitter_rms, np.random.default_rng(sample["jitter_seed"]),
+                sample["offset"])
+        batch = modulator.simulate_batch(stimulus)
+        words = chain_v.process_fixed(batch.codes)
+        normalized = chain_v.output_to_normalized(words)
+        analyses = analyze_tone_batch(
+            normalized[:, settle:settle + n_out], chain.output_rate_hz,
+            exact_tone_hz, bandwidth_hz=spec.decimator.passband_edge_hz,
+            window="blackmanharris", signal_bins=8)
+        return [analysis.snr_db for analysis in analyses], batch.stable
 
     rows_by_variant: Dict[int, List[int]] = {}
     for row, sample in enumerate(samples):
         rows_by_variant.setdefault(int(sample["variant"]), []).append(row)
 
-    n_out = flow["snr_samples"] // chain.total_decimation
     snr_db = np.empty(len(samples))
+    stable = np.empty(len(samples), dtype=bool)
     variants_info: Dict[str, dict] = {}
     for variant in sorted(rows_by_variant):
         chain_v, info = _variant_chain(
             chain, model, payload["variants"][variant], variant, artifacts)
-        rows = np.asarray(rows_by_variant[variant])
-        # One batched bit-true chain simulation per variant group.
-        words = chain_v.process_fixed(batch.codes[rows])
-        normalized = chain_v.output_to_normalized(words)
-        trimmed = normalized[:, settle:settle + n_out]
-        analyses = analyze_tone_batch(
-            trimmed, chain.output_rate_hz, exact_tone_hz,
-            bandwidth_hz=spec.decimator.passband_edge_hz,
-            window="blackmanharris", signal_bins=8)
-        for row, analysis in zip(rows_by_variant[variant], analyses):
-            snr_db[row] = analysis.snr_db
+        group = rows_by_variant[variant]
+        for start in range(0, len(group), ROW_BLOCK):
+            rows = group[start:start + ROW_BLOCK]
+            snr_db[rows], stable[rows] = run_block(chain_v, rows)
         variants_info[str(variant)] = info
 
     nominal = payload["nominal"]
@@ -184,7 +207,7 @@ def execute_robustness_payload(payload: dict,
             "power_mw": float(nominal["dynamic_mw"] * dyn_f
                               + nominal["leakage_uw"] * leak_f / 1000.0),
             "area_mm2": float(nominal["area_mm2"] * area_f),
-            "stable": bool(batch.stable[row]),
+            "stable": bool(stable[row]),
         })
     return {"rows": out_rows, "variants": variants_info}
 

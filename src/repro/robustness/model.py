@@ -31,8 +31,9 @@ inline and on the process pool.
 The chain-domain axes (dither, dropout) do not draw per sample but per
 *variant*: a run instantiates ``chain_variants`` perturbed chains and
 assigns every Monte Carlo sample to one of them.  This is what keeps the
-hot path batched — samples sharing a variant run through one batched
-``process_fixed`` call — while still exploring the coefficient population.
+hot path batched — samples sharing a variant run through batched
+``process_fixed`` calls of one chain — while still exploring the
+coefficient population.
 Stimulus-domain axes (mismatch, jitter) and the corner axis draw per
 sample.
 """

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dsm import ToneSpec, band_limited_noise, coherent_tone, dc, impulse, multitone, ramp
+from repro.dsm.signals import jittered_tone, tone_argument, write_jittered_tone
 
 
 class TestCoherentTone:
@@ -33,6 +34,45 @@ class TestCoherentTone:
     def test_phase_offset(self):
         tone = coherent_tone(5e6, 1.0, 640e6, 1024, phase=np.pi / 2)
         assert tone[0] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestJitteredToneWriter:
+    """The in-place writer the Monte Carlo fills its stimulus rows with."""
+
+    FS = 640e6
+    N = 3000
+    F = 5.12e6
+
+    @pytest.mark.parametrize("jitter_rms_s", [0.0, 2e-12])
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_writer_is_bit_identical_to_jittered_tone_plus_offset(
+            self, jitter_rms_s, phase):
+        argument = tone_argument(self.F, self.FS, self.N, phase)
+        rows = np.empty((3, self.N))
+        for seed, (out, gain, offset) in enumerate(
+                zip(rows, (1.01, 0.97, 1.0), (3e-3, -2e-3, 0.0))):
+            written = write_jittered_tone(
+                out, argument, self.F, 0.5 * gain, jitter_rms_s,
+                np.random.default_rng(seed), offset)
+            assert written is out
+            expected = jittered_tone(self.F, 0.5 * gain, self.FS, self.N,
+                                     jitter_rms_s, np.random.default_rng(seed),
+                                     phase) + offset
+            assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("jitter_rms_s", [0.0, 2e-12])
+    def test_jittered_tone_keeps_the_out_of_place_arithmetic(self,
+                                                             jitter_rms_s):
+        rng = np.random.default_rng(11)
+        t = np.arange(self.N)
+        arg = 2.0 * np.pi * self.F / self.FS * t + 0.3
+        if jitter_rms_s > 0.0:
+            arg = arg + (2.0 * np.pi * self.F * jitter_rms_s
+                         * rng.standard_normal(self.N))
+        reference = 0.5 * np.sin(arg)
+        tone = jittered_tone(self.F, 0.5, self.FS, self.N, jitter_rms_s,
+                             np.random.default_rng(11), 0.3)
+        assert np.array_equal(reference.view(np.uint64), tone.view(np.uint64))
 
 
 class TestMultitone:

@@ -1,5 +1,9 @@
 """Tests for the Monte Carlo robustness engine (batching, determinism)."""
 
+import tracemalloc
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from repro.dsm.modulator import FastErrorFeedbackSimulator
 from repro.robustness import (PerturbationModel, default_model,
                               robustness_report_json, run_robustness,
                               run_robustness_suite)
+from repro.robustness import engine
 from repro.robustness.model import CoefficientDither, InputMismatch
 
 SMALL_RUN = dict(n_samples=6, seed=13, stimulus_samples=2048)
@@ -100,11 +105,12 @@ class TestBatchedHotPath:
         """The acceptance run: 256 samples over lte-20, no per-sample loop.
 
         Counts engine calls while the Monte Carlo executes inline: the
-        population must go through ``simulate_batch`` (one call per shard
-        population — exactly one for ``jobs=1``) and batched 2-D
-        ``process_fixed`` (one call per chain variant), with per-record
-        simulation reserved for the single nominal reference.  The run must
-        then reproduce byte-identically from the warm on-disk cache.
+        population must go through ``simulate_batch`` and batched 2-D
+        ``process_fixed`` once per row block of each chain variant's group
+        (``ceil(group / ROW_BLOCK)`` calls per group, each), with
+        per-record simulation reserved for the single nominal reference.
+        The run must then reproduce byte-identically from the warm on-disk
+        cache.
         """
         calls = {"simulate": 0, "simulate_batch": 0, "fixed_1d": 0,
                  "fixed_2d": 0}
@@ -135,9 +141,13 @@ class TestBatchedHotPath:
         cold = run_robustness("lte-20", model=model, n_samples=256, seed=2011,
                               stimulus_samples=2048, jobs=1,
                               cache_dir=tmp_path)
-        assert calls["simulate_batch"] == 1          # one population, one call
+        # The variant of every sample comes from the run's draw table.
+        groups = Counter(s["variant"] for s in cold.record["samples"])
+        assert len(groups) == model.chain_variants
+        blocks = sum(-(-size // engine.ROW_BLOCK) for size in groups.values())
+        assert calls["simulate_batch"] == blocks     # one call per row block
         assert calls["simulate"] <= 1                # the nominal reference
-        assert calls["fixed_2d"] == model.chain_variants  # one per variant
+        assert calls["fixed_2d"] == blocks           # one call per row block
         assert calls["fixed_1d"] <= 1                # the nominal SNR leg
         assert cold.from_cache is False
         assert len(cold.record["samples"]) == 256
@@ -163,6 +173,50 @@ class TestBatchedHotPath:
         many = run_robustness("lte-20", n_samples=9, seed=3,
                               stimulus_samples=2048, jobs=5)
         assert canonical_json(one.record) == canonical_json(many.record)
+
+
+class TestRowBlocks:
+    """The shard walks each variant group in blocks of ``ROW_BLOCK`` rows."""
+
+    def test_block_size_does_not_change_the_record(self, monkeypatch):
+        kwargs = dict(n_samples=20, seed=2011, stimulus_samples=2048)
+        records = {}
+        for block in (1, 7, 256):
+            monkeypatch.setattr(engine, "ROW_BLOCK", block)
+            records[block] = canonical_json(
+                run_robustness("lte-20", jobs=1, **kwargs).record)
+        monkeypatch.undo()
+        pooled = run_robustness("lte-20", jobs=4, **kwargs).record
+        sizes = Counter(s["variant"] for s in pooled["samples"]).values()
+        assert len(set(sizes)) > 1           # groups of uneven size
+        assert records[1] == records[7] == records[256]
+        assert records[1] == canonical_json(pooled)
+
+    def test_shard_peak_memory_scales_with_the_block(self):
+        """A shard's traced peak grows with the row block, not with its
+        population: 8x the samples stay under 2x the peak."""
+        captured = {}
+        real = engine.execute_payloads
+
+        def capture(payloads, **kwargs):
+            captured["payload"] = payloads[0]
+            captured["store"] = kwargs["store"]
+            return real(payloads, **kwargs)
+
+        with mock.patch.object(engine, "execute_payloads", capture):
+            run_robustness("lte-20", n_samples=256, seed=2011,
+                           stimulus_samples=2048, jobs=1)
+        full, store = captured["payload"], captured["store"]
+        small = dict(full, samples=full["samples"][:32])
+        peaks = []
+        for payload in (full, small):
+            tracemalloc.start()
+            try:
+                engine.execute_robustness_payload(payload, store)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2.0 * peaks[1]
 
 
 class TestSuite:

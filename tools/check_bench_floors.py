@@ -52,6 +52,8 @@ FLOORS = {
          lambda r: r["simulate_batch_kernel_speedup"] >= 5.0),
         ("compiled Hogenauer kernel beats its fallback by at least 5x",
          lambda r: r["hogenauer_batch_kernel_speedup"] >= 5.0),
+        ("shard peak memory scales with the row block (256/32 <= 2x)",
+         lambda r: r["payload_peak_ratio"] <= 2.0),
     ],
     "obs_overhead": [
         ("instrumented flow emits spans when traced",
