@@ -43,7 +43,10 @@ Every command handler writes through a :class:`CommandIO` stream pair
 instead of the process-global ``sys.stdout``/``sys.stderr``: the plain CLI
 binds them to the real streams, while the serve daemon binds per-request
 buffers, so a served response carries exactly the bytes the CLI would have
-printed (:func:`run_command` is the shared entry point).
+printed (:func:`run_command` is the shared entry point).  The argument
+parser is built once per process and shared by every invocation,
+including the daemon's concurrent worker threads; :func:`build_parser`
+stays the public constructor.
 
 See ``docs/GUIDE.md`` for a task-oriented walkthrough,
 ``docs/SCENARIOS.md`` for the scenario catalog,
@@ -1093,6 +1096,26 @@ _HANDLERS = {
 }
 
 
+#: The process's one parser, built by :func:`_shared_parser` on first use.
+#: Invocations and threads share it safely: argparse parsing writes only
+#: into each call's fresh ``Namespace``, and help/usage/error text goes
+#: through the per-thread :class:`CommandIO`.  List defaults
+#: (``default=[]``) are shared objects too, so handlers never mutate
+#: ``args`` values in place.
+_PARSER: Optional[argparse.ArgumentParser] = None
+_PARSER_LOCK = threading.Lock()
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process-wide parser: :func:`build_parser` runs once, under a
+    lock so concurrent first requests of a daemon build it only once."""
+    global _PARSER
+    with _PARSER_LOCK:
+        if _PARSER is None:
+            _PARSER = build_parser()
+        return _PARSER
+
+
 def run_command(argv: Optional[Sequence[str]] = None,
                 stdout: Optional[IO[str]] = None,
                 stderr: Optional[IO[str]] = None,
@@ -1105,13 +1128,17 @@ def run_command(argv: Optional[Sequence[str]] = None,
     the exit code; all output — including argparse usage/help text — goes
     to the given streams, so concurrent invocations in one process never
     interleave.
+
+    Every invocation parses with the same parser, built once per process
+    on first use (see :func:`_shared_parser`): building its ~20
+    subparsers costs ~5 ms, more than a served store hit's own work.
     """
     io = CommandIO(stdout=stdout, stderr=stderr)
     previous = _current_io()
     _COMMAND_IO.io = io
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _shared_parser().parse_args(argv)
         except SystemExit as exc:
             code = exc.code
             if code is None:

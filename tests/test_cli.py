@@ -373,12 +373,12 @@ class TestArgumentValidation:
         ("robustness", "check", "--jobs", "0"),
     ])
     def test_nonpositive_counts_are_clean_errors(self, args):
-        proc = run_cli(*args, check=False)
-        assert proc.returncode == 2
-        assert proc.stderr.count("\n") <= 2
-        assert "error:" in proc.stderr
-        assert "must be at least 1" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, stderr = run_inproc(*args)
+        assert code == 2
+        assert stderr.count("\n") <= 2
+        assert "error:" in stderr
+        assert "must be at least 1" in stderr
+        assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("args, message", [
         (("report", "missing.json"), "report file not found"),
@@ -411,17 +411,18 @@ class TestArgumentValidation:
          "--min-yield must lie in (0, 1]"),
     ])
     def test_robustness_run_parameter_ranges(self, args, message):
-        proc = run_cli(*args, check=False)
-        assert proc.returncode == 2
-        assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, stderr = run_inproc(*args)
+        assert code == 2
+        assert message in stderr
+        assert "Traceback" not in stderr
 
     def test_too_short_stimulus_is_a_clean_error(self):
-        proc = run_cli("robustness", "run", "lte-20", "--samples", "2",
-                       "--stimulus-samples", "64", check=False)
-        assert proc.returncode == 2
-        assert "--stimulus-samples 64 is too short" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, stderr = run_inproc("robustness", "run", "lte-20",
+                                     "--samples", "2",
+                                     "--stimulus-samples", "64")
+        assert code == 2
+        assert "--stimulus-samples 64 is too short" in stderr
+        assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("args", [
         ("verify", "--snr", "--snr-samples", "0"),
@@ -822,67 +823,67 @@ class TestServeClientValidation:
     """Argument/connection errors of the serve/client pair (exit 2)."""
 
     def test_serve_rejects_bad_jobs(self):
-        proc = run_cli("serve", "--jobs", "0", check=False)
-        assert proc.returncode == 2
-        assert "--jobs must be at least 1" in proc.stderr
+        code, _, stderr = run_inproc("serve", "--jobs", "0")
+        assert code == 2
+        assert "--jobs must be at least 1" in stderr
 
     def test_serve_rejects_bad_port(self):
-        proc = run_cli("serve", "--port", "70000", check=False)
-        assert proc.returncode == 2
-        assert "--port must lie in [0, 65535]" in proc.stderr
+        code, _, stderr = run_inproc("serve", "--port", "70000")
+        assert code == 2
+        assert "--port must lie in [0, 65535]" in stderr
 
     def test_serve_rejects_bad_max_artifacts(self):
-        proc = run_cli("serve", "--max-artifacts", "0", check=False)
-        assert proc.returncode == 2
-        assert "--max-artifacts must be at least 1" in proc.stderr
+        code, _, stderr = run_inproc("serve", "--max-artifacts", "0")
+        assert code == 2
+        assert "--max-artifacts must be at least 1" in stderr
 
     def test_client_rejects_malformed_address(self):
-        proc = run_cli("client", "--connect", "not-an-address", "ping",
-                       check=False)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ")
-        assert "invalid address" in proc.stderr
+        code, _, stderr = run_inproc("client", "--connect", "not-an-address",
+                                     "ping")
+        assert code == 2
+        assert stderr.startswith("error: ")
+        assert "invalid address" in stderr
 
     def test_client_connection_refused_is_clean(self):
         # Port 1 on localhost is essentially never listening.
-        proc = run_cli("client", "--connect", "127.0.0.1:1", "ping",
-                       check=False)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: cannot reach server at ")
+        code, _, stderr = run_inproc("client", "--connect", "127.0.0.1:1",
+                                     "ping")
+        assert code == 2
+        assert stderr.startswith("error: cannot reach server at ")
 
     def test_client_rejects_connect_and_socket_together(self):
-        proc = run_cli("client", "--connect", "127.0.0.1:7411",
-                       "--socket", "/tmp/x.sock", "ping", check=False)
-        assert proc.returncode == 2
-        assert "mutually exclusive" in proc.stderr
+        code, _, stderr = run_inproc("client", "--connect", "127.0.0.1:7411",
+                                     "--socket", "/tmp/x.sock", "ping")
+        assert code == 2
+        assert "mutually exclusive" in stderr
 
     def test_client_rejects_bad_timeout(self):
-        proc = run_cli("client", "--timeout", "0", "ping", check=False)
-        assert proc.returncode == 2
-        assert "--timeout must be positive" in proc.stderr
+        code, _, stderr = run_inproc("client", "--timeout", "0", "ping")
+        assert code == 2
+        assert "--timeout must be positive" in stderr
 
     def test_client_rejects_negative_retries(self):
-        proc = run_cli("client", "--retries", "-1", "ping", check=False)
-        assert proc.returncode == 2
-        assert "--retries must be non-negative" in proc.stderr
+        code, _, stderr = run_inproc("client", "--retries", "-1", "ping")
+        assert code == 2
+        assert "--retries must be non-negative" in stderr
 
     def test_client_rejects_bad_deadline(self):
-        proc = run_cli("client", "--deadline-ms", "0", "ping", check=False)
-        assert proc.returncode == 2
-        assert "--deadline-ms must be a positive integer" in proc.stderr
+        code, _, stderr = run_inproc("client", "--deadline-ms", "0", "ping")
+        assert code == 2
+        assert "--deadline-ms must be a positive integer" in stderr
 
     def test_serve_rejects_bad_max_queue(self):
-        proc = run_cli("serve", "--max-queue", "-2", check=False)
-        assert proc.returncode == 2
+        code, _, stderr = run_inproc("serve", "--max-queue", "-2")
+        assert code == 2
         assert "--max-queue must be -1 (unbounded) or non-negative" \
-            in proc.stderr
+            in stderr
 
     def test_serve_rejects_negative_drain_grace(self):
-        proc = run_cli("serve", "--drain-grace-s", "-1", check=False)
-        assert proc.returncode == 2
-        assert "--drain-grace-s must be non-negative" in proc.stderr
+        code, _, stderr = run_inproc("serve", "--drain-grace-s", "-1")
+        assert code == 2
+        assert "--drain-grace-s must be non-negative" in stderr
 
     def test_serve_rejects_bad_write_timeout(self):
-        proc = run_cli("serve", "--write-timeout-s", "0", check=False)
-        assert proc.returncode == 2
-        assert "--write-timeout-s must be positive" in proc.stderr
+        code, _, stderr = run_inproc("serve", "--write-timeout-s", "0")
+        assert code == 2
+        assert "--write-timeout-s must be positive" in stderr
