@@ -84,10 +84,7 @@ def _population(scenario, model, chain, payload):
         amplitude=flow["snr_amplitude"])
     fs = spec.modulator.sample_rate_hz
     jitter_rms = model.jitter.rms_s if model.jitter is not None else 0.0
-    modulator = DeltaSigmaModulator(
-        order=spec.modulator.order, osr=spec.modulator.osr,
-        quantizer_bits=spec.modulator.quantizer_bits, sample_rate_hz=fs,
-        h_inf=spec.modulator.out_of_band_gain)
+    modulator = DeltaSigmaModulator.from_spec(spec.modulator)
     rows = []
     for sample in payload["samples"]:
         rng = np.random.default_rng(sample["jitter_seed"])
@@ -99,10 +96,8 @@ def _population(scenario, model, chain, payload):
 
 def _per_sample_loop(scenario, model, chain, store, payload):
     """The naive reference: one full simulation chain per Monte Carlo sample."""
-    from repro.dsm.spectrum import analyze_tone
     from repro.robustness.engine import _variant_chain
 
-    spec = scenario.spec
     flow = payload["flow"]
     modulator, rows, exact_tone_hz, settle = _population(scenario, model,
                                                          chain, payload)
@@ -113,12 +108,9 @@ def _per_sample_loop(scenario, model, chain, store, payload):
         chain_v, _ = _variant_chain(chain, model,
                                     payload["variants"][sample["variant"]],
                                     sample["variant"], store)
-        words = chain_v.process_fixed(result.codes)
-        trimmed = chain_v.output_to_normalized(words)[settle:settle + n_out]
-        analysis = analyze_tone(trimmed, chain.output_rate_hz, exact_tone_hz,
-                                bandwidth_hz=spec.decimator.passband_edge_hz,
-                                window="blackmanharris", signal_bins=8)
-        snrs.append(analysis.snr_db)
+        snrs.append(chain_v.measure_output_snr(
+            result.codes, exact_tone_hz, discard_outputs=settle,
+            analyze_outputs=n_out))
     return snrs
 
 

@@ -33,10 +33,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Modulator: 5th order, OSR 16, 4-bit, 640 MHz (Fig. 4)
     # ------------------------------------------------------------------
-    modulator = DeltaSigmaModulator(order=mod_spec.order, osr=mod_spec.osr,
-                                    quantizer_bits=mod_spec.quantizer_bits,
-                                    sample_rate_hz=mod_spec.sample_rate_hz,
-                                    h_inf=mod_spec.out_of_band_gain)
+    modulator = DeltaSigmaModulator.from_spec(mod_spec)
     tone = coherent_tone(stimulus.tone_hz, 0.81 * 0.9,
                          modulator.sample_rate_hz, 65536)
     result = modulator.simulate(tone)

@@ -681,11 +681,15 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
         halfband_attenuation_db=tuple(args.halfband_att),
         halfband_coefficient_bits=tuple(args.halfband_coeff_bits),
     )
+    try:
+        points = sweep.points
+    except ValueError as exc:
+        raise CLIError(str(exc))
     if args.snr:
         _require_snr_record(
             "--snr-samples", args.snr_samples,
             [(point.spec.total_decimation, f" for point '{point.label}'")
-             for point in sweep.expand()])
+             for point in points])
     progress = None if args.quiet else io.err
     result = run_sweep(
         sweep,

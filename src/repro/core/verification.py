@@ -381,17 +381,11 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
 
     def simulate() -> dict:
         from repro.dsm.modulator import DeltaSigmaModulator
+        from repro.dsm.signals import tone_argument
 
-        modulator = DeltaSigmaModulator(
-            order=modulator_spec.order,
-            osr=modulator_spec.osr,
-            quantizer_bits=modulator_spec.quantizer_bits,
-            sample_rate_hz=modulator_spec.sample_rate_hz,
-            h_inf=modulator_spec.out_of_band_gain,
-        )
-        t = np.arange(n_total)
-        stimulus = amplitude * np.sin(
-            2.0 * np.pi * tone_hz / modulator_spec.sample_rate_hz * t + seed_phase)
+        modulator = DeltaSigmaModulator.from_spec(modulator_spec)
+        stimulus = amplitude * np.sin(tone_argument(
+            tone_hz, modulator_spec.sample_rate_hz, n_total, seed_phase))
         return {"n_samples": n_total,
                 "codes": modulator.simulate(stimulus, engine="fast").codes}
 

@@ -40,7 +40,6 @@ from repro.dsm.spectrum import (
     SpectrumAnalysis,
     periodogram,
     analyze_tone,
-    sqnr_from_simulation,
     spectrum_for_plot,
     noise_floor_db,
     db_power,
@@ -77,7 +76,6 @@ __all__ = [
     "SpectrumAnalysis",
     "periodogram",
     "analyze_tone",
-    "sqnr_from_simulation",
     "spectrum_for_plot",
     "noise_floor_db",
     "db_power",

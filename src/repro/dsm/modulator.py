@@ -33,13 +33,16 @@ Two simulation engines are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro import _native
 from repro.dsm.ntf import NoiseTransferFunction, synthesize_ntf
 from repro.dsm.quantizer import MultibitQuantizer
+
+if TYPE_CHECKING:  # pragma: no cover - core builds on dsm, not the reverse
+    from repro.core.spec import ModulatorSpec
 
 
 @dataclass
@@ -204,33 +207,24 @@ class FastErrorFeedbackSimulator:
     def simulate(self, u: np.ndarray) -> SimulationResult:
         """Run the loop on the input sequence ``u`` (values within ±1).
 
-        Runs the compiled kernel as a batch of one when it is available and
-        the pure-Python loop (:meth:`_simulate_python`, the gold model)
-        otherwise; both produce the same bits.
+        Runs as a batch of one through :meth:`simulate_batch`, so the
+        compiled kernel and the pure-Python gold model each have a single
+        caller; both produce the same bits.
         """
         u = _finite_input(u, 1)
-        library = _native.load()
-        if library is None:
-            return self._simulate_python(u)
-        output, codes, quantizer_input, stable = self._simulate_native(
-            library, u)
-        return SimulationResult(
-            output=output,
-            codes=codes,
-            quantizer_input=quantizer_input,
-            stable=bool(stable[0]),
-            metadata={"engine": "error-feedback-fast",
-                      "order": len(self._den) - 1},
-        )
+        record = self.simulate_batch(u[np.newaxis]).record(0)
+        record.metadata = self._metadata()
+        return record
 
     def simulate_batch(self, u: np.ndarray) -> BatchSimulationResult:
         """Run the loop on a ``(batch, n)`` array of independent records.
 
         The compiled kernel runs the records one after another with the
         scalar loop's expression order, so every row is **bit-exact** to
-        its per-record :meth:`simulate` — including the chaotic quantizer
-        decisions.  Without the kernel each row runs through the
-        pure-Python loop.
+        the pure-Python gold model (:meth:`_simulate_python`) — including
+        the chaotic quantizer decisions — and to its per-record
+        :meth:`simulate`.  Without the kernel each row runs through the
+        gold model.
         """
         u = _finite_input(u, 2)
         library = _native.load()
@@ -253,14 +247,17 @@ class FastErrorFeedbackSimulator:
             codes=codes,
             quantizer_input=quantizer_input,
             stable=stable,
-            metadata={"engine": "error-feedback-fast",
-                      "order": len(self._den) - 1, "batched": True},
+            metadata=dict(self._metadata(), batched=True),
         )
 
+    def _metadata(self) -> dict:
+        """The metadata of a per-record simulation."""
+        return {"engine": "error-feedback-fast", "order": len(self._den) - 1}
+
     def _simulate_native(self, library, u: np.ndarray):
-        """Run the compiled kernel on a 1-D record or ``(batch, n)`` rows."""
+        """Run the compiled kernel on the ``(batch, n)`` rows of ``u``."""
         u = np.ascontiguousarray(u, dtype=np.float64)
-        batch = 1 if u.ndim == 1 else u.shape[0]
+        batch = u.shape[0]
         order = len(self._den) - 1
         output = np.empty(u.shape)
         quantizer_input = np.empty(u.shape)
@@ -317,7 +314,7 @@ class FastErrorFeedbackSimulator:
             codes=codes,
             quantizer_input=quantizer_input,
             stable=stable,
-            metadata={"engine": "error-feedback-fast", "order": order},
+            metadata=self._metadata(),
         )
 
 
@@ -364,6 +361,16 @@ class DeltaSigmaModulator:
     optimize_zeros: bool = True
     ntf: Optional[NoiseTransferFunction] = None
     quantizer: MultibitQuantizer = None
+
+    @classmethod
+    def from_spec(cls, modulator_spec: "ModulatorSpec") -> "DeltaSigmaModulator":
+        """The modulator of a :class:`~repro.core.spec.ModulatorSpec`
+        (order, OSR, quantizer bits, clock and out-of-band gain)."""
+        return cls(order=modulator_spec.order,
+                   osr=modulator_spec.osr,
+                   quantizer_bits=modulator_spec.quantizer_bits,
+                   sample_rate_hz=modulator_spec.sample_rate_hz,
+                   h_inf=modulator_spec.out_of_band_gain)
 
     def __post_init__(self) -> None:
         if self.ntf is None:

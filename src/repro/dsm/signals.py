@@ -54,10 +54,10 @@ def tone_argument(frequency_hz: float, sample_rate_hz: float, n_samples: int,
                   phase: float = 0.0) -> np.ndarray:
     """The clean sine argument ``2π·f/fs·n + phase`` of a tone record.
 
-    Same arithmetic as the SNR-leg reference stimulus
-    (:func:`repro.core.verification.modulator_tone_codes`).  A caller
-    writing many tones of one frequency and length computes it once and
-    hands it to :func:`write_jittered_tone` for every record.
+    The SNR-leg reference stimulus
+    (:func:`repro.core.verification.modulator_tone_codes`) is built from
+    it.  A caller writing many tones of one frequency and length computes
+    it once and hands it to :func:`write_jittered_tone` for every record.
     """
     n = np.arange(n_samples)
     return 2.0 * np.pi * frequency_hz / sample_rate_hz * n + phase

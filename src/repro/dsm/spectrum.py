@@ -125,32 +125,20 @@ def analyze_tone(x: np.ndarray, sample_rate_hz: float, tone_hz: float,
         (accounts for window spreading).
     exclude_dc_bins:
         Bins near DC excluded from the noise (window skirt / offset).
+
+    The record runs through :func:`analyze_tone_batch` as a batch of one,
+    so the single-record and batched measurements share one tone-bin and
+    noise-mask computation.
     """
-    freqs, power = periodogram(x, sample_rate_hz, window)
-    if bandwidth_hz is None:
-        bandwidth_hz = sample_rate_hz / 2.0
-    n_bins = len(freqs)
-    bin_width = freqs[1] - freqs[0]
-    tone_bin = int(round(tone_hz / bin_width))
-    tone_bin = min(max(tone_bin, 1), n_bins - 1)
-    lo = max(0, tone_bin - signal_bins)
-    hi = min(n_bins, tone_bin + signal_bins + 1)
-    signal_power = float(np.sum(power[lo:hi]))
-    in_band = freqs <= bandwidth_hz
-    noise_mask = in_band.copy()
-    noise_mask[lo:hi] = False
-    noise_mask[:exclude_dc_bins] = False
-    noise_power = float(np.sum(power[noise_mask]))
-    return SpectrumAnalysis(
-        frequencies_hz=freqs,
-        psd_db=db_power(power),
-        signal_power=signal_power,
-        noise_power=noise_power,
-        signal_bin=tone_bin,
-        bandwidth_hz=float(bandwidth_hz),
-        sample_rate_hz=float(sample_rate_hz),
-        metadata={"window": window, "signal_bins": signal_bins},
-    )
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("analyze_tone expects a 1-D record; use "
+                         "analyze_tone_batch for a (batch, n) array")
+    analysis = analyze_tone_batch(x[np.newaxis], sample_rate_hz, tone_hz,
+                                  bandwidth_hz, window, signal_bins,
+                                  exclude_dc_bins)[0]
+    del analysis.metadata["batch_index"]
+    return analysis
 
 
 def analyze_tone_batch(x: np.ndarray, sample_rate_hz: float, tone_hz: float,
@@ -161,11 +149,12 @@ def analyze_tone_batch(x: np.ndarray, sample_rate_hz: float, tone_hz: float,
     """Batched :func:`analyze_tone` over a ``(batch, n)`` array of records.
 
     All records share the tone and analysis parameters; the PSDs come from
-    one batched rFFT and the signal/noise powers from axis reductions.
-    Entry ``b`` of the returned list is bit-exact to
-    ``analyze_tone(x[b], ...)`` — same frequencies, same PSD bins, same
-    power sums — because every per-row kernel (FFT, window multiply,
-    contiguous pairwise sum) matches the 1-D path.
+    one batched rFFT and the signal/noise powers from per-row sums.  This
+    is the one implementation of the tone measurement (``analyze_tone``
+    runs it on a batch of one).  Entry ``b`` of the returned list is
+    bit-exact to ``analyze_tone(x[b], ...)`` — same frequencies, same PSD
+    bins, same power sums — because every per-row kernel (FFT, window
+    multiply, contiguous pairwise sum) is independent of the other rows.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -173,7 +162,6 @@ def analyze_tone_batch(x: np.ndarray, sample_rate_hz: float, tone_hz: float,
     freqs, power = periodogram(x, sample_rate_hz, window)
     if bandwidth_hz is None:
         bandwidth_hz = sample_rate_hz / 2.0
-    # Identical bin arithmetic to analyze_tone.
     n_bins = len(freqs)
     bin_width = freqs[1] - freqs[0]
     tone_bin = int(round(tone_hz / bin_width))
@@ -186,7 +174,7 @@ def analyze_tone_batch(x: np.ndarray, sample_rate_hz: float, tone_hz: float,
     noise_mask[:exclude_dc_bins] = False
     # Row-wise 1-D reductions, not an axis reduction: numpy's 2-D axis sum
     # blocks differently from the contiguous 1-D pairwise sum, which would
-    # cost the last ulp of bit-exactness against analyze_tone.
+    # make a record's last ulp depend on the batch it rides in.
     signal_power = np.array([np.sum(row[lo:hi]) for row in power])
     noise_power = np.array([np.sum(row[noise_mask]) for row in power])
     return [
@@ -203,13 +191,6 @@ def analyze_tone_batch(x: np.ndarray, sample_rate_hz: float, tone_hz: float,
         )
         for b in range(x.shape[0])
     ]
-
-
-def sqnr_from_simulation(output: np.ndarray, sample_rate_hz: float, tone_hz: float,
-                         bandwidth_hz: float, window: str = "hann") -> float:
-    """SQNR of a modulator output record over the signal band (Fig. 4 metric)."""
-    analysis = analyze_tone(output, sample_rate_hz, tone_hz, bandwidth_hz, window)
-    return analysis.snr_db
 
 
 #: Noise-equivalent bandwidth of the supported windows (in bins).  The

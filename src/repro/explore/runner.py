@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
 from repro.explore.pareto import DEFAULT_OBJECTIVES, Objective, pareto_rank
-from repro.explore.sweep import SweepPoint, SweepSpec
+from repro.explore.sweep import SweepPoint, SweepSpec, sweep_cache_key
 from repro.flow.artifacts import ArtifactStore
 from repro.obs import trace
 
@@ -417,11 +417,12 @@ def run_sweep(sweep: SweepSpec,
         "library": str(library),
         "cache_schema": CACHE_SCHEMA_VERSION,
     }
-    points = sweep.expand()
-    keys = [point.cache_key(flow_settings) for point in points]
+    points = sweep.points
+    payloads = [point.payload() for point in points]
+    keys = [sweep_cache_key(payload, flow_settings) for payload in payloads]
     run = run_cached_payloads(
-        [{**point.payload(), "flow": flow_settings} for point in points],
-        keys, [point.label for point in points], jobs=n_jobs,
+        [{**payload, "flow": flow_settings} for payload in payloads], keys,
+        [point.label for point in points], jobs=n_jobs,
         cache=open_store(cache_dir) if cache_dir is not None else None,
         resume=resume, store=store, progress=progress)
     results = [SweepPointResult(point=point, cache_key=key, record=record,

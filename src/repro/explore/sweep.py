@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.chain import ChainDesignOptions
@@ -69,10 +70,14 @@ class SweepPoint:
         measurement, library), so any input that could change the result
         changes the key.
         """
-        return content_hash({
-            "payload": self.payload(),
-            "flow": dict(flow_settings or {}),
-        })
+        return sweep_cache_key(self.payload(), flow_settings)
+
+
+def sweep_cache_key(payload: Mapping,
+                    flow_settings: Optional[Mapping] = None) -> str:
+    """The cache key of a sweep point's :meth:`SweepPoint.payload` under
+    ``flow_settings``, for a caller that already holds the payload."""
+    return content_hash({"payload": payload, "flow": dict(flow_settings or {})})
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,11 @@ class SweepSpec:
         for values in self.axes().values():
             count *= len(values)
         return count
+
+    @cached_property
+    def points(self) -> Tuple[SweepPoint, ...]:
+        """The expanded grid (:meth:`expand`), computed once per spec."""
+        return tuple(self.expand())
 
     def expand(self) -> List[SweepPoint]:
         """Expand the grid into its deterministic, ordered list of points.

@@ -193,13 +193,7 @@ def measure_hogenauer_activity(chain, n_samples: int = 8192,
     spec = chain.spec
     if amplitude is None:
         amplitude = spec.modulator.msa
-    modulator = DeltaSigmaModulator(
-        order=spec.modulator.order,
-        osr=spec.modulator.osr,
-        quantizer_bits=spec.modulator.quantizer_bits,
-        sample_rate_hz=spec.modulator.sample_rate_hz,
-        h_inf=spec.modulator.out_of_band_gain,
-    )
+    modulator = DeltaSigmaModulator.from_spec(spec.modulator)
     tone = coherent_tone(tone_hz, amplitude, spec.modulator.sample_rate_hz, n_samples)
     result = modulator.simulate(tone)
     signed = chain.codes_to_signed(result.codes)

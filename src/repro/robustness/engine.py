@@ -18,11 +18,11 @@ variant's samples in blocks of :data:`ROW_BLOCK` rows:
    through **one**
    :meth:`~repro.dsm.modulator.DeltaSigmaModulator.simulate_batch` call;
 2. the block's codes run through **one** batched
-   :meth:`~repro.core.chain.DecimationChain.process_fixed` call of the
-   variant's chain;
-3. the output SNRs come from one batched
+   :meth:`~repro.core.chain.DecimationChain.measure_output_snr` call of
+   the variant's chain — the same recipe as the nominal SNR leg: one
+   batched ``process_fixed`` pass and one batched
    :func:`~repro.dsm.spectrum.analyze_tone_batch` periodogram per block;
-4. power/area per sample are the nominal synthesis estimates scaled by the
+3. power/area per sample are the nominal synthesis estimates scaled by the
    sample's PVT corner factors
    (:meth:`~repro.hardware.corners.CornerDraw.power_factors`) — the models
    are linear in the library constants, so no per-sample synthesis runs.
@@ -61,7 +61,6 @@ from repro.core.verification import (VerificationReport,
                                      verify_distribution)
 from repro.dsm.modulator import DeltaSigmaModulator
 from repro.dsm.signals import tone_argument, write_jittered_tone
-from repro.dsm.spectrum import analyze_tone_batch
 from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
 from repro.explore.runner import execute_payloads
 from repro.filters.halfband import perturbed_halfband
@@ -140,13 +139,7 @@ def execute_robustness_payload(payload: dict,
     fs = spec.modulator.sample_rate_hz
     jitter_rms = model.jitter.rms_s if model.jitter is not None else 0.0
     argument = tone_argument(exact_tone_hz, fs, total)
-    modulator = DeltaSigmaModulator(
-        order=spec.modulator.order,
-        osr=spec.modulator.osr,
-        quantizer_bits=spec.modulator.quantizer_bits,
-        sample_rate_hz=fs,
-        h_inf=spec.modulator.out_of_band_gain,
-    )
+    modulator = DeltaSigmaModulator.from_spec(spec.modulator)
     n_out = flow["snr_samples"] // chain.total_decimation
 
     def run_block(chain_v: DecimationChain,
@@ -164,13 +157,10 @@ def execute_robustness_payload(payload: dict,
                 jitter_rms, np.random.default_rng(sample["jitter_seed"]),
                 sample["offset"])
         batch = modulator.simulate_batch(stimulus)
-        words = chain_v.process_fixed(batch.codes)
-        normalized = chain_v.output_to_normalized(words)
-        analyses = analyze_tone_batch(
-            normalized[:, settle:settle + n_out], chain.output_rate_hz,
-            exact_tone_hz, bandwidth_hz=spec.decimator.passband_edge_hz,
-            window="blackmanharris", signal_bins=8)
-        return [analysis.snr_db for analysis in analyses], batch.stable
+        snrs = chain_v.measure_output_snr(batch.codes, exact_tone_hz,
+                                          discard_outputs=settle,
+                                          analyze_outputs=n_out)
+        return snrs, batch.stable
 
     rows_by_variant: Dict[int, List[int]] = {}
     for row, sample in enumerate(samples):

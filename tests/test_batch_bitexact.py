@@ -312,6 +312,10 @@ class TestBatchedSpectrum:
             assert batched.signal_bin == single.signal_bin
             assert np.array_equal(batched.psd_db, single.psd_db)
 
+    def test_analyze_tone_rejects_2d(self, records):
+        with pytest.raises(ValueError, match="1-D"):
+            analyze_tone(records, 40e6, 1e6)
+
     def test_analyze_tone_batch_rejects_1d(self, records):
         with pytest.raises(ValueError, match="2-D"):
             analyze_tone_batch(records[0], 40e6, 1e6)

@@ -148,6 +148,36 @@ class TestSweepAndReport:
         assert "2 cached, 0 executed" in second.stderr
         assert rerun_out.read_bytes() == json_out.read_bytes()
 
+    def test_snr_sweep_expands_grid_and_builds_payloads_once(
+            self, monkeypatch, tmp_path):
+        # The --snr record check and run_sweep share one expansion, and
+        # each point's payload serves both its cache key and its task.
+        from repro.explore.sweep import SweepPoint, SweepSpec
+
+        calls = {"expand": 0, "payload": 0}
+        for cls, name in ((SweepSpec, "expand"), (SweepPoint, "payload")):
+            def counted(self, _real=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _real(self)
+            monkeypatch.setattr(cls, name, counted)
+        monkeypatch.chdir(tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command(["sweep", "--snr", "--snr-samples", "2048",
+                            "--output-bits", "12", "14",
+                            "--halfband-att", "80", "85", "--jobs", "1",
+                            "--quiet", "--json", "sweep.json"],
+                           stdout=out, stderr=err)
+        assert code == 0, err.getvalue()
+        assert json.loads(Path("sweep.json").read_text())["num_points"] == 4
+        assert calls == {"expand": 1, "payload": 4}
+
+    def test_inconsistent_grid_is_a_clean_error(self):
+        code, _, stderr = run_inproc("sweep", "--osr", "32", "--sinc-orders",
+                                     "4,4", "--no-cache")
+        assert code == 2
+        assert stderr.startswith("error: sweep point 'osr32_sinc4-4': ")
+        assert "Traceback" not in stderr
+
     def test_report_rerenders_saved_json(self, saved_reports, tmp_path):
         assert_report_rerenders_to_file(saved_reports["sweep"], tmp_path,
                                         "markdown")
