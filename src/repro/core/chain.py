@@ -316,6 +316,18 @@ class DecimationChain:
             "output_bits": int(self.spec.decimator.output_bits),
         }
 
+    def content_key(self) -> str:
+        """Content hash of the spec, the design options and
+        :meth:`coefficient_fingerprint`.
+
+        Keys the memoized per-chain stages (the generated RTL, the SNR
+        leg): chains with equal keys generate the same RTL and produce
+        bit-identical output words.
+        """
+        return content_hash({"spec": self.spec.to_dict(),
+                             "options": self.options.to_dict(),
+                             "coefficients": self.coefficient_fingerprint()})
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

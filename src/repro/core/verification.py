@@ -127,11 +127,11 @@ def verify_chain(chain, include_snr: bool = False,
         "the signal band" rather than the exact Nyquist edge).
     artifacts:
         :class:`~repro.flow.artifacts.ArtifactStore` the mask stage and the
-        SNR check's modulator bit-stream run through (a fresh one when
-        ``None``).  The frequency-mask checks depend only on the designed
-        filters and the spec mask — not on the output word width — so
-        chains sharing a store and those inputs reuse one mask evaluation
-        (each caller gets an independent copy).
+        SNR check (see :func:`simulated_output_snr`) run through (a fresh
+        one when ``None``).  The frequency-mask checks depend only on the
+        designed filters and the spec mask — not on the output word
+        width — so chains sharing a store and those inputs reuse one mask
+        evaluation (each caller gets an independent copy).
     snr_tone_hz, snr_amplitude:
         Optional explicit SNR stimulus (tone frequency / amplitude); the
         defaults are the paper's bandwidth/4 tone at 0.95 x MSA.  Scenario
@@ -313,21 +313,41 @@ def simulated_output_snr(chain, n_samples: int = 65536,
     Parameters
     ----------
     artifacts:
-        :class:`~repro.flow.artifacts.ArtifactStore` holding the modulator
-        bit-stream, which depends only on the modulator spec and the
-        stimulus — not on the chain — so every chain sharing a store and
-        those inputs simulates the modulator once (see
-        :func:`modulator_tone_codes`).
+        :class:`~repro.flow.artifacts.ArtifactStore` (a fresh one when
+        ``None``) holding two stages.  The measured SNR is keyed by the
+        chain (:meth:`~repro.core.chain.DecimationChain.content_key`) and
+        the stimulus, so a repeated request for the same chain and
+        stimulus runs nothing.  The modulator bit-stream depends only on
+        the modulator spec and the stimulus — not on the chain — so every
+        chain sharing a store and those inputs simulates the modulator
+        once (see :func:`modulator_tone_codes`).
     """
+    from repro.flow.artifacts import ArtifactStore
+
+    if artifacts is None:
+        artifacts = ArtifactStore()
     spec = chain.spec
     exact_tone_hz, amplitude, total, settle_outputs = snr_stimulus_parameters(
         chain, n_samples, tone_hz=tone_hz, amplitude=amplitude)
-    codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
-                                 total, seed_phase=seed_phase,
-                                 artifacts=artifacts)
-    return chain.measure_output_snr(codes, exact_tone_hz,
-                                    discard_outputs=settle_outputs,
-                                    analyze_outputs=n_samples // chain.total_decimation)
+
+    def measure() -> float:
+        codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
+                                     total, seed_phase=seed_phase,
+                                     artifacts=artifacts)
+        return chain.measure_output_snr(
+            codes, exact_tone_hz, discard_outputs=settle_outputs,
+            analyze_outputs=n_samples // chain.total_decimation)
+
+    key = ("snr-leg", content_hash({
+        "chain": chain.content_key(),
+        "n_samples": n_samples,
+        "tone_hz": exact_tone_hz,
+        "amplitude": amplitude,
+        "total_samples": total,
+        "settle_outputs": settle_outputs,
+        "seed_phase": seed_phase,
+    }))
+    return artifacts.get_or_compute(key, measure)
 
 
 def snr_stimulus_parameters(chain, n_samples: int,

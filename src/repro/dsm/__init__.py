@@ -19,7 +19,6 @@ from repro.dsm.ntf import (
     NoiseTransferFunction,
     NTFSynthesisError,
     synthesize_ntf,
-    ntf_for_paper_design,
     optimal_zero_frequencies,
 )
 from repro.dsm.quantizer import MultibitQuantizer, BinaryQuantizer, quantizer_snr_bound_db
@@ -59,7 +58,6 @@ __all__ = [
     "NoiseTransferFunction",
     "NTFSynthesisError",
     "synthesize_ntf",
-    "ntf_for_paper_design",
     "optimal_zero_frequencies",
     "MultibitQuantizer",
     "BinaryQuantizer",

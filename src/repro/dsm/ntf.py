@@ -356,8 +356,3 @@ def synthesize_ntf(order: int = 5, osr: int = 16, h_inf: float = 3.0,
         },
     )
     return ntf
-
-
-def ntf_for_paper_design() -> NoiseTransferFunction:
-    """The NTF used throughout the paper: 5th order, OSR 16, OBG 3."""
-    return synthesize_ntf(order=5, osr=16, h_inf=3.0, optimize_zeros=True)

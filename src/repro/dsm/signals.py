@@ -150,8 +150,8 @@ def band_limited_noise(bandwidth_hz: float, rms: float, sample_rate_hz: float,
                        n_samples: int, seed: Optional[int] = None) -> np.ndarray:
     """White Gaussian noise low-pass filtered to ``bandwidth_hz``.
 
-    Used as a wideband (OFDM-like) stimulus for the SDR example and for
-    stress-testing the decimation chain with non-sinusoidal inputs.
+    A wideband (OFDM-like) stimulus for stress-testing the decimation
+    chain with non-sinusoidal inputs; no example or flow stage uses it.
     """
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(n_samples)

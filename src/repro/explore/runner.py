@@ -205,7 +205,9 @@ def execute_payloads(payloads: Sequence[dict],
     ``min(jobs, len(payloads))`` processes.  Both paths produce identical
     records — memoized stage results are bit-identical to cold
     computation — and the same store hit/miss counters whenever ``warm``
-    covers every stage that payloads on different workers share.
+    covers every stage that payloads on different workers share.  The
+    store's entry count covers only what the parent holds: stages the
+    workers compute stay in their copies of the store.
 
     Parameters
     ----------

@@ -49,7 +49,6 @@ from repro.filters.halfband import (
     HalfbandDecimator,
     design_halfband_remez,
     halfband_zero_phase_response,
-    paper_halfband,
 )
 from repro.filters.fir import (
     FIRFilterFixedPoint,
@@ -105,7 +104,6 @@ __all__ = [
     "HalfbandDecimator",
     "design_halfband_remez",
     "halfband_zero_phase_response",
-    "paper_halfband",
     "FIRFilterFixedPoint",
     "design_lowpass_remez",
     "design_arbitrary_response_ls",

@@ -574,13 +574,6 @@ def perturbed_halfband(design: SaramakiHalfband, coefficient_bits: int,
     return perturbed
 
 
-def paper_halfband(transition_start: float = 0.22) -> SaramakiHalfband:
-    """The paper's halfband: n1=3, n2=6 (110th order), 24-bit CSD coefficients."""
-    designer = SaramakiHalfbandDesigner(n1=3, n2=6, transition_start=transition_start,
-                                        coefficient_bits=24)
-    return designer.design(target_attenuation_db=90.0)
-
-
 # ----------------------------------------------------------------------
 # Bit-true implementation
 # ----------------------------------------------------------------------

@@ -4,14 +4,16 @@ Staged execution
 ----------------
 :func:`run_design_flow` is internally a pipeline of keyed stages —
 modulator simulation, chain design (halfband + equalizer sub-stages), mask
-verification, SNR measurement, synthesis.  The shareable stages always run
-through an :class:`~repro.flow.artifacts.ArtifactStore` on a content key
-derived from their actual inputs, so repeated flows that share a store
-(the points of a design-space sweep) compute each shared stage once while
-producing records bit-identical to a flow on a fresh store.
-:func:`warm_flow_artifacts` pre-computes exactly the shareable stages,
-which is how the cached run loop fills a store in the parent before
-shipping it to the process-pool workers.
+verification, the chain's SNR leg, the Hogenauer activity measurement and
+the RTL generation.  Every stage runs through an
+:class:`~repro.flow.artifacts.ArtifactStore` on a content key derived from
+its actual inputs, so repeated flows that share a store (the points of a
+design-space sweep, the requests of the serve daemon) compute each stage
+once per distinct key while producing records bit-identical to a flow on a
+fresh store.  :func:`warm_flow_artifacts` pre-computes the stages that
+sweep points sharing a design or a stimulus have in common, which is how
+the cached run loop fills a store in the parent before shipping it to the
+process-pool workers.
 """
 
 from __future__ import annotations
@@ -136,12 +138,13 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
         Activity tracing always runs on the Hogenauer gold model, which the
         power model is calibrated against.
     artifacts:
-        :class:`~repro.flow.artifacts.ArtifactStore` the shareable stages
-        (halfband/equalizer design, mask verification, modulator
-        bit-stream) run through; a fresh one when ``None``.  Pass one store
-        to several flows to share those stages; results are bit-identical
-        either way, and per-run stages (synthesis, the per-chain SNR leg)
-        always execute.
+        :class:`~repro.flow.artifacts.ArtifactStore` every stage runs
+        through (halfband/equalizer design, mask verification, modulator
+        bit-stream, the chain's SNR leg, the Hogenauer activity and the
+        RTL); a fresh one when ``None``.  Pass one store to several flows
+        to share those stages; results are bit-identical either way.  The
+        library-dependent power and area estimates are recomputed from the
+        stored stages on every call.
     snr_tone_hz, snr_amplitude:
         Optional explicit SNR stimulus, forwarded to
         :func:`repro.core.verification.verify_chain`; the defaults derive
@@ -157,7 +160,8 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
                                 snr_tone_hz=snr_tone_hz,
                                 snr_amplitude=snr_amplitude)
     with trace.span("flow.synthesis", measure_activity=measure_activity):
-        synthesis = SynthesisFlow(library).run(chain, measure_activity=measure_activity)
+        synthesis = SynthesisFlow(library).run(
+            chain, measure_activity=measure_activity, artifacts=artifacts)
     snr = verification.metadata.get("simulated_snr_db")
     return FlowResult(
         spec=spec,
@@ -180,12 +184,14 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
 
     Fills ``artifacts`` with the chain-design sub-stages, the mask
     verification and (with ``include_snr_simulation``) the modulator
-    bit-stream for the given point, without running the per-point stages
-    (synthesis, the chain's SNR leg).  Before starting its process pool, the
-    cached run loop of sweeps and scenario suites warms a store with one
-    representative of every stage-sharing group of pending payloads in the
-    parent (:func:`repro.explore.runner.warm_shared_stages`) and ships it
-    to the workers once, via the pool initializer.
+    bit-stream for the given point.  The chain-keyed stages (the SNR leg,
+    the RTL) and the activity measurement are not warmed: the flows that
+    need them compute them through the same store on first use.  Before
+    starting its process pool, the cached run loop of sweeps and scenario
+    suites warms a store with one representative of every stage-sharing
+    group of pending payloads in the parent
+    (:func:`repro.explore.runner.warm_shared_stages`) and ships it to the
+    workers once, via the pool initializer.
     """
     spec = spec or paper_chain_spec()
     chain = DecimationChain.design(spec, options, artifacts=artifacts)

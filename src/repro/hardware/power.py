@@ -174,8 +174,12 @@ class PowerModel:
         )
 
 
+#: The paper's power-estimation stimulus frequency (Section VIII).
+ACTIVITY_TONE_HZ = 5e6
+
+
 def measure_hogenauer_activity(chain, n_samples: int = 8192,
-                               tone_hz: float = 5e6,
+                               tone_hz: float = ACTIVITY_TONE_HZ,
                                amplitude: Optional[float] = None) -> Dict[str, float]:
     """Measure per-stage toggle activity of the Hogenauer stages.
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.spec import content_hash
 from repro.hardware.area import AreaModel, AreaReport
-from repro.hardware.power import PowerModel, PowerReport, measure_hogenauer_activity
+from repro.hardware.power import (ACTIVITY_TONE_HZ, PowerModel, PowerReport,
+                                  measure_hogenauer_activity)
 from repro.hardware.resources import StageResources, extract_chain_resources
 from repro.hardware.stdcell import GENERIC_45NM, StandardCellLibrary
 from repro.hardware.verilog import VerilogModule, generate_chain_rtl
@@ -101,7 +103,8 @@ class SynthesisFlow:
 
     def run(self, chain, measure_activity: bool = True,
             activity_samples: int = 4096,
-            retimed: Optional[bool] = None) -> SynthesisReport:
+            retimed: Optional[bool] = None,
+            artifacts=None) -> SynthesisReport:
         """Run the full flow on a designed chain.
 
         Parameters
@@ -117,16 +120,39 @@ class SynthesisFlow:
             Number of modulator samples for the activity measurement.
         retimed:
             Override the chain's retiming option for what-if studies.
+        artifacts:
+            :class:`~repro.flow.artifacts.ArtifactStore` the activity
+            measurement and the RTL generation run through (a fresh one
+            when ``None``).  The activity is keyed by the modulator spec,
+            the Sinc cascade and the stimulus only, so flows differing in
+            the library, the output word or the halfband/equalizer options
+            share one measurement; the RTL is keyed by
+            :meth:`~repro.core.chain.DecimationChain.content_key`.  Each
+            caller gets its own activity dict and RTL mapping; the stored
+            :class:`~repro.hardware.verilog.VerilogModule` objects are
+            frozen and shared.
         """
+        from repro.flow.artifacts import ArtifactStore
+
+        if artifacts is None:
+            artifacts = ArtifactStore()
         measured = None
         if measure_activity:
-            measured = measure_hogenauer_activity(chain, n_samples=activity_samples)
+            amplitude = chain.spec.modulator.msa
+            measured = artifacts.get_or_compute(
+                _activity_key(chain, activity_samples, ACTIVITY_TONE_HZ,
+                              amplitude),
+                lambda: measure_hogenauer_activity(
+                    chain, n_samples=activity_samples,
+                    tone_hz=ACTIVITY_TONE_HZ, amplitude=amplitude),
+                copy=True)
         resources = extract_chain_resources(chain, measured)
         retimed = chain.options.retimed if retimed is None else retimed
         power_model = PowerModel(self.library, self.supply_v)
         power = power_model.chain_power(resources, retimed=retimed)
         area = AreaModel(self.library).chain_area(resources)
-        rtl = generate_chain_rtl(chain)
+        rtl = dict(artifacts.get_or_compute(("chain-rtl", chain.content_key()),
+                                            lambda: generate_chain_rtl(chain)))
         return SynthesisReport(
             resources=resources,
             power=power,
@@ -139,3 +165,24 @@ class SynthesisFlow:
                 "retimed": retimed,
             },
         )
+
+
+def _activity_key(chain, n_samples: int, tone_hz: float,
+                  amplitude: float) -> tuple:
+    """Store key of :func:`measure_hogenauer_activity` on ``chain``.
+
+    Covers every input the measurement reads — each modulator-spec field,
+    the Hogenauer stages (structure, register width, label) and the
+    stimulus — and nothing else, so ``design`` and ``verify`` on any
+    library and output word share one measurement.
+    """
+    stages = chain._hogenauer_stages
+    return ("hogenauer-activity", content_hash({
+        "modulator": chain.spec.modulator.to_dict(),
+        "stages": [stage.coefficient_fingerprint() for stage in stages],
+        "widths": [stage.width for stage in stages],
+        "labels": [stage.spec.label for stage in stages],
+        "n_samples": n_samples,
+        "tone_hz": tone_hz,
+        "amplitude": amplitude,
+    }))

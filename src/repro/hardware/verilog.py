@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +34,29 @@ from repro.fixedpoint.csd import CSDCode, encode_coefficients
 from repro.fixedpoint.horner import horner_decomposition
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerilogModule:
-    """A generated Verilog module plus its self-declared resource counts."""
+    """A generated Verilog module plus its self-declared resource counts.
+
+    Immutable all the way down (``ports`` becomes a tuple, ``resources`` a
+    read-only mapping): the synthesis flow memoizes generated modules and
+    shares them between reports.
+    """
 
     name: str
     code: str
-    ports: List[str]
-    resources: Dict[str, int] = field(default_factory=dict)
+    ports: Tuple[str, ...]
+    resources: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ports", tuple(self.ports))
+        object.__setattr__(self, "resources",
+                           MappingProxyType(dict(self.resources)))
+
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies: rebuild from a dict.
+        return (VerilogModule, (self.name, self.code, self.ports,
+                                dict(self.resources)))
 
     def line_count(self) -> int:
         """Number of source lines in the generated module."""

@@ -27,8 +27,14 @@ def two_point_sweep():
 
 
 @pytest.fixture(scope="module")
-def cold_result(two_point_sweep, cache_dir):
-    return run_sweep(two_point_sweep, jobs=1, cache_dir=cache_dir)
+def cold_store():
+    return ArtifactStore()
+
+
+@pytest.fixture(scope="module")
+def cold_result(two_point_sweep, cache_dir, cold_store):
+    return run_sweep(two_point_sweep, jobs=1, cache_dir=cache_dir,
+                     store=cold_store)
 
 
 class TestRunSweep:
@@ -88,16 +94,30 @@ class TestRunSweep:
     @pytest.mark.parametrize("jobs", [1, 2, 4],
                              ids=["inline", "process", "process-4"])
     def test_every_executor_matches_inline(self, two_point_sweep, tmp_path,
-                                           jobs, cold_result):
+                                           jobs, cold_result, cold_store):
+        store = ArtifactStore()
         result = run_sweep(two_point_sweep, jobs=jobs,
-                           cache_dir=tmp_path / f"jobs{jobs}")
+                           cache_dir=tmp_path / f"jobs{jobs}", store=store)
         assert result.metadata["executor"] == ("inline" if jobs == 1
                                                else "process")
         assert sweep_report_json(result) == sweep_report_json(cold_result)
         # Stage-reuse telemetry does not change with the executor either:
         # the warm phase's lookups are not counted twice.
-        assert (result.metadata["artifact_store"]
-                == cold_result.metadata["artifact_store"])
+        stats = result.metadata["artifact_store"]
+        inline_stats = cold_result.metadata["artifact_store"]
+        assert ((stats["hits"], stats["misses"])
+                == (inline_stats["hits"], inline_stats["misses"]))
+        # The parent holds every artifact the inline run holds, except the
+        # per-chain stages the pool workers compute in their own copies of
+        # the store (here the two chains' RTL).
+        worker_stages = () if jobs == 1 else ("chain-rtl", "snr-leg",
+                                              "hogenauer-activity")
+        expected = {key for key in cold_store._data
+                    if key[0] not in worker_stages}
+        assert set(store._data) == expected
+        assert stats["entries"] == len(expected)
+        assert inline_stats["entries"] - len(expected) == (0 if jobs == 1
+                                                           else 2)
 
     def test_jobs_one_never_creates_a_pool(self, two_point_sweep, monkeypatch):
         import repro.explore.runner as runner_module

@@ -153,7 +153,156 @@ class TestOneMemoizationPath:
             return original(self, key, *args, **kwargs)
 
         monkeypatch.setattr(ArtifactStore, "get_or_compute", counting)
-        run_design_flow(measure_activity=False)
+        run_design_flow(include_snr_simulation=True, snr_samples=2048)
         assert stages["halfband-design"] >= 1
-        assert stages["equalizer-design"] == 1
-        assert stages["verify-mask"] == 1
+        for stage in ("equalizer-design", "verify-mask", "snr-leg",
+                      "modulator-codes", "hogenauer-activity", "chain-rtl"):
+            assert stages[stage] == 1, stage
+
+
+def _stage_keys(store, stage):
+    return {key for key in store._data if key[0] == stage}
+
+
+class TestPerChainStages:
+    """The activity measurement, the RTL and the SNR leg are memoized too."""
+
+    def test_activity_measured_once_across_libraries_and_snr_legs(
+            self, monkeypatch):
+        import json
+
+        import repro.hardware.synthesis as synthesis
+        from repro.flow import run_design_flow
+        from repro.hardware.stdcell import GENERIC_45NM, GENERIC_90NM
+
+        settings = [dict(library=library, include_snr_simulation=snr,
+                         snr_samples=2048)
+                    for library in (GENERIC_45NM, GENERIC_90NM)
+                    for snr in (False, True)]
+        as_json = lambda result: json.dumps(result.record(), sort_keys=True)
+        fresh = [as_json(run_design_flow(**kwargs)) for kwargs in settings]
+
+        calls = []
+        real = synthesis.measure_hogenauer_activity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "measure_hogenauer_activity", counting)
+        store = ArtifactStore()
+        shared = [as_json(run_design_flow(artifacts=store, **kwargs))
+                  for kwargs in settings]
+        assert shared == fresh
+        assert len(calls) == 1
+        assert len(_stage_keys(store, "hogenauer-activity")) == 1
+
+    def test_each_activity_input_changes_the_key(self):
+        from dataclasses import replace
+
+        from repro.core.chain import ChainDesignOptions, DecimationChain
+        from repro.core.spec import paper_chain_spec
+        from repro.hardware import GENERIC_90NM, SynthesisFlow
+
+        store = ArtifactStore()
+        base = paper_chain_spec()
+
+        def measure(spec=base, options=None, samples=256, library=None):
+            chain = DecimationChain.design(spec, options, artifacts=store)
+            flow = SynthesisFlow() if library is None else SynthesisFlow(library)
+            flow.run(chain, activity_samples=samples, artifacts=store)
+            return len(_stage_keys(store, "hogenauer-activity"))
+
+        assert measure() == 1
+        # Library, output word and equalizer options are not inputs.
+        assert measure(library=GENERIC_90NM) == 1
+        assert measure(spec=replace(base, decimator=replace(
+            base.decimator, output_bits=12))) == 1
+        assert measure(options=ChainDesignOptions(equalizer_order=48)) == 1
+        # Quantizer bits, MSA, the NTF, Sinc orders and the record length
+        # are.
+        assert measure(spec=replace(
+            base, modulator=replace(base.modulator, quantizer_bits=5),
+            decimator=replace(base.decimator, input_bits=5))) == 2
+        assert measure(spec=replace(base, modulator=replace(
+            base.modulator, msa=0.7))) == 3
+        assert measure(spec=replace(base, modulator=replace(
+            base.modulator, out_of_band_gain=2.5))) == 4
+        assert measure(options=ChainDesignOptions(sinc_orders=(5, 4, 6))) == 5
+        assert measure(samples=512) == 6
+
+    def test_returned_activity_and_rtl_belong_to_the_caller(self,
+                                                            paper_chain):
+        from dataclasses import FrozenInstanceError
+
+        from repro.hardware import SynthesisFlow, generate_chain_rtl
+
+        store = ArtifactStore()
+        first = SynthesisFlow().run(paper_chain, activity_samples=256,
+                                    artifacts=store)
+        activity = dict(first.metadata["measured_activity"])
+        first.metadata["measured_activity"].clear()
+        first.rtl.clear()
+        second = SynthesisFlow().run(paper_chain, activity_samples=256,
+                                     artifacts=store)
+        assert (store.hits, store.misses) == (2, 2)
+        assert activity and second.metadata["measured_activity"] == activity
+        assert second.rtl == generate_chain_rtl(paper_chain)
+        for module in second.rtl.values():
+            with pytest.raises(FrozenInstanceError):
+                module.code = ""
+            with pytest.raises(TypeError):
+                module.resources["adders"] = 0
+            with pytest.raises(AttributeError):
+                module.ports.append("scan_en")
+        # Pickling (the pool ships stores to workers) and deep copies keep
+        # the module equal and still read-only.
+        import copy
+        import pickle
+
+        for clone in (pickle.loads(pickle.dumps(second.rtl)),
+                      copy.deepcopy(second.rtl)):
+            assert clone == second.rtl
+            with pytest.raises(TypeError):
+                next(iter(clone.values())).resources["adders"] = 0
+        assert second.rtl == generate_chain_rtl(paper_chain)
+
+    def test_snr_leg_runs_once_per_chain_and_stimulus(self, paper_chain,
+                                                      monkeypatch):
+        from repro.core.chain import DecimationChain
+        from repro.core.verification import simulated_output_snr
+
+        fresh = simulated_output_snr(paper_chain, n_samples=2048)
+        calls = []
+        real = DecimationChain.process_fixed
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecimationChain, "process_fixed", counting)
+        store = ArtifactStore()
+        for _ in range(2):
+            assert simulated_output_snr(paper_chain, n_samples=2048,
+                                        artifacts=store) == fresh
+        assert len(calls) == 1
+        simulated_output_snr(paper_chain, n_samples=4096, artifacts=store)
+        simulated_output_snr(paper_chain, n_samples=2048, amplitude=0.5,
+                             artifacts=store)
+        simulated_output_snr(paper_chain, n_samples=2048, seed_phase=0.5,
+                             artifacts=store)
+        assert len(calls) == 4
+        assert len(_stage_keys(store, "snr-leg")) == 4
+
+    def test_content_key_tracks_the_coefficients(self, paper_chain):
+        import numpy as np
+
+        from repro.core.chain import DecimationChain
+
+        assert DecimationChain.design().content_key() == \
+            paper_chain.content_key()
+        deltas = np.zeros(len(paper_chain.equalizer.taps))
+        deltas[0] = 1
+        dithered = paper_chain.with_stages(
+            equalizer=paper_chain.equalizer.with_tap_deltas(deltas))
+        assert dithered.content_key() != paper_chain.content_key()

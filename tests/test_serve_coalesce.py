@@ -160,3 +160,29 @@ class TestCoalescing:
             stats = harness.request("stats")["stats"]
             assert stats["cache_hit_rate"] > 0.0
             assert calls["n"] == 2  # two command runs, stages memoized
+
+    def test_activity_is_measured_once_per_daemon(self, monkeypatch):
+        import repro.hardware.synthesis as synthesis
+
+        calls = []
+        real = synthesis.measure_hogenauer_activity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "measure_hogenauer_activity", counting)
+        with serveutils.ServerHarness(jobs=2) as harness:
+            cold = harness.request("design", [], timeout=120)
+            assert cold["exit_code"] == 0
+            misses = harness.request("stats")["stats"]["artifact_store"][
+                "misses"]
+            warm = harness.request("design", [], timeout=120)
+            assert warm["stdout"] == cold["stdout"]
+            stats = harness.request("stats")["stats"]["artifact_store"]
+            # The repeat was answered from the store: one activity
+            # measurement, and no stage missed a second time.
+            assert stats["misses"] == misses
+            assert len(calls) == 1
+            assert len([key for key in harness.server.store._data
+                        if key[0] == "hogenauer-activity"]) == 1
