@@ -6,8 +6,9 @@ every client sends the same design/verify mix, so identical in-flight
 requests coalesce — then replays the identical trace against the now-hot
 store.  Reports requests/s for both passes, the coalesce count, the cache
 hit rate, and whether every response (cold, hot, across clients) carried
-byte-identical stdout, and emits ``BENCH_serve_throughput.json`` for the
-CI floor gate (``tools/check_bench_floors.py``).
+byte-identical stdout, and emits ``BENCH_serve_throughput.json`` into
+``$BENCH_JSON_DIR`` (when set) for the CI floor gate
+(``tools/check_bench_floors.py``).
 
 A second phase overloads a deliberately tiny daemon (``--jobs 1
 --max-queue 1``) with ``k`` *retrying* clients on distinct coalescing

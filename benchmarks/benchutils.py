@@ -20,13 +20,18 @@ def print_series(title, header, rows):
 def emit_json(name, payload):
     """Write machine-readable benchmark timings to ``BENCH_<name>.json``.
 
-    The file lands in ``$BENCH_JSON_DIR`` (default: current directory) so CI
-    can collect every ``bench_*`` result as an artifact and gate on floors
-    (see ``tools/check_bench_floors.py``).  ``payload`` must be
-    JSON-serializable; interpreter/platform provenance is added under
-    ``"environment"``.  Returns the written path.
+    The file lands in ``$BENCH_JSON_DIR`` so CI can collect every
+    ``bench_*`` result as an artifact and gate on floors (see
+    ``tools/check_bench_floors.py``).  When ``BENCH_JSON_DIR`` is unset
+    nothing is written and ``None`` is returned, so a local benchmark run
+    never overwrites a committed ``BENCH_*.json`` (refresh one with
+    ``BENCH_JSON_DIR=.``).  ``payload`` must be JSON-serializable;
+    interpreter/platform provenance is added under ``"environment"``.
+    Returns the written path.
     """
-    out_dir = os.environ.get("BENCH_JSON_DIR", ".")
+    out_dir = os.environ.get("BENCH_JSON_DIR")
+    if not out_dir:
+        return None
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"BENCH_{name}.json")
     document = {

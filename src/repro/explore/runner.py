@@ -541,10 +541,13 @@ def warm_shared_stages(payloads: Sequence[dict],
     bit-stream.  One representative of every design group of two or more
     is warmed, with its SNR leg when its stimulus group also has two or
     more payloads; then every stimulus group of two or more that no warmed
-    representative covers is warmed through its first payload.  Singletons
-    are not warmed: their whole flow runs in the pool, keeping
-    distinct-design grids parallel (each worker still dedups across its
-    own chunk through its copy of the store).
+    representative covers is warmed through its first payload.  A warmed
+    payload that measures activity warms its Hogenauer activity
+    measurement too (keyed by the modulator and the Sinc stages, so
+    payloads of several designs share it).  Singletons are not warmed:
+    their whole flow runs in the pool, keeping distinct-design grids
+    parallel (each worker still dedups across its own chunk through its
+    copy of the store).
     """
     from repro.core.spec import content_hash
 
@@ -582,7 +585,8 @@ def warm_shared_stages(payloads: Sequence[dict],
 
 def _warm_payload(payload: dict, store: ArtifactStore,
                   with_snr: bool) -> None:
-    """Warm one payload's shareable stages (see
+    """Warm one payload's shareable stages, its activity measurement
+    included when it measures activity (see
     :func:`~repro.flow.pipeline.warm_flow_artifacts`)."""
     from repro.core.chain import ChainDesignOptions
     from repro.core.spec import ChainSpec
@@ -594,7 +598,8 @@ def _warm_payload(payload: dict, store: ArtifactStore,
                         store, include_snr_simulation=with_snr,
                         snr_samples=flow["snr_samples"],
                         snr_tone_hz=flow.get("snr_tone_hz"),
-                        snr_amplitude=flow.get("snr_amplitude"))
+                        snr_amplitude=flow.get("snr_amplitude"),
+                        measure_activity=bool(flow.get("measure_activity")))
 
 
 def _axes_json(sweep: SweepSpec) -> Dict[str, list]:

@@ -102,14 +102,13 @@ def design_halfband_remez(order: int, transition_start: float,
     return taps
 
 
-#: Cached odd-harmonic cosine bases keyed by ``(n2, w.tobytes())``.  The CSD
-#: refinement search evaluates the stopband response of hundreds of candidate
-#: coefficient sets on the *same* frequency grid; the ``cos((2j+1)·w)`` rows
-#: depend only on the grid, so caching them removes the dominant cost of the
-#: search while leaving the accumulation (and therefore every float) exactly
-#: as before.  Bounded to a handful of grids (attenuation + ripple + plot)
-#: and lock-guarded: the serve daemon's worker threads design halfbands
-#: concurrently.
+#: Cached odd-harmonic cosine bases keyed by ``(n2, w.tobytes())``.  The
+#: ``cos((2j+1)·w)`` rows depend only on the grid, and the same stopband grid
+#: is evaluated again and again (once per CSD search, once per robustness
+#: variant's attenuation), so caching them leaves the accumulation (and
+#: therefore every float) exactly as before.  Bounded to a handful of grids
+#: (attenuation + ripple + plot) and lock-guarded: the serve daemon's worker
+#: threads design halfbands concurrently.
 _COS_BASIS_CACHE: "dict[tuple, np.ndarray]" = {}
 _COS_BASIS_CACHE_MAX = 8
 _COS_BASIS_LOCK = threading.Lock()
@@ -129,6 +128,57 @@ def _cos_basis(w: np.ndarray, n2: int) -> np.ndarray:
                 _COS_BASIS_CACHE.pop(next(iter(_COS_BASIS_CACHE)))
             _COS_BASIS_CACHE[key] = basis
     return basis
+
+
+def _cascade_response(f1: np.ndarray, f2: np.ndarray,
+                      basis: np.ndarray) -> np.ndarray:
+    """The tapped-cascade zero-phase response ``1/2 + Σ f1(i)·F2^(2i−1)``.
+
+    ``basis`` holds the rows ``cos((2j+1)·w)`` of :func:`_cos_basis`, one
+    column per grid point.  This is the one place the response is
+    computed: every operation is elementwise in the columns, so a column
+    subset of ``basis`` yields the same values, bit for bit, at those
+    points (the CSD search probes ripple peaks that way).
+    """
+    f2_resp = np.zeros(basis.shape[1])
+    for j in range(len(f2)):
+        f2_resp += 2.0 * f2[j] * basis[j]
+    h = np.full(basis.shape[1], 0.5)
+    # Odd powers by multiplication recurrence: libm ``pow`` on the
+    # (mostly negative) sub-filter response is ~35x slower than two
+    # elementwise multiplies.
+    f2_sq = f2_resp * f2_resp
+    power = f2_resp
+    h += f1[0] * power
+    for i in range(1, len(f1)):
+        power = power * f2_sq
+        h += f1[i] * power
+    return h
+
+
+def _attenuation_db(peak: float) -> float:
+    """Attenuation in dB of a stopband whose largest magnitude is ``peak``."""
+    return float(-20.0 * np.log10(max(peak, 1e-300)))
+
+
+def _ripple_peak_columns(magnitude: np.ndarray) -> np.ndarray:
+    """Mask of the interior local maxima of ``magnitude``, their ±1
+    neighbours and both ends of the grid."""
+    inner = magnitude[1:-1]
+    peaks = (inner >= magnitude[:-2]) & (inner >= magnitude[2:])
+    columns = np.zeros(len(magnitude), dtype=bool)
+    columns[[0, -1]] = True
+    columns[:-2] |= peaks
+    columns[1:-1] |= peaks
+    columns[2:] |= peaks
+    return columns
+
+
+#: Relative margin by which a probed trial magnitude must exceed the current
+#: stopband peak before the CSD search rejects the trial unevaluated.  Any
+#: excess already proves the trial's peak is higher; the margin keeps the
+#: verdict far from the last bit of ``log10``.
+_PROBE_MARGIN = 2.0 ** -30
 
 
 def halfband_zero_phase_response(taps: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
@@ -240,22 +290,7 @@ class SaramakiHalfband:
     def zero_phase_response(self, frequencies: np.ndarray) -> np.ndarray:
         """Zero-phase response via the polynomial-in-F2 formula (fast path)."""
         w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-        basis = _cos_basis(w, self.n2)
-        f2_resp = np.zeros(len(w))
-        for j in range(self.n2):
-            f2_resp += 2.0 * self.f2[j] * basis[j]
-        h = np.full(len(w), 0.5)
-        # Odd powers by multiplication recurrence: libm ``pow`` on the
-        # (mostly negative) sub-filter response is ~35x slower than two
-        # elementwise multiplies, and this response is evaluated hundreds
-        # of times per CSD refinement search.
-        f2_sq = f2_resp * f2_resp
-        power = f2_resp
-        h += self.f1[0] * power
-        for i in range(1, self.n1):
-            power = power * f2_sq
-            h += self.f1[i] * power
-        return h
+        return _cascade_response(self.f1, self.f2, _cos_basis(w, self.n2))
 
     def frequency_response(self, sample_rate_hz: float,
                            frequencies_hz: Optional[np.ndarray] = None,
@@ -280,8 +315,7 @@ class SaramakiHalfband:
     def stopband_attenuation_db(self, stopband_start: float, n_points: int = 4096) -> float:
         """Minimum attenuation for normalized frequencies above ``stopband_start``."""
         freqs = np.linspace(stopband_start, 0.5, n_points)
-        response = np.abs(self.zero_phase_response(freqs))
-        return float(-20.0 * np.log10(max(np.max(response), 1e-300)))
+        return _attenuation_db(np.max(np.abs(self.zero_phase_response(freqs))))
 
     def passband_ripple_db(self, passband_end: float, n_points: int = 2048) -> float:
         """Peak-to-peak zero-phase response variation over ``[0, passband_end]``."""
@@ -453,6 +487,23 @@ class SaramakiHalfbandDesigner:
                search_iterations: int = 400) -> SaramakiHalfband:
         """Run the full design and CSD search; returns the designed filter.
 
+        The search is a seeded stochastic hill climb: each trial moves one
+        quantized coefficient by ±1..7 LSB, re-quantizes both sets to CSD
+        and is accepted when its minimum attenuation over a 4096-point
+        stopband grid strictly beats the current point's.  A trial is
+        evaluated only as far as that verdict needs, which leaves every
+        accepted point (and so the result) exactly as a full evaluation of
+        every trial would:
+
+        * the grid and its cosine basis are built once per design;
+        * a trial that re-quantizes onto the current coefficients has the
+          current response, so it is rejected without evaluation;
+        * any other trial is first evaluated (by the same response
+          formula) only at the current response's ripple peaks and their
+          ±1 neighbours; if one of those values exceeds the current peak,
+          the trial's attenuation is lower and it is rejected.  Only the
+          trials no probe rejects are evaluated on the whole grid.
+
         Parameters
         ----------
         target_attenuation_db:
@@ -462,13 +513,16 @@ class SaramakiHalfbandDesigner:
         """
         f1 = self.outer_coefficients()
         f2 = self.subfilter_coefficients()
-        ideal = SaramakiHalfband(f1=f1, f2=f2)
-        stopband_start = 0.5 - self.transition_start
+        stopband = np.linspace(0.5 - self.transition_start, 0.5, 4096)
+        basis = _cos_basis(2.0 * np.pi * stopband, self.n2)
 
         f1_q, f1_codes = self._quantize(f1)
         f2_q, f2_codes = self._quantize(f2)
         best = SaramakiHalfband(f1=f1_q, f2=f2_q, f1_csd=f1_codes, f2_csd=f2_codes)
-        best_attenuation = best.stopband_attenuation_db(stopband_start)
+        current = np.abs(_cascade_response(f1_q, f2_q, basis))
+        current_peak = current.max()
+        best_attenuation = _attenuation_db(current_peak)
+        probe_basis = basis[:, _ripple_peak_columns(current)]
 
         # Non-deterministic search: perturb one quantized coefficient at a
         # time by ±1 LSB and keep improvements (simple stochastic hill
@@ -490,20 +544,33 @@ class SaramakiHalfbandDesigner:
                 trial_f2[idx] += float(rng.choice([-1.0, 1.0])) * lsb * float(rng.integers(1, 8))
             trial_f1_q, trial_f1_codes = self._quantize(trial_f1)
             trial_f2_q, trial_f2_codes = self._quantize(trial_f2)
-            trial = SaramakiHalfband(f1=trial_f1_q, f2=trial_f2_q,
-                                     f1_csd=trial_f1_codes, f2_csd=trial_f2_codes)
-            attenuation = trial.stopband_attenuation_db(stopband_start)
+            # The current coefficients give the current attenuation, which
+            # the strict test below never accepts.
+            if trial_f1_q.tobytes() == current_f1.tobytes() and \
+                    trial_f2_q.tobytes() == current_f2.tobytes():
+                continue
+            probed = np.abs(_cascade_response(trial_f1_q, trial_f2_q, probe_basis))
+            if probed.max() >= current_peak * (1.0 + _PROBE_MARGIN):
+                continue
+            response = np.abs(_cascade_response(trial_f1_q, trial_f2_q, basis))
+            peak = response.max()
+            attenuation = _attenuation_db(peak)
             if attenuation > current_attenuation:
                 current_f1, current_f2 = trial_f1_q, trial_f2_q
                 current_attenuation = attenuation
+                current_peak = peak
+                probe_basis = basis[:, _ripple_peak_columns(response)]
                 if attenuation > best_attenuation:
-                    best = trial
+                    best = SaramakiHalfband(f1=trial_f1_q, f2=trial_f2_q,
+                                            f1_csd=trial_f1_codes,
+                                            f2_csd=trial_f2_codes)
                     best_attenuation = attenuation
 
         best.metadata.update({
             "target_attenuation_db": target_attenuation_db,
             "achieved_attenuation_db": best_attenuation,
-            "ideal_attenuation_db": ideal.stopband_attenuation_db(stopband_start),
+            "ideal_attenuation_db": _attenuation_db(
+                np.max(np.abs(_cascade_response(f1, f2, basis)))),
             "transition_start": self.transition_start,
             "coefficient_bits": self.coefficient_bits,
             "search_iterations": search_iterations,

@@ -167,6 +167,26 @@ def default_frequency_grid(sample_rate_hz: float, n_points: int = 4096,
     return np.linspace(0.0, f_max, n_points)
 
 
+def band_limited_grid(frequencies_hz: np.ndarray,
+                      bands: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """The points of ``frequencies_hz`` that a band measurement reads.
+
+    :meth:`FrequencyResponse.stopband_attenuation_db` and
+    :meth:`FrequencyResponse.worst_alias_attenuation_db` read the first
+    grid point (DC on :func:`default_frequency_grid`, their reference) and
+    the points inside their bands, nothing else.  Every stage response is
+    computed point by point, so a response evaluated on this subset holds
+    the same values at those points and gives the same measurements, at a
+    fraction of the cost and memory of the full grid.
+    """
+    frequencies_hz = np.asarray(frequencies_hz, dtype=float)
+    keep = np.zeros(len(frequencies_hz), dtype=bool)
+    keep[0] = True
+    for f_lo, f_hi in bands:
+        keep |= (frequencies_hz >= f_lo) & (frequencies_hz <= f_hi)
+    return frequencies_hz[keep]
+
+
 def alias_bands_for_decimation(decimation: int, output_rate_hz: float,
                                bandwidth_hz: float,
                                input_rate_hz: Optional[float] = None) -> List[Tuple[float, float]]:

@@ -24,6 +24,7 @@ import numpy as np
 from repro.filters.response import (
     FrequencyResponse,
     alias_bands_for_decimation,
+    band_limited_grid,
     default_frequency_grid,
 )
 
@@ -295,12 +296,20 @@ class SincCascade:
 
     def worst_alias_attenuation_db(self, bandwidth_hz: float, n_points: int = 16384) -> float:
         """Attenuation in the bands that fold onto the signal band after the
-        full cascade decimation (the >100 dB number visible in Fig. 8)."""
-        response = self.cascade_response(n_points=n_points)
+        full cascade decimation (the >100 dB number visible in Fig. 8).
+
+        The measurement reads an ``n_points`` grid from DC to the input
+        Nyquist only at DC and inside the alias bands, so the cascade
+        response is evaluated on just those grid points
+        (:func:`~repro.filters.response.band_limited_grid`), with the same
+        result as the whole grid.
+        """
         bands = alias_bands_for_decimation(
             self.total_decimation, self.output_rate_hz, bandwidth_hz,
             self.spec.input_rate_hz,
         )
+        grid = default_frequency_grid(self.spec.input_rate_hz, n_points)
+        response = self.cascade_response(band_limited_grid(grid, bands))
         return response.worst_alias_attenuation_db(bands)
 
     def register_bit_summary(self) -> List[dict]:

@@ -60,6 +60,13 @@ class CSDCode:
         """Multiply ``x`` by the encoded coefficient using shift-adds."""
         return csd_multiply(x, self)
 
+    def __deepcopy__(self, memo) -> "CSDCode":
+        # Immutable all the way down (frozen, a tuple of int pairs, two
+        # floats), like the shared instances :func:`to_csd` returns: a deep
+        # copy of a design (a store hit) can share it.  The halfband's
+        # codes were most of that copy's cost.
+        return self
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return csd_string(self)
 

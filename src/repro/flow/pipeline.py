@@ -179,19 +179,20 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
                         include_snr_simulation: bool = False,
                         snr_samples: int = 32768,
                         snr_tone_hz: Optional[float] = None,
-                        snr_amplitude: Optional[float] = None) -> None:
+                        snr_amplitude: Optional[float] = None,
+                        measure_activity: bool = False) -> None:
     """Pre-compute the shareable stages of :func:`run_design_flow`.
 
     Fills ``artifacts`` with the chain-design sub-stages, the mask
-    verification and (with ``include_snr_simulation``) the modulator
-    bit-stream for the given point.  The chain-keyed stages (the SNR leg,
-    the RTL) and the activity measurement are not warmed: the flows that
-    need them compute them through the same store on first use.  Before
-    starting its process pool, the cached run loop of sweeps and scenario
-    suites warms a store with one representative of every stage-sharing
-    group of pending payloads in the parent
-    (:func:`repro.explore.runner.warm_shared_stages`) and ships it to the
-    workers once, via the pool initializer.
+    verification, (with ``include_snr_simulation``) the modulator
+    bit-stream and (with ``measure_activity``) the Hogenauer activity
+    measurement for the given point.  The chain-keyed stages (the SNR leg,
+    the RTL) are not warmed: the flows that need them compute them through
+    the same store on first use.  Before starting its process pool, the
+    cached run loop of sweeps and scenario suites warms a store with one
+    representative of every stage-sharing group of pending payloads in the
+    parent (:func:`repro.explore.runner.warm_shared_stages`) and ships it
+    to the workers once, via the pool initializer.
     """
     spec = spec or paper_chain_spec()
     chain = DecimationChain.design(spec, options, artifacts=artifacts)
@@ -203,3 +204,7 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
             chain, snr_samples, tone_hz=snr_tone_hz, amplitude=snr_amplitude)
         modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude, total,
                              artifacts=artifacts)
+    if measure_activity:
+        from repro.hardware.synthesis import hogenauer_activity
+
+        hogenauer_activity(chain, artifacts)

@@ -136,16 +136,8 @@ class SynthesisFlow:
 
         if artifacts is None:
             artifacts = ArtifactStore()
-        measured = None
-        if measure_activity:
-            amplitude = chain.spec.modulator.msa
-            measured = artifacts.get_or_compute(
-                _activity_key(chain, activity_samples, ACTIVITY_TONE_HZ,
-                              amplitude),
-                lambda: measure_hogenauer_activity(
-                    chain, n_samples=activity_samples,
-                    tone_hz=ACTIVITY_TONE_HZ, amplitude=amplitude),
-                copy=True)
+        measured = (hogenauer_activity(chain, artifacts, activity_samples)
+                    if measure_activity else None)
         resources = extract_chain_resources(chain, measured)
         retimed = chain.options.retimed if retimed is None else retimed
         power_model = PowerModel(self.library, self.supply_v)
@@ -165,6 +157,25 @@ class SynthesisFlow:
                 "retimed": retimed,
             },
         )
+
+
+def hogenauer_activity(chain, artifacts, activity_samples: int = 4096) -> dict:
+    """The chain's measured Hogenauer activity, memoized in ``artifacts``.
+
+    Runs :func:`~repro.hardware.power.measure_hogenauer_activity` with the
+    paper's stimulus (a ``ACTIVITY_TONE_HZ`` tone at the modulator's MSA)
+    under :func:`_activity_key`; each caller gets its own copy.  Shared by
+    :meth:`SynthesisFlow.run` and the pool's warm step
+    (:func:`repro.flow.pipeline.warm_flow_artifacts`), so both look the
+    measurement up under one key.
+    """
+    amplitude = chain.spec.modulator.msa
+    return artifacts.get_or_compute(
+        _activity_key(chain, activity_samples, ACTIVITY_TONE_HZ, amplitude),
+        lambda: measure_hogenauer_activity(
+            chain, n_samples=activity_samples, tone_hz=ACTIVITY_TONE_HZ,
+            amplitude=amplitude),
+        copy=True)
 
 
 def _activity_key(chain, n_samples: int, tone_hz: float,

@@ -91,38 +91,55 @@ def _rate_converter_leg(chain, rates: Sequence[float],
     the designed chain, and measures the recovered tone after the cubic
     Farrow resampler: peak-bin frequency, RMS-estimated amplitude, and the
     input/output length ratio, plus the converter's hardware resources.
+    The entries are memoized in ``artifacts`` on the chain
+    (:meth:`~repro.core.chain.DecimationChain.content_key`), the rates and
+    the stimulus, so a repeated request runs nothing; each caller gets its
+    own copy.
     """
+    from repro.core.spec import content_hash
     from repro.core.verification import modulator_tone_codes
     from repro.filters.rate_converter import FarrowRateConverter
 
     spec = chain.spec
-    codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
-                                 total, artifacts=artifacts)
-    words = chain.process_fixed(codes)
-    output = chain.output_to_normalized(words)[settle:]
-    input_rate = float(spec.decimator.output_rate_hz)
 
-    entries: List[dict] = []
-    for rate in rates:
-        converter = FarrowRateConverter(input_rate, float(rate))
-        resampled = converter.process(output)
-        window = np.hanning(len(resampled))
-        spectrum = np.abs(np.fft.rfft(resampled * window))
-        freqs = np.fft.rfftfreq(len(resampled), d=1.0 / float(rate))
-        peak_hz = float(freqs[int(np.argmax(spectrum))])
-        rms_amplitude = float(np.sqrt(2.0 * np.mean(resampled ** 2)))
-        entries.append({
-            "input_rate_hz": input_rate,
-            "output_rate_hz": float(rate),
-            "conversion_ratio": float(converter.conversion_ratio),
-            "n_input": int(len(output)),
-            "n_output": int(len(resampled)),
-            "tone_peak_hz": peak_hz,
-            "tone_rms_amplitude": rms_amplitude,
-            "resources": converter.resource_summary(
-                spec.decimator.output_bits),
-        })
-    return entries
+    def measure() -> List[dict]:
+        codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
+                                     total, artifacts=artifacts)
+        words = chain.process_fixed(codes)
+        output = chain.output_to_normalized(words)[settle:]
+        input_rate = float(spec.decimator.output_rate_hz)
+
+        entries: List[dict] = []
+        for rate in rates:
+            converter = FarrowRateConverter(input_rate, float(rate))
+            resampled = converter.process(output)
+            window = np.hanning(len(resampled))
+            spectrum = np.abs(np.fft.rfft(resampled * window))
+            freqs = np.fft.rfftfreq(len(resampled), d=1.0 / float(rate))
+            peak_hz = float(freqs[int(np.argmax(spectrum))])
+            rms_amplitude = float(np.sqrt(2.0 * np.mean(resampled ** 2)))
+            entries.append({
+                "input_rate_hz": input_rate,
+                "output_rate_hz": float(rate),
+                "conversion_ratio": float(converter.conversion_ratio),
+                "n_input": int(len(output)),
+                "n_output": int(len(resampled)),
+                "tone_peak_hz": peak_hz,
+                "tone_rms_amplitude": rms_amplitude,
+                "resources": converter.resource_summary(
+                    spec.decimator.output_bits),
+            })
+        return entries
+
+    key = ("rate-converter-leg", content_hash({
+        "chain": chain.content_key(),
+        "rates_hz": [float(rate) for rate in rates],
+        "tone_hz": float(exact_tone_hz),
+        "amplitude": float(amplitude),
+        "total_samples": int(total),
+        "settle_outputs": int(settle),
+    }))
+    return artifacts.get_or_compute(key, measure, copy=True)
 
 
 @dataclass

@@ -293,6 +293,34 @@ class TestWarmPolicy:
         assert len(payloads) == 18
         assert self._warmed_keys(payloads) == SNR_GRID_WARM_KEYS
 
+    @pytest.mark.parametrize("measure_activity", [True, False])
+    def test_activity_is_warmed_for_design_groups(self, measure_activity):
+        sweep = SweepSpec(output_bits=(12, 14))
+        flow = {"include_snr": False, "snr_samples": 16384,
+                "measure_activity": measure_activity}
+        keys = self._warmed_keys(
+            [{**p.payload(), "flow": flow} for p in sweep.expand()])
+        activity = [key for key in keys if key[0] == "hogenauer-activity"]
+        assert len(activity) == (1 if measure_activity else 0)
+
+    @pytest.mark.parametrize("sweep,include_snr", [
+        (SweepSpec(output_bits=(12, 14)), False),             # design group
+        (SweepSpec(halfband_attenuation_db=(80.0, 85.0)), True),  # stimulus
+    ], ids=["design-group", "stimulus-group"])
+    def test_pooled_activity_sweep_reuses_as_much_as_inline(
+            self, sweep, include_snr):
+        # The CLI's "shared-stage reuses" count at --jobs 1 and --jobs 2.
+        stats = {}
+        for jobs in (1, 2):
+            result = run_sweep(sweep, jobs=jobs, measure_activity=True,
+                               include_snr=include_snr, snr_samples=4096,
+                               store=ArtifactStore())
+            assert result.metadata["executor"] == ("inline" if jobs == 1
+                                                   else "process")
+            store_stats = result.metadata["artifact_store"]
+            stats[jobs] = (store_stats["hits"], store_stats["misses"])
+        assert stats[1] == stats[2]
+
     def test_singletons_are_not_warmed(self):
         sweep = SweepSpec(halfband_attenuation_db=(80.0, 85.0))
         flow = {"include_snr": False, "snr_samples": 16384}

@@ -66,6 +66,17 @@ class TestCSDEncoding:
         code = to_csd(0.40625, 12)  # 0.5 - 0.125 + 0.03125
         assert code.adder_cost == code.nonzero_digits - 1
 
+    def test_deepcopy_shares_the_immutable_code(self):
+        import copy
+        import dataclasses
+
+        code = to_csd(0.7071, 20, 3)
+        assert copy.deepcopy(code) is code
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            code.digits = ()
+        assert isinstance(code.digits, tuple)
+        assert all(isinstance(d, tuple) for d in code.digits)
+
     def test_error_property(self):
         code = to_csd(0.1, 8)
         assert code.error == pytest.approx(code.value - 0.1)

@@ -141,6 +141,25 @@ class TestOneMemoizationPath:
                 "verify-mask"} <= stages
         assert store.misses == len(store)
 
+    def test_halfband_hit_shares_only_its_immutable_codes(self):
+        from repro.core.chain import DecimationChain
+
+        store = ArtifactStore()
+        first = DecimationChain.design(artifacts=store).halfband
+        second = DecimationChain.design(artifacts=store).halfband
+        assert store.hits >= 1
+        assert second.f2_csd[0] is first.f2_csd[0]
+        assert second.f2 is not first.f2
+        assert second.f2_csd is not first.f2_csd
+        assert second.metadata is not first.metadata
+        want = (second.f2.tobytes(), list(second.f2_csd),
+                dict(second.metadata))
+        first.f2[0] += 1.0
+        first.f2_csd.clear()
+        first.metadata.clear()
+        third = DecimationChain.design(artifacts=store).halfband
+        assert (third.f2.tobytes(), third.f2_csd, third.metadata) == want
+
     def test_storeless_flow_runs_every_stage_through_the_store(
             self, monkeypatch):
         from repro.flow import run_design_flow

@@ -191,6 +191,40 @@ class TestGoldenFiles:
         assert leg["resources"]["multipliers"] == 12
 
 
+class TestRateConverterLeg:
+    """The Farrow leg is memoized: a repeated request runs nothing."""
+
+    def test_repeat_is_a_store_hit_with_identical_bytes(self, monkeypatch):
+        from repro.core.chain import DecimationChain
+        from repro.flow import ArtifactStore
+        from repro.scenarios.runner import execute_scenario_payload
+
+        payload = get_scenario("sdr-lte-30p72").payload()
+        fresh = json.dumps(execute_scenario_payload(payload), sort_keys=True)
+
+        calls = []
+        real = DecimationChain.process_fixed
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecimationChain, "process_fixed", counting)
+        store = ArtifactStore()
+        first = execute_scenario_payload(payload, store)
+        runs = len(calls)
+        second = execute_scenario_payload(payload, store)
+        assert len(calls) == runs
+        assert json.dumps(first, sort_keys=True) == fresh
+        assert json.dumps(second, sort_keys=True) == fresh
+        assert len([key for key in store._data
+                    if key[0] == "rate-converter-leg"]) == 1
+        # Each caller gets its own copy.
+        first["rate_converter"][0]["resources"]["multipliers"] = -1
+        third = execute_scenario_payload(payload, store)
+        assert json.dumps(third, sort_keys=True) == fresh
+
+
 class TestRunner:
     def test_run_scenario_matches_golden(self):
         result = run_scenario(CHEAP)
