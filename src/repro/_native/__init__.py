@@ -128,10 +128,18 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     f64, i64, u64, flag = (
         np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
         for dtype in (np.float64, np.int64, np.uint64, np.bool_))
+
+    class optional_f64(f64):
+        """A float64 array argument that may be ``None`` (a NULL pointer)."""
+
+        @classmethod
+        def from_param(cls, obj):
+            return None if obj is None else f64.from_param(obj)
+
     size, real = ctypes.c_int64, ctypes.c_double
     library.ef_simulate.argtypes = [f64, size, size, f64, f64, size, real,
-                                    real, real, real, f64, f64, f64, i64,
-                                    flag]
+                                    real, real, real, f64, optional_f64,
+                                    optional_f64, i64, flag]
     library.ef_simulate.restype = ctypes.c_int64
     library.cic_decimate.argtypes = [i64, size, size, size, size, size, u64,
                                      i64]

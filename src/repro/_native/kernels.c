@@ -5,7 +5,7 @@
  * suite compares them against:
  *
  *   ef_simulate   FastErrorFeedbackSimulator's scalar loop
- *                 (repro/dsm/modulator.py), one row after another;
+ *                 (repro/dsm/modulator.py), four rows in lockstep;
  *   cic_decimate  HogenauerDecimator's vectorized engine from cleared
  *                 state (repro/filters/hogenauer.py), one row after another.
  *
@@ -18,14 +18,125 @@
 #include <math.h>
 #include <stdint.h>
 
+/* Rows the modulator kernel runs in lockstep. */
+#define EF_LANES 4
+
 /*
- * Error-feedback delta-sigma loop with the filter 1 - NTF in transposed
- * direct form II.  u, output, quantizer_input and codes are (batch, n)
- * row-major; num and den hold order + 1 coefficients (num[0] == 0);
- * states is scratch space for order doubles.
+ * lanes rows of the error-feedback delta-sigma loop with the filter
+ * 1 - NTF in transposed direct form II, in lockstep: each sample of every
+ * lane runs the scalar loop's expressions in its order, so a lane's bits
+ * do not depend on its neighbours; interleaving only lets the lanes'
+ * divide/round/update chains overlap.  u, output, quantizer_input and
+ * codes start at the first of lanes rows of length n; output and
+ * quantizer_input may be NULL, and are then not written.  states holds
+ * lanes * order doubles (lane l's filter at states + l * order).
  *
- * Returns -1 on success, or the index of the first row whose quantizer
- * input left the finite range (the Python loop raises OverflowError there).
+ * Returns 0, or 1 as soon as the quantizer input of any lane leaves the
+ * finite range; the code of a non-finite input is never computed.
+ */
+static inline __attribute__((always_inline)) int
+ef_rows(const double *u, int64_t n, int64_t lanes, int64_t order,
+        const double *num, const double *den, double full_scale,
+        double step, double top_code, double limit, double *states,
+        double *output, double *quantizer_input, int64_t *codes,
+        unsigned char *stable)
+{
+    int unstable[EF_LANES] = {0};
+    for (int64_t k = 0; k < lanes * order; ++k)
+        states[k] = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+        double feedback[EF_LANES], y[EF_LANES], scaled[EF_LANES];
+        int finite = 1;
+#pragma GCC unroll 4
+        for (int64_t l = 0; l < lanes; ++l) {
+            feedback[l] = states[l * order];
+            y[l] = u[l * n + i] - feedback[l];
+            scaled[l] = (y[l] + full_scale) / step;
+            finite &= isfinite(scaled[l]);
+        }
+        if (!finite)
+            return 1;
+#pragma GCC unroll 4
+        for (int64_t l = 0; l < lanes; ++l) {
+            double *s = states + l * order;
+            double code = nearbyint(scaled[l]);  /* round half to even */
+            if (code < 0.0)
+                code = 0.0;
+            else if (code > top_code)
+                code = top_code;
+            double v = code * step - full_scale;
+            double e = v - y[l];
+#pragma GCC unroll 8
+            for (int64_t j = 0; j < order - 1; ++j)
+                s[j] = num[j + 1] * e + s[j + 1] - den[j + 1] * feedback[l];
+            s[order - 1] = num[order] * e - den[order] * feedback[l];
+            if (output) {
+                output[l * n + i] = v;
+                quantizer_input[l * n + i] = y[l];
+            }
+            codes[l * n + i] = (int64_t)code;
+            if (y[l] > limit || y[l] < -limit)
+                unstable[l] = 1;
+        }
+    }
+    for (int64_t l = 0; l < lanes; ++l)
+        stable[l] = (unsigned char)!unstable[l];
+    return 0;
+}
+
+/*
+ * ef_rows over lanes rows starting at row b: EF_LANES rows for orders up
+ * to 8, else one.  The lockstep groups are specialized per order so the
+ * filter states live in CPU registers.  A single row (a batch's remainder
+ * or a batch of one) runs the generic loop in states, scratch space for
+ * order doubles: it has no lanes to overlap, and a specialization is
+ * barely faster there but lengthens the build.
+ */
+static int ef_group(const double *u, int64_t b, int64_t lanes, int64_t n,
+                    const double *num, const double *den, int64_t order,
+                    double full_scale, double step, double top_code,
+                    double limit, double *states, double *output,
+                    double *quantizer_input, int64_t *codes,
+                    unsigned char *stable)
+{
+    u += b * n;
+    codes += b * n;
+    stable += b;
+    if (output) {
+        output += b * n;
+        quantizer_input += b * n;
+    }
+    if (lanes == EF_LANES) {
+        switch (order) {
+#define EF_FIXED_ORDER(K)                                                    \
+        case K: {                                                            \
+            double fixed[EF_LANES * K];                                      \
+            return ef_rows(u, n, EF_LANES, K, num, den, full_scale, step,    \
+                           top_code, limit, fixed, output, quantizer_input,  \
+                           codes, stable);                                   \
+        }
+        EF_FIXED_ORDER(1) EF_FIXED_ORDER(2) EF_FIXED_ORDER(3)
+        EF_FIXED_ORDER(4) EF_FIXED_ORDER(5) EF_FIXED_ORDER(6)
+        EF_FIXED_ORDER(7) EF_FIXED_ORDER(8)
+#undef EF_FIXED_ORDER
+        }
+    }
+    return ef_rows(u, n, 1, order, num, den, full_scale, step, top_code,
+                   limit, states, output, quantizer_input, codes, stable);
+}
+
+/*
+ * FastErrorFeedbackSimulator's scalar loop over (batch, n) row-major rows,
+ * EF_LANES rows at a time for orders up to 8 and the remaining rows one
+ * at a time.  num and den hold order + 1 coefficients (num[0] == 0);
+ * states is scratch space for order doubles.  codes and stable are always
+ * written; output and quantizer_input only when they are not NULL.
+ *
+ * Returns -1 on success, or the index of the first row, in row order,
+ * whose quantizer input left the finite range (the Python loop raises
+ * OverflowError there).  A lockstep group that fails is rerun one row at
+ * a time, because a later lane may diverge earlier in time than an
+ * earlier row does.
  */
 int64_t ef_simulate(const double *u, int64_t batch, int64_t n,
                     const double *num, const double *den, int64_t order,
@@ -34,38 +145,18 @@ int64_t ef_simulate(const double *u, int64_t batch, int64_t n,
                     double *quantizer_input, int64_t *codes,
                     unsigned char *stable)
 {
-    for (int64_t b = 0; b < batch; ++b) {
-        const double *u_row = u + b * n;
-        double *out_row = output + b * n;
-        double *y_row = quantizer_input + b * n;
-        int64_t *code_row = codes + b * n;
-        int unstable = 0;
-        for (int64_t j = 0; j < order; ++j)
-            states[j] = 0.0;
-        for (int64_t i = 0; i < n; ++i) {
-            double feedback = states[0];
-            double y = u_row[i] - feedback;
-            double scaled = (y + full_scale) / step;
-            if (!isfinite(scaled))
-                return b;
-            double code = nearbyint(scaled);  /* round half to even */
-            if (code < 0.0)
-                code = 0.0;
-            else if (code > top_code)
-                code = top_code;
-            double v = code * step - full_scale;
-            double e = v - y;
-            for (int64_t j = 0; j < order - 1; ++j)
-                states[j] = num[j + 1] * e + states[j + 1]
-                            - den[j + 1] * feedback;
-            states[order - 1] = num[order] * e - den[order] * feedback;
-            out_row[i] = v;
-            y_row[i] = y;
-            code_row[i] = (int64_t)code;
-            if (y > limit || y < -limit)
-                unstable = 1;
+    for (int64_t b = 0; b < batch;) {
+        int64_t lanes = order <= 8 && batch - b >= EF_LANES ? EF_LANES : 1;
+        if (ef_group(u, b, lanes, n, num, den, order, full_scale, step,
+                     top_code, limit, states, output, quantizer_input, codes,
+                     stable)) {
+            for (int64_t row = b; row < b + lanes; ++row)
+                if (ef_group(u, row, 1, n, num, den, order, full_scale, step,
+                             top_code, limit, states, output,
+                             quantizer_input, codes, stable))
+                    return row;
         }
-        stable[b] = (unsigned char)!unstable;
+        b += lanes;
     }
     return -1;
 }

@@ -418,7 +418,8 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
         stimulus = amplitude * np.sin(tone_argument(
             tone_hz, modulator_spec.sample_rate_hz, n_total, seed_phase))
         return {"n_samples": n_total,
-                "codes": modulator.simulate(stimulus, engine="fast").codes}
+                "codes": modulator.fast_simulator.simulate(
+                    stimulus, codes_only=True).codes}
 
     key = ("modulator-codes", content_hash({
         "order": modulator_spec.order,

@@ -27,7 +27,6 @@ from repro.dsm.modulator import (
     SimulationResult,
     ErrorFeedbackSimulator,
     FastErrorFeedbackSimulator,
-    simulate_dsm,
 )
 from repro.dsm.ct_loopfilter import (
     ContinuousTimeLoopFilter,
@@ -66,7 +65,6 @@ __all__ = [
     "SimulationResult",
     "ErrorFeedbackSimulator",
     "FastErrorFeedbackSimulator",
-    "simulate_dsm",
     "ContinuousTimeLoopFilter",
     "ActiveRCComponent",
     "map_ntf_to_ct",

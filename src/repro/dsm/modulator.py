@@ -52,27 +52,28 @@ class SimulationResult:
     Attributes
     ----------
     output:
-        Quantizer output values (full scale ±1), one per clock cycle.
+        Quantizer output values (full scale ±1), one per clock cycle;
+        ``None`` for a ``codes_only`` simulation.
     codes:
         Integer output codes in ``[0, 2**bits - 1]`` — the decimator input.
     quantizer_input:
         The loop-filter output seen by the quantizer (used for stability
-        and MSA analysis).
+        and MSA analysis); ``None`` for a ``codes_only`` simulation.
     stable:
         Heuristic stability flag: ``False`` when the quantizer input grew
         beyond several full scales, indicating the loop has lost lock.
     """
 
-    output: np.ndarray
+    output: Optional[np.ndarray]
     codes: np.ndarray
-    quantizer_input: np.ndarray
+    quantizer_input: Optional[np.ndarray]
     stable: bool
     metadata: dict = field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
         """Number of simulated samples."""
-        return len(self.output)
+        return len(self.codes)
 
 
 @dataclass
@@ -86,33 +87,37 @@ class BatchSimulationResult:
     ----------
     output, codes, quantizer_input:
         ``(batch, n)`` arrays; per-record meaning as in
-        :class:`SimulationResult`.
+        :class:`SimulationResult` (``output`` and ``quantizer_input`` are
+        ``None`` for a ``codes_only`` simulation).
     stable:
         ``(batch,)`` boolean array, one stability verdict per record.
     """
 
-    output: np.ndarray
+    output: Optional[np.ndarray]
     codes: np.ndarray
-    quantizer_input: np.ndarray
+    quantizer_input: Optional[np.ndarray]
     stable: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
     def batch_size(self) -> int:
         """Number of independent records in the batch."""
-        return self.output.shape[0]
+        return self.codes.shape[0]
 
     @property
     def n_samples(self) -> int:
         """Number of simulated samples per record."""
-        return self.output.shape[1]
+        return self.codes.shape[1]
 
     def record(self, index: int) -> SimulationResult:
         """View one row as a per-record :class:`SimulationResult`."""
+        def row(array):
+            return None if array is None else array[index]
+
         return SimulationResult(
-            output=self.output[index],
+            output=row(self.output),
             codes=self.codes[index],
-            quantizer_input=self.quantizer_input[index],
+            quantizer_input=row(self.quantizer_input),
             stable=bool(self.stable[index]),
             metadata=dict(self.metadata, batch_index=index),
         )
@@ -204,44 +209,79 @@ class FastErrorFeedbackSimulator:
         self._num = [float(v) for v in padded]
         self._den = [float(v) for v in a_ntf]
 
-    def simulate(self, u: np.ndarray) -> SimulationResult:
+    def simulate(self, u: np.ndarray,
+                 codes_only: bool = False) -> SimulationResult:
         """Run the loop on the input sequence ``u`` (values within ±1).
 
         Runs as a batch of one through :meth:`simulate_batch`, so the
         compiled kernel and the pure-Python gold model each have a single
-        caller; both produce the same bits.
+        caller; both produce the same bits.  ``codes_only`` as there.
         """
         u = _finite_input(u, 1)
-        record = self.simulate_batch(u[np.newaxis]).record(0)
+        record = self.simulate_batch(u[np.newaxis],
+                                     codes_only=codes_only).record(0)
         record.metadata = self._metadata()
         return record
 
-    def simulate_batch(self, u: np.ndarray) -> BatchSimulationResult:
+    def simulate_batch(self, u: np.ndarray, codes_only: bool = False,
+                       out: Optional[np.ndarray] = None,
+                       ) -> BatchSimulationResult:
         """Run the loop on a ``(batch, n)`` array of independent records.
 
-        The compiled kernel runs the records one after another with the
-        scalar loop's expression order, so every row is **bit-exact** to
-        the pure-Python gold model (:meth:`_simulate_python`) — including
-        the chaotic quantizer decisions — and to its per-record
-        :meth:`simulate`.  Without the kernel each row runs through the
-        gold model.
+        The compiled kernel runs the records four at a time in lockstep
+        (orders up to 8; one at a time otherwise), each with the scalar
+        loop's expression order, so every row is
+        **bit-exact** to the pure-Python gold model
+        (:meth:`_simulate_python`) — including the chaotic quantizer
+        decisions — and to its per-record :meth:`simulate`.  Without the
+        kernel each row runs through the gold model.
+
+        ``codes_only`` computes only ``codes`` and ``stable`` (``output``
+        and ``quantizer_input`` are ``None``), for callers that read
+        nothing else.  ``out``, an int64 C-contiguous array of ``u``'s
+        shape, receives the codes and becomes the result's ``codes``, so a
+        caller running many blocks reuses one buffer.
+
+        Raises :class:`OverflowError` naming the first row, in row order,
+        whose quantizer input is no longer finite.
         """
         u = _finite_input(u, 2)
-        library = _native.load()
-        if library is None:
+        if out is None:
+            codes = np.empty(u.shape, dtype=np.int64)
+        elif (out.shape != u.shape or out.dtype != np.int64
+              or not out.flags.c_contiguous):
+            raise ValueError("out must be an int64 C-contiguous array of "
+                             "the input's shape")
+        else:
+            codes = out
+        output = quantizer_input = None
+        if not codes_only:
             output = np.empty(u.shape)
             quantizer_input = np.empty(u.shape)
-            codes = np.empty(u.shape, dtype=np.int64)
-            stable = np.empty(u.shape[0], dtype=bool)
+        stable = np.empty(u.shape[0], dtype=bool)
+        library = _native.load()
+        if library is None:
             for b, row in enumerate(u):
-                record = self._simulate_python(row)
-                output[b] = record.output
-                quantizer_input[b] = record.quantizer_input
+                try:
+                    record = self._simulate_python(row)
+                except (OverflowError, ValueError):  # round() of inf / NaN
+                    raise _diverged(b) from None
                 codes[b] = record.codes
                 stable[b] = record.stable
+                if not codes_only:
+                    output[b] = record.output
+                    quantizer_input[b] = record.quantizer_input
         else:
-            output, codes, quantizer_input, stable = self._simulate_native(
-                library, u)
+            order = len(self._den) - 1
+            failed_row = library.ef_simulate(
+                np.ascontiguousarray(u), u.shape[0], u.shape[1],
+                np.array(self._num), np.array(self._den), order,
+                self.quantizer.full_scale, self.quantizer.step,
+                self.quantizer.levels - 1,
+                self.INSTABILITY_THRESHOLD * self.quantizer.full_scale,
+                np.empty(order), output, quantizer_input, codes, stable)
+            if failed_row >= 0:
+                raise _diverged(failed_row)
         return BatchSimulationResult(
             output=output,
             codes=codes,
@@ -253,26 +293,6 @@ class FastErrorFeedbackSimulator:
     def _metadata(self) -> dict:
         """The metadata of a per-record simulation."""
         return {"engine": "error-feedback-fast", "order": len(self._den) - 1}
-
-    def _simulate_native(self, library, u: np.ndarray):
-        """Run the compiled kernel on the ``(batch, n)`` rows of ``u``."""
-        u = np.ascontiguousarray(u, dtype=np.float64)
-        batch = u.shape[0]
-        order = len(self._den) - 1
-        output = np.empty(u.shape)
-        quantizer_input = np.empty(u.shape)
-        codes = np.empty(u.shape, dtype=np.int64)
-        stable = np.empty(batch, dtype=bool)
-        failed_row = library.ef_simulate(
-            u, batch, u.shape[-1], np.array(self._num), np.array(self._den),
-            order, self.quantizer.full_scale, self.quantizer.step,
-            self.quantizer.levels - 1,
-            self.INSTABILITY_THRESHOLD * self.quantizer.full_scale,
-            np.zeros(order), output, quantizer_input, codes, stable)
-        if failed_row >= 0:
-            raise OverflowError(f"the loop diverged: the quantizer input of "
-                                f"row {failed_row} is no longer finite")
-        return output, codes, quantizer_input, stable
 
     def _simulate_python(self, u: np.ndarray) -> SimulationResult:
         """The pure-Python scalar loop: the gold model of the kernel."""
@@ -316,6 +336,12 @@ class FastErrorFeedbackSimulator:
             stable=stable,
             metadata=self._metadata(),
         )
+
+
+def _diverged(row: int) -> OverflowError:
+    """The error both engines raise when row ``row`` loses the loop."""
+    return OverflowError(f"the loop diverged: the quantizer input of row "
+                         f"{row} is no longer finite")
 
 
 def _finite_input(u: np.ndarray, ndim: int) -> np.ndarray:
@@ -408,9 +434,7 @@ class DeltaSigmaModulator:
         if engine == "error-feedback":
             return self._simulator.simulate(u)
         if engine in ("error-feedback-fast", "fast"):
-            if self._fast_simulator is None:
-                self._fast_simulator = FastErrorFeedbackSimulator(self.ntf, self.quantizer)
-            return self._fast_simulator.simulate(u)
+            return self.fast_simulator.simulate(u)
         raise ValueError(f"unknown simulation engine {engine!r}")
 
     def simulate_batch(self, u: np.ndarray,
@@ -424,9 +448,15 @@ class DeltaSigmaModulator:
         if engine not in ("error-feedback-fast", "fast"):
             raise ValueError(
                 f"batched simulation requires the fast engine, got {engine!r}")
+        return self.fast_simulator.simulate_batch(u)
+
+    @property
+    def fast_simulator(self) -> FastErrorFeedbackSimulator:
+        """The exact recursive-loop engine (built on first use)."""
         if self._fast_simulator is None:
-            self._fast_simulator = FastErrorFeedbackSimulator(self.ntf, self.quantizer)
-        return self._fast_simulator.simulate_batch(u)
+            self._fast_simulator = FastErrorFeedbackSimulator(self.ntf,
+                                                              self.quantizer)
+        return self._fast_simulator
 
     def bitstream_for_tone(self, frequency_hz: float, amplitude: float,
                            n_samples: int) -> SimulationResult:
@@ -496,9 +526,3 @@ class DeltaSigmaModulator:
         """Linear-model SQNR prediction at the given input amplitude."""
         return self.ntf.predicted_sqnr_db(self.quantizer.levels, input_amplitude, self.osr)
 
-
-def simulate_dsm(u: np.ndarray, ntf: NoiseTransferFunction,
-                 quantizer_bits: int = 4) -> SimulationResult:
-    """Functional wrapper mirroring the Delta-Sigma Toolbox's ``simulateDSM``."""
-    quantizer = MultibitQuantizer(bits=quantizer_bits)
-    return ErrorFeedbackSimulator(ntf, quantizer).simulate(u)

@@ -15,8 +15,10 @@ variant's samples in blocks of :data:`ROW_BLOCK` rows:
    mismatch + clock jitter) in place into one row of a ``(block, n)``
    matrix, from a tone argument computed once per shard
    (:func:`~repro.dsm.signals.write_jittered_tone`), and the matrix runs
-   through **one**
-   :meth:`~repro.dsm.modulator.DeltaSigmaModulator.simulate_batch` call;
+   through **one** ``codes_only``
+   :meth:`~repro.dsm.modulator.FastErrorFeedbackSimulator.simulate_batch`
+   call, which writes the block's codes into a codes matrix of the same
+   shape;
 2. the block's codes run through **one** batched
    :meth:`~repro.core.chain.DecimationChain.measure_output_snr` call of
    the variant's chain — the same recipe as the nominal SNR leg: one
@@ -27,8 +29,11 @@ variant's samples in blocks of :data:`ROW_BLOCK` rows:
    (:meth:`~repro.hardware.corners.CornerDraw.power_factors`) — the models
    are linear in the library constants, so no per-sample synthesis runs.
 
-Each block's arrays are freed before the next block starts, so a shard's
-peak memory scales with :data:`ROW_BLOCK`, not with its population.
+The stimulus and codes matrices are allocated once per shard, with
+:data:`ROW_BLOCK` rows, and every block uses their leading rows; the
+chain's intermediates of a block are freed before the next block starts.
+A shard's peak memory therefore scales with :data:`ROW_BLOCK`, not with
+its population.
 
 Reproducibility
 ---------------
@@ -105,7 +110,9 @@ MIN_ANALYSIS_OUTPUTS = 64
 #: Rows per batched modulator/chain/analysis pass inside a variant group.
 #: A shard's peak memory scales with this block, not with its population.
 #: 16 was chosen by measurement (docs/PERFORMANCE.md): larger blocks cost
-#: memory and buy no speed, smaller ones save little memory.
+#: memory and buy no speed, smaller ones save little memory.  It is a
+#: multiple of the four rows the modulator kernel runs in lockstep, so no
+#: full block leaves rows to its one-row-at-a-time remainder loop.
 ROW_BLOCK = 16
 
 
@@ -139,32 +146,38 @@ def execute_robustness_payload(payload: dict,
     fs = spec.modulator.sample_rate_hz
     jitter_rms = model.jitter.rms_s if model.jitter is not None else 0.0
     argument = tone_argument(exact_tone_hz, fs, total)
-    modulator = DeltaSigmaModulator.from_spec(spec.modulator)
+    simulator = DeltaSigmaModulator.from_spec(spec.modulator).fast_simulator
     n_out = flow["snr_samples"] // chain.total_decimation
+
+    rows_by_variant: Dict[int, List[int]] = {}
+    for row, sample in enumerate(samples):
+        rows_by_variant.setdefault(int(sample["variant"]), []).append(row)
+    block_rows = min(ROW_BLOCK, max(map(len, rows_by_variant.values()),
+                                     default=0))
+    stimulus_block = np.empty((block_rows, total))
+    codes_block = np.empty((block_rows, total), dtype=np.int64)
 
     def run_block(chain_v: DecimationChain,
                   rows: List[int]) -> Tuple[List[float], np.ndarray]:
         """SNR and loop stability of one block of rows.
 
-        The block's stimulus, codes and chain intermediates are locals, so
-        they are freed on return, before the next block allocates its own.
+        The block runs in the leading rows of the shard's stimulus and
+        codes matrices; the chain's intermediates are locals, freed on
+        return.
         """
-        stimulus = np.empty((len(rows), total))
+        stimulus = stimulus_block[:len(rows)]
         for out, row in zip(stimulus, rows):
             sample = samples[row]
             write_jittered_tone(
                 out, argument, exact_tone_hz, amplitude * sample["gain"],
                 jitter_rms, np.random.default_rng(sample["jitter_seed"]),
                 sample["offset"])
-        batch = modulator.simulate_batch(stimulus)
+        batch = simulator.simulate_batch(stimulus, codes_only=True,
+                                         out=codes_block[:len(rows)])
         snrs = chain_v.measure_output_snr(batch.codes, exact_tone_hz,
                                           discard_outputs=settle,
                                           analyze_outputs=n_out)
         return snrs, batch.stable
-
-    rows_by_variant: Dict[int, List[int]] = {}
-    for row, sample in enumerate(samples):
-        rows_by_variant.setdefault(int(sample["variant"]), []).append(row)
 
     snr_db = np.empty(len(samples))
     stable = np.empty(len(samples), dtype=bool)

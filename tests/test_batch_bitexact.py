@@ -55,6 +55,34 @@ class TestSimulateBatch:
         assert np.array_equal(record.codes, batch.codes[1])
         assert record.metadata["batch_index"] == 1
 
+    @pytest.mark.parametrize("engine", ["kernel", "fallback"])
+    def test_codes_only_writes_into_the_callers_buffer(self, paper_ntf,
+                                                       engine):
+        simulator = FastErrorFeedbackSimulator(paper_ntf, MultibitQuantizer(4))
+        tones = np.stack([coherent_tone(2.5e6, a, 640e6, 1024)
+                          for a in (0.2, 0.5, 0.7, 0.81, 0.95)])
+        full = simulator.simulate_batch(tones)
+        buffer = np.full((7, 1024), -1, dtype=np.int64)
+        with mock.patch.object(_native, "load",
+                               _native.load if engine == "kernel"
+                               else lambda: None):
+            batch = simulator.simulate_batch(tones, codes_only=True,
+                                             out=buffer[:5])
+        assert batch.codes.base is buffer
+        assert np.array_equal(buffer[:5], full.codes)
+        assert np.all(buffer[5:] == -1)
+        assert np.array_equal(batch.stable, full.stable)
+        assert batch.output is None and batch.quantizer_input is None
+        assert batch.n_samples == 1024 and batch.record(4).output is None
+
+    def test_out_must_match_the_input(self, paper_ntf):
+        simulator = FastErrorFeedbackSimulator(paper_ntf, MultibitQuantizer(4))
+        tones = np.zeros((2, 64))
+        for out in (np.empty((2, 64)), np.empty((3, 64), dtype=np.int64),
+                    np.empty((64, 2), dtype=np.int64).T):
+            with pytest.raises(ValueError, match="out must be"):
+                simulator.simulate_batch(tones, out=out)
+
     def test_rejects_1d_input(self, paper_ntf):
         simulator = FastErrorFeedbackSimulator(paper_ntf, MultibitQuantizer(4))
         with pytest.raises(ValueError, match="2-D"):
@@ -200,9 +228,11 @@ def kernel_library():
 
 
 class TestKernelDifferential:
-    @given(order=st.integers(1, 8), bits=st.integers(1, 6),
+    # Batches of 1-9 rows leave every remainder 0-3 after the kernel's
+    # four-row lockstep groups; orders above 8 take its generic loop.
+    @given(order=st.integers(1, 10), bits=st.integers(1, 6),
            h_inf=st.sampled_from((2.0, 3.0)),
-           batch=st.sampled_from((1, 9)),
+           batch=st.integers(1, 9),
            n=st.one_of(st.just(0), st.just(1), st.integers(2, 300)),
            amplitudes=st.lists(st.sampled_from(
                (0.0, 0.5, 0.9, 1.0, 1.5, 2.0, 4.0, 8.0)), min_size=9,
@@ -210,6 +240,8 @@ class TestKernelDifferential:
            seed=st.integers(0, 2 ** 32 - 1))
     @example(order=5, bits=4, h_inf=3.0, batch=9, n=300,
              amplitudes=[0.0, 0.5, 0.9, 1.0, 1.5, 2.0, 4.0, 8.0, 8.0], seed=1)
+    @example(order=10, bits=4, h_inf=2.0, batch=6, n=300,
+             amplitudes=[0.5] * 9, seed=2)
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_modulator_kernel_matches_python_loop(
@@ -225,12 +257,21 @@ class TestKernelDifferential:
         gold = [_or_error(lambda row=row: simulator._simulate_python(row))
                 for row in u]
         kernel = _or_error(lambda: simulator.simulate_batch(u))
+        kernel_codes = _or_error(
+            lambda: simulator.simulate_batch(u, codes_only=True))
         with mock.patch.object(_native, "load", lambda: None):
             fallback = _or_error(lambda: simulator.simulate_batch(u))
+            fallback_codes = _or_error(
+                lambda: simulator.simulate_batch(u, codes_only=True))
         if OverflowError in gold:
-            assert kernel is fallback is OverflowError
+            assert (kernel is fallback is kernel_codes is fallback_codes
+                    is OverflowError)
             return
         assert kernel.metadata == fallback.metadata
+        for result in (kernel_codes, fallback_codes):
+            assert result.output is None and result.quantizer_input is None
+            assert np.array_equal(result.codes, kernel.codes)
+            assert np.array_equal(result.stable, kernel.stable)
         for b, record in enumerate(gold):
             single = simulator.simulate(u[b])
             assert single.metadata == record.metadata
@@ -242,6 +283,31 @@ class TestKernelDifferential:
                 assert np.array_equal(result.codes, record.codes)
                 assert result.codes.dtype == record.codes.dtype
                 assert result.stable == record.stable
+
+    @pytest.mark.parametrize("late, early, batch", [(1, 3, 6), (4, 5, 6),
+                                                    (0, 2, 4), (2, 7, 9)])
+    def test_first_diverging_row_in_row_order(self, kernel_library, paper_ntf,
+                                              late, early, batch):
+        """Row ``late`` diverges later in time than row ``early > late``,
+        in the same lockstep group or not: both engines name row ``late``,
+        the first diverging row in row order."""
+        simulator = FastErrorFeedbackSimulator(paper_ntf, MultibitQuantizer(4))
+        u = np.stack([coherent_tone(2.5e6, 0.5, 640e6, 400)] * batch)
+        u[late, 300] = u[early, 20] = 1e308  # overflows the loop filter
+        message = (f"the loop diverged: the quantizer input of row {late} "
+                   f"is no longer finite")
+        for codes_only in (False, True):
+            with pytest.raises(OverflowError) as kernel:
+                simulator.simulate_batch(u, codes_only=codes_only)
+            with mock.patch.object(_native, "load", lambda: None):
+                with pytest.raises(OverflowError) as fallback:
+                    simulator.simulate_batch(u, codes_only=codes_only)
+            assert str(kernel.value) == str(fallback.value) == message
+        # In time, row `early` loses the loop at its spike (sample 20), row
+        # `late` only at sample 300.
+        simulator._simulate_python(u[late, :300])
+        with pytest.raises(OverflowError):
+            simulator._simulate_python(u[early, :21])
 
     @given(order=st.integers(1, 6), decimation=st.integers(2, 8),
            input_bits=st.integers(1, 16), guard=st.integers(0, 62),
@@ -349,9 +415,9 @@ class TestFlowMemoization:
         calls = []
         original = FastErrorFeedbackSimulator.simulate
 
-        def counting(self, u):
+        def counting(self, u, *args, **kwargs):
             calls.append(len(u))
-            return original(self, u)
+            return original(self, u, *args, **kwargs)
 
         monkeypatch.setattr(FastErrorFeedbackSimulator, "simulate", counting)
         # Two points that share the modulator spec (they differ only in the

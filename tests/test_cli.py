@@ -38,6 +38,13 @@ def run_inproc(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_ok(*args):
+    """:func:`run_inproc` that must exit 0; returns stdout."""
+    code, stdout, stderr = run_inproc(*args)
+    assert code == 0, stderr
+    return stdout
+
+
 #: One run per report kind, saved by the ``saved_reports`` fixture.
 SAVED_RUNS = {
     "sweep": ("sweep", "--output-bits", "12", "14", "--no-cache",
@@ -77,16 +84,16 @@ def assert_report_rerenders_to_file(saved, tmp_path, fmt):
 
 class TestHelp:
     def test_top_level_help(self):
-        proc = run_cli("--help")
-        assert "design" in proc.stdout
-        assert "sweep" in proc.stdout
+        stdout = run_ok("--help")
+        assert "design" in stdout
+        assert "sweep" in stdout
 
     @pytest.mark.parametrize("command",
                              ["design", "verify", "sweep", "scenario",
                               "report", "cache"])
     def test_subcommand_help(self, command):
-        proc = run_cli(command, "--help")
-        assert command in proc.stdout or "usage" in proc.stdout
+        stdout = run_ok(command, "--help")
+        assert command in stdout or "usage" in stdout
 
     def test_missing_command_errors(self):
         proc = run_cli(check=False)
@@ -96,22 +103,22 @@ class TestHelp:
 class TestDesignAndVerify:
     def test_design_prints_report_and_writes_record(self, tmp_path):
         record_path = tmp_path / "flow.json"
-        proc = run_cli("design", "--no-activity", "--json", str(record_path))
-        assert "Design summary" in proc.stdout
-        assert "PASS" in proc.stdout
+        stdout = run_ok("design", "--no-activity", "--json", str(record_path))
+        assert "Design summary" in stdout
+        assert "PASS" in stdout
         record = json.loads(record_path.read_text(encoding="utf-8"))
         assert record["summary"]["meets_spec"] is True
         assert record["gate_count"] > 0
 
     def test_verify_passes_on_paper_spec(self):
-        proc = run_cli("verify")
-        assert "| Check |" in proc.stdout
-        assert "Overall: PASS" in proc.stdout
+        stdout = run_ok("verify")
+        assert "| Check |" in stdout
+        assert "Overall: PASS" in stdout
 
     def test_verify_snr_counts_toward_the_verdict(self):
-        proc = run_cli("verify", "--snr", "--snr-samples", "16384")
-        assert "end-to-end SNR" in proc.stdout  # the SNR check is a table row
-        assert "Overall: PASS" in proc.stdout
+        stdout = run_ok("verify", "--snr", "--snr-samples", "16384")
+        assert "end-to-end SNR" in stdout  # the SNR check is a table row
+        assert "Overall: PASS" in stdout
 
     def test_design_accepts_spec_json(self, tmp_path):
         from repro.core import paper_chain_spec
@@ -119,8 +126,9 @@ class TestDesignAndVerify:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(paper_chain_spec().to_dict()),
                              encoding="utf-8")
-        proc = run_cli("design", "--no-activity", "--spec-json", str(spec_path))
-        assert "Design summary" in proc.stdout
+        stdout = run_ok("design", "--no-activity", "--spec-json",
+                        str(spec_path))
+        assert "Design summary" in stdout
 
     def test_invalid_sinc_split_is_a_clean_error(self):
         proc = run_cli("design", "--sinc-orders-base", "four", check=False)
@@ -204,62 +212,61 @@ class TestSweepAndReport:
         assert "(process executor, 2 jobs," in pooled.stderr
         assert "(inline executor, 1 jobs," in serial.stderr
 
-    def test_progress_lines_show_point_counts(self, tmp_path):
-        proc = run_cli("sweep", "--output-bits", "12", "14", "--jobs", "1",
-                       "--no-cache", cwd=tmp_path)
-        assert "[run 1/2]" in proc.stderr
-        assert "[run 2/2]" in proc.stderr
+    def test_progress_lines_show_point_counts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run_inproc("sweep", "--output-bits", "12", "14",
+                                     "--jobs", "1", "--no-cache")
+        assert code == 0, stderr
+        assert "[run 1/2]" in stderr
+        assert "[run 2/2]" in stderr
 
 
 class TestScenarioCommand:
     def test_list_shows_registry(self):
-        proc = run_cli("scenario", "list")
-        assert "lte-20" in proc.stdout
-        assert "sdr-lte-30p72" in proc.stdout
+        stdout = run_ok("scenario", "list")
+        assert "lte-20" in stdout
+        assert "sdr-lte-30p72" in stdout
 
-    def test_run_writes_reports_and_caches(self, tmp_path):
+    def test_run_writes_reports_and_caches(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cache = tmp_path / "cache"
         json_out = tmp_path / "suite.json"
         md_out = tmp_path / "suite.md"
-        first = run_cli("scenario", "run", "voice-8k", "--quiet",
-                        "--cache-dir", str(cache),
-                        "--json", str(json_out), "--markdown", str(md_out),
-                        cwd=tmp_path)
-        assert "1 scenarios" in first.stderr
+        code, _, first = run_inproc("scenario", "run", "voice-8k", "--quiet",
+                                    "--cache-dir", str(cache),
+                                    "--json", str(json_out),
+                                    "--markdown", str(md_out))
+        assert code == 0, first
+        assert "1 scenarios" in first
         payload = json.loads(json_out.read_text(encoding="utf-8"))
         assert payload["num_scenarios"] == 1
         assert payload["scenarios"][0]["name"] == "voice-8k"
         assert "voice-8k" in md_out.read_text(encoding="utf-8")
 
         rerun_out = tmp_path / "suite2.json"
-        second = run_cli("scenario", "run", "voice-8k", "--quiet",
-                         "--cache-dir", str(cache),
-                         "--json", str(rerun_out), cwd=tmp_path)
-        assert "1 cached, 0 executed" in second.stderr
+        code, _, second = run_inproc("scenario", "run", "voice-8k", "--quiet",
+                                     "--cache-dir", str(cache),
+                                     "--json", str(rerun_out))
+        assert code == 0, second
+        assert "1 cached, 0 executed" in second
         assert rerun_out.read_bytes() == json_out.read_bytes()
 
     def test_report_rerenders_saved_json(self, saved_reports, tmp_path):
         assert_report_rerenders_to_file(saved_reports["scenario"], tmp_path,
                                         "markdown")
 
-    def test_check_passes_against_goldens(self, tmp_path):
-        proc = run_cli("scenario", "check", "voice-8k", "audio-48k",
-                       "--quiet", cwd=tmp_path)
-        assert "[ok]   voice-8k" in proc.stdout
-        assert "OK: 2 scenario(s) match their golden records" in proc.stdout
+    def test_check_passes_against_goldens(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        stdout = run_ok("scenario", "check", "voice-8k", "audio-48k",
+                        "--quiet")
+        assert "[ok]   voice-8k" in stdout
+        assert "OK: 2 scenario(s) match their golden records" in stdout
 
     def test_check_fails_cleanly_on_unknown_scenario(self):
         proc = run_cli("scenario", "check", "no-such-scenario", check=False)
         assert proc.returncode != 0
         assert "unknown scenario(s): no-such-scenario" in proc.stderr
         assert "Traceback" not in proc.stderr
-
-
-def run_ok(*args):
-    """:func:`run_inproc` that must exit 0; returns stdout."""
-    code, stdout, stderr = run_inproc(*args)
-    assert code == 0, stderr
-    return stdout
 
 
 class TestCacheCommand:
@@ -352,18 +359,20 @@ class TestRobustnessCLI:
                 "--stimulus-samples", "2048", "--variants", "2",
                 "--seed", "5", "--quiet", "--cache-dir", str(cache),
                 "--json", str(json_path))
-        proc = run_cli(*args)
-        assert "| lte-20 |" in proc.stdout
+        code, stdout, stderr = run_inproc(*args)
+        assert code == 0, stderr
+        assert "| lte-20 |" in stdout
         payload = json.loads(json_path.read_text(encoding="utf-8"))
         assert payload["num_runs"] == 1
         record = payload["runs"][0]["record"]
         assert len(record["samples"]) == 4
-        assert "0 cached, 1 executed" in proc.stderr
+        assert "0 cached, 1 executed" in stderr
 
         # Cached rerun reproduces the JSON report byte-identically.
         json2 = tmp_path / "robustness2.json"
-        rerun = run_cli(*args[:-1], str(json2))
-        assert "1 cached, 0 executed" in rerun.stderr
+        code, _, stderr = run_inproc(*args[:-1], str(json2))
+        assert code == 0, stderr
+        assert "1 cached, 0 executed" in stderr
         assert json_path.read_bytes() == json2.read_bytes()
 
     def test_report_rerenders_saved_json(self, saved_reports, tmp_path):
@@ -372,12 +381,13 @@ class TestRobustnessCLI:
         assert_report_rerenders_to_file(saved_reports["robustness"],
                                         tmp_path, "json")
 
-    def test_disable_axes_flags(self, tmp_path):
+    def test_disable_axes_flags(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         json_path = tmp_path / "robustness.json"
-        run_cli("robustness", "run", "lte-20", "--samples", "3",
-                "--stimulus-samples", "2048", "--quiet",
-                "--disable", "dropout", "--disable", "corners",
-                "--json", str(json_path))
+        run_ok("robustness", "run", "lte-20", "--samples", "3",
+               "--stimulus-samples", "2048", "--quiet",
+               "--disable", "dropout", "--disable", "corners",
+               "--json", str(json_path))
         record = json.loads(
             json_path.read_text(encoding="utf-8"))["runs"][0]["record"]
         assert record["model"]["csd_dropout"] is None
@@ -385,8 +395,7 @@ class TestRobustnessCLI:
         assert record["model"]["dither"] is not None
 
     def test_check_passes_against_committed_golden(self):
-        proc = run_cli("robustness", "check")
-        assert "matches its golden record" in proc.stdout
+        assert "matches its golden record" in run_ok("robustness", "check")
 
 
 class TestArgumentValidation:

@@ -9,7 +9,6 @@ from repro.dsm import (
     MultibitQuantizer,
     analyze_tone,
     coherent_tone,
-    simulate_dsm,
     synthesize_ntf,
 )
 
@@ -92,9 +91,3 @@ class TestDeltaSigmaModulator:
     def test_unknown_engine_raises(self, paper_modulator):
         with pytest.raises(ValueError):
             paper_modulator.simulate(np.zeros(16), engine="spice")
-
-    def test_simulate_dsm_wrapper(self, paper_ntf):
-        tone = coherent_tone(2e6, 0.4, 640e6, 1024)
-        result = simulate_dsm(tone, paper_ntf, quantizer_bits=4)
-        assert result.n_samples == 1024
-        assert result.codes.dtype.kind == "i"

@@ -121,13 +121,13 @@ class TestBatchedHotPath:
         real_batch = FastErrorFeedbackSimulator.simulate_batch
         real_fixed = DecimationChain.process_fixed
 
-        def counting_simulate(self, u):
+        def counting_simulate(self, u, *args, **kwargs):
             calls["simulate"] += 1
-            return real_simulate(self, u)
+            return real_simulate(self, u, *args, **kwargs)
 
-        def counting_batch(self, u):
+        def counting_batch(self, u, *args, **kwargs):
             calls["simulate_batch"] += 1
-            return real_batch(self, u)
+            return real_batch(self, u, *args, **kwargs)
 
         def counting_fixed(self, codes, *args, **kwargs):
             key = "fixed_2d" if np.asarray(codes).ndim == 2 else "fixed_1d"
