@@ -10,8 +10,9 @@ bit-exact per sample — every SNR must match to the last bit — so the
 speedup is pure batching, not a numerics change.
 
 It also records the shard's memory scaling, as the ratio of the
-``tracemalloc`` peak of the 256-sample payload to that of its first
-``SMALL_SAMPLES`` (bounded by the row block, so well under 2), and, on the same
+``tracemalloc`` peak of the 256-sample payload to that of a small
+population that fills one ``ROW_BLOCK`` block per chain variant (bounded
+by the row block, so well under 2), and, on the same
 population, how much faster the compiled kernels run the modulator batch
 and the Hogenauer batch than the Python fallback a host without a C
 compiler runs.
@@ -27,8 +28,6 @@ import pytest
 from benchutils import emit_json, print_series
 
 N_SAMPLES = 256
-#: Population of the small payload the peak-memory ratio divides by.
-SMALL_SAMPLES = 32
 STIMULUS_SAMPLES = 2048
 SEED = 2011
 
@@ -129,15 +128,15 @@ def _kernel_speedups(scenario, model, chain, payload):
 
     The fallback is what a host without a C compiler runs: the Python
     modulator loop row by row, and the vectorized Hogenauer engine row by
-    row.  Best of five runs per side, so one slow run does not set the
-    ratio.
+    row.  The Hogenauer batch takes the codes and their offset, as the
+    chain's batch path hands them.  Best of five runs per side, so one
+    slow run does not set the ratio.
     """
     from repro import _native
 
     modulator, rows, _, _ = _population(scenario, model, chain, payload)
     stimulus = np.stack(rows[:64])
-    signed = chain.codes_to_signed(
-        modulator.simulate_batch(np.stack(rows)).codes)
+    codes = modulator.simulate_batch(np.stack(rows)).codes
     timings = {}
     for engine in ("kernel", "fallback"):
         with mock.patch.object(_native, "load",
@@ -145,7 +144,8 @@ def _kernel_speedups(scenario, model, chain, payload):
                                else lambda: None):
             timings[engine] = (
                 _best_time(lambda: modulator.simulate_batch(stimulus)),
-                _best_time(lambda: chain._hogenauer.process_batch(signed)))
+                _best_time(lambda: chain._hogenauer.process_batch(
+                    codes, chain._code_offset)))
     return {
         "kernel_loaded": _native.load() is not None,
         "simulate_batch_kernel_speedup":
@@ -155,21 +155,41 @@ def _kernel_speedups(scenario, model, chain, payload):
     }
 
 
+def _one_block_per_variant(samples):
+    """The first ``ROW_BLOCK`` samples of every chain variant.
+
+    Each variant group of this population fills one full block, as the
+    full payload's groups do, so the two shards run blocks of the same
+    size and their peak ratio shows how memory grows with the population.
+    """
+    from repro.robustness.engine import ROW_BLOCK
+
+    taken = {}
+    small = []
+    for sample in samples:
+        count = taken.get(sample["variant"], 0)
+        if count < ROW_BLOCK:
+            taken[sample["variant"]] = count + 1
+            small.append(sample)
+    return small
+
+
 def _payload_peak_ratio(payload, store):
-    """``tracemalloc`` peak of the full payload over that of its first
-    ``SMALL_SAMPLES`` samples, on the warm ``store``."""
+    """``tracemalloc`` peak of the full payload over that of
+    :func:`_one_block_per_variant` of it, on the warm ``store``; also the
+    small population's size."""
     from repro.robustness.engine import execute_robustness_payload
 
+    small = _one_block_per_variant(payload["samples"])
     peaks = []
-    for shard in (payload, dict(payload,
-                                samples=payload["samples"][:SMALL_SAMPLES])):
+    for shard in (payload, dict(payload, samples=small)):
         tracemalloc.start()
         try:
             execute_robustness_payload(shard, store)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    return peaks[0] / peaks[1]
+    return peaks[0] / peaks[1], len(small)
 
 
 @pytest.mark.benchmark(group="robustness")
@@ -195,7 +215,7 @@ def test_robustness_batched_vs_loop(benchmark):
     snr_match = batched_snrs == loop_snrs
     speedup = loop_s / max(batched_s, 1e-9)
     kernels = _kernel_speedups(scenario, model, chain, payload)
-    peak_ratio = _payload_peak_ratio(payload, store)
+    peak_ratio, small_samples = _payload_peak_ratio(payload, store)
     print_series("Monte Carlo robustness — batched vs per-sample loop",
                  ["quantity", "value", ""],
                  [("samples", N_SAMPLES, f"{STIMULUS_SAMPLES}-sample stimulus"),
@@ -207,7 +227,8 @@ def test_robustness_batched_vs_loop(benchmark):
                   ("speedup", f"{speedup:.1f}x", ""),
                   ("SNRs bit-exact", snr_match, "batched == loop per sample"),
                   ("payload peak ratio", f"{peak_ratio:.2f}",
-                   f"tracemalloc peak, {N_SAMPLES} / {SMALL_SAMPLES} samples"),
+                   f"tracemalloc peak, {N_SAMPLES} / {small_samples} samples "
+                   f"(one {ROW_BLOCK}-row block per variant)"),
                   ("simulate_batch kernel speedup",
                    f"{kernels['simulate_batch_kernel_speedup']:.1f}x",
                    "Python fallback / compiled kernel, 64 rows"),
@@ -225,6 +246,7 @@ def test_robustness_batched_vs_loop(benchmark):
         "snr_min_db": min(batched_snrs),
         "snr_max_db": max(batched_snrs),
         "payload_peak_ratio": peak_ratio,
+        "payload_peak_small_samples": small_samples,
         **kernels,
     })
 

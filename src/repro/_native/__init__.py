@@ -141,8 +141,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
                                     real, real, real, f64, optional_f64,
                                     optional_f64, i64, flag]
     library.ef_simulate.restype = ctypes.c_int64
-    library.cic_decimate.argtypes = [i64, size, size, size, size, size, u64,
-                                     i64]
+    library.cic_decimate.argtypes = [i64, ctypes.c_uint64, size, size, size,
+                                     size, size, u64, i64]
     library.cic_decimate.restype = None
     return library
 

@@ -163,12 +163,13 @@ int64_t ef_simulate(const double *u, int64_t batch, int64_t n,
 
 /*
  * One row of the Sinc^order decimate-by-m Hogenauer structure from cleared
- * registers: order wrap-around uint64 integrators, every m-th sample kept,
- * order combs, then a two's-complement wrap to width bits.
+ * registers: order wrap-around uint64 integrators fed x - offset, every
+ * m-th sample kept, order combs, then a two's-complement wrap to width bits.
  */
 static inline __attribute__((always_inline)) void
-cic_row(const int64_t *x, int64_t n_out, int64_t order, int64_t m,
-        int64_t width, uint64_t *integrators, uint64_t *combs, int64_t *out)
+cic_row(const int64_t *x, uint64_t offset, int64_t n_out, int64_t order,
+        int64_t m, int64_t width, uint64_t *integrators, uint64_t *combs,
+        int64_t *out)
 {
     const uint64_t mask = ((uint64_t)1 << width) - 1;
     const uint64_t sign = (uint64_t)1 << (width - 1);
@@ -178,7 +179,7 @@ cic_row(const int64_t *x, int64_t n_out, int64_t order, int64_t m,
     for (int64_t j = 0; j < n_out; ++j) {
         uint64_t value = 0;
         for (int64_t p = 0; p < m; ++p) {
-            value = (uint64_t)*x++;
+            value = (uint64_t)*x++ - offset;
 #pragma GCC unroll 8
             for (int64_t k = 0; k < order; ++k) {
                 integrators[k] += value;
@@ -197,13 +198,14 @@ cic_row(const int64_t *x, int64_t n_out, int64_t order, int64_t m,
 }
 
 /*
- * cic_row over (batch, n) int64 rows into (batch, n / m) words, width <= 62.
+ * cic_row over (batch, n) int64 rows into (batch, n / m) words, width <= 62,
+ * subtracting offset from every sample (modulo 2^64) as it is read.
  * Orders up to 8 are specialized so their registers live in CPU registers;
  * larger orders use registers, scratch space for 2 * order words.
  */
-void cic_decimate(const int64_t *x, int64_t batch, int64_t n, int64_t order,
-                  int64_t m, int64_t width, uint64_t *registers,
-                  int64_t *out)
+void cic_decimate(const int64_t *x, uint64_t offset, int64_t batch, int64_t n,
+                  int64_t order, int64_t m, int64_t width,
+                  uint64_t *registers, int64_t *out)
 {
     const int64_t n_out = n / m;
     for (int64_t b = 0; b < batch; ++b) {
@@ -213,7 +215,8 @@ void cic_decimate(const int64_t *x, int64_t batch, int64_t n, int64_t order,
 #define CIC_FIXED_ORDER(K)                                                   \
         case K: {                                                            \
             uint64_t fixed[2 * K];                                           \
-            cic_row(x_row, n_out, K, m, width, fixed, fixed + K, out_row);   \
+            cic_row(x_row, offset, n_out, K, m, width, fixed,                \
+                    fixed + K, out_row);                                     \
             break;                                                           \
         }
         CIC_FIXED_ORDER(1) CIC_FIXED_ORDER(2) CIC_FIXED_ORDER(3)
@@ -221,8 +224,8 @@ void cic_decimate(const int64_t *x, int64_t batch, int64_t n, int64_t order,
         CIC_FIXED_ORDER(7) CIC_FIXED_ORDER(8)
 #undef CIC_FIXED_ORDER
         default:
-            cic_row(x_row, n_out, order, m, width, registers,
-                    registers + order, out_row);
+            cic_row(x_row, offset, n_out, order, m, width,
+                    registers, registers + order, out_row);
         }
     }
 }

@@ -415,8 +415,12 @@ class DecimationChain:
         LSB offset this introduces relative to the mid-rise quantizer levels
         appears only at DC and is excluded from all SNR measurements.
         """
-        offset = 1 << (self.spec.modulator.quantizer_bits - 1)
-        return np.asarray(codes, dtype=np.int64) - offset
+        return np.asarray(codes, dtype=np.int64) - self._code_offset
+
+    @property
+    def _code_offset(self) -> int:
+        """``2^(B−1)``: what :meth:`codes_to_signed` subtracts."""
+        return 1 << (self.spec.modulator.quantizer_bits - 1)
 
     def process_fixed(self, codes: np.ndarray,
                       collect_trace: bool = False) -> np.ndarray:
@@ -432,15 +436,18 @@ class DecimationChain:
         bit-exact to ``process_fixed(codes[b])``.  Tracing counts toggles
         along one record and is rejected for batches.
         """
-        signed = self.codes_to_signed(codes)
-        if signed.ndim == 2:
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.ndim == 2:
             if collect_trace:
                 raise ValueError("switching-activity tracing requires a "
                                  "single record, not a (batch, n) array")
-            data = self._hogenauer.process_batch(signed)
+            # The first Hogenauer stage subtracts the code offset as it
+            # reads, so a Monte Carlo block is not copied to signed words.
+            data = self._hogenauer.process_batch(codes, self._code_offset)
         else:
             self._hogenauer.reset()
-            data = self._hogenauer.process(signed, collect_trace=collect_trace)
+            data = self._hogenauer.process(self.codes_to_signed(codes),
+                                           collect_trace=collect_trace)
         data = self._halfband_impl.process(data)
         data = self.scaling.process(data)
         data = self._equalizer_impl.process(data)

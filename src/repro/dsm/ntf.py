@@ -79,18 +79,12 @@ class NoiseTransferFunction:
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Evaluate the NTF at points ``z`` in the complex plane."""
         z = np.asarray(z, dtype=complex)
-        num = np.ones_like(z)
-        for zero in self.zeros:
-            num = num * (z - zero)
-        den = np.ones_like(z)
-        for pole in self.poles:
-            den = den * (z - pole)
-        return self.gain * num / den
+        return _zpk_response(z, _root_product(z, self.zeros), self.poles,
+                             self.gain)
 
     def frequency_response(self, frequencies: np.ndarray) -> np.ndarray:
         """Evaluate the NTF at normalized frequencies (cycles/sample)."""
-        w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-        return self.evaluate(np.exp(1j * w))
+        return self.evaluate(_unit_circle(frequencies))
 
     def magnitude_db(self, frequencies: np.ndarray) -> np.ndarray:
         """NTF magnitude in dB at normalized frequencies (cycles/sample)."""
@@ -160,6 +154,31 @@ class NoiseTransferFunction:
         inband_noise = noise_power_total * 2.0 * np.trapezoid(mag2, freqs)
         signal_power = input_amplitude ** 2 / 2.0
         return float(10.0 * np.log10(signal_power / max(inband_noise, 1e-300)))
+
+
+def _unit_circle(frequencies: np.ndarray) -> np.ndarray:
+    """``exp(j·2π·f)`` at normalized frequencies ``f`` (cycles/sample)."""
+    w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    return np.exp(1j * w)
+
+
+def _root_product(z: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """``prod_k (z - roots[k])``, one factor at a time in root order."""
+    product = np.ones_like(z)
+    for root in roots:
+        product = product * (z - root)
+    return product
+
+
+def _zpk_response(z: np.ndarray, zero_product: np.ndarray, poles: np.ndarray,
+                  gain: float) -> np.ndarray:
+    """The zero-pole-gain response at ``z`` given its zero product.
+
+    The one formula behind :meth:`NoiseTransferFunction.evaluate` and the
+    synthesis bisection, which builds the zero product once and forms
+    only the pole product per step; both get the same bits.
+    """
+    return gain * zero_product / _root_product(z, poles)
 
 
 def optimal_zero_frequencies(order: int, osr: int, optimize: bool = True) -> np.ndarray:
@@ -261,16 +280,16 @@ def _butterworth_highpass_poles(order: int, corner: float) -> np.ndarray:
     return (2.0 * fs + highpass) / (2.0 * fs - highpass)
 
 
-@lru_cache(maxsize=64)
 def synthesize_ntf(order: int = 5, osr: int = 16, h_inf: float = 3.0,
-                   optimize_zeros: bool = True,
-                   f0: float = 0.0) -> NoiseTransferFunction:
+                   optimize_zeros: bool = True) -> NoiseTransferFunction:
     """Synthesize a low-pass delta-sigma NTF.
 
     Synthesis is deterministic in its arguments and the returned
     :class:`NoiseTransferFunction` is never mutated, so results are
-    memoized — a design-space sweep constructs the same modulator NTF for
-    every point that shares a modulator spec.
+    memoized under the canonical key ``(order, osr, h_inf,
+    optimize_zeros)``, however the call spells it: the linear-model SNR
+    estimate and the modulator share one synthesis, and so does every
+    point of a sweep that shares a modulator spec.
 
     Parameters
     ----------
@@ -284,9 +303,6 @@ def synthesize_ntf(order: int = 5, osr: int = 16, h_inf: float = 3.0,
     optimize_zeros:
         Spread the NTF zeros across the signal band (two resonators plus a
         DC zero for a 5th-order design) instead of stacking them at DC.
-    f0:
-        Center frequency for band-pass designs (only 0.0 — low-pass — is
-        supported; the parameter exists for API compatibility).
 
     Returns
     -------
@@ -297,22 +313,33 @@ def synthesize_ntf(order: int = 5, osr: int = 16, h_inf: float = 3.0,
     NTFSynthesisError
         If the requested out-of-band gain cannot be realized.
     """
-    if f0 != 0.0:
-        raise NotImplementedError("only low-pass NTF synthesis is supported")
+    if order != int(order) or osr != int(osr):
+        raise ValueError("order and osr must be integers")
     if order < 1 or order > 12:
         raise ValueError("order must be between 1 and 12")
     if osr < 2:
         raise ValueError("osr must be at least 2")
     if h_inf <= 1.0:
         raise ValueError("h_inf must exceed 1.0")
+    return _synthesize(int(order), int(osr), float(h_inf),
+                       bool(optimize_zeros))
 
+
+@lru_cache(maxsize=64)
+def _synthesize(order: int, osr: int, h_inf: float,
+                optimize_zeros: bool) -> NoiseTransferFunction:
+    """:func:`synthesize_ntf` on validated, canonical arguments."""
     zero_freqs = optimal_zero_frequencies(order, osr, optimize_zeros)
     zeros = np.exp(2j * np.pi * zero_freqs)
+    # The out-of-band gain grid of NoiseTransferFunction.out_of_band_gain
+    # and its zero product, built once; each corner forms only its poles.
+    z = _unit_circle(np.linspace(0.0, 0.5, 4096))
+    zero_product = _root_product(z, zeros)
 
     def out_of_band_gain_for(corner: float) -> float:
         poles = _butterworth_highpass_poles(order, corner)
-        ntf = NoiseTransferFunction(zeros, poles, 1.0, order, osr, h_inf)
-        return ntf.out_of_band_gain()
+        return float(np.max(np.abs(_zpk_response(z, zero_product, poles,
+                                                 1.0))))
 
     # The out-of-band gain grows monotonically with the Butterworth corner
     # frequency once the corner is at or above the signal-band edge (below
@@ -334,25 +361,26 @@ def synthesize_ntf(order: int = 5, osr: int = 16, h_inf: float = 3.0,
                 f"requested h_inf={h_inf} exceeds the maximum achievable "
                 f"({gain_hi:.3f}) for order {order}"
             )
+    # A step depends on (lo, hi) alone, so once one leaves the bracket
+    # unchanged every later step would too: stop there, exactly.
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if out_of_band_gain_for(mid) < h_inf:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if out_of_band_gain_for(mid) < h_inf else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     corner = 0.5 * (lo + hi)
     poles = _butterworth_highpass_poles(order, corner)
-    ntf = NoiseTransferFunction(
+    return NoiseTransferFunction(
         zeros=zeros,
         poles=poles,
         gain=1.0,
         order=order,
         osr=osr,
-        h_inf=float(out_of_band_gain_for(corner)),
+        h_inf=out_of_band_gain_for(corner),
         metadata={
             "butterworth_corner": corner,
             "optimized_zeros": optimize_zeros,
             "zero_frequencies": zero_freqs,
         },
     )
-    return ntf

@@ -233,13 +233,15 @@ class HogenauerDecimator:
         self._phase = phase
         return np.array(outputs, dtype=object if width > _MAX_INT64_WIDTH else np.int64)
 
-    def _process_vectorized(self, samples: np.ndarray) -> np.ndarray:
+    def _process_vectorized(self, samples: np.ndarray,
+                            offset: int = 0) -> np.ndarray:
         """Cumsum/strided-slice evaluation, bit-exact to the reference.
 
         All additions run modulo 2**64 in ``uint64``; since the reference
         only ever wraps (never saturates), every intermediate value is
         congruent modulo ``2**width`` and the single final wrap recovers the
-        exact register contents.
+        exact register contents.  ``offset`` is subtracted from every
+        sample as it is read, so the input is ``samples - offset``.
         """
         k = self.spec.order
         m = self.spec.decimation
@@ -254,6 +256,8 @@ class HogenauerDecimator:
             samples = np.array([wrap_twos_complement(int(v), width)
                                 for v in samples.tolist()], dtype=np.int64)
         x = samples.astype(np.int64).astype(np.uint64)
+        if offset:
+            x -= np.uint64(offset & _MASK64)
 
         # K integrators = K cumulative sums with carried-in register state.
         for i in range(k):
@@ -285,12 +289,14 @@ class HogenauerDecimator:
         out[wrapped >= np.uint64(modulus >> 1)] -= modulus
         return out
 
-    def process_batch(self, samples: np.ndarray) -> np.ndarray:
+    def process_batch(self, samples: np.ndarray, offset: int = 0) -> np.ndarray:
         """Filter and decimate a ``(batch, n)`` array of independent records.
 
         Every row is processed from a cleared register state (the batch
         axis models independent records, not a continued stream) and row
-        ``b`` of the result is bit-exact to ``reset(); process(samples[b])``.
+        ``b`` of the result is bit-exact to ``reset(); process(samples[b]
+        - offset)``; the offset is subtracted as the samples are read, so
+        the modulator's codes need no signed copy.
         The compiled kernel runs the K wrap-around integrators, the rate
         change and the K combs per row and writes only the ``n // M``
         output words; without it each row runs through the vectorized
@@ -325,10 +331,10 @@ class HogenauerDecimator:
             stage = HogenauerDecimator(self.spec, self.config)
             for b, row in enumerate(samples):
                 stage.reset()
-                out[b] = stage._process_vectorized(row)
+                out[b] = stage._process_vectorized(row, offset)
         else:
-            library.cic_decimate(samples, batch, n, k, m, width,
-                                 np.zeros(2 * k, dtype=np.uint64), out)
+            library.cic_decimate(samples, offset & _MASK64, batch, n, k, m,
+                                 width, np.zeros(2 * k, dtype=np.uint64), out)
         return out
 
     # ------------------------------------------------------------------
@@ -435,13 +441,14 @@ class HogenauerCascade:
                         data = data >> shift
         return data
 
-    def process_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Run a ``(batch, n)`` array of independent records through the
-        cascade (zero initial state per row; see
+    def process_batch(self, samples: np.ndarray, offset: int = 0) -> np.ndarray:
+        """Run a ``(batch, n)`` array of independent records, less
+        ``offset``, through the cascade (zero initial state per row; see
         :meth:`HogenauerDecimator.process_batch`)."""
         data = np.asarray(samples)
         for stage in self.stages:
-            data = stage.process_batch(data)
+            data = stage.process_batch(data, offset)
+            offset = 0
             if self.rescale:
                 shift = stage.spec.output_bits - stage.spec.input_bits
                 if shift > 0:

@@ -12,6 +12,7 @@ composed.  The modulator and batched-chain contracts also run on the
 pure-Python fallback of the compiled kernels.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -274,8 +275,8 @@ class TestFastModulatorEngine:
         from repro.dsm import MultibitQuantizer, synthesize_ntf
         from repro.dsm.modulator import FastErrorFeedbackSimulator
 
-        ntf = synthesize_ntf(3, 16, 1.5)
-        ntf.gain = 2.0
+        # A non-monic copy: the synthesized NTF is shared by the cache.
+        ntf = dataclasses.replace(synthesize_ntf(3, 16, 1.5), gain=2.0)
         with pytest.raises(ValueError):
             FastErrorFeedbackSimulator(ntf, MultibitQuantizer(4))
 

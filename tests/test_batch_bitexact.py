@@ -342,6 +342,22 @@ class TestKernelDifferential:
             assert np.array_equal(kernel[b], gold)
         assert stage._integrators == [0] * order
 
+    @pytest.mark.parametrize("offset", (8, -3, 1 << 40))
+    def test_hogenauer_batch_subtracts_the_offset_as_it_reads(
+            self, kernel_library, paper_chain, offset):
+        """The chain's batch path hands the codes and their offset to the
+        Hogenauer cascade: kernel, fallback and a signed copy (the path
+        before the offset moved into the stage) agree word for word."""
+        codes = np.random.default_rng(11).integers(0, 16, size=(5, 4096),
+                                                   dtype=np.int64)
+        cascade = paper_chain._hogenauer
+        kernel = cascade.process_batch(codes, offset)
+        with mock.patch.object(_native, "load", lambda: None):
+            fallback = cascade.process_batch(codes, offset)
+        signed_copy = cascade.process_batch(codes - offset)
+        assert np.array_equal(kernel, fallback)
+        assert np.array_equal(kernel, signed_copy)
+
 
 # ----------------------------------------------------------------------
 # Batched spectral analysis

@@ -1,5 +1,7 @@
 """Tests for the delta-sigma modulator simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,8 @@ class TestErrorFeedbackSimulator:
         assert outband > 100 * inband
 
     def test_requires_monic_ntf(self):
-        ntf = synthesize_ntf(3, 16, 1.5)
-        ntf.gain = 2.0  # make it non-monic
+        # A non-monic copy: the synthesized NTF is shared by the cache.
+        ntf = dataclasses.replace(synthesize_ntf(3, 16, 1.5), gain=2.0)
         with pytest.raises(ValueError):
             ErrorFeedbackSimulator(ntf, MultibitQuantizer(4))
 

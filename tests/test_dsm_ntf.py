@@ -1,6 +1,7 @@
 """Tests for NTF synthesis."""
 
 import functools
+import io
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.dsm import (
     optimal_zero_frequencies,
     synthesize_ntf,
 )
+from repro.dsm import ntf as ntf_module
 from repro.dsm.ct_loopfilter import _dt_loop_filter_impulse
 from repro.dsm.ntf import (
     _OPTIMAL_ZERO_POSITIONS,
@@ -171,10 +173,6 @@ class TestSynthesizeNTF:
         with pytest.raises(NTFSynthesisError):
             synthesize_ntf(5, 8, h_inf=1.001)
 
-    def test_bandpass_not_supported(self):
-        with pytest.raises(NotImplementedError):
-            synthesize_ntf(4, 16, 1.5, f0=0.25)
-
     def test_other_orders_synthesize(self):
         for order in (2, 3, 4, 6):
             ntf = synthesize_ntf(order, 32, 1.5)
@@ -245,3 +243,119 @@ class TestAgainstScipy:
     def test_legendre_roots_match_lbfgsb(self, order):
         np.testing.assert_allclose(_legendre_zero_positions(order),
                                    _lbfgsb_positions(order), rtol=0, atol=1e-4)
+
+
+def _unpruned_synthesis(order, osr, h_inf, optimize_zeros):
+    """The synthesis as it was before the bisection stopped at its fixed
+    point: all 80 steps, each on a freshly built grid and zero product."""
+
+    def response(z, zeros, poles, gain):
+        z = np.asarray(z, dtype=complex)
+        num = np.ones_like(z)
+        for zero in zeros:
+            num = num * (z - zero)
+        den = np.ones_like(z)
+        for pole in poles:
+            den = den * (z - pole)
+        return gain * num / den
+
+    zero_freqs = optimal_zero_frequencies(order, osr, optimize_zeros)
+    zeros = np.exp(2j * np.pi * zero_freqs)
+
+    def out_of_band_gain_for(corner):
+        poles = _butterworth_highpass_poles(order, corner)
+        w = 2.0 * np.pi * np.asarray(np.linspace(0.0, 0.5, 4096), dtype=float)
+        return float(np.max(np.abs(response(np.exp(1j * w), zeros, poles, 1.0))))
+
+    lo, hi = 0.5 / osr, 0.45
+    gain_lo = out_of_band_gain_for(lo)
+    gain_hi = out_of_band_gain_for(hi)
+    if gain_lo > h_inf:
+        raise NTFSynthesisError(
+            f"requested h_inf={h_inf} is below the minimum achievable "
+            f"({gain_lo:.3f}) for order {order}")
+    if gain_hi < h_inf:
+        hi = 0.499
+        gain_hi = out_of_band_gain_for(hi)
+        if gain_hi < h_inf:
+            raise NTFSynthesisError(
+                f"requested h_inf={h_inf} exceeds the maximum achievable "
+                f"({gain_hi:.3f}) for order {order}")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if out_of_band_gain_for(mid) < h_inf:
+            lo = mid
+        else:
+            hi = mid
+    corner = 0.5 * (lo + hi)
+    return NoiseTransferFunction(
+        zeros=zeros, poles=_butterworth_highpass_poles(order, corner),
+        gain=1.0, order=order, osr=osr, h_inf=out_of_band_gain_for(corner),
+        metadata={"butterworth_corner": corner,
+                  "optimized_zeros": optimize_zeros,
+                  "zero_frequencies": zero_freqs})
+
+
+def _outcome(function, *args):
+    """Bitwise identity of a synthesis result, or its error."""
+    try:
+        ntf = function(*args)
+    except NTFSynthesisError as exc:
+        return "error", str(exc)
+    metadata = dict(ntf.metadata,
+                    zero_frequencies=ntf.metadata["zero_frequencies"].tobytes())
+    return (ntf.zeros.tobytes(), ntf.poles.tobytes(), repr(ntf.gain),
+            repr(ntf.h_inf), ntf.order, ntf.osr,
+            sorted((key, repr(value)) for key, value in metadata.items()))
+
+
+class TestSynthesisWork:
+    """Each NTF is synthesized once, by a bisection that stops at its
+    fixed point with the bits of the full 80-step loop."""
+
+    def test_call_shapes_share_one_synthesis(self):
+        paper = synthesize_ntf(5, 16, 3.0)
+        assert synthesize_ntf(5, 16, 3.0, True) is paper
+        assert synthesize_ntf(order=5, osr=16, h_inf=3, optimize_zeros=1) is paper
+        assert synthesize_ntf() is paper
+        assert synthesize_ntf(5, 16, 3.0, False) is not paper
+
+    def test_design_verify_and_sweep_synthesize_each_ntf_once(self, monkeypatch):
+        from repro.cli import run_command
+        from repro.flow.artifacts import ArtifactStore
+
+        # Every synthesis places its zeros once, first.
+        synthesized = []
+        place_zeros = ntf_module.optimal_zero_frequencies
+
+        def spy(*args):
+            synthesized.append(args)
+            return place_zeros(*args)
+
+        monkeypatch.setattr(ntf_module, "optimal_zero_frequencies", spy)
+        ntf_module._synthesize.cache_clear()
+        store = ArtifactStore()
+        # The sweep's predicted-SNR column calls synthesize_ntf(order, osr,
+        # obg); the modulator passes optimize_zeros as well.
+        for argv in (["design"],
+                     ["verify", "--snr", "--snr-samples", "4096"],
+                     ["sweep", "--output-bits", "14", "--jobs", "1",
+                      "--no-cache", "--quiet"]):
+            assert run_command(argv, stdout=io.StringIO(), stderr=io.StringIO(),
+                               store=store) == 0
+        assert synthesized == [(5, 16, True)]
+
+    @pytest.mark.parametrize("optimize_zeros", (True, False))
+    def test_fixed_point_bisection_matches_the_80_step_loop(self, optimize_zeros):
+        cases = [(order, osr, h_inf)
+                 for order, osr in itertools.product(range(1, 9), (8, 256))
+                 for h_inf in ((1.5, 4.0) if order % 2 else (1.3, 2.5))]
+        cases += [(1, 16, 100.0), (1, 16, 1e4), (5, 16, 3.0)]
+        outcomes = []
+        for order, osr, h_inf in cases:
+            args = (order, osr, h_inf, optimize_zeros)
+            expected = _outcome(_unpruned_synthesis, *args)
+            assert _outcome(ntf_module._synthesize.__wrapped__, *args) == \
+                expected, args
+            outcomes.append(expected[0] == "error")
+        assert any(outcomes) and not all(outcomes)

@@ -100,14 +100,35 @@ class TestFirstUse:
         assert len(names) == 1 and names[0].endswith(".so"), names
 
 
+#: A few-line stand-in for ``kernels.c``: the loader binds only these two
+#: symbols, so the cache tests build it in milliseconds instead of
+#: compiling the full kernels.
+STAND_IN_SOURCE = b"""
+long long ef_simulate(void) { return -1; }
+void cic_decimate(void) {}
+"""
+
+
+@pytest.fixture
+def stand_in_source(tmp_path, monkeypatch):
+    source = tmp_path / "stand-in" / "kernels.c"
+    source.parent.mkdir()
+    source.write_bytes(STAND_IN_SOURCE)
+    monkeypatch.setattr(_native, "SOURCE", source)
+    return source
+
+
 @needs_compiler
+@pytest.mark.usefixtures("stand_in_source")
 class TestDamagedCache:
     def test_corrupt_library_is_rebuilt(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
         name = _native.library_name(_native.SOURCE.read_bytes())
-        (tmp_path / name).write_bytes(b"not a shared library")
-        assert _native.NativeLoader(tmp_path).load() is not None
-        assert (tmp_path / name).read_bytes()[:4] == b"\x7fELF"
-        assert _library_files(tmp_path) == [name]
+        (cache / name).write_bytes(b"not a shared library")
+        assert _native.NativeLoader(cache).load() is not None
+        assert (cache / name).read_bytes()[:4] == b"\x7fELF"
+        assert _library_files(cache) == [name]
 
     def test_truncated_library_is_rebuilt(self, tmp_path):
         good = tmp_path / "good"
