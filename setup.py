@@ -1,10 +1,10 @@
 """Packaging for the ``repro`` library: ``pip install .``.
 
 There is no ``pyproject.toml``; this file is the whole build configuration.
-The runtime needs only numpy.  scipy, pytest and hypothesis run the tests
-(scipy also backs ``repro.dsm.map_ntf_to_ct``).  The scenario goldens and
-the C kernel source ship as package data, so an installed copy can check
-its goldens and compile its kernels.
+The runtime needs only numpy; scipy, pytest and hypothesis are needed by
+the tests alone.  The scenario goldens and the C kernel source ship as
+package data, so an installed copy can check its goldens and compile its
+kernels.
 """
 
 import re

@@ -17,7 +17,6 @@ other standards (the SDR/multi-standard motivation of the introduction):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -114,13 +113,6 @@ def sweep_sinc_order_splits(spec: ChainSpec, candidate_orders: Sequence[int] = (
     """Evaluate every combination of Sinc orders (the ablation benchmark data)."""
     return [evaluate_sinc_orders(split, spec)
             for split in enumerate_sinc_splits(spec, candidate_orders)]
-
-
-def required_halfband_transition(spec: ChainSpec) -> float:
-    """Normalized passband edge of the halfband at its own input rate."""
-    halfband_input_rate = spec.decimator.output_rate_hz * 2.0
-    edge = (spec.decimator.output_rate_hz - spec.decimator.stopband_edge_hz)
-    return min(max(edge / halfband_input_rate, 0.05), 0.2450)
 
 
 def predicted_snr_after_decimation(spec: ChainSpec, sinc_orders: Sequence[int],

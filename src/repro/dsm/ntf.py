@@ -18,7 +18,6 @@ transfer-function or loop-filter form for simulation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -46,9 +45,14 @@ class NTFSynthesisError(RuntimeError):
     """Raised when NTF synthesis cannot satisfy the requested parameters."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseTransferFunction:
     """A synthesized noise transfer function in zero-pole-gain form.
+
+    Immutable: :func:`synthesize_ntf` hands one memoized instance to every
+    caller, so the fields cannot be reassigned and ``zeros``, ``poles`` and
+    ``metadata["zero_frequencies"]`` are read-only copies of the arrays
+    given.  Derive a variant with :func:`dataclasses.replace`.
 
     Attributes
     ----------
@@ -72,6 +76,14 @@ class NoiseTransferFunction:
     osr: int
     h_inf: float
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "zeros", _read_only(self.zeros))
+        object.__setattr__(self, "poles", _read_only(self.poles))
+        if "zero_frequencies" in self.metadata:
+            object.__setattr__(self, "metadata", dict(
+                self.metadata,
+                zero_frequencies=_read_only(self.metadata["zero_frequencies"])))
 
     # ------------------------------------------------------------------
     # Response evaluation
@@ -179,6 +191,13 @@ def _zpk_response(z: np.ndarray, zero_product: np.ndarray, poles: np.ndarray,
     only the pole product per step; both get the same bits.
     """
     return gain * zero_product / _root_product(z, poles)
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only copy of ``values`` (same dtype and bits)."""
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 def optimal_zero_frequencies(order: int, osr: int, optimize: bool = True) -> np.ndarray:

@@ -1,15 +1,15 @@
-"""Internal quantizer models for delta-sigma modulators.
+"""Internal quantizer model for delta-sigma modulators.
 
-The paper's modulator uses a 4-bit quantizer (16 levels).  The models here
-quantize the loop-filter output to a uniform mid-rise level grid spanning the
-full scale ±1 and report the quantization error, which is what the
+The paper's modulator uses a 4-bit quantizer (16 levels).  The model here
+quantizes the loop-filter output to a uniform mid-rise level grid spanning the
+full scale ±1 and reports the quantization error, which is what the
 error-feedback simulation shapes through the NTF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -100,48 +100,3 @@ class MultibitQuantizer:
     def theoretical_noise_power(self) -> float:
         """White-noise model quantization noise power Δ²/12."""
         return self.step ** 2 / 12.0
-
-
-@dataclass(frozen=True)
-class BinaryQuantizer:
-    """A single-bit (two-level) quantizer, provided for low-order examples."""
-
-    full_scale: float = 1.0
-
-    def quantize(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Quantize ``x`` to ±full-scale (the 1-bit decision)."""
-        scalar = np.isscalar(x)
-        out = np.where(np.asarray(x, dtype=float) >= 0.0, self.full_scale, -self.full_scale)
-        if scalar:
-            return float(out)
-        return out
-
-    def quantize_to_code(self, x: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
-        """Quantize and return the binary output code (0 or 1)."""
-        scalar = np.isscalar(x)
-        out = (np.asarray(x, dtype=float) >= 0.0).astype(int)
-        if scalar:
-            return int(out)
-        return out
-
-    @property
-    def levels(self) -> int:
-        """Number of quantizer output levels (always 2)."""
-        return 2
-
-    @property
-    def step(self) -> float:
-        """Quantizer step size (the full peak-to-peak range)."""
-        return 2.0 * self.full_scale
-
-
-def quantizer_snr_bound_db(bits: int, osr: int, order: int) -> float:
-    """Classic rule-of-thumb SQNR bound for an ideal Nth-order modulator.
-
-    ``SQNR = 6.02*bits + 1.76 + (2*order+1)*10*log10(OSR) - 10*log10(pi^(2*order)/(2*order+1))``
-    """
-    import math
-
-    return (6.02 * bits + 1.76
-            + (2 * order + 1) * 10.0 * math.log10(osr)
-            - 10.0 * math.log10(math.pi ** (2 * order) / (2 * order + 1)))

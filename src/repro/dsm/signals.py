@@ -4,14 +4,13 @@ The paper characterizes the modulator with a single tone near the band edge
 (Fig. 4) and estimates decimation-filter power with a 5 MHz tone at the
 maximum stable amplitude (Section VIII).  The generators here produce
 coherently-sampled tones (an integer number of cycles in the record) so that
-windowless FFT analysis has no spectral leakage, plus multi-tone and noise
-stimuli for intermodulation and robustness tests.
+windowless FFT analysis has no spectral leakage, plus impulse and DC
+records for bit-true filter tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -130,44 +129,6 @@ def write_jittered_tone(out: np.ndarray, argument: np.ndarray,
     if offset:
         out += offset
     return out
-
-
-def multitone(frequencies_hz: Sequence[float], amplitudes: Sequence[float],
-              sample_rate_hz: float, n_samples: int,
-              phases: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Sum of coherently-sampled tones (for two-tone IMD style tests)."""
-    if len(frequencies_hz) != len(amplitudes):
-        raise ValueError("frequencies and amplitudes must have the same length")
-    if phases is None:
-        phases = [0.0] * len(frequencies_hz)
-    out = np.zeros(n_samples)
-    for f, a, p in zip(frequencies_hz, amplitudes, phases):
-        out += coherent_tone(f, a, sample_rate_hz, n_samples, p)
-    return out
-
-
-def band_limited_noise(bandwidth_hz: float, rms: float, sample_rate_hz: float,
-                       n_samples: int, seed: Optional[int] = None) -> np.ndarray:
-    """White Gaussian noise low-pass filtered to ``bandwidth_hz``.
-
-    A wideband (OFDM-like) stimulus for stress-testing the decimation
-    chain with non-sinusoidal inputs; no example or flow stage uses it.
-    """
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n_samples)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
-    spectrum[freqs > bandwidth_hz] = 0.0
-    shaped = np.fft.irfft(spectrum, n=n_samples)
-    current_rms = np.sqrt(np.mean(shaped ** 2))
-    if current_rms <= 0:
-        return shaped
-    return shaped * (rms / current_rms)
-
-
-def ramp(amplitude: float, n_samples: int) -> np.ndarray:
-    """A slow full-scale ramp, useful for monotonicity and overflow tests."""
-    return np.linspace(-amplitude, amplitude, n_samples)
 
 
 def impulse(n_samples: int, amplitude: float = 1.0, position: int = 0) -> np.ndarray:

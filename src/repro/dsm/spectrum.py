@@ -20,16 +20,6 @@ def db_power(x: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(x, dtype=float), 1e-300))
 
 
-def db_voltage(x: np.ndarray) -> np.ndarray:
-    """Convert an amplitude quantity to dB, guarding against log(0)."""
-    return 20.0 * np.log10(np.maximum(np.abs(np.asarray(x, dtype=float)), 1e-300))
-
-
-def undb_power(x_db: float) -> float:
-    """Inverse of :func:`db_power`."""
-    return float(10.0 ** (x_db / 10.0))
-
-
 @dataclass
 class SpectrumAnalysis:
     """Result of a PSD / SNR analysis of a data record."""
@@ -191,27 +181,6 @@ def analyze_tone_batch(x: np.ndarray, sample_rate_hz: float, tone_hz: float,
         )
         for b in range(x.shape[0])
     ]
-
-
-#: Noise-equivalent bandwidth of the supported windows (in bins).  The
-#: periodogram is normalized for correct tone amplitude (coherent gain), so
-#: integrated broadband noise must be divided by this factor to be unbiased.
-_WINDOW_ENBW = {"rect": 1.0, "hann": 1.5, "blackman": 1.7268, "blackmanharris": 2.0044}
-
-
-def noise_floor_db(x: np.ndarray, sample_rate_hz: float, bandwidth_hz: float,
-                   window: str = "hann", exclude_dc_bins: int = 4) -> float:
-    """Integrated in-band noise power in dB relative to full scale (1.0 amplitude).
-
-    Assumes the record contains noise only (no tone); useful for idle-channel
-    measurements of the modulator and decimator.
-    """
-    freqs, power = periodogram(x, sample_rate_hz, window)
-    mask = freqs <= bandwidth_hz
-    mask[:exclude_dc_bins] = False
-    inband = float(np.sum(power[mask])) / _WINDOW_ENBW.get(window, 1.0)
-    full_scale_power = 0.5  # a ±1 sine has power 1/2
-    return float(db_power(inband / full_scale_power))
 
 
 def spectrum_for_plot(x: np.ndarray, sample_rate_hz: float,

@@ -46,7 +46,6 @@ from repro.explore.report import (
     render_report_from_json,
     sweep_report_json,
     sweep_report_markdown,
-    sweep_table_markdown,
 )
 from repro.explore.runner import (
     SweepPointResult,
@@ -87,5 +86,4 @@ __all__ = [
     "run_sweep",
     "sweep_report_json",
     "sweep_report_markdown",
-    "sweep_table_markdown",
 ]

@@ -48,13 +48,6 @@ def sweep_report_json(result: SweepResult,
     return canonical_json(_report_payload(result, objectives))
 
 
-def sweep_table_markdown(result: SweepResult,
-                         objectives: Sequence[Objective] = DEFAULT_OBJECTIVES) -> str:
-    """Pareto-ranked markdown table of every sweep point."""
-    payload = _report_payload(result, objectives)
-    return _table_from_rows(payload["points"])
-
-
 def sweep_report_markdown(result: SweepResult,
                           objectives: Sequence[Objective] = DEFAULT_OBJECTIVES) -> str:
     """Full markdown report: grid summary, objectives and the ranked table."""

@@ -14,8 +14,8 @@ modelled here:
   (Section VI).
 * :mod:`~repro.filters.scaling` — the MSA-recovery scaling stage
   implemented with CSD and Horner's rule (Section VI).
-* :mod:`~repro.filters.polyphase` — generic polyphase decimators used as
-  references and by the ablation benchmarks.
+* :mod:`~repro.filters.polyphase` — the strided-matmul engine shared by
+  the bit-true FIR-shaped stages.
 * :mod:`~repro.filters.response` / :mod:`~repro.filters.cascade` —
   frequency-response evaluation, alias-band analysis and multirate cascade
   composition (the machinery behind Figs. 8–11).
@@ -26,16 +26,12 @@ from repro.filters.response import (
     fir_frequency_response,
     default_frequency_grid,
     alias_bands_for_decimation,
-    group_delay_samples,
-    is_symmetric,
 )
 from repro.filters.sinc import (
     SincFilterSpec,
     SincFilter,
     SincCascadeSpec,
     SincCascade,
-    design_sinc_order_for_attenuation,
-    paper_sinc_cascade,
 )
 from repro.filters.hogenauer import (
     HogenauerConfig,
@@ -64,13 +60,8 @@ from repro.filters.equalizer import (
 )
 from repro.filters.scaling import (
     ScalingStage,
-    choose_scale_factor,
-    paper_scaling_stage,
 )
 from repro.filters.polyphase import (
-    PolyphaseDecimator,
-    PolyphaseDecimatorFixedPoint,
-    polyphase_components,
     convolve_strided_matmul,
 )
 from repro.filters.cascade import (
@@ -79,7 +70,6 @@ from repro.filters.cascade import (
 )
 from repro.filters.rate_converter import (
     FarrowRateConverter,
-    resample_decimator_output,
 )
 
 __all__ = [
@@ -87,14 +77,10 @@ __all__ = [
     "fir_frequency_response",
     "default_frequency_grid",
     "alias_bands_for_decimation",
-    "group_delay_samples",
-    "is_symmetric",
     "SincFilterSpec",
     "SincFilter",
     "SincCascadeSpec",
     "SincCascade",
-    "design_sinc_order_for_attenuation",
-    "paper_sinc_cascade",
     "HogenauerConfig",
     "HogenauerDecimator",
     "HogenauerCascade",
@@ -113,14 +99,8 @@ __all__ = [
     "compensated_response",
     "residual_ripple_db",
     "ScalingStage",
-    "choose_scale_factor",
-    "paper_scaling_stage",
-    "PolyphaseDecimator",
-    "PolyphaseDecimatorFixedPoint",
-    "polyphase_components",
     "convolve_strided_matmul",
     "CascadeStageDescription",
     "MultirateCascade",
     "FarrowRateConverter",
-    "resample_decimator_output",
 ]

@@ -7,13 +7,8 @@ decimation factor of M only every M-th output is computed, so each input
 sample passes through exactly one of the M sub-filters running at the output
 rate.
 
-This module provides a generic polyphase FIR decimator (floating point and
-bit-true integer variants) used by the ablation benchmarks (single-stage vs
-multistage comparison) and as an independent reference implementation for
-the halfband and equalizer stages.
-
-It also hosts the bit-true engine shared by every FIR-shaped stage of the
-chain (:class:`BitTrueFIRStage`).  Its fast path,
+This module hosts the bit-true engine shared by every FIR-shaped stage of
+the chain (:class:`BitTrueFIRStage`).  Its fast path,
 :func:`convolve_strided_matmul`, evaluates the decimated convolution by
 assembling a strided window matrix (a zero-copy reshape of the delay line)
 and taking one matrix-vector product, which is exactly the polyphase
@@ -25,8 +20,7 @@ otherwise the stage runs its arbitrary-precision gold model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,19 +53,6 @@ def int64_accumulator_safe(samples: np.ndarray, abs_multiplier_sum: int) -> bool
     if samples.dtype == object or not np.issubdtype(samples.dtype, np.integer):
         return False
     return abs_multiplier_sum * max_abs_int(samples) < INT64_SAFE_BOUND
-
-
-def polyphase_components(taps: np.ndarray, decimation: int) -> List[np.ndarray]:
-    """Split FIR taps into their M polyphase components.
-
-    Component ``p`` holds ``taps[p], taps[p + M], taps[p + 2M], …``; the
-    decimated output is the sum of each component filtering its own
-    down-sampled input phase.
-    """
-    taps = np.asarray(taps, dtype=float)
-    if decimation < 1:
-        raise ValueError("decimation must be at least 1")
-    return [taps[p::decimation].copy() for p in range(decimation)]
 
 
 def convolve_strided_matmul(samples: np.ndarray, taps: np.ndarray,
@@ -177,91 +158,3 @@ class BitTrueFIRStage:
         half = 1 << (self.coefficient_bits - 1)
         return np.array([(int(v) + half) >> self.coefficient_bits for v in kept],
                         dtype=object)
-
-
-@dataclass
-class PolyphaseDecimator:
-    """Floating-point polyphase FIR decimator.
-
-    Used as a reference model: its output equals "filter then keep every
-    M-th sample" exactly, but the work per output sample is ``len(taps)/M``
-    multiplies, which is what the hardware cost model assumes for the
-    FIR-based stages.
-    """
-
-    taps: np.ndarray
-    decimation: int
-    label: str = "polyphase"
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=float)
-        if self.decimation < 1:
-            raise ValueError("decimation must be at least 1")
-        self.components = polyphase_components(self.taps, self.decimation)
-
-    def process(self, samples: np.ndarray) -> np.ndarray:
-        """Decimate a block (zero initial state, block-processing semantics)."""
-        x = np.asarray(samples, dtype=float)
-        full = np.convolve(x, self.taps)
-        return full[self.decimation - 1:len(x):self.decimation]
-
-    def process_polyphase(self, samples: np.ndarray) -> np.ndarray:
-        """Same result computed through the explicit polyphase decomposition.
-
-        Exists so tests can verify the decomposition identity; the direct
-        form in :meth:`process` is faster in numpy.
-        """
-        x = np.asarray(samples, dtype=float)
-        m = self.decimation
-        n_out = len(x) // m
-        if n_out == 0:
-            return np.zeros(0)
-        result = np.zeros(n_out)
-        # Phase p of the decimated input feeds polyphase component p, with
-        # the commutator starting at the last sample of each output block.
-        for p in range(m):
-            start = m - 1 - p
-            phase_samples = x[start::m][:n_out]
-            component = self.components[p]
-            filtered = np.convolve(phase_samples, component)[:n_out]
-            result += filtered
-        return result
-
-    def process_matmul(self, samples: np.ndarray) -> np.ndarray:
-        """Same result as :meth:`process` through the strided-window matmul.
-
-        This is the vectorized engine the bit-true stages use; exposed here
-        so the tests can verify the identity on the floating-point model
-        too.
-        """
-        x = np.asarray(samples, dtype=float)
-        return convolve_strided_matmul(x, self.taps, offset=self.decimation - 1,
-                                       step=self.decimation)
-
-    def workload_per_output(self) -> int:
-        """Multiply operations needed per output sample (len(taps)/M rounded up)."""
-        return int(np.ceil(len(self.taps) / self.decimation))
-
-
-@dataclass
-class PolyphaseDecimatorFixedPoint(BitTrueFIRStage):
-    """Bit-true integer polyphase decimator with quantized coefficients.
-
-    Keeps every M-th sample of the full convolution (``full[M-1::M]``), with
-    the engines of :class:`BitTrueFIRStage`.
-    """
-
-    taps: np.ndarray
-    decimation: int
-    coefficient_bits: int = 16
-    label: str = "polyphase-fxp"
-
-    def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=float)
-        scale = 1 << self.coefficient_bits
-        self._int_taps = np.array([int(round(t * scale)) for t in self.taps], dtype=object)
-        self._abs_tap_sum = int(sum(abs(int(t)) for t in self._int_taps))
-
-    def _output_window(self, n: int) -> Tuple[int, int, int]:
-        return self.decimation - 1, self.decimation, n // self.decimation

@@ -16,7 +16,6 @@ which is why it is the standard hardware choice for this block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -139,10 +138,3 @@ class FarrowRateConverter:
             "fast_adders": 0,
             "slow_adders": adders,
         }
-
-
-def resample_decimator_output(output: np.ndarray, input_rate_hz: float,
-                              output_rate_hz: float) -> np.ndarray:
-    """Convenience wrapper: resample a decimator output record to a new rate."""
-    converter = FarrowRateConverter(input_rate_hz, output_rate_hz)
-    return converter.process(output)

@@ -210,14 +210,3 @@ def alias_bands_for_decimation(decimation: int, output_rate_hz: float,
         if f_hi > f_lo:
             bands.append((f_lo, f_hi))
     return bands
-
-
-def group_delay_samples(taps: Sequence[float]) -> float:
-    """Group delay of a linear-phase FIR filter in samples ((N-1)/2)."""
-    return (len(list(taps)) - 1) / 2.0
-
-
-def is_symmetric(taps: Sequence[float], tolerance: float = 1e-12) -> bool:
-    """Whether the impulse response is (even) symmetric — i.e. linear phase."""
-    arr = np.asarray(taps, dtype=float)
-    return bool(np.allclose(arr, arr[::-1], atol=tolerance))

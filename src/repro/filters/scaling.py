@@ -25,21 +25,7 @@ import numpy as np
 
 from repro.filters.polyphase import int64_accumulator_safe
 from repro.fixedpoint.csd import CSDCode, to_csd, csd_multiply_int
-from repro.fixedpoint.horner import HornerStep, horner_decomposition, horner_adder_count
-
-
-def choose_scale_factor(msa: float, headroom: float = 0.99) -> float:
-    """Scale factor slightly below ``1/MSA`` to prevent overflow downstream.
-
-    The paper selects ``S`` "slightly lower than 1/MSA"; ``headroom``
-    controls how much lower (0.99 reproduces the paper's 1.2345/1.2346
-    choice at MSA = 0.81 when combined with its internal gain alignment).
-    """
-    if not 0.0 < msa <= 1.0:
-        raise ValueError("MSA must lie in (0, 1]")
-    if not 0.0 < headroom <= 1.0:
-        raise ValueError("headroom must lie in (0, 1]")
-    return headroom / msa
+from repro.fixedpoint.horner import horner_decomposition, horner_adder_count
 
 
 @dataclass
@@ -148,20 +134,3 @@ class ScalingStage:
             "coefficient_bits": self.coefficient_bits,
             "csd_digits": self.csd.nonzero_digits,
         }
-
-
-def paper_scaling_stage(msa: float = 0.81, alignment_gain: float = 1.0,
-                        coefficient_bits: int = 12) -> ScalingStage:
-    """The paper's scaling stage: restore the MSA-limited swing to full scale.
-
-    The paper quotes the composite constant ``S = 10.825`` because its value
-    also folds in the fixed-point gain alignment of the preceding stages; the
-    MSA-recovery part of it is ``≈ 1/0.81``.  This constructor builds the
-    stage from the MSA (plus an optional extra ``alignment_gain`` for callers
-    that want the composite constant) so the same code serves chains with
-    different internal scalings.
-    """
-    base = choose_scale_factor(msa)
-    scale = base * float(alignment_gain)
-    return ScalingStage(scale=scale, coefficient_bits=coefficient_bits,
-                        label="Scaling Stage")

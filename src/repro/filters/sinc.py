@@ -326,31 +326,3 @@ class SincCascade:
                 "output_rate_hz": stage.spec.output_rate_hz,
             })
         return summary
-
-
-def design_sinc_order_for_attenuation(decimation: int, bandwidth_hz: float,
-                                      input_rate_hz: float,
-                                      required_attenuation_db: float,
-                                      max_order: int = 12,
-                                      input_bits: int = 4) -> int:
-    """Smallest Sinc order K achieving the required alias-band attenuation.
-
-    This is the designer's rule from Section IV: "the attenuation in the
-    aliasing bands is governed by the number of stages (K); the filters are
-    designed so as to ensure the required 85 dB alias-band suppression at
-    every stage".
-    """
-    for order in range(1, max_order + 1):
-        spec = SincFilterSpec(order, decimation, input_bits, input_rate_hz)
-        if SincFilter(spec).worst_alias_attenuation_db(bandwidth_hz) >= required_attenuation_db:
-            return order
-    raise ValueError(
-        f"no Sinc order up to {max_order} achieves {required_attenuation_db} dB "
-        f"alias attenuation for M={decimation}"
-    )
-
-
-def paper_sinc_cascade(input_rate_hz: float = 640e6, input_bits: int = 4) -> SincCascade:
-    """The paper's Sinc4 → Sinc4 → Sinc6 cascade (decimation by 8)."""
-    return SincCascade(SincCascadeSpec(orders=(4, 4, 6), input_bits=input_bits,
-                                       input_rate_hz=input_rate_hz))

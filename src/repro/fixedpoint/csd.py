@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -55,10 +53,6 @@ class CSDCode:
     def error(self) -> float:
         """Quantization error introduced by the encoding."""
         return self.value - self.original
-
-    def evaluate(self, x: float = 1.0) -> float:
-        """Multiply ``x`` by the encoded coefficient using shift-adds."""
-        return csd_multiply(x, self)
 
     def __deepcopy__(self, memo) -> "CSDCode":
         # Immutable all the way down (frozen, a tuple of int pairs, two
@@ -141,38 +135,6 @@ def from_csd(code: CSDCode) -> float:
     return float(sum(s * (2.0 ** w) for w, s in code.digits))
 
 
-def csd_nonzero_digits(value: float, fraction_bits: int = 16) -> int:
-    """Number of non-zero CSD digits needed to represent ``value`` exactly
-    after rounding to ``fraction_bits`` fractional bits."""
-    return to_csd(value, fraction_bits).nonzero_digits
-
-
-def csd_adder_cost(coefficients: Sequence[float], fraction_bits: int = 16) -> int:
-    """Total adder cost of multiplying by each coefficient in ``coefficients``.
-
-    This is the hardware-cost metric the paper optimizes: the Saramäki
-    halfband filter uses "only 124 adders (no true multiplications)".
-    """
-    total = 0
-    for c in coefficients:
-        code = to_csd(float(c), fraction_bits)
-        total += code.adder_cost
-    return total
-
-
-def csd_multiply(x: float, code: CSDCode) -> float:
-    """Multiply ``x`` by a CSD-encoded coefficient using shift-and-add only.
-
-    The implementation mirrors what the generated RTL does: each non-zero
-    digit contributes ``±(x << w)`` (or a right-shift for fractional
-    weights), and the partial products are summed.
-    """
-    acc = 0.0
-    for weight, sign in code.digits:
-        acc += sign * x * (2.0 ** weight)
-    return acc
-
-
 def csd_multiply_int(x: int, code: CSDCode, fraction_bits: int) -> int:
     """Bit-true integer multiply by a CSD coefficient.
 
@@ -207,18 +169,3 @@ def encode_coefficients(coefficients: Sequence[float], fraction_bits: int = 16,
                         max_nonzero: int = None) -> List[CSDCode]:
     """Encode a whole coefficient vector in CSD."""
     return [to_csd(float(c), fraction_bits, max_nonzero) for c in coefficients]
-
-
-def csd_statistics(coefficients: Sequence[float], fraction_bits: int = 16) -> Dict[str, float]:
-    """Summary statistics used by the hardware cost model and reports."""
-    codes = encode_coefficients(coefficients, fraction_bits)
-    nonzeros = np.array([c.nonzero_digits for c in codes], dtype=int)
-    adders = np.array([c.adder_cost for c in codes], dtype=int)
-    errors = np.array([c.error for c in codes], dtype=float)
-    return {
-        "coefficients": len(codes),
-        "total_nonzero_digits": int(nonzeros.sum()),
-        "total_adders": int(adders.sum()),
-        "mean_nonzero_digits": float(nonzeros.mean()) if len(codes) else 0.0,
-        "max_abs_error": float(np.max(np.abs(errors))) if len(codes) else 0.0,
-    }

@@ -16,7 +16,6 @@ from repro.flow.pipeline import (
 )
 from repro.flow.reports import (
     flow_report_text,
-    power_table_markdown,
     verification_table_markdown,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "run_design_flow",
     "warm_flow_artifacts",
     "flow_report_text",
-    "power_table_markdown",
     "verification_table_markdown",
 ]

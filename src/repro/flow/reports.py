@@ -39,37 +39,10 @@ def _as_labelled_results(result: ResultOrBatch,
     return list(zip(labels, results)), batch
 
 
-def power_table_markdown(result: ResultOrBatch,
-                         labels: Optional[Sequence[str]] = None) -> str:
-    """Table II as a markdown table (batches gain a leading *Design* column).
-
-    Parameters
-    ----------
-    result:
-        One :class:`FlowResult` or a sequence of them.
-    labels:
-        Row labels for batch input; defaults to ``design-0``, ``design-1``…
-    """
-    labelled, batch = _as_labelled_results(result, labels)
-    header = "| Filter Stage | Dynamic Power (mW) | Leakage Power (uW) |"
-    separator = "|---|---|---|"
-    if batch:
-        header = "| Design " + header
-        separator = "|---" + separator
-    lines = [header, separator]
-    for label, res in labelled:
-        prefix = f"| {label} " if batch else ""
-        for row in res.synthesis.power_table():
-            lines.append(f"{prefix}| {row['Filter Stage']} "
-                         f"| {row['Dynamic Power (mW)']} "
-                         f"| {row['Leakage Power (uW)']} |")
-    return "\n".join(lines)
-
-
 def verification_table_markdown(result: ResultOrBatch,
                                 labels: Optional[Sequence[str]] = None) -> str:
-    """Table I compliance as a markdown table (batch-aware, like
-    :func:`power_table_markdown`)."""
+    """Table I compliance as a markdown table (batches gain a leading
+    *Design* column)."""
     labelled, batch = _as_labelled_results(result, labels)
     header = "| Check | Measured | Requirement | Status |"
     separator = "|---|---|---|---|"

@@ -39,7 +39,6 @@ from repro.hardware.verilog import (
     generate_scaler,
     generate_clock_divider,
     generate_chain_rtl,
-    write_rtl,
 )
 from repro.hardware.synthesis import SynthesisFlow, SynthesisReport
 
@@ -66,7 +65,6 @@ __all__ = [
     "generate_scaler",
     "generate_clock_divider",
     "generate_chain_rtl",
-    "write_rtl",
     "SynthesisFlow",
     "SynthesisReport",
 ]

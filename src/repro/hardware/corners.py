@@ -163,10 +163,11 @@ def corner_scaled_library(library: StandardCellLibrary,
                           ) -> StandardCellLibrary:
     """A copy of ``library`` with its constants moved to a drawn corner.
 
-    Provided for callers that want to re-run the full synthesis flow at a
-    corner (what-if studies); the Monte Carlo hot path instead applies
+    Running the full synthesis flow on it gives a corner's estimates the
+    long way.  The Monte Carlo hot path instead applies
     :meth:`CornerDraw.power_factors` to the nominal report, which is
-    equivalent because the power/area models are linear in these constants.
+    equivalent because the power/area models are linear in these constants;
+    this library is the reference the tests pin that equivalence against.
     ``leak_doubling_c`` defaults to the constant the draw was made under.
     """
     dyn, leak = draw.power_factors(library.nominal_vdd, leak_doubling_c)

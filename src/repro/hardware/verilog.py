@@ -416,17 +416,3 @@ def generate_chain_rtl(chain, top_name: str = "decimation_filter_top") -> Dict[s
     )
     modules[top_name] = top
     return modules
-
-
-def write_rtl(modules: Dict[str, VerilogModule], directory: str) -> List[str]:
-    """Write each generated module to ``<directory>/<name>.v``; returns the paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, module in modules.items():
-        path = os.path.join(directory, f"{name}.v")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(module.code)
-        paths.append(path)
-    return paths

@@ -31,7 +31,6 @@ from repro.scenarios.registry import (
     get_scenario,
     register_scenario,
     scenario_names,
-    scenarios_by_standard,
 )
 from repro.scenarios.profiles import register_builtin_scenarios
 from repro.scenarios.runner import (
@@ -67,7 +66,6 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "all_scenarios",
-    "scenarios_by_standard",
     "ScenarioRunResult",
     "ScenarioSuiteResult",
     "run_scenario",

@@ -29,7 +29,6 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "all_scenarios",
-    "scenarios_by_standard",
 ]
 
 
@@ -201,11 +200,6 @@ def scenario_names() -> List[str]:
 def all_scenarios() -> List[Scenario]:
     """Every registered scenario, in registration order."""
     return list(_REGISTRY.values())
-
-
-def scenarios_by_standard(standard: str) -> List[Scenario]:
-    """Registered scenarios of one standard family (e.g. ``"lte"``)."""
-    return [s for s in _REGISTRY.values() if s.standard == standard]
 
 
 def resolve_scenarios(which: Optional[Union[str, Scenario, list, tuple]] = None,

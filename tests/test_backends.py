@@ -19,13 +19,10 @@ import numpy as np
 import pytest
 
 from repro import _native
-from repro.core import design_paper_chain
 from repro.dsm import DeltaSigmaModulator, coherent_tone
 from repro.filters import (
     FIRFilterFixedPoint,
     HogenauerDecimator,
-    PolyphaseDecimator,
-    PolyphaseDecimatorFixedPoint,
     ScalingStage,
     convolve_strided_matmul,
 )
@@ -175,18 +172,6 @@ class TestFIRStageBackendEquivalence:
         fir = FIRFilterFixedPoint(taps=taps, coefficient_bits=14, decimation=4)
         x = rng.integers(-500, 500, 1003)
         assert _ints(fir._process_reference(x)) == _ints(fir.process(x))
-
-    def test_polyphase_fixed_point_bit_exact(self, rng):
-        taps = np.blackman(41) / np.blackman(41).sum()
-        poly = PolyphaseDecimatorFixedPoint(taps, decimation=5)
-        x = rng.integers(-2000, 2000, 997)
-        assert _ints(poly._process_reference(x)) == _ints(poly.process(x))
-
-    def test_polyphase_float_matmul_identity(self, rng):
-        taps = np.hamming(25) / np.hamming(25).sum()
-        poly = PolyphaseDecimator(taps, decimation=3)
-        x = rng.normal(size=500)
-        assert np.allclose(poly.process(x), poly.process_matmul(x), atol=1e-9)
 
     def test_scaling_bit_exact(self, paper_chain, rng):
         sc = paper_chain.scaling

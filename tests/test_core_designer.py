@@ -1,7 +1,6 @@
 """Tests for the architecture-selection methodology."""
 
 import numpy as np
-import pytest
 
 from repro.core import (
     choose_sinc_orders,
@@ -11,7 +10,6 @@ from repro.core import (
     sweep_sinc_order_splits,
     audio_chain_spec,
 )
-from repro.core.designer import required_halfband_transition
 
 
 class TestChooseSincOrders:
@@ -50,16 +48,6 @@ class TestEvaluateSincOrders:
         results = sweep_sinc_order_splits(spec, candidate_orders=(4, 6))
         assert len(results) == 2 ** 3
         assert any(r.orders == (4, 4, 6) for r in results)
-
-
-class TestHalfbandTransition:
-    def test_paper_value(self):
-        assert required_halfband_transition(paper_chain_spec()) == pytest.approx(0.2125)
-
-    def test_clamped_to_valid_range(self):
-        spec = audio_chain_spec()
-        value = required_halfband_transition(spec)
-        assert 0.05 <= value <= 0.245
 
 
 class TestPredictedSNR:

@@ -1,8 +1,11 @@
 """Tests for NTF synthesis."""
 
+import copy
+import dataclasses
 import functools
 import io
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from repro.dsm import (
     synthesize_ntf,
 )
 from repro.dsm import ntf as ntf_module
-from repro.dsm.ct_loopfilter import _dt_loop_filter_impulse
 from repro.dsm.ntf import (
     _OPTIMAL_ZERO_POSITIONS,
     _butterworth_highpass_poles,
@@ -222,8 +224,6 @@ class TestAgainstScipy:
             b, a = _scipy_tf(ntf)
             expected = signal.lfilter(np.polysub(a, b), a, impulse)
             assert ntf.loop_filter_impulse_response(64).tobytes() == expected.tobytes()
-            expected_ct = signal.lfilter(np.polysub(a, b), b, impulse[:24])
-            assert _dt_loop_filter_impulse(ntf, 24).tobytes() == expected_ct.tobytes()
 
     def test_response_numerator_freqz_bit_equal(self):
         from repro.filters.response import fir_freqz
@@ -359,3 +359,40 @@ class TestSynthesisWork:
                 expected, args
             outcomes.append(expected[0] == "error")
         assert any(outcomes) and not all(outcomes)
+
+
+class TestSharedInstanceIsImmutable:
+    """``synthesize_ntf`` hands one memoized instance to every caller, so no
+    caller can change it under the others."""
+
+    def test_fields_cannot_be_reassigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            synthesize_ntf().gain = 2.0
+
+    @pytest.mark.parametrize("read", [lambda ntf: ntf.zeros,
+                                      lambda ntf: ntf.poles,
+                                      lambda ntf: ntf.metadata["zero_frequencies"]],
+                             ids=["zeros", "poles", "zero_frequencies"])
+    def test_arrays_are_read_only(self, read):
+        ntf = synthesize_ntf()
+        before = read(ntf).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            read(ntf)[0] = 0.0
+        assert read(synthesize_ntf()).tobytes() == before
+
+    def test_construction_leaves_the_given_arrays_writeable(self):
+        zeros = np.array([1.0 + 0j])
+        poles = np.array([0.5 + 0j])
+        NoiseTransferFunction(zeros=zeros, poles=poles, gain=1.0, order=1,
+                              osr=16, h_inf=1.5)
+        zeros[0] = poles[0] = 0.0
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda ntf: pickle.loads(pickle.dumps(ntf))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_and_pickles_bit_exact(self, clone):
+        ntf = synthesize_ntf()
+        copied = clone(ntf)
+        assert _outcome(lambda: copied) == _outcome(lambda: ntf)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.gain = 2.0

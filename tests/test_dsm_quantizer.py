@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsm import BinaryQuantizer, MultibitQuantizer, quantizer_snr_bound_db
+from repro.dsm import MultibitQuantizer
 
 
 class TestMultibitQuantizer:
@@ -71,33 +71,3 @@ class TestMultibitQuantizer:
     def test_invalid_full_scale(self):
         with pytest.raises(ValueError):
             MultibitQuantizer(bits=4, full_scale=0.0)
-
-
-class TestBinaryQuantizer:
-    def test_sign_behaviour(self):
-        q = BinaryQuantizer()
-        assert q.quantize(0.3) == 1.0
-        assert q.quantize(-0.3) == -1.0
-        assert q.quantize(0.0) == 1.0
-
-    def test_codes(self):
-        q = BinaryQuantizer()
-        assert q.quantize_to_code(0.5) == 1
-        assert q.quantize_to_code(-0.5) == 0
-
-    def test_properties(self):
-        q = BinaryQuantizer()
-        assert q.levels == 2
-        assert q.step == 2.0
-
-
-class TestSNRBound:
-    def test_increases_with_osr(self):
-        assert quantizer_snr_bound_db(4, 32, 5) > quantizer_snr_bound_db(4, 16, 5)
-
-    def test_increases_with_bits(self):
-        assert quantizer_snr_bound_db(5, 16, 5) > quantizer_snr_bound_db(4, 16, 5)
-
-    def test_paper_configuration_exceeds_target(self):
-        # 4-bit, OSR 16, 5th order must be comfortably above the 86 dB target.
-        assert quantizer_snr_bound_db(4, 16, 5) > 86.0

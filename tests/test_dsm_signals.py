@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsm import ToneSpec, band_limited_noise, coherent_tone, dc, impulse, multitone, ramp
+from repro.dsm import ToneSpec, coherent_tone, dc, impulse
 from repro.dsm.signals import jittered_tone, tone_argument, write_jittered_tone
 
 
@@ -75,43 +75,7 @@ class TestJitteredToneWriter:
         assert np.array_equal(reference.view(np.uint64), tone.view(np.uint64))
 
 
-class TestMultitone:
-    def test_two_tones_present(self):
-        n = 8192
-        signal = multitone([5e6, 7e6], [0.4, 0.4], 640e6, n)
-        spectrum = np.abs(np.fft.rfft(signal))
-        peaks = np.argsort(spectrum)[-2:]
-        freqs = peaks * 640e6 / n
-        assert set(np.round(freqs / 1e6)) == {5.0, 7.0}
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            multitone([1e6], [0.1, 0.2], 640e6, 1024)
-
-
 class TestNoiseAndUtilities:
-    def test_band_limited_noise_rms(self):
-        noise = band_limited_noise(20e6, 0.1, 640e6, 16384, seed=1)
-        assert np.sqrt(np.mean(noise ** 2)) == pytest.approx(0.1, rel=1e-6)
-
-    def test_band_limited_noise_spectrum_confined(self):
-        noise = band_limited_noise(20e6, 0.1, 640e6, 16384, seed=2)
-        spectrum = np.abs(np.fft.rfft(noise))
-        freqs = np.fft.rfftfreq(16384, d=1 / 640e6)
-        out_of_band = spectrum[freqs > 25e6]
-        in_band = spectrum[freqs <= 20e6]
-        assert np.max(out_of_band) < 1e-9 * np.max(in_band)
-
-    def test_band_limited_noise_reproducible(self):
-        a = band_limited_noise(20e6, 0.1, 640e6, 1024, seed=3)
-        b = band_limited_noise(20e6, 0.1, 640e6, 1024, seed=3)
-        assert np.array_equal(a, b)
-
-    def test_ramp_endpoints(self):
-        r = ramp(0.8, 101)
-        assert r[0] == -0.8
-        assert r[-1] == 0.8
-
     def test_impulse_position_and_amplitude(self):
         imp = impulse(16, amplitude=2.0, position=3)
         assert imp[3] == 2.0

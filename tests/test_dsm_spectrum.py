@@ -7,12 +7,9 @@ from repro.dsm import (
     analyze_tone,
     coherent_tone,
     db_power,
-    db_voltage,
-    noise_floor_db,
     periodogram,
     spectrum_for_plot,
 )
-from repro.dsm.spectrum import undb_power
 
 
 class TestDbHelpers:
@@ -21,12 +18,6 @@ class TestDbHelpers:
 
     def test_db_power_guards_zero(self):
         assert np.isfinite(db_power(np.array([0.0]))[0])
-
-    def test_db_voltage_factor_twenty(self):
-        assert db_voltage(np.array([10.0]))[0] == pytest.approx(20.0)
-
-    def test_undb_power_inverse(self):
-        assert undb_power(db_power(np.array([0.123]))[0]) == pytest.approx(0.123)
 
 
 class TestPeriodogram:
@@ -97,15 +88,7 @@ class TestAnalyzeTone:
         assert analysis.enob > 14.5
 
 
-class TestNoiseFloorAndPlot:
-    def test_noise_floor_detects_level(self, rng):
-        fs = 40e6
-        noise = rng.standard_normal(16384) * 1e-3
-        floor = noise_floor_db(noise, fs, 20e6)
-        # Expected: 10log10(noise power / 0.5).
-        expected = 10 * np.log10(1e-6 / 0.5)
-        assert floor == pytest.approx(expected, abs=1.0)
-
+class TestPlot:
     def test_spectrum_for_plot_shapes(self, modulator_codes):
         freqs, psd = spectrum_for_plot(modulator_codes.output, 640e6)
         assert len(freqs) == len(psd)

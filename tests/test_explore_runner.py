@@ -9,7 +9,6 @@ from repro.explore import (
     run_sweep,
     sweep_report_json,
     sweep_report_markdown,
-    sweep_table_markdown,
 )
 from repro.explore.runner import warm_shared_stages
 from repro.explore.store import ArtifactCAS
@@ -329,11 +328,6 @@ class TestWarmPolicy:
 
 
 class TestSweepReports:
-    def test_table_has_one_row_per_point(self, cold_result):
-        table = sweep_table_markdown(cold_result)
-        rows = [line for line in table.splitlines() if line.startswith("| ")]
-        assert len(rows) == 1 + len(cold_result)  # header + points
-
     def test_report_lists_axes_and_front(self, cold_result):
         report = sweep_report_markdown(cold_result)
         assert "Axis `output_bits`: 12, 14" in report

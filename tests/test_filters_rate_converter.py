@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.filters.rate_converter import FarrowRateConverter, resample_decimator_output
+from repro.filters.rate_converter import FarrowRateConverter
 
 
 class TestFarrowRateConverter:
@@ -70,11 +70,6 @@ class TestFarrowRateConverter:
         assert res["adders"] == 15
         assert res["slow_clock_hz"] == pytest.approx(30.72e6)
 
-    def test_convenience_wrapper(self):
-        x = np.sin(2 * np.pi * 0.02 * np.arange(512))
-        out = resample_decimator_output(x, 40e6, 30.72e6)
-        assert len(out) > 300
-
 
 class TestVectorizedEvaluation:
     def _reference_loop(self, conv, samples):
@@ -138,7 +133,7 @@ class TestChainIntegration:
         # provides a flexible output rate (e.g. LTE's 30.72 MS/s).
         out = paper_chain.output_to_normalized(
             paper_chain.process_fixed(modulator_codes.codes))
-        resampled = resample_decimator_output(out[200:], 40e6, 30.72e6)
+        resampled = FarrowRateConverter(40e6, 30.72e6).process(out[200:])
         assert len(resampled) == pytest.approx(len(out[200:]) * 30.72 / 40.0, abs=3)
         # The 2.5 MHz test tone survives with its amplitude intact.
         spectrum = np.abs(np.fft.rfft(resampled * np.hanning(len(resampled))))

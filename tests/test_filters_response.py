@@ -9,8 +9,6 @@ from repro.filters import (
     alias_bands_for_decimation,
     default_frequency_grid,
     fir_frequency_response,
-    group_delay_samples,
-    is_symmetric,
 )
 from repro.filters.response import fir_freqz
 
@@ -112,14 +110,7 @@ class TestAliasBands:
         assert bands[0][1] <= 40e6
 
 
-class TestSymmetryHelpers:
-    def test_group_delay(self):
-        assert group_delay_samples([1, 2, 3, 2, 1]) == 2.0
-
-    def test_symmetric_detection(self):
-        assert is_symmetric([1, 2, 3, 2, 1])
-        assert not is_symmetric([1, 2, 3, 4, 5])
-
+class TestGridHelpers:
     def test_default_grid_covers_nyquist(self):
         grid = default_frequency_grid(100e6, 11)
         assert grid[0] == 0.0

@@ -3,24 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.filters import ScalingStage, choose_scale_factor, paper_scaling_stage
-
-
-class TestScaleFactorChoice:
-    def test_slightly_below_inverse_msa(self):
-        s = choose_scale_factor(0.81)
-        assert s < 1.0 / 0.81
-        assert s == pytest.approx(0.99 / 0.81)
-
-    def test_invalid_msa(self):
-        with pytest.raises(ValueError):
-            choose_scale_factor(0.0)
-        with pytest.raises(ValueError):
-            choose_scale_factor(1.5)
-
-    def test_invalid_headroom(self):
-        with pytest.raises(ValueError):
-            choose_scale_factor(0.8, headroom=0.0)
+from repro.filters import ScalingStage
 
 
 class TestScalingStage:
@@ -64,13 +47,3 @@ class TestScalingStage:
     def test_metadata_records_quantization_error(self):
         stage = ScalingStage(scale=1.2345, coefficient_bits=12)
         assert abs(stage.metadata["scale_error"]) <= 2 ** -11
-
-
-class TestPaperScalingStage:
-    def test_default_factor(self):
-        stage = paper_scaling_stage(msa=0.81)
-        assert stage.quantized_scale == pytest.approx(0.99 / 0.81, abs=0.01)
-
-    def test_alignment_gain_folds_in(self):
-        stage = paper_scaling_stage(msa=0.81, alignment_gain=8.857)
-        assert stage.quantized_scale == pytest.approx(0.99 / 0.81 * 8.857, rel=0.01)

@@ -8,8 +8,6 @@ from repro.filters import (
     SincCascadeSpec,
     SincFilter,
     SincFilterSpec,
-    design_sinc_order_for_attenuation,
-    paper_sinc_cascade,
 )
 
 
@@ -135,28 +133,3 @@ class TestSincCascade:
         assert [s["order"] for s in summary] == [4, 4, 6]
         assert summary[0]["input_rate_hz"] == pytest.approx(640e6)
         assert summary[-1]["output_rate_hz"] == pytest.approx(80e6)
-
-    def test_paper_helper(self):
-        cascade = paper_sinc_cascade()
-        assert [s.spec.order for s in cascade.stages] == [4, 4, 6]
-
-
-class TestOrderDesign:
-    def test_order_search_meets_requirement(self):
-        order = design_sinc_order_for_attenuation(
-            decimation=2, bandwidth_hz=2e6, input_rate_hz=160e6,
-            required_attenuation_db=85.0)
-        spec = SincFilterSpec(order, 2, 4, 160e6)
-        assert SincFilter(spec).worst_alias_attenuation_db(2e6) >= 85.0
-
-    def test_order_search_is_minimal(self):
-        order = design_sinc_order_for_attenuation(
-            decimation=2, bandwidth_hz=2e6, input_rate_hz=160e6,
-            required_attenuation_db=85.0)
-        if order > 1:
-            smaller = SincFilter(SincFilterSpec(order - 1, 2, 4, 160e6))
-            assert smaller.worst_alias_attenuation_db(2e6) < 85.0
-
-    def test_unachievable_raises(self):
-        with pytest.raises(ValueError):
-            design_sinc_order_for_attenuation(2, 39e6, 160e6, 200.0, max_order=4)

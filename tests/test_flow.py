@@ -5,7 +5,6 @@ import pytest
 from repro.core import ChainDesignOptions
 from repro.flow import (
     flow_report_text,
-    power_table_markdown,
     run_design_flow,
     verification_table_markdown,
 )
@@ -59,11 +58,6 @@ class TestReports:
         assert "Area report" in text
         assert "PASS" in text
 
-    def test_power_table_markdown(self, flow_result):
-        table = power_table_markdown(flow_result)
-        assert table.startswith("| Filter Stage |")
-        assert "Total" in table
-
     def test_verification_table_markdown(self, flow_result):
         table = verification_table_markdown(flow_result)
         assert "| Check |" in table
@@ -90,14 +84,8 @@ class TestBatchReports:
         other = run_design_flow(options=options, measure_activity=False)
         return [flow_result, other]
 
-    def test_power_table_batch_gains_design_column(self, batch):
-        table = power_table_markdown(batch, labels=["paper", "eq32"])
-        assert table.startswith("| Design | Filter Stage |")
-        assert "| paper |" in table
-        assert "| eq32 |" in table
-
-    def test_power_table_batch_default_labels(self, batch):
-        table = power_table_markdown(batch)
+    def test_batch_default_labels(self, batch):
+        table = verification_table_markdown(batch)
         assert "| design-0 |" in table
         assert "| design-1 |" in table
 
@@ -108,8 +96,8 @@ class TestBatchReports:
         assert rows  # every check of the first design is labelled
 
     def test_single_result_unchanged_by_batch_support(self, flow_result):
-        table = power_table_markdown(flow_result)
-        assert table.startswith("| Filter Stage |")
+        table = verification_table_markdown(flow_result)
+        assert table.startswith("| Check |")
         assert "Design" not in table.splitlines()[0]
 
     def test_flow_report_text_batch_sections(self, batch):
@@ -119,7 +107,7 @@ class TestBatchReports:
 
     def test_label_count_mismatch_rejected(self, batch):
         with pytest.raises(ValueError, match="labels"):
-            power_table_markdown(batch, labels=["only-one"])
+            verification_table_markdown(batch, labels=["only-one"])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):

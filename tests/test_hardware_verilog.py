@@ -12,7 +12,6 @@ from repro.hardware import (
     generate_fir_csd,
     generate_hogenauer,
     generate_scaler,
-    write_rtl,
 )
 
 
@@ -135,11 +134,3 @@ class TestChainRTL:
         module = generate_clock_divider("clkdiv", 4)
         _assert_well_formed(module)
         assert module.resources["registers"] == 4
-
-    def test_write_rtl_creates_files(self, paper_chain, tmp_path):
-        modules = generate_chain_rtl(paper_chain)
-        paths = write_rtl(modules, str(tmp_path))
-        assert len(paths) == len(modules)
-        for path in paths:
-            with open(path, "r", encoding="utf-8") as handle:
-                assert "endmodule" in handle.read()

@@ -230,11 +230,13 @@ class TestValidation:
             trace.validate_spans(spans)
 
 
-# A recursive tree of work units: (name-seed, raises?, children).
-_work_tree = st.deferred(lambda: st.tuples(
-    st.integers(min_value=0, max_value=9),
-    st.booleans(),
-    st.lists(_work_tree, max_size=3)))
+# A recursive tree of work units: (name-seed, raises?, children).  Its size
+# is bounded (at most 12 leaves), so hypothesis discards almost no draws.
+_work_tree = st.recursive(
+    st.tuples(st.integers(min_value=0, max_value=9), st.booleans(), st.just(())),
+    lambda children: st.tuples(st.integers(min_value=0, max_value=9),
+                               st.booleans(), st.lists(children, max_size=3)),
+    max_leaves=12)
 
 
 def _run_tree(node, depth=0):

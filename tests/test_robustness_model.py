@@ -10,9 +10,11 @@ from repro.core.verification import (VerificationReport,
 from repro.dsm.signals import coherent_tone, jittered_tone
 from repro.filters.fir import FIRFilterFixedPoint
 from repro.filters.halfband import perturbed_halfband
+from repro.flow.artifacts import ArtifactStore
 from repro.hardware.corners import (CornerDraw, CornerModel,
                                     corner_scaled_library, draw_corners)
 from repro.hardware.stdcell import GENERIC_45NM
+from repro.hardware.synthesis import SynthesisFlow
 from repro.robustness import (CSDDropout, ClockJitter, CoefficientDither,
                               InputMismatch, PerturbationModel, default_model)
 
@@ -227,6 +229,25 @@ class TestCorners:
         scaled = corner_scaled_library(GENERIC_45NM, draw)
         assert scaled.adder_energy_per_bit_fj == \
             pytest.approx(2.0 * GENERIC_45NM.adder_energy_per_bit_fj)
+
+    def test_factors_on_the_nominal_report_equal_synthesis_at_the_corner(self, chain):
+        # The Monte Carlo scales the nominal report by the draw's factors
+        # instead of re-running synthesis on the corner-scaled library,
+        # which it claims is the same estimate: the reference here.
+        store = ArtifactStore()
+        nominal = SynthesisFlow(GENERIC_45NM).run(chain, artifacts=store)
+        draws = draw_corners(CornerModel(), np.random.default_rng(2011), 5,
+                             GENERIC_45NM.nominal_vdd)
+        for draw in draws:
+            dyn, leak = draw.power_factors(GENERIC_45NM.nominal_vdd)
+            corner = SynthesisFlow(corner_scaled_library(GENERIC_45NM, draw)).run(
+                chain, artifacts=store)
+            assert nominal.power.total_dynamic_mw * dyn == \
+                pytest.approx(corner.power.total_dynamic_mw, rel=1e-12)
+            assert nominal.power.total_leakage_uw * leak == \
+                pytest.approx(corner.power.total_leakage_uw, rel=1e-12)
+            assert nominal.total_area_mm2 * draw.area_scale == \
+                pytest.approx(corner.total_area_mm2, rel=1e-12)
 
 
 class TestDistributionChecks:

@@ -20,7 +20,6 @@ from repro.scenarios import (
     run_scenario,
     run_scenario_suite,
     scenario_names,
-    scenarios_by_standard,
     write_golden,
 )
 from repro.scenarios.golden import FieldDiff
@@ -55,10 +54,6 @@ class TestRegistry:
         scenario = get_scenario("lte-20")
         with pytest.raises(ValueError, match="already registered"):
             register_scenario(scenario)
-
-    def test_scenarios_by_standard(self):
-        lte = scenarios_by_standard("lte")
-        assert [s.name for s in lte] == ["lte-20", "lte-10", "lte-5"]
 
     def test_resolve_scenarios_forms(self):
         assert [s.name for s in resolve_scenarios(None)] == scenario_names()
