@@ -14,8 +14,8 @@ modelled here:
   (Section VI).
 * :mod:`~repro.filters.scaling` — the MSA-recovery scaling stage
   implemented with CSD and Horner's rule (Section VI).
-* :mod:`~repro.filters.polyphase` — the strided-matmul engine shared by
-  the bit-true FIR-shaped stages.
+* :mod:`~repro.filters.polyphase` — the polyphase split of FIR taps and
+  the strided-matmul engine shared by the bit-true FIR-shaped stages.
 * :mod:`~repro.filters.response` / :mod:`~repro.filters.cascade` —
   frequency-response evaluation, alias-band analysis and multirate cascade
   composition (the machinery behind Figs. 8–11).
@@ -26,6 +26,7 @@ from repro.filters.response import (
     fir_frequency_response,
     default_frequency_grid,
     alias_bands_for_decimation,
+    is_symmetric,
 )
 from repro.filters.sinc import (
     SincFilterSpec,
@@ -60,8 +61,10 @@ from repro.filters.equalizer import (
 )
 from repro.filters.scaling import (
     ScalingStage,
+    choose_scale_factor,
 )
 from repro.filters.polyphase import (
+    polyphase_components,
     convolve_strided_matmul,
 )
 from repro.filters.cascade import (
@@ -77,6 +80,7 @@ __all__ = [
     "fir_frequency_response",
     "default_frequency_grid",
     "alias_bands_for_decimation",
+    "is_symmetric",
     "SincFilterSpec",
     "SincFilter",
     "SincCascadeSpec",
@@ -99,6 +103,8 @@ __all__ = [
     "compensated_response",
     "residual_ripple_db",
     "ScalingStage",
+    "choose_scale_factor",
+    "polyphase_components",
     "convolve_strided_matmul",
     "CascadeStageDescription",
     "MultirateCascade",

@@ -210,3 +210,9 @@ def alias_bands_for_decimation(decimation: int, output_rate_hz: float,
         if f_hi > f_lo:
             bands.append((f_lo, f_hi))
     return bands
+
+
+def is_symmetric(taps: Sequence[float], tolerance: float = 1e-12) -> bool:
+    """Whether the impulse response is (even) symmetric — i.e. linear phase."""
+    arr = np.asarray(taps, dtype=float)
+    return bool(np.allclose(arr, arr[::-1], atol=tolerance))

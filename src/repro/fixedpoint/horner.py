@@ -74,3 +74,8 @@ def horner_evaluate(x: float, steps: Sequence[HornerStep]) -> float:
 def horner_adder_count(steps: Sequence[HornerStep]) -> int:
     """Number of adders used by the Horner-rule implementation."""
     return max(0, len(steps) - 1)
+
+
+def scale_constant_steps(scale: float, fraction_bits: int = 12) -> List[HornerStep]:
+    """Convenience: CSD-encode a scale constant and return its Horner steps."""
+    return horner_decomposition(to_csd(scale, fraction_bits))

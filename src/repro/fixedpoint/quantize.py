@@ -3,14 +3,14 @@
 The design flow quantizes every filter's tap coefficients to a finite word
 length (24 bits for the halfband filter in the paper) and verifies that the
 quantized cascade still meets the stopband/passband mask of Table I.  The
-helpers here perform straight fixed-point rounding, CSD encoding with a
-digit budget, and an automatic word-length search.
+helpers here perform straight fixed-point rounding and CSD encoding with a
+digit budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -106,52 +106,3 @@ def quantize_coefficients_csd(coefficients: Sequence[float], fraction_bits: int,
         csd_codes=codes,
         metadata={"max_nonzero": max_nonzero},
     )
-
-
-def coefficient_wordlength_search(
-    coefficients: Sequence[float],
-    acceptable: Callable[[np.ndarray], bool],
-    min_fraction_bits: int = 8,
-    max_fraction_bits: int = 32,
-    use_csd: bool = True,
-) -> QuantizedCoefficients:
-    """Find the smallest coefficient word length whose quantized filter is acceptable.
-
-    Parameters
-    ----------
-    coefficients:
-        Infinite-precision tap values.
-    acceptable:
-        Callback receiving the quantized coefficient vector and returning
-        ``True`` when the resulting filter still meets its specification
-        (e.g. stopband attenuation computed from the frequency response).
-    min_fraction_bits, max_fraction_bits:
-        Search range (inclusive).
-    use_csd:
-        Quantize via CSD encoding when ``True`` (the paper's choice),
-        otherwise plain round-to-nearest.
-
-    Returns
-    -------
-    QuantizedCoefficients
-        The quantization at the smallest acceptable word length.  If no word
-        length in the range is acceptable the widest one is returned and
-        ``metadata['meets_spec']`` is ``False``.
-    """
-    if min_fraction_bits > max_fraction_bits:
-        raise ValueError("min_fraction_bits must not exceed max_fraction_bits")
-    last = None
-    for bits in range(min_fraction_bits, max_fraction_bits + 1):
-        if use_csd:
-            candidate = quantize_coefficients_csd(coefficients, bits)
-        else:
-            candidate = quantize_coefficients(coefficients, bits)
-        last = candidate
-        if acceptable(candidate.quantized):
-            candidate.metadata["meets_spec"] = True
-            candidate.metadata["searched_bits"] = bits
-            return candidate
-    assert last is not None
-    last.metadata["meets_spec"] = False
-    last.metadata["searched_bits"] = max_fraction_bits
-    return last

@@ -20,6 +20,10 @@ class TestChooseSincOrders:
         orders = choose_sinc_orders(paper_chain_spec())
         assert orders[-1] >= paper_chain_spec().modulator.order + 1
 
+    def test_max_order_caps_the_split(self):
+        # The last stage is capped, the earlier ones stay two orders below it.
+        assert choose_sinc_orders(paper_chain_spec(), max_order=5) == (3, 3, 5)
+
     def test_audio_spec_produces_five_sinc_stages(self):
         orders = choose_sinc_orders(audio_chain_spec())
         assert len(orders) == 5  # six halvings, one taken by the halfband

@@ -9,6 +9,7 @@ from repro.core import (
     audio_chain_spec,
     paper_chain_spec,
 )
+from repro.core.spec import standard_chain_spec
 
 
 class TestModulatorSpec:
@@ -170,3 +171,16 @@ class TestDerive:
                                          stopband_attenuation_db=95.0)
         assert spec.decimator.output_bits == 16
         assert spec.decimator.stopband_attenuation_db == pytest.approx(95.0)
+
+
+class TestStandardChainSpec:
+    def test_lte20_profile_is_the_paper_spec(self):
+        assert standard_chain_spec(20e6, 16) == paper_chain_spec()
+
+    def test_rates_and_edges_follow_bandwidth_and_osr(self):
+        spec = standard_chain_spec(5e6, 32, order=4)
+        assert spec.modulator.sample_rate_hz == 2 * 5e6 * 32
+        assert spec.decimator.output_rate_hz == 10e6
+        assert spec.decimator.passband_edge_hz == 5e6
+        assert spec.decimator.stopband_edge_hz == pytest.approx(5.75e6)
+        assert spec.modulator.out_of_band_gain == 1.7

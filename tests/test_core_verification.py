@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import VerificationReport, verify_chain
-from repro.core.verification import CheckResult, simulated_output_snr
+from repro.core.verification import CheckResult, check_snr_record_length, simulated_output_snr
 
 
 class TestVerificationReport:
@@ -71,3 +71,14 @@ class TestSimulatedSNR:
         low = simulated_output_snr(paper_chain, n_samples=16384, amplitude=0.2)
         high = simulated_output_snr(paper_chain, n_samples=16384, amplitude=0.7)
         assert high > low
+
+
+class TestSNRRecordLength:
+    def test_floor_is_eight_outputs(self):
+        check_snr_record_length("--snr-samples", 128, 16)
+        with pytest.raises(ValueError, match="--snr-samples 127 is too short"):
+            check_snr_record_length("--snr-samples", 127, 16)
+
+    def test_message_names_context_and_floor(self):
+        with pytest.raises(ValueError, match=r"short for lte-20: .* at least 64$"):
+            check_snr_record_length("stimulus_samples", 10, 8, context=" for lte-20")

@@ -67,6 +67,17 @@ def _lbfgsb_positions(order):
     return [0.0] + positions if include_dc else positions
 
 
+class TestZPKConversion:
+    def test_as_zpk_hands_out_writable_copies(self, paper_ntf):
+        zeros, poles, gain = paper_ntf.as_zpk()
+        assert np.array_equal(zeros, paper_ntf.zeros)
+        assert np.array_equal(poles, paper_ntf.poles)
+        assert gain == paper_ntf.gain
+        zeros[0] = 0.0
+        poles[0] = 0.0
+        assert paper_ntf.zeros[0] != 0.0 and paper_ntf.poles[0] != 0.0
+
+
 class TestOptimalZeros:
     def test_count_matches_order(self):
         for order in range(1, 9):

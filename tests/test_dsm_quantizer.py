@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsm import MultibitQuantizer
+from repro.dsm import MultibitQuantizer, synthesize_ntf
 
 
 class TestMultibitQuantizer:
@@ -71,3 +71,43 @@ class TestMultibitQuantizer:
     def test_invalid_full_scale(self):
         with pytest.raises(ValueError):
             MultibitQuantizer(bits=4, full_scale=0.0)
+
+
+class TestOneBitQuantizer:
+    """The single-bit case of the quantizer: two levels at ±full scale."""
+
+    def test_sign_behaviour(self):
+        q = MultibitQuantizer(bits=1)
+        assert q.quantize(0.3) == 1.0
+        assert q.quantize(-0.3) == -1.0
+        assert q.quantize(7.0) == 1.0
+
+    def test_codes(self):
+        q = MultibitQuantizer(bits=1)
+        assert q.quantize_to_code(0.5) == 1
+        assert q.quantize_to_code(-0.5) == 0
+        assert q.code_to_value(1) == 1.0
+
+    def test_properties(self):
+        q = MultibitQuantizer(bits=1)
+        assert q.levels == 2
+        assert q.step == 2.0
+        assert list(q.level_values) == [-1.0, 1.0]
+
+
+class TestLinearModelSQNR:
+    """``NoiseTransferFunction.predicted_sqnr_db`` over quantizer and OSR."""
+
+    def test_increases_with_osr(self):
+        ntf = synthesize_ntf(order=5, osr=16)
+        assert ntf.predicted_sqnr_db(osr=32) > ntf.predicted_sqnr_db(osr=16)
+
+    def test_increases_with_bits(self):
+        ntf = synthesize_ntf(order=5, osr=16)
+        assert (ntf.predicted_sqnr_db(quantizer_levels=32)
+                > ntf.predicted_sqnr_db(quantizer_levels=16))
+
+    def test_paper_configuration_exceeds_target(self):
+        # 4-bit, OSR 16, 5th order must be comfortably above the 86 dB target.
+        ntf = synthesize_ntf(order=5, osr=16)
+        assert ntf.predicted_sqnr_db(quantizer_levels=16, input_amplitude=0.81) > 86.0

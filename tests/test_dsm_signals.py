@@ -36,6 +36,16 @@ class TestCoherentTone:
         assert tone[0] == pytest.approx(1.0, abs=1e-9)
 
 
+class TestTwoTones:
+    def test_two_coherent_tones_present(self):
+        n = 8192
+        signal = coherent_tone(5e6, 0.4, 640e6, n) + coherent_tone(7e6, 0.4, 640e6, n)
+        spectrum = np.abs(np.fft.rfft(signal))
+        peaks = np.argsort(spectrum)[-2:]
+        freqs = peaks * 640e6 / n
+        assert set(np.round(freqs / 1e6)) == {5.0, 7.0}
+
+
 class TestJitteredToneWriter:
     """The in-place writer the Monte Carlo fills its stimulus rows with."""
 

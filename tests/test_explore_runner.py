@@ -10,7 +10,7 @@ from repro.explore import (
     sweep_report_json,
     sweep_report_markdown,
 )
-from repro.explore.runner import warm_shared_stages
+from repro.explore.runner import format_progress_timing, warm_shared_stages
 from repro.explore.store import ArtifactCAS
 from repro.flow import ArtifactStore
 
@@ -348,3 +348,12 @@ class TestSweepReports:
     def test_ranked_orders_by_rank_then_power(self, cold_result):
         ranked = cold_result.ranked()
         assert [p.label for p in ranked] == ["w12", "w14"]
+
+
+class TestProgressTiming:
+    def test_linear_eta(self):
+        assert format_progress_timing(3.0, 1, 4) == "elapsed 3.0s, eta ~9.0s"
+        assert format_progress_timing(8.0, 4, 4) == "elapsed 8.0s, eta ~0.0s"
+
+    def test_no_completed_points_has_zero_eta(self):
+        assert format_progress_timing(0.5, 0, 10) == "elapsed 0.5s, eta ~0.0s"

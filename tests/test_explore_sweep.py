@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ChainDesignOptions, audio_chain_spec, paper_chain_spec
 from repro.explore import AUTO_SINC_ORDERS, HALFBAND_DESIGN_MARGIN_DB, SweepSpec
+from repro.explore.sweep import SWEEP_AXES, sweep_cache_key
 
 
 class TestExpansionDeterminism:
@@ -45,6 +46,20 @@ class TestExpansionDeterminism:
         sweep = SweepSpec(output_bits=(12, 14), halfband_attenuation_db=(80, 85))
         labels = [p.label for p in sweep.expand()]
         assert len(set(labels)) == len(labels)
+
+
+class TestAxesAndParams:
+    def test_axes_lists_non_empty_axes_in_expansion_order(self):
+        sweep = SweepSpec(output_bits=(12, 14), osr=(8, 16))
+        assert list(sweep.axes()) == ["osr", "output_bits"]
+        assert sweep.axes()["output_bits"] == (12, 14)
+        assert list(SweepSpec().axes()) == []
+        assert set(sweep.axes()) <= set(SWEEP_AXES)
+
+    def test_params_dict_names_each_swept_value(self):
+        points = SweepSpec(osr=(8, 16), output_bits=(12,)).expand()
+        assert [p.params_dict() for p in points] == [
+            {"osr": 8, "output_bits": 12}, {"osr": 16, "output_bits": 12}]
 
 
 class TestPointDerivation:
@@ -121,3 +136,10 @@ class TestCacheKeys:
         base = SweepSpec().expand()[0]
         other = SweepSpec(options=ChainDesignOptions(equalizer_order=32)).expand()[0]
         assert base.cache_key() != other.cache_key()
+
+
+def test_cache_key_of_a_held_payload_matches_the_point():
+    point = SweepSpec(output_bits=(12,)).expand()[0]
+    flow = {"include_snr": True, "snr_samples": 4096}
+    assert sweep_cache_key(point.payload(), flow) == point.cache_key(flow)
+    assert sweep_cache_key(point.payload()) == point.cache_key()

@@ -153,6 +153,21 @@ class TestSaramakiDesigner:
             SaramakiHalfbandDesigner(n1=3, n2=6, transition_start=0.4)
 
 
+class TestSubfilterKernel:
+    def test_length_follows_subfilter_order(self, paper_halfband_design):
+        hbf = paper_halfband_design
+        taps = hbf.subfilter_taps()
+        assert len(taps) == hbf.subfilter_order + 1 == 2 * (2 * hbf.n2 - 1) + 1
+
+    def test_odd_offsets_carry_f2_even_offsets_are_zero(self, paper_halfband_design):
+        hbf = paper_halfband_design
+        taps = hbf.subfilter_taps()
+        centre = len(taps) // 2
+        assert np.array_equal(taps, taps[::-1])
+        assert np.all(taps[centre::2] == 0.0)
+        assert np.array_equal(taps[centre + 1::2], hbf.f2)
+
+
 class TestHalfbandDecimator:
     def test_bit_true_matches_float_reference(self, paper_halfband_design, rng):
         impl = HalfbandDecimator(paper_halfband_design, data_bits=18, coefficient_bits=24)

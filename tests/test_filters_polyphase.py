@@ -1,14 +1,15 @@
-"""Tests for the polyphase decimator reference implementations."""
+"""Tests for the polyphase split and the strided-matmul decimation engine."""
 
 import numpy as np
 import pytest
 from scipy import signal
 
 from repro.filters import (
-    PolyphaseDecimator,
-    PolyphaseDecimatorFixedPoint,
+    FIRFilterFixedPoint,
+    convolve_strided_matmul,
     polyphase_components,
 )
+from repro.filters.polyphase import max_abs_int
 
 
 class TestPolyphaseComponents:
@@ -24,45 +25,59 @@ class TestPolyphaseComponents:
             polyphase_components(np.ones(4), 0)
 
 
-class TestPolyphaseDecimator:
-    @pytest.fixture()
-    def decimator(self):
-        taps = signal.firwin(63, 0.2)
-        return PolyphaseDecimator(taps, 4)
+class TestStridedDecimation:
+    """``convolve_strided_matmul`` is the polyphase decimator of the chain."""
 
-    def test_matches_filter_then_downsample(self, decimator, rng):
+    TAPS = signal.firwin(63, 0.2)
+
+    def test_matches_filter_then_downsample(self, rng):
         x = rng.standard_normal(512)
-        direct = signal.lfilter(decimator.taps, [1.0], x)[3::4]
-        assert np.allclose(decimator.process(x), direct)
+        direct = signal.lfilter(self.TAPS, [1.0], x)[3::4]
+        assert np.allclose(convolve_strided_matmul(x, self.TAPS, offset=3, step=4),
+                           direct)
 
-    def test_polyphase_identity(self, decimator, rng):
+    def test_polyphase_identity(self, rng):
+        # Output j sums component p filtering input phase (offset - p) mod M.
         x = rng.standard_normal(256)
-        assert np.allclose(decimator.process(x), decimator.process_polyphase(x),
-                           atol=1e-12)
+        m, offset = 4, 3
+        got = convolve_strided_matmul(x, self.TAPS, offset=offset, step=m)
+        total = np.zeros(len(got))
+        for p, comp in enumerate(polyphase_components(self.TAPS, m)):
+            phase = np.concatenate([np.zeros(p), x])[offset::m][:len(got)]
+            total += np.convolve(phase, comp)[:len(got)]
+        assert np.allclose(got, total, atol=1e-12)
 
-    def test_output_length(self, decimator, rng):
-        assert len(decimator.process(rng.standard_normal(400))) == 100
-
-    def test_workload_per_output(self, decimator):
-        assert decimator.workload_per_output() == int(np.ceil(63 / 4))
+    def test_output_length(self, rng):
+        out = convolve_strided_matmul(rng.standard_normal(400), self.TAPS,
+                                      offset=3, step=4)
+        assert len(out) == 100
 
     def test_unity_decimation_is_plain_filter(self, rng):
         taps = signal.firwin(31, 0.3)
-        dec = PolyphaseDecimator(taps, 1)
         x = rng.standard_normal(128)
-        assert np.allclose(dec.process(x), signal.lfilter(taps, [1.0], x))
+        assert np.allclose(convolve_strided_matmul(x, taps),
+                           signal.lfilter(taps, [1.0], x))
 
     def test_invalid_decimation(self):
         with pytest.raises(ValueError):
-            PolyphaseDecimator(np.ones(8), 0)
+            FIRFilterFixedPoint(taps=np.ones(8), decimation=0)
+        with pytest.raises(ValueError):
+            convolve_strided_matmul(np.ones(8), np.ones(3), step=0)
 
-
-class TestPolyphaseFixedPoint:
-    def test_matches_float_within_lsb(self, rng):
-        taps = signal.firwin(63, 0.2)
-        fxp = PolyphaseDecimatorFixedPoint(taps, 4, coefficient_bits=16)
-        flt = PolyphaseDecimator(taps, 4)
+    def test_fixed_point_matches_float_within_lsb(self, rng):
+        fxp = FIRFilterFixedPoint(taps=self.TAPS, coefficient_bits=16, decimation=4)
         x = rng.integers(-10000, 10000, 512)
         fixed = np.array([int(v) for v in fxp.process(x)], dtype=float)
-        reference = flt.process(x.astype(float))
+        reference = fxp.process_float(x)
+        assert len(fixed) == len(reference) == 128
         assert np.max(np.abs(fixed - reference)) <= 1.0
+
+
+class TestMaxAbsInt:
+    @pytest.mark.parametrize("samples, expected", [
+        (np.array([3, -2**63, 5], dtype=np.int64), 2**63),
+        (np.zeros((4, 0), dtype=np.int64), 0),
+        (np.array([[1, -7], [9, 2]], dtype=np.int64), 9),
+    ], ids=["most-negative-int64", "empty-batch", "2-d"])
+    def test_exact_magnitude(self, samples, expected):
+        assert max_abs_int(samples) == expected

@@ -9,8 +9,9 @@ from repro.filters import (
     alias_bands_for_decimation,
     default_frequency_grid,
     fir_frequency_response,
+    is_symmetric,
 )
-from repro.filters.response import fir_freqz
+from repro.filters.response import band_limited_grid, fir_freqz
 
 
 @pytest.fixture()
@@ -110,8 +111,35 @@ class TestAliasBands:
         assert bands[0][1] <= 40e6
 
 
-class TestGridHelpers:
+class TestSymmetryHelpers:
+    def test_symmetric_detection(self):
+        assert is_symmetric([1, 2, 3, 2, 1])
+        assert not is_symmetric([1, 2, 3, 4, 5])
+
     def test_default_grid_covers_nyquist(self):
         grid = default_frequency_grid(100e6, 11)
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(50e6)
+
+
+class TestBandLimitedGrid:
+    def test_keeps_reference_point_and_band_points(self):
+        grid = default_frequency_grid(100e6, 101)
+        kept = band_limited_grid(grid, [(20e6, 22e6), (40e6, 41e6)])
+        expected = [0.0, 20e6, 20.5e6, 21e6, 21.5e6, 22e6, 40e6, 40.5e6, 41e6]
+        assert np.allclose(kept, expected)
+
+    def test_measurements_match_full_grid(self, lowpass_response):
+        full, taps = lowpass_response
+        bands = [(15e6, 25e6), (30e6, 45e6)]
+        sub = fir_frequency_response(taps, 100e6,
+                                     band_limited_grid(full.frequencies_hz, bands))
+        assert sub.stopband_attenuation_db(15e6, 25e6) == full.stopband_attenuation_db(15e6, 25e6)
+        assert sub.worst_alias_attenuation_db(bands) == full.worst_alias_attenuation_db(bands)
+
+    def test_band_mask_is_inclusive(self, lowpass_response):
+        resp, _ = lowpass_response
+        f = resp.frequencies_hz
+        mask = resp.band_mask(f[10], f[20])
+        assert mask.sum() == 11
+        assert mask[10] and mask[20] and not mask[9] and not mask[21]

@@ -3,7 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.filters import ScalingStage
+from repro.filters import ScalingStage, choose_scale_factor
+
+
+class TestScaleFactorChoice:
+    def test_slightly_below_inverse_msa(self):
+        s = choose_scale_factor(0.81)
+        assert s < 1.0 / 0.81
+        assert s == pytest.approx(0.99 / 0.81)
+
+    def test_invalid_msa(self):
+        with pytest.raises(ValueError):
+            choose_scale_factor(0.0)
+        with pytest.raises(ValueError):
+            choose_scale_factor(1.5)
+
+    def test_invalid_headroom(self):
+        with pytest.raises(ValueError):
+            choose_scale_factor(0.8, headroom=0.0)
 
 
 class TestScalingStage:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.fixedpoint import (
     CSDCode,
+    csd_multiply,
     csd_string,
     from_csd,
     to_csd,
@@ -80,6 +81,15 @@ class TestCSDEncoding:
 
 
 class TestCSDMultiply:
+    @pytest.mark.parametrize("coeff,x", [(0.5, 3.0), (-0.75, 2.0), (1.25, -4.0),
+                                         (10.825, 1.0), (0.0823, 100.0)])
+    def test_multiply_matches_product(self, coeff, x):
+        code = to_csd(coeff, 16)
+        assert csd_multiply(x, code) == pytest.approx(code.value * x)
+
+    def test_multiply_by_zero_coefficient(self):
+        assert csd_multiply(123.0, to_csd(0.0, 8)) == 0.0
+
     def test_integer_multiply_matches_float_within_truncation(self):
         code = to_csd(0.6180339, 16)
         x = 12345
@@ -88,6 +98,10 @@ class TestCSDMultiply:
         # Sub-LSB partial products are truncated, so the result can differ by
         # at most the number of digits.
         assert abs(got - exact) <= code.nonzero_digits + 1
+
+    def test_evaluate_method(self):
+        code = to_csd(0.5, 8)
+        assert code.evaluate(8.0) == pytest.approx(4.0)
 
 
 class TestCSDHelpers:

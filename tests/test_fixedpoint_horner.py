@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fixedpoint import horner_decomposition, horner_evaluate, to_csd
-from repro.fixedpoint.horner import horner_adder_count
+from repro.fixedpoint.horner import horner_adder_count, scale_constant_steps
 
 
 class TestHornerDecomposition:
@@ -36,3 +36,8 @@ class TestHornerDecomposition:
         steps = horner_decomposition(code)
         for step in steps[:-1]:
             assert step.shift >= 2
+
+    def test_scale_constant_steps_helper(self):
+        steps = scale_constant_steps(10.825, 12)
+        value = horner_evaluate(1.0, steps)
+        assert value == pytest.approx(10.825, abs=2 ** -11)

@@ -1,10 +1,9 @@
-"""Tests for coefficient quantization and word-length search."""
+"""Tests for coefficient quantization."""
 
 import numpy as np
 import pytest
 
 from repro.fixedpoint import (
-    coefficient_wordlength_search,
     quantize_coefficients,
     quantize_coefficients_csd,
 )
@@ -59,36 +58,3 @@ class TestCSDQuantization:
         budgeted = quantize_coefficients_csd(sample_coefficients, 16, max_nonzero=2)
         assert budgeted.total_adders <= free.total_adders
         assert budgeted.total_adders <= len(sample_coefficients)  # ≤1 adder each
-
-
-class TestWordlengthSearch:
-    def test_finds_minimum_acceptable(self, sample_coefficients):
-        target = np.asarray(sample_coefficients)
-
-        def acceptable(quantized):
-            return np.max(np.abs(quantized - target)) < 2 ** -9
-
-        result = coefficient_wordlength_search(sample_coefficients, acceptable,
-                                               min_fraction_bits=4, max_fraction_bits=20)
-        assert result.metadata["meets_spec"] is True
-        assert result.fraction_bits <= 12
-
-    def test_reports_failure_when_unachievable(self, sample_coefficients):
-        result = coefficient_wordlength_search(
-            sample_coefficients, lambda q: False,
-            min_fraction_bits=4, max_fraction_bits=6)
-        assert result.metadata["meets_spec"] is False
-        assert result.fraction_bits == 6
-
-    def test_invalid_range_raises(self, sample_coefficients):
-        with pytest.raises(ValueError):
-            coefficient_wordlength_search(sample_coefficients, lambda q: True,
-                                          min_fraction_bits=10, max_fraction_bits=8)
-
-    def test_csd_flag_controls_codes(self, sample_coefficients):
-        with_csd = coefficient_wordlength_search(
-            sample_coefficients, lambda q: True, 8, 8, use_csd=True)
-        without = coefficient_wordlength_search(
-            sample_coefficients, lambda q: True, 8, 8, use_csd=False)
-        assert with_csd.csd_codes is not None
-        assert without.csd_codes is None

@@ -41,3 +41,18 @@ class TestAreaModel:
     def test_utilization_inflates_layout_area(self, chain_area_report):
         assert (chain_area_report.total_layout_area_mm2
                 > chain_area_report.total_cell_area_um2 / 1e6)
+
+
+class TestStageArea:
+    def test_stage_area_from_bit_counts(self, paper_chain):
+        resources = extract_chain_resources(paper_chain)[0]
+        lib = GENERIC_45NM
+        stage = AreaModel(lib).stage_area(resources)
+        bits = (lib.adder_area_per_bit_um2 * resources.total_adder_bits
+                + lib.register_area_per_bit_um2 * resources.total_register_bits)
+        assert stage.cell_area_um2 == pytest.approx(1.15 * bits)
+        assert stage.label == resources.label
+
+    def test_total_is_sum_of_stages(self, chain_area_report):
+        assert chain_area_report.total_cell_area_um2 == pytest.approx(
+            sum(s.cell_area_um2 for s in chain_area_report.stages))

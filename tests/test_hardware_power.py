@@ -89,3 +89,13 @@ class TestMeasuredActivity:
         assert set(activity) == {"Sinc4 stage 1", "Sinc4 stage 2", "Sinc6 stage 3"}
         for value in activity.values():
             assert 0.0 < value < 1.0
+
+
+class TestTotals:
+    def test_stage_total_adds_leakage_in_milliwatts(self, chain_power_report):
+        for s in chain_power_report.stages:
+            assert s.total_mw == pytest.approx(s.dynamic_mw + s.clock_mw + s.leakage_uw / 1000.0)
+
+    def test_report_total_is_sum_of_stage_totals(self, chain_power_report):
+        assert chain_power_report.total_mw == pytest.approx(
+            sum(s.total_mw for s in chain_power_report.stages))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hardware import GENERIC_45NM, GENERIC_90NM, StandardCellLibrary
+from repro.hardware.stdcell import library_by_name
 
 
 class TestStandardCellLibrary:
@@ -40,3 +41,13 @@ class TestStandardCellLibrary:
 
     def test_scaled_name_records_voltage(self):
         assert "0.90" in GENERIC_45NM.scaled_to_vdd(0.9).name
+
+
+class TestLibraryByName:
+    def test_known_names(self):
+        assert library_by_name(GENERIC_45NM.name) is GENERIC_45NM
+        assert library_by_name(GENERIC_90NM.name) is GENERIC_90NM
+
+    def test_unknown_name_lists_the_choices(self):
+        with pytest.raises(ValueError, match="generic-45nm"):
+            library_by_name("generic-7nm")

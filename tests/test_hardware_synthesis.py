@@ -43,3 +43,13 @@ class TestSynthesisReport:
         report_90 = SynthesisFlow(GENERIC_90NM).run(paper_chain, measure_activity=False)
         assert report_90.total_area_mm2 > report_45.total_area_mm2
         assert report_90.power.total_dynamic_mw > report_45.power.total_dynamic_mw
+
+
+class TestReportTotals:
+    def test_gate_count_sums_stage_resources(self, synthesis_report):
+        total = sum(r.equivalent_gate_count for r in synthesis_report.resources)
+        assert synthesis_report.total_gate_count == total > 0
+
+    def test_rtl_line_count_sums_modules(self, synthesis_report):
+        lines = sum(m.line_count() for m in synthesis_report.rtl.values())
+        assert synthesis_report.rtl_line_count() == lines > len(synthesis_report.rtl)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.filters.hogenauer import HogenauerDecimator
 from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.sinc import SincFilter, SincFilterSpec
 from repro.fixedpoint import (
+    FixedPointFormat,
+    OverflowMode,
     from_csd,
     horner_decomposition,
     horner_evaluate,
@@ -69,6 +71,26 @@ class TestWrapProperties:
         stepwise = wrap_twos_complement(
             wrap_twos_complement(a, bits) + wrap_twos_complement(b, bits), bits)
         assert direct == stepwise
+
+
+class TestFixedPointFormatProperties:
+    @given(value=st.floats(min_value=-1.9, max_value=1.9,
+                           allow_nan=False, allow_infinity=False),
+           fraction=st.integers(min_value=2, max_value=20))
+    @settings(max_examples=200, deadline=None)
+    def test_quantization_error_within_half_lsb(self, value, fraction):
+        fmt = FixedPointFormat(fraction + 3, fraction,
+                               overflow=OverflowMode.SATURATE)
+        assume(fmt.min_value <= value <= fmt.max_value)
+        assert abs(fmt.quantize(value) - value) <= fmt.resolution / 2 + 1e-15
+
+    @given(value=st.floats(min_value=-100.0, max_value=100.0,
+                           allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100, deadline=None)
+    def test_saturation_never_exceeds_range(self, value):
+        fmt = FixedPointFormat(10, 4, overflow=OverflowMode.SATURATE)
+        q = fmt.quantize(value)
+        assert fmt.min_value <= q <= fmt.max_value
 
 
 class TestQuantizerProperties:

@@ -46,6 +46,10 @@ class TestRegistry:
                          "instrumentation-1m", "sdr-lte-30p72"]:
             assert expected in names
 
+    def test_lte_family_in_registration_order(self):
+        lte = [s.name for s in all_scenarios() if s.standard == "lte"]
+        assert lte == ["lte-20", "lte-10", "lte-5"]
+
     def test_get_scenario_unknown_name(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             get_scenario("definitely-not-registered")
@@ -138,6 +142,14 @@ class TestGoldenDiff:
         tight = diff_records({"summary": {"area": 1.0}},
                              {"summary": {"area": 1.2}}, policy)
         assert len(tight) == 1
+
+    def test_tolerances_for_first_matching_pattern(self):
+        policy = TolerancePolicy(float_rel=1e-6, float_abs=1e-9,
+                                 overrides={"summary.*_mw": (0.5, 0.0),
+                                            "summary.*": (0.1, 0.0)})
+        assert policy.tolerances_for("summary.total_power_mw") == (0.5, 0.0)
+        assert policy.tolerances_for("summary.area") == (0.1, 0.0)
+        assert policy.tolerances_for("verification.passed") == (1e-6, 1e-9)
 
     def test_field_diff_str(self):
         assert "golden" in str(FieldDiff("a.b", 1, 2))

@@ -17,6 +17,7 @@ import pytest
 
 import serveutils
 from repro.cli import run_command
+from repro.serve.client import Address, parse_address
 from repro.serve.protocol import (MAX_LINE_BYTES, ProtocolError, encode_line,
                                   error_envelope, parse_request, request_key)
 
@@ -251,3 +252,24 @@ class TestControlVerbs:
         while h._thread.is_alive() and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not h._thread.is_alive()
+
+
+class TestParseAddress:
+    def test_tcp_round_trip(self):
+        address = parse_address("127.0.0.1:8765")
+        assert address == Address(host="127.0.0.1", port=8765)
+        assert not address.is_unix
+        assert parse_address(str(address)) == address
+
+    def test_unix_round_trip(self):
+        address = parse_address("unix:/run/repro.sock")
+        assert address.is_unix and address.path == "/run/repro.sock"
+        assert parse_address(str(address)) == address
+
+    @pytest.mark.parametrize("text", [
+        "", "localhost", ":8765", "unix:", "localhost:http", "localhost:0",
+        "localhost:65536",
+    ])
+    def test_malformed_addresses_are_rejected(self, text):
+        with pytest.raises(ValueError, match="invalid address"):
+            parse_address(text)
