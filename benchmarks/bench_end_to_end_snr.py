@@ -69,7 +69,7 @@ def test_backend_throughput(paper_chain):
 
     n = 32768
     modulator = DeltaSigmaModulator()
-    result = modulator.simulate(coherent_tone(2.5e6, 0.7, 640e6, n), engine="fast")
+    result = modulator.simulate(coherent_tone(2.5e6, 0.7, 640e6, n))
 
     start = time.perf_counter()
     ref = _gold_model(paper_chain, result.codes)

@@ -103,7 +103,7 @@ def _per_sample_loop(scenario, model, chain, store, payload):
     n_out = flow["snr_samples"] // chain.total_decimation
     snrs = []
     for sample, stimulus in zip(payload["samples"], rows):
-        result = modulator.simulate(stimulus, engine="fast")
+        result = modulator.simulate(stimulus)
         chain_v, _ = _variant_chain(chain, model,
                                     payload["variants"][sample["variant"]],
                                     sample["variant"], store)

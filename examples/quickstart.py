@@ -48,7 +48,7 @@ def main() -> None:
     print("-" * 64)
     modulator = DeltaSigmaModulator()
     tone = coherent_tone(2.5e6, 0.7, modulator.sample_rate_hz, 16384)
-    codes = modulator.simulate(tone, engine="fast").codes
+    codes = modulator.simulate(tone).codes
     words = chain.process_fixed(codes)
     print(f"  {len(codes)} modulator codes -> {len(words)} output words "
           f"({chain.spec.decimator.output_bits}-bit, peak |word| = "

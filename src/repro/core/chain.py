@@ -16,9 +16,9 @@ Every stage of :meth:`DecimationChain.process_fixed` takes its numpy fast
 path (cumsum-based Hogenauer evaluation, strided-window matmul FIR stages,
 integer constant multiply for the scaler) whenever register widths and
 accumulators fit ``int64``, and its arbitrary-precision gold model
-otherwise.  The gold models also carry the switching-activity traces
-consumed by the power model (``collect_trace=True``).  No option selects
-the engine: both produce **bit-identical** words, which the test suite
+otherwise; the Hogenauer stages count the switching-activity traces
+consumed by the power model (``collect_trace=True``) on either.  No option
+selects the engine: both produce **bit-identical** words, which the test suite
 pins stage by stage and for the whole chain.
 """
 
@@ -426,9 +426,8 @@ class DecimationChain:
                       collect_trace: bool = False) -> np.ndarray:
         """Bit-true simulation: 4-bit codes in, ``output_bits``-bit words out.
 
-        Each stage picks its own engine (see the module docstring); tracing
-        for the power model (``collect_trace=True``) runs the Hogenauer
-        stages on their gold model.
+        Each stage picks its own engine (see the module docstring), traced
+        for the power model (``collect_trace=True``) or not.
 
         ``codes`` may also be a 2-D ``(batch, n)`` array of independent
         records: every stage then runs batch-vectorized (one cumsum/matmul

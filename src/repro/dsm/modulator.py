@@ -9,25 +9,14 @@ unity STF) and use it to generate bit-streams, estimate the maximum stable
 amplitude (MSA) and measure SQNR.  The substitution is documented in
 DESIGN.md.
 
-Two simulation engines are provided:
-
-* :class:`ErrorFeedbackSimulator` — simulates the loop in error-feedback
-  form (``y = u - h * e`` with ``h`` the impulse response of ``1 - NTF``).
-  This reproduces the exact input/output behaviour of any realization with
-  a unity STF and is numerically robust.
-* :class:`FastErrorFeedbackSimulator` — the same error-feedback loop with
-  the filter ``1 - NTF`` evaluated in its exact recursive (IIR) form
-  instead of a truncated 64-tap FIR, at ~2·order multiply-adds per
-  sample.  It runs in the compiled kernel of :mod:`repro._native` (tens
-  of nanoseconds per sample), or, without a C compiler, in its
-  pure-Python scalar loop (about a microsecond per sample), which is also
-  the gold model the kernel is tested against bit for bit.  This is the
-  engine the fast end-to-end SNR simulation and the Monte Carlo
-  population use (``engine="error-feedback-fast"`` / ``engine="fast"``).
-  Because the quantizer decisions of a chaotic delta-sigma loop are
-  sensitive to rounding, its bit-stream is not sample-identical to the FIR
-  engine's; the noise-shaping statistics (SQNR, spectra, MSA) agree, which
-  the tests verify.
+The loop runs in :class:`FastErrorFeedbackSimulator`: the error-feedback
+form ``y = u - g * e`` with the filter ``g = 1 - NTF`` evaluated in its
+exact recursive (IIR) form, at ~2·order multiply-adds per sample.  It runs
+in the compiled kernel of :mod:`repro._native` (tens of nanoseconds per
+sample), or, without a C compiler, in its pure-Python scalar loop (about a
+microsecond per sample), which is also the gold model the kernel is tested
+against bit for bit.  Every simulation of :class:`DeltaSigmaModulator` —
+single records, batches, the MSA estimate — runs it.
 """
 
 from __future__ import annotations
@@ -131,6 +120,9 @@ class ErrorFeedbackSimulator:
     response of ``1 - NTF(z)`` (whose leading sample is zero because the NTF
     is monic).  The output is then ``v[n] = Q(y[n])`` and
     ``e[n] = v[n] - y[n]``, which yields exactly ``V(z) = U(z) + NTF(z)·E(z)``.
+
+    No library code calls it; it is kept only until perfbench drops its
+    layer wrapper of :meth:`simulate`.
     """
 
     #: Quantizer inputs beyond this many full scales flag instability.
@@ -186,9 +178,8 @@ class FastErrorFeedbackSimulator:
     The feedback filter ``G(z) = 1 - NTF(z) = (a(z) - b(z)) / a(z)`` is
     strictly proper (the NTF is monic), so the loop stays causal.  It is
     evaluated sample-by-sample in transposed direct form II, which costs
-    ``2·order`` multiply-adds per sample instead of the reference engine's
-    64-point dot product — and, unlike the FIR engine, realizes the NTF
-    *exactly* rather than through a truncated impulse response.  The loop
+    ``2·order`` multiply-adds per sample and realizes the NTF *exactly*
+    rather than through a truncated impulse response.  The loop
     runs in the compiled kernel when it loads and in
     :meth:`_simulate_python` otherwise; both give the same bits.
     """
@@ -404,7 +395,6 @@ class DeltaSigmaModulator:
                                       self.optimize_zeros)
         if self.quantizer is None:
             self.quantizer = MultibitQuantizer(bits=self.quantizer_bits)
-        self._simulator = ErrorFeedbackSimulator(self.ntf, self.quantizer)
         self._fast_simulator: Optional[FastErrorFeedbackSimulator] = None
 
     # ------------------------------------------------------------------
@@ -423,31 +413,19 @@ class DeltaSigmaModulator:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def simulate(self, u: np.ndarray, engine: str = "error-feedback") -> SimulationResult:
+    def simulate(self, u: np.ndarray) -> SimulationResult:
         """Simulate the modulator on an input sequence (values within ±1).
 
-        ``engine`` selects the simulation backend: ``"error-feedback"``
-        (reference), ``"error-feedback-fast"`` / ``"fast"`` (exact
-        recursive loop filter in the compiled kernel, or its pure-Python
-        fallback; used by the fast end-to-end SNR path).
+        Runs :meth:`FastErrorFeedbackSimulator.simulate`.
         """
-        if engine == "error-feedback":
-            return self._simulator.simulate(u)
-        if engine in ("error-feedback-fast", "fast"):
-            return self.fast_simulator.simulate(u)
-        raise ValueError(f"unknown simulation engine {engine!r}")
+        return self.fast_simulator.simulate(u)
 
-    def simulate_batch(self, u: np.ndarray,
-                       engine: str = "fast") -> BatchSimulationResult:
+    def simulate_batch(self, u: np.ndarray) -> BatchSimulationResult:
         """Simulate a ``(batch, n)`` array of independent input records.
 
-        Only the fast recursive engine supports batching (every row is
-        bit-exact to its per-record simulation; see
-        :meth:`FastErrorFeedbackSimulator.simulate_batch`).
+        Every row is bit-exact to its per-record simulation; see
+        :meth:`FastErrorFeedbackSimulator.simulate_batch`.
         """
-        if engine not in ("error-feedback-fast", "fast"):
-            raise ValueError(
-                f"batched simulation requires the fast engine, got {engine!r}")
         return self.fast_simulator.simulate_batch(u)
 
     @property
@@ -458,20 +436,11 @@ class DeltaSigmaModulator:
                                                               self.quantizer)
         return self._fast_simulator
 
-    def bitstream_for_tone(self, frequency_hz: float, amplitude: float,
-                           n_samples: int) -> SimulationResult:
-        """Convenience: simulate the modulator driven by a coherent tone."""
-        from repro.dsm.signals import coherent_tone
-
-        tone = coherent_tone(frequency_hz, amplitude, self.sample_rate_hz, n_samples)
-        return self.simulate(tone)
-
     # ------------------------------------------------------------------
     # Maximum stable amplitude
     # ------------------------------------------------------------------
     def estimate_msa(self, n_samples: int = 8192, amplitude_grid: Optional[np.ndarray] = None,
-                     frequency_hz: Optional[float] = None,
-                     engine: str = "fast") -> float:
+                     frequency_hz: Optional[float] = None) -> float:
         """Empirically estimate the maximum stable amplitude.
 
         The modulator is driven with tones of increasing amplitude; the MSA
@@ -479,15 +448,10 @@ class DeltaSigmaModulator:
         quantizer input and no saturation-dominated behaviour).  The paper
         reports MSA = 0.81 of full scale for the 5th-order design.
 
-        ``engine`` selects the simulation backend.  The default ``"fast"``
-        engine runs the **whole amplitude grid as one batched simulation**
+        The whole amplitude grid runs as **one batched simulation**
         (:meth:`simulate_batch` — every amplitude is a row of the batch,
-        one call into the compiled kernel) and then applies the
-        first-failure rule; ``"error-feedback"`` keeps the reference
-        per-amplitude loop (which stops simulating at the first unstable
-        amplitude).  Both engines
-        report the same MSA on the paper's design — the loop's stability
-        boundary is an engine-independent statistic.
+        one call into the compiled kernel); the first-failure rule then
+        picks the last acceptable amplitude before the first failing one.
         """
         if amplitude_grid is None:
             amplitude_grid = np.linspace(0.5, 1.0, 26)
@@ -495,31 +459,18 @@ class DeltaSigmaModulator:
             frequency_hz = self.signal_bandwidth_hz / 8.0
         from repro.dsm.signals import coherent_tone
 
-        if engine in ("error-feedback-fast", "fast"):
-            tones = np.stack([
-                coherent_tone(frequency_hz, float(a), self.sample_rate_hz, n_samples)
-                for a in amplitude_grid])
-            batch = self.simulate_batch(tones, engine=engine)
-            sat_fraction = np.mean(
-                self.quantizer.is_saturating(batch.quantizer_input), axis=1)
-            acceptable = batch.stable & (sat_fraction < 0.2)
-            last_stable = 0.0
-            for amplitude, ok in zip(amplitude_grid, acceptable):
-                if not ok:
-                    break
-                last_stable = float(amplitude)
-            return last_stable
-
+        tones = np.stack([
+            coherent_tone(frequency_hz, float(a), self.sample_rate_hz, n_samples)
+            for a in amplitude_grid])
+        batch = self.simulate_batch(tones)
+        sat_fraction = np.mean(
+            self.quantizer.is_saturating(batch.quantizer_input), axis=1)
+        acceptable = batch.stable & (sat_fraction < 0.2)
         last_stable = 0.0
-        for amplitude in amplitude_grid:
-            tone = coherent_tone(frequency_hz, float(amplitude),
-                                 self.sample_rate_hz, n_samples)
-            result = self.simulate(tone, engine=engine)
-            sat_fraction = float(np.mean(self.quantizer.is_saturating(result.quantizer_input)))
-            if result.stable and sat_fraction < 0.2:
-                last_stable = float(amplitude)
-            else:
+        for amplitude, ok in zip(amplitude_grid, acceptable):
+            if not ok:
                 break
+            last_stable = float(amplitude)
         return last_stable
 
     def predicted_sqnr_db(self, input_amplitude: float = 0.81) -> float:

@@ -26,14 +26,20 @@ runs in ``uint64`` (i.e. modulo 2**64); because every operation is an
 addition or subtraction, the results stay congruent to the register
 contents modulo ``2**width``, so the final wrap to the register width
 reproduces the wrap-around two's-complement hardware exactly.  Registers
-wider than 62 bits and switching-activity tracing (``collect_trace=True``,
-the power model's path) run the sample-by-sample gold model of the
+wider than 62 bits run the sample-by-sample gold model of the
 register-transfer structure instead.  Both engines share the streaming
 state (integrators, comb delays, phase), so consecutive blocks continue the
 same simulation whichever engine each block takes.
 :meth:`HogenauerDecimator.process_batch` runs independent records through
 the compiled kernel of :mod:`repro._native` instead, or through the
 vectorized engine row by row where no kernel can be built.
+
+Switching-activity tracing (``collect_trace=True``, the power model's path)
+counts toggles on the engine the block runs on.  On the fast path the
+integrator node histories are the cumulative sums and the comb node
+histories the first differences; each node's toggles are the popcount of
+``(x[n] ^ x[n-1]) & mask``, the value before the block taken as 0, as the
+gold model does.  The two traces are pinned equal node for node.
 """
 
 from __future__ import annotations
@@ -77,6 +83,16 @@ class HogenauerTrace:
     toggles: dict = field(default_factory=dict)
     samples: int = 0
 
+    def add_block(self, samples: int, toggles: List[int]) -> None:
+        """Add one block of ``samples`` inputs; ``toggles`` holds the
+        block's counts of the K integrators, then of the K combs."""
+        self.samples += samples
+        k = len(toggles) // 2
+        for i in range(k):
+            for node, count in ((f"integrator{i}", toggles[i]),
+                                (f"comb{i}", toggles[k + i])):
+                self.toggles[node] = self.toggles.get(node, 0) + count
+
     def activity(self, node: str, width: int) -> float:
         """Average toggle probability per bit per clock for a node."""
         if self.samples == 0 or width == 0:
@@ -89,22 +105,21 @@ def _count_toggles(previous: np.ndarray, current: np.ndarray, width: int) -> int
     previous = np.asarray(previous)
     current = np.asarray(current)
     if width <= _MAX_INT64_WIDTH and previous.dtype != object and current.dtype != object:
-        # int64 fast path: xor in native integers, popcount via unpackbits.
-        mask = np.int64((1 << width) - 1)
-        xor = (previous.astype(np.int64) ^ current.astype(np.int64)) & mask
-        as_bytes = xor.astype(np.uint64).view(np.uint8)
-        return int(np.unpackbits(as_bytes).sum())
+        # Native path: xor the two's-complement bit patterns, then popcount.
+        xor = (previous.astype(np.uint64, copy=False)
+               ^ current.astype(np.uint64, copy=False))
+        xor &= np.uint64((1 << width) - 1)
+        return int(np.bitwise_count(xor).sum())
     mask = (1 << width) - 1
     xor = (previous.astype(object) ^ current.astype(object)) & mask
     return int(sum(bin(int(v)).count("1") for v in xor))
 
 
-def _toggle_count_series(values: np.ndarray, initial: int, width: int) -> int:
-    """Total bit transitions along a node's value sequence (initial → values)."""
-    if len(values) == 0:
-        return 0
-    previous = np.concatenate(([initial], values[:-1]))
-    return _count_toggles(previous, np.asarray(values), width)
+def _toggle_count_series(values: np.ndarray, width: int) -> int:
+    """Total bit transitions along a node's value sequence, starting from 0."""
+    previous = np.zeros_like(values)
+    previous[1:] = values[:-1]
+    return _count_toggles(previous, values, width)
 
 
 class HogenauerDecimator:
@@ -159,9 +174,8 @@ class HogenauerDecimator:
             Integer input samples; values must fit in ``input_bits`` signed
             bits (they are wrapped otherwise, as real hardware would).
         collect_trace:
-            Record per-node toggle counts for the power model (slower;
-            runs the gold model, which is the path the switching-activity
-            estimation is calibrated against).
+            Add this block's per-node toggle counts to :attr:`trace` for
+            the power model.
 
         Returns
         -------
@@ -172,9 +186,14 @@ class HogenauerDecimator:
         if samples.dtype != object and not np.issubdtype(samples.dtype, np.integer):
             raise TypeError("HogenauerDecimator processes integer samples; "
                             "quantize the input first")
-        if collect_trace or self.width > _MAX_INT64_WIDTH:
+        if self.width > _MAX_INT64_WIDTH:
             return self._process_reference(samples, collect_trace)
-        return self._process_vectorized(samples)
+        if not collect_trace:
+            return self._process_vectorized(samples)
+        toggles = [0] * (2 * self.spec.order)
+        out = self._process_vectorized(samples, toggles=toggles)
+        self.trace.add_block(len(samples), toggles)
+        return out
 
     def _process_reference(self, samples: np.ndarray,
                            collect_trace: bool = False) -> np.ndarray:
@@ -219,22 +238,18 @@ class HogenauerDecimator:
             outputs.append(diff_value)
 
         if collect_trace:
-            self.trace.samples += len(samples)
-            for i in range(k):
-                for node, history in ((f"integrator{i}", node_history[i]),
-                                      (f"comb{i}", node_history[k + i])):
-                    values = np.array(history, dtype=object if width > _MAX_INT64_WIDTH
-                                      else np.int64)
-                    self.trace.toggles[node] = self.trace.toggles.get(node, 0) + \
-                        _toggle_count_series(values, 0, width)
+            dtype = object if width > _MAX_INT64_WIDTH else np.int64
+            self.trace.add_block(len(samples), [
+                _toggle_count_series(np.array(history, dtype=dtype), width)
+                for history in node_history])
 
         self._integrators = integrators
         self._comb_delays = comb_delays
         self._phase = phase
         return np.array(outputs, dtype=object if width > _MAX_INT64_WIDTH else np.int64)
 
-    def _process_vectorized(self, samples: np.ndarray,
-                            offset: int = 0) -> np.ndarray:
+    def _process_vectorized(self, samples: np.ndarray, offset: int = 0,
+                            toggles: Optional[List[int]] = None) -> np.ndarray:
         """Cumsum/strided-slice evaluation, bit-exact to the reference.
 
         All additions run modulo 2**64 in ``uint64``; since the reference
@@ -242,6 +257,9 @@ class HogenauerDecimator:
         congruent modulo ``2**width`` and the single final wrap recovers the
         exact register contents.  ``offset`` is subtracted from every
         sample as it is read, so the input is ``samples - offset``.
+        ``toggles``, a list of 2·K zeros, receives the block's toggle
+        count of integrator ``i`` at ``i`` and of comb ``i`` at ``K + i``,
+        counted on the same congruent words.
         """
         k = self.spec.order
         m = self.spec.decimation
@@ -264,6 +282,8 @@ class HogenauerDecimator:
             x = np.cumsum(x, dtype=np.uint64)
             x += np.uint64(self._integrators[i] & _MASK64)
             self._integrators[i] = wrap_twos_complement(int(x[-1]), width)
+            if toggles is not None:
+                toggles[i] = _toggle_count_series(x, width)
 
         # Rate change: the reference emits at samples where the running phase
         # counter reaches M.
@@ -281,6 +301,8 @@ class HogenauerDecimator:
             previous[1:] = dec[:-1]
             self._comb_delays[i] = wrap_twos_complement(int(dec[-1]), width)
             dec = dec - previous
+            if toggles is not None:
+                toggles[k + i] = _toggle_count_series(dec, width)
 
         # Single final wrap to the register width.
         modulus = 1 << width

@@ -135,8 +135,6 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
     measure_activity:
         Measure Hogenauer toggle activity with the 5 MHz MSA stimulus for
         the power model (the paper's methodology) instead of using defaults.
-        Activity tracing always runs on the Hogenauer gold model, which the
-        power model is calibrated against.
     artifacts:
         :class:`~repro.flow.artifacts.ArtifactStore` every stage runs
         through (halfband/equalizer design, mask verification, modulator

@@ -199,7 +199,7 @@ def measure_hogenauer_activity(chain, n_samples: int = 8192,
         amplitude = spec.modulator.msa
     modulator = DeltaSigmaModulator.from_spec(spec.modulator)
     tone = coherent_tone(tone_hz, amplitude, spec.modulator.sample_rate_hz, n_samples)
-    result = modulator.simulate(tone)
+    result = modulator.fast_simulator.simulate(tone, codes_only=True)
     signed = chain.codes_to_signed(result.codes)
 
     activities: Dict[str, float] = {}

@@ -6,10 +6,11 @@ arbitrary-precision gold model (``_process_reference``).  No option picks
 the engine, so these tests compare ``process`` against the gold model
 directly — across sinc orders, decimation factors, word widths and random
 fixed-point inputs — and pin the inputs that must take the gold model
-(wide registers, object dtype, int64-unsafe accumulators, tracing).  The
-chain is compared against :func:`chain_gold_model`, the stage gold models
-composed.  The modulator and batched-chain contracts also run on the
-pure-Python fallback of the compiled kernels.
+(wide registers, object dtype, int64-unsafe accumulators).  The fast
+Hogenauer path's toggle trace is pinned node for node against the gold
+model's.  The chain is compared against :func:`chain_gold_model`, the
+stage gold models composed.  The modulator and batched-chain contracts
+also run on the pure-Python fallback of the compiled kernels.
 """
 
 import dataclasses
@@ -107,8 +108,8 @@ class TestHogenauerBackendEquivalence:
         assert np.array_equal(ref, vec)
 
     def test_streaming_state_is_shared_between_backends(self, rng):
-        # Tracing switches a block to the gold model; the register state
-        # must carry across the switch in both directions.
+        # The register state must carry across traced and untraced blocks
+        # in both directions.
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         x = rng.integers(-8, 8, 501)
@@ -121,7 +122,7 @@ class TestHogenauerBackendEquivalence:
         assert np.array_equal(one_shot, np.concatenate(parts))
         assert mixed.trace.samples == 1 + len(x[400:])
 
-    def test_auto_uses_reference_when_tracing(self, rng):
+    def test_tracing_does_not_change_output(self, rng):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         x = rng.integers(-8, 8, 64)
@@ -151,6 +152,72 @@ class TestHogenauerBackendEquivalence:
         vec = HogenauerDecimator(spec).process(x)
         assert vec.dtype == np.int64
         assert np.array_equal(ref, vec)
+
+
+def _traced_pair(spec, blocks):
+    """Trace ``blocks`` in order through the gold model and through
+    ``process``; the outputs must agree block by block."""
+    gold = HogenauerDecimator(spec)
+    fast = HogenauerDecimator(spec)
+    outputs = []
+    for block in blocks:
+        expected = gold._process_reference(block, collect_trace=True)
+        out = fast.process(block, collect_trace=True)
+        assert np.array_equal(out, expected)
+        outputs.append(out)
+    return gold.trace, fast.trace, outputs
+
+
+def _assert_same_trace(gold, fast):
+    assert fast.samples == gold.samples
+    # Node for node, in the same order (the activity averages over it).
+    assert list(fast.toggles.items()) == list(gold.toggles.items())
+
+
+class TestHogenauerTraceOracle:
+    """The fast path's toggle trace against the gold model's trace."""
+
+    def test_paper_sinc_stages_on_activity_stimulus(self, paper_chain):
+        from repro.hardware.power import ACTIVITY_TONE_HZ
+
+        modulator_spec = paper_chain.spec.modulator
+        tone = coherent_tone(ACTIVITY_TONE_HZ, modulator_spec.msa,
+                             modulator_spec.sample_rate_hz, 4096)
+        codes = DeltaSigmaModulator.from_spec(modulator_spec).simulate(tone).codes
+        data = paper_chain.codes_to_signed(codes)
+        for stage in paper_chain._hogenauer_stages:
+            gold, fast, (data,) = _traced_pair(stage.spec, [data])
+            _assert_same_trace(gold, fast)
+            assert all(count > 0 for count in fast.toggles.values())
+
+    def test_wrapping_registers_on_random_codes(self, rng):
+        spec = SincFilterSpec(order=3, decimation=4, input_bits=2,
+                              input_rate_hz=640e6)
+        # A negative mean drives the 8-bit integrators round their range.
+        x = rng.integers(-2, 2, 2001)
+        assert HogenauerDecimator(spec).width == 8
+        assert np.abs(np.cumsum(x)).max() >= 1 << 7
+        gold, fast, _ = _traced_pair(spec, [x])
+        _assert_same_trace(gold, fast)
+
+    def test_state_carries_across_blocks(self, rng):
+        # Each call starts its toggle count from 0, as the gold model does,
+        # while the registers and the phase carry over.
+        spec = SincFilterSpec(order=4, decimation=4, input_bits=4,
+                              input_rate_hz=640e6)
+        x = rng.integers(-8, 8, 1203)
+        gold, fast, outputs = _traced_pair(spec, [x[:601], x[601:]])
+        _assert_same_trace(gold, fast)
+        one_shot = HogenauerDecimator(spec).process(x)
+        assert np.array_equal(np.concatenate(outputs), one_shot)
+
+    def test_blocks_without_outputs(self, rng):
+        spec = SincFilterSpec(order=2, decimation=8, input_bits=4,
+                              input_rate_hz=640e6)
+        x = rng.integers(-8, 8, 20)
+        gold, fast, _ = _traced_pair(
+            spec, [x[:0], x[:3], x[3:17], x[17:]])
+        _assert_same_trace(gold, fast)
 
 
 class TestFIRStageBackendEquivalence:
@@ -228,7 +295,7 @@ class TestChainBackendEquivalence:
         vec = paper_chain.process_fixed(codes)
         assert np.array_equal(ref, vec)
 
-    def test_trace_collection_still_reference_backed(self, paper_chain, paper_codes):
+    def test_trace_collection_keeps_output(self, paper_chain, paper_codes):
         traced = paper_chain.process_fixed(paper_codes[:1024], collect_trace=True)
         stage = paper_chain._hogenauer_stages[0]
         assert stage.trace.samples == 1024
@@ -237,24 +304,23 @@ class TestChainBackendEquivalence:
 
 
 class TestFastModulatorEngine:
-    def test_engine_selectable_and_stable(self, paper_modulator):
+    def test_simulate_runs_the_exact_recursion(self, paper_modulator):
         tone = coherent_tone(2e6, 0.6, 640e6, 8192)
-        fast = paper_modulator.simulate(tone, engine="fast")
-        assert fast.stable
-        assert fast.metadata["engine"] == "error-feedback-fast"
-        assert fast.codes.min() >= 0 and fast.codes.max() <= 15
+        result = paper_modulator.simulate(tone)
+        assert result.stable
+        assert result.metadata["engine"] == "error-feedback-fast"
+        assert result.codes.min() >= 0 and result.codes.max() <= 15
+        direct = paper_modulator.fast_simulator.simulate(tone)
+        assert result.codes.tobytes() == direct.codes.tobytes()
 
-    def test_noise_shaping_matches_reference(self, paper_modulator):
+    def test_noise_shaping_near_linear_model(self, paper_modulator):
         from repro.dsm import analyze_tone
 
         tone = coherent_tone(2e6, 0.6, 640e6, 16384)
-        ref = paper_modulator.simulate(tone)
-        fast = paper_modulator.simulate(tone, engine="error-feedback-fast")
-        snr_ref = analyze_tone(ref.output, 640e6, 2e6, 20e6).snr_db
-        snr_fast = analyze_tone(fast.output, 640e6, 2e6, 20e6).snr_db
-        assert snr_fast == pytest.approx(snr_ref, abs=4.0)
-        # The engines compute the same loop until float rounding diverges.
-        assert np.array_equal(ref.output[:50], fast.output[:50])
+        result = paper_modulator.simulate(tone)
+        snr = analyze_tone(result.output, 640e6, 2e6, 20e6).snr_db
+        assert snr == pytest.approx(paper_modulator.predicted_sqnr_db(0.6),
+                                    abs=4.0)
 
     def test_requires_monic_ntf(self):
         from repro.dsm import MultibitQuantizer, synthesize_ntf

@@ -98,15 +98,10 @@ class TestSimulateBatch:
             with pytest.raises(ValueError, match="sample 5"):
                 simulator.simulate(tones[2])
 
-    def test_modulator_dispatch_requires_fast_engine(self, paper_modulator):
-        with pytest.raises(ValueError, match="fast engine"):
-            paper_modulator.simulate_batch(np.zeros((2, 64)),
-                                           engine="error-feedback")
-
     def test_estimate_msa_fast_matches_per_record_fast_loop(self, paper_modulator):
         grid = np.linspace(0.6, 1.0, 9)
         batched = paper_modulator.estimate_msa(
-            n_samples=1024, amplitude_grid=grid, engine="fast")
+            n_samples=1024, amplitude_grid=grid)
         # Reference: the same first-failure rule, one fast simulation per
         # amplitude.
         last_stable = 0.0
@@ -114,7 +109,7 @@ class TestSimulateBatch:
             tone = coherent_tone(paper_modulator.signal_bandwidth_hz / 8.0,
                                  float(amplitude),
                                  paper_modulator.sample_rate_hz, 1024)
-            result = paper_modulator.simulate(tone, engine="fast")
+            result = paper_modulator.simulate(tone)
             sat = float(np.mean(
                 paper_modulator.quantizer.is_saturating(result.quantizer_input)))
             if result.stable and sat < 0.2:
@@ -170,7 +165,7 @@ class TestBatchedFilters:
         amplitudes = (0.3, 0.6, 0.77)
         codes = np.stack([
             paper_modulator.simulate(
-                coherent_tone(2.5e6, a, 640e6, 2048), engine="fast").codes
+                coherent_tone(2.5e6, a, 640e6, 2048)).codes
             for a in amplitudes])
         batched = paper_chain.process_fixed(codes)
         assert batched.shape[0] == len(amplitudes)

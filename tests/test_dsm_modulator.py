@@ -16,6 +16,9 @@ from repro.dsm import (
 
 
 class TestErrorFeedbackSimulator:
+    """The modulator's error-feedback loop, which ``simulate`` runs in its
+    exact recursive form; the monic check also covers the FIR engine."""
+
     def test_output_values_on_quantizer_grid(self, paper_modulator, modulator_codes):
         grid = paper_modulator.quantizer.level_values
         assert np.all(np.isin(np.round(modulator_codes.output, 10),
@@ -76,10 +79,6 @@ class TestDeltaSigmaModulator:
         assert paper_modulator.signal_bandwidth_hz == pytest.approx(20e6)
         assert paper_modulator.output_rate_hz == pytest.approx(40e6)
 
-    def test_bitstream_for_tone_helper(self, paper_modulator):
-        result = paper_modulator.bitstream_for_tone(3e6, 0.5, 2048)
-        assert result.n_samples == 2048
-
     def test_msa_estimate_in_plausible_range(self, paper_modulator):
         msa = paper_modulator.estimate_msa(n_samples=2048,
                                            amplitude_grid=np.linspace(0.6, 1.0, 9))
@@ -89,7 +88,3 @@ class TestDeltaSigmaModulator:
 
     def test_predicted_sqnr(self, paper_modulator):
         assert paper_modulator.predicted_sqnr_db(0.81) > 95.0
-
-    def test_unknown_engine_raises(self, paper_modulator):
-        with pytest.raises(ValueError):
-            paper_modulator.simulate(np.zeros(16), engine="spice")

@@ -141,8 +141,7 @@ class TestVectorizedBackend:
         assert len(out) == 0
 
     def test_cascade_backend_option(self, rng):
-        # Tracing runs every stage on its gold model; the rescaled cascade
-        # output must not depend on it.
+        # The rescaled cascade output must not depend on tracing.
         specs = [SincFilterSpec(4, 2, 4, 640e6), SincFilterSpec(4, 2, 8, 320e6),
                  SincFilterSpec(6, 2, 12, 160e6)]
         x = _random_codes(rng, 1024)

@@ -90,6 +90,32 @@ class TestMeasuredActivity:
         for value in activity.values():
             assert 0.0 < value < 1.0
 
+    def test_activity_runs_neither_fir_engine_nor_hogenauer_gold_model(
+            self, paper_chain, monkeypatch):
+        # Counts calls, not time: the measurement must take the exact
+        # recursion and the fast traced path, never the slow engines.
+        from repro.dsm.modulator import ErrorFeedbackSimulator
+        from repro.filters.hogenauer import HogenauerDecimator
+        from repro.hardware import SynthesisFlow
+
+        calls = {"ErrorFeedbackSimulator.simulate": 0,
+                 "HogenauerDecimator._process_reference": 0}
+        for owner, name in ((ErrorFeedbackSimulator, "simulate"),
+                            (HogenauerDecimator, "_process_reference")):
+            original = getattr(owner, name)
+
+            def counting(*args, _key=f"{owner.__name__}.{name}",
+                         _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        report = SynthesisFlow().run(paper_chain, measure_activity=True)
+        assert set(report.metadata["measured_activity"]) == {
+            "Sinc4 stage 1", "Sinc4 stage 2", "Sinc6 stage 3"}
+        assert calls == {"ErrorFeedbackSimulator.simulate": 0,
+                         "HogenauerDecimator._process_reference": 0}
+
 
 class TestTotals:
     def test_stage_total_adds_leakage_in_milliwatts(self, chain_power_report):
