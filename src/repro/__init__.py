@@ -12,8 +12,8 @@ The package is organized as:
   polyphase filter design with bit-true implementations.
 * :mod:`repro.core` — the decimation-chain design methodology, simulators
   and specification verification.
-* :mod:`repro.hardware` — 45 nm-class standard-cell model, resource/power/
-  area estimation and Verilog RTL generation (the synthesis-flow substrate).
+* :mod:`repro.hardware` — 45 nm-class standard-cell model and resource/
+  power/area estimation (the synthesis-flow substrate).
 * :mod:`repro.flow` — the one-call rapid design-and-synthesis flow and its
   reports.
 * :mod:`repro.explore` — design-space exploration: declarative sweeps over

@@ -93,7 +93,7 @@ class ChainDesignOptions:
 
 @dataclass
 class StageInfo:
-    """Summary of one chain stage for reports, RTL generation and power."""
+    """Summary of one chain stage for reports and the power model."""
 
     name: str
     kind: str
@@ -111,7 +111,7 @@ class DecimationChain:
     Use :meth:`design` (or :func:`design_paper_chain`) to construct one from
     a :class:`~repro.core.spec.ChainSpec`; the instance then exposes the
     frequency responses, the simulators and the per-stage information that
-    the hardware model, the RTL generator and the benchmarks consume.
+    the hardware model and the benchmarks consume.
     """
 
     def __init__(self, spec: ChainSpec, options: ChainDesignOptions,
@@ -320,9 +320,9 @@ class DecimationChain:
         """Content hash of the spec, the design options and
         :meth:`coefficient_fingerprint`.
 
-        Keys the memoized per-chain stages (the generated RTL, the SNR
-        leg): chains with equal keys generate the same RTL and produce
-        bit-identical output words.
+        Keys the memoized per-chain stages (the SNR leg, the scenario
+        rate-converter leg): chains with equal keys produce bit-identical
+        output words.
         """
         return content_hash({"spec": self.spec.to_dict(),
                              "options": self.options.to_dict(),
@@ -337,7 +337,7 @@ class DecimationChain:
         return self.spec.total_decimation
 
     def stage_infos(self) -> List[StageInfo]:
-        """Ordered per-stage summary (used by reports, RTL and power model)."""
+        """Ordered per-stage summary (used by reports and the power model)."""
         infos: List[StageInfo] = []
         for stage, impl in zip(self.sinc_cascade.stages, self._hogenauer_stages):
             s = stage.spec

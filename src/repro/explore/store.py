@@ -64,7 +64,9 @@ __all__ = [
 #: can steer the CSD refinement to different coefficients.  Layout changes
 #: (the move to sharded names) do not bump it: record bytes are unchanged,
 #: and entries under an older layout simply miss and are recomputed.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3: flow records dropped the two summary fields that counted the
+#: generated HDL's modules and lines, when the HDL generator was removed.
+CACHE_SCHEMA_VERSION = 3
 
 #: Hex characters of the key that name the shard directory (two levels of
 #: 16 → 256 shard directories).

@@ -142,7 +142,7 @@ def from_csd(code: CSDCode) -> float:
 def csd_multiply(x: float, code: CSDCode) -> float:
     """Multiply ``x`` by a CSD-encoded coefficient using shift-and-add only.
 
-    The implementation mirrors what the generated RTL does: each non-zero
+    The implementation mirrors the hardware multiplier: each non-zero
     digit contributes ``±(x << w)`` (or a right-shift for fractional
     weights), and the partial products are summed.
     """

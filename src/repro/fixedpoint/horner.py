@@ -7,8 +7,8 @@ each partial result re-uses the previous one, minimizing adder width and
 switching activity (Section VI, refs. [3], [14]).
 
 ``horner_decomposition`` turns a CSD code into an ordered list of
-shift-and-add steps; ``horner_evaluate`` executes those steps, which is also
-what the generated RTL for the scaler does.
+shift-and-add steps; ``horner_evaluate`` executes those steps, one adder
+per step, as the scaler's hardware does.
 """
 
 from __future__ import annotations

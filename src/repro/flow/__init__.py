@@ -2,7 +2,7 @@
 
 One call — :func:`run_design_flow` — performs every step of the paper's
 methodology: specification → chain design → mask verification → optional
-end-to-end SNR simulation → RTL generation → power/area estimation, and
+end-to-end SNR simulation → power/area estimation, and
 returns a single :class:`FlowResult` whose report renders the same artefacts
 the paper presents (Table I compliance, Table II power, Figs. 8–13 data).
 """

@@ -4,8 +4,8 @@ Staged execution
 ----------------
 :func:`run_design_flow` is internally a pipeline of keyed stages —
 modulator simulation, chain design (halfband + equalizer sub-stages), mask
-verification, the chain's SNR leg, the Hogenauer activity measurement and
-the RTL generation.  Every stage runs through an
+verification, the chain's SNR leg and the Hogenauer activity measurement.
+Every stage runs through an
 :class:`~repro.flow.artifacts.ArtifactStore` on a content key derived from
 its actual inputs, so repeated flows that share a store (the points of a
 design-space sweep, the requests of the serve daemon) compute each stage
@@ -55,8 +55,6 @@ class FlowResult:
             "meets_spec": self.meets_spec,
             "total_power_mw": self.synthesis.total_power_mw,
             "total_area_mm2": self.synthesis.total_area_mm2,
-            "rtl_modules": len(self.synthesis.rtl),
-            "rtl_lines": self.synthesis.rtl_line_count(),
         }
         out.update({f"design_{k}": v for k, v in self.chain.summary().items()})
         if self.simulated_snr_db is not None:
@@ -138,8 +136,8 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
     artifacts:
         :class:`~repro.flow.artifacts.ArtifactStore` every stage runs
         through (halfband/equalizer design, mask verification, modulator
-        bit-stream, the chain's SNR leg, the Hogenauer activity and the
-        RTL); a fresh one when ``None``.  Pass one store to several flows
+        bit-stream, the chain's SNR leg and the Hogenauer activity); a
+        fresh one when ``None``.  Pass one store to several flows
         to share those stages; results are bit-identical either way.  The
         library-dependent power and area estimates are recomputed from the
         stored stages on every call.
@@ -184,9 +182,9 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
     Fills ``artifacts`` with the chain-design sub-stages, the mask
     verification, (with ``include_snr_simulation``) the modulator
     bit-stream and (with ``measure_activity``) the Hogenauer activity
-    measurement for the given point.  The chain-keyed stages (the SNR leg,
-    the RTL) are not warmed: the flows that need them compute them through
-    the same store on first use.  Before starting its process pool, the
+    measurement for the given point.  The chain-keyed SNR leg is not
+    warmed: the flows that need it compute it through the same store on
+    first use.  Before starting its process pool, the
     cached run loop of sweeps and scenario suites warms a store with one
     representative of every stage-sharing group of pending payloads in the
     parent (:func:`repro.explore.runner.warm_shared_stages`) and ships it

@@ -98,7 +98,5 @@ def _single_report_text(result: FlowResult, label: Optional[str]) -> str:
     lines.append("")
     lines.append(str(result.synthesis.area))
     lines.append("")
-    lines.append(f"Generated RTL: {len(result.synthesis.rtl)} modules, "
-                 f"{result.synthesis.rtl_line_count()} lines")
     lines.append("=" * 72)
     return "\n".join(lines)

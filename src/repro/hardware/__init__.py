@@ -7,8 +7,6 @@ Stands in for the commercial tool chain of the paper's Section VIII:
 * :mod:`~repro.hardware.power` — activity-based dynamic + leakage power
   estimation (Table II / Fig. 13).
 * :mod:`~repro.hardware.area` — standard-cell area estimation (Fig. 12).
-* :mod:`~repro.hardware.verilog` — RTL generation for every stage (the HDL
-  Coder step).
 * :mod:`~repro.hardware.synthesis` — the combined flow producing one report.
 """
 
@@ -32,14 +30,6 @@ from repro.hardware.power import (
     measure_hogenauer_activity,
 )
 from repro.hardware.area import AreaModel, AreaReport, StageArea
-from repro.hardware.verilog import (
-    VerilogModule,
-    generate_hogenauer,
-    generate_fir_csd,
-    generate_scaler,
-    generate_clock_divider,
-    generate_chain_rtl,
-)
 from repro.hardware.synthesis import SynthesisFlow, SynthesisReport
 
 __all__ = [
@@ -59,12 +49,6 @@ __all__ = [
     "AreaModel",
     "AreaReport",
     "StageArea",
-    "VerilogModule",
-    "generate_hogenauer",
-    "generate_fir_csd",
-    "generate_scaler",
-    "generate_clock_divider",
-    "generate_chain_rtl",
     "SynthesisFlow",
     "SynthesisReport",
 ]

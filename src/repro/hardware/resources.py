@@ -2,7 +2,7 @@
 
 Every filter implementation class exposes a ``resource_summary()`` dict; this
 module turns those loosely-typed dicts into a :class:`StageResources` object
-that the power, area and RTL layers consume, and provides the chain-level
+that the power and area models consume, and provides the chain-level
 extraction that walks a designed :class:`~repro.core.chain.DecimationChain`.
 """
 

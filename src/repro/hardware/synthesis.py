@@ -1,11 +1,12 @@
-"""Synthesis-flow report: RTL + resources + power + area in one place.
+"""Synthesis-flow report: resources + power + area in one place.
 
-The last step of the paper's flow runs the generated RTL through synthesis,
-place-and-route and power sign-off and reports Table II (power per stage),
-the layout area (Fig. 12) and the power distribution (Fig. 13).  This module
-stands in for that tool chain: it generates the RTL, extracts the resources,
-runs the activity-based power model and the area model, and assembles one
-:class:`SynthesisReport` that the benchmarks serialize.
+The last step of the paper's flow runs the designed filter through
+synthesis, place-and-route and power sign-off and reports Table II (power
+per stage), the layout area (Fig. 12) and the power distribution
+(Fig. 13).  This module stands in for that tool chain with one structural
+model: it extracts the resources, runs the activity-based power model and
+the area model on them, and assembles one :class:`SynthesisReport` that
+the benchmarks serialize.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.hardware.power import (ACTIVITY_TONE_HZ, PowerModel, PowerReport,
                                   measure_hogenauer_activity)
 from repro.hardware.resources import StageResources, extract_chain_resources
 from repro.hardware.stdcell import GENERIC_45NM, StandardCellLibrary
-from repro.hardware.verilog import VerilogModule, generate_chain_rtl
 
 
 @dataclass
@@ -29,7 +29,6 @@ class SynthesisReport:
     resources: List[StageResources]
     power: PowerReport
     area: AreaReport
-    rtl: Dict[str, VerilogModule]
     library: StandardCellLibrary
     metadata: dict = field(default_factory=dict)
 
@@ -48,10 +47,6 @@ class SynthesisReport:
         """NAND2-equivalent gate count summed over all stages."""
         return sum(r.equivalent_gate_count for r in self.resources)
 
-    def rtl_line_count(self) -> int:
-        """Total generated RTL lines across all modules."""
-        return sum(module.line_count() for module in self.rtl.values())
-
     def power_table(self) -> List[Dict[str, object]]:
         """Rows shaped like Table II of the paper."""
         return self.power.as_table()
@@ -60,41 +55,15 @@ class SynthesisReport:
         """Per-stage dynamic power fractions (the Fig. 13 pie chart)."""
         return self.power.dynamic_fractions()
 
-    def cross_check_resources(self) -> Dict[str, Dict[str, int]]:
-        """Compare the behavioural resource model with the generated RTL.
-
-        Returns per-stage adder counts from both views; the test suite
-        asserts they agree to within the structural differences documented
-        in each generator (the RTL expands the halfband's tapped cascade as
-        its single-FIR equivalent, so only the order of magnitude has to
-        match there).
-        """
-        comparison: Dict[str, Dict[str, int]] = {}
-        rtl_by_kind = {name: module for name, module in self.rtl.items()}
-        for idx, res in enumerate(self.resources):
-            rtl_name = None
-            for name in rtl_by_kind:
-                if name.startswith(f"stage{idx}_"):
-                    rtl_name = name
-                    break
-            if rtl_name is None:
-                continue
-            comparison[res.label] = {
-                "model_adders": res.total_adder_bits // max(res.word_width, 1),
-                "rtl_adders": int(self.rtl[rtl_name].resources.get("adders", 0)),
-            }
-        return comparison
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         lines = ["Synthesis report"]
         lines.append(str(self.power))
         lines.append(str(self.area))
-        lines.append(f"Generated RTL: {len(self.rtl)} modules, {self.rtl_line_count()} lines")
         return "\n".join(lines)
 
 
 class SynthesisFlow:
-    """The automated 'filter design → RTL → power/area report' flow."""
+    """The automated 'filter design → power/area report' flow."""
 
     def __init__(self, library: StandardCellLibrary = GENERIC_45NM,
                  supply_v: Optional[float] = None) -> None:
@@ -122,15 +91,11 @@ class SynthesisFlow:
             Override the chain's retiming option for what-if studies.
         artifacts:
             :class:`~repro.flow.artifacts.ArtifactStore` the activity
-            measurement and the RTL generation run through (a fresh one
-            when ``None``).  The activity is keyed by the modulator spec,
-            the Sinc cascade and the stimulus only, so flows differing in
-            the library, the output word or the halfband/equalizer options
-            share one measurement; the RTL is keyed by
-            :meth:`~repro.core.chain.DecimationChain.content_key`.  Each
-            caller gets its own activity dict and RTL mapping; the stored
-            :class:`~repro.hardware.verilog.VerilogModule` objects are
-            frozen and shared.
+            measurement runs through (a fresh one when ``None``).  The
+            activity is keyed by the modulator spec, the Sinc cascade and
+            the stimulus only, so flows differing in the library, the
+            output word or the halfband/equalizer options share one
+            measurement.  Each caller gets its own activity dict.
         """
         from repro.flow.artifacts import ArtifactStore
 
@@ -143,13 +108,10 @@ class SynthesisFlow:
         power_model = PowerModel(self.library, self.supply_v)
         power = power_model.chain_power(resources, retimed=retimed)
         area = AreaModel(self.library).chain_area(resources)
-        rtl = dict(artifacts.get_or_compute(("chain-rtl", chain.content_key()),
-                                            lambda: generate_chain_rtl(chain)))
         return SynthesisReport(
             resources=resources,
             power=power,
             area=area,
-            rtl=rtl,
             library=self.library,
             metadata={
                 "supply_v": self.supply_v,

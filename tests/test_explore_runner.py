@@ -106,17 +106,11 @@ class TestRunSweep:
         inline_stats = cold_result.metadata["artifact_store"]
         assert ((stats["hits"], stats["misses"])
                 == (inline_stats["hits"], inline_stats["misses"]))
-        # The parent holds every artifact the inline run holds, except the
-        # per-chain stages the pool workers compute in their own copies of
-        # the store (here the two chains' RTL).
-        worker_stages = () if jobs == 1 else ("chain-rtl", "snr-leg",
-                                              "hogenauer-activity")
-        expected = {key for key in cold_store._data
-                    if key[0] not in worker_stages}
-        assert set(store._data) == expected
-        assert stats["entries"] == len(expected)
-        assert inline_stats["entries"] - len(expected) == (0 if jobs == 1
-                                                           else 2)
+        # The parent holds exactly the artifacts the inline run holds: the
+        # points compute no per-chain stage the pool workers would keep in
+        # their own copies of the store.
+        assert set(store._data) == set(cold_store._data)
+        assert stats["entries"] == inline_stats["entries"]
 
     def test_jobs_one_never_creates_a_pool(self, two_point_sweep, monkeypatch):
         import repro.explore.runner as runner_module

@@ -273,7 +273,7 @@ class TestSchemaVersionContract:
     def test_schema_version_is_pinned(self):
         """Changing the version is a deliberate act: this pin forces the
         accompanying migration/bump-rule review (see docs/CACHING.md)."""
-        assert CACHE_SCHEMA_VERSION == 2
+        assert CACHE_SCHEMA_VERSION == 3
 
 
 class TestWriterTempHygiene:

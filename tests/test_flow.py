@@ -23,7 +23,6 @@ class TestRunDesignFlow:
         summary = flow_result.summary()
         assert summary["meets_spec"] is True
         assert summary["design_sinc_orders"] == [4, 4, 6]
-        assert summary["rtl_modules"] == 8
         assert summary["total_power_mw"] > 0
         assert summary["total_area_mm2"] > 0
 

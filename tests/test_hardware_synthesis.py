@@ -20,19 +20,6 @@ class TestSynthesisReport:
     def test_power_distribution_sums_to_one(self, synthesis_report):
         assert sum(synthesis_report.power_distribution().values()) == pytest.approx(1.0)
 
-    def test_rtl_present_and_nontrivial(self, synthesis_report):
-        assert len(synthesis_report.rtl) == 8
-        assert synthesis_report.rtl_line_count() > 200
-
-    def test_cross_check_resources(self, synthesis_report):
-        comparison = synthesis_report.cross_check_resources()
-        assert len(comparison) >= 5
-        # The Hogenauer stages must agree exactly between the behavioural
-        # model and the generated RTL.
-        for label in ("Sinc4 stage 1", "Sinc4 stage 2", "Sinc6 stage 3"):
-            entry = comparison[label]
-            assert entry["model_adders"] == entry["rtl_adders"]
-
     def test_measured_activity_recorded_when_enabled(self, paper_chain):
         report = SynthesisFlow().run(paper_chain, measure_activity=True,
                                      activity_samples=1024)
@@ -49,7 +36,3 @@ class TestReportTotals:
     def test_gate_count_sums_stage_resources(self, synthesis_report):
         total = sum(r.equivalent_gate_count for r in synthesis_report.resources)
         assert synthesis_report.total_gate_count == total > 0
-
-    def test_rtl_line_count_sums_modules(self, synthesis_report):
-        lines = sum(m.line_count() for m in synthesis_report.rtl.values())
-        assert synthesis_report.rtl_line_count() == lines > len(synthesis_report.rtl)

@@ -238,6 +238,16 @@ class TestRunner:
         assert result.name == CHEAP
         assert result.meets_spec
         assert check_record(result.name, result.record) == []
+        # Every other scenario golden has the fresh record's layout, so a
+        # refresh that misses a file fails here without running the suite.
+        goldens = sorted(golden_path(CHEAP).parent.glob("*.json"))
+        names = [path.stem for path in goldens
+                 if path.stem != "robustness-lte-20"]
+        assert sorted(names) == sorted(scenario_names())
+        for name in names:
+            golden = load_golden(name)
+            assert set(golden) == set(result.record), name
+            assert set(golden["summary"]) == set(result.record["summary"]), name
 
     def test_suite_selection_order_and_results(self):
         suite = run_scenario_suite([CHEAP, "audio-48k"])
