@@ -7,7 +7,7 @@ The package is organized as:
 
 * :mod:`repro.dsm` — delta-sigma modulator substrate (NTF synthesis,
   simulation, spectrum analysis, CT loop-filter mapping).
-* :mod:`repro.fixedpoint` — fixed-point / CSD arithmetic substrate.
+* :mod:`repro.fixedpoint` — CSD coefficient encoding and Horner shift-adds.
 * :mod:`repro.filters` — Sinc/CIC, Saramäki halfband, equalizer, scaling and
   polyphase filter design with bit-true implementations.
 * :mod:`repro.core` — the decimation-chain design methodology, simulators

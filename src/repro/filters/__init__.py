@@ -14,8 +14,8 @@ modelled here:
   (Section VI).
 * :mod:`~repro.filters.scaling` — the MSA-recovery scaling stage
   implemented with CSD and Horner's rule (Section VI).
-* :mod:`~repro.filters.polyphase` — the polyphase split of FIR taps and
-  the strided-matmul engine shared by the bit-true FIR-shaped stages.
+* :mod:`~repro.filters.polyphase` — the strided-matmul (polyphase)
+  engine shared by the bit-true FIR-shaped stages.
 * :mod:`~repro.filters.response` / :mod:`~repro.filters.cascade` —
   frequency-response evaluation, alias-band analysis and multirate cascade
   composition (the machinery behind Figs. 8–11).
@@ -26,7 +26,6 @@ from repro.filters.response import (
     fir_frequency_response,
     default_frequency_grid,
     alias_bands_for_decimation,
-    is_symmetric,
 )
 from repro.filters.sinc import (
     SincFilterSpec,
@@ -59,14 +58,8 @@ from repro.filters.equalizer import (
     compensated_response,
     residual_ripple_db,
 )
-from repro.filters.scaling import (
-    ScalingStage,
-    choose_scale_factor,
-)
-from repro.filters.polyphase import (
-    polyphase_components,
-    convolve_strided_matmul,
-)
+from repro.filters.scaling import ScalingStage
+from repro.filters.polyphase import convolve_strided_matmul
 from repro.filters.cascade import (
     CascadeStageDescription,
     MultirateCascade,
@@ -80,7 +73,6 @@ __all__ = [
     "fir_frequency_response",
     "default_frequency_grid",
     "alias_bands_for_decimation",
-    "is_symmetric",
     "SincFilterSpec",
     "SincFilter",
     "SincCascadeSpec",
@@ -103,8 +95,6 @@ __all__ = [
     "compensated_response",
     "residual_ripple_db",
     "ScalingStage",
-    "choose_scale_factor",
-    "polyphase_components",
     "convolve_strided_matmul",
     "CascadeStageDescription",
     "MultirateCascade",

@@ -52,13 +52,25 @@ import numpy as np
 from repro import _native
 from repro.filters.polyphase import max_abs_int
 from repro.filters.sinc import SincFilter, SincFilterSpec
-from repro.fixedpoint.word import wrap_twos_complement
 
 #: Widest register for which the vectorized engine (and plain int64 output
 #: arrays) can be used; wider words fall back to Python integers.
 _MAX_INT64_WIDTH = 62
 
 _MASK64 = (1 << 64) - 1
+
+
+def wrap_twos_complement(value, total_bits: int):
+    """Wrap an integer (or integer array) into the two's-complement range
+    ``[-2**(total_bits-1), 2**(total_bits-1) - 1]`` of a ``total_bits``-wide
+    register, the overflow rule of every Hogenauer register (Eq. 2)."""
+    if total_bits <= 0:
+        raise ValueError("total_bits must be positive")
+    modulus = 1 << total_bits
+    half = 1 << (total_bits - 1)
+    if isinstance(value, np.ndarray):
+        return np.mod(value + half, modulus) - half
+    return ((int(value) + half) % modulus) - half
 
 
 @dataclass

@@ -20,7 +20,7 @@ otherwise the stage runs its arbitrary-precision gold model.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,19 +53,6 @@ def int64_accumulator_safe(samples: np.ndarray, abs_multiplier_sum: int) -> bool
     if samples.dtype == object or not np.issubdtype(samples.dtype, np.integer):
         return False
     return abs_multiplier_sum * max_abs_int(samples) < INT64_SAFE_BOUND
-
-
-def polyphase_components(taps: np.ndarray, decimation: int) -> List[np.ndarray]:
-    """Split FIR taps into their M polyphase components.
-
-    Component ``p`` holds ``taps[p], taps[p + M], taps[p + 2M], …``; the
-    decimated output is the sum of each component filtering its own
-    down-sampled input phase.
-    """
-    taps = np.asarray(taps, dtype=float)
-    if decimation < 1:
-        raise ValueError("decimation must be at least 1")
-    return [taps[p::decimation].copy() for p in range(decimation)]
 
 
 def convolve_strided_matmul(samples: np.ndarray, taps: np.ndarray,

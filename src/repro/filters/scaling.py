@@ -9,11 +9,9 @@ range of the digital output without overflowing subsequent stages.  The
 constant is CSD encoded and evaluated with nested Horner's rule to minimize
 power and area.
 
-The scaler here keeps the two roles separate and explicit:
-
-* choosing the scale factor from the MSA with an overflow guard, and
-* implementing the constant multiplication as CSD/Horner shift-adds,
-  bit-true, with resource accounting for the hardware model.
+The chain chooses the factor (``scaling_headroom / msa``); this stage
+implements the constant multiplication as CSD/Horner shift-adds, bit-true,
+with resource accounting for the hardware model.
 """
 
 from __future__ import annotations
@@ -26,20 +24,6 @@ import numpy as np
 from repro.filters.polyphase import int64_accumulator_safe
 from repro.fixedpoint.csd import CSDCode, to_csd, csd_multiply_int
 from repro.fixedpoint.horner import horner_decomposition, horner_adder_count
-
-
-def choose_scale_factor(msa: float, headroom: float = 0.99) -> float:
-    """Scale factor slightly below ``1/MSA`` to prevent overflow downstream.
-
-    The paper selects ``S`` "slightly lower than 1/MSA"; ``headroom``
-    controls how much lower (0.99 reproduces the paper's 1.2345/1.2346
-    choice at MSA = 0.81 when combined with its internal gain alignment).
-    """
-    if not 0.0 < msa <= 1.0:
-        raise ValueError("MSA must lie in (0, 1]")
-    if not 0.0 < headroom <= 1.0:
-        raise ValueError("headroom must lie in (0, 1]")
-    return headroom / msa
 
 
 @dataclass

@@ -1,43 +1,26 @@
-"""Fixed-point and canonical-signed-digit (CSD) arithmetic substrate.
+"""Canonical-signed-digit (CSD) coefficient arithmetic.
 
-The decimation filters in the paper are implemented with two's-complement
-fixed-point arithmetic (wrap-around in the CIC stages, saturating elsewhere)
-and with CSD-encoded coefficients so that every coefficient multiplication
-becomes a small number of shift-and-add operations.
+The paper encodes the halfband, scaling and equalizer coefficients in CSD
+so that every coefficient multiplication becomes a small number of
+shift-and-add operations.  The chain's word rules live with the stages
+that apply them: the Sinc registers wrap
+(:func:`~repro.filters.hogenauer.wrap_twos_complement`, Eq. 2) and the
+output word rounds half-up and saturates
+(:class:`~repro.core.chain.DecimationChain`).
 
 This package provides:
 
-* :class:`~repro.fixedpoint.word.FixedPointFormat` and
-  :class:`~repro.fixedpoint.word.FixedPointWord` — a Q-format container with
-  explicit wrap/saturate overflow semantics and bit-true arithmetic helpers.
 * :mod:`~repro.fixedpoint.csd` — CSD encoding/decoding, digit-count
-  accounting and CSD-based shift-add multiplication.
-* :mod:`~repro.fixedpoint.quantize` — coefficient quantization utilities
-  (round-to-nearest fixed point, CSD with a bounded number of non-zero
-  digits).
+  accounting and the bit-true integer CSD multiply.
 * :mod:`~repro.fixedpoint.horner` — nested (Horner-rule) evaluation of a
   CSD-encoded constant multiplication, as used by the scaling stage.
 """
 
-from repro.fixedpoint.word import (
-    FixedPointFormat,
-    FixedPointWord,
-    OverflowMode,
-    RoundingMode,
-    wrap_twos_complement,
-    saturate_twos_complement,
-)
 from repro.fixedpoint.csd import (
     CSDCode,
     to_csd,
     from_csd,
-    csd_multiply,
     csd_string,
-)
-from repro.fixedpoint.quantize import (
-    QuantizedCoefficients,
-    quantize_coefficients,
-    quantize_coefficients_csd,
 )
 from repro.fixedpoint.horner import (
     HornerStep,
@@ -46,20 +29,10 @@ from repro.fixedpoint.horner import (
 )
 
 __all__ = [
-    "FixedPointFormat",
-    "FixedPointWord",
-    "OverflowMode",
-    "RoundingMode",
-    "wrap_twos_complement",
-    "saturate_twos_complement",
     "CSDCode",
     "to_csd",
     "from_csd",
-    "csd_multiply",
     "csd_string",
-    "QuantizedCoefficients",
-    "quantize_coefficients",
-    "quantize_coefficients_csd",
     "HornerStep",
     "horner_decomposition",
     "horner_evaluate",

@@ -66,7 +66,7 @@ from repro.core.verification import (VerificationReport,
                                      verify_distribution)
 from repro.dsm.modulator import DeltaSigmaModulator
 from repro.dsm.signals import tone_argument, write_jittered_tone
-from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
+from repro.explore.store import ArtifactCAS, open_store
 from repro.explore.runner import execute_payloads
 from repro.filters.halfband import perturbed_halfband
 from repro.flow.artifacts import ArtifactStore
@@ -403,7 +403,6 @@ def _run_settings(scenario: Scenario, model: PerturbationModel,
         "snr_amplitude": flow["snr_amplitude"],
         "library": flow["library"],
         "measure_activity": flow["measure_activity"],
-        "cache_schema": CACHE_SCHEMA_VERSION,
     }
 
 

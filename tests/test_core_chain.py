@@ -1,5 +1,8 @@
 """Tests for the designed decimation chain."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,3 +160,74 @@ class TestChainSimulation:
     def test_settle_samples_positive_and_bounded(self, paper_chain):
         settle = paper_chain._settle_samples()
         assert 8 <= settle <= 512
+
+
+def _round_half_up_and_saturate(value, guard, out_bits):
+    """The output register written out: add half an output LSB, floor
+    divide by ``2**guard``, clamp to the signed ``out_bits`` range."""
+    if guard:
+        value = (value + 2 ** (guard - 1)) // 2 ** guard
+    return min(2 ** (out_bits - 1) - 1, max(-2 ** (out_bits - 1), value))
+
+
+class TestOutputWord:
+    """``_finalize_output`` against written-out integer arithmetic.
+
+    The stage gold models of ``tests/test_backends.py`` end in this same
+    function, so fast-vs-gold checks cannot see a fault in it.  Both of its
+    branches are pinned here: ``int64`` (the fast path) and ``object``
+    (what the gold models hand over).
+    """
+
+    # Paper chain: 4 guard LSBs, 14-bit output word [-8192, 8191].
+    GUARDED = [
+        (0, 0), (7, 0), (-9, -1),
+        (8, 1), (-8, 0), (24, 2), (-24, -1),     # ±half-LSB ties round up
+        (8191 * 16, 8191), (-8192 * 16, -8192),  # ±full scale
+        (8191 * 16 + 8, 8191),                   # tie rounds onto the rail
+        (-8192 * 16 - 8, -8192),                 # tie rounds up to the rail
+        (8192 * 16, 8191), (-8193 * 16, -8192),  # one past each rail
+    ]
+    UNGUARDED = [(5, 5), (-5, -5), (8191, 8191), (-8192, -8192),
+                 (8192, 8191), (-8193, -8192)]
+
+    @pytest.fixture(scope="class")
+    def unguarded_chain(self, paper_chain):
+        chain = copy.copy(paper_chain)
+        chain.options = replace(paper_chain.options, guard_bits=0)
+        return chain
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("guard", [4, 0])
+    def test_listed_cases(self, paper_chain, unguarded_chain, dtype, guard):
+        chain = paper_chain if guard else unguarded_chain
+        cases = self.GUARDED if guard else self.UNGUARDED
+        assert (chain.options.guard_bits,
+                chain.spec.decimator.output_bits) == (guard, 14)
+        values = [v for v, _ in cases]
+        expected = [e for _, e in cases]
+        assert [_round_half_up_and_saturate(v, guard, 14)
+                for v in values] == expected
+        out = chain._finalize_output(np.array(values, dtype=dtype))
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
+        rows = chain._finalize_output(np.array([values, values[::-1]],
+                                               dtype=dtype))
+        assert rows.tolist() == [expected, expected[::-1]]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("guard", [4, 0])
+    def test_matches_written_out_arithmetic(self, paper_chain, unguarded_chain,
+                                            dtype, guard):
+        chain = paper_chain if guard else unguarded_chain
+        span = 8200 << guard
+        values = np.random.default_rng(guard).integers(-span, span, 4096)
+        out = chain._finalize_output(values.astype(dtype))
+        assert out.tolist() == [_round_half_up_and_saturate(int(v), guard, 14)
+                                for v in values]
+
+    def test_object_words_beyond_int64_saturate(self, paper_chain):
+        values = np.array([2 ** 70, -2 ** 70, 2 ** 70 + 8, -2 ** 70 - 8],
+                          dtype=object)
+        out = paper_chain._finalize_output(values)
+        assert out.tolist() == [8191, -8192, 8191, -8192]

@@ -196,3 +196,30 @@ class TestFIRFixedPoint:
         x = np.full(64, 1000, dtype=np.int64)
         out = filt.process(x)
         assert abs(int(out[32]) - 1000) <= 1
+
+    @pytest.mark.parametrize("taps, symmetric", [
+        ([0.25, 0.5, 0.25], True),
+        ([0.1, 0.4, 0.4, 0.1], True),
+        ([0.7], True),
+        ([0.5, 0.25, 0.125], False),
+        ([0.3, 0.0, -0.3], False),
+    ], ids=["odd", "even", "single", "decaying", "antisymmetric"])
+    def test_is_symmetric(self, taps, symmetric):
+        assert FIRFilterFixedPoint(taps).is_symmetric is symmetric
+
+    def test_asymmetric_taps_cost_a_multiplier_each(self):
+        taps = [0.5, 0.3125, 0.1875, 0.09375]
+        filt = FIRFilterFixedPoint(taps, coefficient_bits=8)
+        assert not filt.is_symmetric
+        csd = sum(code.adder_cost for code in filt.csd_codes)
+        assert filt.adder_count() == csd + len(taps) - 1
+        mirrored = FIRFilterFixedPoint(taps + taps[::-1], coefficient_bits=8)
+        assert mirrored.adder_count() == csd + len(taps) + len(taps) - 1
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_output_rounds_half_up(self, dtype):
+        # A single 0.5 tap halves each sample; the tie rounds towards +inf
+        # on the int64 fast path and on the object gold model alike.
+        filt = FIRFilterFixedPoint([0.5], coefficient_bits=4)
+        x = np.array([1, -1, 3, -3, 4, -4], dtype=dtype)
+        assert filt.process(x).tolist() == [1, 0, 2, -1, 2, -2]

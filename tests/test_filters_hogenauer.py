@@ -4,12 +4,53 @@ import numpy as np
 import pytest
 
 from repro.filters import HogenauerCascade, HogenauerConfig, HogenauerDecimator
+from repro.filters.hogenauer import wrap_twos_complement
 from repro.filters.sinc import SincFilter, SincFilterSpec
 
 
 def _random_codes(rng, n, bits=4):
     half = 1 << (bits - 1)
     return rng.integers(-half, half, n)
+
+
+class TestWrapTwosComplement:
+    def test_wrap_within_range_is_identity(self):
+        assert wrap_twos_complement(5, 8) == 5
+        assert wrap_twos_complement(-7, 8) == -7
+
+    def test_wrap_positive_overflow(self):
+        assert wrap_twos_complement(128, 8) == -128
+        assert wrap_twos_complement(130, 8) == -126
+
+    def test_wrap_negative_overflow(self):
+        assert wrap_twos_complement(-129, 8) == 127
+
+    def test_wrap_is_periodic(self):
+        assert wrap_twos_complement(5 + 256, 8) == 5
+        assert wrap_twos_complement(5 - 512, 8) == 5
+
+    def test_wrap_array(self):
+        values = np.array([127, 128, -128, -129, 0])
+        wrapped = wrap_twos_complement(values, 8)
+        assert list(wrapped) == [127, -128, -128, 127, 0]
+
+    def test_wrap_requires_positive_width(self):
+        with pytest.raises(ValueError):
+            wrap_twos_complement(1, 0)
+
+    @pytest.mark.parametrize("bits", [1, 2, 8, 62, 64])
+    def test_rails_of_each_width(self, bits):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        assert wrap_twos_complement(hi, bits) == hi
+        assert wrap_twos_complement(lo, bits) == lo
+        assert wrap_twos_complement(hi + 1, bits) == lo
+        assert wrap_twos_complement(lo - 1, bits) == hi
+
+    def test_wrap_object_array_beyond_int64(self):
+        # Registers wider than the vectorized engine hold Python integers.
+        values = np.array([2 ** 70 + 5, -(2 ** 63) - 1, 2 ** 63, 3], dtype=object)
+        wrapped = wrap_twos_complement(values, 64)
+        assert wrapped.tolist() == [5, 2 ** 63 - 1, -(2 ** 63), 3]
 
 
 @pytest.fixture()

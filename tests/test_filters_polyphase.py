@@ -1,4 +1,4 @@
-"""Tests for the polyphase split and the strided-matmul decimation engine."""
+"""Tests for the strided-matmul (polyphase) decimation engine."""
 
 import numpy as np
 import pytest
@@ -7,22 +7,8 @@ from scipy import signal
 from repro.filters import (
     FIRFilterFixedPoint,
     convolve_strided_matmul,
-    polyphase_components,
 )
 from repro.filters.polyphase import max_abs_int
-
-
-class TestPolyphaseComponents:
-    def test_components_partition_taps(self):
-        taps = np.arange(12, dtype=float)
-        comps = polyphase_components(taps, 4)
-        assert len(comps) == 4
-        assert sum(len(c) for c in comps) == 12
-        assert np.array_equal(comps[0], [0, 4, 8])
-
-    def test_invalid_decimation(self):
-        with pytest.raises(ValueError):
-            polyphase_components(np.ones(4), 0)
 
 
 class TestStridedDecimation:
@@ -42,10 +28,27 @@ class TestStridedDecimation:
         m, offset = 4, 3
         got = convolve_strided_matmul(x, self.TAPS, offset=offset, step=m)
         total = np.zeros(len(got))
-        for p, comp in enumerate(polyphase_components(self.TAPS, m)):
+        for p in range(m):
+            comp = self.TAPS[p::m]
             phase = np.concatenate([np.zeros(p), x])[offset::m][:len(got)]
             total += np.convolve(phase, comp)[:len(got)]
         assert np.allclose(got, total, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_polyphase_identity_is_exact_on_integers(self, m, rng):
+        # The M sub-filters taps[p::m], each fed one input phase at the
+        # output rate, sum to the decimated convolution exactly.
+        taps = rng.integers(-1000, 1000, 29)
+        x = rng.integers(-2 ** 15, 2 ** 15, 40 * m)
+        offset = m - 1
+        got = convolve_strided_matmul(x, taps, offset=offset, step=m)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.convolve(x, taps)[offset:len(x):m].tolist()
+        total = np.zeros(len(got), dtype=np.int64)
+        for p in range(m):
+            phase = np.concatenate([np.zeros(p, dtype=np.int64), x])[offset::m]
+            total += np.convolve(phase[:len(got)], taps[p::m])[:len(got)]
+        assert total.tolist() == got.tolist()
 
     def test_output_length(self, rng):
         out = convolve_strided_matmul(rng.standard_normal(400), self.TAPS,

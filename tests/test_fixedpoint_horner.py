@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.fixedpoint import horner_decomposition, horner_evaluate, to_csd
-from repro.fixedpoint.horner import horner_adder_count, scale_constant_steps
+from repro.fixedpoint.csd import csd_multiply_int
+from repro.fixedpoint.horner import horner_adder_count
 
 
 class TestHornerDecomposition:
@@ -37,7 +38,23 @@ class TestHornerDecomposition:
         for step in steps[:-1]:
             assert step.shift >= 2
 
-    def test_scale_constant_steps_helper(self):
-        steps = scale_constant_steps(10.825, 12)
-        value = horner_evaluate(1.0, steps)
-        assert value == pytest.approx(10.825, abs=2 ** -11)
+    @pytest.mark.parametrize("constant", [10.825, 1.2345, 0.0823, 0.5, -0.75, 5.0, 256.0])
+    def test_integer_samples_match_shift_add_product(self, constant):
+        # The nested network and the flat shift-add gold model of the
+        # scaling stage compute the same integer product.
+        code = to_csd(constant, 14)
+        steps = horner_decomposition(code)
+        for x in [1, -3, 1234, -8192]:
+            assert horner_evaluate(x, steps) * 2 ** 14 == csd_multiply_int(x, code, 14)
+
+    def test_steps_rebuild_the_digits(self):
+        # Walking the steps back from the alignment shift recovers every
+        # (weight, sign) digit, most significant first.
+        code = to_csd(-10.825, 12)
+        steps = horner_decomposition(code)
+        weight = steps[-1].shift
+        rebuilt = [(weight, steps[-1].sign)]
+        for step in reversed(steps[:-1]):
+            weight += step.shift
+            rebuilt.append((weight, step.sign))
+        assert rebuilt[::-1] == list(code.digits)

@@ -2,20 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters.hogenauer import HogenauerDecimator
+from repro.filters.hogenauer import HogenauerDecimator, wrap_twos_complement
 from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.sinc import SincFilter, SincFilterSpec
 from repro.fixedpoint import (
-    FixedPointFormat,
-    OverflowMode,
     from_csd,
     horner_decomposition,
     horner_evaluate,
     to_csd,
-    wrap_twos_complement,
 )
 from repro.dsm.quantizer import MultibitQuantizer
 
@@ -73,24 +70,32 @@ class TestWrapProperties:
         assert direct == stepwise
 
 
-class TestFixedPointFormatProperties:
-    @given(value=st.floats(min_value=-1.9, max_value=1.9,
-                           allow_nan=False, allow_infinity=False),
-           fraction=st.integers(min_value=2, max_value=20))
-    @settings(max_examples=200, deadline=None)
-    def test_quantization_error_within_half_lsb(self, value, fraction):
-        fmt = FixedPointFormat(fraction + 3, fraction,
-                               overflow=OverflowMode.SATURATE)
-        assume(fmt.min_value <= value <= fmt.max_value)
-        assert abs(fmt.quantize(value) - value) <= fmt.resolution / 2 + 1e-15
+class TestOutputWordProperties:
+    """The chain's output register: round half-up, then saturate."""
 
-    @given(value=st.floats(min_value=-100.0, max_value=100.0,
-                           allow_nan=False, allow_infinity=False))
+    @given(value=st.integers(min_value=-2 ** 20, max_value=2 ** 20))
+    @settings(max_examples=300, deadline=None)
+    def test_error_within_half_lsb_unless_saturated(self, paper_chain, value):
+        step = 1 << paper_chain.options.guard_bits
+        out_bits = paper_chain.spec.decimator.output_bits
+        lo, hi = -(1 << (out_bits - 1)), (1 << (out_bits - 1)) - 1
+        for dtype in (np.int64, object):
+            word = int(paper_chain._finalize_output(
+                np.array([value], dtype=dtype))[0])
+            exact = value / step
+            if lo - 0.5 <= exact < hi + 0.5:
+                assert -0.5 < word - exact <= 0.5
+            else:
+                assert word == (hi if exact > 0 else lo)
+
+    @given(values=st.lists(st.integers(min_value=-2 ** 18, max_value=2 ** 18),
+                           min_size=1, max_size=64))
     @settings(max_examples=100, deadline=None)
-    def test_saturation_never_exceeds_range(self, value):
-        fmt = FixedPointFormat(10, 4, overflow=OverflowMode.SATURATE)
-        q = fmt.quantize(value)
-        assert fmt.min_value <= q <= fmt.max_value
+    def test_output_is_monotone(self, paper_chain, values):
+        xs = np.sort(np.asarray(values, dtype=np.int64))
+        for data in (xs, xs.astype(object)):
+            out = paper_chain._finalize_output(data)
+            assert np.all(np.diff(out) >= 0)
 
 
 class TestQuantizerProperties:
