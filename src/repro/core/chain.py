@@ -159,8 +159,8 @@ class DecimationChain:
         :class:`~repro.flow.artifacts.ArtifactStore` (a fresh one when
         ``None``), keyed by their actual inputs, so design calls sharing a
         store reuse them (e.g. sweep points differing only in the output
-        word width).  The store returns deep copies, so results are
-        identical to a cold design.
+        word width).  Both designs are immutable, so a hit returns the
+        stored design itself, identical to a cold design.
         """
         from repro.flow.artifacts import ArtifactStore
 
@@ -222,8 +222,7 @@ class DecimationChain:
                 "coefficient_bits": options.halfband_coefficient_bits,
                 "target_attenuation_db": target_att,
             }))
-            halfband = artifacts.get_or_compute(key, design_halfband,
-                                                copy=True)
+            halfband = artifacts.get_or_compute(key, design_halfband)
             if (halfband.metadata["achieved_attenuation_db"]
                     >= spec.decimator.stopband_attenuation_db):
                 break
@@ -274,7 +273,7 @@ class DecimationChain:
             "order": options.equalizer_order,
             "max_boost_db": options.equalizer_max_boost_db,
         }))
-        equalizer = artifacts.get_or_compute(key, design_equalizer, copy=True)
+        equalizer = artifacts.get_or_compute(key, design_equalizer)
         return cls(spec, options, sinc_cascade, halfband, scaling, equalizer)
 
     def with_stages(self, halfband: Optional[SaramakiHalfband] = None,

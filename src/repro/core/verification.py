@@ -11,7 +11,7 @@ generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def check_snr_record_length(name: str, n_samples: int, decimation: int,
             f"the SNR analysis needs at least {floor}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     """One verification check."""
 
@@ -132,7 +132,7 @@ def verify_chain(chain, include_snr: bool = False,
         one when ``None``).  The frequency-mask checks depend only on the
         designed filters and the spec mask — not on the output word
         width — so chains sharing a store and those inputs reuse one mask
-        evaluation (each caller gets an independent copy).
+        evaluation (a tuple of frozen checks).
     snr_tone_hz, snr_amplitude:
         Optional explicit SNR stimulus (tone frequency / amplitude); the
         defaults are the paper's bandwidth/4 tone at 0.95 x MSA.  Scenario
@@ -145,8 +145,10 @@ def verify_chain(chain, include_snr: bool = False,
         artifacts = ArtifactStore()
     with trace.span("flow.verify.mask"):
         key = ("verify-mask", _mask_fingerprint(chain, passband_fraction))
-        report = artifacts.get_or_compute(
-            key, lambda: _verify_mask(chain, passband_fraction), copy=True)
+        checks = artifacts.get_or_compute(
+            key, lambda: _verify_mask(chain, passband_fraction))
+    report = VerificationReport(list(checks),
+                                {"passband_fraction": passband_fraction})
 
     if include_snr:
         dec = chain.spec.decimator
@@ -237,7 +239,7 @@ def verify_distribution(name: str, values, limit: float, comparison: str,
     return report
 
 
-def _verify_mask(chain, passband_fraction: float) -> VerificationReport:
+def _verify_mask(chain, passband_fraction: float) -> Tuple[CheckResult, ...]:
     """The frequency-mask verification checks (everything except the SNR).
 
     The ripple is read on a 1024-point passband grid.  The first-alias
@@ -249,7 +251,7 @@ def _verify_mask(chain, passband_fraction: float) -> VerificationReport:
     Every value and verdict equals the full-grid evaluation's.
     """
     spec = chain.spec
-    report = VerificationReport(metadata={"passband_fraction": passband_fraction})
+    report = VerificationReport()
 
     dec = spec.decimator
     passband_eval_hz = dec.passband_edge_hz * passband_fraction
@@ -283,7 +285,7 @@ def _verify_mask(chain, passband_fraction: float) -> VerificationReport:
     report.add("sinc cascade attenuation at alias-band centres", sinc_alias,
                dec.stopband_attenuation_db, ">=")
 
-    return report
+    return tuple(report.checks)
 
 
 def _mask_fingerprint(chain, passband_fraction: float) -> str:
@@ -403,23 +405,24 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
     lets every sweep point sharing a modulator spec pay for exactly one
     modulator simulation even when their decimation chains need slightly
     different settle padding.  ``artifacts`` is that store (a fresh one
-    when ``None``).
+    when ``None``); the record and the returned slice are read-only.
     """
     from repro.flow.artifacts import ArtifactStore
 
     if artifacts is None:
         artifacts = ArtifactStore()
 
-    def simulate() -> dict:
+    def simulate() -> np.ndarray:
         from repro.dsm.modulator import DeltaSigmaModulator
         from repro.dsm.signals import tone_argument
 
         modulator = DeltaSigmaModulator.from_spec(modulator_spec)
         stimulus = amplitude * np.sin(tone_argument(
             tone_hz, modulator_spec.sample_rate_hz, n_total, seed_phase))
-        return {"n_samples": n_total,
-                "codes": modulator.fast_simulator.simulate(
-                    stimulus, codes_only=True).codes}
+        codes = modulator.fast_simulator.simulate(stimulus,
+                                                  codes_only=True).codes
+        codes.flags.writeable = False
+        return codes
 
     key = ("modulator-codes", content_hash({
         "order": modulator_spec.order,
@@ -431,6 +434,6 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
         "amplitude": amplitude,
         "seed_phase": seed_phase,
     }))
-    entry = artifacts.get_or_compute(
-        key, simulate, reuse=lambda stored: stored["n_samples"] >= n_total)
-    return entry["codes"][:n_total]
+    codes = artifacts.get_or_compute(
+        key, simulate, reuse=lambda stored: len(stored) >= n_total)
+    return codes[:n_total]

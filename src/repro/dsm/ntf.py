@@ -24,6 +24,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.frozen import FrozenRecord
+
 #: Optimal normalized zero positions (relative to the band edge) that minimize
 #: the integrated in-band noise power for an all-zero-on-the-unit-circle NTF.
 #: Values follow Schreier & Temes, "Understanding Delta-Sigma Data
@@ -46,13 +48,14 @@ class NTFSynthesisError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoiseTransferFunction:
+class NoiseTransferFunction(FrozenRecord):
     """A synthesized noise transfer function in zero-pole-gain form.
 
     Immutable: :func:`synthesize_ntf` hands one memoized instance to every
-    caller, so the fields cannot be reassigned and ``zeros``, ``poles`` and
+    caller, so the fields cannot be reassigned, ``zeros``, ``poles`` and
     ``metadata["zero_frequencies"]`` are read-only copies of the arrays
-    given.  Derive a variant with :func:`dataclasses.replace`.
+    given and ``metadata`` is read-only.  Derive a variant with
+    :func:`dataclasses.replace`.
 
     Attributes
     ----------
@@ -77,13 +80,7 @@ class NoiseTransferFunction:
     h_inf: float
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros", _read_only(self.zeros))
-        object.__setattr__(self, "poles", _read_only(self.poles))
-        if "zero_frequencies" in self.metadata:
-            object.__setattr__(self, "metadata", dict(
-                self.metadata,
-                zero_frequencies=_read_only(self.metadata["zero_frequencies"])))
+    _ARRAY_FIELDS = ("zeros", "poles")
 
     # ------------------------------------------------------------------
     # Response evaluation
@@ -191,13 +188,6 @@ def _zpk_response(z: np.ndarray, zero_product: np.ndarray, poles: np.ndarray,
     only the pole product per step; both get the same bits.
     """
     return gain * zero_product / _root_product(z, poles)
-
-
-def _read_only(values) -> np.ndarray:
-    """A read-only copy of ``values`` (same dtype and bits)."""
-    array = np.array(values)
-    array.flags.writeable = False
-    return array
 
 
 def optimal_zero_frequencies(order: int, osr: int, optimize: bool = True) -> np.ndarray:

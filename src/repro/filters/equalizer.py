@@ -21,11 +21,15 @@ import numpy as np
 from repro.filters.fir import design_arbitrary_response_ls, fir_response
 from repro.filters.response import FrequencyResponse
 from repro.fixedpoint.csd import encode_coefficients
+from repro.frozen import FrozenRecord
 
 
-@dataclass
-class EqualizerDesign:
+@dataclass(frozen=True)
+class EqualizerDesign(FrozenRecord):
     """A designed droop equalizer.
+
+    Immutable (a :class:`~repro.frozen.FrozenRecord`): ``taps`` and
+    ``metadata`` are read-only.
 
     Attributes
     ----------
@@ -41,6 +45,8 @@ class EqualizerDesign:
     sample_rate_hz: float
     passband_hz: float
     metadata: dict = field(default_factory=dict)
+
+    _ARRAY_FIELDS = ("taps",)
 
     @property
     def order(self) -> int:

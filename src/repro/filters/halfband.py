@@ -44,6 +44,7 @@ from repro.filters.fir import design_lowpass_remez
 from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.response import FrequencyResponse, default_frequency_grid
 from repro.fixedpoint.csd import CSDCode, encode_coefficients
+from repro.frozen import FrozenRecord
 
 
 # ----------------------------------------------------------------------
@@ -196,9 +197,12 @@ def halfband_zero_phase_response(taps: np.ndarray, frequencies: np.ndarray) -> n
 # ----------------------------------------------------------------------
 # Saramäki tapped-cascade design
 # ----------------------------------------------------------------------
-@dataclass
-class SaramakiHalfband:
+@dataclass(frozen=True)
+class SaramakiHalfband(FrozenRecord):
     """A designed Saramäki tapped-cascade halfband filter.
+
+    Immutable (a :class:`~repro.frozen.FrozenRecord`): ``f1``, ``f2``
+    and ``metadata`` are read-only and the CSD codes are tuples.
 
     Attributes
     ----------
@@ -216,9 +220,11 @@ class SaramakiHalfband:
 
     f1: np.ndarray
     f2: np.ndarray
-    f1_csd: Optional[List[CSDCode]] = None
-    f2_csd: Optional[List[CSDCode]] = None
+    f1_csd: Optional[Tuple[CSDCode, ...]] = None
+    f2_csd: Optional[Tuple[CSDCode, ...]] = None
     metadata: dict = field(default_factory=dict)
+
+    _ARRAY_FIELDS = ("f1", "f2")
 
     # ------------------------------------------------------------------
     # Structure-derived quantities
@@ -323,38 +329,32 @@ class SaramakiHalfband:
         response = np.abs(self.zero_phase_response(freqs))
         return float(20.0 * np.log10(np.max(response) / max(np.min(response), 1e-300)))
 
-    def with_coefficients(self, f1: np.ndarray, f2: np.ndarray,
-                          coefficient_bits: Optional[int] = None,
-                          note: str = "perturbed") -> "SaramakiHalfband":
+    def with_coefficients(self, f1: Sequence[float], f2: Sequence[float],
+                          f1_csd: Optional[Sequence[CSDCode]] = None,
+                          f2_csd: Optional[Sequence[CSDCode]] = None,
+                          **metadata) -> "SaramakiHalfband":
         """Rebuild this filter with replacement coefficient values.
 
         This is the coefficient-perturbation hook of the
-        :mod:`repro.robustness` Monte Carlo subsystem: the structure
-        (``n1``/``n2``, transition band) is kept, the coefficient values are
-        replaced (and re-encoded in CSD when ``coefficient_bits`` is given),
-        and the achieved stopband attenuation in the metadata is recomputed
-        so downstream mask checks see the perturbed filter.  No design
-        search runs — the rebuild is a cheap re-quantization.
+        :mod:`repro.robustness` Monte Carlo subsystem (see
+        :func:`perturbed_halfband`): the structure (``n1``/``n2``,
+        transition band) is kept and the coefficient values are replaced,
+        by the values of the CSD codes when those are given.  The achieved
+        stopband attenuation in the metadata is recomputed so downstream
+        mask checks see the perturbed filter, and ``metadata`` adds
+        entries.  No design search runs.
         """
         if len(f1) != self.n1 or len(f2) != self.n2:
             raise ValueError("replacement coefficients must keep the (n1, n2) "
                              "structure of the designed filter")
-        f1 = np.asarray(f1, dtype=float)
-        f2 = np.asarray(f2, dtype=float)
-        f1_csd = f2_csd = None
-        if coefficient_bits is not None:
-            f1_csd = encode_coefficients(f1, coefficient_bits)
-            f2_csd = encode_coefficients(f2, coefficient_bits)
-            f1 = np.array([c.value for c in f1_csd])
-            f2 = np.array([c.value for c in f2_csd])
-        perturbed = SaramakiHalfband(f1=f1, f2=f2, f1_csd=f1_csd,
-                                     f2_csd=f2_csd,
-                                     metadata=dict(self.metadata))
+        if f1_csd is not None:
+            f1, f2 = [c.value for c in f1_csd], [c.value for c in f2_csd]
+        f1, f2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
         transition_start = float(self.metadata.get("transition_start", 0.22))
-        perturbed.metadata["achieved_attenuation_db"] = \
-            perturbed.stopband_attenuation_db(0.5 - transition_start)
-        perturbed.metadata["perturbation"] = note
-        return perturbed
+        attenuation = SaramakiHalfband(f1, f2).stopband_attenuation_db(
+            0.5 - transition_start)
+        return SaramakiHalfband(f1, f2, f1_csd, f2_csd, dict(
+            self.metadata, achieved_attenuation_db=attenuation, **metadata))
 
     def coefficient_fingerprint(self) -> dict:
         """JSON-safe identity of the (possibly perturbed) coefficient sets.
@@ -518,7 +518,7 @@ class SaramakiHalfbandDesigner:
 
         f1_q, f1_codes = self._quantize(f1)
         f2_q, f2_codes = self._quantize(f2)
-        best = SaramakiHalfband(f1=f1_q, f2=f2_q, f1_csd=f1_codes, f2_csd=f2_codes)
+        best = (f1_q, f2_q, f1_codes, f2_codes)
         current = np.abs(_cascade_response(f1_q, f2_q, basis))
         current_peak = current.max()
         best_attenuation = _attenuation_db(current_peak)
@@ -561,12 +561,11 @@ class SaramakiHalfbandDesigner:
                 current_peak = peak
                 probe_basis = basis[:, _ripple_peak_columns(response)]
                 if attenuation > best_attenuation:
-                    best = SaramakiHalfband(f1=trial_f1_q, f2=trial_f2_q,
-                                            f1_csd=trial_f1_codes,
-                                            f2_csd=trial_f2_codes)
+                    best = (trial_f1_q, trial_f2_q, trial_f1_codes,
+                            trial_f2_codes)
                     best_attenuation = attenuation
 
-        best.metadata.update({
+        return SaramakiHalfband(*best, metadata={
             "target_attenuation_db": target_attenuation_db,
             "achieved_attenuation_db": best_attenuation,
             "ideal_attenuation_db": _attenuation_db(
@@ -575,7 +574,6 @@ class SaramakiHalfbandDesigner:
             "coefficient_bits": self.coefficient_bits,
             "search_iterations": search_iterations,
         })
-        return best
 
 
 def _drop_least_significant_digit(code: CSDCode) -> CSDCode:
@@ -614,31 +612,22 @@ def perturbed_halfband(design: SaramakiHalfband, coefficient_bits: int,
     with coefficient values identical to re-quantizing the original design.
     """
     lsb = 2.0 ** (-coefficient_bits)
-    f1 = np.asarray(design.f1, dtype=float).copy()
-    f2 = np.asarray(design.f2, dtype=float).copy()
+    f1, f2 = design.f1, design.f2
     if f1_lsb_deltas is not None:
         f1 = f1 + lsb * np.asarray(f1_lsb_deltas, dtype=float)
     if f2_lsb_deltas is not None:
         f2 = f2 + lsb * np.asarray(f2_lsb_deltas, dtype=float)
-    perturbed = design.with_coefficients(f1, f2,
-                                         coefficient_bits=coefficient_bits)
+    f1_csd = encode_coefficients(f1, coefficient_bits)
+    f2_csd = encode_coefficients(f2, coefficient_bits)
     dropped = 0
-    for flags, codes, values in ((f1_dropout, perturbed.f1_csd, perturbed.f1),
-                                 (f2_dropout, perturbed.f2_csd, perturbed.f2)):
-        if flags is None:
-            continue
-        for index, flag in enumerate(flags):
+    for flags, codes in ((f1_dropout, f1_csd), (f2_dropout, f2_csd)):
+        for index, flag in enumerate(flags if flags is not None else ()):
             if flag:
                 codes[index] = _drop_least_significant_digit(codes[index])
-                values[index] = codes[index].value
                 dropped += 1
-    if dropped:
-        transition_start = float(
-            perturbed.metadata.get("transition_start", 0.22))
-        perturbed.metadata["achieved_attenuation_db"] = \
-            perturbed.stopband_attenuation_db(0.5 - transition_start)
-        perturbed.metadata["dropped_csd_digits"] = dropped
-    return perturbed
+    extra = {"dropped_csd_digits": dropped} if dropped else {}
+    return design.with_coefficients(f1, f2, f1_csd, f2_csd,
+                                    perturbation="perturbed", **extra)
 
 
 # ----------------------------------------------------------------------

@@ -20,14 +20,13 @@ requests is still computed exactly once — and picklable, so the process
 pool can ship a pre-warmed store to each worker through the pool
 initializer (once per worker instead of once per payload).
 
-Artifacts are returned by reference by default; stages whose artifact is
-later mutated (e.g. a verification report that gains a per-point SNR row)
-request a deep copy with ``copy=True``.
+Every caller gets the stored artifact itself, so stored artifacts are
+immutable (see :mod:`repro.frozen`); a stage whose result is a dict hands
+each caller a read-only view or a fresh rebuild of it.
 """
 
 from __future__ import annotations
 
-import copy as _copy
 import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -87,39 +86,22 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Core API
     # ------------------------------------------------------------------
-    def get(self, key: Tuple) -> Optional[Any]:
-        """Return the stored artifact for ``key`` or ``None`` (not counted)."""
-        with self._lock:
-            if key in self._data:
-                self._touch(key)
-                return self._data[key]
-            return None
-
-    def put(self, key: Tuple, value: Any) -> None:
-        """Store (or replace) an artifact."""
-        with self._lock:
-            self._data.pop(key, None)
-            self._data[key] = value
-            self._evict_over_cap()
-
     def get_or_compute(self, key: Tuple, compute: Callable[[], Any],
-                       copy: bool = False,
                        reuse: Optional[Callable[[Any], bool]] = None) -> Any:
-        """Return the artifact for ``key``, computing it exactly once.
+        """Return the stored artifact for ``key``, computing it exactly once.
 
         Concurrent callers with the same key block on a per-key lock while
         the first one computes, so a stage shared by N concurrent requests
         runs once; the lock lives only while some caller of its key is in
         flight.  A stored artifact for which ``reuse`` returns ``False``
         is recomputed and replaced (e.g. a bit-stream shorter than the
-        caller needs).  With ``copy=True`` every
-        caller receives an independent :func:`copy.deepcopy` of the stored
-        artifact (for artifacts the caller mutates afterwards).
+        caller needs).  Every caller gets the stored artifact itself, so
+        ``compute`` must return an immutable one.
         """
         with self._lock:
             value = self._reusable(key, reuse)
             if value is not _ABSENT:
-                return self._maybe_copy(value, copy)
+                return value
             slot = self._key_locks.setdefault(key, [threading.Lock(), 0])
             slot[1] += 1
         try:
@@ -127,14 +109,14 @@ class ArtifactStore:
                 with self._lock:
                     value = self._reusable(key, reuse)
                 if value is not _ABSENT:
-                    return self._maybe_copy(value, copy)
+                    return value
                 value = compute()
                 with self._lock:
                     self._data.pop(key, None)
                     self._data[key] = value
                     self.misses += 1
                     self._evict_over_cap()
-                return self._maybe_copy(value, copy)
+                return value
         finally:
             with self._lock:
                 slot[1] -= 1
@@ -151,20 +133,12 @@ class ArtifactStore:
         self._touch(key)
         return self._data[key]
 
-    @staticmethod
-    def _maybe_copy(value: Any, copy: bool) -> Any:
-        return _copy.deepcopy(value) if copy else value
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
-
-    def __contains__(self, key: Tuple) -> bool:
-        with self._lock:
-            return key in self._data
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/entry counters (serialized into sweep telemetry)."""

@@ -12,7 +12,8 @@ the benchmarks serialize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.spec import content_hash
 from repro.hardware.area import AreaModel, AreaReport
@@ -95,7 +96,7 @@ class SynthesisFlow:
             activity is keyed by the modulator spec, the Sinc cascade and
             the stimulus only, so flows differing in the library, the
             output word or the halfband/equalizer options share one
-            measurement.  Each caller gets its own activity dict.
+            measurement, read through a read-only view.
         """
         from repro.flow.artifacts import ArtifactStore
 
@@ -121,23 +122,24 @@ class SynthesisFlow:
         )
 
 
-def hogenauer_activity(chain, artifacts, activity_samples: int = 4096) -> dict:
+def hogenauer_activity(chain, artifacts,
+                       activity_samples: int = 4096) -> Mapping[str, float]:
     """The chain's measured Hogenauer activity, memoized in ``artifacts``.
 
     Runs :func:`~repro.hardware.power.measure_hogenauer_activity` with the
     paper's stimulus (a ``ACTIVITY_TONE_HZ`` tone at the modulator's MSA)
-    under :func:`_activity_key`; each caller gets its own copy.  Shared by
+    under :func:`_activity_key`.  The store keeps the plain dict, which
+    pickles; each caller gets a read-only view of it.  Shared by
     :meth:`SynthesisFlow.run` and the pool's warm step
     (:func:`repro.flow.pipeline.warm_flow_artifacts`), so both look the
     measurement up under one key.
     """
     amplitude = chain.spec.modulator.msa
-    return artifacts.get_or_compute(
+    return MappingProxyType(artifacts.get_or_compute(
         _activity_key(chain, activity_samples, ACTIVITY_TONE_HZ, amplitude),
         lambda: measure_hogenauer_activity(
             chain, n_samples=activity_samples, tone_hz=ACTIVITY_TONE_HZ,
-            amplitude=amplitude),
-        copy=True)
+            amplitude=amplitude)))
 
 
 def _activity_key(chain, n_samples: int, tone_hz: float,

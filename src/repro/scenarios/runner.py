@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.explore.runner import (FlowRecordMetrics, flow_record,
                                   record_metrics, run_cached_payloads,
                                   run_flow_payload)
 from repro.flow.artifacts import ArtifactStore
+from repro.flow.pipeline import json_sanitize
 from repro.scenarios.registry import Scenario, resolve_scenarios
 
 __all__ = [
@@ -91,10 +92,10 @@ def _rate_converter_leg(chain, rates: Sequence[float],
     the designed chain, and measures the recovered tone after the cubic
     Farrow resampler: peak-bin frequency, RMS-estimated amplitude, and the
     input/output length ratio, plus the converter's hardware resources.
-    The entries are memoized in ``artifacts`` on the chain
+    The entries are memoized in ``artifacts`` as a tuple on the chain
     (:meth:`~repro.core.chain.DecimationChain.content_key`), the rates and
-    the stimulus, so a repeated request runs nothing; each caller gets its
-    own copy.
+    the stimulus, so a repeated request runs nothing; each caller gets a
+    fresh :func:`~repro.flow.pipeline.json_sanitize` rebuild of them.
     """
     from repro.core.spec import content_hash
     from repro.core.verification import modulator_tone_codes
@@ -102,7 +103,7 @@ def _rate_converter_leg(chain, rates: Sequence[float],
 
     spec = chain.spec
 
-    def measure() -> List[dict]:
+    def measure() -> Tuple[dict, ...]:
         codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
                                      total, artifacts=artifacts)
         words = chain.process_fixed(codes)
@@ -129,7 +130,7 @@ def _rate_converter_leg(chain, rates: Sequence[float],
                 "resources": converter.resource_summary(
                     spec.decimator.output_bits),
             })
-        return entries
+        return tuple(entries)
 
     key = ("rate-converter-leg", content_hash({
         "chain": chain.content_key(),
@@ -139,7 +140,7 @@ def _rate_converter_leg(chain, rates: Sequence[float],
         "total_samples": int(total),
         "settle_outputs": int(settle),
     }))
-    return artifacts.get_or_compute(key, measure, copy=True)
+    return json_sanitize(artifacts.get_or_compute(key, measure))
 
 
 @dataclass

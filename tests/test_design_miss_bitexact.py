@@ -12,6 +12,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def reference_design(designer: SaramakiHalfbandDesigner,
                 best = trial
                 best_attenuation = attenuation
 
-    best.metadata.update({
+    return dataclasses.replace(best, metadata={
         "target_attenuation_db": target_attenuation_db,
         "achieved_attenuation_db": best_attenuation,
         "ideal_attenuation_db": ideal.stopband_attenuation_db(stopband_start),
@@ -75,7 +77,6 @@ def reference_design(designer: SaramakiHalfbandDesigner,
         "coefficient_bits": designer.coefficient_bits,
         "search_iterations": search_iterations,
     })
-    return best
 
 
 def assert_same_design(got: SaramakiHalfband, want: SaramakiHalfband) -> None:
@@ -178,8 +179,8 @@ def full_grid_mask_numbers(chain) -> dict:
 
 def assert_band_limited_mask_exact(chain) -> None:
     want = full_grid_mask_numbers(chain)
-    report = _verify_mask(chain, 0.95)
-    measured = {check.name: check.measured for check in report.checks}
+    measured = {check.name: check.measured
+                for check in _verify_mask(chain, 0.95)}
     first = [v for k, v in measured.items()
              if k.startswith("first alias band attenuation")]
     assert first == [want["first_alias"]]

@@ -407,3 +407,8 @@ class TestSharedInstanceIsImmutable:
         assert _outcome(lambda: copied) == _outcome(lambda: ntf)
         with pytest.raises(dataclasses.FrozenInstanceError):
             copied.gain = 2.0
+        for array in (copied.zeros, copied.poles,
+                      copied.metadata["zero_frequencies"]):
+            assert not array.flags.writeable
+        with pytest.raises(TypeError):
+            copied.metadata["order"] = 0

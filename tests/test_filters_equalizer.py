@@ -1,5 +1,9 @@
 """Tests for the droop-compensating equalizer design."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -88,3 +92,34 @@ class TestEqualizerDesign:
         _, eq, _ = droop_and_equalizer
         codes = eq.quantize_csd(16)
         assert len(codes) == len(eq.taps)
+
+
+class TestImmutableDesign:
+    """The artifact store hands one design to every caller."""
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda eq: pickle.loads(pickle.dumps(eq))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_and_pickles_bit_exact(self, droop_and_equalizer, clone):
+        _, eq, _ = droop_and_equalizer
+        copied = clone(eq)
+        assert copied.taps.tobytes() == eq.taps.tobytes()
+        assert (copied.sample_rate_hz, copied.passband_hz) == \
+            (eq.sample_rate_hz, eq.passband_hz)
+        assert dict(copied.metadata) == dict(eq.metadata)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.passband_hz = 0.0
+        assert not copied.taps.flags.writeable
+        with pytest.raises(TypeError):
+            copied.metadata["order"] = 0
+
+    def test_tap_deltas_build_a_new_frozen_design(self, droop_and_equalizer):
+        _, eq, _ = droop_and_equalizer
+        before = eq.taps.tobytes()
+        deltas = np.zeros(len(eq.taps))
+        deltas[0] = 1
+        dithered = eq.with_tap_deltas(deltas)
+        assert eq.taps.tobytes() == before
+        assert dithered.taps[0] != eq.taps[0]
+        assert not dithered.taps.flags.writeable
+        assert dithered.metadata["perturbation"] == "lsb-dither"

@@ -1,5 +1,9 @@
 """Tests for the Saramäki halfband filter design (the designHBF step)."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -196,3 +200,31 @@ class TestHalfbandDecimator:
         assert res["adders"] == paper_halfband_design.adder_count(24)
         assert res["slow_clock_hz"] == pytest.approx(40e6)
         assert res["equivalent_order"] == 110
+
+
+class TestImmutableDesign:
+    """The artifact store hands one design to every caller."""
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda hb: pickle.loads(pickle.dumps(hb))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_and_pickles_bit_exact(self, paper_halfband_design, clone):
+        design = paper_halfband_design
+        copied = clone(design)
+        assert copied.f1.tobytes() == design.f1.tobytes()
+        assert copied.f2.tobytes() == design.f2.tobytes()
+        assert (copied.f1_csd, copied.f2_csd) == (design.f1_csd, design.f2_csd)
+        assert dict(copied.metadata) == dict(design.metadata)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.f1 = design.f2
+        assert not copied.f1.flags.writeable and not copied.f2.flags.writeable
+        assert isinstance(copied.f1_csd, tuple)
+        assert isinstance(copied.f2_csd, tuple)
+        with pytest.raises(TypeError):
+            copied.metadata["achieved_attenuation_db"] = 0.0
+
+    def test_construction_leaves_the_given_values_writeable(self):
+        f1, f2, codes = np.array([0.5]), np.array([0.25]), []
+        SaramakiHalfband(f1=f1, f2=f2, f1_csd=codes, f2_csd=codes)
+        f1[0] = f2[0] = 0.0
+        codes.append(None)

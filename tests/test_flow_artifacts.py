@@ -1,5 +1,6 @@
 """Tests for the in-run artifact store (repro.flow.artifacts)."""
 
+import pickle
 import sys
 import threading
 from collections import Counter
@@ -141,25 +142,6 @@ class TestOneMemoizationPath:
                 "verify-mask"} <= stages
         assert store.misses == len(store)
 
-    def test_halfband_hit_shares_only_its_immutable_codes(self):
-        from repro.core.chain import DecimationChain
-
-        store = ArtifactStore()
-        first = DecimationChain.design(artifacts=store).halfband
-        second = DecimationChain.design(artifacts=store).halfband
-        assert store.hits >= 1
-        assert second.f2_csd[0] is first.f2_csd[0]
-        assert second.f2 is not first.f2
-        assert second.f2_csd is not first.f2_csd
-        assert second.metadata is not first.metadata
-        want = (second.f2.tobytes(), list(second.f2_csd),
-                dict(second.metadata))
-        first.f2[0] += 1.0
-        first.f2_csd.clear()
-        first.metadata.clear()
-        third = DecimationChain.design(artifacts=store).halfband
-        assert (third.f2.tobytes(), third.f2_csd, third.metadata) == want
-
     def test_storeless_flow_runs_every_stage_through_the_store(
             self, monkeypatch):
         from repro.flow import run_design_flow
@@ -250,19 +232,6 @@ class TestPerChainStages:
         assert measure(options=ChainDesignOptions(sinc_orders=(5, 4, 6))) == 5
         assert measure(samples=512) == 6
 
-    def test_returned_activity_belongs_to_the_caller(self, paper_chain):
-        from repro.hardware import SynthesisFlow
-
-        store = ArtifactStore()
-        first = SynthesisFlow().run(paper_chain, activity_samples=256,
-                                    artifacts=store)
-        activity = dict(first.metadata["measured_activity"])
-        first.metadata["measured_activity"].clear()
-        second = SynthesisFlow().run(paper_chain, activity_samples=256,
-                                     artifacts=store)
-        assert (store.hits, store.misses) == (1, 1)
-        assert activity and second.metadata["measured_activity"] == activity
-
     def test_snr_leg_runs_once_per_chain_and_stimulus(self, paper_chain,
                                                       monkeypatch):
         from repro.core.chain import DecimationChain
@@ -302,3 +271,87 @@ class TestPerChainStages:
         dithered = paper_chain.with_stages(
             equalizer=paper_chain.equalizer.with_tap_deltas(deltas))
         assert dithered.content_key() != paper_chain.content_key()
+
+
+def _rejects(write):
+    with pytest.raises((AttributeError, TypeError, ValueError)):
+        write()
+
+
+class TestStoredResultsAreImmutable:
+    """A hit hands out the stored result itself, so every stored result
+    rejects writes, and a hit after a failed write equals a cold run."""
+
+    def test_design_hit_returns_the_stored_designs(self):
+        from repro.core.chain import DecimationChain
+
+        store = ArtifactStore()
+        first = DecimationChain.design(artifacts=store)
+        second = DecimationChain.design(artifacts=store)
+        assert store.hits >= 2
+        assert second.halfband is first.halfband
+        assert second.equalizer is first.equalizer
+        halfband, equalizer = first.halfband, first.equalizer
+        for write in (lambda: setattr(halfband, "f2", None),
+                      lambda: halfband.f1.__setitem__(0, 1.0),
+                      lambda: halfband.f2.__setitem__(0, 1.0),
+                      lambda: halfband.f2_csd.__setitem__(0, None),
+                      lambda: halfband.f1_csd.clear(),
+                      lambda: halfband.metadata.__setitem__(
+                          "achieved_attenuation_db", 0.0),
+                      lambda: halfband.metadata.clear(),
+                      lambda: setattr(equalizer, "taps", None),
+                      lambda: equalizer.taps.__setitem__(0, 1.0),
+                      lambda: equalizer.metadata.__setitem__("order", 0)):
+            _rejects(write)
+        hit = DecimationChain.design(artifacts=store)
+        cold = DecimationChain.design()
+        for got, want in ((hit.halfband, cold.halfband),
+                          (hit.equalizer, cold.equalizer)):
+            assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_mask_hit_shares_only_frozen_checks(self, paper_chain):
+        from repro.core.verification import verify_chain
+
+        store = ArtifactStore()
+        first = verify_chain(paper_chain, artifacts=store)
+        (stored,) = [value for key, value in store._data.items()
+                     if key[0] == "verify-mask"]
+        assert isinstance(stored, tuple)
+        _rejects(lambda: setattr(stored[0], "measured", 0.0))
+        first.add("extra row", 1.0, 0.0, ">=")
+        first.metadata["extra"] = True
+        second = verify_chain(paper_chain, artifacts=store)
+        assert store.hits == 1
+        assert second.checks[0] is stored[0]
+        assert second.as_dict() == verify_chain(paper_chain).as_dict()
+        assert second.metadata == {"passband_fraction": 0.95}
+
+    def test_activity_is_read_only_and_a_second_run_equal(self, paper_chain):
+        from repro.hardware import SynthesisFlow
+
+        store = ArtifactStore()
+        first = SynthesisFlow().run(paper_chain, activity_samples=256,
+                                    artifacts=store)
+        activity = first.metadata["measured_activity"]
+        _rejects(lambda: activity.__setitem__(next(iter(activity)), 0.0))
+        _rejects(lambda: activity.clear())
+        second = SynthesisFlow().run(paper_chain, activity_samples=256,
+                                     artifacts=store)
+        assert (store.hits, store.misses) == (1, 1)
+        cold = SynthesisFlow().run(paper_chain, activity_samples=256)
+        assert activity and dict(second.metadata["measured_activity"]) == \
+            dict(cold.metadata["measured_activity"])
+
+    def test_modulator_codes_are_read_only(self, paper_chain):
+        spec = paper_chain.spec.modulator
+        store = ArtifactStore()
+        codes = modulator_tone_codes(spec, 2.5e6, 0.7, 1024, artifacts=store)
+        want = modulator_tone_codes(spec, 2.5e6, 0.7, 1024).tobytes()
+        for view in (codes, np.asarray(codes, dtype=np.int64)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+        hit = modulator_tone_codes(spec, 2.5e6, 0.7, 512, artifacts=store)
+        assert store.hits == 1
+        assert not hit.flags.writeable
+        assert hit.tobytes() == want[:hit.nbytes]

@@ -230,6 +230,11 @@ class TestRateConverterLeg:
         first["rate_converter"][0]["resources"]["multipliers"] = -1
         third = execute_scenario_payload(payload, store)
         assert json.dumps(third, sort_keys=True) == fresh
+        # The store keeps the entries as a tuple, which rejects writes.
+        (stored,) = [value for key, value in store._data.items()
+                     if key[0] == "rate-converter-leg"]
+        with pytest.raises(TypeError):
+            stored[0] = {}
 
 
 class TestRunner:
