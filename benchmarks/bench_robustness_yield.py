@@ -144,7 +144,7 @@ def _kernel_speedups(scenario, model, chain, payload):
                                else lambda: None):
             timings[engine] = (
                 _best_time(lambda: modulator.simulate_batch(stimulus)),
-                _best_time(lambda: chain._hogenauer.process_batch(
+                _best_time(lambda: chain._sinc_batch(
                     codes, chain._code_offset)))
     return {
         "kernel_loaded": _native.load() is not None,

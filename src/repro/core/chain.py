@@ -12,14 +12,15 @@ Halfband(↓2) → Scaling → FIR equalizer`` (Fig. 5), with
 
 Bit-true engines
 ----------------
-Every stage of :meth:`DecimationChain.process_fixed` takes its numpy fast
-path (cumsum-based Hogenauer evaluation, strided-window matmul FIR stages,
+Every stage of :meth:`DecimationChain.process_fixed` is a pure block
+function: it filters each record from cleared registers and keeps no state
+between calls, so a designed chain is one immutable value that any number
+of callers and threads can share.  Each stage takes its numpy fast path
+(cumsum-based Hogenauer evaluation, strided-window matmul FIR stages,
 integer constant multiply for the scaler) whenever register widths and
 accumulators fit ``int64``, and its arbitrary-precision gold model
-otherwise; the Hogenauer stages count the switching-activity traces
-consumed by the power model (``collect_trace=True``) on either.  No option
-selects the engine: both produce **bit-identical** words, which the test suite
-pins stage by stage and for the whole chain.
+otherwise.  No option selects the engine: both produce **bit-identical**
+words, which the test suite pins stage by stage and for the whole chain.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from repro.filters.halfband import (
     SaramakiHalfband,
     SaramakiHalfbandDesigner,
 )
-from repro.filters.hogenauer import HogenauerCascade, HogenauerConfig, HogenauerDecimator
+from repro.filters.hogenauer import HogenauerConfig, HogenauerDecimator
 from repro.filters.response import FrequencyResponse, default_frequency_grid
 from repro.filters.scaling import ScalingStage
 from repro.filters.sinc import SincCascade, SincCascadeSpec, SincFilter
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainDesignOptions:
     """Knobs of the design methodology (Section III–VI choices)."""
 
@@ -105,44 +106,43 @@ class StageInfo:
     details: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class DecimationChain:
     """A fully designed decimation filter chain.
 
     Use :meth:`design` (or :func:`design_paper_chain`) to construct one from
     a :class:`~repro.core.spec.ChainSpec`; the instance then exposes the
     frequency responses, the simulators and the per-stage information that
-    the hardware model and the benchmarks consume.
+    the hardware model and the benchmarks consume.  It is immutable, so
+    the artifact store hands the stored chain itself to every caller.
     """
 
-    def __init__(self, spec: ChainSpec, options: ChainDesignOptions,
-                 sinc_cascade: SincCascade, halfband: SaramakiHalfband,
-                 scaling: ScalingStage, equalizer: EqualizerDesign) -> None:
-        self.spec = spec
-        self.options = options
-        self.sinc_cascade = sinc_cascade
-        self.halfband = halfband
-        self.scaling = scaling
-        self.equalizer = equalizer
+    spec: ChainSpec
+    options: ChainDesignOptions
+    sinc_cascade: SincCascade
+    halfband: SaramakiHalfband
+    scaling: ScalingStage
+    equalizer: EqualizerDesign
 
-        fs = spec.modulator.sample_rate_hz
-        self.halfband_input_rate_hz = fs / sinc_cascade.total_decimation
-        self.output_rate_hz = spec.decimator.output_rate_hz
-
-        # Bit-true building blocks.
-        self._hogenauer_stages = [
-            HogenauerDecimator(stage.spec, HogenauerConfig(options.retimed, options.pipelined))
-            for stage in sinc_cascade.stages
-        ]
-        self._hogenauer = HogenauerCascade(self._hogenauer_stages, rescale=False)
-        self._halfband_impl = HalfbandDecimator(
-            halfband, data_bits=sinc_cascade.output_bits,
-            coefficient_bits=options.halfband_coefficient_bits,
-        )
-        self._equalizer_impl = FIRFilterFixedPoint(
-            taps=equalizer.taps,
-            coefficient_bits=options.equalizer_coefficient_bits,
-            data_bits=spec.decimator.output_bits + 2,
-            label="Equalizer",
+    def __post_init__(self) -> None:
+        options = self.options
+        vars(self).update(
+            halfband_input_rate_hz=(self.spec.modulator.sample_rate_hz
+                                    / self.sinc_cascade.total_decimation),
+            output_rate_hz=self.spec.decimator.output_rate_hz,
+            # Bit-true building blocks.
+            _hogenauer_stages=tuple(
+                HogenauerDecimator(stage.spec, HogenauerConfig(options.retimed,
+                                                               options.pipelined))
+                for stage in self.sinc_cascade.stages),
+            _halfband_impl=HalfbandDecimator(
+                self.halfband, data_bits=self.sinc_cascade.output_bits,
+                coefficient_bits=options.halfband_coefficient_bits),
+            _equalizer_impl=FIRFilterFixedPoint(
+                taps=self.equalizer.taps,
+                coefficient_bits=options.equalizer_coefficient_bits,
+                data_bits=self.spec.decimator.output_bits + 2,
+                label="Equalizer"),
         )
 
     # ------------------------------------------------------------------
@@ -154,13 +154,14 @@ class DecimationChain:
                artifacts: Optional["ArtifactStore"] = None) -> "DecimationChain":
         """Design a chain for the given specification (defaults: Table I).
 
-        The two expensive design sub-stages — the Saramäki halfband CSD
-        search and the droop equalizer fit — run through ``artifacts``, an
+        The whole chain is one stage of ``artifacts``, an
         :class:`~repro.flow.artifacts.ArtifactStore` (a fresh one when
-        ``None``), keyed by their actual inputs, so design calls sharing a
-        store reuse them (e.g. sweep points differing only in the output
-        word width).  Both designs are immutable, so a hit returns the
-        stored design itself, identical to a cold design.
+        ``None``), keyed by the spec and the options, so a hit returns the
+        stored chain itself and constructs nothing.  A miss runs the two
+        expensive design sub-stages — the Saramäki halfband CSD search and
+        the droop equalizer fit — through the same store, keyed by their
+        actual inputs, so design calls sharing a store reuse them (e.g.
+        sweep points differing only in the output word width).
         """
         from repro.flow.artifacts import ArtifactStore
 
@@ -168,7 +169,15 @@ class DecimationChain:
         options = options or ChainDesignOptions()
         if artifacts is None:
             artifacts = ArtifactStore()
+        key = ("chain-design", content_hash({"spec": spec.to_dict(),
+                                             "options": options.to_dict()}))
+        return artifacts.get_or_compute(
+            key, lambda: cls._design(spec, options, artifacts))
 
+    @classmethod
+    def _design(cls, spec: ChainSpec, options: ChainDesignOptions,
+                artifacts: "ArtifactStore") -> "DecimationChain":
+        """The ``chain-design`` stage of :meth:`design` (a store miss)."""
         total_halvings = spec.num_halving_stages
         sinc_orders = options.sinc_orders
         if sinc_orders is None:
@@ -421,35 +430,40 @@ class DecimationChain:
         """``2^(B−1)``: what :meth:`codes_to_signed` subtracts."""
         return 1 << (self.spec.modulator.quantizer_bits - 1)
 
-    def process_fixed(self, codes: np.ndarray,
-                      collect_trace: bool = False) -> np.ndarray:
+    def process_fixed(self, codes: np.ndarray) -> np.ndarray:
         """Bit-true simulation: 4-bit codes in, ``output_bits``-bit words out.
 
-        Each stage picks its own engine (see the module docstring), traced
-        for the power model (``collect_trace=True``) or not.
+        Each stage picks its own engine (see the module docstring).
 
         ``codes`` may also be a 2-D ``(batch, n)`` array of independent
         records: every stage then runs batch-vectorized (one cumsum/matmul
         per stage for the whole batch) and row ``b`` of the result is
-        bit-exact to ``process_fixed(codes[b])``.  Tracing counts toggles
-        along one record and is rejected for batches.
+        bit-exact to ``process_fixed(codes[b])``.
         """
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim == 2:
-            if collect_trace:
-                raise ValueError("switching-activity tracing requires a "
-                                 "single record, not a (batch, n) array")
-            # The first Hogenauer stage subtracts the code offset as it
-            # reads, so a Monte Carlo block is not copied to signed words.
-            data = self._hogenauer.process_batch(codes, self._code_offset)
+            data = self._sinc_batch(codes, self._code_offset)
         else:
-            self._hogenauer.reset()
-            data = self._hogenauer.process(self.codes_to_signed(codes),
-                                           collect_trace=collect_trace)
+            data = self.codes_to_signed(codes)
+            for stage in self._hogenauer_stages:
+                data = stage.process(data)
         data = self._halfband_impl.process(data)
         data = self.scaling.process(data)
         data = self._equalizer_impl.process(data)
         return self._finalize_output(data)
+
+    def _sinc_batch(self, codes: np.ndarray, offset: int) -> np.ndarray:
+        """The Hogenauer stages on a ``(batch, n)`` array of records, less
+        ``offset``.
+
+        The first stage subtracts the offset as it reads, so a Monte Carlo
+        block of modulator codes is not copied to signed words.
+        """
+        data = codes
+        for stage in self._hogenauer_stages:
+            data = stage.process_batch(data, offset)
+            offset = 0
+        return data
 
     def _finalize_output(self, data: np.ndarray) -> np.ndarray:
         """Round away the guard LSBs and saturate to the output word.

@@ -18,11 +18,14 @@ other standards (the SDR/multi-standard motivation of the introduction):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.spec import ChainSpec
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow imports core)
+    from repro.flow.artifacts import ArtifactStore
+
+from repro.core.spec import ChainSpec, content_hash
 from repro.filters.sinc import SincCascade, SincCascadeSpec, SincFilter, SincFilterSpec
 
 
@@ -116,7 +119,9 @@ def sweep_sinc_order_splits(spec: ChainSpec, candidate_orders: Sequence[int] = (
 
 
 def predicted_snr_after_decimation(spec: ChainSpec, sinc_orders: Sequence[int],
-                                   n_points: int = 4096) -> float:
+                                   n_points: int = 4096,
+                                   artifacts: Optional["ArtifactStore"] = None,
+                                   ) -> float:
     """Linear-model estimate of the SNR after decimation.
 
     Integrates the modulator's shaped noise density multiplied by the Sinc
@@ -124,8 +129,29 @@ def predicted_snr_after_decimation(spec: ChainSpec, sinc_orders: Sequence[int],
     band, adds the in-band noise, and reports the resulting SNR for an
     MSA-amplitude tone.  Used by the designer to confirm that a candidate
     Sinc split does not cost more than ~1 dB of SNR, and by the tests as a
-    sanity bound for the simulated SNR.
+    sanity bound for the simulated SNR.  The estimate is a stage of
+    ``artifacts`` (a fresh store when ``None``), keyed by the spec fields
+    and the arguments it reads.
     """
+    from repro.flow.artifacts import ArtifactStore
+
+    if artifacts is None:
+        artifacts = ArtifactStore()
+    key = ("predicted-snr", content_hash({
+        "modulator": {name: getattr(spec.modulator, name) for name in (
+            "order", "osr", "out_of_band_gain", "sample_rate_hz",
+            "bandwidth_hz", "quantizer_bits", "msa")},
+        "input_bits": spec.decimator.input_bits,
+        "sinc_orders": [int(order) for order in sinc_orders],
+        "n_points": n_points,
+    }))
+    return artifacts.get_or_compute(
+        key, lambda: _predicted_snr(spec, sinc_orders, n_points))
+
+
+def _predicted_snr(spec: ChainSpec, sinc_orders: Sequence[int],
+                   n_points: int) -> float:
+    """The computation behind :func:`predicted_snr_after_decimation`."""
     from repro.dsm.ntf import synthesize_ntf
 
     ntf = synthesize_ntf(spec.modulator.order, spec.modulator.osr,

@@ -110,14 +110,16 @@ def format_progress_timing(elapsed_s: float, completed: int,
     return f"elapsed {elapsed_s:.1f}s, eta ~{eta_s:.1f}s"
 
 
-def flow_record(result) -> dict:
+def flow_record(result, artifacts: ArtifactStore) -> dict:
     """JSON-safe record of a flow result, with the SNR columns the
-    sweep/scenario reports consume (linear-model prediction + simulated)."""
+    sweep/scenario reports consume (linear-model prediction, looked up
+    in ``artifacts``, + simulated)."""
     from repro.core.designer import predicted_snr_after_decimation
 
     record = result.record()
     record["predicted_snr_db"] = float(predicted_snr_after_decimation(
-        result.spec, result.chain.summary()["sinc_orders"]))
+        result.spec, result.chain.summary()["sinc_orders"],
+        artifacts=artifacts))
     record["simulated_snr_db"] = result.simulated_snr_db
     return record
 
@@ -169,7 +171,9 @@ def _execute_point(payload: dict, artifacts: Optional[ArtifactStore] = None) -> 
     run's shared store (in a pool worker, the store installed by
     :func:`_init_worker`).
     """
-    return flow_record(run_flow_payload(payload, artifacts))
+    if artifacts is None:
+        artifacts = ArtifactStore()
+    return flow_record(run_flow_payload(payload, artifacts), artifacts)
 
 
 def _execute_payload_in_worker(payload: dict) -> tuple:
@@ -254,9 +258,9 @@ def execute_payloads(payloads: Sequence[dict],
 
     warm_lookups = 0
     if warm is not None:
-        before = store.hits + store.misses
-        warm(store)
-        warm_lookups = store.hits + store.misses - before
+        counter = _OuterLookups(store)
+        warm(counter)
+        warm_lookups = counter.lookups
     tracer = trace.active()
     trace_spec = tracer.worker_spec() if tracer is not None else None
     n_workers = min(jobs, len(payloads))
@@ -271,15 +275,35 @@ def execute_payloads(payloads: Sequence[dict],
             store.hits += d_hits
             store.misses += d_misses
             finish(index, record)
-    # Each warm lookup is repeated, as a hit, by the worker that runs the
-    # warmed representative; inline counts that lookup once, so drop the
-    # repeats to keep the counters the same on both paths.
+    # Each outermost warm lookup is repeated, as a hit, by the worker that
+    # runs the warmed representative (which then skips the lookups nested
+    # in it); inline counts that lookup once, so drop the repeats to keep
+    # the counters the same on both paths.
     store.hits -= warm_lookups
     if tracer is not None:
         # Fold the (now quiescent) worker side files into the main
         # trace so one file holds every span of the run.
         trace.merge_worker_traces(tracer.path)
     return records, mode, store
+
+
+class _OuterLookups:
+    """A store seen through ``get_or_compute`` alone, counting the
+    outermost lookups: those not made inside another lookup's compute
+    (single-threaded use, as the warm step runs)."""
+
+    def __init__(self, store: ArtifactStore) -> None:
+        self.store = store
+        self.lookups = 0
+        self._depth = 0
+
+    def get_or_compute(self, key, compute, reuse=None):
+        self.lookups += self._depth == 0
+        self._depth += 1
+        try:
+            return self.store.get_or_compute(key, compute, reuse)
+        finally:
+            self._depth -= 1
 
 
 @dataclass
@@ -544,21 +568,33 @@ def warm_shared_stages(payloads: Sequence[dict],
     representative covers is warmed through its first payload.  A warmed
     payload that measures activity warms its Hogenauer activity
     measurement too (keyed by the modulator and the Sinc stages, so
-    payloads of several designs share it).  Singletons are not warmed:
-    their whole flow runs in the pool, keeping distinct-design grids
-    parallel (each worker still dedups across its own chunk through its
-    copy of the store).
+    payloads of several designs share it) and its linear-model SNR
+    prediction; the other members of a design group are warmed without
+    their SNR leg (their chains reuse the representative's designs).  The
+    first payload of every other group of two or more sharing a
+    prediction (modulator, input word and Sinc orders) warms it.  Design
+    singletons are not warmed: their whole flow runs in the pool, keeping
+    distinct-design grids parallel (each worker still dedups across its
+    own chunk through its copy of the store).
     """
     from repro.core.spec import content_hash
 
     design_groups: Dict[str, List[int]] = {}
     stimulus_groups: Dict[str, List[int]] = {}
+    prediction_groups: Dict[str, List[int]] = {}
     for index, payload in enumerate(payloads):
         spec = dict(payload["spec"])
         spec["decimator"] = {k: v for k, v in spec["decimator"].items()
                              if k != "output_bits"}
         design_groups.setdefault(content_hash(
             {"spec": spec, "options": payload["options"]}), []).append(index)
+        # Automatic Sinc orders follow the whole spec.
+        orders = payload["options"]["sinc_orders"] or payload["spec"]
+        prediction_groups.setdefault(content_hash({
+            "modulator": spec["modulator"],
+            "input_bits": spec["decimator"]["input_bits"],
+            "sinc_orders": orders,
+        }), []).append(index)
         flow = payload["flow"]
         if flow["include_snr"] or payload.get("scenario", {}).get(
                 "resample_rates_hz"):
@@ -572,15 +608,23 @@ def warm_shared_stages(payloads: Sequence[dict],
     shared_stimulus = {index for group in stimulus_groups.values()
                        if len(group) > 1 for index in group}
     covered = set()
+    warmed = set()
     for group in design_groups.values():
         if len(group) > 1:
             with_snr = group[0] in shared_stimulus
             _warm_payload(payloads[group[0]], store, with_snr)
+            for index in group[1:]:
+                _warm_payload(payloads[index], store, with_snr=False)
+            warmed.update(group)
             if with_snr:
                 covered.add(group[0])
     for group in stimulus_groups.values():
         if len(group) > 1 and covered.isdisjoint(group):
             _warm_payload(payloads[group[0]], store, with_snr=True)
+            warmed.add(group[0])
+    for group in prediction_groups.values():
+        if len(group) > 1 and warmed.isdisjoint(group):
+            _warm_prediction(payloads[group[0]], store)
 
 
 def _warm_payload(payload: dict, store: ArtifactStore,
@@ -600,6 +644,19 @@ def _warm_payload(payload: dict, store: ArtifactStore,
                         snr_tone_hz=flow.get("snr_tone_hz"),
                         snr_amplitude=flow.get("snr_amplitude"),
                         measure_activity=bool(flow.get("measure_activity")))
+    _warm_prediction(payload, store)
+
+
+def _warm_prediction(payload: dict, store: ArtifactStore) -> None:
+    """Warm one payload's linear-model SNR prediction (the
+    ``predicted-snr`` stage of :func:`flow_record`)."""
+    from repro.core.designer import (choose_sinc_orders,
+                                     predicted_snr_after_decimation)
+    from repro.core.spec import ChainSpec
+
+    spec = ChainSpec.from_dict(payload["spec"])
+    orders = payload["options"]["sinc_orders"] or choose_sinc_orders(spec)
+    predicted_snr_after_decimation(spec, orders, artifacts=store)
 
 
 def _axes_json(sweep: SweepSpec) -> Dict[str, list]:

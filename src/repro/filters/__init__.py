@@ -36,7 +36,6 @@ from repro.filters.sinc import (
 from repro.filters.hogenauer import (
     HogenauerConfig,
     HogenauerDecimator,
-    HogenauerCascade,
     HogenauerTrace,
 )
 from repro.filters.halfband import (
@@ -79,7 +78,6 @@ __all__ = [
     "SincCascade",
     "HogenauerConfig",
     "HogenauerDecimator",
-    "HogenauerCascade",
     "HogenauerTrace",
     "SaramakiHalfband",
     "SaramakiHalfbandDesigner",

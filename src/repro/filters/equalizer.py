@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.filters.fir import design_arbitrary_response_ls, fir_response
 from repro.filters.response import FrequencyResponse
-from repro.fixedpoint.csd import encode_coefficients
 from repro.frozen import FrozenRecord
 
 
@@ -58,10 +57,6 @@ class EqualizerDesign(FrozenRecord):
         """Frequency response of the (unquantized) equalizer taps."""
         return fir_response(self.taps, self.sample_rate_hz, frequencies_hz,
                             n_points, label="Equalizer")
-
-    def quantize_csd(self, coefficient_bits: int = 16):
-        """CSD-encode the coefficients (the paper's implementation choice)."""
-        return encode_coefficients(self.taps, coefficient_bits)
 
     def with_tap_deltas(self, lsb_deltas: np.ndarray,
                         coefficient_bits: int = 16) -> "EqualizerDesign":

@@ -16,7 +16,7 @@ Nyquist rate of 40 MHz.  This module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.response import FrequencyResponse, default_frequency_grid, fir_freqz
 from repro.fixedpoint.csd import CSDCode, encode_coefficients
+from repro.frozen import read_only
 
 
 _TWOPI = 2.0 * math.pi
@@ -309,7 +310,7 @@ def fir_response(taps: Sequence[float], sample_rate_hz: float,
     )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FIRFilterFixedPoint(BitTrueFIRStage):
     """Bit-true linear-phase FIR with CSD-quantized coefficients.
 
@@ -323,7 +324,8 @@ class FIRFilterFixedPoint(BitTrueFIRStage):
     every ``decimation``-th sample; :meth:`process` runs the engines of
     :class:`~repro.filters.polyphase.BitTrueFIRStage` (an ``int64``
     strided matmul when the accumulator provably fits, the
-    arbitrary-precision gold model otherwise).
+    arbitrary-precision gold model otherwise).  The stage is immutable,
+    with read-only tap arrays.
     """
 
     taps: np.ndarray
@@ -331,21 +333,22 @@ class FIRFilterFixedPoint(BitTrueFIRStage):
     data_bits: int = 16
     label: str = "FIR"
     decimation: int = 1
-    csd_codes: List[CSDCode] = field(default_factory=list)
+    csd_codes: Sequence[CSDCode] = ()
 
     def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=float)
-        if self.taps.ndim != 1 or len(self.taps) == 0:
+        taps = read_only(np.asarray(self.taps, dtype=float))
+        if taps.ndim != 1 or len(taps) == 0:
             raise ValueError("taps must be a non-empty 1-D array")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
-        if not self.csd_codes:
-            self.csd_codes = encode_coefficients(self.taps, self.coefficient_bits)
-        scale = 1 << self.coefficient_bits
-        self._int_taps = np.array([int(round(float(c.value) * scale))
-                                   for c in self.csd_codes], dtype=object)
-        self._abs_tap_sum = int(sum(abs(int(t)) for t in self._int_taps))
-        self.quantized_taps = np.array([c.value for c in self.csd_codes])
+        csd_codes = tuple(self.csd_codes
+                          or encode_coefficients(taps, self.coefficient_bits))
+        quantized_taps = read_only([c.value for c in csd_codes])
+        int_taps = read_only(np.round(quantized_taps * (1 << self.coefficient_bits)
+                                      ).astype(np.int64))
+        vars(self).update(taps=taps, csd_codes=csd_codes,
+                          quantized_taps=quantized_taps, _int_taps=int_taps,
+                          _abs_tap_sum=int(np.abs(int_taps).sum()))
 
     @property
     def n_taps(self) -> int:

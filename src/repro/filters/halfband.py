@@ -44,7 +44,7 @@ from repro.filters.fir import design_lowpass_remez
 from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.response import FrequencyResponse, default_frequency_grid
 from repro.fixedpoint.csd import CSDCode, encode_coefficients
-from repro.frozen import FrozenRecord
+from repro.frozen import FrozenRecord, read_only
 
 
 # ----------------------------------------------------------------------
@@ -238,13 +238,6 @@ class SaramakiHalfband(FrozenRecord):
     def n2(self) -> int:
         """Order parameter of the cascaded sub-filter."""
         return len(self.f2)
-
-    @property
-    def subfilter_order(self) -> int:
-        """Order of one F2 sub-filter (``2·(2·n2 − 1)`` would be its length -1
-        when written with explicit zero taps; the odd-tap kernel spans
-        ``2·n2 − 1`` input samples on each side)."""
-        return 2 * (2 * self.n2 - 1)
 
     @property
     def equivalent_order(self) -> int:
@@ -633,6 +626,7 @@ def perturbed_halfband(design: SaramakiHalfband, coefficient_bits: int,
 # ----------------------------------------------------------------------
 # Bit-true implementation
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
 class HalfbandDecimator(BitTrueFIRStage):
     """Bit-true decimate-by-2 implementation of the composite halfband filter.
 
@@ -651,19 +645,19 @@ class HalfbandDecimator(BitTrueFIRStage):
     :class:`~repro.filters.polyphase.BitTrueFIRStage`: the ``int64``
     strided matmul computes only the kept (even) output phase while the
     accumulator provably fits, the arbitrary-precision gold model runs
-    otherwise.
+    otherwise.  The stage is immutable, with read-only tap arrays.
     """
 
-    def __init__(self, filter_design: SaramakiHalfband, data_bits: int = 16,
-                 coefficient_bits: int = 24) -> None:
-        self.design = filter_design
-        self.data_bits = data_bits
-        self.coefficient_bits = coefficient_bits
-        taps = filter_design.equivalent_fir()
-        scale = 1 << coefficient_bits
-        self._int_taps = np.array([int(round(t * scale)) for t in taps], dtype=object)
-        self._abs_tap_sum = int(sum(abs(int(t)) for t in self._int_taps))
-        self._taps_float = taps
+    design: SaramakiHalfband
+    data_bits: int = 16
+    coefficient_bits: int = 24
+
+    def __post_init__(self) -> None:
+        taps = read_only(self.design.equivalent_fir())
+        int_taps = read_only(np.round(taps * (1 << self.coefficient_bits))
+                             .astype(np.int64))
+        vars(self).update(_int_taps=int_taps, _taps_float=taps,
+                          _abs_tap_sum=int(np.abs(int_taps).sum()))
 
     @property
     def n_taps(self) -> int:

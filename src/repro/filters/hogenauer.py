@@ -19,33 +19,34 @@ unchanged, which the test suite verifies.
 
 Simulation engines
 ------------------
-:meth:`HogenauerDecimator.process` takes a numpy fast path whenever it can:
-the K integrators are K cumulative sums, the rate change is a strided
-slice, and the K combs are vectorized first differences.  All arithmetic
-runs in ``uint64`` (i.e. modulo 2**64); because every operation is an
-addition or subtraction, the results stay congruent to the register
-contents modulo ``2**width``, so the final wrap to the register width
-reproduces the wrap-around two's-complement hardware exactly.  Registers
-wider than 62 bits run the sample-by-sample gold model of the
-register-transfer structure instead.  Both engines share the streaming
-state (integrators, comb delays, phase), so consecutive blocks continue the
-same simulation whichever engine each block takes.
+Every call of :meth:`HogenauerDecimator.process` filters one record from
+cleared registers: the stage holds no state between calls, so one stage
+(and one designed chain) can serve any number of callers and threads.
+The numpy fast path runs whenever it can: the K integrators are K
+cumulative sums, the rate change is a strided slice, and the K combs are
+vectorized first differences.  All arithmetic runs in ``uint64`` (i.e.
+modulo 2**64); because every operation is an addition or subtraction, the
+results stay congruent to the register contents modulo ``2**width``, so
+the final wrap to the register width reproduces the wrap-around
+two's-complement hardware exactly.  Registers wider than 62 bits run the
+sample-by-sample gold model of the register-transfer structure instead.
 :meth:`HogenauerDecimator.process_batch` runs independent records through
 the compiled kernel of :mod:`repro._native` instead, or through the
 vectorized engine row by row where no kernel can be built.
 
-Switching-activity tracing (``collect_trace=True``, the power model's path)
-counts toggles on the engine the block runs on.  On the fast path the
+Switching-activity tracing (:meth:`HogenauerDecimator.process_traced`, the
+power model's path) returns the record's toggle counts with its output,
+counted on the engine the record runs on.  On the fast path the
 integrator node histories are the cumulative sums and the comb node
 histories the first differences; each node's toggles are the popcount of
-``(x[n] ^ x[n-1]) & mask``, the value before the block taken as 0, as the
+``(x[n] ^ x[n-1]) & mask``, the value before the record taken as 0, as the
 gold model does.  The two traces are pinned equal node for node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def wrap_twos_complement(value, total_bits: int):
     return ((int(value) + half) % modulus) - half
 
 
-@dataclass
+@dataclass(frozen=True)
 class HogenauerConfig:
     """Implementation options for the Hogenauer structure."""
 
@@ -83,27 +84,28 @@ class HogenauerConfig:
     guard_bits: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class HogenauerTrace:
-    """Per-node switching-activity record used by the power model.
+    """Per-node switching activity of one record, used by the power model.
 
-    ``toggles[node]`` counts the total number of bit transitions observed at
-    that node across the simulation; the power model converts these into
-    dynamic energy.
+    ``toggles[node]`` counts the bit transitions observed at that node
+    over the record's ``samples`` inputs; the power model converts these
+    into dynamic energy.
     """
 
-    toggles: dict = field(default_factory=dict)
-    samples: int = 0
+    samples: int
+    toggles: dict
 
-    def add_block(self, samples: int, toggles: List[int]) -> None:
-        """Add one block of ``samples`` inputs; ``toggles`` holds the
-        block's counts of the K integrators, then of the K combs."""
-        self.samples += samples
-        k = len(toggles) // 2
+    @classmethod
+    def from_counts(cls, samples: int, counts: List[int]) -> "HogenauerTrace":
+        """The trace of ``samples`` inputs whose ``counts`` hold the toggle
+        counts of the K integrators, then of the K combs."""
+        k = len(counts) // 2
+        toggles = {}
         for i in range(k):
-            for node, count in ((f"integrator{i}", toggles[i]),
-                                (f"comb{i}", toggles[k + i])):
-                self.toggles[node] = self.toggles.get(node, 0) + count
+            toggles[f"integrator{i}"] = counts[i]
+            toggles[f"comb{i}"] = counts[k + i]
+        return cls(samples, toggles)
 
     def activity(self, node: str, width: int) -> float:
         """Average toggle probability per bit per clock for a node."""
@@ -134,6 +136,7 @@ def _toggle_count_series(values: np.ndarray, width: int) -> int:
     return _count_toggles(previous, values, width)
 
 
+@dataclass(frozen=True)
 class HogenauerDecimator:
     """Bit-true multirate Sinc^K decimate-by-M filter (Fig. 6).
 
@@ -141,22 +144,16 @@ class HogenauerDecimator:
     wide) and produces integer samples of ``register_bits`` width.  The DC
     gain is ``M**K``; callers that need unity gain divide by
     ``2**(K*log2(M))`` afterwards (the chain keeps track of this scaling).
+    The stage is immutable and keeps no state between calls.
     """
 
-    def __init__(self, spec: SincFilterSpec, config: Optional[HogenauerConfig] = None) -> None:
-        self.spec = spec
-        self.config = config or HogenauerConfig()
-        self.width = spec.register_bits + self.config.guard_bits
-        self.reset()
+    spec: SincFilterSpec
+    config: HogenauerConfig = HogenauerConfig()
 
-    def reset(self) -> None:
-        """Clear all integrator, differentiator and pipeline registers."""
-        k = self.spec.order
-        self._integrators = [0] * k
-        self._comb_delays = [0] * k
-        self._pipeline_register = 0
-        self._phase = 0
-        self.trace = HogenauerTrace()
+    @property
+    def width(self) -> int:
+        """Register width: Eq. (2) plus the configured guard bits."""
+        return self.spec.register_bits + self.config.guard_bits
 
     def coefficient_fingerprint(self) -> dict:
         """JSON-safe identity of everything that determines the output words.
@@ -175,53 +172,62 @@ class HogenauerDecimator:
                 "register_bits": int(self.spec.register_bits)}
 
     # ------------------------------------------------------------------
-    # Streaming interface
+    # Block processing
     # ------------------------------------------------------------------
-    def process(self, samples: np.ndarray, collect_trace: bool = False) -> np.ndarray:
-        """Filter and decimate a block of integer input samples.
+    def process(self, samples: np.ndarray) -> np.ndarray:
+        """Filter and decimate one record of integer input samples.
 
         Parameters
         ----------
         samples:
             Integer input samples; values must fit in ``input_bits`` signed
             bits (they are wrapped otherwise, as real hardware would).
-        collect_trace:
-            Add this block's per-node toggle counts to :attr:`trace` for
-            the power model.
 
         Returns
         -------
         numpy.ndarray
-            Integer output samples at ``input_rate / M``.
+            Integer output samples at ``input_rate / M``, computed from
+            cleared registers.
         """
+        return self._run(samples, None)
+
+    def process_traced(self, samples: np.ndarray) -> Tuple[np.ndarray, HogenauerTrace]:
+        """:meth:`process` plus the record's per-node toggle counts, for
+        the power model."""
+        toggles = [0] * (2 * self.spec.order)
+        out = self._run(samples, toggles)
+        return out, HogenauerTrace.from_counts(len(samples), toggles)
+
+    def _run(self, samples: np.ndarray,
+             toggles: Optional[List[int]]) -> np.ndarray:
+        """Validate ``samples`` and run the engine their register width
+        allows, counting toggles into ``toggles`` when it is a list."""
         samples = np.asarray(samples)
         if samples.dtype != object and not np.issubdtype(samples.dtype, np.integer):
             raise TypeError("HogenauerDecimator processes integer samples; "
                             "quantize the input first")
         if self.width > _MAX_INT64_WIDTH:
-            return self._process_reference(samples, collect_trace)
-        if not collect_trace:
-            return self._process_vectorized(samples)
-        toggles = [0] * (2 * self.spec.order)
-        out = self._process_vectorized(samples, toggles=toggles)
-        self.trace.add_block(len(samples), toggles)
-        return out
+            return self._process_reference(samples, toggles)
+        return self._process_vectorized(samples, toggles=toggles)
 
     def _process_reference(self, samples: np.ndarray,
-                           collect_trace: bool = False) -> np.ndarray:
-        """Gold model: sample-by-sample register-transfer simulation."""
+                           toggles: Optional[List[int]] = None) -> np.ndarray:
+        """Gold model: sample-by-sample register-transfer simulation.
+
+        ``toggles``, a list of 2·K zeros, receives the toggle count of
+        integrator ``i`` at ``i`` and of comb ``i`` at ``K + i``.
+        """
         k = self.spec.order
         m = self.spec.decimation
         width = self.width
         outputs: List[int] = []
-        integrators = self._integrators
-        comb_delays = self._comb_delays
-        phase = self._phase
-        # Node-value histories for the (vectorized) toggle counting; the
-        # per-node previous values reset to 0 at each call, matching the
-        # original per-call trace semantics.
+        integrators = [0] * k
+        comb_delays = [0] * k
+        phase = 0
+        # Node-value histories for the (vectorized) toggle counting; each
+        # node's value before the record is 0.
         node_history: Optional[List[List[int]]] = None
-        if collect_trace:
+        if toggles is not None:
             node_history = [[] for _ in range(2 * k)]
 
         for raw in samples.tolist():
@@ -232,33 +238,27 @@ class HogenauerDecimator:
             for i in range(k):
                 integrators[i] = wrap_twos_complement(integrators[i] + value, width)
                 value = integrators[i]
-                if collect_trace:
+                if node_history is not None:
                     node_history[i].append(value)
             phase += 1
             if phase < m:
                 continue
             phase = 0
-            # Pipeline register between the fast and slow sections.
-            self._pipeline_register = value
-            diff_value = self._pipeline_register
+            # The pipeline register between the fast and slow sections.
+            diff_value = value
             for i in range(k):
                 new_value = wrap_twos_complement(diff_value - comb_delays[i], width)
                 comb_delays[i] = diff_value
                 diff_value = new_value
-                if collect_trace:
+                if node_history is not None:
                     node_history[k + i].append(diff_value)
             outputs.append(diff_value)
 
-        if collect_trace:
-            dtype = object if width > _MAX_INT64_WIDTH else np.int64
-            self.trace.add_block(len(samples), [
-                _toggle_count_series(np.array(history, dtype=dtype), width)
-                for history in node_history])
-
-        self._integrators = integrators
-        self._comb_delays = comb_delays
-        self._phase = phase
-        return np.array(outputs, dtype=object if width > _MAX_INT64_WIDTH else np.int64)
+        dtype = object if width > _MAX_INT64_WIDTH else np.int64
+        if toggles is not None:
+            toggles[:] = [_toggle_count_series(np.array(history, dtype=dtype), width)
+                          for history in node_history]
+        return np.array(outputs, dtype=dtype)
 
     def _process_vectorized(self, samples: np.ndarray, offset: int = 0,
                             toggles: Optional[List[int]] = None) -> np.ndarray:
@@ -269,16 +269,13 @@ class HogenauerDecimator:
         congruent modulo ``2**width`` and the single final wrap recovers the
         exact register contents.  ``offset`` is subtracted from every
         sample as it is read, so the input is ``samples - offset``.
-        ``toggles``, a list of 2·K zeros, receives the block's toggle
+        ``toggles``, a list of 2·K zeros, receives the record's toggle
         count of integrator ``i`` at ``i`` and of comb ``i`` at ``K + i``,
         counted on the same congruent words.
         """
         k = self.spec.order
         m = self.spec.decimation
         width = self.width
-        n = len(samples)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
         if samples.dtype == object:
             # Arbitrary-precision inputs are wrapped to the register width up
             # front — the gold model does the same before accumulating,
@@ -289,30 +286,18 @@ class HogenauerDecimator:
         if offset:
             x -= np.uint64(offset & _MASK64)
 
-        # K integrators = K cumulative sums with carried-in register state.
+        # K integrators = K cumulative sums from cleared registers.
         for i in range(k):
             x = np.cumsum(x, dtype=np.uint64)
-            x += np.uint64(self._integrators[i] & _MASK64)
-            self._integrators[i] = wrap_twos_complement(int(x[-1]), width)
             if toggles is not None:
                 toggles[i] = _toggle_count_series(x, width)
 
-        # Rate change: the reference emits at samples where the running phase
-        # counter reaches M.
-        start = (m - 1 - self._phase) % m
-        dec = x[start::m]
-        self._phase = (self._phase + n) % m
-        if len(dec) == 0:
-            return np.zeros(0, dtype=np.int64)
-        self._pipeline_register = wrap_twos_complement(int(dec[-1]), width)
+        # Rate change: the reference emits at every M-th input sample.
+        dec = x[m - 1::m]
 
-        # K combs = vectorized first differences with carried-in delays.
+        # K combs = vectorized first differences from cleared delays.
         for i in range(k):
-            previous = np.empty_like(dec)
-            previous[0] = np.uint64(self._comb_delays[i] & _MASK64)
-            previous[1:] = dec[:-1]
-            self._comb_delays[i] = wrap_twos_complement(int(dec[-1]), width)
-            dec = dec - previous
+            dec = np.diff(dec, prepend=np.uint64(0))
             if toggles is not None:
                 toggles[k + i] = _toggle_count_series(dec, width)
 
@@ -326,15 +311,13 @@ class HogenauerDecimator:
     def process_batch(self, samples: np.ndarray, offset: int = 0) -> np.ndarray:
         """Filter and decimate a ``(batch, n)`` array of independent records.
 
-        Every row is processed from a cleared register state (the batch
-        axis models independent records, not a continued stream) and row
-        ``b`` of the result is bit-exact to ``reset(); process(samples[b]
-        - offset)``; the offset is subtracted as the samples are read, so
+        Row ``b`` of the result is bit-exact to ``process(samples[b] -
+        offset)``; the offset is subtracted as the samples are read, so
         the modulator's codes need no signed copy.
         The compiled kernel runs the K wrap-around integrators, the rate
         change and the K combs per row and writes only the ``n // M``
         output words; without it each row runs through the vectorized
-        engine.  The instance's streaming state is left untouched.
+        engine.
 
         Requires a register width the vectorized engine supports
         (≤ 62 bits); wider configurations must loop :meth:`process`.
@@ -362,10 +345,8 @@ class HogenauerDecimator:
         out = np.empty((batch, n // m), dtype=np.int64)
         library = _native.load()
         if library is None:
-            stage = HogenauerDecimator(self.spec, self.config)
             for b, row in enumerate(samples):
-                stage.reset()
-                out[b] = stage._process_vectorized(row, offset)
+                out[b] = self._process_vectorized(row, offset)
         else:
             library.cic_decimate(samples, offset & _MASK64, batch, n, k, m,
                                  width, np.zeros(2 * k, dtype=np.uint64), out)
@@ -437,66 +418,3 @@ class HogenauerDecimator:
             "pipelined": self.config.pipelined,
         }
 
-
-class HogenauerCascade:
-    """Bit-true cascade of Hogenauer stages with inter-stage word-width tracking.
-
-    The cascade scales each stage's output down by its DC gain (a power of
-    two, i.e. an arithmetic shift) so the signal keeps its full-scale
-    alignment while the word length follows the 4 → 8 → 12-bit progression
-    of the paper.
-    """
-
-    def __init__(self, stages: List[HogenauerDecimator], rescale: bool = True) -> None:
-        if not stages:
-            raise ValueError("cascade requires at least one stage")
-        self.stages = stages
-        self.rescale = rescale
-
-    def reset(self) -> None:
-        """Clear every stage's integrator, comb and pipeline registers."""
-        for stage in self.stages:
-            stage.reset()
-
-    def process(self, samples: np.ndarray, collect_trace: bool = False) -> np.ndarray:
-        """Run a block through every stage."""
-        data = np.asarray(samples)
-        for stage in self.stages:
-            data = stage.process(data, collect_trace=collect_trace)
-            if self.rescale:
-                shift = stage.spec.output_bits - stage.spec.input_bits
-                if shift > 0:
-                    # Divide by the DC gain (2**shift) with rounding toward
-                    # negative infinity (arithmetic shift, as hardware does).
-                    if data.dtype == object:
-                        data = np.array([int(v) >> shift for v in data.tolist()],
-                                        dtype=np.int64)
-                    else:
-                        data = data >> shift
-        return data
-
-    def process_batch(self, samples: np.ndarray, offset: int = 0) -> np.ndarray:
-        """Run a ``(batch, n)`` array of independent records, less
-        ``offset``, through the cascade (zero initial state per row; see
-        :meth:`HogenauerDecimator.process_batch`)."""
-        data = np.asarray(samples)
-        for stage in self.stages:
-            data = stage.process_batch(data, offset)
-            offset = 0
-            if self.rescale:
-                shift = stage.spec.output_bits - stage.spec.input_bits
-                if shift > 0:
-                    data = data >> shift
-        return data
-
-    @property
-    def total_decimation(self) -> int:
-        """Product of every stage's decimation factor."""
-        total = 1
-        for stage in self.stages:
-            total *= stage.spec.decimation
-        return total
-
-    def resource_summaries(self) -> List[dict]:
-        """Per-stage ``resource_summary()`` dicts, first stage first."""
-        return [stage.resource_summary() for stage in self.stages]

@@ -113,7 +113,7 @@ class BitTrueFIRStage:
 
     Output ``j`` of a block is ``round(full[offset + j*step] /
     2**coefficient_bits)`` with ``full = np.convolve(x, taps)`` over the
-    integer taps; subclasses provide ``_int_taps`` (object array),
+    integer taps; subclasses provide ``_int_taps`` (an ``int64`` array),
     ``_abs_tap_sum``, ``coefficient_bits`` and :meth:`_output_window`.
     :meth:`process` evaluates only the kept outputs with one ``int64``
     strided matmul (:func:`convolve_strided_matmul`) whenever
@@ -144,7 +144,7 @@ class BitTrueFIRStage:
             return self._process_reference(samples)
         offset, step, count = self._output_window(samples.shape[-1])
         full = convolve_strided_matmul(
-            samples.astype(np.int64), self._int_taps.astype(np.int64),
+            samples.astype(np.int64, copy=False), self._int_taps,
             offset=offset, step=step, count=count)
         return (full + (1 << (self.coefficient_bits - 1))) >> self.coefficient_bits
 
@@ -154,7 +154,8 @@ class BitTrueFIRStage:
             return np.zeros(0, dtype=np.int64)
         offset, step, count = self._output_window(len(samples))
         ints = np.array([int(v) for v in samples.tolist()], dtype=object)
-        kept = np.convolve(ints, self._int_taps)[offset:offset + count * step:step]
+        taps = np.array(self._int_taps.tolist(), dtype=object)
+        kept = np.convolve(ints, taps)[offset:offset + count * step:step]
         half = 1 << (self.coefficient_bits - 1)
         return np.array([(int(v) + half) >> self.coefficient_bits for v in kept],
                         dtype=object)

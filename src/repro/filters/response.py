@@ -49,10 +49,6 @@ class FrequencyResponse:
         idx = int(np.argmin(np.abs(self.frequencies_hz - frequency_hz)))
         return complex(self.magnitude[idx])
 
-    def magnitude_db_at(self, frequency_hz: float) -> float:
-        """Magnitude in dB at the grid point closest to ``frequency_hz``."""
-        return float(20.0 * np.log10(max(abs(self.at(frequency_hz)), 1e-300)))
-
     # ------------------------------------------------------------------
     # Band measurements
     # ------------------------------------------------------------------

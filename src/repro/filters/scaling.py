@@ -24,10 +24,11 @@ import numpy as np
 from repro.filters.polyphase import int64_accumulator_safe
 from repro.fixedpoint.csd import CSDCode, to_csd, csd_multiply_int
 from repro.fixedpoint.horner import horner_decomposition, horner_adder_count
+from repro.frozen import FrozenRecord
 
 
-@dataclass
-class ScalingStage:
+@dataclass(frozen=True)
+class ScalingStage(FrozenRecord):
     """CSD/Horner implementation of the constant gain stage.
 
     Attributes
@@ -38,6 +39,8 @@ class ScalingStage:
         Fractional bits used for the CSD encoding of the gain.
     data_bits:
         Width of the data path (used only for resource accounting).
+
+    Immutable (a :class:`~repro.frozen.FrozenRecord`).
     """
 
     scale: float
@@ -50,19 +53,23 @@ class ScalingStage:
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.csd is None:
-            self.csd = to_csd(self.scale, self.coefficient_bits)
-        self.horner_steps = horner_decomposition(self.csd)
-        # The shift-add network multiplies by this exact integer: CSD digits
-        # whose shifted weight falls below the product LSB are truncated by
-        # csd_multiply_int, so the constant is rebuilt from the surviving
-        # digits rather than from the rounded real value.
-        self._int_multiplier = sum(
-            sign << (weight + self.coefficient_bits)
-            for weight, sign in self.csd.digits
-            if weight + self.coefficient_bits >= 0)
-        self.metadata.setdefault("quantized_scale", self.csd.value)
-        self.metadata.setdefault("scale_error", self.csd.value - self.scale)
+        csd = self.csd if self.csd is not None else to_csd(self.scale,
+                                                             self.coefficient_bits)
+        vars(self).update(
+            csd=csd,
+            horner_steps=tuple(horner_decomposition(csd)),
+            # The shift-add network multiplies by this exact integer: CSD
+            # digits whose shifted weight falls below the product LSB are
+            # truncated by csd_multiply_int, so the constant is rebuilt from
+            # the surviving digits rather than from the rounded real value.
+            _int_multiplier=sum(
+                sign << (weight + self.coefficient_bits)
+                for weight, sign in csd.digits
+                if weight + self.coefficient_bits >= 0),
+            metadata={"quantized_scale": csd.value,
+                      "scale_error": csd.value - self.scale,
+                      **self.metadata})
+        super().__post_init__()
 
     @property
     def quantized_scale(self) -> float:

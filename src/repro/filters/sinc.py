@@ -16,7 +16,7 @@ bookkeeping.  The bit-true Hogenauer implementation lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,11 +96,11 @@ class SincFilterSpec:
         return float(self.decimation ** self.order)
 
 
+@dataclass(frozen=True)
 class SincFilter:
     """A single Sinc^K decimate-by-M stage (design-level model)."""
 
-    def __init__(self, spec: SincFilterSpec) -> None:
-        self.spec = spec
+    spec: SincFilterSpec
 
     # ------------------------------------------------------------------
     # Coefficients and responses
@@ -120,23 +120,6 @@ class SincFilter:
         if normalized:
             taps = taps / (self.spec.decimation ** self.spec.order)
         return taps
-
-    def transfer_function(self, normalized: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(b, a)`` of the recursive (integrator-comb) form."""
-        m, k = self.spec.decimation, self.spec.order
-        b = np.zeros(m + 1)
-        b[0] = 1.0
-        b[-1] = -1.0
-        num = np.array([1.0])
-        for _ in range(k):
-            num = np.convolve(num, b)
-        den = np.array([1.0, -1.0])
-        den_k = np.array([1.0])
-        for _ in range(k):
-            den_k = np.convolve(den_k, den)
-        if normalized:
-            num = num / (m ** k)
-        return num, den_k
 
     def frequency_response(self, frequencies_hz: Optional[np.ndarray] = None,
                            n_points: int = 4096) -> FrequencyResponse:
@@ -181,7 +164,7 @@ class SincFilter:
         return response.worst_alias_attenuation_db(bands)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SincCascadeSpec:
     """Specification of the cascade of Sinc stages (the paper uses 4, 4, 6)."""
 
@@ -196,17 +179,20 @@ class SincCascadeSpec:
         return self.decimation_per_stage ** len(self.orders)
 
 
+@dataclass(frozen=True, eq=False)
 class SincCascade:
     """The cascade of Sinc^K decimate-by-2 stages used for initial filtering.
 
     The paper uses Sinc4 → Sinc4 → Sinc6 with input word lengths 4, 8 and 12
     bits respectively; those word lengths are re-derived here from Eq. (2)
-    rather than hard-coded.
+    rather than hard-coded.  The cascade is immutable.
     """
 
-    def __init__(self, spec: SincCascadeSpec) -> None:
-        self.spec = spec
-        self.stages: List[SincFilter] = []
+    spec: SincCascadeSpec
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        stages: List[SincFilter] = []
         rate = spec.input_rate_hz
         bits = spec.input_bits
         for i, order in enumerate(spec.orders):
@@ -217,9 +203,10 @@ class SincCascade:
                 input_rate_hz=rate,
                 label=f"Sinc{order} stage {i + 1}",
             )
-            self.stages.append(SincFilter(stage_spec))
+            stages.append(SincFilter(stage_spec))
             bits = stage_spec.output_bits
             rate = stage_spec.output_rate_hz
+        vars(self).update(stages=tuple(stages))
 
     @property
     def total_decimation(self) -> int:
@@ -311,18 +298,3 @@ class SincCascade:
         grid = default_frequency_grid(self.spec.input_rate_hz, n_points)
         response = self.cascade_response(band_limited_grid(grid, bands))
         return response.worst_alias_attenuation_db(bands)
-
-    def register_bit_summary(self) -> List[dict]:
-        """Per-stage word-length bookkeeping for reports and the area model."""
-        summary = []
-        for stage in self.stages:
-            summary.append({
-                "label": stage.spec.label,
-                "order": stage.spec.order,
-                "decimation": stage.spec.decimation,
-                "input_bits": stage.spec.input_bits,
-                "register_bits": stage.spec.register_bits,
-                "input_rate_hz": stage.spec.input_rate_hz,
-                "output_rate_hz": stage.spec.output_rate_hz,
-            })
-        return summary

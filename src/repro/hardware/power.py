@@ -185,7 +185,7 @@ def measure_hogenauer_activity(chain, n_samples: int = 8192,
 
     Reproduces the paper's power-estimation stimulus: a sine at the maximum
     stable amplitude with a frequency of 5 MHz, run through the bit-true
-    chain with toggle tracing enabled.  Returns a mapping from stage label
+    Hogenauer stages with toggle tracing.  Returns a mapping from stage label
     to the average per-bit toggle probability, suitable for
     :func:`repro.hardware.resources.extract_chain_resources`.
     """
@@ -200,17 +200,13 @@ def measure_hogenauer_activity(chain, n_samples: int = 8192,
     modulator = DeltaSigmaModulator.from_spec(spec.modulator)
     tone = coherent_tone(tone_hz, amplitude, spec.modulator.sample_rate_hz, n_samples)
     result = modulator.fast_simulator.simulate(tone, codes_only=True)
-    signed = chain.codes_to_signed(result.codes)
+    data = chain.codes_to_signed(result.codes)
 
     activities: Dict[str, float] = {}
-    data = signed
     for stage_filter, info in zip(chain._hogenauer_stages, chain.stage_infos()):
-        stage_filter.reset()
-        out = stage_filter.process(np.asarray(data), collect_trace=True)
-        trace = stage_filter.trace
+        data, trace = stage_filter.process_traced(data)
         width = stage_filter.width
         node_activities = [trace.activity(node, width) for node in trace.toggles]
         if node_activities:
             activities[info.name] = float(np.mean(node_activities))
-        data = out
     return activities

@@ -53,7 +53,8 @@ keyed by the variant draw.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -189,7 +190,7 @@ def execute_robustness_payload(payload: dict,
         for start in range(0, len(group), ROW_BLOCK):
             rows = group[start:start + ROW_BLOCK]
             snr_db[rows], stable[rows] = run_block(chain_v, rows)
-        variants_info[str(variant)] = info
+        variants_info[str(variant)] = dict(info)
 
     nominal = payload["nominal"]
     nominal_vdd = float(payload["nominal_vdd"])
@@ -217,13 +218,16 @@ def execute_robustness_payload(payload: dict,
 
 def _variant_chain(chain: DecimationChain, model: PerturbationModel,
                    draw: dict, variant: int,
-                   artifacts: ArtifactStore) -> Tuple[DecimationChain, dict]:
+                   artifacts: ArtifactStore
+                   ) -> Tuple[DecimationChain, Mapping[str, object]]:
     """Build (memoized) one perturbed chain variant plus its mask verdict.
 
     The variant is keyed in the artifact store by the chain's design
     identity plus the coefficient draw, so shards sharing a variant (inline
     shards, or several groups inside one shard across re-runs) construct
-    and mask-verify it exactly once.
+    and mask-verify it exactly once.  The store keeps the immutable chain
+    and the plain ``info`` dict, which pickles; each caller gets a
+    read-only view of the dict.
     """
     def build() -> Tuple[DecimationChain, dict]:
         if model.has_chain_axes and draw:
@@ -258,7 +262,8 @@ def _variant_chain(chain: DecimationChain, model: PerturbationModel,
         "draw": draw,
         "variant": int(variant),
     }))
-    return artifacts.get_or_compute(key, build)
+    chain_v, info = artifacts.get_or_compute(key, build)
+    return chain_v, MappingProxyType(info)
 
 
 # ----------------------------------------------------------------------

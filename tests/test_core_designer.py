@@ -72,6 +72,22 @@ class TestPredictedSNR:
         predicted = predicted_snr_after_decimation(paper_chain.spec, (4, 4, 6))
         assert 86.0 < predicted < 115.0
 
+    def test_memoized_on_the_inputs_it_reads(self):
+        from repro.flow import ArtifactStore
+
+        spec = paper_chain_spec()
+        cold = predicted_snr_after_decimation(spec, (4, 4, 6))
+        store = ArtifactStore()
+        first = predicted_snr_after_decimation(spec, (4, 4, 6), artifacts=store)
+        # The output word is not an input of the estimate.
+        hit = predicted_snr_after_decimation(spec.derive(output_bits=12),
+                                             [4, 4, 6], artifacts=store)
+        assert (store.hits, store.misses) == (1, 1)
+        assert type(hit) is float
+        assert first == hit == cold
+        other = predicted_snr_after_decimation(spec, (4, 4, 5), artifacts=store)
+        assert store.misses == 2 and other != cold
+
 
 class TestEnumerateSincSplits:
     def test_deterministic_lexicographic_order(self):

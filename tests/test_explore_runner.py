@@ -212,6 +212,8 @@ SCENARIO_WARM_KEYS = [
      "bc6e3a59a50df4d10fa5f1dc6fa8ffc2a834fa2f1976f2d9632b8d650f409b87"),
     ("halfband-design",
      "5bd7df49d822d8cb1e4e7de867e887e41d5e8e52684735e7ef6fb83e6af5111d"),
+    ("predicted-snr",
+     "e70364aa3b027386fcd6b1010e03024d71ae286c8f14c7fab11ba33456f391ae"),
     ("verify-mask",
      "bdc201637e90022be98e0186a1286a7b52fe6b6c9fddefc92707edc95095bfb9"),
 ]
@@ -246,6 +248,8 @@ SNR_GRID_WARM_KEYS = [
      "d5ce60768569b821fcde18a1e0ec605a4434d3a9dd5f237872d1d683b8bda10c"),
     ("modulator-codes",
      "026c3c0c788ebbe59a24dad897be861cefed9e5fe1667cb0972b5fb76b75baee"),
+    ("predicted-snr",
+     "e70364aa3b027386fcd6b1010e03024d71ae286c8f14c7fab11ba33456f391ae"),
     ("verify-mask",
      "23cf10eada291ac5d91c3eef4ba2fb137fcb8144fc9f04a2cc481224313994d2"),
     ("verify-mask",
@@ -268,12 +272,20 @@ class TestWarmPolicy:
         warm_shared_stages(payloads, store)
         return sorted(store._data)
 
+    @classmethod
+    def _warmed_stages(cls, payloads):
+        """The warmed keys, the per-point ``chain-design`` keys counted
+        apart (one per distinct chain of a design group)."""
+        keys = cls._warmed_keys(payloads)
+        chains = [key for key in keys if key[0] == "chain-design"]
+        return [key for key in keys if key[0] != "chain-design"], len(chains)
+
     def test_registered_scenarios(self):
         from repro.scenarios import all_scenarios
 
         payloads = [s.payload() for s in all_scenarios()]
         assert len(payloads) == 10
-        assert self._warmed_keys(payloads) == SCENARIO_WARM_KEYS
+        assert self._warmed_stages(payloads) == (SCENARIO_WARM_KEYS, 1)
 
     def test_eighteen_point_snr_grid(self):
         # sweep --snr --output-bits 12 14 16 --halfband-att 80 85 90
@@ -284,7 +296,7 @@ class TestWarmPolicy:
         flow = {"include_snr": True, "snr_samples": 16384}
         payloads = [{**p.payload(), "flow": flow} for p in sweep.expand()]
         assert len(payloads) == 18
-        assert self._warmed_keys(payloads) == SNR_GRID_WARM_KEYS
+        assert self._warmed_stages(payloads) == (SNR_GRID_WARM_KEYS, 18)
 
     @pytest.mark.parametrize("measure_activity", [True, False])
     def test_activity_is_warmed_for_design_groups(self, measure_activity):
@@ -315,10 +327,13 @@ class TestWarmPolicy:
         assert stats[1] == stats[2]
 
     def test_singletons_are_not_warmed(self):
+        # Two design singletons: only the SNR prediction they share is
+        # warmed, so both designs still run in the pool.
         sweep = SweepSpec(halfband_attenuation_db=(80.0, 85.0))
         flow = {"include_snr": False, "snr_samples": 16384}
-        assert self._warmed_keys(
-            [{**p.payload(), "flow": flow} for p in sweep.expand()]) == []
+        assert [key[0] for key in self._warmed_keys(
+            [{**p.payload(), "flow": flow} for p in sweep.expand()])] == [
+                "predicted-snr"]
 
 
 class TestSweepReports:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.filters import HogenauerCascade, HogenauerConfig, HogenauerDecimator
+from repro.filters import HogenauerConfig, HogenauerDecimator
 from repro.filters.hogenauer import wrap_twos_complement
 from repro.filters.sinc import SincFilter, SincFilterSpec
 
@@ -95,21 +95,6 @@ class TestHogenauerAgainstReference:
         out = dec.process(_random_codes(rng, 300))
         assert len(out) == 150
 
-    def test_streaming_matches_block_processing(self, sinc4_spec, rng):
-        x = _random_codes(rng, 256)
-        block = HogenauerDecimator(sinc4_spec).process(x)
-        streamer = HogenauerDecimator(sinc4_spec)
-        streamed = np.concatenate([streamer.process(x[:100]), streamer.process(x[100:])])
-        assert np.array_equal([int(v) for v in block], [int(v) for v in streamed])
-
-    def test_reset_clears_state(self, sinc4_spec, rng):
-        dec = HogenauerDecimator(sinc4_spec)
-        x = _random_codes(rng, 128)
-        first = dec.process(x)
-        dec.reset()
-        second = dec.process(x)
-        assert np.array_equal([int(v) for v in first], [int(v) for v in second])
-
     def test_rejects_float_input(self, sinc4_spec):
         dec = HogenauerDecimator(sinc4_spec)
         with pytest.raises(TypeError):
@@ -132,11 +117,31 @@ class TestHogenauerAgainstReference:
 
     def test_trace_collection(self, sinc4_spec, rng):
         dec = HogenauerDecimator(sinc4_spec)
-        dec.process(_random_codes(rng, 128), collect_trace=True)
-        assert dec.trace.samples == 128
-        assert any(v > 0 for v in dec.trace.toggles.values())
-        activity = dec.trace.activity("integrator0", dec.width)
+        x = _random_codes(rng, 128)
+        out, trace = dec.process_traced(x)
+        assert np.array_equal(out, dec.process(x))
+        assert trace.samples == 128
+        assert any(v > 0 for v in trace.toggles.values())
+        activity = trace.activity("integrator0", dec.width)
         assert 0.0 < activity <= 1.0
+
+    def test_calls_are_independent(self, sinc4_spec, rng):
+        # The stage keeps no state: every call starts from cleared
+        # registers, traced or not, so a repeated call repeats its output.
+        dec = HogenauerDecimator(sinc4_spec)
+        x = _random_codes(rng, 129)
+        first = dec.process(x)
+        dec.process_traced(x[:77])
+        assert np.array_equal(dec.process(x), first)
+        assert np.array_equal(dec.process_traced(x)[0], first)
+        assert dec.process_traced(x)[1] == dec.process_traced(x)[1]
+
+    def test_stage_is_immutable(self, sinc4_spec):
+        dec = HogenauerDecimator(sinc4_spec)
+        with pytest.raises(AttributeError):
+            dec.config = HogenauerConfig(guard_bits=2)
+        with pytest.raises(AttributeError):
+            dec.config.guard_bits = 2
 
 
 class TestVectorizedBackend:
@@ -158,17 +163,6 @@ class TestVectorizedBackend:
         vec = HogenauerDecimator(spec).process(x)
         assert np.array_equal(ref, vec)
 
-    def test_streaming_matches_one_shot(self, sinc4_spec, rng):
-        x = _random_codes(rng, 500)
-        one_shot = HogenauerDecimator(sinc4_spec).process(x)
-        streamer = HogenauerDecimator(sinc4_spec)
-        streamed = np.concatenate([
-            streamer.process(x[:37]),
-            streamer.process(x[37:251]),
-            streamer.process(x[251:]),
-        ])
-        assert np.array_equal(one_shot, streamed)
-
     def test_wraparound_overflow_matches_reference(self, rng):
         spec = SincFilterSpec(4, 2, 4, 640e6)
         x = np.full(300, -8, dtype=np.int64)  # worst-case DC drives overflow
@@ -180,17 +174,6 @@ class TestVectorizedBackend:
     def test_empty_block(self, sinc4_spec):
         out = HogenauerDecimator(sinc4_spec).process(np.zeros(0, dtype=np.int64))
         assert len(out) == 0
-
-    def test_cascade_backend_option(self, rng):
-        # The rescaled cascade output must not depend on tracing.
-        specs = [SincFilterSpec(4, 2, 4, 640e6), SincFilterSpec(4, 2, 8, 320e6),
-                 SincFilterSpec(6, 2, 12, 160e6)]
-        x = _random_codes(rng, 1024)
-        ref = HogenauerCascade([HogenauerDecimator(s) for s in specs],
-                               rescale=True).process(x, collect_trace=True)
-        vec = HogenauerCascade([HogenauerDecimator(s) for s in specs],
-                               rescale=True).process(x)
-        assert np.array_equal(ref, vec)
 
 
 class TestHogenauerResources:
@@ -213,13 +196,15 @@ class TestHogenauerResources:
         assert wide.width == sinc4_spec.register_bits + 2
 
 
-class TestHogenauerCascade:
-    def test_cascade_matches_equivalent_fir(self, rng):
+class TestHogenauerStageLoop:
+    def test_stage_loop_matches_equivalent_fir(self, rng):
+        # The chain's Sinc section: the stages in a loop, no rescaling.
         specs = [SincFilterSpec(4, 2, 4, 640e6), SincFilterSpec(4, 2, 8, 320e6),
                  SincFilterSpec(6, 2, 12, 160e6)]
-        cascade = HogenauerCascade([HogenauerDecimator(s) for s in specs], rescale=False)
         x = _random_codes(rng, 1024)
-        out = cascade.process(x)
+        out = x
+        for s in specs:
+            out = HogenauerDecimator(s).process(out)
         # Reference: convolve with the un-normalized single-rate equivalent
         # and decimate by 8 (phase aligned with the per-stage structure).
         taps = np.array([1.0])
@@ -234,21 +219,3 @@ class TestHogenauerCascade:
         # Stage-by-stage decimation keeps input phases 1, 3, 7 → overall offset 7.
         expected = full[7:len(x):8][:len(out)]
         assert np.array_equal([int(v) for v in out], [int(v) for v in expected])
-
-    def test_cascade_total_decimation(self):
-        specs = [SincFilterSpec(4, 2, 4, 640e6), SincFilterSpec(4, 2, 8, 320e6)]
-        cascade = HogenauerCascade([HogenauerDecimator(s) for s in specs])
-        assert cascade.total_decimation == 4
-
-    def test_rescale_divides_by_dc_gain(self):
-        specs = [SincFilterSpec(4, 2, 4, 640e6)]
-        cascade = HogenauerCascade([HogenauerDecimator(s) for s in specs], rescale=True)
-        out = cascade.process(np.full(200, 5, dtype=np.int64))
-        assert int(out[-1]) == 5
-
-    def test_empty_cascade_rejected(self):
-        with pytest.raises(ValueError):
-            HogenauerCascade([])
-
-    def test_resource_summaries_length(self, paper_chain):
-        assert len(paper_chain._hogenauer.resource_summaries()) == 3

@@ -60,7 +60,7 @@ class TestScalingStage:
     def test_steps_are_the_decomposition_of_its_code(self):
         stage = ScalingStage(scale=10.825, coefficient_bits=12)
         assert stage.csd == to_csd(10.825, 12)
-        assert stage.horner_steps == horner_decomposition(stage.csd)
+        assert stage.horner_steps == tuple(horner_decomposition(stage.csd))
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_output_rounds_half_up(self, dtype):

@@ -288,9 +288,8 @@ class TestStoredResultsAreImmutable:
         store = ArtifactStore()
         first = DecimationChain.design(artifacts=store)
         second = DecimationChain.design(artifacts=store)
-        assert store.hits >= 2
-        assert second.halfband is first.halfband
-        assert second.equalizer is first.equalizer
+        assert (store.hits, store.misses) == (1, 3)
+        assert second is first
         halfband, equalizer = first.halfband, first.equalizer
         for write in (lambda: setattr(halfband, "f2", None),
                       lambda: halfband.f1.__setitem__(0, 1.0),
@@ -309,6 +308,71 @@ class TestStoredResultsAreImmutable:
         for got, want in ((hit.halfband, cold.halfband),
                           (hit.equalizer, cold.equalizer)):
             assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_chain_hit_returns_the_stored_chain(self):
+        from unittest import mock
+
+        from repro.core.chain import DecimationChain
+
+        store = ArtifactStore()
+        chain = DecimationChain.design(artifacts=store)
+        with mock.patch.object(DecimationChain, "_design",
+                               side_effect=AssertionError("rebuilt")):
+            assert DecimationChain.design(artifacts=store) is chain
+        assert (store.hits, store.misses) == (1, 3)
+        for write in (lambda: setattr(chain, "options", None),
+                      lambda: delattr(chain, "spec"),
+                      lambda: setattr(chain.options, "guard_bits", 0),
+                      lambda: chain._hogenauer_stages.append(None),
+                      lambda: setattr(chain._hogenauer_stages[0], "config",
+                                      None),
+                      lambda: setattr(chain._hogenauer_stages[0].config,
+                                      "guard_bits", 1),
+                      lambda: setattr(chain._halfband_impl, "data_bits", 1),
+                      lambda: chain._halfband_impl._int_taps.__setitem__(0, 1),
+                      lambda: setattr(chain._equalizer_impl, "label", ""),
+                      lambda: chain._equalizer_impl._int_taps.__setitem__(0, 1),
+                      lambda: chain._equalizer_impl.quantized_taps.__setitem__(
+                          0, 1.0),
+                      lambda: setattr(chain.scaling, "scale", 2.0),
+                      lambda: chain.scaling.metadata.__setitem__("x", 1),
+                      lambda: setattr(chain.sinc_cascade, "stages", ()),
+                      lambda: setattr(chain.sinc_cascade.stages[0], "spec",
+                                      None)):
+            _rejects(write)
+        # The pool ships the stored chain by pickle; the clone is sealed
+        # too and simulates bit-identically.
+        clone = pickle.loads(pickle.dumps(chain))
+        _rejects(lambda: setattr(clone, "options", None))
+        codes = np.random.default_rng(3).integers(0, 16, 2048)
+        assert clone.process_fixed(codes).tobytes() == \
+            chain.process_fixed(codes).tobytes()
+
+    def test_robust_variant_pair_rejects_writes(self, paper_chain):
+        from repro.robustness import default_model
+        from repro.robustness.engine import _variant_chain
+
+        deltas = [0] * (paper_chain.equalizer.order + 1)
+        deltas[0] = 1
+        draw = {"equalizer": deltas}
+        store = ArtifactStore()
+        chain, info = _variant_chain(paper_chain, default_model(), draw, 3,
+                                     store)
+        assert chain is not paper_chain
+        for write in (lambda: info.__setitem__("mask_passed", False),
+                      lambda: info.clear(),
+                      lambda: setattr(chain, "equalizer", None)):
+            _rejects(write)
+        hits = store.hits
+        again, info_again = _variant_chain(paper_chain, default_model(),
+                                           draw, 3, store)
+        assert store.hits == hits + 1
+        assert again is chain
+        assert dict(info_again) == dict(info)
+        # Stored values pickle (the pool ships the store).
+        assert dict(pickle.loads(pickle.dumps(store))._data[next(
+            key for key in store._data if key[0] == "robust-variant")][1]) \
+            == dict(info)
 
     def test_mask_hit_shares_only_frozen_checks(self, paper_chain):
         from repro.core.verification import verify_chain
