@@ -1,4 +1,5 @@
-"""Compiled kernels for the modulator recursion and the batched Hogenauer stage.
+"""Compiled kernels for the modulator recursion, the batched Hogenauer stage
+and the halfband CSD search.
 
 ``kernels.c`` is compiled on first use with the system C compiler (``cc``
 on ``PATH``) and loaded through :mod:`ctypes`, which releases the GIL for
@@ -123,8 +124,10 @@ def _intact(path: Path) -> bool:
 
 
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare both kernels' signatures; array arguments are checked for
-    dtype and C-contiguity by :func:`numpy.ctypeslib.ndpointer`."""
+    """Declare the three kernels' signatures.  The array arguments of
+    ``ef_simulate`` and ``cic_decimate`` are checked for dtype and
+    C-contiguity by :func:`numpy.ctypeslib.ndpointer`; ``csd_search``
+    takes addresses."""
     f64, i64, u64, flag = (
         np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
         for dtype in (np.float64, np.int64, np.uint64, np.bool_))
@@ -144,6 +147,13 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.cic_decimate.argtypes = [i64, ctypes.c_uint64, size, size, size,
                                      size, size, u64, i64]
     library.cic_decimate.restype = None
+    # The halfband search passes addresses of arrays it has checked once
+    # per design (see repro.filters.halfband._fast_forward).
+    address = ctypes.c_void_p
+    library.csd_search.argtypes = [address, size, size, address, address,
+                                   size, size, size, size, address, size,
+                                   address, size, real, address, address]
+    library.csd_search.restype = ctypes.c_int64
     return library
 
 

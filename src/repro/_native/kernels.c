@@ -1,13 +1,17 @@
 /*
- * Native kernels for the two sample-rate loops of the reproduction.
+ * Native kernels for the two sample-rate loops of the reproduction and
+ * for the halfband CSD search of a design miss.
  *
- * Both kernels are bit-exact ports of Python gold models that the test
- * suite compares them against:
+ * All three kernels are bit-exact ports of Python gold models that the
+ * test suite compares them against:
  *
  *   ef_simulate   FastErrorFeedbackSimulator's scalar loop
  *                 (repro/dsm/modulator.py), four rows in lockstep;
  *   cic_decimate  HogenauerDecimator's vectorized engine from cleared
- *                 state (repro/filters/hogenauer.py), one row after another.
+ *                 state (repro/filters/hogenauer.py), one row after another;
+ *   csd_search    the trials of SaramakiHalfbandDesigner's CSD search
+ *                 (repro/filters/halfband.py) up to the first one that
+ *                 reaches the full stopband grid.
  *
  * The loader compiles this file with -ffp-contract=off and without
  * -ffast-math: every floating-point expression below must round exactly
@@ -17,6 +21,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Rows the modulator kernel runs in lockstep. */
 #define EF_LANES 4
@@ -228,4 +233,155 @@ void cic_decimate(const int64_t *x, uint64_t offset, int64_t batch, int64_t n,
                     registers, registers + order, out_row);
         }
     }
+}
+
+/*
+ * to_csd(value, bits, max_nonzero).value (repro/fixedpoint/csd.py):
+ * round value * 2^bits half to even, recode the integer in non-adjacent
+ * form, keep the max_nonzero most significant digits (all of them when
+ * max_nonzero < 0) and sum them most significant first, as the Python
+ * sum does.  Writes the value to *out and returns 0, or returns 1 when
+ * bits is outside 0..1023, the rounded value is not a finite integer
+ * below 2^62 in magnitude or the kept digits do not sum exactly in a
+ * double.
+ */
+static int csd_value(double value, int64_t bits, int64_t max_nonzero,
+                     double *out)
+{
+    if (bits < 0 || bits > 1023)
+        return 1;
+    double scaled = nearbyint(value * ldexp(1.0, (int)bits));
+    if (!(fabs(scaled) < 0x1p62))
+        return 1;
+    double sign = scaled < 0.0 ? -1.0 : 1.0;
+    uint64_t n = (uint64_t)fabs(scaled);
+    int64_t weights[64];
+    double signs[64];
+    int64_t count = 0;
+    for (int64_t weight = 0; n != 0; ++weight, n >>= 1) {
+        if (n & 1) {
+            weights[count] = weight;
+            signs[count++] = n & 2 ? -sign : sign;
+            if (n & 2)
+                n += 1;
+            else
+                n -= 1;
+        }
+    }
+    int64_t first = max_nonzero >= 0 && count > max_nonzero
+        ? count - max_nonzero : 0;
+    /* Beyond 53 bits of span (or below the normal range) the sum rounds,
+     * and Python's sum rounds differently from version to version. */
+    if (count > first && (weights[count - 1] - weights[first] > 52
+                          || weights[first] - bits < -1022))
+        return 1;
+    double total = 0.0;
+    for (int64_t k = count - 1; k >= first; --k)
+        total += signs[k] * ldexp(1.0, (int)(weights[k] - bits));
+    *out = total;
+    return 0;
+}
+
+/*
+ * |1/2 + sum_i f1[i] * F2^(2i+1)| at grid column c of basis, the rows
+ * cos((2j+1)w) of n_points columns: _cascade_response in
+ * repro/filters/halfband.py, one column, in numpy's operation order.
+ */
+static inline double cascade_magnitude(const double *f1, int64_t n1,
+                                       const double *f2, int64_t n2,
+                                       const double *basis, int64_t n_points,
+                                       int64_t c)
+{
+    double f2_resp = 0.0;
+    for (int64_t j = 0; j < n2; ++j)
+        f2_resp += (2.0 * f2[j]) * basis[j * n_points + c];
+    double h = 0.5;
+    double f2_sq = f2_resp * f2_resp;
+    double power = f2_resp;
+    h += f1[0] * power;
+    for (int64_t i = 1; i < n1; ++i) {
+        power = power * f2_sq;
+        h += f1[i] * power;
+    }
+    return fabs(h);
+}
+
+/* Two doubles: vector arithmetic is elementwise, each lane rounds like
+ * the scalar expression. */
+typedef double f64x2 __attribute__((vector_size(2 * sizeof(double))));
+
+/*
+ * cascade_magnitude at every column, two columns at a time: each lane
+ * accumulates its sub-filter response over j in numpy's order.
+ */
+static void cascade_magnitudes(const double *f1, int64_t n1, const double *f2,
+                               int64_t n2, const double *basis,
+                               int64_t n_points, double *out)
+{
+    int64_t pairs = n_points / 2;
+    for (int64_t p = 0; p < pairs; ++p) {
+        f64x2 f2_resp = {0.0, 0.0};
+        for (int64_t j = 0; j < n2; ++j) {
+            f64x2 column;
+            memcpy(&column, basis + j * n_points + 2 * p, sizeof column);
+            f2_resp += (2.0 * f2[j]) * column;
+        }
+        f64x2 h = {0.5, 0.5};
+        f64x2 f2_sq = f2_resp * f2_resp;
+        f64x2 power = f2_resp;
+        h += f1[0] * power;
+        for (int64_t i = 1; i < n1; ++i) {
+            power = power * f2_sq;
+            h += f1[i] * power;
+        }
+        out[2 * p] = fabs(h[0]);
+        out[2 * p + 1] = fabs(h[1]);
+    }
+    if (n_points % 2)
+        out[n_points - 1] = cascade_magnitude(f1, n1, f2, n2, basis, n_points,
+                                              n_points - 1);
+}
+
+/*
+ * The halfband CSD search's fast-forward (SaramakiHalfbandDesigner in
+ * repro/filters/halfband.py).  current holds the n1 + n2 quantized
+ * coefficients, f1 then f2; trial t moves coefficient move_index[t] by
+ * move_step[t] and re-quantizes it.  From trial start on, skips every
+ * trial that re-quantizes onto the current value or whose magnitude at
+ * one of the n_probe probe columns is >= threshold, and stops at the
+ * first other trial: its magnitude on the whole grid is written to
+ * magnitude.  trial holds n1 + n2 doubles of scratch space.
+ *
+ * Returns the index of that trial, stop when every trial up to stop is
+ * skipped, or -1 when a value cannot be quantized here (csd_value).
+ */
+int64_t csd_search(const double *current, int64_t n1, int64_t n2,
+                   const int64_t *move_index, const double *move_step,
+                   int64_t start, int64_t stop, int64_t bits,
+                   int64_t max_nonzero, const double *basis,
+                   int64_t n_points, const int64_t *probe, int64_t n_probe,
+                   double threshold, double *magnitude, double *trial)
+{
+    for (int64_t k = 0; k < n1 + n2; ++k)
+        trial[k] = current[k];
+    for (int64_t t = start; t < stop; ++t) {
+        int64_t k = move_index[t];
+        double moved;
+        if (csd_value(current[k] + move_step[t], bits, max_nonzero, &moved))
+            return -1;
+        if (moved == current[k])
+            continue;
+        trial[k] = moved;
+        int rejected = 0;
+        for (int64_t p = 0; p < n_probe && !rejected; ++p)
+            rejected = cascade_magnitude(trial, n1, trial + n1, n2, basis,
+                                         n_points, probe[p]) >= threshold;
+        if (!rejected) {
+            cascade_magnitudes(trial, n1, trial + n1, n2, basis, n_points,
+                               magnitude);
+            return t;
+        }
+        trial[k] = current[k];
+    }
+    return stop;
 }

@@ -25,8 +25,11 @@ words, which the test suite pins stage by stage and for the whole chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -92,9 +95,15 @@ class ChainDesignOptions:
         return cls(**data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageInfo:
-    """Summary of one chain stage for reports and the power model."""
+    """Summary of one chain stage for reports and the power model.
+
+    Immutable: a chain derives its summaries once and hands out the same
+    values, so ``details`` and the mappings in it (the ``resources``
+    summary) are read-only views.  Pickling rebuilds through the
+    constructor, because a mappingproxy cannot be pickled.
+    """
 
     name: str
     kind: str
@@ -103,7 +112,18 @@ class StageInfo:
     decimation: int
     input_bits: int
     output_bits: int
-    details: dict = field(default_factory=dict)
+    details: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "details", MappingProxyType({
+            key: MappingProxyType(dict(value)) if isinstance(value, Mapping)
+            else value for key, value in self.details.items()}))
+
+    def __reduce__(self):
+        details = {key: dict(value) if isinstance(value, Mapping) else value
+                   for key, value in self.details.items()}
+        return type(self), tuple(getattr(self, f.name)
+                                 for f in fields(self)[:-1]) + (details,)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -344,8 +364,13 @@ class DecimationChain:
         """Overall decimation factor of the chain (the spec's OSR)."""
         return self.spec.total_decimation
 
-    def stage_infos(self) -> List[StageInfo]:
-        """Ordered per-stage summary (used by reports and the power model)."""
+    def stage_infos(self) -> Tuple[StageInfo, ...]:
+        """Ordered per-stage summary (used by reports and the power model),
+        derived once per chain."""
+        return self._stage_infos
+
+    @cached_property
+    def _stage_infos(self) -> Tuple[StageInfo, ...]:
         infos: List[StageInfo] = []
         for stage, impl in zip(self.sinc_cascade.stages, self._hogenauer_stages):
             s = stage.spec
@@ -383,7 +408,7 @@ class DecimationChain:
             details={"order": self.equalizer.order,
                      "resources": self._equalizer_impl.resource_summary(self.output_rate_hz)},
         ))
-        return infos
+        return tuple(infos)
 
     # ------------------------------------------------------------------
     # Frequency-domain model

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -360,7 +361,7 @@ class FIRFilterFixedPoint(BitTrueFIRStage):
         """Filter order (number of taps minus one)."""
         return self.n_taps - 1
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         """Whether the tap vector is symmetric (linear phase)."""
         return bool(np.allclose(self.taps, self.taps[::-1], atol=1e-12))

@@ -36,10 +36,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _native
 from repro.filters.fir import design_lowpass_remez
 from repro.filters.polyphase import BitTrueFIRStage
 from repro.filters.response import FrequencyResponse, default_frequency_grid
@@ -476,6 +478,13 @@ class SaramakiHalfbandDesigner:
         codes = encode_coefficients(values, self.coefficient_bits, self.max_nonzero_digits)
         return np.array([c.value for c in codes]), codes
 
+    def _trial_moves(self, iterations: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The CSD search's moves: per trial, the index of the moved
+        coefficient (``f1`` then ``f2``) and the step added to it."""
+        indices, signs, magnitudes = _search_moves(
+            self.random_seed, self.n1, self.n2, iterations)
+        return indices, signs * 2.0 ** (-self.coefficient_bits) * magnitudes
+
     def design(self, target_attenuation_db: float = 90.0,
                search_iterations: int = 400) -> SaramakiHalfband:
         """Run the full design and CSD search; returns the designed filter.
@@ -488,7 +497,8 @@ class SaramakiHalfbandDesigner:
         accepted point (and so the result) exactly as a full evaluation of
         every trial would:
 
-        * the grid and its cosine basis are built once per design;
+        * the grid and its cosine basis are built once per design, and the
+          seeded moves once per structure (:func:`_search_moves`);
         * a trial that re-quantizes onto the current coefficients has the
           current response, so it is rejected without evaluation;
         * any other trial is first evaluated (by the same response
@@ -496,6 +506,11 @@ class SaramakiHalfbandDesigner:
           ±1 neighbours; if one of those values exceeds the current peak,
           the trial's attenuation is lower and it is rejected.  Only the
           trials no probe rejects are evaluated on the whole grid.
+
+        The skipped and probed trials run in the compiled ``csd_search``
+        kernel of :mod:`repro._native`, or in :func:`_fast_forward_python`,
+        its gold model, when no kernel can be built.  The verdict on each
+        trial that reaches the whole grid is taken here, in both cases.
 
         Parameters
         ----------
@@ -512,51 +527,45 @@ class SaramakiHalfbandDesigner:
         f1_q, f1_codes = self._quantize(f1)
         f2_q, f2_codes = self._quantize(f2)
         best = (f1_q, f2_q, f1_codes, f2_codes)
-        current = np.abs(_cascade_response(f1_q, f2_q, basis))
-        current_peak = current.max()
+        response = np.abs(_cascade_response(f1_q, f2_q, basis))
+        current_peak = response.max()
         best_attenuation = _attenuation_db(current_peak)
-        probe_basis = basis[:, _ripple_peak_columns(current)]
+        probe = np.flatnonzero(_ripple_peak_columns(response))
 
         # Non-deterministic search: perturb one quantized coefficient at a
         # time by ±1 LSB and keep improvements (simple stochastic hill
         # climbing, restarted from the best point).
-        rng = np.random.default_rng(self.random_seed)
-        lsb = 2.0 ** (-self.coefficient_bits)
-        current_f1, current_f2 = f1_q.copy(), f2_q.copy()
+        current = np.concatenate([f1_q, f2_q])
         current_attenuation = best_attenuation
-        for _ in range(search_iterations):
-            if current_attenuation >= target_attenuation_db and \
-                    best_attenuation >= target_attenuation_db:
+        fast_forward = None
+        trial = 0
+        while trial < search_iterations and not (
+                current_attenuation >= target_attenuation_db
+                and best_attenuation >= target_attenuation_db):
+            if fast_forward is None:  # no moves are drawn for a met target
+                indices, steps = self._trial_moves(search_iterations)
+                fast_forward = _fast_forward(self, indices, steps, basis)
+            trial, response = fast_forward(
+                current, trial, search_iterations, probe,
+                current_peak * (1.0 + _PROBE_MARGIN))
+            if response is None:
                 break
-            trial_f1, trial_f2 = current_f1.copy(), current_f2.copy()
-            if rng.random() < 0.4:
-                idx = rng.integers(0, self.n1)
-                trial_f1[idx] += float(rng.choice([-1.0, 1.0])) * lsb * float(rng.integers(1, 8))
-            else:
-                idx = rng.integers(0, self.n2)
-                trial_f2[idx] += float(rng.choice([-1.0, 1.0])) * lsb * float(rng.integers(1, 8))
-            trial_f1_q, trial_f1_codes = self._quantize(trial_f1)
-            trial_f2_q, trial_f2_codes = self._quantize(trial_f2)
-            # The current coefficients give the current attenuation, which
-            # the strict test below never accepts.
-            if trial_f1_q.tobytes() == current_f1.tobytes() and \
-                    trial_f2_q.tobytes() == current_f2.tobytes():
-                continue
-            probed = np.abs(_cascade_response(trial_f1_q, trial_f2_q, probe_basis))
-            if probed.max() >= current_peak * (1.0 + _PROBE_MARGIN):
-                continue
-            response = np.abs(_cascade_response(trial_f1_q, trial_f2_q, basis))
             peak = response.max()
             attenuation = _attenuation_db(peak)
             if attenuation > current_attenuation:
-                current_f1, current_f2 = trial_f1_q, trial_f2_q
+                moved = current.copy()
+                moved[indices[trial]] += steps[trial]
+                trial_f1_q, trial_f1_codes = self._quantize(moved[:self.n1])
+                trial_f2_q, trial_f2_codes = self._quantize(moved[self.n1:])
+                current = np.concatenate([trial_f1_q, trial_f2_q])
                 current_attenuation = attenuation
                 current_peak = peak
-                probe_basis = basis[:, _ripple_peak_columns(response)]
+                probe = np.flatnonzero(_ripple_peak_columns(response))
                 if attenuation > best_attenuation:
                     best = (trial_f1_q, trial_f2_q, trial_f1_codes,
                             trial_f2_codes)
                     best_attenuation = attenuation
+            trial += 1
 
         return SaramakiHalfband(*best, metadata={
             "target_attenuation_db": target_attenuation_db,
@@ -567,6 +576,114 @@ class SaramakiHalfbandDesigner:
             "coefficient_bits": self.coefficient_bits,
             "search_iterations": search_iterations,
         })
+
+
+@lru_cache(maxsize=32)
+def _search_moves(seed: int, n1: int, n2: int, iterations: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSD search's seeded trial moves: per trial, the index of the
+    moved coefficient (f1 then f2), the sign and the size in LSB of the
+    move, as read-only arrays.
+
+    A move does not depend on whether earlier trials were accepted, so the
+    moves are drawn once per structure, with the generator calls of the
+    original per-trial loop in their order.
+    """
+    rng = np.random.default_rng(seed)
+    indices = np.empty(iterations, dtype=np.int64)
+    signs = np.empty(iterations)
+    magnitudes = np.empty(iterations)
+    for trial in range(iterations):
+        if rng.random() < 0.4:
+            indices[trial] = rng.integers(0, n1)
+        else:
+            indices[trial] = n1 + rng.integers(0, n2)
+        signs[trial] = float(rng.choice([-1.0, 1.0]))
+        magnitudes[trial] = float(rng.integers(1, 8))
+    return read_only(indices), read_only(signs), read_only(magnitudes)
+
+
+def _fast_forward(designer: SaramakiHalfbandDesigner, indices: np.ndarray,
+                  steps: np.ndarray, basis: np.ndarray) -> Callable[
+                      [np.ndarray, int, int, np.ndarray, float],
+                      Tuple[int, Optional[np.ndarray]]]:
+    """One design's fast-forward: :func:`_fast_forward_python` bound to its
+    moves and stopband basis, run by the compiled ``csd_search`` kernel,
+    which releases the GIL while it runs, or by the gold model itself when
+    no kernel can be built.
+
+    The kernel takes addresses, not checked arrays: the search calls it
+    once per trial that reaches the full grid, and numpy's per-call array
+    checks would cost several times the kernel's own work there.  The
+    arrays behind the addresses are held by the returned function.
+    """
+    gold = partial(_fast_forward_python, designer, indices, steps, basis)
+    library = _native.load()
+    if library is None:
+        return gold
+    size = designer.n1 + designer.n2
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    steps = np.ascontiguousarray(steps, dtype=np.float64)
+    basis = np.ascontiguousarray(basis, dtype=np.float64)
+    if (len(steps) != len(indices) or basis.shape[0] != designer.n2
+            or len(indices) and not 0 <= indices.min() <= indices.max() < size):
+        raise ValueError("moves or basis do not fit the designer's structure")
+    trial_scratch = np.empty(size)
+    digits = designer.max_nonzero_digits
+    fixed = (designer.n1, designer.n2, indices.ctypes.data, steps.ctypes.data)
+    grid = (designer.coefficient_bits, -1 if digits is None else digits,
+            basis.ctypes.data, basis.shape[1])
+
+    def fast_forward(current: np.ndarray, start: int, stop: int,
+                     probe: np.ndarray, threshold: float
+                     ) -> Tuple[int, Optional[np.ndarray]]:
+        current = np.ascontiguousarray(current, dtype=np.float64)
+        probe = np.ascontiguousarray(probe, dtype=np.int64)
+        if (len(current) != size or not 0 <= start <= stop <= len(indices)
+                or len(probe) and not 0 <= probe.min() <= probe.max()
+                < basis.shape[1]):
+            raise ValueError("search window, point or probe out of range")
+        magnitude = np.empty(basis.shape[1])
+        trial = library.csd_search(
+            current.ctypes.data, *fixed, start, stop, *grid,
+            probe.ctypes.data, len(probe), threshold, magnitude.ctypes.data,
+            trial_scratch.ctypes.data)
+        if trial < 0:
+            return gold(current, start, stop, probe, threshold)
+        return trial, (magnitude if trial < stop else None)
+
+    return fast_forward
+
+
+def _fast_forward_python(designer: SaramakiHalfbandDesigner,
+                         indices: np.ndarray, steps: np.ndarray,
+                         basis: np.ndarray, current: np.ndarray, start: int,
+                         stop: int, probe: np.ndarray, threshold: float
+                         ) -> Tuple[int, Optional[np.ndarray]]:
+    """The CSD search's trials from ``start`` up to the first one that
+    reaches the full grid: the gold model of the ``csd_search`` kernel.
+
+    Trial ``t`` adds ``steps[t]`` to coefficient ``indices[t]`` of
+    ``current`` (the quantized ``f1`` then ``f2``) and re-quantizes both
+    sets.  It is skipped when that lands on ``current``, or when its
+    magnitude at one of the ``probe`` columns of ``basis`` is at least
+    ``threshold``.  Returns the first trial that is not skipped and its
+    magnitude on the whole grid, or ``(stop, None)``.
+    """
+    n1 = designer.n1
+    probe_basis = basis[:, probe]
+    for trial in range(start, stop):
+        moved = current.copy()
+        moved[indices[trial]] += steps[trial]
+        trial_f1_q, _ = designer._quantize(moved[:n1])
+        trial_f2_q, _ = designer._quantize(moved[n1:])
+        if trial_f1_q.tobytes() + trial_f2_q.tobytes() == current.tobytes():
+            continue
+        probed = np.abs(_cascade_response(trial_f1_q, trial_f2_q, probe_basis))
+        if probed.max() >= threshold:
+            continue
+        return trial, np.abs(_cascade_response(trial_f1_q, trial_f2_q, basis))
+    return stop, None
 
 
 def _drop_least_significant_digit(code: CSDCode) -> CSDCode:

@@ -203,10 +203,10 @@ def measure_hogenauer_activity(chain, n_samples: int = 8192,
     data = chain.codes_to_signed(result.codes)
 
     activities: Dict[str, float] = {}
-    for stage_filter, info in zip(chain._hogenauer_stages, chain.stage_infos()):
+    for stage_filter in chain._hogenauer_stages:
         data, trace = stage_filter.process_traced(data)
         width = stage_filter.width
         node_activities = [trace.activity(node, width) for node in trace.toggles]
         if node_activities:
-            activities[info.name] = float(np.mean(node_activities))
+            activities[stage_filter.spec.label] = float(np.mean(node_activities))
     return activities

@@ -1,5 +1,6 @@
 """Tests for the designed decimation chain."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,19 @@ class TestChainDesign:
         assert infos[0].input_rate_hz == pytest.approx(640e6)
         assert infos[3].input_rate_hz == pytest.approx(80e6)
         assert infos[-1].output_rate_hz == pytest.approx(40e6)
+
+    def test_stage_infos_are_derived_once_and_read_only(self, paper_chain):
+        infos = paper_chain.stage_infos()
+        assert paper_chain.stage_infos() is infos
+        with pytest.raises(TypeError):
+            infos[3].details["attenuation_db"] = 0.0
+        with pytest.raises(TypeError):
+            infos[3].details["resources"]["adders"] = 0
+        clones = pickle.loads(pickle.dumps(infos))
+        assert clones == infos
+        assert clones[3].details["resources"] == infos[3].details["resources"]
+        with pytest.raises(TypeError):
+            clones[3].details["resources"]["adders"] = 0
 
     def test_auto_sinc_order_selection(self):
         options = ChainDesignOptions(sinc_orders=None)

@@ -54,6 +54,30 @@ def _run_repro(args, cwd, **env_overrides):
                           timeout=600)
 
 
+#: A few-line stand-in for ``kernels.c``: the loader binds only these
+#: symbols, so the cache tests build it in milliseconds instead of
+#: compiling the full kernels.
+STAND_IN_SOURCE = b"""
+long long ef_simulate(void) { return -1; }
+void cic_decimate(void) {}
+long long csd_search(void) { return -1; }
+"""
+
+#: A child process that loads the library built from the source at argv[1].
+LOAD_CHILD = ("import sys; from pathlib import Path; from repro import _native; "
+              "_native.SOURCE = Path(sys.argv[1]); "
+              "sys.exit(0 if _native.load() is not None else 'no library')")
+
+
+@pytest.fixture
+def stand_in_source(tmp_path, monkeypatch):
+    source = tmp_path / "stand-in" / "kernels.c"
+    source.parent.mkdir()
+    source.write_bytes(STAND_IN_SOURCE)
+    monkeypatch.setattr(_native, "SOURCE", source)
+    return source
+
+
 @needs_compiler
 class TestFirstUse:
     def test_racing_threads_share_one_build(self, tmp_path, monkeypatch):
@@ -81,41 +105,19 @@ class TestFirstUse:
         monkeypatch.setattr(_native, "load", lambda: None)
         assert _simulate_bytes(stimulus) == results[0]
 
+    @pytest.mark.usefixtures("stand_in_source")
     def test_racing_processes_publish_one_library(self, tmp_path):
         cache = tmp_path / "xdg"
-        args = ["robustness", "run", "lte-20", "--samples", "4",
-                "--stimulus-samples", "2048", "--quiet", "--json"]
-        procs = []
-        for index in range(4):
-            procs.append(subprocess.Popen(
-                [sys.executable, "-m", "repro", *args, f"r{index}.json"],
-                cwd=tmp_path, env=_env(XDG_CACHE_HOME=str(cache)),
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", LOAD_CHILD, str(_native.SOURCE)],
+            cwd=tmp_path, env=_env(XDG_CACHE_HOME=str(cache)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            for _ in range(4)]
         for proc in procs:
             _, stderr = proc.communicate(timeout=600)
             assert proc.returncode == 0, stderr
-        reports = {(tmp_path / f"r{i}.json").read_bytes() for i in range(4)}
-        assert len(reports) == 1
-        names = _library_files(cache / "repro")
-        assert len(names) == 1 and names[0].endswith(".so"), names
-
-
-#: A few-line stand-in for ``kernels.c``: the loader binds only these two
-#: symbols, so the cache tests build it in milliseconds instead of
-#: compiling the full kernels.
-STAND_IN_SOURCE = b"""
-long long ef_simulate(void) { return -1; }
-void cic_decimate(void) {}
-"""
-
-
-@pytest.fixture
-def stand_in_source(tmp_path, monkeypatch):
-    source = tmp_path / "stand-in" / "kernels.c"
-    source.parent.mkdir()
-    source.write_bytes(STAND_IN_SOURCE)
-    monkeypatch.setattr(_native, "SOURCE", source)
-    return source
+        assert _library_files(cache / "repro") == [
+            _native.library_name(_native.SOURCE.read_bytes())]
 
 
 @needs_compiler
@@ -177,6 +179,8 @@ class TestNoCompiler:
         assert not (tmp_path / "none").exists()
         if shutil.which("cc") is None:
             return
+        # The check designs the lte-20 halfband, so this compares the CSD
+        # search kernel with its fallback as well as the sample-rate loops.
         kernel = _run_repro(["robustness", "check"], tmp_path,
                             XDG_CACHE_HOME=str(tmp_path / "xdg"))
         assert kernel.returncode == 0, kernel.stderr
