@@ -2,10 +2,11 @@
 
 Runs the same 256-sample perturbation population over the paper's LTE-20
 chain twice: once through the robustness engine's batched hot path (each
-chain variant's samples in blocks of ``ROW_BLOCK`` rows, one
-``simulate_batch``, one batched ``process_fixed`` and one batched
-periodogram per block) and once as the naive per-sample Python loop
-(simulate → process → analyze, one record at a time).  The two paths are
+chain variant's samples in blocks of ``ROW_BLOCK`` rows; per block, one
+``simulate_batch`` and one batched Hogenauer pass per group of
+``LOCKSTEP_ROWS`` rows, then one batched pass of the rest of the chain
+and one batched periodogram) and once as the naive per-sample Python
+loop (simulate → process → analyze, one record at a time).  The two paths are
 bit-exact per sample — every SNR must match to the last bit — so the
 speedup is pure batching, not a numerics change.
 
@@ -128,8 +129,8 @@ def _kernel_speedups(scenario, model, chain, payload):
 
     The fallback is what a host without a C compiler runs: the Python
     modulator loop row by row, and the vectorized Hogenauer engine row by
-    row.  The Hogenauer batch takes the codes and their offset, as the
-    chain's batch path hands them.  Best of five runs per side, so one
+    row.  The Hogenauer batch runs the chain's ``sinc_words`` on the
+    codes.  Best of five runs per side, so one
     slow run does not set the ratio.
     """
     from repro import _native
@@ -144,8 +145,7 @@ def _kernel_speedups(scenario, model, chain, payload):
                                else lambda: None):
             timings[engine] = (
                 _best_time(lambda: modulator.simulate_batch(stimulus)),
-                _best_time(lambda: chain._sinc_batch(
-                    codes, chain._code_offset)))
+                _best_time(lambda: chain.sinc_words(codes)))
     return {
         "kernel_loaded": _native.load() is not None,
         "simulate_batch_kernel_speedup":

@@ -218,39 +218,25 @@ class DecimationChain:
             input_rate_hz=fs,
         ))
 
-        halfband_input_rate = fs / sinc_cascade.total_decimation
-        # Transition: the halfband stopband must start at the image of the
-        # overall stopband edge (fs_out - stopband_edge folded), i.e. its
-        # passband edge sits at (output_rate - stopband_edge) from DC.
-        passband_edge_norm = (spec.decimator.output_rate_hz
-                              - spec.decimator.stopband_edge_hz) / halfband_input_rate
-        passband_edge_norm = min(max(passband_edge_norm, 0.05), 0.2450)
         # Size the tapped cascade for the required attenuation: start from
         # the requested (n1, n2) and grow the sub-filter until the designed
         # filter clears the specification (narrower transition bands — e.g.
         # the audio-codec retarget — need a longer sub-filter than the
         # paper's n2 = 6).
-        target_att = max(options.halfband_target_attenuation_db,
-                         spec.decimator.stopband_attenuation_db)
+        inputs = halfband_design_inputs(spec, options)
         halfband = None
         for extra in range(0, 7):
             n2 = options.halfband_n2 + extra
 
             def design_halfband(n2: int = n2) -> SaramakiHalfband:
                 return SaramakiHalfbandDesigner(
-                    n1=options.halfband_n1,
+                    n1=inputs["n1"],
                     n2=n2,
-                    transition_start=passband_edge_norm,
-                    coefficient_bits=options.halfband_coefficient_bits,
-                ).design(target_att)
+                    transition_start=inputs["transition_start"],
+                    coefficient_bits=inputs["coefficient_bits"],
+                ).design(inputs["target_attenuation_db"])
 
-            key = ("halfband-design", content_hash({
-                "n1": options.halfband_n1,
-                "n2": n2,
-                "transition_start": passband_edge_norm,
-                "coefficient_bits": options.halfband_coefficient_bits,
-                "target_attenuation_db": target_att,
-            }))
+            key = ("halfband-design", content_hash(dict(inputs, n2=n2)))
             halfband = artifacts.get_or_compute(key, design_halfband)
             if (halfband.metadata["achieved_attenuation_db"]
                     >= spec.decimator.stopband_attenuation_db):
@@ -458,24 +444,35 @@ class DecimationChain:
     def process_fixed(self, codes: np.ndarray) -> np.ndarray:
         """Bit-true simulation: 4-bit codes in, ``output_bits``-bit words out.
 
-        Each stage picks its own engine (see the module docstring).
+        The Hogenauer stages (:meth:`sinc_words`) at the modulator rate,
+        then the halfband, the scaler, the equalizer and the output word at
+        the Sinc cascade's output rate.  Each stage picks its own engine
+        (see the module docstring).
 
         ``codes`` may also be a 2-D ``(batch, n)`` array of independent
         records: every stage then runs batch-vectorized (one cumsum/matmul
         per stage for the whole batch) and row ``b`` of the result is
         bit-exact to ``process_fixed(codes[b])``.
         """
+        return self._decimated_stages(self.sinc_words(codes))
+
+    def sinc_words(self, codes: np.ndarray) -> np.ndarray:
+        """The Hogenauer stages of :meth:`process_fixed`: modulator codes
+        in, the Sinc cascade's output words out.
+
+        ``codes`` may be 1-D or a 2-D ``(batch, n)`` array; row ``b`` of a
+        batch's words is bit-exact to ``sinc_words(codes[b])``, so the rows
+        of a batch may run in groups of any size and their words be
+        stacked (the robustness Monte Carlo runs them four at a time and
+        measures the stacked words with :meth:`measure_sinc_words_snr`).
+        """
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim == 2:
-            data = self._sinc_batch(codes, self._code_offset)
-        else:
-            data = self.codes_to_signed(codes)
-            for stage in self._hogenauer_stages:
-                data = stage.process(data)
-        data = self._halfband_impl.process(data)
-        data = self.scaling.process(data)
-        data = self._equalizer_impl.process(data)
-        return self._finalize_output(data)
+            return self._sinc_batch(codes, self._code_offset)
+        data = self.codes_to_signed(codes)
+        for stage in self._hogenauer_stages:
+            data = stage.process(data)
+        return data
 
     def _sinc_batch(self, codes: np.ndarray, offset: int) -> np.ndarray:
         """The Hogenauer stages on a ``(batch, n)`` array of records, less
@@ -490,6 +487,14 @@ class DecimationChain:
             offset = 0
         return data
 
+    def _decimated_stages(self, words: np.ndarray) -> np.ndarray:
+        """The stages of :meth:`process_fixed` after the Hogenauer stages:
+        halfband, scaler, equalizer and output word."""
+        data = self._halfband_impl.process(words)
+        data = self.scaling.process(data)
+        data = self._equalizer_impl.process(data)
+        return self._finalize_output(data)
+
     def _finalize_output(self, data: np.ndarray) -> np.ndarray:
         """Round away the guard LSBs and saturate to the output word.
 
@@ -503,8 +508,9 @@ class DecimationChain:
         if data.dtype != object:
             data = data.astype(np.int64)
             if guard > 0:
-                data = (data + (1 << (guard - 1))) >> guard
-            return np.clip(data, lo, hi)
+                data += 1 << (guard - 1)
+                data >>= guard
+            return np.clip(data, lo, hi, out=data)
         if data.ndim == 2:
             return np.stack([self._finalize_output(row) for row in data])
         if guard > 0:
@@ -537,8 +543,10 @@ class DecimationChain:
 
         The one tone-SNR recipe of the repository: bit-true chain, output
         normalization, settle trim and a Blackman-Harris tone analysis
-        over the passband.  The nominal SNR leg and every Monte Carlo row
-        of the robustness engine measure through it.
+        over the passband.  The nominal SNR leg measures through it, and
+        every Monte Carlo row of the robustness engine through
+        :meth:`measure_sinc_words_snr`, which shares everything after the
+        Hogenauer stages.
 
         Parameters
         ----------
@@ -557,9 +565,30 @@ class DecimationChain:
             discarded transient.  Pass a length over which the tone is
             coherent for the cleanest measurement.
         """
+        return self._tone_snr(self.output_to_normalized(self.process_fixed(codes)),
+                              tone_hz, discard_outputs, analyze_outputs)
+
+    def measure_sinc_words_snr(self, words: np.ndarray, tone_hz: float,
+                               discard_outputs: Optional[int] = None,
+                               analyze_outputs: Optional[int] = None,
+                               ) -> Union[float, List[float]]:
+        """:meth:`measure_output_snr` of the records whose Sinc cascade
+        words (:meth:`sinc_words`) are ``words``: bit-exact to
+        ``measure_output_snr(codes, ...)`` when ``words ==
+        sinc_words(codes)``, for 1-D and 2-D ``words`` alike."""
+        return self._tone_snr(
+            self.output_to_normalized(self._decimated_stages(words)),
+            tone_hz, discard_outputs, analyze_outputs)
+
+    def _tone_snr(self, output: np.ndarray, tone_hz: float,
+                  discard_outputs: Optional[int],
+                  analyze_outputs: Optional[int],
+                  ) -> Union[float, List[float]]:
+        """The analysis half of :meth:`measure_output_snr`, on the chain's
+        normalized output (normalized by the caller, so the output words
+        are freed before the analysis runs)."""
         from repro.dsm.spectrum import analyze_tone_batch
 
-        output = self.output_to_normalized(self.process_fixed(codes))
         settle = self._settle_samples() if discard_outputs is None else discard_outputs
         trimmed = output[..., settle:]
         if analyze_outputs is not None:
@@ -604,6 +633,31 @@ class DecimationChain:
             "scaling_factor": self.scaling.quantized_scale,
             "output_bits": self.spec.decimator.output_bits,
         }
+
+
+def halfband_design_inputs(spec: ChainSpec,
+                           options: ChainDesignOptions) -> Dict[str, object]:
+    """What a chain's halfband designs depend on, besides the sub-filter
+    size ``n2``: the ``halfband-design`` stage of
+    :meth:`DecimationChain.design` keys on these plus ``n2``, so chains
+    with equal inputs share every halfband they design."""
+    halfband_input_rate = (spec.modulator.sample_rate_hz
+                           / 2 ** (spec.num_halving_stages - 1))
+    # Transition: the halfband stopband must start at the image of the
+    # overall stopband edge (fs_out - stopband_edge folded), i.e. its
+    # passband edge sits at (output_rate - stopband_edge) from DC.
+    passband_edge_norm = (spec.decimator.output_rate_hz
+                          - spec.decimator.stopband_edge_hz) / halfband_input_rate
+    # Rounded to 12 decimals: specs reaching one edge through different
+    # rates (audio at 3.072 and 6.144 MHz) land 1 ULP apart, and must key,
+    # and design, one halfband.
+    return {
+        "n1": options.halfband_n1,
+        "transition_start": round(min(max(passband_edge_norm, 0.05), 0.2450), 12),
+        "coefficient_bits": options.halfband_coefficient_bits,
+        "target_attenuation_db": max(options.halfband_target_attenuation_db,
+                                     spec.decimator.stopband_attenuation_db),
+    }
 
 
 def design_paper_chain(options: Optional[ChainDesignOptions] = None) -> DecimationChain:

@@ -377,18 +377,29 @@ def snr_stimulus_parameters(chain, n_samples: int,
     the chain's group delay, so the analyzed output record stays coherent
     with the tone.
     """
+    exact_tone_hz, amplitude = snr_tone(chain.spec.modulator, n_samples,
+                                        tone_hz, amplitude)
+    settle_outputs = chain._settle_samples()
+    total = n_samples + settle_outputs * chain.total_decimation
+    return exact_tone_hz, amplitude, total, settle_outputs
+
+
+def snr_tone(modulator_spec, n_samples: int,
+             tone_hz: Optional[float] = None,
+             amplitude: Optional[float] = None) -> Tuple[float, float]:
+    """The SNR-leg tone of :func:`snr_stimulus_parameters`:
+    ``(exact_tone_hz, amplitude)``, the frequency coherent over
+    ``n_samples`` (default: a quarter of the signal band) and the
+    amplitude (default: 95% of the MSA).  It needs only the modulator."""
     from repro.dsm.signals import ToneSpec
 
-    spec = chain.spec
     if tone_hz is None:
-        tone_hz = spec.modulator.bandwidth_hz / 4.0
+        tone_hz = modulator_spec.bandwidth_hz / 4.0
     if amplitude is None:
-        amplitude = spec.modulator.msa * 0.95
-    settle_outputs = chain._settle_samples()
-    tone_spec = ToneSpec(tone_hz, amplitude, spec.modulator.sample_rate_hz,
+        amplitude = modulator_spec.msa * 0.95
+    tone_spec = ToneSpec(tone_hz, amplitude, modulator_spec.sample_rate_hz,
                          n_samples)
-    total = n_samples + settle_outputs * chain.total_decimation
-    return tone_spec.coherent_frequency_hz, amplitude, total, settle_outputs
+    return tone_spec.coherent_frequency_hz, amplitude
 
 
 def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
@@ -424,7 +435,18 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
         codes.flags.writeable = False
         return codes
 
-    key = ("modulator-codes", content_hash({
+    codes = artifacts.get_or_compute(
+        modulator_codes_key(modulator_spec, tone_hz, amplitude, seed_phase),
+        simulate, reuse=lambda stored: len(stored) >= n_total)
+    return codes[:n_total]
+
+
+def modulator_codes_key(modulator_spec, tone_hz: float, amplitude: float,
+                        seed_phase: float = 0.0) -> Tuple[str, str]:
+    """The store key of :func:`modulator_tone_codes`: the modulator fields
+    the loop reads and the stimulus, but not the record length (one entry
+    holds the longest record of its stimulus)."""
+    return ("modulator-codes", content_hash({
         "order": modulator_spec.order,
         "osr": modulator_spec.osr,
         "quantizer_bits": modulator_spec.quantizer_bits,
@@ -434,6 +456,3 @@ def modulator_tone_codes(modulator_spec, tone_hz: float, amplitude: float,
         "amplitude": amplitude,
         "seed_phase": seed_phase,
     }))
-    codes = artifacts.get_or_compute(
-        key, simulate, reuse=lambda stored: len(stored) >= n_total)
-    return codes[:n_total]

@@ -33,6 +33,11 @@ from repro.dsm.quantizer import MultibitQuantizer
 if TYPE_CHECKING:  # pragma: no cover - core builds on dsm, not the reverse
     from repro.core.spec import ModulatorSpec
 
+#: Rows the compiled kernel runs in lockstep (``EF_LANES`` in
+#: ``repro/_native/kernels.c``): a batch of a multiple of it leaves no rows
+#: to the kernel's one-row-at-a-time remainder loop.
+LOCKSTEP_ROWS = 4
+
 
 @dataclass
 class SimulationResult:
@@ -233,8 +238,9 @@ class FastErrorFeedbackSimulator:
         shape, receives the codes and becomes the result's ``codes``, so a
         caller running many blocks reuses one buffer.
 
-        Raises :class:`OverflowError` naming the first row, in row order,
-        whose quantizer input is no longer finite.
+        Raises :class:`LoopDivergedError` (an :class:`OverflowError`)
+        naming the first row, in row order, whose quantizer input is no
+        longer finite.
         """
         u = _finite_input(u, 2)
         if out is None:
@@ -256,7 +262,7 @@ class FastErrorFeedbackSimulator:
                 try:
                     record = self._simulate_python(row)
                 except (OverflowError, ValueError):  # round() of inf / NaN
-                    raise _diverged(b) from None
+                    raise LoopDivergedError(b) from None
                 codes[b] = record.codes
                 stable[b] = record.stable
                 if not codes_only:
@@ -272,7 +278,7 @@ class FastErrorFeedbackSimulator:
                 self.INSTABILITY_THRESHOLD * self.quantizer.full_scale,
                 np.empty(order), output, quantizer_input, codes, stable)
             if failed_row >= 0:
-                raise _diverged(failed_row)
+                raise LoopDivergedError(failed_row)
         return BatchSimulationResult(
             output=output,
             codes=codes,
@@ -329,10 +335,17 @@ class FastErrorFeedbackSimulator:
         )
 
 
-def _diverged(row: int) -> OverflowError:
-    """The error both engines raise when row ``row`` loses the loop."""
-    return OverflowError(f"the loop diverged: the quantizer input of row "
-                         f"{row} is no longer finite")
+class LoopDivergedError(OverflowError):
+    """The error both engines raise when row ``row`` of a batch loses the
+    loop (its quantizer input is no longer finite)."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__(row)
+        self.row = row
+
+    def __str__(self) -> str:
+        return (f"the loop diverged: the quantizer input of row {self.row} "
+                f"is no longer finite")
 
 
 def _finite_input(u: np.ndarray, ndim: int) -> np.ndarray:

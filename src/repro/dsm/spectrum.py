@@ -82,9 +82,13 @@ def periodogram(x: np.ndarray, sample_rate_hz: float,
         raise ValueError(f"unknown window {window!r}")
     # Normalize so that a full-scale sine shows its power correctly.
     coherent_gain = np.sum(w) / n
-    xw = x * w
-    spectrum = np.fft.rfft(xw, axis=-1) / (n * coherent_gain)
-    power = np.abs(spectrum) ** 2
+    # In place where the arithmetic allows it: a batch's spectrum holds
+    # one record-sized array at a time besides its input.
+    spectrum = np.fft.rfft(x * w, axis=-1)
+    spectrum /= n * coherent_gain
+    power = np.abs(spectrum)
+    del spectrum
+    power **= 2
     # One-sided: double everything except DC and Nyquist.
     power[..., 1:-1] *= 2.0
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)

@@ -557,15 +557,19 @@ def warm_shared_stages(payloads: Sequence[dict],
                        store: ArtifactStore) -> None:
     """The pool's warm policy: pre-compute the stages pending payloads share.
 
-    Two signatures capture the engine's sharing.  The *design* signature
+    Signatures capture the engine's sharing.  The *design* signature
     (spec and options, output word width ignored) groups payloads that
     share the halfband/equalizer designs and the mask verification; the
-    *stimulus* signature (modulator, SNR tone, amplitude and record
-    length) groups payloads with an SNR leg that share the modulator
-    bit-stream.  One representative of every design group of two or more
-    is warmed, with its SNR leg when its stimulus group also has two or
-    more payloads; then every stimulus group of two or more that no warmed
-    representative covers is warmed through its first payload.  A warmed
+    *stimulus* signature (the ``modulator-codes`` key: modulator, coherent
+    SNR tone and amplitude, not the record length) groups payloads with
+    an SNR leg that share the modulator bit-stream, whose one stored
+    entry holds the group's longest record.  One representative of every
+    design group of two or more is warmed, with its SNR leg when it is
+    the first of the longest records of a stimulus group of two or more;
+    then the longest record of every other such stimulus group is warmed
+    through its payload, and the first payload of every group of two or
+    more sharing its halfband designs (:func:`~repro.core.chain.
+    halfband_design_inputs`) that nothing warmed so far covers.  A warmed
     payload that measures activity warms its Hogenauer activity
     measurement too (keyed by the modulator and the Sinc stages, so
     payloads of several designs share it) and its linear-model SNR
@@ -577,9 +581,12 @@ def warm_shared_stages(payloads: Sequence[dict],
     distinct-design grids parallel (each worker still dedups across its
     own chunk through its copy of the store).
     """
-    from repro.core.spec import content_hash
+    from repro.core.chain import ChainDesignOptions, halfband_design_inputs
+    from repro.core.spec import ChainSpec, content_hash
+    from repro.core.verification import modulator_codes_key, snr_tone
 
     design_groups: Dict[str, List[int]] = {}
+    halfband_groups: Dict[str, List[int]] = {}
     stimulus_groups: Dict[str, List[int]] = {}
     prediction_groups: Dict[str, List[int]] = {}
     for index, payload in enumerate(payloads):
@@ -588,6 +595,10 @@ def warm_shared_stages(payloads: Sequence[dict],
                              if k != "output_bits"}
         design_groups.setdefault(content_hash(
             {"spec": spec, "options": payload["options"]}), []).append(index)
+        chain_spec = ChainSpec.from_dict(payload["spec"])
+        halfband_groups.setdefault(content_hash(halfband_design_inputs(
+            chain_spec, ChainDesignOptions.from_dict(payload["options"]))),
+            []).append(index)
         # Automatic Sinc orders follow the whole spec.
         orders = payload["options"]["sinc_orders"] or payload["spec"]
         prediction_groups.setdefault(content_hash({
@@ -598,29 +609,35 @@ def warm_shared_stages(payloads: Sequence[dict],
         flow = payload["flow"]
         if flow["include_snr"] or payload.get("scenario", {}).get(
                 "resample_rates_hz"):
-            stimulus_groups.setdefault(content_hash({
-                "modulator": payload["spec"]["modulator"],
-                "tone_hz": flow.get("snr_tone_hz"),
-                "amplitude": flow.get("snr_amplitude"),
-                "n_samples": flow["snr_samples"],
-            }), []).append(index)
+            exact_tone_hz, amplitude = snr_tone(
+                chain_spec.modulator, flow["snr_samples"],
+                flow.get("snr_tone_hz"), flow.get("snr_amplitude"))
+            stimulus_groups.setdefault(modulator_codes_key(
+                chain_spec.modulator, exact_tone_hz, amplitude),
+                []).append(index)
 
-    shared_stimulus = {index for group in stimulus_groups.values()
-                       if len(group) > 1 for index in group}
+    # The first of a stimulus group's longest records: the one stored
+    # entry serves every shorter record of the group.
+    longest = [max(group, key=lambda i: payloads[i]["flow"]["snr_samples"])
+               for group in stimulus_groups.values() if len(group) > 1]
     covered = set()
     warmed = set()
     for group in design_groups.values():
         if len(group) > 1:
-            with_snr = group[0] in shared_stimulus
+            with_snr = group[0] in longest
             _warm_payload(payloads[group[0]], store, with_snr)
             for index in group[1:]:
                 _warm_payload(payloads[index], store, with_snr=False)
             warmed.update(group)
             if with_snr:
                 covered.add(group[0])
-    for group in stimulus_groups.values():
-        if len(group) > 1 and covered.isdisjoint(group):
-            _warm_payload(payloads[group[0]], store, with_snr=True)
+    for index in longest:
+        if index not in covered:
+            _warm_payload(payloads[index], store, with_snr=True)
+            warmed.add(index)
+    for group in halfband_groups.values():
+        if len(group) > 1 and warmed.isdisjoint(group):
+            _warm_payload(payloads[group[0]], store, with_snr=False)
             warmed.add(group[0])
     for group in prediction_groups.values():
         if len(group) > 1 and warmed.isdisjoint(group):

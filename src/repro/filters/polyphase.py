@@ -146,7 +146,9 @@ class BitTrueFIRStage:
         full = convolve_strided_matmul(
             samples.astype(np.int64, copy=False), self._int_taps,
             offset=offset, step=step, count=count)
-        return (full + (1 << (self.coefficient_bits - 1))) >> self.coefficient_bits
+        full += 1 << (self.coefficient_bits - 1)
+        full >>= self.coefficient_bits
+        return full
 
     def _process_reference(self, samples: np.ndarray) -> np.ndarray:
         """Gold model: the full convolution in Python integers (1-D only)."""

@@ -96,8 +96,10 @@ class ScalingStage(FrozenRecord):
             if samples.ndim == 2:
                 return np.stack([self._process_reference(row) for row in samples])
             return self._process_reference(samples)
-        product = samples.astype(np.int64) * np.int64(self._int_multiplier)
-        return (product + (1 << (self.coefficient_bits - 1))) >> self.coefficient_bits
+        product = samples.astype(np.int64, copy=False) * np.int64(self._int_multiplier)
+        product += 1 << (self.coefficient_bits - 1)
+        product >>= self.coefficient_bits
+        return product
 
     def _process_reference(self, samples: np.ndarray) -> np.ndarray:
         """Gold model: CSD shift-add evaluation in Python integers (1-D)."""

@@ -9,10 +9,11 @@ mismatch, sampling-clock jitter and PVT corner shifts?
   :class:`~repro.robustness.model.PerturbationModel` with five composable
   axes, and its seeded, executor-independent draw tables.
 * :mod:`~repro.robustness.engine` — the batched Monte Carlo engine: each
-  chain variant's samples in blocks of ``ROW_BLOCK`` rows, one
-  ``simulate_batch`` call and one batched ``process_fixed`` per block,
-  corner-scaled power/area from the nominal synthesis — never a
-  per-sample Python simulation loop.
+  chain variant's samples in blocks of ``ROW_BLOCK`` rows, whose
+  full-rate stages (``simulate_batch`` and the Hogenauer stages) run in
+  groups of four rows and whose decimated-rate stages and tone analysis
+  run once per block, corner-scaled power/area from the nominal
+  synthesis — never a per-sample Python simulation loop.
 * :mod:`~repro.robustness.report` — per-sample metric distributions,
   :class:`~repro.robustness.report.YieldReport` (pass-rate against the
   spec masks, percentile SNR, worst-case sample), robust Pareto ranking by

@@ -9,42 +9,48 @@ Hot path
 --------
 The engine never simulates Monte Carlo samples one at a time.  Per shard
 (one shard per job), it walks the chain variants in sorted order and each
-variant's samples in blocks of :data:`ROW_BLOCK` rows:
+variant's samples in blocks of :data:`ROW_BLOCK` rows, split at the Sinc
+cascade's output:
 
-1. every sample of the block writes its perturbed stimulus (gain/offset
-   mismatch + clock jitter) in place into one row of a ``(block, n)``
-   matrix, from a tone argument computed once per shard
-   (:func:`~repro.dsm.signals.write_jittered_tone`), and the matrix runs
-   through **one** ``codes_only``
+1. **full rate, per group** of at most
+   :data:`~repro.dsm.modulator.LOCKSTEP_ROWS` (4) rows of the block, the
+   modulator kernel's lockstep width: every sample of the group writes
+   its perturbed stimulus (gain/offset mismatch + clock jitter) in place
+   into one row of a ``(4, n)`` matrix, from a tone argument computed
+   once per shard (:func:`~repro.dsm.signals.write_jittered_tone`); the
+   matrix runs through **one** ``codes_only``
    :meth:`~repro.dsm.modulator.FastErrorFeedbackSimulator.simulate_batch`
-   call, which writes the block's codes into a codes matrix of the same
-   shape;
-2. the block's codes run through **one** batched
-   :meth:`~repro.core.chain.DecimationChain.measure_output_snr` call of
-   the variant's chain — the same recipe as the nominal SNR leg: one
-   batched ``process_fixed`` pass and one batched
-   :func:`~repro.dsm.spectrum.analyze_tone_batch` periodogram per block;
+   call, which writes the group's codes into a ``(4, n)`` codes matrix,
+   and the codes through **one** batched
+   :meth:`~repro.core.chain.DecimationChain.sinc_words` pass, whose words
+   fill the group's rows of the block's ``(block, n / 8)`` words;
+2. **decimated rate, per block**: the block's words run through **one**
+   batched :meth:`~repro.core.chain.DecimationChain.measure_sinc_words_snr`
+   call of the variant's chain — the tail of the nominal SNR leg's
+   recipe (:meth:`~repro.core.chain.DecimationChain.measure_output_snr`):
+   halfband, scaler, equalizer, output word, settle trim and one batched
+   :func:`~repro.dsm.spectrum.analyze_tone_batch` periodogram;
 3. power/area per sample are the nominal synthesis estimates scaled by the
    sample's PVT corner factors
    (:meth:`~repro.hardware.corners.CornerDraw.power_factors`) — the models
    are linear in the library constants, so no per-sample synthesis runs.
 
-The stimulus and codes matrices are allocated once per shard, with
-:data:`ROW_BLOCK` rows, and every block uses their leading rows; the
-chain's intermediates of a block are freed before the next block starts.
-A shard's peak memory therefore scales with :data:`ROW_BLOCK`, not with
-its population.
+The group's stimulus and codes matrices are allocated once per shard, and
+every group uses their leading rows; a block's words and the chain's
+intermediates are freed before the next block starts.  A shard's peak
+memory therefore scales with four full-rate rows plus :data:`ROW_BLOCK`
+Sinc-rate rows, not with its population.
 
 Reproducibility
 ---------------
 Every random number of a run is drawn once, in the parent, in a fixed
 order (:meth:`~repro.robustness.model.PerturbationModel.draw_table`), and
 travels inside the shard payloads.  All batched kernels are per-row
-bit-exact and independent of shard and block composition, so a fixed
-seed produces byte-identical yield records at every ``jobs`` value and
-across warm :class:`~repro.explore.store.ArtifactCAS` re-runs (the whole
-record is cached under a content hash of spec, options, model and run
-settings).
+bit-exact and independent of shard, block and group composition, so a
+fixed seed produces byte-identical yield records at every ``jobs`` value
+and across warm :class:`~repro.explore.store.ArtifactCAS` re-runs (the
+whole record is cached under a content hash of spec, options, model and
+run settings).
 Perturbed chain variants and their frequency-mask verifications are
 memoized in the run's shared :class:`~repro.flow.artifacts.ArtifactStore`,
 keyed by the variant draw.
@@ -65,7 +71,8 @@ from repro.core.verification import (VerificationReport,
                                      simulated_output_snr,
                                      snr_stimulus_parameters, verify_chain,
                                      verify_distribution)
-from repro.dsm.modulator import DeltaSigmaModulator
+from repro.dsm.modulator import (LOCKSTEP_ROWS, DeltaSigmaModulator,
+                                 LoopDivergedError)
 from repro.dsm.signals import tone_argument, write_jittered_tone
 from repro.explore.store import ArtifactCAS, open_store
 from repro.explore.runner import execute_payloads
@@ -108,12 +115,15 @@ GOLDEN_RUN_SETTINGS = {
 #: ``stimulus_samples`` below ``MIN_ANALYSIS_OUTPUTS * decimation``.
 MIN_ANALYSIS_OUTPUTS = 64
 
-#: Rows per batched modulator/chain/analysis pass inside a variant group.
-#: A shard's peak memory scales with this block, not with its population.
-#: 16 was chosen by measurement (docs/PERFORMANCE.md): larger blocks cost
-#: memory and buy no speed, smaller ones save little memory.  It is a
-#: multiple of the four rows the modulator kernel runs in lockstep, so no
-#: full block leaves rows to its one-row-at-a-time remainder loop.
+#: Rows per batched pass of the decimated-rate stages (halfband, scaler,
+#: equalizer, output word, tone analysis) inside a variant group.  The
+#: full-rate stages (stimulus, modulator, Hogenauer) run on groups of
+#: :data:`~repro.dsm.modulator.LOCKSTEP_ROWS` rows of a block, so the
+#: block sizes only the Sinc-rate words (one eighth of a record per row)
+#: and what follows.  16 was chosen by measurement (docs/PERFORMANCE.md):
+#: larger blocks buy no speed, smaller ones pay the per-block Python
+#: dispatch of the decimated stages more often.  It is a multiple of the
+#: lockstep width, so no full block leaves a partial group.
 ROW_BLOCK = 16
 
 
@@ -153,32 +163,47 @@ def execute_robustness_payload(payload: dict,
     rows_by_variant: Dict[int, List[int]] = {}
     for row, sample in enumerate(samples):
         rows_by_variant.setdefault(int(sample["variant"]), []).append(row)
-    block_rows = min(ROW_BLOCK, max(map(len, rows_by_variant.values()),
-                                     default=0))
-    stimulus_block = np.empty((block_rows, total))
-    codes_block = np.empty((block_rows, total), dtype=np.int64)
+    group_rows = min(LOCKSTEP_ROWS, max(map(len, rows_by_variant.values()),
+                                        default=0))
+    stimulus_group = np.empty((group_rows, total))
+    codes_group = np.empty((group_rows, total), dtype=np.int64)
 
     def run_block(chain_v: DecimationChain,
                   rows: List[int]) -> Tuple[List[float], np.ndarray]:
         """SNR and loop stability of one block of rows.
 
-        The block runs in the leading rows of the shard's stimulus and
-        codes matrices; the chain's intermediates are locals, freed on
-        return.
+        The full-rate stages run on groups of :data:`LOCKSTEP_ROWS` rows
+        in the leading rows of the shard's stimulus and codes matrices;
+        each group's Sinc cascade words fill its rows of the block's
+        words, on which the rest of the chain and the analysis run once.
         """
-        stimulus = stimulus_block[:len(rows)]
-        for out, row in zip(stimulus, rows):
-            sample = samples[row]
-            write_jittered_tone(
-                out, argument, exact_tone_hz, amplitude * sample["gain"],
-                jitter_rms, np.random.default_rng(sample["jitter_seed"]),
-                sample["offset"])
-        batch = simulator.simulate_batch(stimulus, codes_only=True,
-                                         out=codes_block[:len(rows)])
-        snrs = chain_v.measure_output_snr(batch.codes, exact_tone_hz,
-                                          discard_outputs=settle,
-                                          analyze_outputs=n_out)
-        return snrs, batch.stable
+        stable = np.empty(len(rows), dtype=bool)
+        words = None
+        for start in range(0, len(rows), LOCKSTEP_ROWS):
+            lanes = rows[start:start + LOCKSTEP_ROWS]
+            stimulus = stimulus_group[:len(lanes)]
+            for out, row in zip(stimulus, lanes):
+                sample = samples[row]
+                write_jittered_tone(
+                    out, argument, exact_tone_hz, amplitude * sample["gain"],
+                    jitter_rms, np.random.default_rng(sample["jitter_seed"]),
+                    sample["offset"])
+            try:
+                batch = simulator.simulate_batch(
+                    stimulus, codes_only=True, out=codes_group[:len(lanes)])
+            except LoopDivergedError as error:
+                # Name the row of the block, not of the group.
+                raise LoopDivergedError(start + error.row) from None
+            group_words = chain_v.sinc_words(batch.codes)
+            if words is None:
+                words = np.empty((len(rows), group_words.shape[1]),
+                                 dtype=group_words.dtype)
+            words[start:start + len(lanes)] = group_words
+            stable[start:start + len(lanes)] = batch.stable
+        snrs = chain_v.measure_sinc_words_snr(words, exact_tone_hz,
+                                              discard_outputs=settle,
+                                              analyze_outputs=n_out)
+        return snrs, stable
 
     snr_db = np.empty(len(samples))
     stable = np.empty(len(samples), dtype=bool)

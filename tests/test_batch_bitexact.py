@@ -9,6 +9,7 @@ sample.  The modulator and Hogenauer contracts run twice: on the compiled
 kernels and on their pure-Python fallback.
 """
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import _native
 from repro.dsm import DeltaSigmaModulator, coherent_tone, synthesize_ntf
-from repro.dsm.modulator import FastErrorFeedbackSimulator
+from repro.dsm.modulator import FastErrorFeedbackSimulator, LoopDivergedError
 from repro.dsm.quantizer import MultibitQuantizer
 from repro.dsm.spectrum import analyze_tone, analyze_tone_batch, periodogram
 from repro.filters.hogenauer import HogenauerConfig, HogenauerDecimator
@@ -291,6 +292,10 @@ class TestKernelDifferential:
                 with pytest.raises(OverflowError) as fallback:
                     simulator.simulate_batch(u, codes_only=codes_only)
             assert str(kernel.value) == str(fallback.value) == message
+            assert isinstance(kernel.value, LoopDivergedError)
+            assert kernel.value.row == fallback.value.row == late
+            unpickled = pickle.loads(pickle.dumps(kernel.value))
+            assert (str(unpickled), unpickled.row) == (message, late)
         # In time, row `early` loses the loop at its spike (sample 20), row
         # `late` only at sample 300.
         simulator._simulate_python(u[late, :300])

@@ -141,6 +141,29 @@ class TestChainSimulation:
                            for row in codes]
         assert isinstance(batched[0], float)
 
+    @pytest.mark.parametrize("group", (1, 2, 4))
+    def test_stacked_sinc_words_measure_like_the_codes(
+            self, paper_chain, paper_modulator, group):
+        # The Monte Carlo's split: the Hogenauer stages on groups of rows,
+        # the tail on the stacked words; bit for bit the batched
+        # measurement of the codes, and 1-D words like the 1-D codes.
+        from repro.core.verification import snr_stimulus_parameters
+
+        tone_hz, _, total, settle = snr_stimulus_parameters(paper_chain, 2048)
+        t = np.arange(total)
+        codes = paper_modulator.simulate_batch(np.stack([
+            a * np.sin(2.0 * np.pi * tone_hz / 640e6 * t)
+            for a in (0.3, 0.5, 0.6, 0.7, 0.77)])).codes
+        kwargs = dict(discard_outputs=settle, analyze_outputs=128)
+        words = np.concatenate([paper_chain.sinc_words(codes[start:start + group])
+                                for start in range(0, len(codes), group)])
+        assert np.array_equal(words, paper_chain.sinc_words(codes))
+        assert np.array_equal(words[1], paper_chain.sinc_words(codes[1]))
+        assert (paper_chain.measure_sinc_words_snr(words, tone_hz, **kwargs)
+                == paper_chain.measure_output_snr(codes, tone_hz, **kwargs))
+        assert (paper_chain.measure_sinc_words_snr(words[1], tone_hz, **kwargs)
+                == paper_chain.measure_output_snr(codes[1], tone_hz, **kwargs))
+
     def test_measure_output_snr_batch_rejects_wide_words(self):
         # Registers wider than the batch path supports: the 2-D call fails
         # with the batched Hogenauer stage's error, while each record still

@@ -89,6 +89,36 @@ class TestPredictedSNR:
         assert store.misses == 2 and other != cold
 
 
+class TestHalfbandDesignKey:
+    def test_one_ulp_apart_transitions_share_the_designs(self, monkeypatch,
+                                                         tmp_path):
+        """``design --spec audio`` and ``scenario run audio-96k`` reach the
+        same transition start (0.225) through different rates, 1 ULP
+        apart unrounded: on one store the second finds all five halfband
+        designs of the first."""
+        import io
+
+        from repro.cli import run_command
+        from repro.filters.halfband import SaramakiHalfbandDesigner
+        from repro.flow import ArtifactStore
+
+        designs = []
+        real = SaramakiHalfbandDesigner.design
+
+        def counting(self, *args, **kwargs):
+            designs.append(self.transition_start)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SaramakiHalfbandDesigner, "design", counting)
+        monkeypatch.chdir(tmp_path)
+        store = ArtifactStore()
+        for argv in (["design", "--spec", "audio", "--no-activity"],
+                     ["scenario", "run", "audio-96k", "--quiet"]):
+            assert run_command(argv, stdout=io.StringIO(),
+                               stderr=io.StringIO(), store=store) == 0
+        assert designs == [0.225] * 5
+
+
 class TestEnumerateSincSplits:
     def test_deterministic_lexicographic_order(self):
         from repro.core import enumerate_sinc_splits, paper_chain_spec

@@ -1,5 +1,6 @@
 """Integration tests for the batch sweep runner (repro.explore.runner)."""
 
+import pickle
 import re
 
 import pytest
@@ -209,11 +210,29 @@ class TestResume:
 #: merged into :func:`warm_shared_stages`.
 SCENARIO_WARM_KEYS = [
     ("equalizer-design",
+     "1c1aba7389067666542404234c9b13628866ee0356574012c1394273eae4adb8"),
+    ("equalizer-design",
      "bc6e3a59a50df4d10fa5f1dc6fa8ffc2a834fa2f1976f2d9632b8d650f409b87"),
     ("halfband-design",
      "5bd7df49d822d8cb1e4e7de867e887e41d5e8e52684735e7ef6fb83e6af5111d"),
+    ("halfband-design",
+     "60b96787d3afa06f8600c2e3faedf1225b4e2c55ec957236c03648b50ebc1a75"),
+    ("halfband-design",
+     "871faaa5e48d923011e532bd62bf4927371fc3ee46f8a5bead99a6e579151ddb"),
+    ("halfband-design",
+     "bdf1704afeb2f8698a53cc0da0f355b84d5ef09ad53fd3087f5cab0d1094acd4"),
+    ("halfband-design",
+     "c7692046f8fc6de15116f5690989b9cccd84f9f10ff065c883faa6b4ae121df2"),
+    ("halfband-design",
+     "d34775236b9c996bed9c54d659ea96f828c68fa3dfa91b2a857e4d9850db247c"),
+    ("modulator-codes",
+     "026c3c0c788ebbe59a24dad897be861cefed9e5fe1667cb0972b5fb76b75baee"),
+    ("predicted-snr",
+     "e4bc0a047a69eaaad96ea07ee9429617778b299a4db7fe62ca437039f9819882"),
     ("predicted-snr",
      "e70364aa3b027386fcd6b1010e03024d71ae286c8f14c7fab11ba33456f391ae"),
+    ("verify-mask",
+     "092540df935f756552d0d19377c143d1a0ffb231d5c78e317bc4a6dc02656632"),
     ("verify-mask",
      "bdc201637e90022be98e0186a1286a7b52fe6b6c9fddefc92707edc95095bfb9"),
 ]
@@ -285,7 +304,40 @@ class TestWarmPolicy:
 
         payloads = [s.payload() for s in all_scenarios()]
         assert len(payloads) == 10
-        assert self._warmed_stages(payloads) == (SCENARIO_WARM_KEYS, 1)
+        # lte-20 with its record, whose codes serve sdr-lte-30p72's shorter
+        # one; audio-48k, whose five halfbands audio-96k designs too.
+        assert self._warmed_stages(payloads) == (SCENARIO_WARM_KEYS, 2)
+
+    def test_pooled_scenarios_reuse_as_much_as_inline(self):
+        """``scenario run --all`` reports the same shared-stage reuses at
+        every ``--jobs`` and however the pool splits the payloads: each
+        stage two payloads share is warmed, so every worker finds it.  The
+        split is checked at its extreme, one worker per payload, each
+        starting from a pickled copy of the warmed store as the pool's
+        workers do."""
+        from repro.explore.runner import _OuterLookups
+        from repro.scenarios import all_scenarios, run_scenario_suite
+        from repro.scenarios.runner import execute_scenario_payload
+
+        payloads = [s.payload() for s in all_scenarios()]
+        inline = ArtifactStore()
+        for payload in payloads:
+            execute_scenario_payload(payload, inline)
+        warmed = ArtifactStore()
+        counter = _OuterLookups(warmed)
+        warm_shared_stages(payloads, counter)
+        hits, misses = warmed.hits - counter.lookups, warmed.misses
+        for payload in payloads:
+            worker = pickle.loads(pickle.dumps(warmed))
+            execute_scenario_payload(payload, worker)
+            hits += worker.hits - warmed.hits
+            misses += worker.misses - warmed.misses
+        assert (hits, misses) == (inline.hits, inline.misses)
+        pooled = run_scenario_suite(jobs=2).metadata
+        assert pooled["executor"] == "process"
+        store = pooled["artifact_store"]
+        assert (store["hits"], store["misses"]) == (inline.hits,
+                                                    inline.misses)
 
     def test_eighteen_point_snr_grid(self):
         # sweep --snr --output-bits 12 14 16 --halfband-att 80 85 90

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo robustness engine (batching, determinism)."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -7,9 +8,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.chain import DecimationChain
-from repro.core.spec import canonical_json
-from repro.dsm.modulator import FastErrorFeedbackSimulator
+from repro import _native
+from repro.core.chain import ChainDesignOptions, DecimationChain
+from repro.core.spec import ChainSpec, canonical_json
+from repro.core.verification import snr_stimulus_parameters
+from repro.dsm.modulator import LOCKSTEP_ROWS, FastErrorFeedbackSimulator
 from repro.robustness import (PerturbationModel, default_model,
                               robustness_report_json, run_robustness,
                               run_robustness_suite)
@@ -107,38 +110,38 @@ class TestBatchedHotPath:
                                                           monkeypatch):
         """The acceptance run: 256 samples over lte-20, no per-sample loop.
 
-        Counts engine calls while the Monte Carlo executes inline: the
-        population must go through ``simulate_batch`` and batched 2-D
-        ``process_fixed`` once per row block of each chain variant's group
-        (``ceil(group / ROW_BLOCK)`` calls per group, each), with
-        per-record simulation reserved for the single nominal reference.
-        The run must then reproduce byte-identically from the warm on-disk
-        cache.
+        Counts engine calls while the Monte Carlo executes inline: each row
+        block of each chain variant's group (``ceil(group / ROW_BLOCK)``
+        blocks per group) runs its full-rate stages — ``simulate_batch``
+        and the Hogenauer stages (``sinc_words``) — once per group of
+        ``LOCKSTEP_ROWS`` rows, and the decimated-rate tail
+        (``measure_sinc_words_snr``) once, with per-record simulation
+        reserved for the single nominal reference.  The run must then
+        reproduce byte-identically from the warm on-disk cache.
         """
-        calls = {"simulate": 0, "simulate_batch": 0, "fixed_1d": 0,
-                 "fixed_2d": 0}
+        calls = Counter()
         real_simulate = FastErrorFeedbackSimulator.simulate
         real_batch = FastErrorFeedbackSimulator.simulate_batch
         real_fixed = DecimationChain.process_fixed
+        real_words = DecimationChain.sinc_words
+        real_tail = DecimationChain.measure_sinc_words_snr
 
-        def counting_simulate(self, u, *args, **kwargs):
-            calls["simulate"] += 1
-            return real_simulate(self, u, *args, **kwargs)
-
-        def counting_batch(self, u, *args, **kwargs):
-            calls["simulate_batch"] += 1
-            return real_batch(self, u, *args, **kwargs)
-
-        def counting_fixed(self, codes, *args, **kwargs):
-            key = "fixed_2d" if np.asarray(codes).ndim == 2 else "fixed_1d"
-            calls[key] += 1
-            return real_fixed(self, codes, *args, **kwargs)
+        def counting(name, real):
+            def call(self, data, *args, **kwargs):
+                calls[f"{name}_{np.asarray(data).ndim}d"] += 1
+                return real(self, data, *args, **kwargs)
+            return call
 
         monkeypatch.setattr(FastErrorFeedbackSimulator, "simulate",
-                            counting_simulate)
+                            counting("simulate", real_simulate))
         monkeypatch.setattr(FastErrorFeedbackSimulator, "simulate_batch",
-                            counting_batch)
-        monkeypatch.setattr(DecimationChain, "process_fixed", counting_fixed)
+                            counting("simulate_batch", real_batch))
+        monkeypatch.setattr(DecimationChain, "process_fixed",
+                            counting("fixed", real_fixed))
+        monkeypatch.setattr(DecimationChain, "sinc_words",
+                            counting("words", real_words))
+        monkeypatch.setattr(DecimationChain, "measure_sinc_words_snr",
+                            counting("tail", real_tail))
 
         model = default_model()
         cold = run_robustness("lte-20", model=model, n_samples=256, seed=2011,
@@ -147,12 +150,18 @@ class TestBatchedHotPath:
         # The variant of every sample comes from the run's draw table.
         groups = Counter(s["variant"] for s in cold.record["samples"])
         assert len(groups) == model.chain_variants
-        blocks = sum(-(-size // engine.ROW_BLOCK) for size in groups.values())
-        # One call per row block, plus the nominal reference, which
-        # simulates as a batch of one.
-        assert calls["simulate_batch"] == blocks + calls["simulate"]
-        assert calls["simulate"] <= 1                # the nominal reference
-        assert calls["fixed_2d"] == blocks           # one call per row block
+        block_sizes = [min(engine.ROW_BLOCK, size - start)
+                       for size in groups.values()
+                       for start in range(0, size, engine.ROW_BLOCK)]
+        lockstep = [-(-rows // LOCKSTEP_ROWS) for rows in block_sizes]
+        assert sum(lockstep) > len(block_sizes)   # blocks of several groups
+        # One modulator call per lockstep group, plus the nominal
+        # reference, which simulates as a batch of one.
+        assert calls["simulate_1d"] <= 1             # the nominal reference
+        assert calls["simulate_batch_2d"] == sum(lockstep) + calls["simulate_1d"]
+        assert calls["words_2d"] == sum(lockstep)    # Hogenauer per group
+        assert calls["tail_2d"] == len(block_sizes)  # the tail per block
+        assert calls["fixed_2d"] == 0
         assert calls["fixed_1d"] <= 1                # the nominal SNR leg
         assert cold.from_cache is False
         assert len(cold.record["samples"]) == 256
@@ -180,38 +189,98 @@ class TestBatchedHotPath:
         assert canonical_json(one.record) == canonical_json(many.record)
 
 
-class TestRowBlocks:
-    """The shard walks each variant group in blocks of ``ROW_BLOCK`` rows."""
+def _captured_payload(**kwargs):
+    """The first shard payload and the store of an inline run."""
+    captured = {}
+    real = engine.execute_payloads
 
-    def test_block_size_does_not_change_the_record(self, monkeypatch):
+    def capture(payloads, **options):
+        captured["payload"] = payloads[0]
+        captured["store"] = options["store"]
+        return real(payloads, **options)
+
+    with mock.patch.object(engine, "execute_payloads", capture):
+        run_robustness("lte-20", jobs=1, **kwargs)
+    return captured["payload"], captured["store"]
+
+
+class TestRowBlocks:
+    """The shard walks each variant group in blocks of ``ROW_BLOCK`` rows,
+    and each block's full-rate stages in groups of ``LOCKSTEP_ROWS``."""
+
+    @pytest.mark.parametrize("engine_kind", ["kernel", "fallback"])
+    def test_block_size_does_not_change_the_record(self, monkeypatch,
+                                                   engine_kind):
+        if engine_kind == "fallback":
+            monkeypatch.setattr(_native, "load", lambda: None)
+        elif _native.load() is None:
+            pytest.skip("the compiled kernels cannot be built on this host")
         kwargs = dict(n_samples=20, seed=2011, stimulus_samples=2048)
         records = {}
-        for block in (1, 7, 256):
+        for block in (1, 3, 5, 7, 16, 256):
             monkeypatch.setattr(engine, "ROW_BLOCK", block)
             records[block] = canonical_json(
                 run_robustness("lte-20", jobs=1, **kwargs).record)
-        monkeypatch.undo()
+        monkeypatch.setattr(engine, "ROW_BLOCK", 16)
         pooled = run_robustness("lte-20", jobs=4, **kwargs).record
         sizes = Counter(s["variant"] for s in pooled["samples"]).values()
         assert len(set(sizes)) > 1           # groups of uneven size
-        assert records[1] == records[7] == records[256]
+        # Blocks of 5 and 16 rows end in a partial lockstep group.
+        assert any(size % 5 % LOCKSTEP_ROWS or size % 16 % LOCKSTEP_ROWS
+                   for size in sizes)
+        assert len(set(records.values())) == 1
         assert records[1] == canonical_json(pooled)
+
+    def test_a_diverging_row_is_named_by_its_row_in_the_block(self):
+        """A modulator overflow names the sample's row in its row block,
+        whichever lockstep group of the block it runs in."""
+        payload, store = _captured_payload(
+            model=dataclasses.replace(default_model(), chain_variants=1),
+            n_samples=16, seed=2011, stimulus_samples=2048)
+        real = engine.write_jittered_tone
+        written = []
+
+        def spiking(out, *args):
+            real(out, *args)
+            written.append(len(written))
+            if written[-1] == 6:
+                out[100] = 1e308         # overflows the loop filter
+
+        with mock.patch.object(engine, "write_jittered_tone", spiking):
+            with pytest.raises(OverflowError,
+                               match="quantizer input of row 6 is no longer"):
+                engine.execute_robustness_payload(payload, store)
+
+    def test_full_rate_stages_peak_below_one_block_of_stimulus(self):
+        """A 16-row variant group over the scenario's own record peaks
+        below one ``(16, n)`` float64 matrix: the modulator and the
+        Hogenauer stages hold four rows at a time, and only the Sinc-rate
+        words of the whole block."""
+        model = dataclasses.replace(default_model(), chain_variants=1)
+        payload, store = _captured_payload(model=model, n_samples=16,
+                                           seed=2011)
+        assert all(s["variant"] == 0 for s in payload["samples"])
+        flow = payload["flow"]
+        chain = DecimationChain.design(
+            ChainSpec.from_dict(payload["spec"]),
+            ChainDesignOptions.from_dict(payload["options"]),
+            artifacts=store)
+        total = snr_stimulus_parameters(
+            chain, flow["snr_samples"], tone_hz=flow["snr_tone_hz"],
+            amplitude=flow["snr_amplitude"])[2]
+        tracemalloc.start()
+        try:
+            engine.execute_robustness_payload(payload, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * total * np.dtype(np.float64).itemsize
 
     def test_shard_peak_memory_scales_with_the_block(self):
         """A shard's traced peak grows with the row block, not with its
         population: 8x the samples stay under 2x the peak."""
-        captured = {}
-        real = engine.execute_payloads
-
-        def capture(payloads, **kwargs):
-            captured["payload"] = payloads[0]
-            captured["store"] = kwargs["store"]
-            return real(payloads, **kwargs)
-
-        with mock.patch.object(engine, "execute_payloads", capture):
-            run_robustness("lte-20", n_samples=256, seed=2011,
-                           stimulus_samples=2048, jobs=1)
-        full, store = captured["payload"], captured["store"]
+        full, store = _captured_payload(n_samples=256, seed=2011,
+                                        stimulus_samples=2048)
         small = dict(full, samples=full["samples"][:32])
         peaks = []
         for payload in (full, small):
