@@ -124,37 +124,32 @@ def _intact(path: Path) -> bool:
 
 
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the three kernels' signatures.  The array arguments of
-    ``ef_simulate`` and ``cic_decimate`` are checked for dtype and
-    C-contiguity by :func:`numpy.ctypeslib.ndpointer`; ``csd_search``
-    takes addresses."""
-    f64, i64, u64, flag = (
-        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-        for dtype in (np.float64, np.int64, np.uint64, np.bool_))
-
-    class optional_f64(f64):
-        """A float64 array argument that may be ``None`` (a NULL pointer)."""
-
-        @classmethod
-        def from_param(cls, obj):
-            return None if obj is None else f64.from_param(obj)
-
-    size, real = ctypes.c_int64, ctypes.c_double
-    library.ef_simulate.argtypes = [f64, size, size, f64, f64, size, real,
-                                    real, real, real, f64, optional_f64,
-                                    optional_f64, i64, flag]
+    """Declare the three kernels' signatures.  Every array argument is an
+    address (:func:`address`): :func:`numpy.ctypeslib.ndpointer` checks
+    cost more per call than the batched kernels' own work on short
+    records, so each caller checks dtype, C-contiguity and shape once per
+    call (``csd_search`` once per design) before it passes addresses."""
+    size, real, address_t = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    library.ef_simulate.argtypes = [address_t, size, size, address_t,
+                                    address_t, size, real, real, real, real,
+                                    address_t, address_t, address_t,
+                                    address_t, address_t]
     library.ef_simulate.restype = ctypes.c_int64
-    library.cic_decimate.argtypes = [i64, ctypes.c_uint64, size, size, size,
-                                     size, size, u64, i64]
+    library.cic_decimate.argtypes = [address_t, ctypes.c_uint64, size, size,
+                                     size, size, size, address_t, address_t]
     library.cic_decimate.restype = None
-    # The halfband search passes addresses of arrays it has checked once
-    # per design (see repro.filters.halfband._fast_forward).
-    address = ctypes.c_void_p
-    library.csd_search.argtypes = [address, size, size, address, address,
-                                   size, size, size, size, address, size,
-                                   address, size, real, address, address]
+    library.csd_search.argtypes = [address_t, size, size, address_t,
+                                   address_t, size, size, size, size,
+                                   address_t, size, address_t, size, real,
+                                   address_t, address_t]
     library.csd_search.restype = ctypes.c_int64
     return library
+
+
+def address(array: Optional[np.ndarray]) -> Optional[int]:
+    """The data address of a checked array argument (``None`` passes a
+    NULL pointer).  The caller keeps the array alive through the call."""
+    return None if array is None else array.ctypes.data
 
 
 _DEFAULT = NativeLoader()

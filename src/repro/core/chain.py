@@ -28,15 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow imports core)
     from repro.flow.artifacts import ArtifactStore
 
-from repro.core.spec import ChainSpec, content_hash, paper_chain_spec
+from repro.core.spec import (ChainSpec, content_hash, derived_hash, field_dict,
+                             paper_chain_spec)
 from repro.filters.cascade import CascadeStageDescription, MultirateCascade
 from repro.filters.equalizer import EqualizerDesign, design_droop_equalizer
 from repro.filters.fir import FIRFilterFixedPoint
@@ -78,10 +79,9 @@ class ChainDesignOptions:
     pipelined: bool = True
 
     def to_dict(self) -> dict:
-        """JSON-serializable dictionary of the design options."""
-        from dataclasses import asdict
-
-        data = asdict(self)
+        """JSON-serializable dictionary of the design options (a fresh one
+        per call, ``sinc_orders`` as a list)."""
+        data = field_dict(self)
         if data["sinc_orders"] is not None:
             data["sinc_orders"] = list(data["sinc_orders"])
         return data
@@ -163,6 +163,8 @@ class DecimationChain:
                 coefficient_bits=options.equalizer_coefficient_bits,
                 data_bits=self.spec.decimator.output_bits + 2,
                 label="Equalizer"),
+            # Store keys derived from this chain (see derived_hash).
+            _hashes={},
         )
 
     # ------------------------------------------------------------------
@@ -189,8 +191,9 @@ class DecimationChain:
         options = options or ChainDesignOptions()
         if artifacts is None:
             artifacts = ArtifactStore()
-        key = ("chain-design", content_hash({"spec": spec.to_dict(),
-                                             "options": options.to_dict()}))
+        key = ("chain-design", derived_hash(
+            ("chain-design", spec, options),
+            lambda: {"spec": spec.to_dict(), "options": options.to_dict()}))
         return artifacts.get_or_compute(
             key, lambda: cls._design(spec, options, artifacts))
 
@@ -336,11 +339,19 @@ class DecimationChain:
 
         Keys the memoized per-chain stages (the SNR leg, the scenario
         rate-converter leg): chains with equal keys produce bit-identical
-        output words.
+        output words.  Derived once per chain.
         """
-        return content_hash({"spec": self.spec.to_dict(),
-                             "options": self.options.to_dict(),
-                             "coefficients": self.coefficient_fingerprint()})
+        return self.derived_hash(("content-key",), lambda: {
+            "spec": self.spec.to_dict(),
+            "options": self.options.to_dict(),
+            "coefficients": self.coefficient_fingerprint()})
+
+    def derived_hash(self, values: tuple,
+                     payload: Callable[[], object]) -> str:
+        """:func:`~repro.core.spec.derived_hash` of ``values`` (what
+        ``payload`` reads besides this chain) kept on this chain: the chain
+        is immutable, so a key derived from it holds for its whole life."""
+        return derived_hash(values, payload, memo=self._hashes)
 
     # ------------------------------------------------------------------
     # Structure

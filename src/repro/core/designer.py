@@ -25,7 +25,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow imports core)
     from repro.flow.artifacts import ArtifactStore
 
-from repro.core.spec import ChainSpec, content_hash
+from repro.core.spec import ChainSpec, derived_hash
 from repro.filters.sinc import SincCascade, SincCascadeSpec, SincFilter, SincFilterSpec
 
 
@@ -137,14 +137,16 @@ def predicted_snr_after_decimation(spec: ChainSpec, sinc_orders: Sequence[int],
 
     if artifacts is None:
         artifacts = ArtifactStore()
-    key = ("predicted-snr", content_hash({
-        "modulator": {name: getattr(spec.modulator, name) for name in (
-            "order", "osr", "out_of_band_gain", "sample_rate_hz",
-            "bandwidth_hz", "quantizer_bits", "msa")},
-        "input_bits": spec.decimator.input_bits,
-        "sinc_orders": [int(order) for order in sinc_orders],
-        "n_points": n_points,
-    }))
+    key = ("predicted-snr", derived_hash(
+        ("predicted-snr", spec.modulator, spec.decimator.input_bits,
+         tuple(sinc_orders), n_points), lambda: {
+            "modulator": {name: getattr(spec.modulator, name) for name in (
+                "order", "osr", "out_of_band_gain", "sample_rate_hz",
+                "bandwidth_hz", "quantizer_bits", "msa")},
+            "input_bits": spec.decimator.input_bits,
+            "sinc_orders": [int(order) for order in sinc_orders],
+            "n_points": n_points,
+        }))
     return artifacts.get_or_compute(
         key, lambda: _predicted_snr(spec, sinc_orders, n_points))
 

@@ -9,11 +9,16 @@ ad hoc.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+import threading
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Optional, Tuple, TypeVar
+
+T = TypeVar("T")
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,9 @@ class ModulatorSpec:
         return (self.target_snr_db - 1.76) / 6.02
 
     def to_dict(self) -> dict:
-        """JSON-serializable dictionary of the specification fields."""
-        return asdict(self)
+        """JSON-serializable dictionary of the specification fields (a
+        fresh one per call)."""
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModulatorSpec":
@@ -105,8 +111,9 @@ class DecimationFilterSpec:
         return self.output_rate_hz / 2.0
 
     def to_dict(self) -> dict:
-        """JSON-serializable dictionary of the specification fields."""
-        return asdict(self)
+        """JSON-serializable dictionary of the specification fields (a
+        fresh one per call)."""
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecimationFilterSpec":
@@ -170,9 +177,10 @@ class ChainSpec:
 
         Two :class:`ChainSpec` instances with equal field values hash
         identically regardless of construction order; the digest keys the
-        on-disk result cache of :mod:`repro.explore`.
+        on-disk result cache of :mod:`repro.explore`.  It is derived once
+        per spec value (:func:`derived_hash`).
         """
-        return content_hash(self.to_dict())
+        return derived_hash(("spec", self), self.to_dict)
 
     def derive(self, osr: Optional[int] = None,
                bandwidth_hz: Optional[float] = None,
@@ -230,6 +238,18 @@ class ChainSpec:
         return ChainSpec(modulator=new_mod, decimator=new_dec)
 
 
+def field_dict(value) -> dict:
+    """A frozen dataclass's fields as a fresh, shallow ``{name: value}``
+    dict: equal to :func:`dataclasses.asdict` for fields that are scalars
+    or tuples of scalars, without its recursive deep copy."""
+    return {name: getattr(value, name) for name in _field_names(type(value))}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def canonical_json(data: object) -> str:
     """Canonical JSON encoding used for content hashing.
 
@@ -242,6 +262,49 @@ def canonical_json(data: object) -> str:
 def content_hash(data: object) -> str:
     """SHA-256 hex digest of a JSON-serializable payload (canonical form)."""
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+
+
+#: Bound of the process-wide :func:`derive_once` memo (oldest out first).
+DERIVED_ENTRIES = 1024
+
+_DERIVED: Dict[str, object] = {}
+_DERIVED_LOCK = threading.Lock()
+
+
+def derive_once(values: tuple, compute: Callable[[], T],
+                memo: Optional[Dict[str, object]] = None) -> T:
+    """``compute()``, computed once per ``values``.
+
+    ``values`` are the immutable inputs ``compute`` reads (frozen specs
+    and options, scalars, a stage name first), so a served store hit
+    re-derives nothing it derived before, even from a freshly parsed spec.
+    The result must be immutable: every caller gets the same one.  The memo
+    is keyed by ``repr(values)``, not by equality: ``1 == 1.0 == True``
+    and ``0.0 == -0.0`` compare equal but encode to different JSON, while
+    a frozen dataclass's repr spells every field with its type.  ``memo``
+    is an owner's own dict (an immutable chain keeps one); by default the
+    result goes to a process-wide memo bounded by :data:`DERIVED_ENTRIES`.
+    """
+    key = repr(values)
+    results = _DERIVED if memo is None else memo
+    result = results.get(key, _MISSING)
+    if result is _MISSING:
+        result = compute()
+        if memo is not None:
+            memo[key] = result
+            return result
+        with _DERIVED_LOCK:
+            while len(_DERIVED) >= DERIVED_ENTRIES:
+                del _DERIVED[next(iter(_DERIVED))]
+            _DERIVED[key] = result
+    return result
+
+
+def derived_hash(values: tuple, payload: Callable[[], object],
+                 memo: Optional[Dict[str, object]] = None) -> str:
+    """``content_hash(payload())``, computed once per ``values`` (see
+    :func:`derive_once`): the store keys of frozen inputs."""
+    return derive_once(values, lambda: content_hash(payload()), memo)
 
 
 def paper_chain_spec() -> ChainSpec:

@@ -293,10 +293,10 @@ def _mask_fingerprint(chain, passband_fraction: float) -> str:
 
     Deliberately excludes the output word width (and anything else the
     checks never read), so sweep points that differ only in those reuse the
-    memoized mask report.
+    memoized mask report.  Derived once per chain.
     """
     spec = chain.spec
-    return content_hash({
+    return chain.derived_hash(("verify-mask", passband_fraction), lambda: {
         "sinc_orders": [s.spec.order for s in chain.sinc_cascade.stages],
         "halfband_f1": [float(v) for v in chain.halfband.f1],
         "halfband_f2": [float(v) for v in chain.halfband.f2],
@@ -351,15 +351,16 @@ def simulated_output_snr(chain, n_samples: int = 65536,
             codes, exact_tone_hz, discard_outputs=settle_outputs,
             analyze_outputs=n_samples // chain.total_decimation)
 
-    key = ("snr-leg", content_hash({
-        "chain": chain.content_key(),
-        "n_samples": n_samples,
-        "tone_hz": exact_tone_hz,
-        "amplitude": amplitude,
-        "total_samples": total,
-        "settle_outputs": settle_outputs,
-        "seed_phase": seed_phase,
-    }))
+    key = ("snr-leg", chain.derived_hash(
+        ("snr-leg", n_samples, exact_tone_hz, amplitude, total,
+         settle_outputs, seed_phase),
+        lambda: {"chain": chain.content_key(),
+                 "n_samples": n_samples,
+                 "tone_hz": exact_tone_hz,
+                 "amplitude": amplitude,
+                 "total_samples": total,
+                 "settle_outputs": settle_outputs,
+                 "seed_phase": seed_phase}))
     return artifacts.get_or_compute(key, measure)
 
 

@@ -246,9 +246,9 @@ class FastErrorFeedbackSimulator:
         if out is None:
             codes = np.empty(u.shape, dtype=np.int64)
         elif (out.shape != u.shape or out.dtype != np.int64
-              or not out.flags.c_contiguous):
-            raise ValueError("out must be an int64 C-contiguous array of "
-                             "the input's shape")
+              or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ValueError("out must be a writeable int64 C-contiguous "
+                             "array of the input's shape")
         else:
             codes = out
         output = quantizer_input = None
@@ -269,14 +269,21 @@ class FastErrorFeedbackSimulator:
                     output[b] = record.output
                     quantizer_input[b] = record.quantizer_input
         else:
+            # The kernel takes addresses: ``u`` is float64 and ``codes``
+            # int64 of its shape (checked above), both C-contiguous, and
+            # every other array is made here to fit.
             order = len(self._den) - 1
+            u = np.ascontiguousarray(u)
+            num, den = np.array(self._num), np.array(self._den)
+            states = np.empty(order)
             failed_row = library.ef_simulate(
-                np.ascontiguousarray(u), u.shape[0], u.shape[1],
-                np.array(self._num), np.array(self._den), order,
-                self.quantizer.full_scale, self.quantizer.step,
-                self.quantizer.levels - 1,
+                u.ctypes.data, u.shape[0], u.shape[1], num.ctypes.data,
+                den.ctypes.data, order, self.quantizer.full_scale,
+                self.quantizer.step, self.quantizer.levels - 1,
                 self.INSTABILITY_THRESHOLD * self.quantizer.full_scale,
-                np.empty(order), output, quantizer_input, codes, stable)
+                states.ctypes.data, _native.address(output),
+                _native.address(quantizer_input), codes.ctypes.data,
+                stable.ctypes.data)
             if failed_row >= 0:
                 raise LoopDivergedError(failed_row)
         return BatchSimulationResult(

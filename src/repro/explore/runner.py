@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
 from repro.explore.pareto import DEFAULT_OBJECTIVES, Objective, pareto_rank
-from repro.explore.sweep import SweepPoint, SweepSpec, sweep_cache_key
+from repro.explore.sweep import SweepPoint, SweepSpec
 from repro.flow.artifacts import ArtifactStore
 from repro.obs import trace
 
@@ -445,7 +445,8 @@ def run_sweep(sweep: SweepSpec,
     }
     points = sweep.points
     payloads = [point.payload() for point in points]
-    keys = [sweep_cache_key(payload, flow_settings) for payload in payloads]
+    keys = [point.cache_key(flow_settings, payload)
+            for point, payload in zip(points, payloads)]
     run = run_cached_payloads(
         [{**payload, "flow": flow_settings} for payload in payloads], keys,
         [point.label for point in points], jobs=n_jobs,
@@ -646,12 +647,13 @@ def warm_shared_stages(payloads: Sequence[dict],
 
 def _warm_payload(payload: dict, store: ArtifactStore,
                   with_snr: bool) -> None:
-    """Warm one payload's shareable stages, its activity measurement
-    included when it measures activity (see
+    """Warm one payload's shareable stages, its synthesis report and (when
+    it measures activity) activity measurement included (see
     :func:`~repro.flow.pipeline.warm_flow_artifacts`)."""
     from repro.core.chain import ChainDesignOptions
     from repro.core.spec import ChainSpec
     from repro.flow.pipeline import warm_flow_artifacts
+    from repro.hardware.stdcell import GENERIC_45NM, library_by_name
 
     flow = payload["flow"]
     warm_flow_artifacts(ChainSpec.from_dict(payload["spec"]),
@@ -660,7 +662,9 @@ def _warm_payload(payload: dict, store: ArtifactStore,
                         snr_samples=flow["snr_samples"],
                         snr_tone_hz=flow.get("snr_tone_hz"),
                         snr_amplitude=flow.get("snr_amplitude"),
-                        measure_activity=bool(flow.get("measure_activity")))
+                        measure_activity=bool(flow.get("measure_activity")),
+                        library=library_by_name(
+                            flow.get("library", GENERIC_45NM.name)))
     _warm_prediction(payload, store)
 
 

@@ -18,7 +18,8 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.chain import ChainDesignOptions
-from repro.core.spec import ChainSpec, content_hash, paper_chain_spec
+from repro.core.spec import (ChainSpec, derive_once, derived_hash,
+                             paper_chain_spec)
 
 #: Sentinel axis value meaning "let the designer pick the Sinc order split".
 AUTO_SINC_ORDERS = "auto"
@@ -62,22 +63,21 @@ class SweepPoint:
         """JSON-serializable spec+options payload (what a worker rebuilds)."""
         return {"spec": self.spec.to_dict(), "options": self.options.to_dict()}
 
-    def cache_key(self, flow_settings: Optional[Mapping] = None) -> str:
+    def cache_key(self, flow_settings: Optional[Mapping] = None,
+                  payload: Optional[Mapping] = None) -> str:
         """Content hash keying this point's on-disk cache entry.
 
         The key covers the derived spec, the design options and the flow
         settings (SNR simulation on/off, sample count, activity
         measurement, library), so any input that could change the result
-        changes the key.
+        changes the key.  Derived once per spec, options and flow settings
+        (:func:`~repro.core.spec.derived_hash`), from ``payload`` when the
+        caller already built this point's :meth:`payload`.
         """
-        return sweep_cache_key(self.payload(), flow_settings)
-
-
-def sweep_cache_key(payload: Mapping,
-                    flow_settings: Optional[Mapping] = None) -> str:
-    """The cache key of a sweep point's :meth:`SweepPoint.payload` under
-    ``flow_settings``, for a caller that already holds the payload."""
-    return content_hash({"payload": payload, "flow": dict(flow_settings or {})})
+        return derived_hash(
+            ("sweep-point", self.spec, self.options, flow_settings),
+            lambda: {"payload": payload or self.payload(),
+                     "flow": dict(flow_settings or {})})
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,9 @@ class SweepSpec:
 
     @cached_property
     def points(self) -> Tuple[SweepPoint, ...]:
-        """The expanded grid (:meth:`expand`), computed once per spec."""
-        return tuple(self.expand())
+        """The expanded grid (:meth:`expand`), derived once per sweep value
+        (:func:`~repro.core.spec.derive_once`): its points are frozen."""
+        return derive_once(("sweep-points", self), lambda: tuple(self.expand()))
 
     def expand(self) -> List[SweepPoint]:
         """Expand the grid into its deterministic, ordered list of points.

@@ -126,8 +126,7 @@ def design_droop_equalizer(droop_response: FrequencyResponse,
     n_pass = 256
     n_stop = 64
     pass_freqs = np.linspace(0.0, passband_hz, n_pass)
-    droop = np.array([abs(droop_response.at(f)) for f in pass_freqs])
-    droop = np.maximum(droop, 1e-6)
+    droop = np.maximum(_droop_magnitudes(droop_response, pass_freqs), 1e-6)
     dc_gain = droop[0]
     inverse = dc_gain / droop
     max_boost = 10.0 ** (max_boost_db / 20.0)
@@ -164,6 +163,18 @@ def design_droop_equalizer(droop_response: FrequencyResponse,
     return design
 
 
+def _droop_magnitudes(droop_response: FrequencyResponse,
+                      frequencies_hz: np.ndarray) -> np.ndarray:
+    """``abs(droop_response.at(f))`` for every frequency, in one lookup.
+
+    ``|z|`` is libm's ``hypot``, as Python's ``abs(complex)`` takes it:
+    :func:`numpy.abs` of a complex array can differ in the last bit, and
+    the equalizer taps must not.
+    """
+    samples = droop_response.at_each(frequencies_hz)
+    return np.hypot(samples.real, samples.imag)
+
+
 def compensated_response(droop_response: FrequencyResponse,
                          equalizer: EqualizerDesign,
                          frequencies_hz: Optional[np.ndarray] = None) -> FrequencyResponse:
@@ -173,7 +184,7 @@ def compensated_response(droop_response: FrequencyResponse,
     eq_resp = equalizer.response(frequencies_hz)
     droop = FrequencyResponse(
         frequencies_hz=np.asarray(frequencies_hz, dtype=float),
-        magnitude=np.array([droop_response.at(f) for f in frequencies_hz]),
+        magnitude=droop_response.at_each(frequencies_hz),
         sample_rate_hz=droop_response.sample_rate_hz,
         label=droop_response.label,
     )

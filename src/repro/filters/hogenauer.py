@@ -348,8 +348,12 @@ class HogenauerDecimator:
             for b, row in enumerate(samples):
                 out[b] = self._process_vectorized(row, offset)
         else:
-            library.cic_decimate(samples, offset & _MASK64, batch, n, k, m,
-                                 width, np.zeros(2 * k, dtype=np.uint64), out)
+            # The kernel takes addresses: ``samples`` is a C-contiguous
+            # int64 (batch, n) array (made so above), ``out`` is made here.
+            registers = np.zeros(2 * k, dtype=np.uint64)
+            library.cic_decimate(samples.ctypes.data, offset & _MASK64, batch,
+                                 n, k, m, width, registers.ctypes.data,
+                                 out.ctypes.data)
         return out
 
     # ------------------------------------------------------------------

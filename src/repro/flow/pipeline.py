@@ -176,13 +176,15 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
                         snr_samples: int = 32768,
                         snr_tone_hz: Optional[float] = None,
                         snr_amplitude: Optional[float] = None,
-                        measure_activity: bool = False) -> None:
+                        measure_activity: bool = False,
+                        library: StandardCellLibrary = GENERIC_45NM) -> None:
     """Pre-compute the shareable stages of :func:`run_design_flow`.
 
     Fills ``artifacts`` with the chain-design sub-stages, the mask
     verification, (with ``include_snr_simulation``) the modulator
-    bit-stream and (with ``measure_activity``) the Hogenauer activity
-    measurement for the given point.  The chain-keyed SNR leg is not
+    bit-stream and the synthesis report on ``library`` (with
+    ``measure_activity``, and the Hogenauer activity measurement it
+    reads) for the given point.  The chain-keyed SNR leg is not
     warmed: the flows that need it compute it through the same store on
     first use.  Before starting its process pool, the
     cached run loop of sweeps and scenario suites warms a store with one
@@ -200,7 +202,5 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
             chain, snr_samples, tone_hz=snr_tone_hz, amplitude=snr_amplitude)
         modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude, total,
                              artifacts=artifacts)
-    if measure_activity:
-        from repro.hardware.synthesis import hogenauer_activity
-
-        hogenauer_activity(chain, artifacts)
+    SynthesisFlow(library).run(chain, measure_activity=measure_activity,
+                               artifacts=artifacts)

@@ -8,26 +8,28 @@ routed layout area the paper reports (0.12 mm² in 45 nm).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Sequence, Tuple
 
+from repro.frozen import FrozenRecord
 from repro.hardware.resources import StageResources
 from repro.hardware.stdcell import GENERIC_45NM, StandardCellLibrary
 
 
-@dataclass
-class StageArea:
-    """Area of one stage."""
+@dataclass(frozen=True)
+class StageArea(FrozenRecord):
+    """Area of one stage (immutable, like the report holding it)."""
 
     label: str
     cell_area_um2: float
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
-class AreaReport:
-    """Chain-level area report."""
+@dataclass(frozen=True)
+class AreaReport(FrozenRecord):
+    """Chain-level area report; immutable, a part of the stored synthesis
+    report."""
 
-    stages: List[StageArea]
+    stages: Tuple[StageArea, ...]
     library: StandardCellLibrary
     metadata: dict = field(default_factory=dict)
 
@@ -81,7 +83,7 @@ class AreaModel:
             },
         )
 
-    def chain_area(self, resources: List[StageResources]) -> AreaReport:
+    def chain_area(self, resources: Sequence[StageResources]) -> AreaReport:
         """Area report over all stages of a designed chain."""
         return AreaReport(
             stages=[self.stage_area(r) for r in resources],

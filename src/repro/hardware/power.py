@@ -23,15 +23,16 @@ ablations check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.frozen import FrozenRecord
 from repro.hardware.resources import StageResources
 from repro.hardware.stdcell import GENERIC_45NM, StandardCellLibrary
 
 
-@dataclass
-class StagePower:
-    """Power breakdown of one stage."""
+@dataclass(frozen=True)
+class StagePower(FrozenRecord):
+    """Power breakdown of one stage (immutable, like the report holding it)."""
 
     label: str
     dynamic_mw: float
@@ -45,11 +46,12 @@ class StagePower:
         return self.dynamic_mw + self.clock_mw + self.leakage_uw / 1000.0
 
 
-@dataclass
-class PowerReport:
-    """Chain-level power report (the Table II reproduction)."""
+@dataclass(frozen=True)
+class PowerReport(FrozenRecord):
+    """Chain-level power report (the Table II reproduction); immutable, a
+    part of the stored synthesis report."""
 
-    stages: List[StagePower]
+    stages: Tuple[StagePower, ...]
     library: StandardCellLibrary
     supply_v: float
     metadata: dict = field(default_factory=dict)
@@ -161,7 +163,7 @@ class PowerModel:
     # ------------------------------------------------------------------
     # Chain-level estimation
     # ------------------------------------------------------------------
-    def chain_power(self, resources: List[StageResources],
+    def chain_power(self, resources: Sequence[StageResources],
                     retimed: bool = True,
                     stimulus: Optional[str] = None) -> PowerReport:
         """Estimate the full chain's power profile (Table II equivalent)."""

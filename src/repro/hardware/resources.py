@@ -9,20 +9,23 @@ extraction that walks a designed :class:`~repro.core.chain.DecimationChain`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.frozen import FrozenRecord
 
-@dataclass
-class StageResources:
+
+@dataclass(frozen=True)
+class StageResources(FrozenRecord):
     """Adder/register resources and clocking of one stage.
 
     ``fast_*`` resources run at the stage input clock, ``slow_*`` at its
     output clock — the distinction matters because the Hogenauer integrators
     run at the full input rate while everything after the rate change runs at
     half of it (this is precisely why the first Sinc stage dominates the
-    power budget in Table II).
+    power budget in Table II).  Immutable (a
+    :class:`~repro.frozen.FrozenRecord`): synthesis reports are stored.
     """
 
     label: str
@@ -54,8 +57,10 @@ class StageResources:
         return 6 * self.total_adder_bits + 8 * self.total_register_bits
 
 
-def resources_from_summary(summary: Dict, kind: str, activity: float = 0.5) -> StageResources:
-    """Convert a stage's ``resource_summary()`` dict into :class:`StageResources`."""
+def resources_from_summary(summary: Mapping, kind: str, activity: float = 0.5,
+                           label: Optional[str] = None) -> StageResources:
+    """Convert a stage's ``resource_summary()`` dict into :class:`StageResources`
+    (labelled ``label``, else the summary's own label)."""
     width = int(summary.get("word_width", 16))
     fast_adders = int(summary.get("fast_adders", 0))
     slow_adders = int(summary.get("slow_adders", 0))
@@ -76,7 +81,7 @@ def resources_from_summary(summary: Dict, kind: str, activity: float = 0.5) -> S
         register_bits_fast = 0
         register_bits_slow = register_bits
     return StageResources(
-        label=str(summary.get("label", kind)),
+        label=label if label is not None else str(summary.get("label", kind)),
         kind=kind,
         word_width=width,
         fast_clock_hz=fast_clock,
@@ -123,7 +128,6 @@ def extract_chain_resources(chain, measured_activity: Optional[Dict[str, float]]
         summary = info.details.get("resources", {})
         activity = measured_activity.get(
             info.name, DEFAULT_ACTIVITY.get(info.kind, 0.3))
-        res = resources_from_summary(summary, info.kind, activity)
-        res.label = info.name
-        resources.append(res)
+        resources.append(resources_from_summary(summary, info.kind, activity,
+                                                label=info.name))
     return resources

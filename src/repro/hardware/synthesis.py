@@ -12,10 +12,10 @@ the benchmarks serialize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.spec import content_hash
+from repro.core.spec import field_dict
+from repro.frozen import FrozenRecord
 from repro.hardware.area import AreaModel, AreaReport
 from repro.hardware.power import (ACTIVITY_TONE_HZ, PowerModel, PowerReport,
                                   measure_hogenauer_activity)
@@ -23,11 +23,16 @@ from repro.hardware.resources import StageResources, extract_chain_resources
 from repro.hardware.stdcell import GENERIC_45NM, StandardCellLibrary
 
 
-@dataclass
-class SynthesisReport:
-    """Everything the paper's Section VIII reports, for one designed chain."""
+@dataclass(frozen=True)
+class SynthesisReport(FrozenRecord):
+    """Everything the paper's Section VIII reports, for one designed chain.
 
-    resources: List[StageResources]
+    Immutable (a :class:`~repro.frozen.FrozenRecord`, its parts too):
+    :meth:`SynthesisFlow.run` stores it and hands the stored report to
+    every caller.
+    """
+
+    resources: Tuple[StageResources, ...]
     power: PowerReport
     area: AreaReport
     library: StandardCellLibrary
@@ -91,21 +96,51 @@ class SynthesisFlow:
         retimed:
             Override the chain's retiming option for what-if studies.
         artifacts:
-            :class:`~repro.flow.artifacts.ArtifactStore` the activity
-            measurement runs through (a fresh one when ``None``).  The
-            activity is keyed by the modulator spec, the Sinc cascade and
-            the stimulus only, so flows differing in the library, the
-            output word or the halfband/equalizer options share one
-            measurement, read through a read-only view.
+            :class:`~repro.flow.artifacts.ArtifactStore` (a fresh one when
+            ``None``) holding the report, the ``synthesis`` stage keyed by
+            the chain (:meth:`~repro.core.chain.DecimationChain.content_key`),
+            the library, the supply and the activity settings, and the
+            activity measurement it reads.  The activity is keyed by the
+            modulator spec, the Sinc cascade and the stimulus only, so
+            flows differing in the library, the output word or the
+            halfband/equalizer options share one measurement, read
+            through a read-only view.
         """
         from repro.flow.artifacts import ArtifactStore
 
         if artifacts is None:
             artifacts = ArtifactStore()
-        measured = (hogenauer_activity(chain, artifacts, activity_samples)
-                    if measure_activity else None)
-        resources = extract_chain_resources(chain, measured)
         retimed = chain.options.retimed if retimed is None else retimed
+
+        def key_payload() -> dict:
+            return {"chain": chain.content_key(),
+                    "library": field_dict(self.library),
+                    "supply_v": self.supply_v,
+                    "measure_activity": measure_activity,
+                    "activity_samples": activity_samples,
+                    "retimed": retimed}
+
+        key = ("synthesis", chain.derived_hash(
+            ("synthesis", self.library, self.supply_v, measure_activity,
+             activity_samples, retimed), key_payload))
+        return artifacts.get_or_compute(key, lambda: self._report(
+            chain, measure_activity, activity_samples, retimed, artifacts))
+
+    def _report(self, chain, measure_activity: bool, activity_samples: int,
+                retimed: bool, artifacts) -> SynthesisReport:
+        """The ``synthesis`` stage of :meth:`run` (a store miss).  The
+        activity is a stage of its own, measured with the paper's stimulus
+        (an ``ACTIVITY_TONE_HZ`` tone at the modulator's MSA)."""
+        measured = None
+        if measure_activity:
+            amplitude = chain.spec.modulator.msa
+            measured = artifacts.get_or_compute(
+                _activity_key(chain, activity_samples, ACTIVITY_TONE_HZ,
+                              amplitude),
+                lambda: measure_hogenauer_activity(
+                    chain, n_samples=activity_samples,
+                    tone_hz=ACTIVITY_TONE_HZ, amplitude=amplitude))
+        resources = extract_chain_resources(chain, measured)
         power_model = PowerModel(self.library, self.supply_v)
         power = power_model.chain_power(resources, retimed=retimed)
         area = AreaModel(self.library).chain_area(resources)
@@ -122,26 +157,6 @@ class SynthesisFlow:
         )
 
 
-def hogenauer_activity(chain, artifacts,
-                       activity_samples: int = 4096) -> Mapping[str, float]:
-    """The chain's measured Hogenauer activity, memoized in ``artifacts``.
-
-    Runs :func:`~repro.hardware.power.measure_hogenauer_activity` with the
-    paper's stimulus (a ``ACTIVITY_TONE_HZ`` tone at the modulator's MSA)
-    under :func:`_activity_key`.  The store keeps the plain dict, which
-    pickles; each caller gets a read-only view of it.  Shared by
-    :meth:`SynthesisFlow.run` and the pool's warm step
-    (:func:`repro.flow.pipeline.warm_flow_artifacts`), so both look the
-    measurement up under one key.
-    """
-    amplitude = chain.spec.modulator.msa
-    return MappingProxyType(artifacts.get_or_compute(
-        _activity_key(chain, activity_samples, ACTIVITY_TONE_HZ, amplitude),
-        lambda: measure_hogenauer_activity(
-            chain, n_samples=activity_samples, tone_hz=ACTIVITY_TONE_HZ,
-            amplitude=amplitude)))
-
-
 def _activity_key(chain, n_samples: int, tone_hz: float,
                   amplitude: float) -> tuple:
     """Store key of :func:`measure_hogenauer_activity` on ``chain``.
@@ -152,12 +167,13 @@ def _activity_key(chain, n_samples: int, tone_hz: float,
     library and output word share one measurement.
     """
     stages = chain._hogenauer_stages
-    return ("hogenauer-activity", content_hash({
-        "modulator": chain.spec.modulator.to_dict(),
-        "stages": [stage.coefficient_fingerprint() for stage in stages],
-        "widths": [stage.width for stage in stages],
-        "labels": [stage.spec.label for stage in stages],
-        "n_samples": n_samples,
-        "tone_hz": tone_hz,
-        "amplitude": amplitude,
-    }))
+    return ("hogenauer-activity", chain.derived_hash(
+        ("hogenauer-activity", n_samples, tone_hz, amplitude), lambda: {
+            "modulator": chain.spec.modulator.to_dict(),
+            "stages": [stage.coefficient_fingerprint() for stage in stages],
+            "widths": [stage.width for stage in stages],
+            "labels": [stage.spec.label for stage in stages],
+            "n_samples": n_samples,
+            "tone_hz": tone_hz,
+            "amplitude": amplitude,
+        }))

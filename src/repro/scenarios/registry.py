@@ -17,6 +17,7 @@ this registry, so there is exactly one definition of each standard.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.chain import ChainDesignOptions
@@ -143,8 +144,13 @@ class Scenario:
 
         Covers the full payload — spec, options, flow settings (stimulus,
         library, cache schema) and the rate-converter leg — so
-        any input that could change the record changes the key.
+        any input that could change the record changes the key.  Derived
+        once per scenario: a scenario is immutable.
         """
+        return self._cache_key
+
+    @cached_property
+    def _cache_key(self) -> str:
         return content_hash({"payload": self.payload()})
 
     def summary_row(self) -> Dict[str, object]:

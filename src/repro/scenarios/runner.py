@@ -97,7 +97,6 @@ def _rate_converter_leg(chain, rates: Sequence[float],
     the stimulus, so a repeated request runs nothing; each caller gets a
     fresh :func:`~repro.flow.pipeline.json_sanitize` rebuild of them.
     """
-    from repro.core.spec import content_hash
     from repro.core.verification import modulator_tone_codes
     from repro.filters.rate_converter import FarrowRateConverter
 
@@ -132,14 +131,16 @@ def _rate_converter_leg(chain, rates: Sequence[float],
             })
         return tuple(entries)
 
-    key = ("rate-converter-leg", content_hash({
-        "chain": chain.content_key(),
-        "rates_hz": [float(rate) for rate in rates],
-        "tone_hz": float(exact_tone_hz),
-        "amplitude": float(amplitude),
-        "total_samples": int(total),
-        "settle_outputs": int(settle),
-    }))
+    key = ("rate-converter-leg", chain.derived_hash(
+        ("rate-converter-leg", tuple(rates), exact_tone_hz, amplitude,
+         total, settle), lambda: {
+            "chain": chain.content_key(),
+            "rates_hz": [float(rate) for rate in rates],
+            "tone_hz": float(exact_tone_hz),
+            "amplitude": float(amplitude),
+            "total_samples": int(total),
+            "settle_outputs": int(settle),
+        }))
     return json_sanitize(artifacts.get_or_compute(key, measure))
 
 

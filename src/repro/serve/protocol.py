@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.spec import content_hash
+from repro.core.spec import derived_hash
 
 #: Hard per-line byte limit for requests; argv-sized requests sit far
 #: below it, so anything larger is a framing error, not a workload.
@@ -155,9 +155,13 @@ def request_key(verb: str, args: Sequence[str],
     defaulting), riding :func:`repro.core.spec.content_hash` — the same
     canonical-JSON SHA-256 that keys `ChainSpec` content and the on-disk
     CAS.  ``extra`` folds in server-side context that changes the result
-    (unused today, reserved for per-tenant isolation).
+    (unused today, reserved for per-tenant isolation).  Derived once per
+    request (:func:`repro.core.spec.derived_hash`).
     """
-    payload: dict = {"verb": verb, "args": list(args)}
-    if extra:
-        payload["extra"] = extra
-    return content_hash(payload)
+    def payload() -> dict:
+        data: dict = {"verb": verb, "args": list(args)}
+        if extra:
+            data["extra"] = extra
+        return data
+
+    return derived_hash(("request", verb, tuple(args), extra), payload)

@@ -294,10 +294,14 @@ class TestWarmPolicy:
     @classmethod
     def _warmed_stages(cls, payloads):
         """The warmed keys, the per-point ``chain-design`` keys counted
-        apart (one per distinct chain of a design group)."""
+        apart (one per distinct chain of a design group), each chain with
+        its one warmed ``synthesis`` report."""
         keys = cls._warmed_keys(payloads)
         chains = [key for key in keys if key[0] == "chain-design"]
-        return [key for key in keys if key[0] != "chain-design"], len(chains)
+        reports = [key for key in keys if key[0] == "synthesis"]
+        assert len(reports) == len(chains)
+        return ([key for key in keys
+                 if key[0] not in ("chain-design", "synthesis")], len(chains))
 
     def test_registered_scenarios(self):
         from repro.scenarios import all_scenarios

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import ChainDesignOptions, audio_chain_spec, paper_chain_spec
+from repro.core import (ChainDesignOptions, audio_chain_spec, content_hash,
+                        paper_chain_spec)
 from repro.explore import AUTO_SINC_ORDERS, HALFBAND_DESIGN_MARGIN_DB, SweepSpec
-from repro.explore.sweep import SWEEP_AXES, sweep_cache_key
+from repro.explore.sweep import SWEEP_AXES
 
 
 class TestExpansionDeterminism:
@@ -141,5 +142,7 @@ class TestCacheKeys:
 def test_cache_key_of_a_held_payload_matches_the_point():
     point = SweepSpec(output_bits=(12,)).expand()[0]
     flow = {"include_snr": True, "snr_samples": 4096}
-    assert sweep_cache_key(point.payload(), flow) == point.cache_key(flow)
-    assert sweep_cache_key(point.payload()) == point.cache_key()
+    held = point.payload()
+    assert point.cache_key(flow, held) == point.cache_key(flow) == \
+        content_hash({"payload": held, "flow": flow})
+    assert point.cache_key() == content_hash({"payload": held, "flow": {}})

@@ -95,6 +95,30 @@ class TestEqualizerDesign:
         assert len(codes) == len(eq.taps)
 
 
+class TestDroopSamples:
+    """The droop samples are looked up in one vectorized pass; the taps
+    stay those of the per-point lookup the design made before."""
+
+    def test_taps_match_the_per_point_lookup(self, droop_and_equalizer,
+                                             monkeypatch):
+        from repro.filters.equalizer import _droop_magnitudes
+        from repro.filters.response import FrequencyResponse
+
+        _, _, chain = droop_and_equalizer
+        droop = chain.droop_response(np.linspace(0.0, 20e6, 512))
+        freqs = np.linspace(0.0, 20e6, 256)
+        assert _droop_magnitudes(droop, freqs).tobytes() == np.array(
+            [abs(droop.at(f)) for f in freqs]).tobytes()
+        fast = design_droop_equalizer(droop, 40e6, 20e6)
+        monkeypatch.setattr(FrequencyResponse, "at_each", lambda self, fs: (
+            np.array([self.at(f) for f in fs])))
+        slow = design_droop_equalizer(droop, 40e6, 20e6)
+        assert fast.taps.tobytes() == slow.taps.tobytes()
+        freqs = np.linspace(0.0, 19e6, 300)
+        assert (compensated_response(droop, fast, freqs).magnitude.tobytes()
+                == compensated_response(droop, slow, freqs).magnitude.tobytes())
+
+
 class TestImmutableDesign:
     """The artifact store hands one design to every caller."""
 

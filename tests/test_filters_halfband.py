@@ -228,3 +228,55 @@ class TestImmutableDesign:
         SaramakiHalfband(f1=f1, f2=f2, f1_csd=codes, f2_csd=codes)
         f1[0] = f2[0] = 0.0
         codes.append(None)
+
+
+def _choice_drawn_moves(seed, n1, n2, iterations):
+    """The CSD search's moves drawn with ``Generator.choice`` for the sign,
+    as the search drew them before it used ``integers(0, 2)``."""
+    rng = np.random.default_rng(seed)
+    moves = []
+    for _ in range(iterations):
+        if rng.random() < 0.4:
+            index = rng.integers(0, n1)
+        else:
+            index = n1 + rng.integers(0, n2)
+        moves.append((int(index), float(rng.choice([-1.0, 1.0])),
+                      float(rng.integers(1, 8))))
+    return moves
+
+
+class TestSearchMoves:
+    """The seeded moves are drawn without ``Generator.choice``, in the same
+    stream: every design stays bit-identical."""
+
+    @staticmethod
+    def _registered_structures():
+        # Every (n1, n2) a registered scenario or CLI spec can design: the
+        # chain grows the sub-filter by up to six taps past its option.
+        from repro.core.chain import ChainDesignOptions
+        from repro.scenarios import all_scenarios
+
+        options = [s.options for s in all_scenarios()] + [ChainDesignOptions()]
+        return sorted({(o.halfband_n1, o.halfband_n2 + extra)
+                       for o in options for extra in range(7)})
+
+    @staticmethod
+    def _moves(seed, n1, n2, iterations):
+        from repro.filters.halfband import _search_moves
+
+        indices, signs, magnitudes = _search_moves.__wrapped__(
+            seed, n1, n2, iterations)
+        return list(zip(indices.tolist(), signs.tolist(),
+                        magnitudes.tolist()))
+
+    def test_designer_seed_matches_choice_draws(self):
+        seed = SaramakiHalfbandDesigner(3, 6, 0.2125).random_seed
+        for n1, n2 in self._registered_structures():
+            assert self._moves(seed, n1, n2, 400) == \
+                _choice_drawn_moves(seed, n1, n2, 400), (n1, n2)
+
+    def test_hundred_seeds_match_choice_draws(self):
+        for n1, n2 in self._registered_structures():
+            for seed in range(100):
+                assert self._moves(seed, n1, n2, 48) == \
+                    _choice_drawn_moves(seed, n1, n2, 48), (seed, n1, n2)

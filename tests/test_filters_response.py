@@ -73,6 +73,46 @@ class TestFrequencyResponse:
         assert worst == pytest.approx(direct)
 
 
+class TestNearestGridLookup:
+    """``at_each`` is ``at`` for every frequency, ties included: the first
+    of two equally near grid points wins, as in ``argmin``."""
+
+    @staticmethod
+    def _per_point(response, frequencies):
+        return np.array([response.at(f) for f in frequencies])
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 20e6, 512),                      # the droop grid
+        np.array([0.0, 1.0, 2.0, 2.0, 3.0, 5.0]),         # a repeated point
+        np.array([4.0, 1.0, 3.0, 0.0, 2.0]),              # unsorted
+    ], ids=["uniform", "repeated", "unsorted"])
+    def test_matches_per_point_lookup_at_midpoints(self, grid):
+        rng = np.random.default_rng(5)
+        response = FrequencyResponse(
+            grid, rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid)),
+            1.0)
+        ordered = np.sort(grid)
+        midpoints = (ordered[:-1] + ordered[1:]) / 2.0
+        assert np.any((midpoints - ordered[:-1]) == (ordered[1:] - midpoints))
+        frequencies = np.concatenate([
+            midpoints, grid, [grid.min() - 1.0, grid.max() + 1.0],
+            rng.uniform(grid.min(), grid.max(), 300)])
+        got = response.at_each(frequencies)
+        assert got.tobytes() == self._per_point(response, frequencies).tobytes()
+
+    def test_blocks_match_one_pass(self, monkeypatch):
+        import repro.filters.response as response_module
+
+        grid = np.linspace(0.0, 1.0, 33)
+        response = FrequencyResponse(grid, np.arange(33.0), 2.0)
+        frequencies = np.linspace(-0.1, 1.1, 101)
+        whole = response.at_each(frequencies)
+        monkeypatch.setattr(response_module, "_LOOKUP_BLOCK", 40)
+        assert response.at_each(frequencies).tobytes() == whole.tobytes()
+        assert whole.tobytes() == \
+            self._per_point(response, frequencies).tobytes()
+
+
 class TestFreqzAgainstScipy:
     """``fir_freqz`` is ``scipy.signal.freqz`` for an array ``worN``, bit for bit."""
 

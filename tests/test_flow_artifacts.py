@@ -157,7 +157,7 @@ class TestOneMemoizationPath:
         run_design_flow(include_snr_simulation=True, snr_samples=2048)
         assert stages["halfband-design"] >= 1
         for stage in ("equalizer-design", "verify-mask", "snr-leg",
-                      "modulator-codes", "hogenauer-activity"):
+                      "modulator-codes", "synthesis", "hogenauer-activity"):
             assert stages[stage] == 1, stage
 
 
@@ -394,18 +394,55 @@ class TestStoredResultsAreImmutable:
     def test_activity_is_read_only_and_a_second_run_equal(self, paper_chain):
         from repro.hardware import SynthesisFlow
 
+        from repro.hardware import GENERIC_90NM
+
         store = ArtifactStore()
         first = SynthesisFlow().run(paper_chain, activity_samples=256,
                                     artifacts=store)
         activity = first.metadata["measured_activity"]
         _rejects(lambda: activity.__setitem__(next(iter(activity)), 0.0))
         _rejects(lambda: activity.clear())
-        second = SynthesisFlow().run(paper_chain, activity_samples=256,
-                                     artifacts=store)
-        assert (store.hits, store.misses) == (1, 1)
+        # Another library's report is a miss that reads the stored activity.
+        second = SynthesisFlow(GENERIC_90NM).run(
+            paper_chain, activity_samples=256, artifacts=store)
+        assert (store.hits, store.misses) == (1, 3)
         cold = SynthesisFlow().run(paper_chain, activity_samples=256)
         assert activity and dict(second.metadata["measured_activity"]) == \
             dict(cold.metadata["measured_activity"])
+
+    def test_synthesis_hit_returns_the_stored_report(self, paper_chain):
+        from repro.hardware import SynthesisFlow
+
+        store = ArtifactStore()
+        first = SynthesisFlow().run(paper_chain, measure_activity=False,
+                                    artifacts=store)
+        stage, power, area = (first.resources[0], first.power.stages[0],
+                              first.area.stages[0])
+        for write in (lambda: setattr(first, "resources", ()),
+                      lambda: first.metadata.__setitem__("retimed", False),
+                      lambda: setattr(stage, "activity", 1.0),
+                      lambda: stage.metadata.__setitem__("adders", 0),
+                      lambda: setattr(power, "dynamic_mw", 0.0),
+                      lambda: power.metadata.__setitem__("activity", 0.0),
+                      lambda: first.power.metadata.__setitem__("retimed", 0),
+                      lambda: setattr(area, "cell_area_um2", 0.0),
+                      lambda: first.area.stages.append(area)):
+            _rejects(write)
+        second = SynthesisFlow().run(paper_chain, measure_activity=False,
+                                     artifacts=store)
+        assert (store.hits, store.misses) == (1, 1)
+        assert second is first
+        cold = SynthesisFlow().run(paper_chain, measure_activity=False)
+        assert second.power_table() == cold.power_table()
+        assert str(second.area) == str(cold.area)
+        # Stored reports pickle (the pool ships the store).
+        report = SynthesisFlow().run(paper_chain, activity_samples=256,
+                                     artifacts=store)
+        clone = pickle.loads(pickle.dumps(report))
+        assert dict(clone.metadata["measured_activity"]) == \
+            dict(report.metadata["measured_activity"])
+        _rejects(lambda: clone.metadata["measured_activity"].clear())
+        assert clone.power_table() == report.power_table()
 
     def test_modulator_codes_are_read_only(self, paper_chain):
         spec = paper_chain.spec.modulator

@@ -186,3 +186,85 @@ class TestNoCompiler:
         assert kernel.returncode == 0, kernel.stderr
         assert _library_files(tmp_path / "xdg" / "repro")
         assert kernel.stdout == fallback.stdout
+
+
+class _NoCalls:
+    """A stand-in library whose sample-rate kernels must not be reached."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def kernel(*args):
+            self.calls.append(name)
+            raise AssertionError(f"{name} reached with unchecked arguments")
+        return kernel
+
+
+class TestAddressArguments:
+    """The sample-rate kernels take raw addresses, so their callers check
+    dtype, C-contiguity and shape first: a bad array raises before C."""
+
+    @pytest.fixture
+    def no_calls(self, monkeypatch):
+        library = _NoCalls()
+        monkeypatch.setattr(_native, "load", lambda: library)
+        return library
+
+    @staticmethod
+    def _simulator():
+        modulator = DeltaSigmaModulator()
+        return FastErrorFeedbackSimulator(modulator.ntf, modulator.quantizer)
+
+    def test_simulate_batch_rejects_bad_out(self, no_calls):
+        u = _stimulus()[:2, :256]
+        wide = np.empty((2, 512), dtype=np.int64)
+        read_only = np.empty(u.shape, dtype=np.int64)
+        read_only.flags.writeable = False
+        for out in (np.empty(u.shape, dtype=np.int32),      # wrong dtype
+                    wide[:, ::2],                            # non-contiguous
+                    np.empty((2, 255), dtype=np.int64),      # short
+                    read_only):
+            with pytest.raises(ValueError, match="out must be"):
+                self._simulator().simulate_batch(u, codes_only=True, out=out)
+        assert no_calls.calls == []
+
+    def test_simulate_batch_rejects_bad_input(self, no_calls):
+        simulator = self._simulator()
+        for u, error in ((_stimulus()[0, :256], ValueError),       # 1-D
+                         (np.array([["a", "b"]]), ValueError),     # dtype
+                         (np.full((1, 8), np.nan), ValueError)):   # not finite
+            with pytest.raises(error):
+                simulator.simulate_batch(u)
+        assert no_calls.calls == []
+
+    def test_process_batch_rejects_bad_samples(self, no_calls):
+        from repro.filters.hogenauer import HogenauerDecimator
+        from repro.filters.sinc import SincFilterSpec
+
+        stage = HogenauerDecimator(SincFilterSpec(4, 2, 4, 640e6))
+        with pytest.raises(TypeError, match="integer samples"):
+            stage.process_batch(np.zeros((2, 64)))                # float
+        with pytest.raises(ValueError, match="2-D"):
+            stage.process_batch(np.zeros(64, dtype=np.int64))     # 1-D
+        assert no_calls.calls == []
+
+    @needs_compiler
+    def test_non_contiguous_inputs_are_copied_not_misread(self):
+        from repro.filters.hogenauer import HogenauerDecimator
+        from repro.filters.sinc import SincFilterSpec
+
+        u = _stimulus()
+        strided = np.repeat(u, 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous
+        simulator = self._simulator()
+        codes = simulator.simulate_batch(u, codes_only=True).codes
+        assert np.array_equal(
+            simulator.simulate_batch(strided, codes_only=True).codes, codes)
+        stage = HogenauerDecimator(SincFilterSpec(4, 2, 4, 640e6))
+        samples = np.asfortranarray(codes)
+        assert not samples.flags.c_contiguous
+        assert np.array_equal(stage.process_batch(samples, offset=8),
+                              stage.process_batch(codes, offset=8))
+        assert np.array_equal(stage.process_batch(codes, offset=8)[1],
+                              stage.process(codes[1] - 8))

@@ -22,6 +22,20 @@ import json
 import os
 import sys
 
+#: Where the committed ``BENCH_<name>.json`` baselines live.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def committed(name: str, key: str) -> float:
+    """``results[key]`` of the committed ``BENCH_<name>.json`` baseline."""
+    path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        return float(json.load(fh)["results"][key])
+
+
+#: Fraction of the committed ``hot_speedup`` a fresh serve run must reach.
+HOT_SPEEDUP_FLOOR = 0.5
+
 #: name -> list of (description, predicate over the "results" payload).
 FLOORS = {
     "sweep_cache": [
@@ -69,8 +83,10 @@ FLOORS = {
          lambda r: r["responses_identical"] is True),
         ("concurrent identical requests coalesced at least once",
          lambda r: r["coalesced"] >= 1),
-        ("hot replay against the resident store is at least 1.5x faster",
-         lambda r: r["hot_speedup"] >= 1.5),
+        ("hot replay speedup is at least half the committed "
+         "BENCH_serve_throughput.json value",
+         lambda r: r["hot_speedup"] >= HOT_SPEEDUP_FLOOR * committed(
+             "serve_throughput", "hot_speedup")),
         ("hot store serves a nonzero artifact cache hit rate",
          lambda r: r["cache_hit_rate"] > 0.0),
         ("slowest cold pass finishes within 120 s",
